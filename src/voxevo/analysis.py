@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,19 +193,7 @@ def retrain_controller(
     The whole population carries the champion body; mutation only ever
     touches the controller.
     """
-    run_config = RunConfig(
-        environment=config.environment,
-        height=champion_body.h,
-        width=champion_body.w,
-        controller="modular",
-        generations=config.generations,
-        population_size=config.population_size,
-        seed=config.seed,
-        checkpoint_interval=config.checkpoint_interval,
-        output_dir=config.output_dir,
-        freeze_body_path=config.freeze_body_path,
-        threads=config.threads,
-    )
+    run_config = replace(config, height=champion_body.h, width=champion_body.w, controller="modular")
     return evolve(
         run_config,
         evaluator,

@@ -31,7 +31,6 @@ DESK_GENERATIONS = 300
 DESK_SEEDS = 5
 PAPER_GENERATIONS = 10_000
 PAPER_SEEDS = 10
-THREADS_ENV_VAR = "VOXEVO_THREADS"
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -40,16 +39,6 @@ def _parse_size(text: str) -> tuple[int, int]:
         return int(h), int(w)
     except ValueError as exc:
         raise ConfigError(f"size must look like '5x5', got {text!r}") from exc
-
-
-def _threads_default() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -88,10 +77,6 @@ def config_from_args(args) -> RunConfig:
         merged["checkpoint_interval"] = args.checkpoint_interval
     if getattr(args, "out", None) is not None:
         merged["output_dir"] = args.out
-    if getattr(args, "threads", None) is not None:
-        merged["threads"] = args.threads
-    elif "threads" not in merged:
-        merged["threads"] = _threads_default()
 
     try:
         config = RunConfig.from_json(merged)
@@ -121,7 +106,6 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "fingerprint": result.fingerprint,
         "seed": result.seed,
         "config": config.to_json(),
-        "physics_retuning": None,
     }
     if manifest_extra:
         manifest.update(manifest_extra)
@@ -473,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base random seed (default 0)")
         p.add_argument("--checkpoint-interval", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help=f"evaluation threads (or ${THREADS_ENV_VAR})")
         p.add_argument("--paper-scale", action="store_true", help="full-scale defaults: 10000 generations, 10 seeds")
         p.add_argument("--resume", action="store_true", help="continue from the checkpoint in --out")
 

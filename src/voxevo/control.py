@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import materials
-from .sim_core import (
-    ACTION_HIGH,
-    ACTION_LOW,
-    WorldState,
-    observe_voxel,
-    voxel_areas,
-    voxel_velocities,
-)
+from .sim_core import ACTION_HIGH, ACTION_LOW, WorldState, voxel_areas, voxel_velocities
 
 WINDOW_CELLS = 9
 CELL_FEATURES = 8  # volume + 2 velocity components + 5-way material indicator
@@ -108,21 +100,8 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def modular_forward(genome: ControllerGenome, obs: np.ndarray) -> float:
-    """One action from one observation; pure and reentrant."""
-    if genome.variant != "modular":
-        raise ValueError("modular_forward requires a modular genome")
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (OBS_DIM,):
-        raise ValueError(f"observation must have shape ({OBS_DIM},), got {obs.shape}")
-    w1, b1, w2, b2 = unpack_params(genome.params)
-    hidden = np.tanh(w1 @ obs + b1)
-    z = float(w2 @ hidden + b2)
-    return ACTION_LOW + float(_sigmoid(z))
-
-
 def forward_batch(genome: ControllerGenome, obs_matrix: np.ndarray) -> np.ndarray:
-    """Vectorised modular_forward over rows of a (n, 73) observation matrix."""
+    """Modular actions for the rows of a (n, 73) observation matrix; pure and reentrant."""
     if genome.variant != "modular":
         raise ValueError("forward_batch requires a modular genome")
     w1, b1, w2, b2 = unpack_params(genome.params)
@@ -136,29 +115,6 @@ def fixed_action(effective_step: int) -> float:
     if effective_step < 0:
         raise ValueError("effective step index must be >= 0")
     return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
-
-
-def gather_observation(state: WorldState, cell: tuple[int, int], effective_step: int) -> np.ndarray:
-    """73-entry local observation for the active voxel at ``cell``.
-
-    The 3x3 window is scanned row-major around the cell; each slot
-    contributes (volume, vx, vy, material indicator x5); the final entry
-    is the control-step parity.
-    """
-    r, c = cell
-    code = None
-    if 0 <= r < state.morphology.h and 0 <= c < state.morphology.w:
-        code = int(state.morphology.cells[r, c])
-    if code not in materials.ACTIVE_CODES:
-        raise ValueError(f"cell {cell} does not hold an active voxel")
-    out = np.empty(OBS_DIM)
-    k = 0
-    for rr in range(r - 1, r + 2):
-        for cc in range(c - 1, c + 2):
-            out[k : k + CELL_FEATURES] = observe_voxel(state, (rr, cc)).as_vector()
-            k += CELL_FEATURES
-    out[-1] = effective_step % 2
-    return out
 
 
 def _window_tables(state: WorldState):
@@ -194,8 +150,14 @@ def _window_tables(state: WorldState):
 
 
 def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
-    """All active voxels' observations at once, rows aligned with
-    state.actuator_cells. Matches gather_observation row for row."""
+    """All active voxels' 73-entry observations, rows aligned with
+    state.actuator_cells.
+
+    Each row scans the 3x3 window around its cell row-major; every slot
+    contributes (volume, vx, vy, material indicator x5), with empty and
+    out-of-bounds cells reading as zeros and the empty indicator. The
+    final entry is the control-step parity.
+    """
     _, template, present, safe, base = _window_tables(state)
     obs = template.copy()
     if len(state.actuator_cells) == 0:

@@ -9,9 +9,9 @@ controller with equal probability; for fixed controllers the controller
 branch degenerates into a verbatim copy.
 
 Randomness is drawn from per-individual streams derived from
-(master seed, individual id), so evaluation order and thread counts can
-never change a run's outcome, and a checkpoint only needs the seed and
-the next id to resume exactly.
+(master seed, individual id), so evaluation order can never change a
+run's outcome, and a checkpoint only needs the seed and the next id to
+resume exactly.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ class RunConfig:
     checkpoint_interval: int = 50
     output_dir: str | None = None
     freeze_body_path: str | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.environment not in ENVIRONMENTS:
@@ -121,8 +120,6 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint interval must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def setting_name(self) -> str:
         prefix = {"walker": "W", "bridgewalker": "B"}[self.environment]
@@ -237,7 +234,7 @@ def make_offspring(
         raise ValueError("parent must be evaluated before reproducing")
     mutate_body = (not freeze_body) and rng.random() < BODY_MUTATION_PROBABILITY
     if mutate_body:
-        child_morph, _delta = mutate_morphology(parent.morphology, rng)
+        child_morph = mutate_morphology(parent.morphology, rng)
         child_ctrl = parent.controller
         component = "body"
     else:
@@ -348,9 +345,6 @@ class RunResult:
     def best_curve(self) -> np.ndarray:
         return np.array([s.best_fitness for s in self.stats])
 
-    def best_ever_curve(self) -> np.ndarray:
-        return np.maximum.accumulate(self.best_curve())
-
     def write_generation_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
@@ -429,7 +423,7 @@ def evolve(
         from .tasks import EpisodeEvaluator, terrain_by_name
 
         terrain = terrain_by_name(config.environment, (config.height, config.width))
-        evaluator = EpisodeEvaluator(terrain, threads=config.threads)
+        evaluator = EpisodeEvaluator(terrain)
     if frozen_body is None and config.freeze_body_path is not None:
         frozen_body = load_body_file(config.freeze_body_path)
 

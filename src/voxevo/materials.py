@@ -1,14 +1,11 @@
 """Voxel material palette and per-material spring constants."""
 
-import numpy as np
-
 EMPTY = 0
 RIGID = 1
 ELASTIC = 2
 ACTUATOR_H = 3  # expands/contracts horizontally
 ACTUATOR_V = 4  # expands/contracts vertically
 
-ALL_CODES = (EMPTY, RIGID, ELASTIC, ACTUATOR_H, ACTUATOR_V)
 ACTIVE_CODES = (ACTUATOR_H, ACTUATOR_V)
 NUM_CODES = 5
 
@@ -21,16 +18,3 @@ EDGE_STIFFNESS = {
     ACTUATOR_V: 800.0,
 }
 SHEAR_STIFFNESS_FACTOR = 0.5
-
-
-def is_active(code: int) -> bool:
-    return code in ACTIVE_CODES
-
-
-def one_hot(code: int) -> np.ndarray:
-    """5-entry indicator vector for a material code (empty included)."""
-    if code not in ALL_CODES:
-        raise ValueError(f"unknown material code {code!r}")
-    v = np.zeros(NUM_CODES)
-    v[code] = 1.0
-    return v

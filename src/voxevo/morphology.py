@@ -8,7 +8,7 @@ repairs the result back to the largest connected component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,15 @@ class Morphology:
     cells: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.cells, dtype=np.int8)
-        if arr.ndim != 2 or arr.size == 0:
+        raw = np.asarray(self.cells)
+        if raw.ndim != 2 or raw.size == 0:
             raise InvalidMorphologyError("cells must be a non-empty 2D grid")
-        if arr.min() < 0 or arr.max() >= materials.NUM_CODES:
+        # checked before the int8 cast, which would truncate or wrap
+        if raw.dtype.kind not in "iu":
+            raise InvalidMorphologyError(f"material codes must be integers, got {raw.dtype} values")
+        if raw.min() < 0 or raw.max() >= materials.NUM_CODES:
             raise InvalidMorphologyError("material codes must lie in 0..4")
+        arr = raw.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -73,27 +77,12 @@ class Morphology:
 
     @staticmethod
     def from_json(data: dict) -> "Morphology":
-        cells = np.array(data["cells"], dtype=np.int8)
+        cells = np.asarray(data["cells"])
         if cells.shape != (data["h"], data["w"]):
             raise InvalidMorphologyError(
                 f"cells shape {cells.shape} does not match declared ({data['h']}, {data['w']})"
             )
         return Morphology(cells)
-
-
-@dataclass(frozen=True)
-class MorphologyDelta:
-    """Audit record of a body mutation: (row, col, old_code, new_code) per changed cell."""
-
-    changed_cells: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        for r, c, old, new in self.changed_cells:
-            if old == new:
-                raise ValueError(f"delta entry at ({r},{c}) does not change the cell")
-
-    def __len__(self) -> int:
-        return len(self.changed_cells)
 
 
 def _component_sizes(cells: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -197,7 +186,7 @@ def resample_cells(cells: np.ndarray, rng: np.random.Generator, rate: float = MU
 
 def mutate_morphology(
     m: Morphology, rng: np.random.Generator, rate: float = MUTATION_RATE
-) -> tuple[Morphology, MorphologyDelta]:
+) -> Morphology:
     """Mutate a body and repair it; retry until valid, else return the parent.
 
     The whole mutation (fresh coin flips) is retried when repair leaves the
@@ -209,17 +198,8 @@ def mutate_morphology(
         repaired = repair_to_largest_component(raw)
         candidate = Morphology(repaired)
         if is_valid(candidate):
-            return candidate, _delta_between(m.cells, candidate.cells)
-    return m, MorphologyDelta([])
-
-
-def _delta_between(old: np.ndarray, new: np.ndarray) -> MorphologyDelta:
-    rows, cols = np.nonzero(old != new)
-    changed = [
-        (int(r), int(c), int(old[r, c]), int(new[r, c]))
-        for r, c in zip(rows.tolist(), cols.tolist())
-    ]
-    return MorphologyDelta(changed)
+            return candidate
+    return m
 
 
 def morphology_distance(a: Morphology, b: Morphology) -> int:

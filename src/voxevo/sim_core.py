@@ -10,8 +10,8 @@ semi-implicit Euler; ground contact is a penalty normal force plus
 Coulomb-capped friction.
 
 World layout: x grows to the right, y up, the walkable surface at y=0.
-All arrays inside a WorldState are private to one episode; the engine is
-safe for any number of concurrent independent worlds.
+All arrays inside a WorldState are private to one episode, so one world
+never affects another.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .terrain import TerrainSpec
 DT = 0.005                 # seconds per simulation step
 STEPS_PER_ACTION = 5       # controller queried every 5th step
 GRAVITY = 9.81
-VOXEL_EDGE = 1.0
 CORNER_MASS_PER_VOXEL = 0.25
 
 # Actuation
@@ -52,7 +51,6 @@ DIVERGENCE_LIMIT = 1e6
 KIND_STRUCTURAL_H = 0
 KIND_STRUCTURAL_V = 1
 KIND_SHEAR = 2
-SPRING_KIND_NAMES = ("structural_h", "structural_v", "shear")
 
 
 class SimulationDiverged(RuntimeError):
@@ -61,44 +59,6 @@ class SimulationDiverged(RuntimeError):
     def __init__(self, sim_time: int):
         super().__init__(f"simulation diverged at step {sim_time}")
         self.sim_time = sim_time
-
-
-@dataclass
-class PointMass:
-    """Read-only record view of one point mass."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    mass: float
-    pinned: bool
-
-
-@dataclass
-class Spring:
-    """Read-only record view of one spring."""
-
-    endpoints: tuple[int, int]
-    rest_length: float
-    current_rest_length: float
-    stiffness: float
-    damping: float
-    kind: str
-
-
-@dataclass
-class VoxelObservation:
-    """Proprioception of one voxel cell: volume, speed, material."""
-
-    normalized_volume: float
-    center_velocity: np.ndarray
-    material_one_hot: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        out = np.empty(8)
-        out[0] = self.normalized_volume
-        out[1:3] = self.center_velocity
-        out[3:8] = self.material_one_hot
-        return out
 
 
 @dataclass
@@ -125,7 +85,6 @@ class WorldState:
     sim_time: int
 
     n_robot_masses: int
-    voxel_index: dict[tuple[int, int], tuple[int, int, int, int]]  # cell -> (bl, br, tr, tl)
 
     # per-voxel tables over the robot's non-empty cells, row-major
     vox_cells: list[tuple[int, int]]
@@ -138,20 +97,18 @@ class WorldState:
     actuator_cells: list[tuple[int, int]]
     actuator_springs: np.ndarray  # (a, 2) actuated edge spring ids
 
+    # step-loop tables
+    incidence: np.ndarray = field(repr=False)       # (n, s) signed: force scatter as one matmul
+    force_buf: np.ndarray = field(repr=False)       # (n, 2) per-step force scratch
+    actuated_edges: np.ndarray = field(repr=False)  # unique actuated edge spring ids
+    actuated_limit: np.ndarray = field(repr=False)  # their per-step rest-length change limit
+    affected_vox: np.ndarray = field(repr=False)    # voxel rows holding an actuated edge
+    com_weights: np.ndarray = field(repr=False)     # (n_robot,) robot mass fractions
+
     bridge_top: np.ndarray | None = None  # top-chain mass ids ordered by x
 
     clamped_actions: int = 0   # telemetry: out-of-range commands clamped so far
     obs_cache: dict = field(default_factory=dict, repr=False)
-
-    _edge_spring_mask: np.ndarray | None = field(default=None, repr=False)
-    # step-loop scratch, built lazily: incidence matrix, force buffer,
-    # actuated-edge tables, robot COM weights
-    _incidence: np.ndarray | None = field(default=None, repr=False)
-    _force_buf: np.ndarray | None = field(default=None, repr=False)
-    _actuated_edges: np.ndarray | None = field(default=None, repr=False)
-    _actuated_limit: np.ndarray | None = field(default=None, repr=False)
-    _affected_vox: np.ndarray | None = field(default=None, repr=False)
-    _com_weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_masses(self) -> int:
@@ -161,65 +118,12 @@ class WorldState:
     def num_springs(self) -> int:
         return self.spring_i.shape[0]
 
-    def mass_record(self, i: int) -> PointMass:
-        return PointMass(self.pos[i].copy(), self.vel[i].copy(), float(self.mass[i]), bool(self.pinned[i]))
-
-    def spring_record(self, j: int) -> Spring:
-        return Spring(
-            endpoints=(int(self.spring_i[j]), int(self.spring_j[j])),
-            rest_length=float(self.spring_rest[j]),
-            current_rest_length=float(self.spring_current_rest[j]),
-            stiffness=float(self.spring_k[j]),
-            damping=float(self.spring_c[j]),
-            kind=SPRING_KIND_NAMES[int(self.spring_kind[j])],
-        )
-
     def robot_center_of_mass(self) -> np.ndarray:
         n = self.n_robot_masses
-        return self.pos[:n].T @ self.com_weights()
+        return self.pos[:n].T @ self.com_weights
 
     def robot_com_x(self) -> float:
-        return float(self.pos[: self.n_robot_masses, 0] @ self.com_weights())
-
-    def robot_total_mass(self) -> float:
-        return float(self.mass[: self.n_robot_masses].sum())
-
-    def com_weights(self) -> np.ndarray:
-        if self._com_weights is None:
-            m = self.mass[: self.n_robot_masses]
-            self._com_weights = m / m.sum()
-        return self._com_weights
-
-    def edge_spring_mask(self) -> np.ndarray:
-        if self._edge_spring_mask is None:
-            self._edge_spring_mask = self.spring_kind != KIND_SHEAR
-        return self._edge_spring_mask
-
-    def incidence(self) -> np.ndarray:
-        """(n, s) signed incidence matrix: force scatter as one matmul."""
-        if self._incidence is None:
-            inc = np.zeros((self.num_masses, self.num_springs))
-            cols = np.arange(self.num_springs)
-            inc[self.spring_i, cols] = 1.0
-            inc[self.spring_j, cols] = -1.0
-            self._incidence = inc
-        return self._incidence
-
-    def actuation_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Actuated edge spring ids, their rate limits, and affected voxel rows."""
-        if self._actuated_edges is None:
-            edges = np.unique(self.actuator_springs.ravel())
-            self._actuated_edges = edges
-            self._actuated_limit = ACTUATION_RATE * self.spring_rest[edges]
-            edge_set = set(edges.tolist())
-            affected = [
-                v
-                for v in range(len(self.vox_cells))
-                if edge_set & set(self.vox_h_edges[v].tolist())
-                or edge_set & set(self.vox_v_edges[v].tolist())
-            ]
-            self._affected_vox = np.array(affected, dtype=np.int64)
-        return self._actuated_edges, self._actuated_limit, self._affected_vox
+        return float(self.pos[: self.n_robot_masses, 0] @ self.com_weights)
 
 
 class _WorldBuilder:
@@ -334,9 +238,6 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
             else:
                 actuator_springs.append((left, right))
 
-    voxel_index = {
-        cell: corners for cell, corners in zip(nonempty, vox_corners)
-    }
     n_robot = len(b.positions)
 
     bridge_top = None
@@ -364,6 +265,19 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
     m_avg = 0.5 * (masses[spring_i] + masses[spring_j])
     spring_c = DAMPING_RATIO * 2.0 * np.sqrt(spring_k * m_avg)
 
+    incidence = np.zeros((pos.shape[0], spring_i.shape[0]))
+    cols = np.arange(spring_i.shape[0])
+    incidence[spring_i, cols] = 1.0
+    incidence[spring_j, cols] = -1.0
+
+    actuator_springs = np.array(actuator_springs, dtype=np.int64).reshape(-1, 2)
+    actuated_edges = np.unique(actuator_springs.ravel())
+    edge_set = set(actuated_edges.tolist())
+    affected_vox = [
+        row for row, (h, v) in enumerate(zip(vox_h_edges, vox_v_edges)) if edge_set & {*h, *v}
+    ]
+    robot_mass = masses[:n_robot]
+
     return WorldState(
         pos=pos,
         vel=np.zeros_like(pos),
@@ -382,18 +296,19 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
         terrain=terrain,
         sim_time=0,
         n_robot_masses=n_robot,
-        voxel_index=voxel_index,
         vox_cells=list(nonempty),
         vox_corners=np.array(vox_corners, dtype=np.int64),
         vox_h_edges=np.array(vox_h_edges, dtype=np.int64),
         vox_v_edges=np.array(vox_v_edges, dtype=np.int64),
         vox_shear=np.array(vox_shear, dtype=np.int64),
         actuator_cells=actuator_cells,
-        actuator_springs=(
-            np.array(actuator_springs, dtype=np.int64)
-            if actuator_springs
-            else np.zeros((0, 2), dtype=np.int64)
-        ),
+        actuator_springs=actuator_springs,
+        incidence=incidence,
+        force_buf=np.empty_like(pos),
+        actuated_edges=actuated_edges,
+        actuated_limit=ACTUATION_RATE * spring_rest[actuated_edges],
+        affected_vox=np.array(affected_vox, dtype=np.int64),
+        com_weights=robot_mass / robot_mass.sum(),
         bridge_top=bridge_top,
     )
 
@@ -475,30 +390,14 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> tuple[
     return tuple((float(x), float(y)) for x, y in pos)
 
 
-def apply_actuation(state: WorldState, actions: dict[tuple[int, int], float]) -> WorldState:
-    """Set actuation targets from a per-active-voxel command map.
+def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
+    """Set actuation targets from one command per active voxel.
 
-    Commands must be keyed by exactly the active voxel cells. Out-of-range
-    values are clamped into [ACTION_LOW, ACTION_HIGH] and counted in
+    Commands are aligned with state.actuator_cells. Out-of-range values are
+    clamped into [ACTION_LOW, ACTION_HIGH] and counted in
     state.clamped_actions. A spring shared by two actuators receives the
     mean of the two commands.
     """
-    expected = set(state.actuator_cells)
-    got = set(actions)
-    if got != expected:
-        extra = sorted(got - expected)
-        missing = sorted(expected - got)
-        raise ValueError(
-            f"actions must be keyed by exactly the active voxels; extra={extra}, missing={missing}"
-        )
-    arr = np.array([actions[cell] for cell in state.actuator_cells], dtype=np.float64)
-    set_actuation_targets(state, arr)
-    _refresh_shear_rest(state)
-    return state
-
-
-def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
-    """Fast path: commands aligned with state.actuator_cells order."""
     if commands.shape[0] != len(state.actuator_cells):
         raise ValueError("one command per active voxel required")
     clamped = np.clip(commands, ACTION_LOW, ACTION_HIGH)
@@ -516,7 +415,7 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
 
 def _advance_actuation(state: WorldState) -> None:
     """Move actuated edge rest lengths toward their targets, rate-limited."""
-    edges, limit, affected = state.actuation_tables()
+    edges, limit = state.actuated_edges, state.actuated_limit
     cur = state.spring_current_rest
     delta = state.spring_target_rest[edges] - cur[edges]
     if not np.any(delta):
@@ -524,22 +423,17 @@ def _advance_actuation(state: WorldState) -> None:
     np.minimum(delta, limit, out=delta)
     np.maximum(delta, -limit, out=delta)
     cur[edges] += delta
-    _refresh_shear_rest(state, affected)
+    _refresh_shear_rest(state, state.affected_vox)
 
 
-def _refresh_shear_rest(state: WorldState, rows: np.ndarray | None = None) -> None:
-    """Diagonal rest lengths follow the voxel's edge rest lengths (Pythagoras)."""
-    if state.vox_shear.size == 0:
-        return
+def _refresh_shear_rest(state: WorldState, rows: np.ndarray) -> None:
+    """Diagonal rest lengths of the given voxel rows follow their edge rest
+    lengths (Pythagoras)."""
     cur = state.spring_current_rest
-    h_edges = state.vox_h_edges if rows is None else state.vox_h_edges[rows]
-    v_edges = state.vox_v_edges if rows is None else state.vox_v_edges[rows]
-    shear = state.vox_shear if rows is None else state.vox_shear[rows]
-    if shear.size == 0:
-        return
-    h_rest = cur[h_edges].sum(axis=1) * 0.5
-    v_rest = cur[v_edges].sum(axis=1) * 0.5
+    h_rest = cur[state.vox_h_edges[rows]].sum(axis=1) * 0.5
+    v_rest = cur[state.vox_v_edges[rows]].sum(axis=1) * 0.5
     diag = np.hypot(h_rest, v_rest)
+    shear = state.vox_shear[rows]
     cur[shear[:, 0]] = diag
     cur[shear[:, 1]] = diag
 
@@ -559,10 +453,9 @@ def spring_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarra
     magnitude += state.spring_c * rel_speed
     magnitude /= dist
     d *= magnitude[:, None]
-    inc = state.incidence()
     if out is None:
-        return inc @ d
-    np.matmul(inc, d, out=out)
+        return state.incidence @ d
+    np.matmul(state.incidence, d, out=out)
     return out
 
 
@@ -651,9 +544,7 @@ def step(state: WorldState, dt: float = DT, gravity: float = GRAVITY) -> WorldSt
         raise ValueError("dt must be positive")
     if state.actuator_springs.size:
         _advance_actuation(state)
-    if state._force_buf is None:
-        state._force_buf = np.empty_like(state.pos)
-    f = spring_forces(state, out=state._force_buf)
+    f = spring_forces(state, out=state.force_buf)
     contact_forces(state, dt, out=f)
     f[:, 1] -= gravity * state.mass
     f *= state.inv_mass[:, None]
@@ -667,30 +558,6 @@ def step(state: WorldState, dt: float = DT, gravity: float = GRAVITY) -> WorldSt
     if not np.isfinite(extreme) or extreme > DIVERGENCE_LIMIT:
         raise SimulationDiverged(state.sim_time)
     return state
-
-
-def observe_voxel(state: WorldState, cell: tuple[int, int]) -> VoxelObservation:
-    """Proprioception of one cell; empty/out-of-bounds cells read as zeros.
-
-    normalized_volume is the corner quadrilateral's shoelace area over the
-    unit rest area; center_velocity is the mean of the corner velocities.
-    """
-    corners = state.voxel_index.get(tuple(cell))
-    if corners is None:
-        return VoxelObservation(0.0, np.zeros(2), materials.one_hot(materials.EMPTY))
-    idx = list(corners)
-    quad = state.pos[idx]
-    x = quad[:, 0]
-    y = quad[:, 1]
-    area = 0.5 * abs(
-        x[0] * y[1] - x[1] * y[0]
-        + x[1] * y[2] - x[2] * y[1]
-        + x[2] * y[3] - x[3] * y[2]
-        + x[3] * y[0] - x[0] * y[3]
-    )
-    velocity = state.vel[idx].mean(axis=0)
-    code = int(state.morphology.cells[cell[0], cell[1]])
-    return VoxelObservation(area / (VOXEL_EDGE * VOXEL_EDGE), velocity, materials.one_hot(code))
 
 
 _QUAD_NEXT = np.array([1, 2, 3, 0])
@@ -709,13 +576,3 @@ def voxel_areas(state: WorldState) -> np.ndarray:
 def voxel_velocities(state: WorldState) -> np.ndarray:
     """Mean corner velocities of all non-empty robot voxels."""
     return state.vel[state.vox_corners].mean(axis=1)
-
-
-def mechanical_energy(state: WorldState, gravity: float = GRAVITY) -> float:
-    """Kinetic + spring elastic + gravitational PE (surface at y=0 as datum)."""
-    ke = 0.5 * float((state.mass * (state.vel * state.vel).sum(axis=1)).sum())
-    d = state.pos[state.spring_j] - state.pos[state.spring_i]
-    dist = np.sqrt((d * d).sum(axis=1))
-    pe_spring = 0.5 * float((state.spring_k * (dist - state.spring_current_rest) ** 2).sum())
-    pe_grav = gravity * float((state.mass * state.pos[:, 1]).sum())
-    return ke + pe_spring + pe_grav

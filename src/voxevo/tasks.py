@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,43 +62,31 @@ class EpisodeResult:
         }
 
 
-def compute_fitness(
-    delta_px: float,
-    finished: bool,
-    steps_used: int,
-    *,
-    completion_bonus: float = COMPLETION_BONUS,
-    step_penalty: float = STEP_PENALTY,
-    offset: float = REWARD_OFFSET,
-    max_steps: int = T_MAX,
-) -> float:
-    """Affine episode score; defaults: displacement + done + 5 - 0.01*steps.
+def compute_fitness(delta_px: float, finished: bool, steps_used: int) -> float:
+    """Affine episode score: displacement + done + 5 - 0.01*steps.
 
     The offset and the penalty are combined first so that the worst-case
     penalty cancels the offset exactly (a full 500-step episode with no
     displacement scores 0.0, not an ulp away from it).
     """
-    if not 0 <= steps_used <= max_steps:
-        raise ValueError(f"steps_used must lie in [0, {max_steps}], got {steps_used}")
-    bonus = completion_bonus if finished else 0.0
-    return delta_px + bonus + (offset - step_penalty * steps_used)
+    if not 0 <= steps_used <= T_MAX:
+        raise ValueError(f"steps_used must lie in [0, {T_MAX}], got {steps_used}")
+    bonus = COMPLETION_BONUS if finished else 0.0
+    return delta_px + bonus + (REWARD_OFFSET - STEP_PENALTY * steps_used)
 
 
 def run_episode(
     morphology: Morphology,
     controller: ControllerGenome,
     terrain: TerrainSpec,
-    seed: int = 0,
     *,
-    max_steps: int = T_MAX,
     telemetry_path=None,
 ) -> EpisodeResult:
     """Run one deterministic locomotion episode.
 
-    ``seed`` is accepted for interface stability; the engine itself is
-    noise-free, so identical inputs always produce identical results.
-    A diverged simulation scores as unfinished with displacement taken at
-    the last valid step and the full time penalty applied.
+    The engine is noise-free, so identical inputs always produce identical
+    results. A diverged simulation scores as unfinished with displacement
+    taken at the last valid step and the full time penalty applied.
     """
     require_valid(morphology)
     state = build_world(morphology, terrain)
@@ -107,10 +94,10 @@ def run_episode(
     last_x = start_x
     finished = False
     diverged = False
-    steps_used = max_steps
+    steps_used = T_MAX
     telemetry_rows = []
 
-    for t in range(max_steps):
+    for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
             k = t // STEPS_PER_ACTION
             actions = compute_actions(controller, state, k)
@@ -122,7 +109,6 @@ def run_episode(
             sim_core.step(state, DT)
         except SimulationDiverged:
             diverged = True
-            steps_used = max_steps
             break
         last_x = state.robot_com_x()
         if last_x >= terrain.finish_x:
@@ -161,58 +147,38 @@ def _genome_key(morphology: Morphology, controller: ControllerGenome) -> bytes:
 
 
 class EpisodeEvaluator:
-    """Scores (morphology, controller) pairs on one terrain.
+    """Scores (morphology, controller) pairs on one terrain, one episode
+    at a time.
 
     Deterministic episodes make caching exact: identical genomes share a
-    fitness without re-simulation. Batches may be evaluated by a thread
-    pool; results never depend on the thread count. An unexpected failure
-    inside an episode scores like a divergence (no displacement, full
-    time penalty) instead of aborting the batch.
+    fitness without re-simulation. An unexpected failure inside an episode
+    scores like a divergence (no displacement, full time penalty) instead
+    of aborting the batch.
     """
 
-    def __init__(self, terrain: TerrainSpec, *, max_steps: int = T_MAX, cache: bool = True, threads: int = 1):
+    def __init__(self, terrain: TerrainSpec):
         self.terrain = terrain
-        self.max_steps = max_steps
-        self.threads = max(1, int(threads))
-        self._cache: dict[bytes, float] | None = {} if cache else None
+        self._cache: dict[bytes, float] = {}
         self.episodes_run = 0
         self.cache_hits = 0
         self.failures = 0
 
-    def episode(self, morphology: Morphology, controller: ControllerGenome) -> EpisodeResult:
+    def _safe_fitness(self, morphology: Morphology, controller: ControllerGenome) -> float:
         self.episodes_run += 1
-        return run_episode(morphology, controller, self.terrain, max_steps=self.max_steps)
-
-    def _safe_fitness(self, pair) -> float:
-        morphology, controller = pair
         try:
-            return self.episode(morphology, controller).fitness
+            return run_episode(morphology, controller, self.terrain).fitness
         except Exception:
             self.failures += 1
-            return compute_fitness(0.0, False, self.max_steps, max_steps=self.max_steps)
-
-    def __call__(self, morphology: Morphology, controller: ControllerGenome) -> float:
-        return self.fitness_many([(morphology, controller)])[0]
+            return compute_fitness(0.0, False, T_MAX)
 
     def fitness_many(self, pairs) -> list[float]:
-        pairs = list(pairs)
-        if self._cache is None:
-            return self._run_batch(pairs)
-        keys = [_genome_key(m, c) for m, c in pairs]
-        todo: dict[bytes, tuple] = {}
-        for key, pair in zip(keys, pairs):
-            if key not in self._cache and key not in todo:
-                todo[key] = pair
-        self.cache_hits += len(keys) - len(todo)
-        fresh = self._run_batch(list(todo.values()))
-        for key, fit in zip(todo.keys(), fresh):
-            self._cache[key] = fit
+        """Fitness of each pair, in order; each distinct genome runs once."""
+        keys = []
+        for morphology, controller in pairs:
+            key = _genome_key(morphology, controller)
+            if key in self._cache:
+                self.cache_hits += 1
+            else:
+                self._cache[key] = self._safe_fitness(morphology, controller)
+            keys.append(key)
         return [self._cache[key] for key in keys]
-
-    def _run_batch(self, pairs) -> list[float]:
-        if not pairs:
-            return []
-        if self.threads == 1 or len(pairs) == 1:
-            return [self._safe_fitness(p) for p in pairs]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(self._safe_fitness, pairs))

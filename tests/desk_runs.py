@@ -41,9 +41,8 @@ def run_cached(config: RunConfig) -> dict:
     if path.exists():
         with open(path) as fh:
             return json.load(fh)
-    threads = max(1, int(os.environ.get("VOXEVO_THREADS", "1")))
     terrain = terrain_by_name(config.environment, (config.height, config.width))
-    evaluator = EpisodeEvaluator(terrain, threads=threads)
+    evaluator = EpisodeEvaluator(terrain)
     result = evolve(config, evaluator)
     summary = {
         "config": config.to_json(),

@@ -9,15 +9,15 @@ from voxevo.control import (
     compute_actions,
     fixed_action,
     forward_batch,
-    gather_observation,
     init_controller,
-    modular_forward,
     mutate_controller,
     observation_matrix,
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import build_world, step, DT
+
+from oracles import gather_observation, modular_forward
 
 
 def modular(rng):

@@ -4,7 +4,6 @@ import pytest
 from voxevo.morphology import (
     InvalidMorphologyError,
     Morphology,
-    MorphologyDelta,
     is_valid,
     morphology_distance,
     mutate_morphology,
@@ -20,6 +19,22 @@ def test_codes_outside_range_unrepresentable():
         Morphology([[5]])
     with pytest.raises(InvalidMorphologyError):
         Morphology([[-1, 2]])
+    # beyond int8: rejected by the range check, not wrapped or overflowed
+    for code in (260, -300, 2**40):
+        with pytest.raises(InvalidMorphologyError):
+            Morphology([[code]])
+    with pytest.raises(InvalidMorphologyError):
+        Morphology.from_json({"h": 1, "w": 1, "cells": [[260]]})
+
+
+def test_non_integer_codes_rejected():
+    # not truncated (3.7 -> 3) or parsed ("3" -> 3)
+    for cells in ([[3.7]], [[3.0]], [["3"]], [[True]], [[None]]):
+        with pytest.raises(InvalidMorphologyError):
+            Morphology(cells)
+        with pytest.raises(InvalidMorphologyError):
+            Morphology.from_json({"h": 1, "w": 1, "cells": cells})
+    assert Morphology(np.array([[3, 1]], dtype=np.uint8)) == Morphology([[3, 1]])
 
 
 def test_cells_are_frozen(single_actuator):
@@ -73,9 +88,8 @@ def test_material_frequencies_consistent_across_seeds():
 
 
 def test_mutation_rate_zero_is_identity(rng, small_body):
-    child, delta = mutate_morphology(small_body, rng, rate=0.0)
+    child = mutate_morphology(small_body, rng, rate=0.0)
     assert child == small_body
-    assert len(delta) == 0
 
 
 def test_raw_flip_count_matches_binomial_mean():
@@ -100,14 +114,14 @@ def test_resample_targets_never_equal_source(rng):
 def test_mutation_output_always_valid(rng):
     m = random_morphology(5, 5, rng)
     for _ in range(300):
-        m, _ = mutate_morphology(m, rng)
+        m = mutate_morphology(m, rng)
         assert is_valid(m)
 
 
 def test_mutating_1x1_actuator_keeps_an_actuator(rng):
     parent = Morphology([[3]])
     for _ in range(200):
-        child, _ = mutate_morphology(parent, rng)
+        child = mutate_morphology(parent, rng)
         assert child.cells[0, 0] in (3, 4)
 
 
@@ -134,19 +148,6 @@ def test_repair_tie_break_deterministic():
     repaired = repair_to_largest_component(grid)
     # equal-size components: the one containing the first row-major cell wins
     assert repaired[0, 0] == 1 and repaired[2, 2] == 0
-
-
-def test_delta_records_actual_changes(rng, small_body):
-    child, delta = mutate_morphology(small_body, rng)
-    assert len(delta) == morphology_distance(small_body, child)
-    for r, c, old, new in delta.changed_cells:
-        assert small_body.cells[r, c] == old
-        assert child.cells[r, c] == new
-
-
-def test_delta_rejects_noop_entries():
-    with pytest.raises(ValueError):
-        MorphologyDelta([(0, 0, 2, 2)])
 
 
 def test_distance_examples(small_body):

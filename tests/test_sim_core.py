@@ -9,16 +9,18 @@ from voxevo.sim_core import (
     DT,
     FRICTION_MU,
     GRAVITY,
+    KIND_SHEAR,
+    KIND_STRUCTURAL_H,
     SimulationDiverged,
-    apply_actuation,
     build_world,
     contact_forces,
-    mechanical_energy,
-    observe_voxel,
+    set_actuation_targets,
     spring_forces,
     step,
 )
 from voxevo.terrain import make_flat_terrain
+
+from oracles import mechanical_energy, observe_voxel, voxel_index
 
 
 def settle(state, seconds, gravity=GRAVITY):
@@ -34,8 +36,7 @@ def test_build_1x1_counts(single_actuator, flat):
     w = build_world(single_actuator, flat)
     assert w.num_masses == 4
     assert w.num_springs == 6
-    kinds = [w.spring_record(i).kind for i in range(w.num_springs)]
-    assert kinds.count("shear") == 2
+    assert np.count_nonzero(w.spring_kind == KIND_SHEAR) == 2
 
 
 def test_build_2x1_shared_corners(flat):
@@ -43,8 +44,7 @@ def test_build_2x1_shared_corners(flat):
     w = build_world(Morphology([[1, 1]]), flat)
     assert w.num_masses == 6
     assert w.num_springs == 11
-    kinds = [w.spring_record(i).kind for i in range(w.num_springs)]
-    assert kinds.count("shear") == 4
+    assert np.count_nonzero(w.spring_kind == KIND_SHEAR) == 4
 
 
 def test_build_rejects_empty(flat):
@@ -69,27 +69,27 @@ def test_corner_mass_shares():
     for m in w.mass:
         counts[round(float(m), 2)] += 1
     assert counts == {0.25: 4, 0.5: 4, 1.0: 1}
-    assert w.robot_total_mass() == pytest.approx(4.0)
+    assert w.mass[: w.n_robot_masses].sum() == pytest.approx(4.0)
 
 
 def test_shared_boundary_spring_takes_stiffer_material(flat):
     w = build_world(Morphology([[1], [2]]), flat)  # rigid above elastic
     shared = None
     for i in range(w.num_springs):
-        rec = w.spring_record(i)
-        a, b = rec.endpoints
+        a, b = w.spring_i[i], w.spring_j[i]
         ys = {round(float(w.pos[a, 1]), 6), round(float(w.pos[b, 1]), 6)}
-        if rec.kind == "structural_h" and ys == {1.0}:
-            shared = rec
+        if w.spring_kind[i] == KIND_STRUCTURAL_H and ys == {1.0}:
+            shared = i
     assert shared is not None
-    assert shared.stiffness == 2000.0
+    assert w.spring_k[shared] == 2000.0
 
 
 def test_voxel_index_maps_every_nonempty_cell(small_body, flat):
     w = build_world(small_body, flat)
-    assert set(w.voxel_index) == set(small_body.nonempty_cells())
-    for corners in w.voxel_index.values():
-        assert len(corners) == 4
+    index = voxel_index(w)
+    assert set(index) == set(small_body.nonempty_cells())
+    for corners in index.values():
+        assert len(set(corners)) == 4
 
 
 # --- actuation ------------------------------------------------------------
@@ -97,14 +97,14 @@ def test_voxel_index_maps_every_nonempty_cell(small_body, flat):
 
 def test_identity_actuation_steady_state(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    apply_actuation(w, {(0, 0): 1.0})
+    set_actuation_targets(w, np.array([1.0]))
     settle(w, 0.5)
     assert np.allclose(w.spring_current_rest, w.spring_rest)
 
 
 def test_rate_limited_full_expansion(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    apply_actuation(w, {(0, 0): 1.6})
+    set_actuation_targets(w, np.array([1.6]))
     n_steps = int(np.ceil(0.6 / ACTUATION_RATE))
     for i in range(n_steps):
         step(w, DT, gravity=0.0)
@@ -112,39 +112,39 @@ def test_rate_limited_full_expansion(single_actuator, flat):
     assert np.allclose(w.spring_current_rest[actuated], 1.6)
     # one step earlier it must not have arrived yet
     w2 = build_world(single_actuator, flat)
-    apply_actuation(w2, {(0, 0): 1.6})
+    set_actuation_targets(w2, np.array([1.6]))
     for i in range(n_steps - 1):
         step(w2, DT, gravity=0.0)
     assert np.all(w2.spring_current_rest[actuated] < 1.6)
 
 
 def test_actuation_on_passive_cell_rejected(small_body, flat):
+    # one command per active voxel plus one more, as if for the rigid cell
     w = build_world(small_body, flat)
-    actions = {cell: 1.0 for cell in w.actuator_cells}
-    actions[(0, 1)] = 1.2  # rigid cell
     with pytest.raises(ValueError):
-        apply_actuation(w, actions)
+        set_actuation_targets(w, np.full(len(w.actuator_cells) + 1, 1.2))
 
 
 def test_actuation_missing_key_rejected(small_body, flat):
+    # one command short: an active voxel is left without a command
     w = build_world(small_body, flat)
     with pytest.raises(ValueError):
-        apply_actuation(w, {w.actuator_cells[0]: 1.0})
+        set_actuation_targets(w, np.array([1.0]))
 
 
 def test_out_of_range_action_clamped_and_flagged(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    apply_actuation(w, {(0, 0): 2.5})
+    set_actuation_targets(w, np.array([2.5]))
     assert w.clamped_actions == 1
     assert np.all(w.spring_target_rest[w.actuator_springs[0]] == 1.6)
-    apply_actuation(w, {(0, 0): 1.6})  # in range, boundary included
+    set_actuation_targets(w, np.array([1.6]))  # in range, boundary included
     assert w.clamped_actions == 1
 
 
 def test_actuation_preserves_counts(small_body, flat):
     w = build_world(small_body, flat)
     before = (w.num_masses, w.num_springs)
-    apply_actuation(w, {cell: 1.4 for cell in w.actuator_cells})
+    set_actuation_targets(w, np.full(len(w.actuator_cells), 1.4))
     settle(w, 0.3)
     assert (w.num_masses, w.num_springs) == before
 
@@ -152,7 +152,8 @@ def test_actuation_preserves_counts(small_body, flat):
 def test_shared_actuated_spring_averages_commands(flat):
     # two horizontal actuators stacked vertically share one horizontal edge
     w = build_world(Morphology([[3], [3]]), flat)
-    apply_actuation(w, {(0, 0): 1.6, (1, 0): 0.6})
+    assert w.actuator_cells == [(0, 0), (1, 0)]
+    set_actuation_targets(w, np.array([1.6, 0.6]))
     shared = set(w.actuator_springs[0]) & set(w.actuator_springs[1])
     assert len(shared) == 1
     assert w.spring_target_rest[shared.pop()] == pytest.approx(1.1)
@@ -160,7 +161,7 @@ def test_shared_actuated_spring_averages_commands(flat):
 
 def test_diagonal_rest_follows_edges(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    apply_actuation(w, {(0, 0): 1.6})
+    set_actuation_targets(w, np.array([1.6]))
     for _ in range(60):
         step(w, DT, gravity=0.0)
     d1, d2 = w.vox_shear[0]
@@ -319,7 +320,7 @@ def test_observe_undeformed_voxel(single_actuator, flat):
 
 def test_observe_stretched_quad_shoelace(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    bl, br, tr, tl = w.voxel_index[(0, 0)]
+    bl, br, tr, tl = voxel_index(w)[(0, 0)]
     w.pos[bl] = (0.0, 0.0)
     w.pos[br] = (2.0, 0.0)
     w.pos[tr] = (2.0, 1.0)
@@ -346,7 +347,7 @@ def test_observation_velocity_is_corner_mean(single_actuator, flat):
 
 def test_volume_positive_throughout_episode(rng, flat):
     from voxevo.morphology import random_morphology
-    from voxevo.sim_core import set_actuation_targets, voxel_areas
+    from voxevo.sim_core import voxel_areas
     from voxevo.control import compute_actions, init_controller
 
     m = random_morphology(5, 5, rng)

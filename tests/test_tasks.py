@@ -234,12 +234,12 @@ def test_evaluator_caches_identical_genomes(rng, flat):
     assert ev.cache_hits == 2
 
 
-def test_evaluator_thread_count_does_not_change_results(rng, flat):
+def test_evaluator_scores_match_single_episodes(rng, flat):
     bodies = [random_morphology(4, 4, rng) for _ in range(6)]
     pairs = [(m, FIXED) for m in bodies]
-    serial = EpisodeEvaluator(flat, threads=1).fitness_many(pairs)
-    threaded = EpisodeEvaluator(flat, threads=4).fitness_many(pairs)
-    assert serial == threaded
+    ev = EpisodeEvaluator(flat)
+    assert ev.fitness_many(pairs) == [run_episode(m, c, flat).fitness for m, c in pairs]
+    assert ev.episodes_run == len(set(bodies))
 
 
 def test_evaluator_survives_bad_individual(flat):
