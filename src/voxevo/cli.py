@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, analysis
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
 from .morphology import validity_report
+from .sim_core import ENGINE_VERSION
 from .tasks import terrain_by_name
 
 DESK_GENERATIONS = 300
@@ -101,6 +102,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
     manifest = {
         "software": "voxevo",
         "version": __version__,
+        "engine_version": ENGINE_VERSION,
         "setting": config.setting_name(),
         "group_label": group_label(config),
         "fingerprint": result.fingerprint,

@@ -14,6 +14,7 @@ Two variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,25 @@ class ControllerGenome:
         return ControllerGenome(data["variant"], np.asarray(data["params"], dtype=np.float64))
 
 
+@dataclass(frozen=True)
+class ControllerStack:
+    """The genomes of a batch of worlds: one variant, one parameter row per world."""
+
+    variant: str
+    params: np.ndarray  # (worlds, PARAM_COUNT); (worlds, 0) for fixed
+
+    def take(self, rows) -> "ControllerStack":
+        return ControllerStack(self.variant, self.params[rows])
+
+
+def stack_controllers(genomes) -> ControllerStack:
+    """The controllers of a batch of worlds, one row per world."""
+    variants = {g.variant for g in genomes}
+    if len(variants) != 1:
+        raise ValueError(f"a batch needs one controller variant, got {sorted(variants)}")
+    return ControllerStack(variants.pop(), np.stack([g.params for g in genomes]))
+
+
 def init_controller(variant: str, rng: np.random.Generator) -> ControllerGenome:
     """Fresh genome: N(0, INIT_SIGMA) parameters for modular, empty for fixed."""
     if variant == "fixed":
@@ -85,14 +105,15 @@ def mutate_controller(genome: ControllerGenome, rng: np.random.Generator) -> Con
     return ControllerGenome("modular", genome.params + rng.normal(0.0, MUTATION_SIGMA, size=PARAM_COUNT))
 
 
-def unpack_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def unpack_params(params: np.ndarray):
+    """(W1, b1, W2, b2) views of flat parameter vectors along the last axis."""
     w1_end = OBS_DIM * HIDDEN_UNITS
     b1_end = w1_end + HIDDEN_UNITS
     w2_end = b1_end + HIDDEN_UNITS
-    w1 = params[:w1_end].reshape(HIDDEN_UNITS, OBS_DIM)
-    b1 = params[w1_end:b1_end]
-    w2 = params[b1_end:w2_end]
-    b2 = float(params[w2_end])
+    w1 = params[..., :w1_end].reshape(*params.shape[:-1], HIDDEN_UNITS, OBS_DIM)
+    b1 = params[..., w1_end:b1_end]
+    w2 = params[..., b1_end:w2_end]
+    b2 = params[..., w2_end]
     return w1, b1, w2, b2
 
 
@@ -100,13 +121,18 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def forward_batch(genome: ControllerGenome, obs_matrix: np.ndarray) -> np.ndarray:
-    """Modular actions for the rows of a (n, 73) observation matrix; pure and reentrant."""
-    if genome.variant != "modular":
-        raise ValueError("forward_batch requires a modular genome")
-    w1, b1, w2, b2 = unpack_params(genome.params)
-    hidden = np.tanh(obs_matrix @ w1.T + b1)
-    z = hidden @ w2 + b2
+def forward_batch(params: np.ndarray, obs_blocks: np.ndarray) -> np.ndarray:
+    """Modular actions for (worlds, rows, 73) observation blocks, one
+    (worlds, 2401) parameter row per block; pure and reentrant.
+
+    Each block is its own GEMM, so a block's results depend only on its
+    own rows, its own parameters and the block shape.
+    """
+    w1, b1, w2, b2 = unpack_params(params)
+    hidden = obs_blocks @ np.swapaxes(w1, -1, -2)
+    hidden += b1[:, None, :]
+    np.tanh(hidden, out=hidden)
+    z = (hidden @ w2[:, :, None])[:, :, 0] + b2[:, None]
     return ACTION_LOW + _sigmoid(z)
 
 
@@ -117,35 +143,46 @@ def fixed_action(effective_step: int) -> float:
     return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
 
 
-def _window_tables(state: WorldState):
-    """Static per-world observation tables: the (n_active, 9) map into the
-    voxel table, its presence mask, and the fixed material-indicator part
-    of the observation matrix."""
-    cached = state.obs_cache.get("window_tables")
+_WINDOW_DR = np.repeat([0, 1, 2], 3)  # 3x3 window offsets, row-major, on a grid padded by one cell
+_WINDOW_DC = np.tile([0, 1, 2], 3)
+_SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
+
+
+class _Windows(NamedTuple):
+    """Static observation tables of a state, one row per active voxel."""
+
+    template: np.ndarray     # (n_active, 73) the material indicators, zeros elsewhere
+    present: np.ndarray      # (n_active, 9) the window slot holds a voxel
+    voxel: np.ndarray        # (n_active, 9) that voxel's row, 0 where absent
+    block_rows: int          # rows per world in the controller blocks: h*w
+    block_index: np.ndarray  # (n_active,) row in the stacked (worlds * block_rows) blocks
+
+
+def _window_tables(state: WorldState) -> _Windows:
+    """The state's observation tables, built on first use."""
+    cached = state.obs_cache.get("windows")
     if cached is not None:
         return cached
-    cell_row = {cell: i for i, cell in enumerate(state.vox_cells)}
-    n_active = len(state.actuator_cells)
-    win_map = np.full((n_active, WINDOW_CELLS), -1, dtype=np.int64)
+    shape = np.max([m.cells.shape for m in state.morphologies], axis=0)
+    grid_row = np.full((state.num_worlds, shape[0] + 2, shape[1] + 2), -1, dtype=np.int64)
+    grid_code = np.zeros(grid_row.shape, dtype=np.int64)  # empty beyond every body
+    for w, m in enumerate(state.morphologies):
+        grid_code[w, 1 : m.h + 1, 1 : m.w + 1] = m.cells
+    vox_world = np.repeat(np.arange(state.num_worlds), np.diff(state.starts["vox"]))
+    cells = np.array(state.vox_cells, dtype=np.int64).reshape(-1, 2)
+    grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(cells.shape[0])
+
+    act = np.array(state.actuator_cells, dtype=np.int64).reshape(-1, 2)
+    n_active = act.shape[0]
+    window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
     template = np.zeros((n_active, OBS_DIM))
-    for a, (r, c) in enumerate(state.actuator_cells):
-        slot = 0
-        for rr in range(r - 1, r + 2):
-            for cc in range(c - 1, c + 2):
-                base = slot * CELL_FEATURES
-                row = cell_row.get((rr, cc))
-                if row is None:
-                    template[a, base + 3] = 1.0  # empty-material indicator
-                else:
-                    win_map[a, slot] = row
-                    code = int(state.morphology.cells[rr, cc])
-                    template[a, base + 3 + code] = 1.0
-                slot += 1
-    present = win_map >= 0
-    safe = np.where(present, win_map, 0)
-    base = np.arange(WINDOW_CELLS) * CELL_FEATURES
-    cached = (win_map, template, present, safe, base)
-    state.obs_cache["window_tables"] = cached
+    template[np.arange(n_active)[:, None], _SLOT_BASE + 3 + grid_code[window]] = 1.0
+    voxel = grid_row[window]
+    present = voxel >= 0
+    block_rows = int(shape[0] * shape[1])
+    slot = np.arange(n_active) - state.starts["act"][state.act_world]
+    cached = _Windows(template, present, np.where(present, voxel, 0), block_rows, state.act_world * block_rows + slot)
+    state.obs_cache["windows"] = cached
     return cached
 
 
@@ -158,22 +195,32 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     out-of-bounds cells reading as zeros and the empty indicator. The
     final entry is the control-step parity.
     """
-    _, template, present, safe, base = _window_tables(state)
-    obs = template.copy()
+    windows = _window_tables(state)
+    obs = windows.template.copy()
     if len(state.actuator_cells) == 0:
         return obs
+    present, voxel = windows.present, windows.voxel
     areas = voxel_areas(state)
     vels = voxel_velocities(state)
-    obs[:, base] = np.where(present, areas[safe], 0.0)
-    obs[:, base + 1] = np.where(present, vels[safe, 0], 0.0)
-    obs[:, base + 2] = np.where(present, vels[safe, 1], 0.0)
+    obs[:, _SLOT_BASE] = np.where(present, areas[voxel], 0.0)
+    obs[:, _SLOT_BASE + 1] = np.where(present, vels[voxel, 0], 0.0)
+    obs[:, _SLOT_BASE + 2] = np.where(present, vels[voxel, 1], 0.0)
     obs[:, -1] = effective_step % 2
     return obs
 
 
-def compute_actions(genome: ControllerGenome, state: WorldState, effective_step: int) -> np.ndarray:
-    """Per-active-voxel commands, aligned with state.actuator_cells."""
+def compute_actions(controllers: ControllerStack, state: WorldState, effective_step: int) -> np.ndarray:
+    """Per-active-voxel commands, aligned with state.actuator_cells.
+
+    Modular observations go to the network in blocks of h*w rows per
+    world, the most active voxels an h x w body can hold, so a world's
+    block never depends on the other worlds in the state.
+    """
     n_active = len(state.actuator_cells)
-    if genome.variant == "fixed":
+    if controllers.variant == "fixed":
         return np.full(n_active, fixed_action(effective_step))
-    return forward_batch(genome, observation_matrix(state, effective_step))
+    obs = observation_matrix(state, effective_step)
+    windows = _window_tables(state)
+    blocks = np.zeros((state.num_worlds, windows.block_rows, OBS_DIM))
+    blocks.reshape(-1, OBS_DIM)[windows.block_index] = obs
+    return forward_batch(controllers.params, blocks).ravel()[windows.block_index]

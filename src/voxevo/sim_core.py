@@ -10,8 +10,8 @@ semi-implicit Euler; ground contact is a penalty normal force plus
 Coulomb-capped friction.
 
 World layout: x grows to the right, y up, the walkable surface at y=0.
-All arrays inside a WorldState are private to one episode, so one world
-never affects another.
+A WorldState holds one world or a disjoint union of several that step
+together; no table joins two worlds, so one world never affects another.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ import numpy as np
 from . import materials
 from .morphology import Morphology, simulability_report, InvalidMorphologyError
 from .terrain import TerrainSpec
+
+# Version of the episode numerics. Bump it with any change that can move a
+# simulated trajectory or fitness by even one ulp: cached evidence and run
+# manifests carry it, so results are never served across engines.
+ENGINE_VERSION = 2
 
 # Integration and units
 DT = 0.005                 # seconds per simulation step
@@ -56,20 +61,32 @@ KIND_SHEAR = 2
 class SimulationDiverged(RuntimeError):
     """Raised when positions become non-finite or absurdly large."""
 
-    def __init__(self, sim_time: int):
-        super().__init__(f"simulation diverged at step {sim_time}")
+    def __init__(self, sim_time: int, worlds: np.ndarray):
+        super().__init__(f"simulation diverged at step {sim_time} in worlds {worlds.tolist()}")
         self.sim_time = sim_time
+        self.worlds = worlds
 
 
 @dataclass
 class WorldState:
-    """Mutable simulation state for one robot (plus bridge strip, if any)."""
+    """Mutable simulation state of one or more worlds, each a robot plus its
+    bridge strip, if any.
+
+    ``build_world`` makes a state of one world; ``stack_worlds`` joins
+    several into one disjoint union that steps them all at once. Every
+    per-element table is concatenated world by world: world ``w`` owns the
+    rows ``starts[kind][w]:starts[kind][w + 1]`` of each kind ("mass",
+    "spring", "vox", "act", "top", "world"), its robot's masses first.
+    Index tables hold union ids, so no spring, contact or sum ever joins
+    two worlds.
+    """
 
     pos: np.ndarray            # (n, 2)
     vel: np.ndarray            # (n, 2)
     mass: np.ndarray           # (n,)
     inv_mass: np.ndarray       # (n,) zero for pinned masses
     pinned: np.ndarray         # (n,) bool
+    is_robot: np.ndarray       # (n,) bool, false for bridge-strip masses
 
     spring_i: np.ndarray       # (s,) first endpoint index
     spring_j: np.ndarray       # (s,)
@@ -80,35 +97,59 @@ class WorldState:
     spring_c: np.ndarray
     spring_kind: np.ndarray    # (s,) uint8
 
-    morphology: Morphology
-    terrain: TerrainSpec | None
-    sim_time: int
-
-    n_robot_masses: int
-
-    # per-voxel tables over the robot's non-empty cells, row-major
+    # per-voxel tables over each robot's non-empty cells, row-major
     vox_cells: list[tuple[int, int]]
     vox_corners: np.ndarray    # (v, 4) mass ids in (bl, br, tr, tl) order
     vox_h_edges: np.ndarray    # (v, 2) spring ids (bottom, top)
     vox_v_edges: np.ndarray    # (v, 2) spring ids (left, right)
     vox_shear: np.ndarray      # (v, 2) spring ids
 
-    # active-voxel tables, row-major over actuator cells
+    # active-voxel tables, row-major over each robot's actuator cells
     actuator_cells: list[tuple[int, int]]
     actuator_springs: np.ndarray  # (a, 2) actuated edge spring ids
 
-    # step-loop tables
-    incidence: np.ndarray = field(repr=False)       # (n, s) signed: force scatter as one matmul
-    force_buf: np.ndarray = field(repr=False)       # (n, 2) per-step force scratch
-    actuated_edges: np.ndarray = field(repr=False)  # unique actuated edge spring ids
-    actuated_limit: np.ndarray = field(repr=False)  # their per-step rest-length change limit
-    affected_vox: np.ndarray = field(repr=False)    # voxel rows holding an actuated edge
-    com_weights: np.ndarray = field(repr=False)     # (n_robot,) robot mass fractions
+    bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
 
-    bridge_top: np.ndarray | None = None  # top-chain mass ids ordered by x
+    # per-world rows
+    morphologies: list[Morphology]
+    clamped_actions: np.ndarray  # telemetry: out-of-range commands clamped so far
 
-    clamped_actions: int = 0   # telemetry: out-of-range commands clamped so far
+    starts: dict[str, np.ndarray] = field(repr=False)
+    terrain: TerrainSpec | None = None
+    sim_time: int = 0
     obs_cache: dict = field(default_factory=dict, repr=False)
+
+    # step-loop tables, derived from the fields above
+    mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
+    act_world: np.ndarray = field(init=False, repr=False)       # world of each active voxel
+    robot_ids: np.ndarray = field(init=False, repr=False)       # robot masses, ascending
+    robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
+    com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
+    force_bins: np.ndarray = field(init=False, repr=False)      # (4s,) flat (mass, axis) bins: i x, i y, j x, j y
+    actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
+    actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
+    affected_vox: np.ndarray = field(init=False, repr=False)    # voxel rows holding an actuated edge
+
+    def __post_init__(self):
+        worlds = np.arange(self.num_worlds)
+        self.mass_world = np.repeat(worlds, np.diff(self.starts["mass"]))
+        self.act_world = np.repeat(worlds, np.diff(self.starts["act"]))
+        self.robot_ids = np.flatnonzero(self.is_robot)
+        self.robot_world = self.mass_world[self.robot_ids]
+        robot_mass = self.mass[self.robot_ids]
+        self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
+        i2, j2 = 2 * self.spring_i, 2 * self.spring_j
+        self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1])
+        self.actuated_edges = np.unique(self.actuator_springs)
+        self.actuated_limit = ACTUATION_RATE * self.spring_rest[self.actuated_edges]
+        actuated = np.zeros(self.num_springs, dtype=bool)
+        actuated[self.actuated_edges] = True
+        holds = actuated[self.vox_h_edges] | actuated[self.vox_v_edges]
+        self.affected_vox = np.flatnonzero(holds.any(axis=1))
+
+    @property
+    def num_worlds(self) -> int:
+        return len(self.morphologies)
 
     @property
     def num_masses(self) -> int:
@@ -118,12 +159,92 @@ class WorldState:
     def num_springs(self) -> int:
         return self.spring_i.shape[0]
 
-    def robot_center_of_mass(self) -> np.ndarray:
-        n = self.n_robot_masses
-        return self.pos[:n].T @ self.com_weights
+    def robot_com_x(self) -> np.ndarray:
+        """Each world's robot centre-of-mass x."""
+        return self._robot_mean(0)
 
-    def robot_com_x(self) -> float:
-        return float(self.pos[: self.n_robot_masses, 0] @ self.com_weights)
+    def robot_center_of_mass(self) -> np.ndarray:
+        """(worlds, 2) robot centres of mass."""
+        return np.stack([self._robot_mean(0), self._robot_mean(1)], axis=1)
+
+    def _robot_mean(self, axis: int) -> np.ndarray:
+        weighted = self.pos[self.robot_ids, axis] * self.com_weights
+        return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
+
+
+# WorldState tables by the kind of row they run over, and the kind of row
+# each index table points into
+_ROW_FIELDS = {
+    "mass": ("pos", "vel", "mass", "inv_mass", "pinned", "is_robot"),
+    "spring": (
+        "spring_i", "spring_j", "spring_rest", "spring_current_rest",
+        "spring_target_rest", "spring_k", "spring_c", "spring_kind",
+    ),
+    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
+    "act": ("actuator_cells", "actuator_springs"),
+    "top": ("bridge_top",),
+    "world": ("morphologies", "clamped_actions"),
+}
+_POINTS_INTO = {
+    "spring_i": "mass",
+    "spring_j": "mass",
+    "vox_corners": "mass",
+    "vox_h_edges": "spring",
+    "vox_v_edges": "spring",
+    "vox_shear": "spring",
+    "actuator_springs": "spring",
+    "bridge_top": "mass",
+}
+
+
+def stack_worlds(worlds: list[WorldState]) -> WorldState:
+    """Join states on one terrain and one clock into a disjoint union.
+
+    Tables are concatenated in order and index tables offset, so each
+    world keeps its own row order and every per-world sum keeps its terms
+    and their order: a world steps bit for bit as it would alone.
+    """
+    first = worlds[0]
+    if len(worlds) == 1:
+        return first
+    if any(w.terrain != first.terrain or w.sim_time != first.sim_time for w in worlds):
+        raise ValueError("stacked worlds must share their terrain and their clock")
+    offsets = {kind: np.cumsum([0] + [w.starts[kind][-1] for w in worlds]) for kind in _ROW_FIELDS}
+    tables = {}
+    for kind, names in _ROW_FIELDS.items():
+        for name in names:
+            parts = [getattr(w, name) for w in worlds]
+            ref = _POINTS_INTO.get(name)
+            if ref:
+                parts = [rows + offset for rows, offset in zip(parts, offsets[ref])]
+            tables[name] = sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
+    starts = {
+        kind: np.concatenate([[0]] + [w.starts[kind][1:] + offsets[kind][k] for k, w in enumerate(worlds)])
+        for kind in _ROW_FIELDS
+    }
+    return WorldState(**tables, starts=starts, terrain=first.terrain, sim_time=first.sim_time)
+
+
+def take_worlds(state: WorldState, keep) -> WorldState:
+    """The union of the given worlds of ``state``, in the given order."""
+    return stack_worlds([_world(state, int(w)) for w in keep])
+
+
+def _world(state: WorldState, w: int) -> WorldState:
+    """World ``w`` of a union as a state of its own (tables copied)."""
+    tables, starts = {}, {}
+    for kind, names in _ROW_FIELDS.items():
+        lo, hi = state.starts[kind][w], state.starts[kind][w + 1]
+        starts[kind] = np.array([0, hi - lo])
+        for name in names:
+            rows = getattr(state, name)[lo:hi]
+            ref = _POINTS_INTO.get(name)
+            if ref:
+                rows = rows - state.starts[ref][w]
+            elif isinstance(rows, np.ndarray):
+                rows = rows.copy()
+            tables[name] = rows
+    return WorldState(**tables, starts=starts, terrain=state.terrain, sim_time=state.sim_time)
 
 
 class _WorldBuilder:
@@ -240,7 +361,7 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
 
     n_robot = len(b.positions)
 
-    bridge_top = None
+    bridge_top = np.zeros(0, dtype=np.int64)
     if terrain is not None and terrain.kind == "bridge":
         bridge_top = _build_bridge(b, terrain)
         # start the strip at its static equilibrium so episodes begin on a
@@ -265,25 +386,22 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
     m_avg = 0.5 * (masses[spring_i] + masses[spring_j])
     spring_c = DAMPING_RATIO * 2.0 * np.sqrt(spring_k * m_avg)
 
-    incidence = np.zeros((pos.shape[0], spring_i.shape[0]))
-    cols = np.arange(spring_i.shape[0])
-    incidence[spring_i, cols] = 1.0
-    incidence[spring_j, cols] = -1.0
-
     actuator_springs = np.array(actuator_springs, dtype=np.int64).reshape(-1, 2)
-    actuated_edges = np.unique(actuator_springs.ravel())
-    edge_set = set(actuated_edges.tolist())
-    affected_vox = [
-        row for row, (h, v) in enumerate(zip(vox_h_edges, vox_v_edges)) if edge_set & {*h, *v}
-    ]
-    robot_mass = masses[:n_robot]
-
+    counts = {
+        "mass": pos.shape[0],
+        "spring": spring_i.shape[0],
+        "vox": len(nonempty),
+        "act": len(actuator_cells),
+        "top": bridge_top.size,
+        "world": 1,
+    }
     return WorldState(
         pos=pos,
         vel=np.zeros_like(pos),
         mass=masses,
         inv_mass=inv_mass,
         pinned=pinned,
+        is_robot=np.arange(pos.shape[0]) < n_robot,
         spring_i=spring_i,
         spring_j=spring_j,
         spring_rest=spring_rest,
@@ -292,10 +410,6 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
         spring_k=spring_k,
         spring_c=spring_c,
         spring_kind=spring_kind,
-        morphology=morphology,
-        terrain=terrain,
-        sim_time=0,
-        n_robot_masses=n_robot,
         vox_cells=list(nonempty),
         vox_corners=np.array(vox_corners, dtype=np.int64),
         vox_h_edges=np.array(vox_h_edges, dtype=np.int64),
@@ -303,13 +417,11 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
         vox_shear=np.array(vox_shear, dtype=np.int64),
         actuator_cells=actuator_cells,
         actuator_springs=actuator_springs,
-        incidence=incidence,
-        force_buf=np.empty_like(pos),
-        actuated_edges=actuated_edges,
-        actuated_limit=ACTUATION_RATE * spring_rest[actuated_edges],
-        affected_vox=np.array(affected_vox, dtype=np.int64),
-        com_weights=robot_mass / robot_mass.sum(),
         bridge_top=bridge_top,
+        morphologies=[morphology],
+        clamped_actions=np.zeros(1, dtype=np.int64),
+        starts={kind: np.array([0, count]) for kind, count in counts.items()},
+        terrain=terrain,
     )
 
 
@@ -394,16 +506,16 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
     """Set actuation targets from one command per active voxel.
 
     Commands are aligned with state.actuator_cells. Out-of-range values are
-    clamped into [ACTION_LOW, ACTION_HIGH] and counted in
+    clamped into [ACTION_LOW, ACTION_HIGH] and counted per world in
     state.clamped_actions. A spring shared by two actuators receives the
     mean of the two commands.
     """
     if commands.shape[0] != len(state.actuator_cells):
         raise ValueError("one command per active voxel required")
     clamped = np.clip(commands, ACTION_LOW, ACTION_HIGH)
-    n_clamped = int(np.count_nonzero(clamped != commands))
-    if n_clamped:
-        state.clamped_actions += n_clamped
+    changed = clamped != commands
+    if changed.any():
+        state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
     flat = state.actuator_springs.ravel()
     sums = np.bincount(flat, weights=np.repeat(clamped, 2), minlength=state.num_springs)
     counts = np.bincount(flat, minlength=state.num_springs)
@@ -438,8 +550,14 @@ def _refresh_shear_rest(state: WorldState, rows: np.ndarray) -> None:
     cur[shear[:, 1]] = diag
 
 
-def spring_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarray:
-    """Hooke + axial damping forces aggregated per mass; exact action/reaction."""
+def spring_forces(state: WorldState) -> np.ndarray:
+    """Hooke + axial damping forces aggregated per mass; exact action/reaction.
+
+    The scatter is one bincount over flat (mass, axis) bins, fed the
+    springs' (fx, fy, -fx, -fy) columns one after another: each bin sums
+    the forces of its own mass's springs in a fixed order, whatever else
+    the state holds.
+    """
     i, j = state.spring_i, state.spring_j
     d = np.take(state.pos, j, axis=0)
     d -= np.take(state.pos, i, axis=0)
@@ -453,10 +571,8 @@ def spring_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarra
     magnitude += state.spring_c * rel_speed
     magnitude /= dist
     d *= magnitude[:, None]
-    if out is None:
-        return state.incidence @ d
-    np.matmul(state.incidence, d, out=out)
-    return out
+    weights = np.concatenate([d[:, 0], d[:, 1], -d[:, 0], -d[:, 1]])
+    return np.bincount(state.force_bins, weights, minlength=2 * state.num_masses).reshape(-1, 2)
 
 
 def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = None) -> np.ndarray:
@@ -465,18 +581,18 @@ def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = N
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
     would cancel tangential (relative) velocity within one step, capped at
     mu * |normal|. On bridge terrain, robot masses over the span contact
-    the moving top chain and the reaction is applied to the strip.
+    their own world's moving top chain and the reaction is applied to it.
     """
     if out is None:
         out = np.zeros_like(state.pos)
     if state.terrain is None:
         return out
-    nr = state.n_robot_masses
-    px = state.pos[:nr, 0]
-    py = state.pos[:nr, 1]
-    vx = state.vel[:nr, 0]
-    vy = state.vel[:nr, 1]
-    m = state.mass[:nr]
+    robot = state.robot_ids
+    px = state.pos[robot, 0]
+    py = state.pos[robot, 1]
+    vx = state.vel[robot, 0]
+    vy = state.vel[robot, 1]
+    m = state.mass[robot]
 
     # rigid surface at y=0 (whole course when flat, the pads when bridged)
     fn = np.maximum(-CONTACT_STIFFNESS * py - CONTACT_DAMPING * vy, 0.0)
@@ -489,8 +605,8 @@ def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = N
     np.minimum(ft, cap, out=ft)
     np.negative(cap, out=cap)
     np.maximum(ft, cap, out=ft)
-    out[:nr, 0] += ft
-    out[:nr, 1] += fn
+    out[robot, 0] += ft
+    out[robot, 1] += fn
 
     if state.terrain.kind == "bridge":
         in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
@@ -499,32 +615,32 @@ def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = N
 
 
 def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray, dt: float) -> None:
-    top = state.bridge_top
-    tx = state.pos[top, 0]
-    ty = state.pos[top, 1]
-    tvx = state.vel[top, 0]
-    tvy = state.vel[top, 1]
-
-    ids = np.nonzero(in_span)[0]
+    ids = state.robot_ids[in_span]
     if ids.size == 0:
         return
+    top = state.bridge_top.reshape(state.num_worlds, -1)[state.robot_world[in_span]]  # (k, T) own world's chain
     x = state.pos[ids, 0]
     y = state.pos[ids, 1]
-    seg = np.clip(np.searchsorted(tx, x) - 1, 0, top.size - 2)
-    span = tx[seg + 1] - tx[seg]
+    # segment under each mass: how many of its chain's masses lie left of it
+    seg = np.clip((state.pos[top, 0] < x[:, None]).sum(axis=1) - 1, 0, top.shape[1] - 2)
+    rows = np.arange(ids.size)
+    left = top[rows, seg]
+    right = top[rows, seg + 1]
+    span = state.pos[right, 0] - state.pos[left, 0]
     np.maximum(span, 1e-9, out=span)
-    w = np.clip((x - tx[seg]) / span, 0.0, 1.0)
-    surf_y = ty[seg] * (1 - w) + ty[seg + 1] * w
+    w = np.clip((x - state.pos[left, 0]) / span, 0.0, 1.0)
+    surf_y = state.pos[left, 1] * (1 - w) + state.pos[right, 1] * w
     depth = surf_y - y
     pen = depth > 0.0
     if not np.any(pen):
         return
     ids = ids[pen]
-    seg = seg[pen]
+    left = left[pen]
+    right = right[pen]
     w = w[pen]
     depth = depth[pen]
-    surf_vx = tvx[seg] * (1 - w) + tvx[seg + 1] * w
-    surf_vy = tvy[seg] * (1 - w) + tvy[seg + 1] * w
+    surf_vx = state.vel[left, 0] * (1 - w) + state.vel[right, 0] * w
+    surf_vy = state.vel[left, 1] * (1 - w) + state.vel[right, 1] * w
     rel_vy = state.vel[ids, 1] - surf_vy
     rel_vx = state.vel[ids, 0] - surf_vx
     fn = np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0)
@@ -532,19 +648,23 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray, dt:
     out[ids, 0] += ft
     out[ids, 1] += fn
     # equal and opposite load onto the strip's corner masses
-    np.add.at(out[:, 0], top[seg], -ft * (1 - w))
-    np.add.at(out[:, 0], top[seg + 1], -ft * w)
-    np.add.at(out[:, 1], top[seg], -fn * (1 - w))
-    np.add.at(out[:, 1], top[seg + 1], -fn * w)
+    np.add.at(out[:, 0], left, -ft * (1 - w))
+    np.add.at(out[:, 0], right, -ft * w)
+    np.add.at(out[:, 1], left, -fn * (1 - w))
+    np.add.at(out[:, 1], right, -fn * w)
 
 
 def step(state: WorldState, dt: float = DT, gravity: float = GRAVITY) -> WorldState:
-    """One semi-implicit Euler step; raises SimulationDiverged on blow-up."""
+    """One semi-implicit Euler step of every world.
+
+    Raises SimulationDiverged, naming the worlds that blew up, after the
+    step is complete; the other worlds' states stay valid.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if state.actuator_springs.size:
+    if state.actuated_edges.size:
         _advance_actuation(state)
-    f = spring_forces(state, out=state.force_buf)
+    f = spring_forces(state)
     contact_forces(state, dt, out=f)
     f[:, 1] -= gravity * state.mass
     f *= state.inv_mass[:, None]
@@ -554,9 +674,9 @@ def step(state: WorldState, dt: float = DT, gravity: float = GRAVITY) -> WorldSt
     state.sim_time += 1
     # velocity blow-ups reach positions on the same step (pos += vel*dt),
     # so checking positions alone still flags the offending timestep
-    extreme = float(np.abs(state.pos).max())
-    if not np.isfinite(extreme) or extreme > DIVERGENCE_LIMIT:
-        raise SimulationDiverged(state.sim_time)
+    if not np.abs(state.pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
+        sane = (np.abs(state.pos) <= DIVERGENCE_LIMIT).all(axis=1)
+        raise SimulationDiverged(state.sim_time, np.unique(state.mass_world[~sane]))
     return state
 
 
@@ -565,14 +685,12 @@ _QUAD_NEXT = np.array([1, 2, 3, 0])
 
 def voxel_areas(state: WorldState) -> np.ndarray:
     """Shoelace areas of all non-empty robot voxels (row-major cell order)."""
-    quad = state.pos[state.vox_corners]  # (v, 4, 2)
-    x = quad[:, :, 0]
-    y = quad[:, :, 1]
-    x_next = x[:, _QUAD_NEXT]
-    y_next = y[:, _QUAD_NEXT]
-    return 0.5 * np.abs((x * y_next - x_next * y).sum(axis=1))
+    x = state.pos[:, 0][state.vox_corners]  # (v, 4)
+    y = state.pos[:, 1][state.vox_corners]
+    return 0.5 * np.abs((x * y[:, _QUAD_NEXT] - x[:, _QUAD_NEXT] * y).sum(axis=1))
 
 
 def voxel_velocities(state: WorldState) -> np.ndarray:
     """Mean corner velocities of all non-empty robot voxels."""
-    return state.vel[state.vox_corners].mean(axis=1)
+    corners = state.vox_corners
+    return np.stack([state.vel[:, 0][corners].mean(axis=1), state.vel[:, 1][corners].mean(axis=1)], axis=1)

@@ -16,9 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_core
-from .control import ControllerGenome, compute_actions
-from .morphology import Morphology, require_valid
-from .sim_core import DT, STEPS_PER_ACTION, SimulationDiverged, build_world, set_actuation_targets
+from .control import ControllerGenome, compute_actions, stack_controllers
+from .morphology import InvalidMorphologyError, Morphology, require_valid
+from .sim_core import (
+    DT,
+    STEPS_PER_ACTION,
+    SimulationDiverged,
+    build_world,
+    set_actuation_targets,
+    stack_worlds,
+    take_worlds,
+)
 from .terrain import (  # re-exported task surface
     TerrainSpec,
     make_bridge_terrain,
@@ -32,6 +40,7 @@ __all__ = [
     "EpisodeEvaluator",
     "compute_fitness",
     "run_episode",
+    "run_episodes",
     "TerrainSpec",
     "make_bridge_terrain",
     "make_flat_terrain",
@@ -82,46 +91,73 @@ def run_episode(
     *,
     telemetry_path=None,
 ) -> EpisodeResult:
-    """Run one deterministic locomotion episode.
+    """Run one deterministic locomotion episode: a batch of one."""
+    return run_episodes([(morphology, controller)], terrain, telemetry_path=telemetry_path)[0]
 
-    The engine is noise-free, so identical inputs always produce identical
-    results. A diverged simulation scores as unfinished with displacement
-    taken at the last valid step and the full time penalty applied.
+
+def run_episodes(pairs, terrain: TerrainSpec, *, telemetry_path=None) -> list[EpisodeResult]:
+    """Run one episode per (morphology, controller) pair, in lock-step.
+
+    All worlds are stacked into one disjoint-union world that takes every
+    step, actuation and controller call at once. The pairs must share one
+    body shape and one controller variant. A world leaves the union when
+    it crosses the finish line or diverges; each world's result is bit for
+    bit what it would be alone. The engine is noise-free, so identical
+    inputs always produce identical results. A diverged simulation scores
+    as unfinished with displacement taken at the last valid step and the
+    full time penalty applied. ``telemetry_path`` records a batch of one.
     """
-    require_valid(morphology)
-    state = build_world(morphology, terrain)
+    pairs = list(pairs)
+    if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
+        raise ValueError("a batch holds one body shape and one controller variant")
+    if telemetry_path is not None and len(pairs) != 1:
+        raise ValueError("telemetry records a batch of one episode")
+    for morphology, _ in pairs:
+        require_valid(morphology)
+    state = stack_worlds([build_world(morphology, terrain) for morphology, _ in pairs])
+    controllers = stack_controllers([controller for _, controller in pairs])
+    live = np.arange(len(pairs))  # pair index of each world in the union
     start_x = state.robot_com_x()
-    last_x = start_x
-    finished = False
-    diverged = False
-    steps_used = T_MAX
+    last_x = start_x.copy()
+    results: list[EpisodeResult | None] = [None] * len(pairs)
     telemetry_rows = []
 
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
             k = t // STEPS_PER_ACTION
-            actions = compute_actions(controller, state, k)
+            actions = compute_actions(controllers, state, k)
             set_actuation_targets(state, actions)
             if telemetry_path is not None:
-                com = state.robot_center_of_mass()
+                com = state.robot_center_of_mass()[0]
                 telemetry_rows.append([state.sim_time, com[0], com[1], *actions.tolist()])
+        diverged = np.zeros(live.size, dtype=bool)
         try:
             sim_core.step(state, DT)
-        except SimulationDiverged:
-            diverged = True
+        except SimulationDiverged as exc:
+            diverged[exc.worlds] = True
+        x = state.robot_com_x()
+        last_x = np.where(diverged, last_x, x)
+        finished = ~diverged & (x >= terrain.finish_x)
+        ended = diverged | finished | (state.sim_time == T_MAX)
+        for w in np.flatnonzero(ended):
+            steps_used = state.sim_time if finished[w] else T_MAX
+            results[live[w]] = _result(last_x[w] - start_x[w], finished[w], steps_used, diverged[w])
+        if ended.all():
             break
-        last_x = state.robot_com_x()
-        if last_x >= terrain.finish_x:
-            finished = True
-            steps_used = state.sim_time
-            break
+        if ended.any():
+            keep = np.flatnonzero(~ended)
+            state = take_worlds(state, keep)
+            controllers = controllers.take(keep)
+            live, start_x, last_x = live[keep], start_x[keep], last_x[keep]
 
-    delta = last_x - start_x
-    fitness = compute_fitness(delta, finished, steps_used)
-    result = EpisodeResult(delta, finished, steps_used, fitness, diverged)
     if telemetry_path is not None:
-        _write_telemetry(telemetry_path, state, telemetry_rows, result)
-    return result
+        _write_telemetry(telemetry_path, state, telemetry_rows, results[0])
+    return results
+
+
+def _result(delta, finished, steps_used: int, diverged) -> EpisodeResult:
+    delta, finished = float(delta), bool(finished)
+    return EpisodeResult(delta, finished, steps_used, compute_fitness(delta, finished, steps_used), bool(diverged))
 
 
 def _write_telemetry(path, state, rows, result: EpisodeResult) -> None:
@@ -133,7 +169,7 @@ def _write_telemetry(path, state, rows, result: EpisodeResult) -> None:
         for row in rows:
             writer.writerow([row[0]] + [repr(v) for v in row[1:]])
         writer.writerow([])
-        writer.writerow(["clamped_actions", state.clamped_actions] + [""] * max(0, n_act))
+        writer.writerow(["clamped_actions", int(state.clamped_actions[0])] + [""] * max(0, n_act))
         writer.writerow(["fitness", repr(result.fitness)] + [""] * max(0, n_act))
 
 
@@ -147,13 +183,14 @@ def _genome_key(morphology: Morphology, controller: ControllerGenome) -> bytes:
 
 
 class EpisodeEvaluator:
-    """Scores (morphology, controller) pairs on one terrain, one episode
-    at a time.
+    """Scores (morphology, controller) pairs on one terrain.
 
     Deterministic episodes make caching exact: identical genomes share a
-    fitness without re-simulation. An unexpected failure inside an episode
-    scores like a divergence (no displacement, full time penalty) instead
-    of aborting the batch.
+    fitness without re-simulation. The uncached genomes of one call run as
+    batches, one per body shape and controller variant. A failure scores
+    like a divergence (no displacement, full time penalty) and is counted
+    in ``failures`` instead of aborting the call: an invalid body fails
+    alone, an unexpected exception fails its whole batch.
     """
 
     def __init__(self, terrain: TerrainSpec):
@@ -163,22 +200,37 @@ class EpisodeEvaluator:
         self.cache_hits = 0
         self.failures = 0
 
-    def _safe_fitness(self, morphology: Morphology, controller: ControllerGenome) -> float:
-        self.episodes_run += 1
-        try:
-            return run_episode(morphology, controller, self.terrain).fitness
-        except Exception:
-            self.failures += 1
-            return compute_fitness(0.0, False, T_MAX)
-
     def fitness_many(self, pairs) -> list[float]:
         """Fitness of each pair, in order; each distinct genome runs once."""
         keys = []
+        batches: dict[tuple, dict[bytes, tuple]] = {}
         for morphology, controller in pairs:
             key = _genome_key(morphology, controller)
-            if key in self._cache:
-                self.cache_hits += 1
-            else:
-                self._cache[key] = self._safe_fitness(morphology, controller)
             keys.append(key)
+            batch = batches.setdefault((morphology.cells.shape, controller.variant), {})
+            if key in self._cache or key in batch:
+                self.cache_hits += 1
+                continue
+            self.episodes_run += 1
+            try:
+                require_valid(morphology)
+            except InvalidMorphologyError:
+                self._fail([key])
+                continue
+            batch[key] = (morphology, controller)
+        for batch in batches.values():
+            if not batch:
+                continue
+            try:
+                results = run_episodes(batch.values(), self.terrain)
+            except Exception:
+                self._fail(batch)
+                continue
+            for key, result in zip(batch, results):
+                self._cache[key] = result.fitness
         return [self._cache[key] for key in keys]
+
+    def _fail(self, keys) -> None:
+        self.failures += len(keys)
+        for key in keys:
+            self._cache[key] = compute_fitness(0.0, False, T_MAX)

@@ -70,7 +70,7 @@ def observe_voxel(state: WorldState, cell: tuple[int, int]) -> VoxelObservation:
         + x[3] * y[0] - x[0] * y[3]
     )
     velocity = state.vel[idx].mean(axis=0)
-    code = int(state.morphology.cells[cell[0], cell[1]])
+    code = int(state.morphologies[0].cells[cell[0], cell[1]])
     return VoxelObservation(area, velocity, one_hot(code))
 
 
@@ -83,8 +83,9 @@ def gather_observation(state: WorldState, cell: tuple[int, int], effective_step:
     """
     r, c = cell
     code = None
-    if 0 <= r < state.morphology.h and 0 <= c < state.morphology.w:
-        code = int(state.morphology.cells[r, c])
+    morphology = state.morphologies[0]
+    if 0 <= r < morphology.h and 0 <= c < morphology.w:
+        code = int(morphology.cells[r, c])
     if code not in materials.ACTIVE_CODES:
         raise ValueError(f"cell {cell} does not hold an active voxel")
     out = np.empty(OBS_DIM)

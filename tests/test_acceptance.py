@@ -64,7 +64,7 @@ def test_criterion_2_physics_oracles():
 
     # free fall within 1% of the parabola over 1 s
     w = build_world(Morphology([[3]]), None)
-    y0 = w.robot_center_of_mass()[1]
+    y0 = w.robot_center_of_mass()[0, 1]
     checkpoints = {round(t / DT): t for t in (0.7, 0.8, 0.9, 1.0)}
     fall_ok = True
     for n in range(1, 201):
@@ -72,7 +72,7 @@ def test_criterion_2_physics_oracles():
         if n in checkpoints:
             t = checkpoints[n]
             expected = 0.5 * GRAVITY * t * t
-            drop = y0 - w.robot_center_of_mass()[1]
+            drop = y0 - w.robot_center_of_mass()[0, 1]
             fall_ok = fall_ok and abs(drop - expected) <= 0.01 * expected
     details.append(f"free-fall {'ok' if fall_ok else 'BAD'}")
 
@@ -234,7 +234,7 @@ def test_criterion_6_observation_controller_contracts():
             ok = ok and obs.shape == (73,)
             action = modular_forward(genome, obs)
             ok = ok and 0.6 < action < 1.6
-        acts = forward_batch(genome, observation_matrix(w, 3))
+        acts = forward_batch(genome.params[None], observation_matrix(w, 3)[None])
         ok = ok and bool(np.all((acts > 0.6) & (acts < 1.6)))
     zero = ControllerGenome("modular", np.zeros(PARAM_COUNT))
     ok = ok and modular_forward(zero, np.zeros(73)) == 1.1

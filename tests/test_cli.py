@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from voxevo import evolution
 from voxevo.cli import build_parser, config_from_args, main
 from voxevo.morphology import Morphology, random_morphology
+from voxevo.sim_core import ENGINE_VERSION
 
 
 def run_cli(*argv):
@@ -34,6 +36,7 @@ def test_evolve_writes_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["setting"] == "W5"
     assert manifest["group_label"] == "W5-fixed"
+    assert manifest["engine_version"] == ENGINE_VERSION
     assert manifest["config"]["generations"] == 2
     assert (out / "generations.csv").exists()
     assert (out / "checkpoint.json").exists()
@@ -242,19 +245,34 @@ def test_report_needs_two_groups(tmp_path):
     assert run_cli("report", str(tmp_path / "a0"), str(tmp_path / "a1"), "--out", str(tmp_path / "r")) == 2
 
 
-def test_resume_after_interrupt(tmp_path):
-    out = tmp_path / "run"
-    # run 1 generation, then resume the same config out to 3
-    assert run_cli(*evolve_args(out, **{"--gens": "3", "--checkpoint-interval": "1"})) == 0
-    full_log = (out / "generations.csv").read_bytes()
+def test_resume_after_interrupt(monkeypatch, tmp_path):
+    full = tmp_path / "full"
+    assert run_cli(*evolve_args(full, **{"--gens": "3", "--checkpoint-interval": "1"})) == 0
+    full_log = (full / "generations.csv").read_bytes()
 
-    out2 = tmp_path / "run2"
-    assert run_cli(*evolve_args(out2, **{"--gens": "3", "--checkpoint-interval": "1"})) == 0
-    # drop the completed log and rewind the checkpoint to generation 2
-    ck = json.loads((out2 / "checkpoint.json").read_text())
-    os.remove(out2 / "generations.csv")
-    assert run_cli(*evolve_args(out2, **{"--gens": "3", "--checkpoint-interval": "1"}), "--resume") == 0
-    assert (out2 / "generations.csv").read_bytes() == full_log
+    # interrupt a second run as it starts generation 3, after generation 2's checkpoint
+    out = tmp_path / "run"
+    argv = evolve_args(out, **{"--gens": "3", "--checkpoint-interval": "1"})
+    original = evolution.advance_generation
+    started, interrupt_at = [], {3}
+
+    def interruptible(pop, *args):
+        started.append(pop.generation + 1)
+        if started[-1] in interrupt_at:
+            raise KeyboardInterrupt
+        return original(pop, *args)
+
+    monkeypatch.setattr(evolution, "advance_generation", interruptible)
+    assert run_cli(*argv) == 3
+    assert started == [1, 2, 3]
+    assert not (out / "generations.csv").exists()
+    assert json.loads((out / "checkpoint.json").read_text())["generation"] == 2
+
+    started.clear()
+    interrupt_at.clear()
+    assert run_cli(*argv, "--resume") == 0
+    assert started == [3]  # exactly one generation, the interrupted one
+    assert (out / "generations.csv").read_bytes() == full_log
 
 
 def test_version_flag(capsys):

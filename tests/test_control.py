@@ -12,6 +12,7 @@ from voxevo.control import (
     init_controller,
     mutate_controller,
     observation_matrix,
+    stack_controllers,
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
@@ -80,7 +81,7 @@ def test_forward_matches_manual_unpacking(rng):
 def test_forward_batch_matches_scalar_path(rng):
     genome = modular(rng)
     obs = rng.normal(size=(17, OBS_DIM))
-    batch = forward_batch(genome, obs)
+    batch = forward_batch(genome.params[None], obs[None])[0]
     for row, a in zip(obs, batch):
         assert a == pytest.approx(modular_forward(genome, row), abs=1e-12)
 
@@ -106,10 +107,10 @@ def test_fixed_controller_ignores_world(rng, flat):
     m = random_morphology(5, 5, rng)
     w = build_world(m, flat)
     fixed = ControllerGenome("fixed", np.zeros(0))
-    before = compute_actions(fixed, w, 3).copy()
+    before = compute_actions(stack_controllers([fixed]), w, 3).copy()
     w.pos += rng.normal(0, 0.2, w.pos.shape)
     w.vel += rng.normal(0, 1.0, w.vel.shape)
-    assert np.array_equal(compute_actions(fixed, w, 3), before)
+    assert np.array_equal(compute_actions(stack_controllers([fixed]), w, 3), before)
     assert np.all(before == 0.6)
 
 
@@ -215,6 +216,6 @@ def test_weight_sharing_single_genome_many_voxels(rng, flat):
     w = build_world(m, flat)
     genome = modular(rng)
     obs = observation_matrix(w, 0)
-    actions = compute_actions(genome, w, 0)
+    actions = compute_actions(stack_controllers([genome]), w, 0)
     for a, row in zip(actions, obs):
         assert a == pytest.approx(modular_forward(genome, row), abs=1e-12)

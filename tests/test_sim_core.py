@@ -69,7 +69,7 @@ def test_corner_mass_shares():
     for m in w.mass:
         counts[round(float(m), 2)] += 1
     assert counts == {0.25: 4, 0.5: 4, 1.0: 1}
-    assert w.mass[: w.n_robot_masses].sum() == pytest.approx(4.0)
+    assert w.mass[w.is_robot].sum() == pytest.approx(4.0)
 
 
 def test_shared_boundary_spring_takes_stiffer_material(flat):
@@ -135,10 +135,10 @@ def test_actuation_missing_key_rejected(small_body, flat):
 def test_out_of_range_action_clamped_and_flagged(single_actuator, flat):
     w = build_world(single_actuator, flat)
     set_actuation_targets(w, np.array([2.5]))
-    assert w.clamped_actions == 1
+    assert w.clamped_actions.tolist() == [1]
     assert np.all(w.spring_target_rest[w.actuator_springs[0]] == 1.6)
     set_actuation_targets(w, np.array([1.6]))  # in range, boundary included
-    assert w.clamped_actions == 1
+    assert w.clamped_actions.tolist() == [1]
 
 
 def test_actuation_preserves_counts(small_body, flat):
@@ -186,13 +186,13 @@ def test_free_fall_matches_analytic():
     # COM of an airborne body obeys projectile motion exactly in velocity,
     # and within discretization error (dt/t) in position
     w = build_world(Morphology([[3]]), None)
-    y0 = w.robot_center_of_mass()[1]
+    y0 = w.robot_center_of_mass()[0, 1]
     checkpoints = {round(t / DT): t for t in (0.7, 0.8, 0.9, 1.0)}
     for n in range(1, 201):
         step(w, DT)
         if n in checkpoints:
             t = checkpoints[n]
-            drop = y0 - w.robot_center_of_mass()[1]
+            drop = y0 - w.robot_center_of_mass()[0, 1]
             assert abs(drop - 0.5 * GRAVITY * t * t) <= 0.01 * 0.5 * GRAVITY * t * t
             vy = (w.vel[:, 1] * w.mass).sum() / w.mass.sum()
             assert vy == pytest.approx(-GRAVITY * t, abs=1e-9)
@@ -247,6 +247,7 @@ def test_divergence_carries_timestep(single_actuator, flat):
         for _ in range(10):
             step(w, DT)
     assert err.value.sim_time == 1
+    assert err.value.worlds.tolist() == [0]
 
 
 def test_step_rejects_nonpositive_dt(single_actuator, flat):
@@ -348,14 +349,14 @@ def test_observation_velocity_is_corner_mean(single_actuator, flat):
 def test_volume_positive_throughout_episode(rng, flat):
     from voxevo.morphology import random_morphology
     from voxevo.sim_core import voxel_areas
-    from voxevo.control import compute_actions, init_controller
+    from voxevo.control import compute_actions, init_controller, stack_controllers
 
     m = random_morphology(5, 5, rng)
     genome = init_controller("modular", rng)
     w = build_world(m, flat)
     for t in range(300):
         if t % 5 == 0:
-            set_actuation_targets(w, compute_actions(genome, w, t // 5))
+            set_actuation_targets(w, compute_actions(stack_controllers([genome]), w, t // 5))
         step(w, DT)
         assert np.all(voxel_areas(w) > 0.0)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import voxevo.control
+import voxevo.tasks
 from voxevo.control import ControllerGenome, init_controller
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import DT, build_world, step
@@ -12,6 +13,7 @@ from voxevo.tasks import (
     make_bridge_terrain,
     make_flat_terrain,
     run_episode,
+    run_episodes,
     terrain_by_name,
 )
 from voxevo.terrain import TerrainSpec
@@ -214,7 +216,7 @@ def test_bridge_deforms_more_under_load():
     w = build_world(heavy, parked)
     # lower the robot onto the settled strip before releasing it
     over_robot = (w.pos[w.bridge_top, 0] > 26) & (w.pos[w.bridge_top, 0] < 34)
-    w.pos[: w.n_robot_masses, 1] += w.pos[w.bridge_top, 1][over_robot].max() + 0.05
+    w.pos[w.is_robot, 1] += w.pos[w.bridge_top, 1][over_robot].max() + 0.05
     for _ in range(2000):
         step(w, DT)
     loaded_min = w.pos[w.bridge_top, 1].min()
@@ -242,6 +244,52 @@ def test_evaluator_scores_match_single_episodes(rng, flat):
     assert ev.episodes_run == len(set(bodies))
 
 
+def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
+    # one run_episodes batch per (body shape, controller variant); each score
+    # equals the pair's own episode
+    pairs = [
+        (random_morphology(h, h, rng), init_controller(variant, rng))
+        for h, variant in [(4, "fixed"), (5, "modular"), (4, "fixed"), (5, "fixed"), (5, "modular"), (3, "fixed")]
+    ]
+    pairs.append(pairs[0])
+    alone = [run_episode(m, c, flat).fitness for m, c in pairs]
+    batches = []
+    original = voxevo.tasks.run_episodes
+
+    def recording(batch, terrain):
+        batch = list(batch)
+        batches.append(sorted({(m.cells.shape, c.variant) for m, c in batch}))
+        return original(batch, terrain)
+
+    monkeypatch.setattr(voxevo.tasks, "run_episodes", recording)
+    ev = EpisodeEvaluator(flat)
+    assert ev.fitness_many(pairs) == alone
+    assert sorted(batches) == [
+        [((3, 3), "fixed")], [((4, 4), "fixed")], [((5, 5), "fixed")], [((5, 5), "modular")]
+    ]
+    assert (ev.episodes_run, ev.cache_hits, ev.failures) == (6, 1, 0)
+
+
+def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
+    # an unexpected exception fails every episode of its batch, and only those
+    small = [(random_morphology(3, 3, rng), FIXED) for _ in range(3)]
+    large = [(random_morphology(4, 4, rng), FIXED) for _ in range(2)]
+    original = voxevo.tasks.build_world
+
+    def failing(morphology, terrain):
+        if morphology.h == 3:
+            raise RuntimeError("boom")
+        return original(morphology, terrain)
+
+    monkeypatch.setattr(voxevo.tasks, "build_world", failing)
+    ev = EpisodeEvaluator(flat)
+    fits = ev.fitness_many(small + large)
+    assert ev.failures == len(set(small))
+    assert fits[: len(small)] == [compute_fitness(0.0, False, T_MAX)] * len(small)
+    monkeypatch.undo()
+    assert fits[len(small) :] == [run_episode(m, c, flat).fitness for m, c in large]
+
+
 def test_evaluator_survives_bad_individual(flat):
     # an invalid body inside a batch scores like a divergence instead of
     # aborting the generation
@@ -252,3 +300,58 @@ def test_evaluator_survives_bad_individual(flat):
     assert fits[0] == compute_fitness(0.0, False, T_MAX)
     assert ev.failures == 1
     assert np.isfinite(fits[1])
+
+
+# --- batched episodes ------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [5, 7])
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+@pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
+def test_batch_matches_single_episodes(environment, variant, size):
+    # batches of 1, 2 and 17 give every world exactly its single-episode result
+    terrain = terrain_by_name(environment, (size, size))
+    rng = np.random.default_rng([size, 17])
+    pairs = [(random_morphology(size, size, rng), init_controller(variant, rng)) for _ in range(17)]
+    alone = [run_episode(m, c, terrain) for m, c in pairs]
+    assert run_episodes(pairs[:1], terrain) == alone[:1]
+    assert run_episodes(pairs[:2], terrain) == alone[:2]
+    assert run_episodes(pairs, terrain) == alone
+
+
+def test_batch_with_early_finishers_matches_single_episodes():
+    # worlds that cross the finish line leave the union; the rest carry on
+    terrain = TerrainSpec(kind="flat", total_length=60.0, spawn_x=1.0, finish_x=2.4)
+    rng = np.random.default_rng(8)
+    bodies = [Morphology([[3, 3, 3]]), Morphology([[1, 1, 3]])]
+    bodies += [random_morphology(1, 3, rng) for _ in range(6)]
+    pairs = [(m, FIXED) for m in bodies]
+    alone = [run_episode(m, c, terrain) for m, c in pairs]
+    assert any(r.finished for r in alone) and not all(r.finished for r in alone)
+    assert run_episodes(pairs, terrain) == alone
+
+
+def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
+    pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
+    alone = [run_episode(m, c, flat) for m, c in pairs]
+    doomed = pairs[2][0]
+    original = voxevo.tasks.build_world
+
+    def exploding(morphology, terrain):
+        world = original(morphology, terrain)
+        if morphology is doomed:
+            world.vel[:] = 1e9
+        return world
+
+    monkeypatch.setattr(voxevo.tasks, "build_world", exploding)
+    batch = run_episodes(pairs, flat)
+    assert batch[2].diverged and batch[2].steps_used == T_MAX and batch[2].delta_px == 0.0
+    assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
+
+
+def test_batch_rejects_mixed_shapes_and_variants(rng, flat):
+    body = random_morphology(4, 4, rng)
+    with pytest.raises(ValueError):
+        run_episodes([(body, FIXED), (random_morphology(5, 5, rng), FIXED)], flat)
+    with pytest.raises(ValueError):
+        run_episodes([(body, FIXED), (body, init_controller("modular", rng))], flat)
