@@ -79,9 +79,6 @@ class ControllerStack:
     variant: str
     params: np.ndarray  # (worlds, PARAM_COUNT); (worlds, 0) for fixed
 
-    def take(self, rows) -> "ControllerStack":
-        return ControllerStack(self.variant, self.params[rows])
-
 
 def stack_controllers(genomes) -> ControllerStack:
     """The controllers of a batch of worlds, one row per world."""

@@ -28,7 +28,7 @@ from .terrain import TerrainSpec
 # Version of the episode numerics. Bump it with any change that can move a
 # simulated trajectory or fitness by even one ulp: cached evidence and run
 # manifests carry it, so results are never served across engines.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 # Integration and units
 DT = 0.005                 # seconds per simulation step
@@ -76,9 +76,10 @@ class WorldState:
     several into one disjoint union that steps them all at once. Every
     per-element table is concatenated world by world: world ``w`` owns the
     rows ``starts[kind][w]:starts[kind][w + 1]`` of each kind ("mass",
-    "spring", "vox", "act", "top", "world"), its robot's masses first.
-    Index tables hold union ids, so no spring, contact or sum ever joins
-    two worlds.
+    "vox", "act"), its robot's masses first. Index tables hold union ids,
+    so no spring, contact or sum ever joins two worlds. A world that
+    ``park`` has made inert stays in the union and keeps stepping with it,
+    but it no longer moves, exerts a force or touches the ground.
     """
 
     pos: np.ndarray            # (n, 2)
@@ -111,8 +112,8 @@ class WorldState:
     bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
 
     # per-world rows
-    morphologies: list[Morphology]
-    clamped_actions: np.ndarray  # telemetry: out-of-range commands clamped so far
+    morphologies: list[Morphology]  # empty for the bare bridge strip
+    clamped_actions: np.ndarray  # out-of-range commands clamped so far
 
     starts: dict[str, np.ndarray] = field(repr=False)
     terrain: TerrainSpec | None = None
@@ -149,7 +150,7 @@ class WorldState:
 
     @property
     def num_worlds(self) -> int:
-        return len(self.morphologies)
+        return len(self.starts["mass"]) - 1
 
     @property
     def num_masses(self) -> int:
@@ -161,15 +162,20 @@ class WorldState:
 
     def robot_com_x(self) -> np.ndarray:
         """Each world's robot centre-of-mass x."""
-        return self._robot_mean(0)
-
-    def robot_center_of_mass(self) -> np.ndarray:
-        """(worlds, 2) robot centres of mass."""
-        return np.stack([self._robot_mean(0), self._robot_mean(1)], axis=1)
-
-    def _robot_mean(self, axis: int) -> np.ndarray:
-        weighted = self.pos[self.robot_ids, axis] * self.com_weights
+        weighted = self.pos[self.robot_ids, 0] * self.com_weights
         return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
+
+    def park(self, worlds: np.ndarray) -> None:
+        """Make the worlds selected by a per-world mask inert.
+
+        Every mass of theirs sits at the origin, at rest and immovable: their
+        springs have zero length and exert no force, and their masses meet no
+        ground or strip. The other worlds step on exactly as before.
+        """
+        rows = worlds[self.mass_world]
+        self.pos[rows] = 0.0
+        self.vel[rows] = 0.0
+        self.inv_mass[rows] = 0.0
 
 
 # WorldState tables by the kind of row they run over, and the kind of row
@@ -209,7 +215,9 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
         return first
     if any(w.terrain != first.terrain or w.sim_time != first.sim_time for w in worlds):
         raise ValueError("stacked worlds must share their terrain and their clock")
-    offsets = {kind: np.cumsum([0] + [w.starts[kind][-1] for w in worlds]) for kind in _ROW_FIELDS}
+    offsets = {
+        kind: np.cumsum([0] + [len(getattr(w, names[0])) for w in worlds]) for kind, names in _ROW_FIELDS.items()
+    }
     tables = {}
     for kind, names in _ROW_FIELDS.items():
         for name in names:
@@ -220,35 +228,13 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
             tables[name] = sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
     starts = {
         kind: np.concatenate([[0]] + [w.starts[kind][1:] + offsets[kind][k] for k, w in enumerate(worlds)])
-        for kind in _ROW_FIELDS
+        for kind in first.starts
     }
     return WorldState(**tables, starts=starts, terrain=first.terrain, sim_time=first.sim_time)
 
 
-def take_worlds(state: WorldState, keep) -> WorldState:
-    """The union of the given worlds of ``state``, in the given order."""
-    return stack_worlds([_world(state, int(w)) for w in keep])
-
-
-def _world(state: WorldState, w: int) -> WorldState:
-    """World ``w`` of a union as a state of its own (tables copied)."""
-    tables, starts = {}, {}
-    for kind, names in _ROW_FIELDS.items():
-        lo, hi = state.starts[kind][w], state.starts[kind][w + 1]
-        starts[kind] = np.array([0, hi - lo])
-        for name in names:
-            rows = getattr(state, name)[lo:hi]
-            ref = _POINTS_INTO.get(name)
-            if ref:
-                rows = rows - state.starts[ref][w]
-            elif isinstance(rows, np.ndarray):
-                rows = rows.copy()
-            tables[name] = rows
-    return WorldState(**tables, starts=starts, terrain=state.terrain, sim_time=state.sim_time)
-
-
 class _WorldBuilder:
-    """Accumulates masses and springs during construction."""
+    """Accumulates the rows of one world during construction."""
 
     def __init__(self):
         self.point_ids: dict[tuple[int, int], int] = {}
@@ -257,6 +243,13 @@ class _WorldBuilder:
         self.pinned: list[bool] = []
         self.spring_ids: dict[tuple[int, int], int] = {}
         self.spring_rows: list[list] = []  # [i, j, rest, k, kind]
+        self.vox_cells: list[tuple[int, int]] = []
+        self.vox_corners: list[tuple[int, ...]] = []
+        self.vox_h_edges: list[tuple[int, int]] = []
+        self.vox_v_edges: list[tuple[int, int]] = []
+        self.vox_shear: list[tuple[int, int]] = []
+        self.actuator_cells: list[tuple[int, int]] = []
+        self.actuator_springs: list[tuple[int, int]] = []
 
     def point(self, key: tuple[int, int], xy: tuple[float, float], pin: bool = False) -> int:
         idx = self.point_ids.get(key)
@@ -293,6 +286,52 @@ class _WorldBuilder:
         self.spring_rows.append([a, b, rest, stiffness, KIND_SHEAR])
         return idx
 
+    def state(self, n_robot: int, bridge_top: np.ndarray, morphologies: list, terrain) -> WorldState:
+        """The one-world state of the rows so far; the first ``n_robot``
+        masses are the robot's."""
+        pos = np.array(self.positions, dtype=np.float64)
+        masses = np.array(self.masses, dtype=np.float64)
+        pinned = np.array(self.pinned, dtype=bool)
+        rows = self.spring_rows
+        spring_i = np.array([r[0] for r in rows], dtype=np.int64)
+        spring_j = np.array([r[1] for r in rows], dtype=np.int64)
+        spring_rest = np.array([r[2] for r in rows], dtype=np.float64)
+        spring_k = np.array([r[3] for r in rows], dtype=np.float64)
+        m_avg = 0.5 * (masses[spring_i] + masses[spring_j])
+
+        def table(rows, width):
+            return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+        counts = {"mass": pos.shape[0], "vox": len(self.vox_cells), "act": len(self.actuator_cells)}
+        return WorldState(
+            pos=pos,
+            vel=np.zeros_like(pos),
+            mass=masses,
+            inv_mass=np.where(pinned, 0.0, 1.0 / masses),
+            pinned=pinned,
+            is_robot=np.arange(pos.shape[0]) < n_robot,
+            spring_i=spring_i,
+            spring_j=spring_j,
+            spring_rest=spring_rest,
+            spring_current_rest=spring_rest.copy(),
+            spring_target_rest=spring_rest.copy(),
+            spring_k=spring_k,
+            spring_c=DAMPING_RATIO * 2.0 * np.sqrt(spring_k * m_avg),
+            spring_kind=np.array([r[4] for r in rows], dtype=np.uint8),
+            vox_cells=self.vox_cells,
+            vox_corners=table(self.vox_corners, 4),
+            vox_h_edges=table(self.vox_h_edges, 2),
+            vox_v_edges=table(self.vox_v_edges, 2),
+            vox_shear=table(self.vox_shear, 2),
+            actuator_cells=self.actuator_cells,
+            actuator_springs=table(self.actuator_springs, 2),
+            bridge_top=bridge_top,
+            morphologies=morphologies,
+            clamped_actions=np.zeros(1, dtype=np.int64),
+            starts={kind: np.array([0, count]) for kind, count in counts.items()},
+            terrain=terrain,
+        )
+
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
     """Assemble the mass-spring world for a body on a terrain.
@@ -318,13 +357,6 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
     x0 = spawn_x - min_pj
     y0 = float(h - max_pi)
 
-    vox_corners = []
-    vox_h_edges = []
-    vox_v_edges = []
-    vox_shear = []
-    actuator_cells = []
-    actuator_springs = []
-
     for r, c in nonempty:
         code = int(cells[r, c])
         k_edge = materials.EDGE_STIFFNESS[code]
@@ -348,88 +380,32 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
         d1 = b.shear(ids["bl"], ids["tr"], k_shear)
         d2 = b.shear(ids["br"], ids["tl"], k_shear)
 
-        vox_corners.append((ids["bl"], ids["br"], ids["tr"], ids["tl"]))
-        vox_h_edges.append((bottom, top))
-        vox_v_edges.append((left, right))
-        vox_shear.append((d1, d2))
+        b.vox_cells.append((r, c))
+        b.vox_corners.append((ids["bl"], ids["br"], ids["tr"], ids["tl"]))
+        b.vox_h_edges.append((bottom, top))
+        b.vox_v_edges.append((left, right))
+        b.vox_shear.append((d1, d2))
         if code in materials.ACTIVE_CODES:
-            actuator_cells.append((r, c))
+            b.actuator_cells.append((r, c))
             if code == materials.ACTUATOR_H:
-                actuator_springs.append((bottom, top))
+                b.actuator_springs.append((bottom, top))
             else:
-                actuator_springs.append((left, right))
+                b.actuator_springs.append((left, right))
 
     n_robot = len(b.positions)
-
-    bridge_top = np.zeros(0, dtype=np.int64)
-    if terrain is not None and terrain.kind == "bridge":
-        bridge_top = _build_bridge(b, terrain)
-        # start the strip at its static equilibrium so episodes begin on a
-        # settled surface instead of a swinging one
-        equilibrium = _bridge_equilibrium(
-            int(terrain.span_start), int(terrain.span_end), terrain.bridge_material
-        )
-        for offset, xy in enumerate(equilibrium):
-            b.positions[n_robot + offset] = (xy[0], xy[1])
-
-    pos = np.array(b.positions, dtype=np.float64)
-    masses = np.array(b.masses, dtype=np.float64)
-    pinned = np.array(b.pinned, dtype=bool)
-    inv_mass = np.where(pinned, 0.0, 1.0 / masses)
-
-    rows = b.spring_rows
-    spring_i = np.array([r[0] for r in rows], dtype=np.int64)
-    spring_j = np.array([r[1] for r in rows], dtype=np.int64)
-    spring_rest = np.array([r[2] for r in rows], dtype=np.float64)
-    spring_k = np.array([r[3] for r in rows], dtype=np.float64)
-    spring_kind = np.array([r[4] for r in rows], dtype=np.uint8)
-    m_avg = 0.5 * (masses[spring_i] + masses[spring_j])
-    spring_c = DAMPING_RATIO * 2.0 * np.sqrt(spring_k * m_avg)
-
-    actuator_springs = np.array(actuator_springs, dtype=np.int64).reshape(-1, 2)
-    counts = {
-        "mass": pos.shape[0],
-        "spring": spring_i.shape[0],
-        "vox": len(nonempty),
-        "act": len(actuator_cells),
-        "top": bridge_top.size,
-        "world": 1,
-    }
-    return WorldState(
-        pos=pos,
-        vel=np.zeros_like(pos),
-        mass=masses,
-        inv_mass=inv_mass,
-        pinned=pinned,
-        is_robot=np.arange(pos.shape[0]) < n_robot,
-        spring_i=spring_i,
-        spring_j=spring_j,
-        spring_rest=spring_rest,
-        spring_current_rest=spring_rest.copy(),
-        spring_target_rest=spring_rest.copy(),
-        spring_k=spring_k,
-        spring_c=spring_c,
-        spring_kind=spring_kind,
-        vox_cells=list(nonempty),
-        vox_corners=np.array(vox_corners, dtype=np.int64),
-        vox_h_edges=np.array(vox_h_edges, dtype=np.int64),
-        vox_v_edges=np.array(vox_v_edges, dtype=np.int64),
-        vox_shear=np.array(vox_shear, dtype=np.int64),
-        actuator_cells=actuator_cells,
-        actuator_springs=actuator_springs,
-        bridge_top=bridge_top,
-        morphologies=[morphology],
-        clamped_actions=np.zeros(1, dtype=np.int64),
-        starts={kind: np.array([0, count]) for kind, count in counts.items()},
-        terrain=terrain,
-    )
+    if terrain is None or terrain.kind != "bridge":
+        return b.state(n_robot, np.zeros(0, dtype=np.int64), [morphology], terrain)
+    strip = (int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
+    state = b.state(n_robot, _build_bridge(b, *strip), [morphology], terrain)
+    # start the strip at its static equilibrium so episodes begin on a
+    # settled surface instead of a swinging one
+    state.pos[n_robot:] = _bridge_equilibrium(*strip)
+    return state
 
 
-def _build_bridge(b: _WorldBuilder, terrain: TerrainSpec) -> np.ndarray:
-    """Append the compliant strip: a 1-voxel-thick elastic row, top at y=0."""
-    span_start = int(terrain.span_start)
-    span_end = int(terrain.span_end)
-    k_edge = materials.EDGE_STIFFNESS[terrain.bridge_material]
+def _build_bridge(b: _WorldBuilder, span_start: int, span_end: int, material: int) -> np.ndarray:
+    """Append the compliant strip: a 1-voxel-thick row of ``material``, top at y=0."""
+    k_edge = materials.EDGE_STIFFNESS[material]
     k_shear = k_edge * materials.SHEAR_STIFFNESS_FACTOR
     top_ids = []
     # bridge corner keys use negative rows so they can never collide with
@@ -455,51 +431,24 @@ def _build_bridge(b: _WorldBuilder, terrain: TerrainSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> tuple[tuple[float, float], ...]:
-    """Static shape of the unloaded strip under gravity.
+def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.ndarray:
+    """Static shape of the unloaded strip under gravity, (masses, 2) read-only.
 
-    Solved once per span by heavily over-damped relaxation; the extra
-    velocity drain here is a statics solver device, not episode dynamics.
+    Solved once per span by heavily over-damped relaxation of the bare
+    strip under ``spring_forces``; the extra velocity drain here is a
+    statics solver device, not episode dynamics.
     """
-    from .terrain import TerrainSpec
-
-    spec = TerrainSpec(
-        kind="bridge",
-        total_length=float(span_end) + 1.0,
-        spawn_x=0.0,
-        finish_x=float(span_end),
-        span_start=float(span_start),
-        span_end=float(span_end),
-        bridge_material=material,
-    )
     b = _WorldBuilder()
-    _build_bridge(b, spec)
-    pos = np.array(b.positions, dtype=np.float64)
-    vel = np.zeros_like(pos)
-    mass = np.array(b.masses, dtype=np.float64)
-    pinned = np.array(b.pinned, dtype=bool)
-    inv_mass = np.where(pinned, 0.0, 1.0 / mass)
-    rows = b.spring_rows
-    i = np.array([r[0] for r in rows], dtype=np.int64)
-    j = np.array([r[1] for r in rows], dtype=np.int64)
-    rest = np.array([r[2] for r in rows], dtype=np.float64)
-    k = np.array([r[3] for r in rows], dtype=np.float64)
-    n = pos.shape[0]
+    strip = b.state(0, _build_bridge(b, span_start, span_end, material), [], None)
     for it in range(60_000):
-        d = pos[j] - pos[i]
-        dist = np.sqrt((d * d).sum(axis=1))
-        np.maximum(dist, 1e-12, out=dist)
-        f_mag = k * (dist - rest)
-        f = f_mag[:, None] * (d / dist[:, None])
-        force = np.zeros_like(pos)
-        force[:, 0] = np.bincount(i, f[:, 0], minlength=n) - np.bincount(j, f[:, 0], minlength=n)
-        force[:, 1] = np.bincount(i, f[:, 1], minlength=n) - np.bincount(j, f[:, 1], minlength=n)
-        force[:, 1] -= GRAVITY * mass
-        vel = (vel + force * inv_mass[:, None] * DT) * 0.9
-        pos = pos + vel * DT
-        if it % 200 == 199 and np.abs(vel).max() < 1e-7:
+        force = spring_forces(strip)
+        force[:, 1] -= GRAVITY * strip.mass
+        strip.vel = (strip.vel + force * strip.inv_mass[:, None] * DT) * 0.9
+        strip.pos = strip.pos + strip.vel * DT
+        if it % 200 == 199 and np.abs(strip.vel).max() < 1e-7:
             break
-    return tuple((float(x), float(y)) for x, y in pos)
+    strip.pos.setflags(write=False)
+    return strip.pos
 
 
 def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
@@ -575,7 +524,7 @@ def spring_forces(state: WorldState) -> np.ndarray:
     return np.bincount(state.force_bins, weights, minlength=2 * state.num_masses).reshape(-1, 2)
 
 
-def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = None) -> np.ndarray:
+def contact_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarray:
     """Penalty normal force plus Coulomb-capped friction for robot masses.
 
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
@@ -601,7 +550,7 @@ def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = N
         fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
     cap = FRICTION_MU * fn
     ft = m * vx
-    ft /= -dt
+    ft /= -DT
     np.minimum(ft, cap, out=ft)
     np.negative(cap, out=cap)
     np.maximum(ft, cap, out=ft)
@@ -610,11 +559,11 @@ def contact_forces(state: WorldState, dt: float = DT, out: np.ndarray | None = N
 
     if state.terrain.kind == "bridge":
         in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
-        _bridge_contact(state, out, in_span, dt)
+        _bridge_contact(state, out, in_span)
     return out
 
 
-def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray, dt: float) -> None:
+def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray) -> None:
     ids = state.robot_ids[in_span]
     if ids.size == 0:
         return
@@ -644,7 +593,7 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray, dt:
     rel_vy = state.vel[ids, 1] - surf_vy
     rel_vx = state.vel[ids, 0] - surf_vx
     fn = np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0)
-    ft = np.clip(-state.mass[ids] * rel_vx / dt, -FRICTION_MU * fn, FRICTION_MU * fn)
+    ft = np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn)
     out[ids, 0] += ft
     out[ids, 1] += fn
     # equal and opposite load onto the strip's corner masses
@@ -654,25 +603,23 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray, dt:
     np.add.at(out[:, 1], right, -fn * w)
 
 
-def step(state: WorldState, dt: float = DT, gravity: float = GRAVITY) -> WorldState:
-    """One semi-implicit Euler step of every world.
+def step(state: WorldState, gravity: float = GRAVITY) -> WorldState:
+    """One semi-implicit Euler step of every world, DT seconds long.
 
     Raises SimulationDiverged, naming the worlds that blew up, after the
     step is complete; the other worlds' states stay valid.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if state.actuated_edges.size:
         _advance_actuation(state)
     f = spring_forces(state)
-    contact_forces(state, dt, out=f)
+    contact_forces(state, out=f)
     f[:, 1] -= gravity * state.mass
     f *= state.inv_mass[:, None]
-    f *= dt
+    f *= DT
     state.vel += f
-    state.pos += state.vel * dt
+    state.pos += state.vel * DT
     state.sim_time += 1
-    # velocity blow-ups reach positions on the same step (pos += vel*dt),
+    # velocity blow-ups reach positions on the same step (pos += vel*DT),
     # so checking positions alone still flags the offending timestep
     if not np.abs(state.pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
         sane = (np.abs(state.pos) <= DIVERGENCE_LIMIT).all(axis=1)

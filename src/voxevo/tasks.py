@@ -9,7 +9,6 @@ constant offset that exactly cancels the maximum possible penalty.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 
@@ -19,13 +18,11 @@ from . import sim_core
 from .control import ControllerGenome, compute_actions, stack_controllers
 from .morphology import InvalidMorphologyError, Morphology, require_valid
 from .sim_core import (
-    DT,
     STEPS_PER_ACTION,
     SimulationDiverged,
     build_world,
     set_actuation_targets,
     stack_worlds,
-    take_worlds,
 )
 from .terrain import (  # re-exported task surface
     TerrainSpec,
@@ -84,93 +81,63 @@ def compute_fitness(delta_px: float, finished: bool, steps_used: int) -> float:
     return delta_px + bonus + (REWARD_OFFSET - STEP_PENALTY * steps_used)
 
 
-def run_episode(
-    morphology: Morphology,
-    controller: ControllerGenome,
-    terrain: TerrainSpec,
-    *,
-    telemetry_path=None,
-) -> EpisodeResult:
+def run_episode(morphology: Morphology, controller: ControllerGenome, terrain: TerrainSpec) -> EpisodeResult:
     """Run one deterministic locomotion episode: a batch of one."""
-    return run_episodes([(morphology, controller)], terrain, telemetry_path=telemetry_path)[0]
+    return run_episodes([(morphology, controller)], terrain)[0]
 
 
-def run_episodes(pairs, terrain: TerrainSpec, *, telemetry_path=None) -> list[EpisodeResult]:
+def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     """Run one episode per (morphology, controller) pair, in lock-step.
 
-    All worlds are stacked into one disjoint-union world that takes every
-    step, actuation and controller call at once. The pairs must share one
-    body shape and one controller variant. A world leaves the union when
-    it crosses the finish line or diverges; each world's result is bit for
-    bit what it would be alone. The engine is noise-free, so identical
-    inputs always produce identical results. A diverged simulation scores
-    as unfinished with displacement taken at the last valid step and the
-    full time penalty applied. ``telemetry_path`` records a batch of one.
+    All worlds are stacked once into one disjoint-union world that takes
+    every step, actuation and controller call at once. The pairs must
+    share one body shape and one controller variant. A world that crosses
+    the finish line or diverges has its result recorded and is then
+    parked: it stays in the union, inert, until the last world ends. Each
+    world's result is bit for bit what it would be alone. The engine is
+    noise-free, so identical inputs always produce identical results. A
+    diverged simulation scores as unfinished with displacement taken at
+    the last valid step and the full time penalty applied.
     """
     pairs = list(pairs)
     if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
         raise ValueError("a batch holds one body shape and one controller variant")
-    if telemetry_path is not None and len(pairs) != 1:
-        raise ValueError("telemetry records a batch of one episode")
     for morphology, _ in pairs:
         require_valid(morphology)
     state = stack_worlds([build_world(morphology, terrain) for morphology, _ in pairs])
     controllers = stack_controllers([controller for _, controller in pairs])
-    live = np.arange(len(pairs))  # pair index of each world in the union
     start_x = state.robot_com_x()
     last_x = start_x.copy()
     results: list[EpisodeResult | None] = [None] * len(pairs)
-    telemetry_rows = []
+    running = np.ones(len(pairs), dtype=bool)
 
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
-            k = t // STEPS_PER_ACTION
-            actions = compute_actions(controllers, state, k)
-            set_actuation_targets(state, actions)
-            if telemetry_path is not None:
-                com = state.robot_center_of_mass()[0]
-                telemetry_rows.append([state.sim_time, com[0], com[1], *actions.tolist()])
-        diverged = np.zeros(live.size, dtype=bool)
+            set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
+        diverged = np.zeros(len(pairs), dtype=bool)
         try:
-            sim_core.step(state, DT)
+            sim_core.step(state)
         except SimulationDiverged as exc:
             diverged[exc.worlds] = True
         x = state.robot_com_x()
         last_x = np.where(diverged, last_x, x)
         finished = ~diverged & (x >= terrain.finish_x)
-        ended = diverged | finished | (state.sim_time == T_MAX)
+        ended = running & (diverged | finished | (state.sim_time == T_MAX))
+        if not ended.any():
+            continue
         for w in np.flatnonzero(ended):
             steps_used = state.sim_time if finished[w] else T_MAX
-            results[live[w]] = _result(last_x[w] - start_x[w], finished[w], steps_used, diverged[w])
-        if ended.all():
+            results[w] = _result(last_x[w] - start_x[w], finished[w], steps_used, diverged[w])
+        running &= ~ended
+        if not running.any():
             break
-        if ended.any():
-            keep = np.flatnonzero(~ended)
-            state = take_worlds(state, keep)
-            controllers = controllers.take(keep)
-            live, start_x, last_x = live[keep], start_x[keep], last_x[keep]
-
-    if telemetry_path is not None:
-        _write_telemetry(telemetry_path, state, telemetry_rows, results[0])
+        state.park(ended)
     return results
 
 
 def _result(delta, finished, steps_used: int, diverged) -> EpisodeResult:
     delta, finished = float(delta), bool(finished)
     return EpisodeResult(delta, finished, steps_used, compute_fitness(delta, finished, steps_used), bool(diverged))
-
-
-def _write_telemetry(path, state, rows, result: EpisodeResult) -> None:
-    n_act = len(state.actuator_cells)
-    header = ["sim_time", "com_x", "com_y"] + [f"action_{r}_{c}" for r, c in state.actuator_cells]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-        writer.writerow([])
-        writer.writerow(["clamped_actions", int(state.clamped_actions[0])] + [""] * max(0, n_act))
-        writer.writerow(["fitness", repr(result.fitness)] + [""] * max(0, n_act))
 
 
 def _genome_key(morphology: Morphology, controller: ControllerGenome) -> bytes:

@@ -5,8 +5,9 @@ Each oracle computes one voxel, one window or one network evaluation at a
 time, in the most direct form, so that a test can compare it with the
 vectorised code the engine runs: ``observe_voxel`` and
 ``gather_observation`` against ``control.observation_matrix``,
-``modular_forward`` against ``control.forward_batch``, and
-``mechanical_energy`` serves the energy-balance physics checks.
+``modular_forward`` against ``control.forward_batch``;
+``mechanical_energy`` serves the energy-balance physics checks and
+``robot_center_of_mass`` the free-fall ones.
 """
 
 from __future__ import annotations
@@ -119,3 +120,12 @@ def mechanical_energy(state: WorldState, gravity: float = GRAVITY) -> float:
     pe_spring = 0.5 * float((state.spring_k * (dist - state.spring_current_rest) ** 2).sum())
     pe_grav = gravity * float((state.mass * state.pos[:, 1]).sum())
     return ke + pe_spring + pe_grav
+
+
+def robot_center_of_mass(state: WorldState) -> np.ndarray:
+    """(worlds, 2) robot centres of mass, one world at a time."""
+    com = np.empty((state.num_worlds, 2))
+    for w in range(state.num_worlds):
+        robot = state.is_robot & (state.mass_world == w)
+        com[w] = state.mass[robot] @ state.pos[robot] / state.mass[robot].sum()
+    return com

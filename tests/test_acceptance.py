@@ -14,7 +14,7 @@ import pytest
 
 from desk_runs import DESK_SEEDS, desk_arm, desk_config, run_cached
 from voxevo.analysis import generations_to_fraction, intra_cluster_distance, rank_sum_test
-from oracles import gather_observation, mechanical_energy, modular_forward
+from oracles import gather_observation, mechanical_energy, modular_forward, robot_center_of_mass
 from voxevo.control import (
     ControllerGenome,
     PARAM_COUNT,
@@ -64,15 +64,15 @@ def test_criterion_2_physics_oracles():
 
     # free fall within 1% of the parabola over 1 s
     w = build_world(Morphology([[3]]), None)
-    y0 = w.robot_center_of_mass()[0, 1]
+    y0 = robot_center_of_mass(w)[0, 1]
     checkpoints = {round(t / DT): t for t in (0.7, 0.8, 0.9, 1.0)}
     fall_ok = True
     for n in range(1, 201):
-        step(w, DT)
+        step(w)
         if n in checkpoints:
             t = checkpoints[n]
             expected = 0.5 * GRAVITY * t * t
-            drop = y0 - w.robot_center_of_mass()[0, 1]
+            drop = y0 - robot_center_of_mass(w)[0, 1]
             fall_ok = fall_ok and abs(drop - expected) <= 0.01 * expected
     details.append(f"free-fall {'ok' if fall_ok else 'BAD'}")
 
@@ -88,12 +88,12 @@ def test_criterion_2_physics_oracles():
     w = build_world(Morphology([[2, 2], [2, 2]]), make_flat_terrain())
     w.pos[:, 1] += 0.5
     for _ in range(3000):
-        step(w, DT)
+        step(w)
     energy_ok = True
     prev = mechanical_energy(w)
     for _ in range(4):
         for _ in range(100):
-            step(w, DT)
+            step(w)
         cur = mechanical_energy(w)
         energy_ok = energy_ok and cur <= prev + 1e-6
         prev = cur
@@ -103,7 +103,7 @@ def test_criterion_2_physics_oracles():
     w = build_world(Morphology([[1]]), make_flat_terrain())
     w.pos[:, 1] += 0.1
     for _ in range(round(5.0 / DT)):
-        step(w, DT)
+        step(w)
     settle_v = float(np.abs(w.vel).max())
     details.append(f"settle v {settle_v:.1e}")
 

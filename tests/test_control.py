@@ -16,7 +16,7 @@ from voxevo.control import (
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
-from voxevo.sim_core import build_world, step, DT
+from voxevo.sim_core import build_world, step
 
 from oracles import gather_observation, modular_forward
 
@@ -149,7 +149,7 @@ def test_observation_matrix_agrees_with_gather(rng, flat):
     m = random_morphology(5, 5, rng)
     w = build_world(m, flat)
     for _ in range(20):
-        step(w, DT)
+        step(w)
     mat = observation_matrix(w, 3)
     assert mat.shape == (len(w.actuator_cells), OBS_DIM)
     for row, cell in zip(mat, w.actuator_cells):

@@ -27,19 +27,19 @@ from voxevo.morphology import random_morphology
 from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_world, set_actuation_targets, step
 from voxevo.tasks import T_MAX, terrain_by_name
 
-GOLDEN_ENGINE_VERSION = 2
+GOLDEN_ENGINE_VERSION = 3
 
 CRITERION_3_CSV_SHA256 = "c84fa47bebace6be8f653308eb07db8d23324b21449cd1f30b21fc6d51dffc7d"
 
 TRAJECTORY_SHA256 = {
     ("walker", 5, "fixed"): "a98a57b11af810d86be7934a04c04645e09ab81757c7b07759c3172ebdd91982",
     ("walker", 5, "modular"): "96ee125d8ef05770d1ccf1b073c79cd188106b27df3addebbd5aefe0f028ae22",
-    ("bridgewalker", 5, "fixed"): "2427a0911d3201e658fba50ccf35b5e0a818b51a68abf8849e820ff5cbbad574",
-    ("bridgewalker", 5, "modular"): "1a16a1c20704a3e6c418dbb168a05a68e414998dfa838ffe37ae8258e5a1a515",
+    ("bridgewalker", 5, "fixed"): "079765f20e7b79fd4863a6c2a64d77a80524302cba59329d83b30c13f79bf3a0",
+    ("bridgewalker", 5, "modular"): "7de3b812d7d5bce50a40fda5b62da1d62680bc85d43eadfd066d26f3f2f9b7c5",
     ("walker", 7, "fixed"): "20cca5306be861d36ca0044514af797af5800688bda8729526eb1e08411e57f1",
     ("walker", 7, "modular"): "9a1ce57d35d75839248f180b3b905e6f31ed381f001ad02eb95d68f2ba787f11",
-    ("bridgewalker", 7, "fixed"): "fbd2642da1952112d025f222da3a0735136deb2fecffe8197622d5c0ec117f06",
-    ("bridgewalker", 7, "modular"): "b13e53ccf5d6a0a91a88c7c63299c36cfda5d07454cd85b36896ff999dda252b",
+    ("bridgewalker", 7, "fixed"): "31d8ecc05fb224e9a5c9ff631c0b95741a4ad10cb29b1bfd7e3efda65239b7ef",
+    ("bridgewalker", 7, "modular"): "4876a3fc284091267078f162c2251bff77c07263a2773f301cae4cf7e0a9020a",
 }
 
 

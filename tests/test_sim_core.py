@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxevo import sim_core
-from voxevo.morphology import InvalidMorphologyError, Morphology
+from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import (
     ACTUATION_RATE,
     CONTACT_STIFFNESS,
@@ -16,16 +16,17 @@ from voxevo.sim_core import (
     contact_forces,
     set_actuation_targets,
     spring_forces,
+    stack_worlds,
     step,
 )
-from voxevo.terrain import make_flat_terrain
+from voxevo.terrain import make_bridge_terrain, make_flat_terrain
 
-from oracles import mechanical_energy, observe_voxel, voxel_index
+from oracles import mechanical_energy, observe_voxel, robot_center_of_mass, voxel_index
 
 
 def settle(state, seconds, gravity=GRAVITY):
     for _ in range(round(seconds / DT)):
-        step(state, DT, gravity)
+        step(state, gravity=gravity)
     return state
 
 
@@ -107,14 +108,14 @@ def test_rate_limited_full_expansion(single_actuator, flat):
     set_actuation_targets(w, np.array([1.6]))
     n_steps = int(np.ceil(0.6 / ACTUATION_RATE))
     for i in range(n_steps):
-        step(w, DT, gravity=0.0)
+        step(w, gravity=0.0)
     actuated = w.actuator_springs[0]
     assert np.allclose(w.spring_current_rest[actuated], 1.6)
     # one step earlier it must not have arrived yet
     w2 = build_world(single_actuator, flat)
     set_actuation_targets(w2, np.array([1.6]))
     for i in range(n_steps - 1):
-        step(w2, DT, gravity=0.0)
+        step(w2, gravity=0.0)
     assert np.all(w2.spring_current_rest[actuated] < 1.6)
 
 
@@ -163,7 +164,7 @@ def test_diagonal_rest_follows_edges(single_actuator, flat):
     w = build_world(single_actuator, flat)
     set_actuation_targets(w, np.array([1.6]))
     for _ in range(60):
-        step(w, DT, gravity=0.0)
+        step(w, gravity=0.0)
     d1, d2 = w.vox_shear[0]
     expected = np.hypot(1.6, 1.0)
     assert w.spring_current_rest[d1] == pytest.approx(expected)
@@ -177,7 +178,7 @@ def test_equilibrium_state_unchanged(single_actuator):
     w = build_world(single_actuator, None)
     pos0 = w.pos.copy()
     for _ in range(100):
-        step(w, DT, gravity=0.0)
+        step(w, gravity=0.0)
     assert np.array_equal(w.pos, pos0)
     assert np.all(w.vel == 0.0)
 
@@ -186,13 +187,13 @@ def test_free_fall_matches_analytic():
     # COM of an airborne body obeys projectile motion exactly in velocity,
     # and within discretization error (dt/t) in position
     w = build_world(Morphology([[3]]), None)
-    y0 = w.robot_center_of_mass()[0, 1]
+    y0 = robot_center_of_mass(w)[0, 1]
     checkpoints = {round(t / DT): t for t in (0.7, 0.8, 0.9, 1.0)}
     for n in range(1, 201):
-        step(w, DT)
+        step(w)
         if n in checkpoints:
             t = checkpoints[n]
-            drop = y0 - w.robot_center_of_mass()[0, 1]
+            drop = y0 - robot_center_of_mass(w)[0, 1]
             assert abs(drop - 0.5 * GRAVITY * t * t) <= 0.01 * 0.5 * GRAVITY * t * t
             vy = (w.vel[:, 1] * w.mass).sum() / w.mass.sum()
             assert vy == pytest.approx(-GRAVITY * t, abs=1e-9)
@@ -222,7 +223,7 @@ def test_energy_non_increasing_after_transients(flat):
     energies = [mechanical_energy(w)]
     for _ in range(4):
         for _ in range(100):
-            step(w, DT)
+            step(w)
         energies.append(mechanical_energy(w))
     for before, after in zip(energies, energies[1:]):
         assert after <= before + 1e-6
@@ -234,7 +235,7 @@ def test_energy_decreases_while_oscillating():
     energies = [mechanical_energy(w, gravity=0.0)]
     for _ in range(5):
         for _ in range(100):
-            step(w, DT, gravity=0.0)
+            step(w, gravity=0.0)
         energies.append(mechanical_energy(w, gravity=0.0))
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
     assert energies[-1] < energies[0]
@@ -245,15 +246,31 @@ def test_divergence_carries_timestep(single_actuator, flat):
     w.vel[:, 0] = 1e9
     with pytest.raises(SimulationDiverged) as err:
         for _ in range(10):
-            step(w, DT)
+            step(w)
     assert err.value.sim_time == 1
     assert err.value.worlds.tolist() == [0]
 
 
-def test_step_rejects_nonpositive_dt(single_actuator, flat):
-    w = build_world(single_actuator, flat)
-    with pytest.raises(ValueError):
-        step(w, 0.0)
+@pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])
+def test_parked_world_is_inert(terrain):
+    # a diverged world, once parked, rests with no force on it and never
+    # raises again; its batch-mate steps exactly as it would alone
+    rng = np.random.default_rng(5)
+    bodies = [random_morphology(4, 4, rng) for _ in range(2)]
+    union = stack_worlds([build_world(m, terrain) for m in bodies])
+    alone = build_world(bodies[1], terrain)
+    parked = union.mass_world == 0
+    union.vel[parked] = 1e9
+    with pytest.raises(SimulationDiverged):
+        step(union)
+    step(alone)
+    union.park(np.array([True, False]))
+    for _ in range(100):
+        step(union)
+        step(alone)
+    assert not union.pos[parked].any() and not union.vel[parked].any()
+    assert not spring_forces(union)[parked].any() and not contact_forces(union)[parked].any()
+    assert np.array_equal(union.pos[~parked], alone.pos)
 
 
 def test_pinned_masses_never_move(flat):
@@ -357,7 +374,7 @@ def test_volume_positive_throughout_episode(rng, flat):
     for t in range(300):
         if t % 5 == 0:
             set_actuation_targets(w, compute_actions(stack_controllers([genome]), w, t // 5))
-        step(w, DT)
+        step(w)
         assert np.all(voxel_areas(w) > 0.0)
 
 
@@ -368,7 +385,7 @@ def test_step_determinism_bitwise(rng, flat):
     w1 = build_world(m, flat)
     w2 = build_world(m, flat)
     for _ in range(200):
-        step(w1, DT)
-        step(w2, DT)
+        step(w1)
+        step(w2)
     assert np.array_equal(w1.pos, w2.pos)
     assert np.array_equal(w1.vel, w2.vel)
