@@ -166,21 +166,6 @@ def bootstrap_mean_ci(
     return samples.mean(axis=0), lo, hi
 
 
-def generations_to_fraction(best_curve: np.ndarray, fraction: float = 0.85) -> int:
-    """First generation whose running best reaches fraction * final best.
-
-    Meaningful for runs that end with positive best fitness. This measures
-    convergence within one run, against that run's own final best. It is
-    not a speed to compare across arms whose finals differ: a run that
-    plateaus early at a low final scores as fast. To compare arms, time
-    every run to one shared fitness level instead.
-    """
-    running = np.maximum.accumulate(np.asarray(best_curve, dtype=np.float64))
-    threshold = fraction * running[-1]
-    hits = np.nonzero(running >= threshold)[0]
-    return int(hits[0])
-
-
 def retrain_controller(
     champion_body: Morphology,
     config: RunConfig,

@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, analysis
+from .control import blas_core
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
 from .morphology import validity_report
 from .sim_core import ENGINE_VERSION
@@ -103,6 +104,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "software": "voxevo",
         "version": __version__,
         "engine_version": ENGINE_VERSION,
+        "blas_core": blas_core(),
         "setting": config.setting_name(),
         "group_label": group_label(config),
         "fingerprint": result.fingerprint,

@@ -13,7 +13,9 @@ Two variants:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +133,26 @@ def forward_batch(params: np.ndarray, obs_blocks: np.ndarray) -> np.ndarray:
     np.tanh(hidden, out=hidden)
     z = (hidden @ w2[:, :, None])[:, :, 0] + b2[:, None]
     return ACTION_LOW + _sigmoid(z)
+
+
+def blas_core() -> str:
+    """Name of the OpenBLAS kernel that ``forward_batch``'s GEMM runs on in
+    this process, such as "SkylakeX"; "unknown" when numpy's bundled
+    OpenBLAS does not report it.
+
+    Modular-controller results depend on this kernel, so run manifests and
+    cached evidence record it.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def fixed_action(effective_step: int) -> float:

@@ -28,7 +28,7 @@ from .terrain import TerrainSpec
 # Version of the episode numerics. Bump it with any change that can move a
 # simulated trajectory or fitness by even one ulp: cached evidence and run
 # manifests carry it, so results are never served across engines.
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 # Integration and units
 DT = 0.005                 # seconds per simulation step
@@ -52,6 +52,13 @@ CONTACT_DAMPING = 50.0
 FRICTION_MU = 0.5
 
 DIVERGENCE_LIMIT = 1e6
+
+# Bridge-strip statics: the Newton solve stops once every free strip mass
+# accelerates by less than STRIP_TOLERANCE, and raises after
+# STRIP_NEWTON_ITERATIONS; STRIP_FD_STEP is its finite-difference step.
+STRIP_TOLERANCE = 1e-9
+STRIP_NEWTON_ITERATIONS = 50
+STRIP_FD_STEP = 1e-6
 
 KIND_STRUCTURAL_H = 0
 KIND_STRUCTURAL_V = 1
@@ -203,6 +210,23 @@ _POINTS_INTO = {
 }
 
 
+def _concatenate(states: list[WorldState]) -> tuple[dict, dict]:
+    """Every row table of the states concatenated in order, with index
+    tables offset to the rows' new ids; and each kind's row offsets."""
+    offsets = {
+        kind: np.cumsum([0] + [len(getattr(w, names[0])) for w in states]) for kind, names in _ROW_FIELDS.items()
+    }
+    tables = {}
+    for kind, names in _ROW_FIELDS.items():
+        for name in names:
+            parts = [getattr(w, name) for w in states]
+            ref = _POINTS_INTO.get(name)
+            if ref:
+                parts = [rows + offset for rows, offset in zip(parts, offsets[ref])]
+            tables[name] = sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
+    return tables, offsets
+
+
 def stack_worlds(worlds: list[WorldState]) -> WorldState:
     """Join states on one terrain and one clock into a disjoint union.
 
@@ -215,17 +239,7 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
         return first
     if any(w.terrain != first.terrain or w.sim_time != first.sim_time for w in worlds):
         raise ValueError("stacked worlds must share their terrain and their clock")
-    offsets = {
-        kind: np.cumsum([0] + [len(getattr(w, names[0])) for w in worlds]) for kind, names in _ROW_FIELDS.items()
-    }
-    tables = {}
-    for kind, names in _ROW_FIELDS.items():
-        for name in names:
-            parts = [getattr(w, name) for w in worlds]
-            ref = _POINTS_INTO.get(name)
-            if ref:
-                parts = [rows + offset for rows, offset in zip(parts, offsets[ref])]
-            tables[name] = sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
+    tables, offsets = _concatenate(worlds)
     starts = {
         kind: np.concatenate([[0]] + [w.starts[kind][1:] + offsets[kind][k] for k, w in enumerate(worlds)])
         for kind in first.starts
@@ -392,24 +406,28 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
             else:
                 b.actuator_springs.append((left, right))
 
-    n_robot = len(b.positions)
+    robot = b.state(len(b.positions), np.zeros(0, dtype=np.int64), [morphology], terrain)
     if terrain is None or terrain.kind != "bridge":
-        return b.state(n_robot, np.zeros(0, dtype=np.int64), [morphology], terrain)
-    strip = (int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
-    state = b.state(n_robot, _build_bridge(b, *strip), [morphology], terrain)
-    # start the strip at its static equilibrium so episodes begin on a
-    # settled surface instead of a swinging one
-    state.pos[n_robot:] = _bridge_equilibrium(*strip)
-    return state
+        return robot
+    # the strip starts at its static equilibrium, so episodes begin on a
+    # settled surface instead of a swinging one. Its rows follow the
+    # robot's in one world, which keeps the robot's per-world rows.
+    strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
+    tables, _ = _concatenate([robot, strip])
+    tables.update(morphologies=robot.morphologies, clamped_actions=robot.clamped_actions)
+    starts = {kind: robot.starts[kind] + strip.starts[kind] for kind in robot.starts}
+    return WorldState(**tables, starts=starts, terrain=terrain)
 
 
-def _build_bridge(b: _WorldBuilder, span_start: int, span_end: int, material: int) -> np.ndarray:
-    """Append the compliant strip: a 1-voxel-thick row of ``material``, top at y=0."""
+def _build_bridge(span_start: int, span_end: int, material: int) -> WorldState:
+    """The bare compliant strip, flat, as a one-world state without a robot:
+    a 1-voxel-thick row of ``material``, top at y=0, pinned at both pad
+    junctions."""
+    b = _WorldBuilder()
     k_edge = materials.EDGE_STIFFNESS[material]
     k_shear = k_edge * materials.SHEAR_STIFFNESS_FACTOR
     top_ids = []
-    # bridge corner keys use negative rows so they can never collide with
-    # robot grid points: (-1, j) is the top chain, (-2, j) the bottom
+    # (-1, j) is the top chain, (-2, j) the bottom
     for j in range(span_start, span_end + 1):
         pin = j in (span_start, span_end)
         top_ids.append(b.point((-1, j), (float(j), 0.0), pin=pin))
@@ -427,28 +445,77 @@ def _build_bridge(b: _WorldBuilder, span_start: int, span_end: int, material: in
         b.edge(br, tr, k_edge, KIND_STRUCTURAL_V)
         b.shear(bl, tr, k_shear)
         b.shear(br, tl, k_shear)
-    return np.array(top_ids, dtype=np.int64)
+    return b.state(0, np.array(top_ids, dtype=np.int64), [], None)
+
+
+@lru_cache(maxsize=8)
+def _settled_strip(span_start: int, span_end: int, material: int) -> WorldState:
+    """The bare strip at its static equilibrium, built once per span;
+    ``build_world`` copies its rows into every bridge world."""
+    strip = _build_bridge(span_start, span_end, material)
+    strip.pos = _bridge_equilibrium(span_start, span_end, material)
+    return strip
 
 
 @lru_cache(maxsize=8)
 def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.ndarray:
     """Static shape of the unloaded strip under gravity, (masses, 2) read-only.
 
-    Solved once per span by heavily over-damped relaxation of the bare
-    strip under ``spring_forces``; the extra velocity drain here is a
-    statics solver device, not episode dynamics.
+    Solved once per span by Newton's method on the free masses'
+    coordinates, starting from the flat strip. The residual is each free
+    mass's acceleration under ``spring_forces`` plus gravity; its Jacobian
+    is taken by central differences of that same residual, and each step
+    is solved by ``_eliminate``, which calls no BLAS, so the strip's bytes
+    do not depend on the OpenBLAS kernel. Stops once no free mass
+    accelerates by ``STRIP_TOLERANCE`` or more; raises rather than return
+    an unconverged strip.
     """
-    b = _WorldBuilder()
-    strip = b.state(0, _build_bridge(b, span_start, span_end, material), [], None)
-    for it in range(60_000):
+    strip = _build_bridge(span_start, span_end, material)
+    free = np.flatnonzero(~strip.pinned)
+    unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
+    coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
+
+    def residual() -> np.ndarray:
         force = spring_forces(strip)
         force[:, 1] -= GRAVITY * strip.mass
-        strip.vel = (strip.vel + force * strip.inv_mass[:, None] * DT) * 0.9
-        strip.pos = strip.pos + strip.vel * DT
-        if it % 200 == 199 and np.abs(strip.vel).max() < 1e-7:
-            break
-    strip.pos.setflags(write=False)
-    return strip.pos
+        return (force * strip.inv_mass[:, None]).reshape(-1)[unknowns]
+
+    for _ in range(STRIP_NEWTON_ITERATIONS):
+        r = residual()
+        if np.abs(r).max() < STRIP_TOLERANCE:
+            strip.pos.setflags(write=False)
+            return strip.pos
+        jacobian = np.empty((r.size, r.size))
+        for k, u in enumerate(unknowns):
+            held = coords[u]
+            coords[u] = held + STRIP_FD_STEP
+            ahead = residual()
+            coords[u] = held - STRIP_FD_STEP
+            jacobian[:, k] = ahead - residual()
+            coords[u] = held
+        jacobian /= 2.0 * STRIP_FD_STEP
+        coords[unknowns] -= _eliminate(jacobian, r)
+    raise RuntimeError(f"bridge strip did not settle in {STRIP_NEWTON_ITERATIONS} Newton iterations")
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, by Gaussian elimination without pivoting.
+
+    Elementwise numpy only (no BLAS or LAPACK call, no reduction), so the
+    result is the same on every CPU kernel. The strip's Jacobian needs no
+    pivoting: it is minus the mass-scaled tangent stiffness of a stable
+    structure, so none of its leading minors is zero.
+    """
+    m = np.concatenate([a, b[:, None]], axis=1)
+    n = b.size
+    for k in range(n - 1):
+        m[k + 1:, k:] -= np.multiply.outer(m[k + 1:, k] / m[k, k], m[k, k:])
+    rhs = m[:, n].copy()
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = rhs[k] / m[k, k]
+        rhs[:k] -= m[:k, k] * x[k]
+    return x
 
 
 def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:

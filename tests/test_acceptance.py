@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from desk_runs import DESK_SEEDS, desk_arm, desk_config, run_cached
-from voxevo.analysis import generations_to_fraction, intra_cluster_distance, rank_sum_test
+from voxevo.analysis import intra_cluster_distance, rank_sum_test
 from oracles import gather_observation, mechanical_energy, modular_forward, robot_center_of_mass
 from voxevo.control import (
     ControllerGenome,
@@ -296,6 +296,35 @@ def generations_to_level(best_curve, level: float) -> int:
     """
     hits = np.nonzero(np.maximum.accumulate(np.asarray(best_curve)) >= level)[0]
     return int(hits[0]) if hits.size else len(best_curve)
+
+
+def generations_to_fraction(best_curve: np.ndarray, fraction: float = 0.85) -> int:
+    """First generation whose running best reaches fraction * final best.
+
+    Meaningful for runs that end with positive best fitness. This measures
+    convergence within one run, against that run's own final best. It is
+    not a speed to compare across arms whose finals differ: a run that
+    plateaus early at a low final scores as fast. To compare arms, time
+    every run to one shared fitness level instead.
+    """
+    running = np.maximum.accumulate(np.asarray(best_curve, dtype=np.float64))
+    threshold = fraction * running[-1]
+    hits = np.nonzero(running >= threshold)[0]
+    return int(hits[0])
+
+
+def test_generations_to_fraction():
+    # running best [0,2,5,7,8,10,10], threshold 0.85*10=8.5, first hit at 5
+    curve = np.array([0.0, 2.0, 5.0, 7.0, 8.0, 10.0, 10.0])
+    assert generations_to_fraction(curve, 0.85) == 5
+
+
+def test_generations_to_fraction_exact():
+    curve = np.array([1.0, 4.0, 4.0, 9.0, 10.0])
+    assert generations_to_fraction(curve, 0.85) == 3  # 9.0 >= 8.5
+    assert generations_to_fraction(curve, 0.4) == 1
+    assert generations_to_fraction(curve, 1.0) == 4
+    assert generations_to_fraction(np.array([5.0]), 0.85) == 0
 
 
 def test_criterion_8_fixed_controller_finds_better_faster(desk_experiment):

@@ -6,7 +6,6 @@ from voxevo.analysis import (
     cross_evaluate_fixed,
     distance_matrix,
     export_distance_matrix,
-    generations_to_fraction,
     intra_cluster_distance,
     rank_sum_test,
     retrain_controller,
@@ -174,20 +173,6 @@ def test_bootstrap_deterministic_given_seed(rng):
     b = bootstrap_mean_ci(curves, n_resamples=100, seed=3)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-
-
-def test_generations_to_fraction():
-    # running best [0,2,5,7,8,10,10], threshold 0.85*10=8.5, first hit at 5
-    curve = np.array([0.0, 2.0, 5.0, 7.0, 8.0, 10.0, 10.0])
-    assert generations_to_fraction(curve, 0.85) == 5
-
-
-def test_generations_to_fraction_exact():
-    curve = np.array([1.0, 4.0, 4.0, 9.0, 10.0])
-    assert generations_to_fraction(curve, 0.85) == 3  # 9.0 >= 8.5
-    assert generations_to_fraction(curve, 0.4) == 1
-    assert generations_to_fraction(curve, 1.0) == 4
-    assert generations_to_fraction(np.array([5.0]), 0.85) == 0
 
 
 # --- retraining and cross-evaluation -----------------------------------------

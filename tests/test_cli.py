@@ -6,6 +6,7 @@ import pytest
 
 from voxevo import evolution
 from voxevo.cli import build_parser, config_from_args, main
+from voxevo.control import blas_core
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import ENGINE_VERSION
 
@@ -37,6 +38,7 @@ def test_evolve_writes_outputs(tmp_path):
     assert manifest["setting"] == "W5"
     assert manifest["group_label"] == "W5-fixed"
     assert manifest["engine_version"] == ENGINE_VERSION
+    assert manifest["blas_core"] == blas_core() != "unknown"
     assert manifest["config"]["generations"] == 2
     assert (out / "generations.csv").exists()
     assert (out / "checkpoint.json").exists()

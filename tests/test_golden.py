@@ -12,8 +12,10 @@ A change that moves them on purpose bumps ``ENGINE_VERSION``, regenerates
 and records why in CHANGES.md.
 
 The fixed-controller digests make no BLAS call, so they hold under every
-OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell`` included). The modular
-digests still depend on the kernel, through the controller GEMM.
+OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell`` included); the bridge
+strip's static solve makes none either. The modular digests still depend on
+the kernel, through the controller GEMM, and were taken on SkylakeX; a
+failure message names the kernel it ran on.
 """
 
 import hashlib
@@ -22,24 +24,24 @@ import numpy as np
 import pytest
 
 from voxevo.cli import main as cli_main
-from voxevo.control import compute_actions, init_controller, stack_controllers
+from voxevo.control import blas_core, compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
 from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_world, set_actuation_targets, step
 from voxevo.tasks import T_MAX, terrain_by_name
 
-GOLDEN_ENGINE_VERSION = 3
+GOLDEN_ENGINE_VERSION = 4
 
 CRITERION_3_CSV_SHA256 = "c84fa47bebace6be8f653308eb07db8d23324b21449cd1f30b21fc6d51dffc7d"
 
 TRAJECTORY_SHA256 = {
     ("walker", 5, "fixed"): "a98a57b11af810d86be7934a04c04645e09ab81757c7b07759c3172ebdd91982",
     ("walker", 5, "modular"): "96ee125d8ef05770d1ccf1b073c79cd188106b27df3addebbd5aefe0f028ae22",
-    ("bridgewalker", 5, "fixed"): "079765f20e7b79fd4863a6c2a64d77a80524302cba59329d83b30c13f79bf3a0",
-    ("bridgewalker", 5, "modular"): "7de3b812d7d5bce50a40fda5b62da1d62680bc85d43eadfd066d26f3f2f9b7c5",
+    ("bridgewalker", 5, "fixed"): "d6a2ffbdd165d505fc1d8bfe55d5094e8b56bc2527f0a193b99375fef8a8fc9b",
+    ("bridgewalker", 5, "modular"): "c11944b14da651a03f1f0fdf4f341b31da91c94996c93f244f0d88bbdbb67e98",
     ("walker", 7, "fixed"): "20cca5306be861d36ca0044514af797af5800688bda8729526eb1e08411e57f1",
     ("walker", 7, "modular"): "9a1ce57d35d75839248f180b3b905e6f31ed381f001ad02eb95d68f2ba787f11",
-    ("bridgewalker", 7, "fixed"): "31d8ecc05fb224e9a5c9ff631c0b95741a4ad10cb29b1bfd7e3efda65239b7ef",
-    ("bridgewalker", 7, "modular"): "4876a3fc284091267078f162c2251bff77c07263a2773f301cae4cf7e0a9020a",
+    ("bridgewalker", 7, "fixed"): "4fa3ad080434da9991f2f67b0b90e3ddd4310a1214fa6900d5e048527a531c02",
+    ("bridgewalker", 7, "modular"): "1a0445621c3b5dadaacb8d61f54717218176bd2111706b0e2672ee6f5ded74d4",
 }
 
 
@@ -64,7 +66,8 @@ def test_engine_version_matches_golden_data():
 
 @pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
 def test_trajectory_digest(setting):
-    assert trajectory_digest(*setting) == TRAJECTORY_SHA256[setting]
+    digest = trajectory_digest(*setting)
+    assert digest == TRAJECTORY_SHA256[setting], f"{digest} on OpenBLAS kernel {blas_core()}"
 
 
 def test_criterion_3_generations_csv_digest(tmp_path):

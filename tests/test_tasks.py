@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import voxevo
 import voxevo.control
 import voxevo.tasks
 from voxevo.control import ControllerGenome, init_controller
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
-from voxevo.sim_core import GRAVITY, build_world, spring_forces, step
+from voxevo.materials import ELASTIC
+from voxevo.sim_core import GRAVITY, _bridge_equilibrium, build_world, spring_forces, step
 from voxevo.tasks import (
     T_MAX,
     EpisodeEvaluator,
@@ -182,14 +189,24 @@ def test_bridge_sags_below_surface():
 
 
 def test_bridge_strip_starts_at_rest():
-    # springs and gravity almost cancel on every free strip mass: the strip
-    # solve stops once |v| < 1e-7, which leaves about 2e-6 here
+    # springs and gravity cancel on every free strip mass: the strip solve
+    # stops only below 1e-9 (STRIP_TOLERANCE), about 8e-12 measured here
     w = build_world(Morphology([[3]]), make_bridge_terrain())
     force = spring_forces(w)
     force[:, 1] -= GRAVITY * w.mass
     free = ~w.is_robot & ~w.pinned
     assert np.count_nonzero(free) == 2 * (52 - 8 + 1) - 4
-    assert np.abs(force[free] / w.mass[free, None]).max() < 1e-5
+    assert np.abs(force[free] / w.mass[free, None]).max() < 1e-9
+
+
+def test_bridge_strip_is_kernel_independent():
+    # the strip solve calls no BLAS, so another OpenBLAS kernel, in a fresh
+    # process, settles the strip to the same bytes
+    script = f"import sys; from voxevo.sim_core import _bridge_equilibrium as e; print(e(8, 52, {ELASTIC}).tobytes().hex())"
+    src = str(Path(voxevo.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert bytes.fromhex(done.stdout.strip()) == _bridge_equilibrium(8, 52, ELASTIC).tobytes()
 
 
 def test_bridge_anchors_never_move():
