@@ -9,6 +9,7 @@ repairs the result back to the largest connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,24 @@ class Morphology:
         mask = (self.cells == materials.ACTUATOR_H) | (self.cells == materials.ACTUATOR_V)
         rows, cols = np.nonzero(mask)
         return list(zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def _simulability(self) -> tuple[bool, str | None]:
+        """``simulability_report``, scanned once: the cells are read-only."""
+        if not np.any(self.cells != materials.EMPTY):
+            return False, "body is empty"
+        _, sizes = _component_sizes(self.cells)
+        if len(sizes) > 1:
+            return False, f"body has {len(sizes)} disconnected components"
+        return True, None
+
+    @cached_property
+    def _validity(self) -> tuple[bool, str | None]:
+        """``validity_report``, checked once: the cells are read-only."""
+        ok, reason = self._simulability
+        if ok and not self.active_cells():
+            return False, "no actuator cell (code 3 or 4)"
+        return ok, reason
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphology):
@@ -126,22 +145,12 @@ def repair_to_largest_component(cells: np.ndarray) -> np.ndarray:
 
 def validity_report(m: Morphology) -> tuple[bool, str | None]:
     """Full validity: simulable (non-empty, one connected blob) plus >=1 actuator."""
-    ok, reason = simulability_report(m)
-    if not ok:
-        return ok, reason
-    if not m.active_cells():
-        return False, "no actuator cell (code 3 or 4)"
-    return True, None
+    return m._validity
 
 
 def simulability_report(m: Morphology) -> tuple[bool, str | None]:
     """Structural validity only; a simulable body may lack actuators."""
-    if not np.any(m.cells != materials.EMPTY):
-        return False, "body is empty"
-    _, sizes = _component_sizes(m.cells)
-    if len(sizes) > 1:
-        return False, f"body has {len(sizes)} disconnected components"
-    return True, None
+    return m._simulability
 
 
 def is_valid(m: Morphology) -> bool:

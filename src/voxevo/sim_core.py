@@ -131,29 +131,39 @@ class WorldState:
     mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
     act_world: np.ndarray = field(init=False, repr=False)       # world of each active voxel
     robot_ids: np.ndarray = field(init=False, repr=False)       # robot masses, ascending
+    robot_rows: slice | np.ndarray = field(init=False, repr=False)  # the same rows; a slice when every mass is a robot's
     robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
     com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
     force_bins: np.ndarray = field(init=False, repr=False)      # (4s,) flat (mass, axis) bins: i x, i y, j x, j y
     actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
+    actuated_count: np.ndarray = field(init=False, repr=False)  # their actuators, 1 or 2
     actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
-    affected_vox: np.ndarray = field(init=False, repr=False)    # voxel rows holding an actuated edge
+    actuated_slot: np.ndarray = field(init=False, repr=False)   # (2a,) each actuator_springs entry's row in actuated_edges
+    diagonal_edges: np.ndarray = field(init=False, repr=False)  # (4, v') bottom, top, left, right edge ids of the voxels holding one
+    diagonals: np.ndarray = field(init=False, repr=False)       # (2, v') those voxels' shear spring ids
 
     def __post_init__(self):
         worlds = np.arange(self.num_worlds)
         self.mass_world = np.repeat(worlds, np.diff(self.starts["mass"]))
         self.act_world = np.repeat(worlds, np.diff(self.starts["act"]))
         self.robot_ids = np.flatnonzero(self.is_robot)
+        # a slice reads views and adds in place; every flat world or union has one
+        self.robot_rows = slice(0, self.num_masses) if self.robot_ids.size == self.num_masses else self.robot_ids
         self.robot_world = self.mass_world[self.robot_ids]
         robot_mass = self.mass[self.robot_ids]
         self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
         i2, j2 = 2 * self.spring_i, 2 * self.spring_j
         self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1])
-        self.actuated_edges = np.unique(self.actuator_springs)
+        self.actuated_edges, self.actuated_slot, self.actuated_count = np.unique(
+            self.actuator_springs.ravel(), return_inverse=True, return_counts=True
+        )
         self.actuated_limit = ACTUATION_RATE * self.spring_rest[self.actuated_edges]
         actuated = np.zeros(self.num_springs, dtype=bool)
         actuated[self.actuated_edges] = True
         holds = actuated[self.vox_h_edges] | actuated[self.vox_v_edges]
-        self.affected_vox = np.flatnonzero(holds.any(axis=1))
+        affected = np.flatnonzero(holds.any(axis=1))
+        self.diagonal_edges = np.concatenate([self.vox_h_edges[affected], self.vox_v_edges[affected]], axis=1).T.copy()
+        self.diagonals = self.vox_shear[affected].T.copy()
 
     @property
     def num_worlds(self) -> int:
@@ -169,7 +179,7 @@ class WorldState:
 
     def robot_com_x(self) -> np.ndarray:
         """Each world's robot centre-of-mass x."""
-        weighted = self.pos[self.robot_ids, 0] * self.com_weights
+        weighted = self.pos[:, 0][self.robot_rows] * self.com_weights
         return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
 
     def park(self, worlds: np.ndarray) -> None:
@@ -528,42 +538,33 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
     """
     if commands.shape[0] != len(state.actuator_cells):
         raise ValueError("one command per active voxel required")
-    clamped = np.clip(commands, ACTION_LOW, ACTION_HIGH)
+    clamped = np.maximum(commands, ACTION_LOW)
+    np.minimum(clamped, ACTION_HIGH, out=clamped)
     changed = clamped != commands
-    if changed.any():
+    if np.count_nonzero(changed):
         state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
-    flat = state.actuator_springs.ravel()
-    sums = np.bincount(flat, weights=np.repeat(clamped, 2), minlength=state.num_springs)
-    counts = np.bincount(flat, minlength=state.num_springs)
-    written = counts > 0
-    state.spring_target_rest[written] = (
-        state.spring_rest[written] * sums[written] / counts[written]
-    )
+    edges = state.actuated_edges
+    sums = np.bincount(state.actuated_slot, clamped.repeat(2), minlength=edges.size)
+    state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
 
 
 def _advance_actuation(state: WorldState) -> None:
-    """Move actuated edge rest lengths toward their targets, rate-limited."""
+    """Move actuated edge rest lengths toward their targets, rate-limited;
+    the diagonals of the voxels holding them follow (Pythagoras)."""
     edges, limit = state.actuated_edges, state.actuated_limit
     cur = state.spring_current_rest
     delta = state.spring_target_rest[edges] - cur[edges]
-    if not np.any(delta):
+    if not np.count_nonzero(delta):
         return  # converged onto the targets; diagonals already consistent
     np.minimum(delta, limit, out=delta)
     np.maximum(delta, -limit, out=delta)
     cur[edges] += delta
-    _refresh_shear_rest(state, state.affected_vox)
-
-
-def _refresh_shear_rest(state: WorldState, rows: np.ndarray) -> None:
-    """Diagonal rest lengths of the given voxel rows follow their edge rest
-    lengths (Pythagoras)."""
-    cur = state.spring_current_rest
-    h_rest = cur[state.vox_h_edges[rows]].sum(axis=1) * 0.5
-    v_rest = cur[state.vox_v_edges[rows]].sum(axis=1) * 0.5
-    diag = np.hypot(h_rest, v_rest)
-    shear = state.vox_shear[rows]
-    cur[shear[:, 0]] = diag
-    cur[shear[:, 1]] = diag
+    bottom, top, left, right = cur[state.diagonal_edges]
+    h_rest = bottom + top
+    h_rest *= 0.5
+    v_rest = left + right
+    v_rest *= 0.5
+    cur[state.diagonals] = np.hypot(h_rest, v_rest)
 
 
 def spring_forces(state: WorldState) -> np.ndarray:
@@ -573,22 +574,34 @@ def spring_forces(state: WorldState) -> np.ndarray:
     springs' (fx, fy, -fx, -fy) columns one after another: each bin sums
     the forces of its own mass's springs in a fixed order, whatever else
     the state holds.
+
+    The step spends its time in per-call overhead on small arrays, not in
+    arithmetic, so the dot products are spelled out as two-term products
+    (``dx*dx`` then ``+= dy*dy``): ``np.einsum`` costs more per call on
+    length-2 rows and gives the same bits. Gathers use the ``take``
+    method, which skips ``np.take``'s Python-level wrapper.
     """
     i, j = state.spring_i, state.spring_j
-    d = np.take(state.pos, j, axis=0)
-    d -= np.take(state.pos, i, axis=0)
-    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+    d = state.pos.take(j, axis=0)
+    d -= state.pos.take(i, axis=0)
+    dx, dy = d[:, 0], d[:, 1]
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
     np.maximum(dist, 1e-12, out=dist)
-    dv = np.take(state.vel, j, axis=0)
-    dv -= np.take(state.vel, i, axis=0)
-    rel_speed = np.einsum("ij,ij->i", dv, d)
+    dv = state.vel.take(j, axis=0)
+    dv -= state.vel.take(i, axis=0)
+    rel_speed = dv[:, 0] * dx
+    rel_speed += dv[:, 1] * dy
     rel_speed /= dist
     magnitude = state.spring_k * (dist - state.spring_current_rest)
     magnitude += state.spring_c * rel_speed
     magnitude /= dist
-    d *= magnitude[:, None]
-    weights = np.concatenate([d[:, 0], d[:, 1], -d[:, 0], -d[:, 1]])
-    return np.bincount(state.force_bins, weights, minlength=2 * state.num_masses).reshape(-1, 2)
+    weights = np.empty((4, dist.size))
+    np.multiply(dx, magnitude, out=weights[0])
+    np.multiply(dy, magnitude, out=weights[1])
+    np.negative(weights[:2], out=weights[2:])
+    return np.bincount(state.force_bins, weights.ravel(), minlength=2 * state.num_masses).reshape(-1, 2)
 
 
 def contact_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarray:
@@ -603,28 +616,30 @@ def contact_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarr
         out = np.zeros_like(state.pos)
     if state.terrain is None:
         return out
-    robot = state.robot_ids
-    px = state.pos[robot, 0]
-    py = state.pos[robot, 1]
-    vx = state.vel[robot, 0]
-    vy = state.vel[robot, 1]
-    m = state.mass[robot]
+    # per-axis columns, then the robot rows: views when robot_rows is a
+    # slice, and cheap one-dimensional gathers and adds when it is not
+    rows = state.robot_rows
+    px = state.pos[:, 0][rows]
+    py = state.pos[:, 1][rows]
 
     # rigid surface at y=0 (whole course when flat, the pads when bridged)
-    fn = np.maximum(-CONTACT_STIFFNESS * py - CONTACT_DAMPING * vy, 0.0)
+    fn = -CONTACT_STIFFNESS * py
+    fn -= CONTACT_DAMPING * state.vel[:, 1][rows]
+    np.maximum(fn, 0.0, out=fn)
     fn *= py < 0.0
-    if state.terrain.kind == "bridge":
+    bridge = state.terrain.kind == "bridge"
+    if bridge:
         fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
     cap = FRICTION_MU * fn
-    ft = m * vx
+    ft = state.mass[rows] * state.vel[:, 0][rows]
     ft /= -DT
     np.minimum(ft, cap, out=ft)
     np.negative(cap, out=cap)
     np.maximum(ft, cap, out=ft)
-    out[robot, 0] += ft
-    out[robot, 1] += fn
+    out[:, 0][rows] += ft
+    out[:, 1][rows] += fn
 
-    if state.terrain.kind == "bridge":
+    if bridge:
         in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
         _bridge_contact(state, out, in_span)
     return out
@@ -634,39 +649,42 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray) -> 
     ids = state.robot_ids[in_span]
     if ids.size == 0:
         return
-    top = state.bridge_top.reshape(state.num_worlds, -1)[state.robot_world[in_span]]  # (k, T) own world's chain
-    x = state.pos[ids, 0]
-    y = state.pos[ids, 1]
+    pos_x, pos_y = state.pos.T
+    vel_x, vel_y = state.vel.T
+    chains = state.bridge_top.reshape(state.num_worlds, -1)
+    chain_x = pos_x[chains]  # (worlds, T) each world's top-chain x
+    world = state.robot_world[in_span]
+    x = pos_x[ids]
     # segment under each mass: how many of its chain's masses lie left of it
-    seg = np.clip((state.pos[top, 0] < x[:, None]).sum(axis=1) - 1, 0, top.shape[1] - 2)
-    rows = np.arange(ids.size)
-    left = top[rows, seg]
-    right = top[rows, seg + 1]
-    span = state.pos[right, 0] - state.pos[left, 0]
+    seg = np.clip((chain_x[world] < x[:, None]).sum(axis=1) - 1, 0, chains.shape[1] - 2)
+    seg += world * chains.shape[1]  # the segment's left end in the flat chain tables
+    left = state.bridge_top[seg]
+    right = state.bridge_top[seg + 1]
+    left_x = chain_x.take(seg)
+    span = chain_x.take(seg + 1) - left_x
     np.maximum(span, 1e-9, out=span)
-    w = np.clip((x - state.pos[left, 0]) / span, 0.0, 1.0)
-    surf_y = state.pos[left, 1] * (1 - w) + state.pos[right, 1] * w
-    depth = surf_y - y
+    w = np.clip((x - left_x) / span, 0.0, 1.0)
+    u = 1 - w  # the left end's weight
+    depth = pos_y[left] * u + pos_y[right] * w - pos_y[ids]
     pen = depth > 0.0
-    if not np.any(pen):
+    if not np.count_nonzero(pen):
         return
     ids = ids[pen]
     left = left[pen]
     right = right[pen]
     w = w[pen]
+    u = u[pen]
     depth = depth[pen]
-    surf_vx = state.vel[left, 0] * (1 - w) + state.vel[right, 0] * w
-    surf_vy = state.vel[left, 1] * (1 - w) + state.vel[right, 1] * w
-    rel_vy = state.vel[ids, 1] - surf_vy
-    rel_vx = state.vel[ids, 0] - surf_vx
+    rel_vy = vel_y[ids] - (vel_y[left] * u + vel_y[right] * w)
+    rel_vx = vel_x[ids] - (vel_x[left] * u + vel_x[right] * w)
     fn = np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0)
     ft = np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn)
-    out[ids, 0] += ft
-    out[ids, 1] += fn
+    out[:, 0][ids] += ft
+    out[:, 1][ids] += fn
     # equal and opposite load onto the strip's corner masses
-    np.add.at(out[:, 0], left, -ft * (1 - w))
+    np.add.at(out[:, 0], left, -ft * u)
     np.add.at(out[:, 0], right, -ft * w)
-    np.add.at(out[:, 1], left, -fn * (1 - w))
+    np.add.at(out[:, 1], left, -fn * u)
     np.add.at(out[:, 1], right, -fn * w)
 
 

@@ -100,14 +100,15 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     the last valid step and the full time penalty applied.
     """
     pairs = list(pairs)
+    if not pairs:
+        return []
     if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
         raise ValueError("a batch holds one body shape and one controller variant")
     for morphology, _ in pairs:
         require_valid(morphology)
     state = stack_worlds([build_world(morphology, terrain) for morphology, _ in pairs])
     controllers = stack_controllers([controller for _, controller in pairs])
-    start_x = state.robot_com_x()
-    last_x = start_x.copy()
+    start_x = last_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)
     running = np.ones(len(pairs), dtype=bool)
 
@@ -123,13 +124,13 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
         last_x = np.where(diverged, last_x, x)
         finished = ~diverged & (x >= terrain.finish_x)
         ended = running & (diverged | finished | (state.sim_time == T_MAX))
-        if not ended.any():
+        if not np.count_nonzero(ended):
             continue
         for w in np.flatnonzero(ended):
             steps_used = state.sim_time if finished[w] else T_MAX
             results[w] = _result(last_x[w] - start_x[w], finished[w], steps_used, diverged[w])
         running &= ~ended
-        if not running.any():
+        if not np.count_nonzero(running):
             break
         state.park(ended)
     return results

@@ -327,6 +327,16 @@ def test_generations_to_fraction_exact():
     assert generations_to_fraction(np.array([5.0]), 0.85) == 0
 
 
+def test_desk_champions_rescore_exactly(desk_experiment):
+    # the cached evidence reproduces: every champion's episode, run afresh,
+    # scores its recorded fitness to the bit
+    flat = make_flat_terrain()
+    for run in desk_experiment["fixed"] + desk_experiment["modular"]:
+        body = Morphology.from_json(run["champion_morphology"])
+        controller = ControllerGenome.from_json(run["champion_controller"])
+        assert run_episode(body, controller, flat).fitness == run["champion_fitness"], (controller.variant, run["seed"])
+
+
 def test_criterion_8_fixed_controller_finds_better_faster(desk_experiment):
     fixed = desk_experiment["fixed"]
     modular = desk_experiment["modular"]

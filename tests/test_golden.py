@@ -5,7 +5,8 @@ criterion-3 run's ``generations.csv`` (walker, 5x5, fixed controller, 50
 generations, seed 7) and eight 500-step trajectories, one per setting (W5,
 B5, W7, B7) and controller. A trajectory digest is sha256 over the ``pos``
 and ``vel`` bytes after every step; its body and controller come from
-``default_rng([size, 99])``.
+``default_rng([size, 99])``. Run as the middle world of a 3-world union,
+the same world hashes to the same digest.
 
 A change that moves them on purpose bumps ``ENGINE_VERSION``, regenerates
 ``.acceptance_cache/`` (``python tests/desk_runs.py``) and these digests,
@@ -26,7 +27,7 @@ import pytest
 from voxevo.cli import main as cli_main
 from voxevo.control import blas_core, compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
-from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_world, set_actuation_targets, step
+from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_world, set_actuation_targets, stack_worlds, step
 from voxevo.tasks import T_MAX, terrain_by_name
 
 GOLDEN_ENGINE_VERSION = 4
@@ -45,18 +46,28 @@ TRAJECTORY_SHA256 = {
 }
 
 
-def trajectory_digest(environment: str, size: int, variant: str) -> str:
+def trajectory_digest(environment: str, size: int, variant: str, neighbours: int = 0) -> str:
+    """The setting's trajectory digest; with ``neighbours``, its world runs
+    as the middle world of a union, between ``neighbours`` worlds on each
+    side drawn from ``default_rng([size, 7])``, and only its rows are hashed."""
     rng = np.random.default_rng([size, 99])
     body = random_morphology(size, size, rng)
-    controllers = stack_controllers([init_controller(variant, rng)])
-    state = build_world(body, terrain_by_name(environment, (size, size)))
+    pairs = [(body, init_controller(variant, rng))]
+    others = np.random.default_rng([size, 7])
+    for _ in range(neighbours):
+        pairs.insert(0, (random_morphology(size, size, others), init_controller(variant, others)))
+        pairs.append((random_morphology(size, size, others), init_controller(variant, others)))
+    terrain = terrain_by_name(environment, (size, size))
+    state = stack_worlds([build_world(m, terrain) for m, _ in pairs])
+    controllers = stack_controllers([c for _, c in pairs])
+    rows = slice(state.starts["mass"][neighbours], state.starts["mass"][neighbours + 1])
     digest = hashlib.sha256()
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
             set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
         step(state)
-        digest.update(state.pos.tobytes())
-        digest.update(state.vel.tobytes())
+        digest.update(state.pos[rows].tobytes())
+        digest.update(state.vel[rows].tobytes())
     return digest.hexdigest()
 
 
@@ -67,6 +78,14 @@ def test_engine_version_matches_golden_data():
 @pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
 def test_trajectory_digest(setting):
     digest = trajectory_digest(*setting)
+    assert digest == TRAJECTORY_SHA256[setting], f"{digest} on OpenBLAS kernel {blas_core()}"
+
+
+@pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_trajectory_digest_in_a_union(setting):
+    # the same trajectory as the middle world of a 3-world union: robot rows
+    # read as a slice on flat terrain and by index on the bridge
+    digest = trajectory_digest(*setting, neighbours=1)
     assert digest == TRAJECTORY_SHA256[setting], f"{digest} on OpenBLAS kernel {blas_core()}"
 
 

@@ -288,6 +288,31 @@ def test_pinned_masses_never_move(flat):
 # --- contact ---------------------------------------------------------------
 
 
+def test_bridge_contact_on_the_span_is_per_world():
+    # robots standing on the span, their lower masses pushed below the
+    # strip: each world's rows of the union's contact forces are exactly its
+    # forces alone, and the strip's top chain takes the reaction
+    terrain = make_bridge_terrain((7, 7))
+    rng = np.random.default_rng(11)
+    worlds = []
+    for shift in (2.5, 6.0, 9.5):
+        w = build_world(random_morphology(7, 7, rng), terrain)
+        robot = w.is_robot
+        w.pos[robot, 0] += terrain.span_start + shift - terrain.spawn_x
+        # the strip sags by metres: sink the robot 0.1 below its surface
+        surface = np.interp(w.pos[robot, 0], *w.pos[w.bridge_top].T)
+        w.pos[robot, 1] -= (w.pos[robot, 1] - surface).min() + 0.1
+        w.vel[robot] = rng.normal(0.0, 0.5, size=(robot.sum(), 2))
+        worlds.append(w)
+    union = stack_worlds(worlds)
+    forces = contact_forces(union)
+    for k, w in enumerate(worlds):
+        rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
+        alone = contact_forces(w)
+        assert forces[rows].tobytes() == alone.tobytes()
+        assert np.any(alone[w.bridge_top] != 0.0)
+
+
 def test_contact_zero_at_surface(single_actuator, flat):
     w = build_world(single_actuator, flat)  # resting exactly on y=0
     assert np.all(contact_forces(w) == 0.0)

@@ -369,6 +369,10 @@ def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
 
 
+def test_empty_batch_runs_no_episode(flat):
+    assert run_episodes([], flat) == []
+
+
 def test_batch_rejects_mixed_shapes_and_variants(rng, flat):
     body = random_morphology(4, 4, rng)
     with pytest.raises(ValueError):
