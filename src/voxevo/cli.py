@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, analysis
 from .control import blas_core
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
-from .morphology import validity_report
+from .morphology import Morphology, validity_report
 from .sim_core import ENGINE_VERSION
 from .tasks import terrain_by_name
 
@@ -166,14 +166,20 @@ def _ensure_fresh_or_resumable(out_dir: str, resume: bool) -> None:
         )
 
 
-def cmd_retrain(args) -> int:
+def _load_valid_body(path: str) -> Morphology:
+    """The valid body in a body file; a ConfigError names the file otherwise."""
     try:
-        body = load_body_file(args.body)
+        body = load_body_file(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load body from {args.body}: {exc}")
+        raise ConfigError(f"cannot load body from {path}: {exc}")
     ok, reason = validity_report(body)
     if not ok:
-        raise ConfigError(f"body in {args.body} is invalid: {reason}")
+        raise ConfigError(f"body in {path} is invalid: {reason}")
+    return body
+
+
+def cmd_retrain(args) -> int:
+    body = _load_valid_body(args.body)
 
     args.controller = "modular"
     if args.gens is None:
@@ -216,13 +222,7 @@ def cmd_retrain(args) -> int:
 
 
 def cmd_crosseval(args) -> int:
-    try:
-        body = load_body_file(args.body)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load body from {args.body}: {exc}")
-    ok, reason = validity_report(body)
-    if not ok:
-        raise ConfigError(f"body in {args.body} is invalid: {reason}")
+    body = _load_valid_body(args.body)
     terrain = terrain_by_name(args.env, (body.h, body.w))
     result = analysis.cross_evaluate_fixed(body, terrain)
     print(json.dumps(result.to_json(), indent=2))
@@ -234,26 +234,23 @@ def cmd_crosseval(args) -> int:
 
 
 def _load_run_dir(run_dir: str) -> dict:
-    manifest_path = os.path.join(run_dir, "manifest.json")
     try:
-        with open(manifest_path) as fh:
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest in {run_dir}: {exc}")
-    with open(os.path.join(run_dir, "champion.json")) as fh:
-        champion = json.load(fh)
-    best = []
-    with open(os.path.join(run_dir, "generations.csv")) as fh:
-        for row in csv.DictReader(fh):
-            best.append(float(row["best_fitness"]))
-    return {
-        "dir": run_dir,
-        "group": manifest.get("group_label", manifest["setting"]),
-        "seed": manifest.get("seed", manifest["config"].get("seed")),
-        "champion_fitness": champion["fitness"],
-        "champion_body": champion["morphology"],
-        "best_curve": np.array(best),
-    }
+        with open(os.path.join(run_dir, "champion.json")) as fh:
+            champion = json.load(fh)
+        with open(os.path.join(run_dir, "generations.csv")) as fh:
+            best = [float(row["best_fitness"]) for row in csv.DictReader(fh)]
+        return {
+            "dir": run_dir,
+            "group": manifest.get("group_label", manifest["setting"]),
+            "seed": manifest.get("seed", manifest["config"].get("seed")),
+            "champion_fitness": champion["fitness"],
+            "champion_body": champion["morphology"],
+            "best_curve": np.array(best),
+        }
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read run directory {run_dir}: {type(exc).__name__}: {exc}")
 
 
 def cmd_report(args) -> int:
@@ -337,11 +334,7 @@ def _write_distances(groups, labels, out_dir) -> dict:
     distances = {}
     for label in labels:
         runs = groups[label]
-        bodies = []
-        for run in runs:
-            from .morphology import Morphology
-
-            bodies.append(Morphology.from_json(run["champion_body"]))
+        bodies = [Morphology.from_json(run["champion_body"]) for run in runs]
         shapes = {(b.h, b.w) for b in bodies}
         if len(shapes) > 1:
             raise ConfigError(
@@ -435,16 +428,10 @@ def _write_svg_curves(curves: dict, path) -> None:
 
 
 def cmd_validate_body(args) -> int:
-    try:
-        body = load_body_file(args.body)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load body from {args.body}: {exc}")
-    ok, reason = validity_report(body)
-    if ok:
-        note = "" if body.is_canonical_size else " (non-canonical size)"
-        print(f"valid {body.h}x{body.w} body{note}")
-        return 0
-    raise ConfigError(f"invalid body: {reason}")
+    body = _load_valid_body(args.body)
+    note = "" if body.is_canonical_size else " (non-canonical size)"
+    print(f"valid {body.h}x{body.w} body{note}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

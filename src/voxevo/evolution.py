@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .control import ControllerGenome, init_controller, mutate_controller
-from .morphology import Morphology, mutate_morphology, random_morphology
+from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
@@ -163,8 +163,10 @@ def load_body_file(path: str) -> Morphology:
     """Read a body from a bare morphology JSON or a champion wrapper."""
     with open(path) as fh:
         data = json.load(fh)
-    if "morphology" in data:
+    if isinstance(data, dict) and "morphology" in data:
         data = data["morphology"]
+    if not isinstance(data, dict):
+        raise InvalidMorphologyError("a body file must hold a JSON object")
     return Morphology.from_json(data)
 
 
@@ -251,16 +253,16 @@ def make_offspring(
     )
 
 
+def _newcomer(seed: int, ind_id: int, config: RunConfig, frozen_body: Morphology | None) -> Individual:
+    """A fresh age-0 individual from its own stream: the frozen body or a
+    random one, then a new controller, drawn in that order."""
+    rng = individual_rng(seed, ind_id)
+    morph = frozen_body if frozen_body is not None else random_morphology(config.height, config.width, rng)
+    return Individual(id=ind_id, morphology=morph, controller=init_controller(config.controller, rng), age=0)
+
+
 def make_initial_population(config: RunConfig, frozen_body: Morphology | None = None) -> Population:
-    members = []
-    for i in range(config.population_size):
-        rng = individual_rng(config.seed, i)
-        if frozen_body is not None:
-            morph = frozen_body
-        else:
-            morph = random_morphology(config.height, config.width, rng)
-        ctrl = init_controller(config.controller, rng)
-        members.append(Individual(id=i, morphology=morph, controller=ctrl, age=0))
+    members = [_newcomer(config.seed, i, config, frozen_body) for i in range(config.population_size)]
     return Population(members=members, generation=0, rng_seed=config.seed, next_id=config.population_size)
 
 
@@ -291,17 +293,7 @@ def advance_generation(
         )
         next_id += 1
 
-    rng = individual_rng(pop.rng_seed, next_id)
-    if frozen_body is not None:
-        injected_morph = frozen_body
-    else:
-        injected_morph = random_morphology(config.height, config.width, rng)
-    injectee = Individual(
-        id=next_id,
-        morphology=injected_morph,
-        controller=init_controller(config.controller, rng),
-        age=0,
-    )
+    injectee = _newcomer(pop.rng_seed, next_id, config, frozen_body)
     next_id += 1
 
     _evaluate_members(children + [injectee], evaluator)

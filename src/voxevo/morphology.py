@@ -56,10 +56,6 @@ class Morphology:
     def is_canonical_size(self) -> bool:
         return (self.h, self.w) in CANONICAL_SIZES
 
-    def nonempty_cells(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.cells)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def active_cells(self) -> list[tuple[int, int]]:
         mask = (self.cells == materials.ACTUATOR_H) | (self.cells == materials.ACTUATOR_V)
         rows, cols = np.nonzero(mask)

@@ -220,20 +220,25 @@ _POINTS_INTO = {
 }
 
 
-def _concatenate(states: list[WorldState]) -> tuple[dict, dict]:
-    """Every row table of the states concatenated in order, with index
-    tables offset to the rows' new ids; and each kind's row offsets."""
+def _concatenate(parts: list[dict]) -> tuple[dict, dict]:
+    """The row tables that the parts hold, each concatenated in order with
+    its index entries offset to the rows' new ids; and each kind's row
+    offsets. A part is a state's fields or a grid's rows."""
     offsets = {
-        kind: np.cumsum([0] + [len(getattr(w, names[0])) for w in states]) for kind, names in _ROW_FIELDS.items()
+        kind: np.cumsum([0] + [len(part[names[0]]) for part in parts])
+        for kind, names in _ROW_FIELDS.items()
+        if names[0] in parts[0]
     }
     tables = {}
-    for kind, names in _ROW_FIELDS.items():
-        for name in names:
-            parts = [getattr(w, name) for w in states]
+    for kind in offsets:
+        for name in _ROW_FIELDS[kind]:
+            if name not in parts[0]:
+                continue
+            columns = [part[name] for part in parts]
             ref = _POINTS_INTO.get(name)
             if ref:
-                parts = [rows + offset for rows, offset in zip(parts, offsets[ref])]
-            tables[name] = sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
+                columns = [rows + offset for rows, offset in zip(columns, offsets[ref])]
+            tables[name] = sum(columns, []) if isinstance(columns[0], list) else np.concatenate(columns)
     return tables, offsets
 
 
@@ -249,7 +254,7 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
         return first
     if any(w.terrain != first.terrain or w.sim_time != first.sim_time for w in worlds):
         raise ValueError("stacked worlds must share their terrain and their clock")
-    tables, offsets = _concatenate(worlds)
+    tables, offsets = _concatenate([vars(w) for w in worlds])
     starts = {
         kind: np.concatenate([[0]] + [w.starts[kind][1:] + offsets[kind][k] for k, w in enumerate(worlds)])
         for kind in first.starts
@@ -257,104 +262,104 @@ def stack_worlds(worlds: list[WorldState]) -> WorldState:
     return WorldState(**tables, starts=starts, terrain=first.terrain, sim_time=first.sim_time)
 
 
-class _WorldBuilder:
-    """Accumulates the rows of one world during construction."""
+# edge stiffness by material code; zero for empty cells, which make no springs
+_EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
+# a voxel's springs in build order: bottom, top, left, right edge, then its
+# two diagonals; each as (first, second) end among its (tl, tr, bl, br) corners
+_VOXEL_SPRING_ENDS = np.array([[2, 3], [0, 1], [2, 0], [3, 1], [2, 1], [3, 0]])
+_VOXEL_SPRING_KINDS = np.array([KIND_STRUCTURAL_H] * 2 + [KIND_STRUCTURAL_V] * 2 + [KIND_SHEAR] * 2, dtype=np.uint8)
+_VOXEL_SPRING_SCALE = np.array([1.0] * 4 + [materials.SHEAR_STIFFNESS_FACTOR] * 2)
 
-    def __init__(self):
-        self.point_ids: dict[tuple[int, int], int] = {}
-        self.positions: list[tuple[float, float]] = []
-        self.masses: list[float] = []
-        self.pinned: list[bool] = []
-        self.spring_ids: dict[tuple[int, int], int] = {}
-        self.spring_rows: list[list] = []  # [i, j, rest, k, kind]
-        self.vox_cells: list[tuple[int, int]] = []
-        self.vox_corners: list[tuple[int, ...]] = []
-        self.vox_h_edges: list[tuple[int, int]] = []
-        self.vox_v_edges: list[tuple[int, int]] = []
-        self.vox_shear: list[tuple[int, int]] = []
-        self.actuator_cells: list[tuple[int, int]] = []
-        self.actuator_springs: list[tuple[int, int]] = []
 
-    def point(self, key: tuple[int, int], xy: tuple[float, float], pin: bool = False) -> int:
-        idx = self.point_ids.get(key)
-        if idx is None:
-            idx = len(self.positions)
-            self.point_ids[key] = idx
-            self.positions.append(xy)
-            self.masses.append(0.0)
-            self.pinned.append(pin)
-        if pin:
-            self.pinned[idx] = True
-        return idx
+def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids handed out to ``keys`` in order of first use: each key's id, and
+    each id's first position in ``keys``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], first[order]
 
-    def edge(self, a: int, b: int, stiffness: float, kind: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = self.spring_ids.get(key)
-        if idx is None:
-            pa, pb = self.positions[a], self.positions[b]
-            rest = float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
-            idx = len(self.spring_rows)
-            self.spring_ids[key] = idx
-            self.spring_rows.append([key[0], key[1], rest, stiffness, kind])
-        else:
-            # shared boundary spring: the stiffer material wins
-            if stiffness > self.spring_rows[idx][3]:
-                self.spring_rows[idx][3] = stiffness
-        return idx
 
-    def shear(self, a: int, b: int, stiffness: float) -> int:
-        # diagonals are per-voxel, never shared
-        pa, pb = self.positions[a], self.positions[b]
-        rest = float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
-        idx = len(self.spring_rows)
-        self.spring_rows.append([a, b, rest, stiffness, KIND_SHEAR])
-        return idx
+def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
+    """Mass, spring and voxel rows of a material grid, none pinned.
 
-    def state(self, n_robot: int, bridge_top: np.ndarray, morphologies: list, terrain) -> WorldState:
-        """The one-world state of the rows so far; the first ``n_robot``
-        masses are the robot's."""
-        pos = np.array(self.positions, dtype=np.float64)
-        masses = np.array(self.masses, dtype=np.float64)
-        pinned = np.array(self.pinned, dtype=bool)
-        rows = self.spring_rows
-        spring_i = np.array([r[0] for r in rows], dtype=np.int64)
-        spring_j = np.array([r[1] for r in rows], dtype=np.int64)
-        spring_rest = np.array([r[2] for r in rows], dtype=np.float64)
-        spring_k = np.array([r[3] for r in rows], dtype=np.float64)
-        m_avg = 0.5 * (masses[spring_i] + masses[spring_j])
+    Grid corner (pi, pj) sits at (x0 + pj, y0 - pi). Non-empty cells are
+    visited row-major, each touching its corners in (tl, tr, bl, br) order
+    and its springs in ``_VOXEL_SPRING_ENDS`` order; corners and edges are
+    numbered in order of first use. Each corner weighs
+    ``CORNER_MASS_PER_VOXEL`` per voxel that holds it; an edge shared by
+    two voxels is stored once, with the stiffer material's constant;
+    diagonals are never shared.
+    """
+    r, c = np.nonzero(cells)
+    code = cells[r, c]
+    v = r.size
+    corner_pi = r[:, None] + np.array([0, 0, 1, 1])
+    corner_pj = c[:, None] + np.array([0, 1, 0, 1])
+    corners, first = _first_use((corner_pi * (cells.shape[1] + 1) + corner_pj).ravel())
+    corners = corners.reshape(v, 4)
+    pos = np.stack([x0 + corner_pj.ravel()[first], y0 - corner_pi.ravel()[first]], axis=1)
+    mass = np.bincount(corners.ravel()) * CORNER_MASS_PER_VOXEL
 
-        def table(rows, width):
-            return np.array(rows, dtype=np.int64).reshape(-1, width)
+    ends = corners[:, _VOXEL_SPRING_ENDS]  # (v, 6, 2)
+    i, j = ends[..., 0], ends[..., 1]
+    # an edge is known by its sorted ends, so neighbours share it; a diagonal
+    # keeps its ends in order and a key of its own
+    i[:, :4], j[:, :4] = np.minimum(i[:, :4], j[:, :4]), np.maximum(i[:, :4], j[:, :4])
+    n = mass.size
+    key = i * n + j
+    key[:, 4:] = n * n + np.arange(2 * v).reshape(v, 2)
+    springs, first = _first_use(key.ravel())
+    spring_i, spring_j = i.ravel()[first], j.ravel()[first]
+    spring_k = np.zeros(first.size)
+    np.maximum.at(spring_k, springs, (_EDGE_STIFFNESS[code][:, None] * _VOXEL_SPRING_SCALE).ravel())
+    d = pos[spring_i] - pos[spring_j]
 
-        counts = {"mass": pos.shape[0], "vox": len(self.vox_cells), "act": len(self.actuator_cells)}
-        return WorldState(
-            pos=pos,
-            vel=np.zeros_like(pos),
-            mass=masses,
-            inv_mass=np.where(pinned, 0.0, 1.0 / masses),
-            pinned=pinned,
-            is_robot=np.arange(pos.shape[0]) < n_robot,
-            spring_i=spring_i,
-            spring_j=spring_j,
-            spring_rest=spring_rest,
-            spring_current_rest=spring_rest.copy(),
-            spring_target_rest=spring_rest.copy(),
-            spring_k=spring_k,
-            spring_c=DAMPING_RATIO * 2.0 * np.sqrt(spring_k * m_avg),
-            spring_kind=np.array([r[4] for r in rows], dtype=np.uint8),
-            vox_cells=self.vox_cells,
-            vox_corners=table(self.vox_corners, 4),
-            vox_h_edges=table(self.vox_h_edges, 2),
-            vox_v_edges=table(self.vox_v_edges, 2),
-            vox_shear=table(self.vox_shear, 2),
-            actuator_cells=self.actuator_cells,
-            actuator_springs=table(self.actuator_springs, 2),
-            bridge_top=bridge_top,
-            morphologies=morphologies,
-            clamped_actions=np.zeros(1, dtype=np.int64),
-            starts={kind: np.array([0, count]) for kind, count in counts.items()},
-            terrain=terrain,
-        )
+    springs = springs.reshape(v, 6)
+    active = (code == materials.ACTUATOR_H) | (code == materials.ACTUATOR_V)
+    horizontal = (code == materials.ACTUATOR_H)[:, None]
+    cells_rc = list(zip(r.tolist(), c.tolist()))
+    return {
+        "pos": pos,
+        "mass": mass,
+        "pinned": np.zeros(n, dtype=bool),
+        "is_robot": np.ones(n, dtype=bool),
+        "spring_i": spring_i,
+        "spring_j": spring_j,
+        "spring_rest": np.hypot(d[:, 0], d[:, 1]),
+        "spring_k": spring_k,
+        "spring_kind": _VOXEL_SPRING_KINDS[first % 6],
+        "vox_cells": cells_rc,
+        "vox_corners": corners[:, [2, 3, 1, 0]],
+        "vox_h_edges": springs[:, 0:2],
+        "vox_v_edges": springs[:, 2:4],
+        "vox_shear": springs[:, 4:6],
+        "actuator_cells": [cell for cell, a in zip(cells_rc, active) if a],
+        "actuator_springs": np.where(horizontal, springs[:, 0:2], springs[:, 2:4])[active],
+        "bridge_top": np.zeros(0, dtype=np.int64),
+    }
+
+
+def _one_world(parts: list[dict], morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
+    """The state of one world made of the parts' rows, joined in order,
+    at rest at their build-time lengths."""
+    tables, _ = _concatenate(parts)
+    pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
+    m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
+    counts = {"mass": pos.shape[0], "vox": len(tables["vox_cells"]), "act": len(tables["actuator_cells"])}
+    return WorldState(
+        **tables,
+        vel=np.zeros_like(pos),
+        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
+        spring_current_rest=rest.copy(),
+        spring_target_rest=rest.copy(),
+        spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
+        morphologies=morphologies,
+        clamped_actions=np.zeros(1, dtype=np.int64),
+        starts={kind: np.array([0, count]) for kind, count in counts.items()},
+        terrain=terrain,
+    )
 
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
@@ -362,109 +367,41 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
 
     The body is placed with its lowest corner resting on the surface
     (y=0) and its leftmost corner at the terrain's spawn_x (x=0 when
-    terrain is None). For bridge terrain the compliant strip is built
-    into the same world, pinned at both pad junctions.
+    terrain is None). For bridge terrain the settled strip's rows follow
+    the robot's in the same world.
     """
     ok, reason = simulability_report(morphology)
     if not ok:
         raise InvalidMorphologyError(reason)
-
-    h = morphology.h
-    cells = morphology.cells
+    rows, cols = np.nonzero(morphology.cells)
     spawn_x = terrain.spawn_x if terrain is not None else 0.0
-    b = _WorldBuilder()
-
-    nonempty = morphology.nonempty_cells()
-    # corner grid point (pi, pj) sits at raw coords (x=pj, y=h-pi)
-    min_pj = min(c for _, c in nonempty)
-    max_pi = max(r for r, _ in nonempty) + 1
-    x0 = spawn_x - min_pj
-    y0 = float(h - max_pi)
-
-    for r, c in nonempty:
-        code = int(cells[r, c])
-        k_edge = materials.EDGE_STIFFNESS[code]
-        corner_keys = {
-            "tl": (r, c),
-            "tr": (r, c + 1),
-            "bl": (r + 1, c),
-            "br": (r + 1, c + 1),
-        }
-        ids = {}
-        for name, (pi, pj) in corner_keys.items():
-            ids[name] = b.point((pi, pj), (x0 + pj, float(h - pi) - y0))
-        for name in corner_keys:
-            b.masses[ids[name]] += CORNER_MASS_PER_VOXEL
-
-        bottom = b.edge(ids["bl"], ids["br"], k_edge, KIND_STRUCTURAL_H)
-        top = b.edge(ids["tl"], ids["tr"], k_edge, KIND_STRUCTURAL_H)
-        left = b.edge(ids["bl"], ids["tl"], k_edge, KIND_STRUCTURAL_V)
-        right = b.edge(ids["br"], ids["tr"], k_edge, KIND_STRUCTURAL_V)
-        k_shear = k_edge * materials.SHEAR_STIFFNESS_FACTOR
-        d1 = b.shear(ids["bl"], ids["tr"], k_shear)
-        d2 = b.shear(ids["br"], ids["tl"], k_shear)
-
-        b.vox_cells.append((r, c))
-        b.vox_corners.append((ids["bl"], ids["br"], ids["tr"], ids["tl"]))
-        b.vox_h_edges.append((bottom, top))
-        b.vox_v_edges.append((left, right))
-        b.vox_shear.append((d1, d2))
-        if code in materials.ACTIVE_CODES:
-            b.actuator_cells.append((r, c))
-            if code == materials.ACTUATOR_H:
-                b.actuator_springs.append((bottom, top))
-            else:
-                b.actuator_springs.append((left, right))
-
-    robot = b.state(len(b.positions), np.zeros(0, dtype=np.int64), [morphology], terrain)
-    if terrain is None or terrain.kind != "bridge":
-        return robot
-    # the strip starts at its static equilibrium, so episodes begin on a
-    # settled surface instead of a swinging one. Its rows follow the
-    # robot's in one world, which keeps the robot's per-world rows.
-    strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
-    tables, _ = _concatenate([robot, strip])
-    tables.update(morphologies=robot.morphologies, clamped_actions=robot.clamped_actions)
-    starts = {kind: robot.starts[kind] + strip.starts[kind] for kind in robot.starts}
-    return WorldState(**tables, starts=starts, terrain=terrain)
+    parts = [_grid_rows(morphology.cells, spawn_x - cols.min(), float(rows.max() + 1))]
+    if terrain is not None and terrain.kind == "bridge":
+        parts.append(_settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material))
+    return _one_world(parts, [morphology], terrain)
 
 
-def _build_bridge(span_start: int, span_end: int, material: int) -> WorldState:
-    """The bare compliant strip, flat, as a one-world state without a robot:
-    a 1-voxel-thick row of ``material``, top at y=0, pinned at both pad
-    junctions."""
-    b = _WorldBuilder()
-    k_edge = materials.EDGE_STIFFNESS[material]
-    k_shear = k_edge * materials.SHEAR_STIFFNESS_FACTOR
-    top_ids = []
-    # (-1, j) is the top chain, (-2, j) the bottom
-    for j in range(span_start, span_end + 1):
-        pin = j in (span_start, span_end)
-        top_ids.append(b.point((-1, j), (float(j), 0.0), pin=pin))
-        b.point((-2, j), (float(j), -1.0), pin=pin)
-    for j in range(span_start, span_end):
-        tl = b.point((-1, j), (float(j), 0.0))
-        tr = b.point((-1, j + 1), (float(j + 1), 0.0))
-        bl = b.point((-2, j), (float(j), -1.0))
-        br = b.point((-2, j + 1), (float(j + 1), -1.0))
-        for idx in (tl, tr, bl, br):
-            b.masses[idx] += CORNER_MASS_PER_VOXEL
-        b.edge(bl, br, k_edge, KIND_STRUCTURAL_H)
-        b.edge(tl, tr, k_edge, KIND_STRUCTURAL_H)
-        b.edge(bl, tl, k_edge, KIND_STRUCTURAL_V)
-        b.edge(br, tr, k_edge, KIND_STRUCTURAL_V)
-        b.shear(bl, tr, k_shear)
-        b.shear(br, tl, k_shear)
-    return b.state(0, np.array(top_ids, dtype=np.int64), [], None)
+def _strip_rows(span_start: int, span_end: int, material: int) -> dict:
+    """The bare compliant strip, flat: a 1-voxel-thick row of ``material``,
+    top at y=0, pinned at both pad junctions, with its top chain ordered by
+    x. It has no voxel or actuator rows; those are a robot's."""
+    rows = _grid_rows(np.full((1, span_end - span_start), material, dtype=np.int8), float(span_start), 0.0)
+    x, y = rows["pos"].T
+    rows.update(
+        pinned=(x == span_start) | (x == span_end),
+        is_robot=np.zeros(x.size, dtype=bool),
+        bridge_top=np.flatnonzero(y == 0.0),
+    )
+    for name in _ROW_FIELDS["vox"] + _ROW_FIELDS["act"]:
+        rows[name] = rows[name][:0]
+    return rows
 
 
 @lru_cache(maxsize=8)
-def _settled_strip(span_start: int, span_end: int, material: int) -> WorldState:
-    """The bare strip at its static equilibrium, built once per span;
-    ``build_world`` copies its rows into every bridge world."""
-    strip = _build_bridge(span_start, span_end, material)
-    strip.pos = _bridge_equilibrium(span_start, span_end, material)
-    return strip
+def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
+    """The bare strip's rows at its static equilibrium, built once per span;
+    ``build_world`` joins them after the robot's."""
+    return dict(_strip_rows(span_start, span_end, material), pos=_bridge_equilibrium(span_start, span_end, material))
 
 
 @lru_cache(maxsize=8)
@@ -480,7 +417,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
     accelerates by ``STRIP_TOLERANCE`` or more; raises rather than return
     an unconverged strip.
     """
-    strip = _build_bridge(span_start, span_end, material)
+    strip = _one_world([_strip_rows(span_start, span_end, material)], [], None)
     free = np.flatnonzero(~strip.pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip

@@ -141,6 +141,8 @@ def test_retrain_invalid_body_exit_2(tmp_path):
     body_path = tmp_path / "bad.json"
     body_path.write_text(json.dumps(Morphology([[1, 1]]).to_json()))  # no actuator
     assert run_cli("retrain", "--body", str(body_path), "--out", str(tmp_path / "o")) == 2
+    body_path.write_text("[1, 2, 3]")  # not a JSON object
+    assert run_cli("retrain", "--body", str(body_path), "--out", str(tmp_path / "o")) == 2
 
 
 def test_crosseval_prints_result(tmp_path, capsys, rng):
@@ -162,6 +164,10 @@ def test_validate_body(tmp_path, capsys):
     bad.write_text(json.dumps({"h": 2, "w": 2, "cells": [[3, 0], [0, 1]]}))
     assert run_cli("validate-body", "--body", str(bad)) == 2
     bad.write_text(json.dumps({"h": 1, "w": 1, "cells": [[3.7]]}))  # not truncated to 3
+    assert run_cli("validate-body", "--body", str(bad)) == 2
+    bad.write_text("[1, 2, 3]")  # not a JSON object
+    assert run_cli("validate-body", "--body", str(bad)) == 2
+    bad.write_text(json.dumps({"morphology": [1, 2, 3]}))
     assert run_cli("validate-body", "--body", str(bad)) == 2
 
 
@@ -239,6 +245,27 @@ def test_report_rejects_mixed_shapes_in_group(tmp_path):
         "--out", str(tmp_path / "r"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("champion.json", None),
+        ("generations.csv", None),
+        ("generations.csv", "generation,best\n0,5.0\n"),
+        ("manifest.json", "{}"),
+    ],
+)
+def test_report_unreadable_run_dir_exits_2(tmp_path, capsys, name, text):
+    # a missing file, or one without a field the report reads
+    _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
+    _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3]])
+    if text is None:
+        (tmp_path / "b0" / name).unlink()
+    else:
+        (tmp_path / "b0" / name).write_text(text)
+    assert run_cli("report", str(tmp_path / "a0"), str(tmp_path / "b0"), "--out", str(tmp_path / "r")) == 2
+    assert str(tmp_path / "b0") in capsys.readouterr().err
 
 
 def test_report_needs_two_groups(tmp_path):

@@ -4,13 +4,18 @@ The digests pin the numerics of ``ENGINE_VERSION``: the sha256 of the
 criterion-3 run's ``generations.csv`` (walker, 5x5, fixed controller, 50
 generations, seed 7) and eight 500-step trajectories, one per setting (W5,
 B5, W7, B7) and controller. A trajectory digest is sha256 over the ``pos``
-and ``vel`` bytes after every step; its body and controller come from
-``default_rng([size, 99])``. Run as the middle world of a 3-world union,
-the same world hashes to the same digest.
+and ``vel`` bytes after every step, rows in build order; its body and
+controller come from ``default_rng([size, 99])``. Run as the middle world of
+a 3-world union, the same world hashes to the same digest.
 
 A change that moves them on purpose bumps ``ENGINE_VERSION``, regenerates
 ``.acceptance_cache/`` (``python tests/desk_runs.py``) and these digests,
-and records why in CHANGES.md.
+and records why in CHANGES.md. A change that only reorders rows moves the
+digests but no number: it re-pins them without a version bump, and
+CHANGES.md records the proof, the new trajectories with their rows put back
+in the old order hashing to the old digests.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the current digests.
 
 The fixed-controller digests make no BLAS call, so they hold under every
 OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell`` included); the bridge
@@ -37,12 +42,12 @@ CRITERION_3_CSV_SHA256 = "c84fa47bebace6be8f653308eb07db8d23324b21449cd1f30b21fc
 TRAJECTORY_SHA256 = {
     ("walker", 5, "fixed"): "a98a57b11af810d86be7934a04c04645e09ab81757c7b07759c3172ebdd91982",
     ("walker", 5, "modular"): "96ee125d8ef05770d1ccf1b073c79cd188106b27df3addebbd5aefe0f028ae22",
-    ("bridgewalker", 5, "fixed"): "d6a2ffbdd165d505fc1d8bfe55d5094e8b56bc2527f0a193b99375fef8a8fc9b",
-    ("bridgewalker", 5, "modular"): "c11944b14da651a03f1f0fdf4f341b31da91c94996c93f244f0d88bbdbb67e98",
+    ("bridgewalker", 5, "fixed"): "398a9cd4ad5f8809a0b0d1e6e40b33bc43b6bcae10855f7c8e0b3503e97a82e3",
+    ("bridgewalker", 5, "modular"): "4d7a7fa6c7eaf553dff6fc7fd31d96f3de49416e5d9d5c30083498308aaea5ec",
     ("walker", 7, "fixed"): "20cca5306be861d36ca0044514af797af5800688bda8729526eb1e08411e57f1",
     ("walker", 7, "modular"): "9a1ce57d35d75839248f180b3b905e6f31ed381f001ad02eb95d68f2ba787f11",
-    ("bridgewalker", 7, "fixed"): "4fa3ad080434da9991f2f67b0b90e3ddd4310a1214fa6900d5e048527a531c02",
-    ("bridgewalker", 7, "modular"): "1a0445621c3b5dadaacb8d61f54717218176bd2111706b0e2672ee6f5ded74d4",
+    ("bridgewalker", 7, "fixed"): "0e7cd546770538bed7ffea25523bb7fe903a4399dabd56c4fdd5b4ccbf8b2c8b",
+    ("bridgewalker", 7, "modular"): "f99bc663ec2a6068a503679694aa3338172122cd568c0b4481f1bcf25ee9f019",
 }
 
 
@@ -94,3 +99,8 @@ def test_criterion_3_generations_csv_digest(tmp_path):
     argv = ["evolve", "--env", "walker", "--size", "5x5", "--controller", "fixed"]
     assert cli_main(argv + ["--gens", "50", "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "generations.csv").read_bytes()).hexdigest() == CRITERION_3_CSV_SHA256
+
+
+if __name__ == "__main__":
+    for setting in TRAJECTORY_SHA256:
+        print(setting, trajectory_digest(*setting))

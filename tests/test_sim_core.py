@@ -88,9 +88,31 @@ def test_shared_boundary_spring_takes_stiffer_material(flat):
 def test_voxel_index_maps_every_nonempty_cell(small_body, flat):
     w = build_world(small_body, flat)
     index = voxel_index(w)
-    assert set(index) == set(small_body.nonempty_cells())
+    assert set(index) == set(zip(*np.nonzero(small_body.cells)))
     for corners in index.values():
         assert len(set(corners)) == 4
+
+
+def test_corners_and_springs_are_numbered_in_order_of_first_use(flat):
+    # cells (0, 1), (1, 0), (1, 1), visited row-major, touch corners in
+    # (tl, tr, bl, br) order: grid corner (1, 0) is first touched after
+    # (1, 2), so row-major numbering would put it earlier. The golden
+    # digests hash rows in this order.
+    w = build_world(Morphology([[0, 1], [1, 1]]), flat)
+    x0 = flat.spawn_x
+    corners = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 0), (2, 0), (2, 1), (2, 2)]  # (pi, pj) by id
+    assert w.pos.tolist() == [[x0 + pj, 2.0 - pi] for pi, pj in corners]
+    h, v, s = KIND_STRUCTURAL_H, sim_core.KIND_STRUCTURAL_V, KIND_SHEAR
+    # each voxel's bottom, top, left, right edge, then its two diagonals
+    assert list(zip(w.spring_i.tolist(), w.spring_j.tolist(), w.spring_kind.tolist())) == [
+        (2, 3, h), (0, 1, h), (0, 2, v), (1, 3, v), (2, 1, s), (3, 0, s),
+        (5, 6, h), (2, 4, h), (4, 5, v), (2, 6, v), (5, 2, s), (6, 4, s),
+        (6, 7, h), (3, 7, v), (6, 3, s), (7, 2, s),
+    ]
+    # cell (0, 1)'s bottom edge is cell (1, 1)'s top, stored once
+    assert w.vox_h_edges.tolist() == [[0, 1], [6, 7], [12, 0]]
+    assert w.vox_v_edges.tolist() == [[2, 3], [8, 9], [9, 13]]
+    assert w.vox_corners.tolist() == [[2, 3, 1, 0], [5, 6, 2, 4], [6, 7, 3, 2]]
 
 
 # --- actuation ------------------------------------------------------------
