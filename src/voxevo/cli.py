@@ -239,6 +239,9 @@ def _load_run_dir(run_dir: str) -> dict:
             manifest = json.load(fh)
         with open(os.path.join(run_dir, "champion.json")) as fh:
             champion = json.load(fh)
+        for name, data in (("manifest.json", manifest), ("champion.json", champion)):
+            if not isinstance(data, dict):
+                raise ConfigError(f"cannot read run directory {run_dir}: {name} does not hold a JSON object")
         with open(os.path.join(run_dir, "generations.csv")) as fh:
             best = [float(row["best_fitness"]) for row in csv.DictReader(fh)]
         return {

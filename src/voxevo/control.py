@@ -165,44 +165,78 @@ def fixed_action(effective_step: int) -> float:
 _WINDOW_DR = np.repeat([0, 1, 2], 3)  # 3x3 window offsets, row-major, on a grid padded by one cell
 _WINDOW_DC = np.tile([0, 1, 2], 3)
 _SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
+_DYNAMIC = 3  # volume, vx, vy: the entries of a slot that change as the world moves
+_DYNAMIC_COLUMNS = (_SLOT_BASE[:, None] + np.arange(_DYNAMIC)).ravel()  # (27,) in (slot, feature) order
 
 
 class _Windows(NamedTuple):
-    """Static observation tables of a state, one row per active voxel."""
+    """A state's controller input, built once and written in place.
 
-    template: np.ndarray     # (n_active, 73) the material indicators, zeros elsewhere
-    present: np.ndarray      # (n_active, 9) the window slot holds a voxel
-    voxel: np.ndarray        # (n_active, 9) that voxel's row, 0 where absent
-    block_rows: int          # rows per world in the controller blocks: h*w
-    block_index: np.ndarray  # (n_active,) row in the stacked (worlds * block_rows) blocks
+    ``blocks`` holds h*w rows per world, the most active voxels an h x w
+    body can hold. Active voxel ``a`` owns row ``block_index[a]``; the
+    other rows stay zero. The material indicators are written when the
+    tables are built; each control step writes the dynamic entries and the
+    parity, and nothing else.
+    """
+
+    blocks: np.ndarray       # (worlds, h*w, 73) the controller input
+    features: np.ndarray     # (v + 1, 3) volume, vx, vy of each voxel; the last row stays zero
+    gather: np.ndarray       # (n_active * 27,) flat entry of ``features`` behind each dynamic entry
+    dynamic: np.ndarray      # (n_active * 27,) flat entry of ``blocks`` it is written to
+    parity: np.ndarray       # (n_active,) flat entry of ``blocks`` holding each row's time signal
+    block_index: np.ndarray  # (n_active,) row in the stacked (worlds * h*w) blocks
 
 
 def _window_tables(state: WorldState) -> _Windows:
-    """The state's observation tables, built on first use."""
+    """The state's controller input and its index tables, built on first use."""
     cached = state.obs_cache.get("windows")
     if cached is not None:
         return cached
     shape = np.max([m.cells.shape for m in state.morphologies], axis=0)
-    grid_row = np.full((state.num_worlds, shape[0] + 2, shape[1] + 2), -1, dtype=np.int64)
+    cells = np.array(state.vox_cells, dtype=np.int64).reshape(-1, 2)
+    absent = cells.shape[0]  # the zero row appended to the feature table
+    grid_row = np.full((state.num_worlds, shape[0] + 2, shape[1] + 2), absent, dtype=np.int64)
     grid_code = np.zeros(grid_row.shape, dtype=np.int64)  # empty beyond every body
     for w, m in enumerate(state.morphologies):
         grid_code[w, 1 : m.h + 1, 1 : m.w + 1] = m.cells
     vox_world = np.repeat(np.arange(state.num_worlds), np.diff(state.starts["vox"]))
-    cells = np.array(state.vox_cells, dtype=np.int64).reshape(-1, 2)
-    grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(cells.shape[0])
+    grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(absent)
 
     act = np.array(state.actuator_cells, dtype=np.int64).reshape(-1, 2)
-    n_active = act.shape[0]
     window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
-    template = np.zeros((n_active, OBS_DIM))
-    template[np.arange(n_active)[:, None], _SLOT_BASE + 3 + grid_code[window]] = 1.0
-    voxel = grid_row[window]
-    present = voxel >= 0
     block_rows = int(shape[0] * shape[1])
-    slot = np.arange(n_active) - state.starts["act"][state.act_world]
-    cached = _Windows(template, present, np.where(present, voxel, 0), block_rows, state.act_world * block_rows + slot)
+    slot = np.arange(act.shape[0]) - state.starts["act"][state.act_world]
+    block_index = state.act_world * block_rows + slot
+    blocks = np.zeros((state.num_worlds, block_rows, OBS_DIM))
+    blocks.reshape(-1, OBS_DIM)[block_index[:, None], _SLOT_BASE + 3 + grid_code[window]] = 1.0
+    row_start = block_index[:, None] * OBS_DIM
+    cached = _Windows(
+        blocks,
+        np.zeros((absent + 1, _DYNAMIC)),
+        (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).ravel(),
+        (row_start + _DYNAMIC_COLUMNS).ravel(),
+        block_index * OBS_DIM + OBS_DIM - 1,
+        block_index,
+    )
     state.obs_cache["windows"] = cached
     return cached
+
+
+def _fill_blocks(state: WorldState, effective_step: int) -> _Windows:
+    """Write the state's current observations into its controller input.
+
+    Each voxel's volume and corner-mean velocity are computed once, then
+    copied to every window slot that sees it; an empty or out-of-bounds
+    slot reads the feature table's zero row.
+    """
+    windows = _window_tables(state)
+    features = windows.features
+    features[:-1, 0] = voxel_areas(state)
+    features[:-1, 1:] = voxel_velocities(state)
+    flat = windows.blocks.reshape(-1)
+    flat.put(windows.dynamic, features.take(windows.gather))
+    flat.put(windows.parity, effective_step % 2)
+    return windows
 
 
 def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
@@ -214,18 +248,8 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     out-of-bounds cells reading as zeros and the empty indicator. The
     final entry is the control-step parity.
     """
-    windows = _window_tables(state)
-    obs = windows.template.copy()
-    if len(state.actuator_cells) == 0:
-        return obs
-    present, voxel = windows.present, windows.voxel
-    areas = voxel_areas(state)
-    vels = voxel_velocities(state)
-    obs[:, _SLOT_BASE] = np.where(present, areas[voxel], 0.0)
-    obs[:, _SLOT_BASE + 1] = np.where(present, vels[voxel, 0], 0.0)
-    obs[:, _SLOT_BASE + 2] = np.where(present, vels[voxel, 1], 0.0)
-    obs[:, -1] = effective_step % 2
-    return obs
+    windows = _fill_blocks(state, effective_step)
+    return windows.blocks.reshape(-1, OBS_DIM)[windows.block_index]
 
 
 def compute_actions(controllers: ControllerStack, state: WorldState, effective_step: int) -> np.ndarray:
@@ -233,13 +257,11 @@ def compute_actions(controllers: ControllerStack, state: WorldState, effective_s
 
     Modular observations go to the network in blocks of h*w rows per
     world, the most active voxels an h x w body can hold, so a world's
-    block never depends on the other worlds in the state.
+    block never depends on the other worlds in the state. The blocks are
+    the state's persistent controller input, rewritten in place on every
+    call.
     """
-    n_active = len(state.actuator_cells)
     if controllers.variant == "fixed":
-        return np.full(n_active, fixed_action(effective_step))
-    obs = observation_matrix(state, effective_step)
-    windows = _window_tables(state)
-    blocks = np.zeros((state.num_worlds, windows.block_rows, OBS_DIM))
-    blocks.reshape(-1, OBS_DIM)[windows.block_index] = obs
-    return forward_batch(controllers.params, blocks).ravel()[windows.block_index]
+        return np.full(len(state.actuator_cells), fixed_action(effective_step))
+    windows = _fill_blocks(state, effective_step)
+    return forward_batch(controllers.params, windows.blocks).take(windows.block_index)

@@ -660,6 +660,12 @@ def voxel_areas(state: WorldState) -> np.ndarray:
 
 
 def voxel_velocities(state: WorldState) -> np.ndarray:
-    """Mean corner velocities of all non-empty robot voxels."""
+    """Mean corner velocities of all non-empty robot voxels.
+
+    The sum over the four corners divided by 4 is what ``mean`` computes,
+    bit for bit, without its Python-level wrapper.
+    """
     corners = state.vox_corners
-    return np.stack([state.vel[:, 0][corners].mean(axis=1), state.vel[:, 1][corners].mean(axis=1)], axis=1)
+    vel = np.stack([state.vel[:, 0][corners].sum(axis=1), state.vel[:, 1][corners].sum(axis=1)], axis=1)
+    vel /= 4
+    return vel

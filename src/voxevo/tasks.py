@@ -89,24 +89,29 @@ def run_episode(morphology: Morphology, controller: ControllerGenome, terrain: T
 def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     """Run one episode per (morphology, controller) pair, in lock-step.
 
-    All worlds are stacked once into one disjoint-union world that takes
-    every step, actuation and controller call at once. The pairs must
-    share one body shape and one controller variant. A world that crosses
-    the finish line or diverges has its result recorded and is then
-    parked: it stays in the union, inert, until the last world ends. Each
-    world's result is bit for bit what it would be alone. The engine is
-    noise-free, so identical inputs always produce identical results. A
-    diverged simulation scores as unfinished with displacement taken at
-    the last valid step and the full time penalty applied.
+    Each distinct body is built once, and all worlds are stacked once
+    into one disjoint-union world that takes every step, actuation and
+    controller call at once; pairs that share a body get copies of its
+    rows. The pairs must share one body shape and one controller variant.
+    A world that crosses the finish line or diverges has its result
+    recorded and is then parked: it stays in the union, inert, until the
+    last world ends. Each world's result is bit for bit what it would be
+    alone. The engine is noise-free, so identical inputs always produce
+    identical results. A diverged simulation scores as unfinished with
+    displacement taken at the last valid step and the full time penalty
+    applied.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
         raise ValueError("a batch holds one body shape and one controller variant")
+    built: dict[Morphology, sim_core.WorldState] = {}
     for morphology, _ in pairs:
         require_valid(morphology)
-    state = stack_worlds([build_world(morphology, terrain) for morphology, _ in pairs])
+        if morphology not in built:
+            built[morphology] = build_world(morphology, terrain)
+    state = stack_worlds([built[morphology] for morphology, _ in pairs])
     controllers = stack_controllers([controller for _, controller in pairs])
     start_x = last_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)

@@ -254,10 +254,13 @@ def test_report_rejects_mixed_shapes_in_group(tmp_path):
         ("generations.csv", None),
         ("generations.csv", "generation,best\n0,5.0\n"),
         ("manifest.json", "{}"),
+        ("champion.json", "[]"),
+        ("manifest.json", "[]"),
     ],
 )
 def test_report_unreadable_run_dir_exits_2(tmp_path, capsys, name, text):
-    # a missing file, or one without a field the report reads
+    # a missing file, one that is not a JSON object, or one without a field
+    # the report reads
     _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
     _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3]])
     if text is None:

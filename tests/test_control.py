@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from voxevo.control import (
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
-from voxevo.sim_core import build_world, step
+from voxevo.sim_core import STEPS_PER_ACTION, build_world, set_actuation_targets, stack_worlds, step
+from voxevo.terrain import terrain_by_name
 
 from oracles import gather_observation, modular_forward
 
@@ -219,3 +222,57 @@ def test_weight_sharing_single_genome_many_voxels(rng, flat):
     actions = compute_actions(stack_controllers([genome]), w, 0)
     for a, row in zip(actions, obs):
         assert a == pytest.approx(modular_forward(genome, row), abs=1e-12)
+
+
+def test_controller_input_holds_no_stale_entries(rng, flat):
+    # the persistent controller input is rewritten on every call: over
+    # several control steps, with steps in between and one world parked
+    # midway, each world of a union acts bit for bit as it does alone, and
+    # every observation row matches the scalar oracle
+    bodies = [random_morphology(5, 5, rng) for _ in range(3)]
+    genomes = [modular(rng) for _ in bodies]
+    union = stack_worlds([build_world(m, flat) for m in bodies])
+    alone = [build_world(m, flat) for m in bodies]
+    controllers = stack_controllers(genomes)
+    starts = union.starts["act"]
+    for k in range(6):
+        if k == 3:
+            union.park(np.array([False, True, False]))
+            alone[1].park(np.array([True]))
+        actions = compute_actions(controllers, union, k)
+        obs = observation_matrix(union, k)
+        for w, world in enumerate(alone):
+            rows = slice(starts[w], starts[w + 1])
+            own = compute_actions(stack_controllers([genomes[w]]), world, k)
+            assert np.array_equal(actions[rows], own)
+            for row, cell, action in zip(obs[rows], world.actuator_cells, own):
+                expected = gather_observation(world, cell, k)
+                assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+                assert action == pytest.approx(modular_forward(genomes[w], expected), abs=1e-12)
+            set_actuation_targets(world, own)
+        set_actuation_targets(union, actions)
+        for _ in range(STEPS_PER_ACTION):
+            step(union)
+            for world in alone:
+                step(world)
+
+
+def test_warm_modular_control_allocates_less_than_its_input():
+    # a 17-world B7 union, as one generation runs it: a warm call writes the
+    # persistent (worlds, h*w, 73) controller input in place, so it
+    # allocates less than one copy of those blocks
+    terrain = terrain_by_name("bridgewalker", (7, 7))
+    rng = np.random.default_rng(7)
+    pairs = [(random_morphology(7, 7, rng), modular(rng)) for _ in range(17)]
+    state = stack_worlds([build_world(m, terrain) for m, _ in pairs])
+    controllers = stack_controllers([c for _, c in pairs])
+    compute_actions(controllers, state, 0)
+    step(state)
+    block_bytes = 17 * 7 * 7 * OBS_DIM * 8
+    tracemalloc.start()
+    try:
+        compute_actions(controllers, state, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes

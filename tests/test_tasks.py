@@ -369,6 +369,25 @@ def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
 
 
+def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
+    # a retraining batch shares one frozen body: equal bodies are built
+    # once and their rows copied into each world, with results unchanged
+    body, other = random_morphology(5, 5, rng), random_morphology(5, 5, rng)
+    bodies = [body, Morphology(body.cells.copy()), other, body]
+    pairs = [(m, init_controller("modular", rng)) for m in bodies]
+    alone = [run_episode(m, c, flat) for m, c in pairs]
+    built = []
+    original = voxevo.tasks.build_world
+
+    def counting(morphology, terrain):
+        built.append(morphology)
+        return original(morphology, terrain)
+
+    monkeypatch.setattr(voxevo.tasks, "build_world", counting)
+    assert run_episodes(pairs, flat) == alone
+    assert built == [body, other]
+
+
 def test_empty_batch_runs_no_episode(flat):
     assert run_episodes([], flat) == []
 
