@@ -124,7 +124,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "controller": result.champion.controller.to_json(),
     }
     with open(os.path.join(out_dir, "champion.json"), "w") as fh:
-        json.dump(champion, fh)
+        fh.write(json.dumps(champion))  # the C encoder; json.dump's bytes
 
 
 def group_label(config: RunConfig) -> str:

@@ -120,19 +120,26 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def forward_batch(params: np.ndarray, obs_blocks: np.ndarray) -> np.ndarray:
-    """Modular actions for (worlds, rows, 73) observation blocks, one
-    (worlds, 2401) parameter row per block; pure and reentrant.
+def forward_batch(params: np.ndarray, obs_blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Modular actions of the selected rows of (worlds, block rows, 73)
+    observation blocks, one (worlds, 2401) parameter row per block; pure
+    and reentrant.
 
-    Each block is its own GEMM, so a block's results depend only on its
-    own rows, its own parameters and the block shape.
+    ``rows`` are flat indices into the stacked (worlds * block rows) rows;
+    the result holds one action per index, in their order. Each block is
+    its own GEMM, so a block's results depend only on its own rows, its own
+    parameters and the block shape. Rows do not mix, so the ``tanh`` and
+    the output squashing run on the selected rows alone.
     """
     w1, b1, w2, b2 = unpack_params(params)
     hidden = obs_blocks @ np.swapaxes(w1, -1, -2)
     hidden += b1[:, None, :]
-    np.tanh(hidden, out=hidden)
+    flat = hidden.reshape(-1, HIDDEN_UNITS)
+    active = flat.take(rows, axis=0)
+    np.tanh(active, out=active)
+    flat[rows] = active
     z = (hidden @ w2[:, :, None])[:, :, 0] + b2[:, None]
-    return ACTION_LOW + _sigmoid(z)
+    return ACTION_LOW + _sigmoid(z.take(rows))
 
 
 def blas_core() -> str:
@@ -264,4 +271,4 @@ def compute_actions(controllers: ControllerStack, state: WorldState, effective_s
     if controllers.variant == "fixed":
         return np.full(len(state.actuator_cells), fixed_action(effective_step))
     windows = _fill_blocks(state, effective_step)
-    return forward_batch(controllers.params, windows.blocks).take(windows.block_index)
+    return forward_batch(controllers.params, windows.blocks, windows.block_index)

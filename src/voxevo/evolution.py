@@ -379,8 +379,30 @@ def save_checkpoint(path, pop: Population, champion: Individual, stats, snapshot
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        _write_json(fh, payload)
     os.replace(tmp, path)
+
+
+def _write_json(fh, payload: dict) -> None:
+    """Write the text ``json.dump(payload, fh)`` writes, through the C encoder.
+
+    ``json.dump`` runs the pure-Python encoder, about twice as slow on a
+    modular checkpoint; ``json.dumps`` of the whole payload holds its text
+    several times over while joining it. Each top-level value, or each
+    item of a top-level list, is encoded on its own instead. The keys are
+    strings.
+    """
+    head = "{"
+    for key, value in payload.items():
+        fh.write(f"{head}{json.dumps(key)}: ")
+        if isinstance(value, list) and value:
+            for k, item in enumerate(value):
+                fh.write(("[" if k == 0 else ", ") + json.dumps(item))
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+        head = ", "
+    fh.write("}" if payload else "{}")
 
 
 def load_checkpoint(path) -> dict:

@@ -87,12 +87,17 @@ class WorldState:
     so no spring, contact or sum ever joins two worlds. A world that
     ``park`` has made inert stays in the union and keeps stepping with it,
     but it no longer moves, exerts a force or touches the ground.
+
+    ``inv_mass`` is (n, 2), each mass's inverse mass in both columns, so a
+    step scales its (n, 2) forces by it without a broadcast. The force
+    table (``force_bins``, ``force_terms``) is built once per state and
+    written in place by every step; ``net_forces`` gives its layout.
     """
 
     pos: np.ndarray            # (n, 2)
     vel: np.ndarray            # (n, 2)
     mass: np.ndarray           # (n,)
-    inv_mass: np.ndarray       # (n,) zero for pinned masses
+    inv_mass: np.ndarray       # (n, 2) each mass's 1/mass in both columns; zero for pinned masses
     pinned: np.ndarray         # (n,) bool
     is_robot: np.ndarray       # (n,) bool, false for bridge-strip masses
 
@@ -134,12 +139,17 @@ class WorldState:
     robot_rows: slice | np.ndarray = field(init=False, repr=False)  # the same rows; a slice when every mass is a robot's
     robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
     com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
-    force_bins: np.ndarray = field(init=False, repr=False)      # (4s,) flat (mass, axis) bins: i x, i y, j x, j y
+    # the force table: one term per row, each summed into its flat (mass, axis) bin
+    force_bins: np.ndarray = field(init=False, repr=False)      # (4s + 8r,) springs' i x, i y, j x, j y; ground x, y; strip block
+    force_terms: np.ndarray = field(init=False, repr=False)     # (4s + 8r,) the terms, written in place every step
+    spring_terms: np.ndarray = field(init=False, repr=False)    # (4, s) view of the springs' block
+    ground_terms: np.ndarray = field(init=False, repr=False)    # (2, r) view of the ground block: ft, fn of each robot mass
     actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
     actuated_count: np.ndarray = field(init=False, repr=False)  # their actuators, 1 or 2
     actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
+    actuated_floor: np.ndarray = field(init=False, repr=False)  # minus that limit
     actuated_slot: np.ndarray = field(init=False, repr=False)   # (2a,) each actuator_springs entry's row in actuated_edges
-    diagonal_edges: np.ndarray = field(init=False, repr=False)  # (4, v') bottom, top, left, right edge ids of the voxels holding one
+    diagonal_sides: np.ndarray = field(init=False, repr=False)  # (2, 2, v') (bottom, left), (top, right) edge ids of the voxels holding one
     diagonals: np.ndarray = field(init=False, repr=False)       # (2, v') those voxels' shear spring ids
 
     def __post_init__(self):
@@ -152,17 +162,24 @@ class WorldState:
         self.robot_world = self.mass_world[self.robot_ids]
         robot_mass = self.mass[self.robot_ids]
         self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
-        i2, j2 = 2 * self.spring_i, 2 * self.spring_j
-        self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1])
+        # the springs' block, the ground block, and room for the strip
+        # block: up to six terms per robot mass, with bins written per step
+        i2, j2, r2 = 2 * self.spring_i, 2 * self.spring_j, 2 * self.robot_ids
+        self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1, r2, r2 + 1, np.zeros(6 * r2.size, dtype=r2.dtype)])
+        self.force_terms = np.zeros(self.force_bins.size)
+        springs_end = 4 * self.num_springs
+        self.spring_terms = self.force_terms[:springs_end].reshape(4, -1)
+        self.ground_terms = self.force_terms[springs_end : springs_end + 2 * r2.size].reshape(2, -1)
         self.actuated_edges, self.actuated_slot, self.actuated_count = np.unique(
             self.actuator_springs.ravel(), return_inverse=True, return_counts=True
         )
         self.actuated_limit = ACTUATION_RATE * self.spring_rest[self.actuated_edges]
+        self.actuated_floor = -self.actuated_limit
         actuated = np.zeros(self.num_springs, dtype=bool)
         actuated[self.actuated_edges] = True
         holds = actuated[self.vox_h_edges] | actuated[self.vox_v_edges]
         affected = np.flatnonzero(holds.any(axis=1))
-        self.diagonal_edges = np.concatenate([self.vox_h_edges[affected], self.vox_v_edges[affected]], axis=1).T.copy()
+        self.diagonal_sides = np.stack([self.vox_h_edges[affected], self.vox_v_edges[affected]]).transpose(2, 0, 1).copy()
         self.diagonals = self.vox_shear[affected].T.copy()
 
     @property
@@ -177,9 +194,11 @@ class WorldState:
     def num_springs(self) -> int:
         return self.spring_i.shape[0]
 
-    def robot_com_x(self) -> np.ndarray:
-        """Each world's robot centre-of-mass x."""
-        weighted = self.pos[:, 0][self.robot_rows] * self.com_weights
+    def robot_com_x(self, pos: np.ndarray | None = None) -> np.ndarray:
+        """Each world's robot centre-of-mass x at ``pos``, by default the
+        state's own positions."""
+        pos = self.pos if pos is None else pos
+        weighted = pos[:, 0][self.robot_rows] * self.com_weights
         return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
 
     def park(self, worlds: np.ndarray) -> None:
@@ -351,7 +370,7 @@ def _one_world(parts: list[dict], morphologies: list[Morphology], terrain: Terra
     return WorldState(
         **tables,
         vel=np.zeros_like(pos),
-        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
+        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass)[:, None].repeat(2, axis=1),
         spring_current_rest=rest.copy(),
         spring_target_rest=rest.copy(),
         spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
@@ -410,7 +429,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
 
     Solved once per span by Newton's method on the free masses'
     coordinates, starting from the flat strip. The residual is each free
-    mass's acceleration under ``spring_forces`` plus gravity; its Jacobian
+    mass's acceleration under ``net_forces`` plus gravity; its Jacobian
     is taken by central differences of that same residual, and each step
     is solved by ``_eliminate``, which calls no BLAS, so the strip's bytes
     do not depend on the OpenBLAS kernel. Stops once no free mass
@@ -423,9 +442,9 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
 
     def residual() -> np.ndarray:
-        force = spring_forces(strip)
+        force = net_forces(strip)
         force[:, 1] -= GRAVITY * strip.mass
-        return (force * strip.inv_mass[:, None]).reshape(-1)[unknowns]
+        return (force * strip.inv_mass).reshape(-1)[unknowns]
 
     for _ in range(STRIP_NEWTON_ITERATIONS):
         r = residual()
@@ -488,29 +507,45 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
 def _advance_actuation(state: WorldState) -> None:
     """Move actuated edge rest lengths toward their targets, rate-limited;
     the diagonals of the voxels holding them follow (Pythagoras)."""
-    edges, limit = state.actuated_edges, state.actuated_limit
+    edges = state.actuated_edges
     cur = state.spring_current_rest
-    delta = state.spring_target_rest[edges] - cur[edges]
+    edge_rest = cur.take(edges)
+    delta = state.spring_target_rest.take(edges)
+    delta -= edge_rest
     if not np.count_nonzero(delta):
         return  # converged onto the targets; diagonals already consistent
-    np.minimum(delta, limit, out=delta)
-    np.maximum(delta, -limit, out=delta)
-    cur[edges] += delta
-    bottom, top, left, right = cur[state.diagonal_edges]
-    h_rest = bottom + top
-    h_rest *= 0.5
-    v_rest = left + right
-    v_rest *= 0.5
-    cur[state.diagonals] = np.hypot(h_rest, v_rest)
+    np.minimum(delta, state.actuated_limit, out=delta)
+    np.maximum(delta, state.actuated_floor, out=delta)
+    edge_rest += delta
+    cur.put(edges, edge_rest)
+    sides = cur.take(state.diagonal_sides)
+    means = sides[0] + sides[1]  # bottom + top, left + right
+    means *= 0.5
+    # one length per voxel, written to both of its diagonals
+    cur.put(state.diagonals, np.hypot(means[0], means[1]))
 
 
-def spring_forces(state: WorldState) -> np.ndarray:
-    """Hooke + axial damping forces aggregated per mass; exact action/reaction.
+def net_forces(state: WorldState) -> np.ndarray:
+    """Every spring and contact force on each mass, (n, 2).
 
-    The scatter is one bincount over flat (mass, axis) bins, fed the
-    springs' (fx, fy, -fx, -fy) columns one after another: each bin sums
-    the forces of its own mass's springs in a fixed order, whatever else
-    the state holds.
+    ``spring_forces`` and ``contact_forces`` write their terms into the
+    state's force table, and one bincount sums the table's used rows into
+    flat (mass, axis) bins. A bin adds its terms in table order: the
+    mass's springs (its ``spring_i`` ends, then its ``spring_j`` ends, each
+    in spring order), its ground contact, its contact with the strip; a
+    strip mass takes the reactions for which it is a segment's left end,
+    then those for which it is the right end, each in robot-mass order.
+    """
+    spring_forces(state)
+    stop = contact_forces(state)
+    return np.bincount(state.force_bins[:stop], state.force_terms[:stop], minlength=2 * state.num_masses).reshape(-1, 2)
+
+
+def spring_forces(state: WorldState) -> None:
+    """Write the Hooke + axial damping force of every spring into the force
+    table's springs' block, as the (fx, fy, -fx, -fy) rows that
+    ``net_forces`` sums into the i x, i y, j x and j y bins: exact
+    action/reaction.
 
     The step spends its time in per-call overhead on small arrays, not in
     arithmetic, so the dot products are spelled out as two-term products
@@ -534,33 +569,36 @@ def spring_forces(state: WorldState) -> np.ndarray:
     magnitude = state.spring_k * (dist - state.spring_current_rest)
     magnitude += state.spring_c * rel_speed
     magnitude /= dist
-    weights = np.empty((4, dist.size))
-    np.multiply(dx, magnitude, out=weights[0])
-    np.multiply(dy, magnitude, out=weights[1])
-    np.negative(weights[:2], out=weights[2:])
-    return np.bincount(state.force_bins, weights.ravel(), minlength=2 * state.num_masses).reshape(-1, 2)
+    terms = state.spring_terms
+    np.multiply(dx, magnitude, out=terms[0])
+    np.multiply(dy, magnitude, out=terms[1])
+    np.negative(terms[:2], out=terms[2:])
 
 
-def contact_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarray:
-    """Penalty normal force plus Coulomb-capped friction for robot masses.
+def contact_forces(state: WorldState) -> int:
+    """Write the robot masses' contact forces into the force table, after
+    the springs' block; returns where the written terms end.
 
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
     would cancel tangential (relative) velocity within one step, capped at
-    mu * |normal|. On bridge terrain, robot masses over the span contact
-    their own world's moving top chain and the reaction is applied to it.
+    mu * |normal|. The ground block holds each robot mass's (ft, fn) on the
+    rigid surface. On bridge terrain, robot masses over the span contact
+    their own world's moving top chain: the strip block takes their
+    (ft, fn) and the equal and opposite reactions on the chain. A state
+    with no terrain writes nothing.
     """
-    if out is None:
-        out = np.zeros_like(state.pos)
+    springs_end = state.spring_terms.size
     if state.terrain is None:
-        return out
+        return springs_end
     # per-axis columns, then the robot rows: views when robot_rows is a
-    # slice, and cheap one-dimensional gathers and adds when it is not
+    # slice, and cheap one-dimensional gathers when it is not
     rows = state.robot_rows
     px = state.pos[:, 0][rows]
     py = state.pos[:, 1][rows]
 
     # rigid surface at y=0 (whole course when flat, the pads when bridged)
-    fn = -CONTACT_STIFFNESS * py
+    ft, fn = state.ground_terms
+    np.multiply(py, -CONTACT_STIFFNESS, out=fn)
     fn -= CONTACT_DAMPING * state.vel[:, 1][rows]
     np.maximum(fn, 0.0, out=fn)
     fn *= py < 0.0
@@ -568,24 +606,28 @@ def contact_forces(state: WorldState, out: np.ndarray | None = None) -> np.ndarr
     if bridge:
         fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
     cap = FRICTION_MU * fn
-    ft = state.mass[rows] * state.vel[:, 0][rows]
+    np.multiply(state.mass[rows], state.vel[:, 0][rows], out=ft)
     ft /= -DT
     np.minimum(ft, cap, out=ft)
     np.negative(cap, out=cap)
     np.maximum(ft, cap, out=ft)
-    out[:, 0][rows] += ft
-    out[:, 1][rows] += fn
 
-    if bridge:
-        in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
-        _bridge_contact(state, out, in_span)
-    return out
+    ground_end = springs_end + state.ground_terms.size
+    if not bridge:
+        return ground_end
+    in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
+    return _bridge_contact(state, in_span, ground_end)
 
 
-def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray) -> None:
+def _bridge_contact(state: WorldState, in_span: np.ndarray, start: int) -> int:
+    """Write the strip block from ``start``: the (ft, fn) of each robot mass
+    that sinks into its chain, then the reactions -ft*u and -ft*w on the x
+    of its segment's left and right ends, then -fn*u and -fn*w on their y,
+    where w is the right end's weight and u = 1 - w the left's. Returns the
+    block's end."""
     ids = state.robot_ids[in_span]
     if ids.size == 0:
-        return
+        return start
     pos_x, pos_y = state.pos.T
     vel_x, vel_y = state.vel.T
     chains = state.bridge_top.reshape(state.num_worlds, -1)
@@ -605,7 +647,7 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray) -> 
     depth = pos_y[left] * u + pos_y[right] * w - pos_y[ids]
     pen = depth > 0.0
     if not np.count_nonzero(pen):
-        return
+        return start
     ids = ids[pen]
     left = left[pen]
     right = right[pen]
@@ -614,29 +656,43 @@ def _bridge_contact(state: WorldState, out: np.ndarray, in_span: np.ndarray) -> 
     depth = depth[pen]
     rel_vy = vel_y[ids] - (vel_y[left] * u + vel_y[right] * w)
     rel_vx = vel_x[ids] - (vel_x[left] * u + vel_x[right] * w)
-    fn = np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0)
-    ft = np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn)
-    out[:, 0][ids] += ft
-    out[:, 1][ids] += fn
+
+    block = slice(start, start + 6 * ids.size)
+    terms = state.force_terms[block].reshape(6, -1)
+    bins = state.force_bins[block].reshape(6, -1)
+    ft, fn = terms[0], terms[1]
+    np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0, out=fn)
+    np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn, out=ft)
+    np.multiply(ids, 2, out=bins[0])
+    np.multiply(left, 2, out=bins[2])
+    np.multiply(right, 2, out=bins[3])
+    np.add(bins[0], 1, out=bins[1])
+    np.add(bins[2:4], 1, out=bins[4:6])
     # equal and opposite load onto the strip's corner masses
-    np.add.at(out[:, 0], left, -ft * u)
-    np.add.at(out[:, 0], right, -ft * w)
-    np.add.at(out[:, 1], left, -fn * u)
-    np.add.at(out[:, 1], right, -fn * w)
+    reactions = terms[2:].reshape(2, 2, -1)
+    np.negative(terms[:2, None], out=reactions)  # -ft, -fn at both ends
+    reactions[:, 0] *= u
+    reactions[:, 1] *= w
+    return block.stop
 
 
 def step(state: WorldState, gravity: float = GRAVITY) -> WorldState:
     """One semi-implicit Euler step of every world, DT seconds long.
+
+    Every spring and contact force comes from one scatter, ``net_forces``'
+    bincount over the state's force table: each mass sums its spring terms,
+    then its ground contact, then its strip contact or the strip's
+    reactions, in the order that function gives. Gravity is then
+    subtracted from each y.
 
     Raises SimulationDiverged, naming the worlds that blew up, after the
     step is complete; the other worlds' states stay valid.
     """
     if state.actuated_edges.size:
         _advance_actuation(state)
-    f = spring_forces(state)
-    contact_forces(state, out=f)
+    f = net_forces(state)
     f[:, 1] -= gravity * state.mass
-    f *= state.inv_mass[:, None]
+    f *= state.inv_mass
     f *= DT
     state.vel += f
     state.pos += state.vel * DT

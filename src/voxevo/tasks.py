@@ -95,11 +95,13 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     rows. The pairs must share one body shape and one controller variant.
     A world that crosses the finish line or diverges has its result
     recorded and is then parked: it stays in the union, inert, until the
-    last world ends. Each world's result is bit for bit what it would be
-    alone. The engine is noise-free, so identical inputs always produce
-    identical results. A diverged simulation scores as unfinished with
-    displacement taken at the last valid step and the full time penalty
-    applied.
+    last world ends. The centres of mass are measured, and the end tests
+    run, only on steps where a world can have ended: a divergence, the
+    last step, or a mass within a voxel of the finish line. Each world's
+    result is bit for bit what it would be alone. The engine is
+    noise-free, so identical inputs always produce identical results. A
+    diverged simulation scores as unfinished with displacement taken at
+    the last valid step and the full time penalty applied.
     """
     pairs = list(pairs)
     if not pairs:
@@ -113,27 +115,38 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
             built[morphology] = build_world(morphology, terrain)
     state = stack_worlds([built[morphology] for morphology, _ in pairs])
     controllers = stack_controllers([controller for _, controller in pairs])
-    start_x = last_x = state.robot_com_x()
+    start_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)
     running = np.ones(len(pairs), dtype=bool)
+    before = np.empty_like(state.pos)  # positions at the last valid step
+    pos_x = state.pos[:, 0]  # a view: the state moves in place
+    # a robot's centre of mass lies within its masses' x range, up to a
+    # rounding error far below this one-voxel slack
+    finish_reach = terrain.finish_x - 1.0
 
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
             set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
-        diverged = np.zeros(len(pairs), dtype=bool)
+        np.copyto(before, state.pos)
         try:
             sim_core.step(state)
         except SimulationDiverged as exc:
-            diverged[exc.worlds] = True
-        x = state.robot_com_x()
-        last_x = np.where(diverged, last_x, x)
+            blown = exc.worlds
+        else:
+            # no world can have ended: no mass has come near the finish line
+            if state.sim_time < T_MAX and np.maximum.reduce(pos_x) < finish_reach:
+                continue
+            blown = []
+        diverged = np.zeros(len(pairs), dtype=bool)
+        diverged[blown] = True
+        x = np.where(diverged, state.robot_com_x(before), state.robot_com_x())
         finished = ~diverged & (x >= terrain.finish_x)
         ended = running & (diverged | finished | (state.sim_time == T_MAX))
         if not np.count_nonzero(ended):
             continue
         for w in np.flatnonzero(ended):
             steps_used = state.sim_time if finished[w] else T_MAX
-            results[w] = _result(last_x[w] - start_x[w], finished[w], steps_used, diverged[w])
+            results[w] = _result(x[w] - start_x[w], finished[w], steps_used, diverged[w])
         running &= ~ended
         if not np.count_nonzero(running):
             break

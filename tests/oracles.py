@@ -7,7 +7,9 @@ vectorised code the engine runs: ``observe_voxel`` and
 ``gather_observation`` against ``control.observation_matrix``,
 ``modular_forward`` against ``control.forward_batch``;
 ``mechanical_energy`` serves the energy-balance physics checks and
-``robot_center_of_mass`` the free-fall ones.
+``robot_center_of_mass`` the free-fall ones; ``reference_episodes`` is
+the episode loop that measures every world and tests every end on every
+step, against ``tasks.run_episodes``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxevo import materials
-from voxevo.control import CELL_FEATURES, OBS_DIM, ControllerGenome, unpack_params
-from voxevo.sim_core import ACTION_LOW, GRAVITY, WorldState
+from voxevo import materials, sim_core, tasks
+from voxevo.control import CELL_FEATURES, OBS_DIM, ControllerGenome, compute_actions, stack_controllers, unpack_params
+from voxevo.sim_core import ACTION_LOW, GRAVITY, STEPS_PER_ACTION, SimulationDiverged, WorldState
+from voxevo.tasks import T_MAX, EpisodeResult, compute_fitness
 
 
 def one_hot(code: int) -> np.ndarray:
@@ -129,3 +132,38 @@ def robot_center_of_mass(state: WorldState) -> np.ndarray:
         robot = state.is_robot & (state.mass_world == w)
         com[w] = state.mass[robot] @ state.pos[robot] / state.mass[robot].sum()
     return com
+
+
+def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
+    """One episode per (morphology, controller) pair in one union, with the
+    bookkeeping done on every step: every robot's centre of mass is
+    measured, a diverged world keeps the one of its last valid step, and
+    every world is tested for its end. Worlds are built through
+    ``tasks.build_world``, one per pair."""
+    state = sim_core.stack_worlds([tasks.build_world(m, terrain) for m, _ in pairs])
+    controllers = stack_controllers([c for _, c in pairs])
+    start_x = last_x = state.robot_com_x()
+    results = [None] * len(pairs)
+    running = np.ones(len(pairs), dtype=bool)
+    for t in range(T_MAX):
+        if t % STEPS_PER_ACTION == 0:
+            sim_core.set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
+        diverged = np.zeros(len(pairs), dtype=bool)
+        try:
+            sim_core.step(state)
+        except SimulationDiverged as exc:
+            diverged[exc.worlds] = True
+        x = state.robot_com_x()
+        last_x = np.where(diverged, last_x, x)
+        finished = ~diverged & (x >= terrain.finish_x)
+        ended = running & (diverged | finished | (state.sim_time == T_MAX))
+        for w in np.flatnonzero(ended):
+            steps_used = state.sim_time if finished[w] else T_MAX
+            delta = float(last_x[w] - start_x[w])
+            fitness = compute_fitness(delta, bool(finished[w]), steps_used)
+            results[w] = EpisodeResult(delta, bool(finished[w]), steps_used, fitness, bool(diverged[w]))
+        running &= ~ended
+        if not running.any():
+            break
+        state.park(ended)
+    return results

@@ -26,7 +26,7 @@ from voxevo.control import (
 )
 from voxevo.evolution import Individual, truncation_select
 from voxevo.morphology import Morphology, random_morphology, resample_cells
-from voxevo.sim_core import DT, GRAVITY, build_world, spring_forces, step
+from voxevo.sim_core import DT, GRAVITY, build_world, net_forces, step
 from voxevo.tasks import compute_fitness, make_flat_terrain, run_episode
 from voxevo.cli import main as cli_main
 
@@ -81,7 +81,7 @@ def test_criterion_2_physics_oracles():
     rng = np.random.default_rng(0)
     w.pos += rng.normal(0, 0.05, w.pos.shape)
     w.vel += rng.normal(0, 0.1, w.vel.shape)
-    cancel = float(np.abs(spring_forces(w).sum(axis=0)).max())
+    cancel = float(np.abs(net_forces(w).sum(axis=0)).max())  # no terrain: springs only
     details.append(f"net internal force {cancel:.1e}")
 
     # damped unactuated energy non-increase per 100-step window
@@ -234,7 +234,8 @@ def test_criterion_6_observation_controller_contracts():
             ok = ok and obs.shape == (73,)
             action = modular_forward(genome, obs)
             ok = ok and 0.6 < action < 1.6
-        acts = forward_batch(genome.params[None], observation_matrix(w, 3)[None])
+        obs = observation_matrix(w, 3)
+        acts = forward_batch(genome.params[None], obs[None], np.arange(len(obs)))
         ok = ok and bool(np.all((acts > 0.6) & (acts < 1.6)))
     zero = ControllerGenome("modular", np.zeros(PARAM_COUNT))
     ok = ok and modular_forward(zero, np.zeros(73)) == 1.1

@@ -84,7 +84,7 @@ def test_forward_matches_manual_unpacking(rng):
 def test_forward_batch_matches_scalar_path(rng):
     genome = modular(rng)
     obs = rng.normal(size=(17, OBS_DIM))
-    batch = forward_batch(genome.params[None], obs[None])[0]
+    batch = forward_batch(genome.params[None], obs[None], np.arange(17))
     for row, a in zip(obs, batch):
         assert a == pytest.approx(modular_forward(genome, row), abs=1e-12)
 

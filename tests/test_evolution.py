@@ -1,9 +1,12 @@
 import hashlib
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from voxevo import evolution
 from voxevo.control import ControllerGenome, init_controller
 from voxevo.evolution import (
     ConfigError,
@@ -313,6 +316,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert saved["generation"] == 4
     assert len(saved["members"]) == 8
     assert saved["config"].generations == 4
+
+
+def test_checkpoint_text_is_json_dumps(tmp_path):
+    # checkpoints go through the C encoder one piece at a time, and their
+    # text is exactly what json.dump's pure-Python encoder writes
+    ck = tmp_path / "checkpoint.json"
+    evolve(small_config(controller="modular", generations=2), HashEvaluator(), checkpoint_path=ck)
+    text = ck.read_text()
+    expected = io.StringIO()
+    json.dump(json.loads(text), expected)  # floats, ints and strings round-trip exactly
+    assert text == expected.getvalue()
+    for payload in ({}, {"a": [], "b": {}, "ü\"": [[1.5, float("nan")], ("t", None)], "c": [{1: [True, -0.0, 1e300]}]}):
+        written, expected = io.StringIO(), io.StringIO()
+        evolution._write_json(written, payload)
+        json.dump(payload, expected)
+        assert written.getvalue() == expected.getvalue()
 
 
 def test_checkpoint_rejects_other_config(tmp_path):

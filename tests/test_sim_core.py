@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from voxevo.sim_core import (
     SimulationDiverged,
     build_world,
     contact_forces,
+    net_forces,
     set_actuation_targets,
-    spring_forces,
     stack_worlds,
     step,
 )
@@ -28,6 +30,13 @@ def settle(state, seconds, gravity=GRAVITY):
     for _ in range(round(seconds / DT)):
         step(state, gravity=gravity)
     return state
+
+
+def contact_only(w):
+    """The contact forces alone: the force table's terms after the springs'
+    block, summed per mass."""
+    start, stop = w.spring_terms.size, contact_forces(w)
+    return np.bincount(w.force_bins[start:stop], w.force_terms[start:stop], minlength=2 * w.num_masses).reshape(-1, 2)
 
 
 # --- construction ---------------------------------------------------------
@@ -225,7 +234,7 @@ def test_airborne_internal_forces_cancel(rng):
     w = build_world(Morphology([[3, 1], [2, 4]]), None)
     w.pos += rng.normal(0.0, 0.05, w.pos.shape)
     w.vel += rng.normal(0.0, 0.1, w.vel.shape)
-    net = spring_forces(w).sum(axis=0)
+    net = net_forces(w).sum(axis=0)  # no terrain: springs only
     assert np.all(np.abs(net) < 1e-9)
 
 
@@ -291,7 +300,10 @@ def test_parked_world_is_inert(terrain):
         step(union)
         step(alone)
     assert not union.pos[parked].any() and not union.vel[parked].any()
-    assert not spring_forces(union)[parked].any() and not contact_forces(union)[parked].any()
+    # every spring and contact term on a parked mass is zero
+    net_forces(union)
+    stop = contact_forces(union)
+    assert not union.force_terms[:stop][parked.repeat(2)[union.force_bins[:stop]]].any()
     assert np.array_equal(union.pos[~parked], alone.pos)
 
 
@@ -310,10 +322,9 @@ def test_pinned_masses_never_move(flat):
 # --- contact ---------------------------------------------------------------
 
 
-def test_bridge_contact_on_the_span_is_per_world():
-    # robots standing on the span, their lower masses pushed below the
-    # strip: each world's rows of the union's contact forces are exactly its
-    # forces alone, and the strip's top chain takes the reaction
+def sunk_into_the_strip():
+    """Three 7x7 worlds whose robots stand on the span, their lowest masses
+    0.1 below the strip's surface, moving at random."""
     terrain = make_bridge_terrain((7, 7))
     rng = np.random.default_rng(11)
     worlds = []
@@ -326,25 +337,57 @@ def test_bridge_contact_on_the_span_is_per_world():
         w.pos[robot, 1] -= (w.pos[robot, 1] - surface).min() + 0.1
         w.vel[robot] = rng.normal(0.0, 0.5, size=(robot.sum(), 2))
         worlds.append(w)
+    return worlds
+
+
+def test_bridge_contact_on_the_span_is_per_world():
+    # each world's rows of the union's contact forces are exactly its
+    # forces alone, and the strip's top chain takes the reaction
+    worlds = sunk_into_the_strip()
     union = stack_worlds(worlds)
-    forces = contact_forces(union)
+    forces = contact_only(union)
     for k, w in enumerate(worlds):
         rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
-        alone = contact_forces(w)
+        alone = contact_only(w)
         assert forces[rows].tobytes() == alone.tobytes()
         assert np.any(alone[w.bridge_top] != 0.0)
 
 
+# sha256 of the union's pos and vel bytes after each of the 200 steps in
+# the test below, pinned while the reactions were added by ``np.add.at``:
+# every left-end term, then every right-end one
+SUNK_UNION_SHA256 = "87e4bce5ef7fa879a2569b8e579b4b335e6ef601963b2a2533b442167e7a3868"
+
+
+def test_strip_reactions_are_summed_per_world_in_order():
+    # each world of the union steps bit for bit as it does alone, and a
+    # strip mass still adds its reactions as a segment's left end before
+    # those as a right end, each in robot-mass order
+    worlds = sunk_into_the_strip()
+    union = stack_worlds(worlds)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        step(union)
+        for k, w in enumerate(worlds):
+            step(w)
+            rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
+            assert union.pos[rows].tobytes() == w.pos.tobytes()
+            assert union.vel[rows].tobytes() == w.vel.tobytes()
+        digest.update(union.pos.tobytes())
+        digest.update(union.vel.tobytes())
+    assert digest.hexdigest() == SUNK_UNION_SHA256
+
+
 def test_contact_zero_at_surface(single_actuator, flat):
     w = build_world(single_actuator, flat)  # resting exactly on y=0
-    assert np.all(contact_forces(w) == 0.0)
+    assert np.all(contact_only(w) == 0.0)
 
 
 def test_contact_normal_force_formula(single_actuator, flat):
     w = build_world(single_actuator, flat)
     depth = 0.01
     w.pos[:, 1] -= depth
-    f = contact_forces(w)
+    f = contact_only(w)
     bottom = np.isclose(w.pos[:, 1], -depth)
     assert np.allclose(f[bottom, 1], CONTACT_STIFFNESS * depth)
     assert np.all(f[:, 0] == 0.0)  # zero velocity, zero friction
@@ -355,7 +398,7 @@ def test_friction_cone_clamp(single_actuator, flat):
     depth = 0.01
     w.pos[:, 1] -= depth
     w.vel[:, 0] = 5.0  # sliding fast: raw stopping force exceeds the cone
-    f = contact_forces(w)
+    f = contact_only(w)
     bottom = np.isclose(w.pos[:, 1], -depth)
     fn = f[bottom, 1]
     assert np.allclose(np.abs(f[bottom, 0]), FRICTION_MU * fn)
@@ -366,7 +409,7 @@ def test_friction_viscous_below_cone(single_actuator, flat):
     w = build_world(single_actuator, flat)
     w.pos[:, 1] -= 0.01
     w.vel[:, 0] = 1e-4  # slow: the one-step stopping force is inside the cone
-    f = contact_forces(w)
+    f = contact_only(w)
     bottom = np.isclose(w.pos[:, 1], -0.01)
     expected = -w.mass[bottom] * 1e-4 / DT
     assert np.allclose(f[bottom, 0], expected)

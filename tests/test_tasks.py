@@ -8,11 +8,12 @@ import pytest
 
 import voxevo
 import voxevo.control
+import voxevo.sim_core
 import voxevo.tasks
 from voxevo.control import ControllerGenome, init_controller
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.materials import ELASTIC
-from voxevo.sim_core import GRAVITY, _bridge_equilibrium, build_world, spring_forces, step
+from voxevo.sim_core import GRAVITY, STEPS_PER_ACTION, _bridge_equilibrium, build_world, net_forces, step
 from voxevo.tasks import (
     T_MAX,
     EpisodeEvaluator,
@@ -24,6 +25,8 @@ from voxevo.tasks import (
     terrain_by_name,
 )
 from voxevo.terrain import TerrainSpec
+
+from oracles import reference_episodes
 
 FIXED = ControllerGenome("fixed", np.zeros(0))
 
@@ -192,7 +195,7 @@ def test_bridge_strip_starts_at_rest():
     # springs and gravity cancel on every free strip mass: the strip solve
     # stops only below 1e-9 (STRIP_TOLERANCE), about 8e-12 measured here
     w = build_world(Morphology([[3]]), make_bridge_terrain())
-    force = spring_forces(w)
+    force = net_forces(w)  # the robot stands on the pad: no strip contact
     force[:, 1] -= GRAVITY * w.mass
     free = ~w.is_robot & ~w.pinned
     assert np.count_nonzero(free) == 2 * (52 - 8 + 1) - 4
@@ -367,6 +370,82 @@ def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     batch = run_episodes(pairs, flat)
     assert batch[2].diverged and batch[2].steps_used == T_MAX and batch[2].delta_px == 0.0
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
+
+
+def _bits(results):
+    """Each result's fields, its floats as exact hex strings."""
+    return [(r.delta_px.hex(), r.finished, r.steps_used, r.fitness.hex(), r.diverged) for r in results]
+
+
+@pytest.mark.parametrize("environment,variant", [("walker", "fixed"), ("bridgewalker", "modular")])
+def test_episode_loop_matches_the_per_step_reference(environment, variant):
+    # measuring and testing the worlds only on steps where one can end
+    # gives every field of every result bit for bit
+    terrain = terrain_by_name(environment, (5, 5))
+    rng = np.random.default_rng([5, 23])
+    pairs = [(random_morphology(5, 5, rng), init_controller(variant, rng)) for _ in range(4)]
+    assert _bits(run_episodes(pairs, terrain)) == _bits(reference_episodes(pairs, terrain))
+
+
+def test_episode_loop_matches_the_reference_on_early_finishers():
+    # the finish line starts beyond a voxel ahead of every body, so the loop
+    # first skips its bookkeeping, then meets worlds that finish mid-episode
+    terrain = TerrainSpec(kind="flat", total_length=60.0, spawn_x=1.0, finish_x=4.05)
+    rng = np.random.default_rng(2)
+    pairs = [(random_morphology(2, 2, rng), FIXED) for _ in range(8)]
+    batch = run_episodes(pairs, terrain)
+    assert 0 < sum(r.finished for r in batch) < len(batch)
+    assert all(r.steps_used > 100 for r in batch)
+    assert _bits(batch) == _bits(reference_episodes(pairs, terrain))
+
+
+def test_episode_loop_matches_the_reference_on_a_mid_episode_divergence(monkeypatch, rng, flat):
+    # a world flung left at 2e6 per second passes the divergence limit
+    # after about 100 steps: it scores from its centre of mass one step
+    # before, and the other worlds carry on untouched
+    pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
+    doomed = pairs[2][0]
+    original = voxevo.tasks.build_world
+
+    def flung(morphology, terrain):
+        world = original(morphology, terrain)
+        if morphology is doomed:
+            world.vel[:, 0] = -2e6
+        return world
+
+    monkeypatch.setattr(voxevo.tasks, "build_world", flung)
+    batch = run_episodes(pairs, flat)
+    assert batch[2].diverged and batch[2].delta_px < -9e5
+    assert _bits(batch) == _bits(reference_episodes(pairs, flat))
+
+
+def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
+    # perfbench's tracer times these layers by wrapping the module
+    # attributes the library looks them up through; each must be reached
+    # there once per step or control call, or a traced run reads 0 for it
+    calls = {}
+    build_world(Morphology([[3]]), make_bridge_terrain((4, 4)))  # the strip's solve is cached from here on
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(voxevo.sim_core, "step")
+    count(voxevo.sim_core, "spring_forces")
+    count(voxevo.sim_core, "contact_forces")
+    count(voxevo.tasks, "compute_actions")
+    count(voxevo.control, "forward_batch")
+    for environment in ("walker", "bridgewalker"):
+        rng = np.random.default_rng(3)
+        pairs = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(3)]
+        assert not any(r.finished or r.diverged for r in run_episodes(pairs, terrain_by_name(environment, (4, 4))))
+    assert calls["step"] == calls["spring_forces"] == calls["contact_forces"] == 2 * T_MAX
+    assert calls["compute_actions"] == calls["forward_batch"] == 2 * T_MAX // STEPS_PER_ACTION
 
 
 def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
