@@ -176,7 +176,11 @@ def retrain_controller(
     """Optimize a modular controller from scratch for a frozen body.
 
     The whole population carries the champion body; mutation only ever
-    touches the controller.
+    touches the controller. This is the one place a config is adapted to a
+    retrained body: its morphology space becomes the body's and its
+    controller modular. The body is passed to ``evolve`` as a value, so a
+    ``freeze_body_path`` in the config is not read again; ``evolve``
+    validates the body and hashes it into the run's fingerprint.
     """
     run_config = replace(config, height=champion_body.h, width=champion_body.w, controller="modular")
     return evolve(

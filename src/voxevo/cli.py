@@ -25,12 +25,11 @@ import numpy as np
 from . import __version__, analysis
 from .control import blas_core
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
-from .morphology import Morphology, validity_report
+from .morphology import Morphology
 from .sim_core import ENGINE_VERSION
 from .tasks import terrain_by_name
 
 DESK_GENERATIONS = 300
-DESK_SEEDS = 5
 PAPER_GENERATIONS = 10_000
 PAPER_SEEDS = 10
 
@@ -108,7 +107,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "setting": config.setting_name(),
         "group_label": group_label(config),
         "fingerprint": result.fingerprint,
-        "seed": result.seed,
+        "seed": config.seed,
         "config": config.to_json(),
     }
     if manifest_extra:
@@ -117,7 +116,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         json.dump(manifest, fh, indent=2)
     result.write_generation_log(os.path.join(out_dir, "generations.csv"))
     champion = {
-        "run_id": f"{result.fingerprint[:12]}-s{result.seed}",
+        "run_id": f"{result.fingerprint[:12]}-s{config.seed}",
         "fitness": result.champion.fitness,
         "age": result.champion.age,
         "morphology": result.champion.morphology.to_json(),
@@ -166,40 +165,13 @@ def _ensure_fresh_or_resumable(out_dir: str, resume: bool) -> None:
         )
 
 
-def _load_valid_body(path: str) -> Morphology:
-    """The valid body in a body file; a ConfigError names the file otherwise."""
-    try:
-        body = load_body_file(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load body from {path}: {exc}")
-    ok, reason = validity_report(body)
-    if not ok:
-        raise ConfigError(f"body in {path} is invalid: {reason}")
-    return body
-
-
 def cmd_retrain(args) -> int:
-    body = _load_valid_body(args.body)
-
-    args.controller = "modular"
+    body, source_run_id = load_body_file(args.body)
     if args.gens is None:
         args.gens = analysis.RETRAIN_GENERATIONS
-    config = config_from_args(args)
-    config = replace(
-        config,
-        height=body.h,
-        width=body.w,
-        controller="modular",
-        freeze_body_path=args.body,
-    )
+    config = replace(config_from_args(args), freeze_body_path=args.body)
     if config.output_dir is None:
         raise ConfigError("an output directory is required (--out)")
-
-    source_run_id = None
-    with open(args.body) as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        source_run_id = raw.get("run_id")
 
     _ensure_fresh_or_resumable(config.output_dir, args.resume)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -222,7 +194,7 @@ def cmd_retrain(args) -> int:
 
 
 def cmd_crosseval(args) -> int:
-    body = _load_valid_body(args.body)
+    body, _ = load_body_file(args.body)
     terrain = terrain_by_name(args.env, (body.h, body.w))
     result = analysis.cross_evaluate_fixed(body, terrain)
     print(json.dumps(result.to_json(), indent=2))
@@ -431,7 +403,7 @@ def _write_svg_curves(curves: dict, path) -> None:
 
 
 def cmd_validate_body(args) -> int:
-    body = _load_valid_body(args.body)
+    body, _ = load_body_file(args.body)
     note = "" if body.is_canonical_size else " (non-canonical size)"
     print(f"valid {body.h}x{body.w} body{note}")
     return 0

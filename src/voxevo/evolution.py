@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .control import ControllerGenome, init_controller, mutate_controller
-from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology
+from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology, validity_report
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
@@ -86,7 +86,6 @@ class Individual:
 class Population:
     members: list[Individual]
     generation: int
-    rng_seed: int
     next_id: int
 
 
@@ -125,7 +124,16 @@ class RunConfig:
         prefix = {"walker": "W", "bridgewalker": "B"}[self.environment]
         return f"{prefix}{self.height}"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, frozen_body: Morphology | None = None) -> str:
+        """The hash that ties checkpoints, champion run ids and cached runs to
+        this config and to the body a run trains, if it freezes one.
+
+        ``evolve`` passes the frozen body it trains, resolved once per run.
+        Without one, the body named by ``freeze_body_path`` is read; that is
+        for callers outside a run, which hold only the config.
+        """
+        if frozen_body is None and self.freeze_body_path is not None:
+            frozen_body, _ = load_body_file(self.freeze_body_path)
         payload = {
             "environment": self.environment,
             "height": self.height,
@@ -135,7 +143,7 @@ class RunConfig:
             "population_size": self.population_size,
             "seed": self.seed,
             "checkpoint_interval": self.checkpoint_interval,
-            "freeze_body": _frozen_body_digest(self.freeze_body_path),
+            "freeze_body": None if frozen_body is None else hashlib.sha256(frozen_body.cells.tobytes()).hexdigest(),
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -152,22 +160,51 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def _frozen_body_digest(path: str | None) -> str | None:
-    if path is None:
-        return None
-    body = load_body_file(path)
-    return hashlib.sha256(body.cells.tobytes()).hexdigest()
+def load_body_file(path: str) -> tuple[Morphology, str | None]:
+    """The valid body in a body file, and the ``run_id`` of its wrapper.
+
+    The file holds a bare morphology JSON or a champion wrapper
+    (``{"run_id": ..., "morphology": {...}}``); a bare body has no run id.
+    The file is opened and parsed once. Any failure, from a missing file to
+    a body that breaks the validity rules, is a ConfigError naming the file.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        run_id = None
+        if isinstance(data, dict) and "morphology" in data:
+            run_id = data.get("run_id")
+            data = data["morphology"]
+        if not isinstance(data, dict):
+            raise InvalidMorphologyError("a body file must hold a JSON object")
+        body = Morphology.from_json(data)
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot load body from {path}: {exc}")
+    ok, reason = validity_report(body)
+    if not ok:
+        raise ConfigError(f"body in {path} is invalid: {reason}")
+    return body, run_id
 
 
-def load_body_file(path: str) -> Morphology:
-    """Read a body from a bare morphology JSON or a champion wrapper."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "morphology" in data:
-        data = data["morphology"]
-    if not isinstance(data, dict):
-        raise InvalidMorphologyError("a body file must hold a JSON object")
-    return Morphology.from_json(data)
+def _frozen_body(config: RunConfig, frozen_body: Morphology | None) -> Morphology | None:
+    """The body a run trains: the one given, else one read of the config's
+    path, else None. A body the run cannot train is a ConfigError."""
+    if frozen_body is None:
+        if config.freeze_body_path is None:
+            return None
+        frozen_body, _ = load_body_file(config.freeze_body_path)
+    else:
+        ok, reason = validity_report(frozen_body)
+        if not ok:
+            raise ConfigError(f"frozen body is invalid: {reason}")
+    if (frozen_body.h, frozen_body.w) != (config.height, config.width):
+        raise ConfigError(
+            f"frozen body is {frozen_body.h}x{frozen_body.w}, "
+            f"but the config's morphology space is {config.height}x{config.width}"
+        )
+    if config.controller == "fixed":
+        raise ConfigError("a frozen body needs the modular controller: the fixed one has nothing to optimise")
+    return frozen_body
 
 
 def individual_rng(master_seed: int, individual_id: int) -> np.random.Generator:
@@ -263,7 +300,7 @@ def _newcomer(seed: int, ind_id: int, config: RunConfig, frozen_body: Morphology
 
 def make_initial_population(config: RunConfig, frozen_body: Morphology | None = None) -> Population:
     members = [_newcomer(config.seed, i, config, frozen_body) for i in range(config.population_size)]
-    return Population(members=members, generation=0, rng_seed=config.seed, next_id=config.population_size)
+    return Population(members=members, generation=0, next_id=config.population_size)
 
 
 def _evaluate_members(members: list[Individual], evaluator) -> None:
@@ -287,13 +324,13 @@ def advance_generation(
 
     children = []
     for parent in survivors:
-        rng = individual_rng(pop.rng_seed, next_id)
+        rng = individual_rng(config.seed, next_id)
         children.append(
             make_offspring(parent, rng, freeze_body=frozen_body is not None, child_id=next_id)
         )
         next_id += 1
 
-    injectee = _newcomer(pop.rng_seed, next_id, config, frozen_body)
+    injectee = _newcomer(config.seed, next_id, config, frozen_body)
     next_id += 1
 
     _evaluate_members(children + [injectee], evaluator)
@@ -302,12 +339,7 @@ def advance_generation(
 
     pool = survivors + children + [injectee]
     selected = truncation_select(pool, config.population_size)
-    return Population(
-        members=selected,
-        generation=pop.generation + 1,
-        rng_seed=pop.rng_seed,
-        next_id=next_id,
-    )
+    return Population(members=selected, generation=pop.generation + 1, next_id=next_id)
 
 
 @dataclass
@@ -328,7 +360,6 @@ class RunResult:
 
     config: RunConfig
     fingerprint: str
-    seed: int
     stats: list[GenerationStats]
     champion: Individual          # highest fitness ever evaluated
     snapshots: list[tuple[int, Individual]]
@@ -365,17 +396,18 @@ def _update_champion(champion: Individual | None, candidates: list[Individual]) 
     return champion
 
 
-def save_checkpoint(path, pop: Population, champion: Individual, stats, snapshots, config: RunConfig) -> None:
+def save_checkpoint(
+    path, pop: Population, champion: Individual, stats, snapshots, config: RunConfig, fingerprint: str
+) -> None:
     payload = {
         "generation": pop.generation,
-        "rng_seed": pop.rng_seed,
         "next_id": pop.next_id,
         "members": [m.to_json() for m in pop.members],
         "champion": champion.to_json(),
         "stats": [s.to_json() for s in stats],
         "snapshots": [[g, ind.to_json()] for g, ind in snapshots],
         "config": config.to_json(),
-        "fingerprint": config.fingerprint(),
+        "fingerprint": fingerprint,
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
@@ -431,29 +463,32 @@ def evolve(
     final population's best. With ``checkpoint_path`` set, state is saved
     every checkpoint_interval generations and an interrupted run can be
     continued with ``resume=True``.
+
+    A run freezes a body when it is given one (``frozen_body``) or, failing
+    that, when the config names a body file (``freeze_body_path``), which is
+    then read once. The body is validated once, here: it must be valid, of
+    the config's height x width, and trained by the modular controller;
+    otherwise this raises a ConfigError. The run's fingerprint, computed
+    once, hashes that body, so checkpoints, the resume check and the result
+    name the body that was trained.
     """
     config.validate()
+    frozen_body = _frozen_body(config, frozen_body)
+    fingerprint = config.fingerprint(frozen_body)
     if evaluator is None:
         from .tasks import EpisodeEvaluator, terrain_by_name
 
         terrain = terrain_by_name(config.environment, (config.height, config.width))
         evaluator = EpisodeEvaluator(terrain)
-    if frozen_body is None and config.freeze_body_path is not None:
-        frozen_body = load_body_file(config.freeze_body_path)
 
     stats: list[GenerationStats] = []
     snapshots: list[tuple[int, Individual]] = []
 
     if resume and checkpoint_path is not None and os.path.exists(checkpoint_path):
         saved = load_checkpoint(checkpoint_path)
-        if saved["fingerprint"] != config.fingerprint():
+        if saved["fingerprint"] != fingerprint:
             raise ConfigError("checkpoint belongs to a different configuration")
-        pop = Population(
-            members=saved["members"],
-            generation=saved["generation"],
-            rng_seed=saved["rng_seed"],
-            next_id=saved["next_id"],
-        )
+        pop = Population(members=saved["members"], generation=saved["generation"], next_id=saved["next_id"])
         champion = saved["champion"]
         stats = saved["stats"]
         snapshots = saved["snapshots"]
@@ -471,14 +506,13 @@ def evolve(
         if at_interval or pop.generation == config.generations:
             snapshots.append((pop.generation, copy.deepcopy(champion)))
             if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, pop, champion, stats, snapshots, config)
+                save_checkpoint(checkpoint_path, pop, champion, stats, snapshots, config, fingerprint)
         if progress is not None:
             progress(pop, champion)
 
     return RunResult(
         config=config,
-        fingerprint=config.fingerprint(),
-        seed=config.seed,
+        fingerprint=fingerprint,
         stats=stats,
         champion=champion,
         snapshots=snapshots,

@@ -42,33 +42,6 @@ class TerrainSpec:
             if not (0 <= self.span_start < self.span_end <= self.total_length):
                 raise ValueError("bridge span must lie inside the course")
 
-    def to_json(self) -> dict:
-        data = {
-            "type": self.kind,
-            "length": self.total_length,
-            "spawn_x": self.spawn_x,
-            "finish_x": self.finish_x,
-        }
-        if self.kind == "bridge":
-            data["span_start"] = self.span_start
-            data["span_end"] = self.span_end
-            data["bridge_material"] = self.bridge_material
-            # both pad junction columns carry pinned anchor masses
-            data["pinned_x"] = [self.span_start, self.span_end]
-        return data
-
-    @staticmethod
-    def from_json(data: dict) -> "TerrainSpec":
-        return TerrainSpec(
-            kind=data["type"],
-            total_length=data["length"],
-            spawn_x=data["spawn_x"],
-            finish_x=data["finish_x"],
-            span_start=data.get("span_start"),
-            span_end=data.get("span_end"),
-            bridge_material=data.get("bridge_material", materials.ELASTIC),
-        )
-
 
 def make_flat_terrain(morphology_space: tuple[int, int] = (5, 5)) -> TerrainSpec:
     """Flat rigid ground at y=0 over the whole course."""

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from desk_runs import DESK_SEEDS, desk_arm, desk_config, run_cached
+from desk_runs import CACHE_DIR, DESK_SEEDS, desk_arm, desk_config, run_cached
 from voxevo.analysis import intra_cluster_distance, rank_sum_test
 from oracles import gather_observation, mechanical_energy, modular_forward, robot_center_of_mass
 from voxevo.control import (
@@ -26,7 +26,7 @@ from voxevo.control import (
 )
 from voxevo.evolution import Individual, truncation_select
 from voxevo.morphology import Morphology, random_morphology, resample_cells
-from voxevo.sim_core import DT, GRAVITY, build_world, net_forces, step
+from voxevo.sim_core import DT, ENGINE_VERSION, GRAVITY, build_world, net_forces, step
 from voxevo.tasks import compute_fitness, make_flat_terrain, run_episode
 from voxevo.cli import main as cli_main
 
@@ -35,6 +35,20 @@ def report(criterion: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {criterion}" + (f" ({detail})" if detail else ""))
     assert ok, f"{criterion}: {detail}"
+
+
+# --- the desk cache still answers the desk configs ---------------------------
+
+
+def test_desk_configs_name_committed_cache_files():
+    # run_cached keys its files by fingerprint and engine version; a change
+    # to either would quietly rerun tens of minutes of desk runs and write
+    # new evidence. Placed first, so it fails before any desk run starts.
+    for controller in ("fixed", "modular"):
+        for seed in range(DESK_SEEDS):
+            fp = desk_config(controller, seed).fingerprint()
+            pattern = f"{fp[:16]}_e{ENGINE_VERSION}_*_s{seed}.json"
+            assert list(CACHE_DIR.glob(pattern)), f"no cached desk run {pattern} for {controller} seed {seed}"
 
 
 # --- criterion 1: fitness formula exactness ---------------------------------

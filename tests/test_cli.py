@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 
@@ -124,8 +125,58 @@ def test_retrain_runs_and_records_source(tmp_path, rng):
     assert manifest["source_run_id"] == "abc-s0"
     assert manifest["config"]["controller"] == "modular"
     assert manifest["group_label"].endswith("-retrained")
+    assert manifest["fingerprint"] == evolution.RunConfig.from_json(manifest["config"]).fingerprint()
     champion = json.loads((out / "champion.json").read_text())
     assert champion["morphology"] == body.to_json()
+
+
+@pytest.mark.parametrize("interval", [None, "1"])
+def test_retrain_opens_its_body_file_once(tmp_path, monkeypatch, rng, interval):
+    # one read gives the body and the wrapper's run_id, however often the
+    # run saves a checkpoint
+    body_path = tmp_path / "champ.json"
+    body_path.write_text(json.dumps({"run_id": "abc-s0", "morphology": random_morphology(3, 3, rng).to_json()}))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(body_path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "retrain"
+    argv = ["retrain", "--body", str(body_path), "--out", str(out), "--gens", "4", "--pop", "4", "--seed", "0"]
+    if interval is not None:
+        argv += ["--checkpoint-interval", interval]
+    assert run_cli(*argv) == 0
+    assert len(opened) == 1
+    assert json.loads((out / "manifest.json").read_text())["source_run_id"] == "abc-s0"
+
+
+_DISCONNECTED = [[3, 0, 0, 0, 0]] + [[0] * 5] * 3 + [[0, 0, 0, 0, 3]]
+
+
+@pytest.mark.parametrize(
+    "cells, controller, problem",
+    [
+        (_DISCONNECTED, "modular", "2 disconnected components"),
+        (None, "modular", "No such file"),
+        ([[3, 1], [1, 1]], "modular", "frozen body is 2x2"),
+        ([[3] * 5] * 5, "fixed", "needs the modular controller"),
+    ],
+    ids=["disconnected", "missing", "wrong-shape", "fixed-controller"],
+)
+def test_evolve_rejects_untrainable_frozen_body(tmp_path, capsys, cells, controller, problem):
+    body_path = tmp_path / "body.json"
+    if cells is not None:
+        body_path.write_text(json.dumps(Morphology(cells).to_json()))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"controller": controller, "freeze_body_path": str(body_path)}))
+    out = tmp_path / "o"
+    assert run_cli("evolve", "--config", str(cfg), "--gens", "1", "--pop", "4", "--out", str(out)) == 2
+    assert problem in capsys.readouterr().err
+    assert not (out / "generations.csv").exists()
 
 
 def test_retrain_keeps_1x1_body(tmp_path):

@@ -303,6 +303,11 @@ def test_checkpoint_resume_identical(tmp_path):
 
     with pytest.raises(Interrupt):
         evolve(config, HashEvaluator(), checkpoint_path=ck, progress=bail_at_4)
+    # older checkpoints also stored the seed; a run reads only the config's,
+    # which the fingerprint pins
+    payload = json.loads(ck.read_text())
+    payload["rng_seed"] = config.seed + 1
+    ck.write_text(json.dumps(payload))
     resumed = evolve(config, HashEvaluator(), checkpoint_path=ck, resume=True)
     assert [s.best_fitness for s in resumed.stats] == [s.best_fitness for s in full.stats]
     assert resumed.champion.morphology == full.champion.morphology
@@ -400,3 +405,44 @@ def test_frozen_body_population(rng):
     res = evolve(config, HashEvaluator(), frozen_body=body)
     assert all(m.morphology == body for m in res.final_population.members)
     assert all(ind.morphology == body for _, ind in res.snapshots)
+
+
+def test_fingerprint_hashes_the_frozen_body(tmp_path, rng):
+    body = random_morphology(3, 3, rng)
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"run_id": "abc-s0", "morphology": body.to_json()}))
+    config = small_config(controller="modular")
+    named = small_config(controller="modular", freeze_body_path=str(path))
+    assert named.fingerprint() == named.fingerprint(body) == config.fingerprint(body) != config.fingerprint()
+    assert evolve(named, HashEvaluator()).fingerprint == named.fingerprint()
+
+
+def test_checkpoints_tell_frozen_runs_apart(tmp_path, rng):
+    # a run given its frozen body as a value, with no path in its config,
+    # must not resume as a body-evolving run, nor the other way round
+    body = random_morphology(3, 3, rng)
+    config = small_config(controller="modular", generations=2)
+    frozen_ck, free_ck = tmp_path / "frozen.json", tmp_path / "free.json"
+    evolve(config, HashEvaluator(), frozen_body=body, checkpoint_path=frozen_ck)
+    evolve(config, HashEvaluator(), checkpoint_path=free_ck)
+    with pytest.raises(ConfigError):
+        evolve(config, HashEvaluator(), checkpoint_path=frozen_ck, resume=True)
+    with pytest.raises(ConfigError):
+        evolve(config, HashEvaluator(), frozen_body=body, checkpoint_path=free_ck, resume=True)
+    evolve(config, HashEvaluator(), frozen_body=body, checkpoint_path=frozen_ck, resume=True)
+
+
+@pytest.mark.parametrize(
+    "cells, controller",
+    [
+        ([[3, 0, 3], [0, 0, 0], [0, 0, 0]], "modular"),  # disconnected
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], "modular"),  # no actuator
+        ([[3, 1], [1, 1]], "modular"),  # not the config's 3x3
+        ([[3, 3, 3], [3, 3, 3], [3, 3, 3]], "fixed"),  # nothing to optimise
+    ],
+)
+def test_untrainable_frozen_body_rejected(cells, controller):
+    evaluator = HashEvaluator()
+    with pytest.raises(ConfigError):
+        evolve(small_config(controller=controller), evaluator, frozen_body=Morphology(cells))
+    assert evaluator.calls == 0

@@ -92,13 +92,6 @@ def test_terrain_by_name():
         terrain_by_name("carrier")
 
 
-def test_terrain_json_round_trip():
-    for t in (make_flat_terrain(), make_bridge_terrain()):
-        again = TerrainSpec.from_json(t.to_json())
-        assert again == t
-    assert make_bridge_terrain().to_json()["pinned_x"] == [8.0, 52.0]
-
-
 def test_flat_has_no_pinned_masses(flat, rng):
     w = build_world(random_morphology(5, 5, rng), flat)
     assert not w.pinned.any()
