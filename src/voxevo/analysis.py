@@ -166,6 +166,13 @@ def bootstrap_mean_ci(
     return samples.mean(axis=0), lo, hi
 
 
+def retrain_config(config: RunConfig, body: Morphology) -> RunConfig:
+    """The config of a run that retrains ``body``: its morphology space
+    becomes the body's and its controller modular. This is the one place a
+    config is adapted to a retrained body."""
+    return replace(config, height=body.h, width=body.w, controller="modular")
+
+
 def retrain_controller(
     champion_body: Morphology,
     config: RunConfig,
@@ -176,15 +183,12 @@ def retrain_controller(
     """Optimize a modular controller from scratch for a frozen body.
 
     The whole population carries the champion body; mutation only ever
-    touches the controller. This is the one place a config is adapted to a
-    retrained body: its morphology space becomes the body's and its
-    controller modular. The body is passed to ``evolve`` as a value, so a
-    ``freeze_body_path`` in the config is not read again; ``evolve``
+    touches the controller. The body is passed to ``evolve`` as a value, so
+    a ``freeze_body_path`` in the config is not read again; ``evolve``
     validates the body and hashes it into the run's fingerprint.
     """
-    run_config = replace(config, height=champion_body.h, width=champion_body.w, controller="modular")
     return evolve(
-        run_config,
+        retrain_config(config, champion_body),
         evaluator,
         frozen_body=champion_body,
         checkpoint_path=checkpoint_path,

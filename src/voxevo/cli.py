@@ -2,10 +2,14 @@
 
 Every run writes into its own output directory: a manifest with the full
 config and its fingerprint, the per-generation log CSV, a resumable
-checkpoint, and the champion (body + controller) as JSON. The report
-command aggregates champion fitness across run directories, compares
-groups pairwise with the rank-sum test, and emits star-annotated tables
-plus bootstrap-CI fitness curves.
+checkpoint, and the champion (body + controller) as JSON. ``evolve`` and
+``retrain`` reach that directory by one path, ``run_to_dir``. Each setting
+comes from its flag, else the --config file, else the command's default.
+A retrain takes its morphology space from its body and always trains the
+modular controller; every other setting, ``generations`` included, is
+resolved like evolve's. The report command aggregates champion fitness
+across run directories, compares groups pairwise with the rank-sum test,
+and emits star-annotated tables plus bootstrap-CI fitness curves.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -56,34 +60,22 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def config_from_args(args) -> RunConfig:
-    """Merge config file values with CLI flags; flags win."""
-    base = _load_config_file(getattr(args, "config", None))
-    merged = dict(base)
-
-    if getattr(args, "env", None) is not None:
-        merged["environment"] = args.env
+    """The run's config: each field from its flag (an option whose dest is
+    the field's name), else the config file, else RunConfig's default;
+    ``generations`` falls back to the command's default instead."""
+    merged = _load_config_file(args.config)
+    merged.update((k, v) for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None)
     if getattr(args, "size", None) is not None:
         merged["height"], merged["width"] = _parse_size(args.size)
-    if getattr(args, "controller", None) is not None:
-        merged["controller"] = args.controller
-    if getattr(args, "gens", None) is not None:
-        merged["generations"] = args.gens
-    elif "generations" not in merged:
-        merged["generations"] = PAPER_GENERATIONS if args.paper_scale else DESK_GENERATIONS
-    if getattr(args, "pop", None) is not None:
-        merged["population_size"] = args.pop
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    if getattr(args, "checkpoint_interval", None) is not None:
-        merged["checkpoint_interval"] = args.checkpoint_interval
-    if getattr(args, "out", None) is not None:
-        merged["output_dir"] = args.out
-
+    if "generations" not in merged:
+        merged["generations"] = PAPER_GENERATIONS if getattr(args, "paper_scale", False) else args.default_generations
     try:
         config = RunConfig.from_json(merged)
         config.validate()
     except (TypeError, ConfigError) as exc:
         raise ConfigError(str(exc))
+    if config.output_dir is None:
+        raise ConfigError("an output directory is required (--out)")
     return config
 
 
@@ -96,6 +88,38 @@ def _seed_list(args, config: RunConfig) -> list[int]:
     return list(range(config.seed, config.seed + count))
 
 
+def _read_body(path: str | None) -> tuple[Morphology | None, dict | None]:
+    """The body a run freezes, read once, and the provenance its manifest records."""
+    if path is None:
+        return None, None
+    body, run_id = load_body_file(path)
+    return body, {"source_body": path, "source_run_id": run_id}
+
+
+def run_to_dir(config: RunConfig, out_dir: str, resume: bool, body: Morphology | None, provenance: dict | None) -> None:
+    """The one path from a resolved config to a run directory.
+
+    A finished directory is refused unless resuming. The directory is made
+    by the run's first checkpoint or by its record, so a run refused before
+    it starts leaves none behind.
+    """
+    if os.path.exists(os.path.join(out_dir, "generations.csv")) and not resume:
+        raise ConfigError(f"{out_dir} already holds a finished run; use --resume or a new directory")
+    result = evolve(config, frozen_body=body, checkpoint_path=os.path.join(out_dir, "checkpoint.json"), resume=resume)
+    write_run_outputs(result, out_dir, manifest_extra=provenance)
+    print(
+        f"{group_label(result)} seed {config.seed}: champion fitness "
+        f"{result.champion.fitness:.4f} after {config.generations} generations -> {out_dir}"
+    )
+
+
+def group_label(result: RunResult) -> str:
+    """The report's group: setting and controller, ``-retrained`` when the
+    run trained a frozen body."""
+    label = f"{result.config.setting_name()}-{result.config.controller}"
+    return label if result.frozen_body is None else label + "-retrained"
+
+
 def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     config = result.config
@@ -105,7 +129,7 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "engine_version": ENGINE_VERSION,
         "blas_core": blas_core(),
         "setting": config.setting_name(),
-        "group_label": group_label(config),
+        "group_label": group_label(result),
         "fingerprint": result.fingerprint,
         "seed": config.seed,
         "config": config.to_json(),
@@ -114,7 +138,10 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         manifest.update(manifest_extra)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    result.write_generation_log(os.path.join(out_dir, "generations.csv"))
+    with open(os.path.join(out_dir, "generations.csv"), "w", newline="") as fh:
+        fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
+        for s in result.stats:
+            fh.write(f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r},{s.best_age},{s.champion_id}\n")
     champion = {
         "run_id": f"{result.fingerprint[:12]}-s{config.seed}",
         "fitness": result.champion.fitness,
@@ -124,85 +151,6 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
     }
     with open(os.path.join(out_dir, "champion.json"), "w") as fh:
         fh.write(json.dumps(champion))  # the C encoder; json.dump's bytes
-
-
-def group_label(config: RunConfig) -> str:
-    label = f"{config.setting_name()}-{config.controller}"
-    if config.freeze_body_path is not None:
-        label += "-retrained"
-    return label
-
-
-def cmd_evolve(args) -> int:
-    config = config_from_args(args)
-    if config.output_dir is None:
-        raise ConfigError("an output directory is required (--out)")
-    seeds = _seed_list(args, config)
-    multi = len(seeds) > 1
-    for seed in seeds:
-        run_config = replace(config, seed=seed)
-        out_dir = os.path.join(config.output_dir, f"seed_{seed}") if multi else config.output_dir
-        _ensure_fresh_or_resumable(out_dir, args.resume)
-        os.makedirs(out_dir, exist_ok=True)
-        result = evolve(
-            run_config,
-            checkpoint_path=os.path.join(out_dir, "checkpoint.json"),
-            resume=args.resume,
-        )
-        write_run_outputs(result, out_dir)
-        print(
-            f"{run_config.setting_name()} seed {seed}: champion fitness "
-            f"{result.champion.fitness:.4f} after {run_config.generations} generations -> {out_dir}"
-        )
-    return 0
-
-
-def _ensure_fresh_or_resumable(out_dir: str, resume: bool) -> None:
-    log = os.path.join(out_dir, "generations.csv")
-    if os.path.exists(log) and not resume:
-        raise ConfigError(
-            f"{out_dir} already holds a finished run; use --resume or a new directory"
-        )
-
-
-def cmd_retrain(args) -> int:
-    body, source_run_id = load_body_file(args.body)
-    if args.gens is None:
-        args.gens = analysis.RETRAIN_GENERATIONS
-    config = replace(config_from_args(args), freeze_body_path=args.body)
-    if config.output_dir is None:
-        raise ConfigError("an output directory is required (--out)")
-
-    _ensure_fresh_or_resumable(config.output_dir, args.resume)
-    os.makedirs(config.output_dir, exist_ok=True)
-    result = analysis.retrain_controller(
-        body,
-        config,
-        checkpoint_path=os.path.join(config.output_dir, "checkpoint.json"),
-        resume=args.resume,
-    )
-    write_run_outputs(
-        result,
-        config.output_dir,
-        manifest_extra={"source_body": args.body, "source_run_id": source_run_id},
-    )
-    print(
-        f"retrained controller on {args.body}: champion fitness {result.champion.fitness:.4f} "
-        f"-> {config.output_dir}"
-    )
-    return 0
-
-
-def cmd_crosseval(args) -> int:
-    body, _ = load_body_file(args.body)
-    terrain = terrain_by_name(args.env, (body.h, body.w))
-    result = analysis.cross_evaluate_fixed(body, terrain)
-    print(json.dumps(result.to_json(), indent=2))
-    print(f"fixed-controller fitness: {result.fitness:.4f}")
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(result.to_json(), fh, indent=2)
-    return 0
 
 
 def _load_run_dir(run_dir: str) -> dict:
@@ -226,6 +174,38 @@ def _load_run_dir(run_dir: str) -> dict:
         }
     except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read run directory {run_dir}: {type(exc).__name__}: {exc}")
+
+
+def cmd_evolve(args) -> int:
+    config = config_from_args(args)
+    body, provenance = _read_body(config.freeze_body_path)
+    seeds = _seed_list(args, config)
+    for seed in seeds:
+        out_dir = os.path.join(config.output_dir, f"seed_{seed}") if len(seeds) > 1 else config.output_dir
+        run_to_dir(replace(config, seed=seed), out_dir, args.resume, body, provenance)
+    return 0
+
+
+def cmd_retrain(args) -> int:
+    config = config_from_args(args)
+    body, provenance = _read_body(config.freeze_body_path)
+    run_to_dir(analysis.retrain_config(config, body), config.output_dir, args.resume, body, provenance)
+    return 0
+
+
+def cmd_crosseval(args) -> int:
+    body, _ = load_body_file(args.body)
+    try:
+        terrain = terrain_by_name(args.env, (body.h, body.w))
+    except ValueError as exc:  # the body does not fit the terrain
+        raise ConfigError(str(exc))
+    result = analysis.cross_evaluate_fixed(body, terrain)
+    print(json.dumps(result.to_json(), indent=2))
+    print(f"fixed-controller fitness: {result.fitness:.4f}")
+    if args.out is not None:
+        with open(args.out, "w") as fh:
+            json.dump(result.to_json(), fh, indent=2)
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -414,28 +394,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"voxevo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_run_options(p):
+        # a dest named after a RunConfig field sets that field
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--env", choices=("walker", "bridgewalker"))
-        p.add_argument("--size", help="morphology space, e.g. 5x5 or 7x7")
-        p.add_argument("--gens", type=int, help="generations to evolve")
-        p.add_argument("--pop", type=int, help="population size (default 16)")
+        p.add_argument("--env", dest="environment", choices=("walker", "bridgewalker"))
+        p.add_argument(
+            "--gens", dest="generations", type=int, metavar="N",
+            help="generations to run (default: the config file's, else the command's)",
+        )
+        p.add_argument("--pop", dest="population_size", type=int, metavar="N", help="population size (default 16)")
         p.add_argument("--seed", type=int, help="base random seed (default 0)")
         p.add_argument("--checkpoint-interval", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--paper-scale", action="store_true", help="full-scale defaults: 10000 generations, 10 seeds")
+        p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
         p.add_argument("--resume", action="store_true", help="continue from the checkpoint in --out")
 
     p_evolve = sub.add_parser("evolve", help="run brain-body (or body-only) evolution")
-    add_common(p_evolve)
+    add_run_options(p_evolve)
+    p_evolve.add_argument("--size", help="morphology space, e.g. 5x5 or 7x7")
     p_evolve.add_argument("--controller", choices=("modular", "fixed"))
+    p_evolve.add_argument("--paper-scale", action="store_true", help="full-scale defaults: 10000 generations, 10 seeds")
     p_evolve.add_argument("--seeds", type=int, help="number of consecutive seeds to run (default 1)")
-    p_evolve.set_defaults(func=cmd_evolve)
+    p_evolve.set_defaults(func=cmd_evolve, default_generations=DESK_GENERATIONS)
 
-    p_retrain = sub.add_parser("retrain", help="optimize a fresh modular controller for a frozen body")
-    add_common(p_retrain)
-    p_retrain.add_argument("--body", required=True, help="morphology or champion JSON file")
-    p_retrain.set_defaults(func=cmd_retrain)
+    p_retrain = sub.add_parser(
+        "retrain",
+        help="optimize a fresh modular controller for a frozen body",
+        description="Optimize a fresh modular controller for the body in --body. The run takes its "
+        "morphology space from the body and always trains the modular controller; every other "
+        "setting comes from its flag, else the --config file (generations included), else the "
+        f"default ({analysis.RETRAIN_GENERATIONS} generations).",
+    )
+    add_run_options(p_retrain)
+    p_retrain.add_argument(
+        "--body", dest="freeze_body_path", metavar="BODY", required=True, help="morphology or champion JSON file"
+    )
+    p_retrain.set_defaults(func=cmd_retrain, default_generations=analysis.RETRAIN_GENERATIONS)
 
     p_cross = sub.add_parser("crosseval", help="score a body under the fixed controller")
     p_cross.add_argument("--body", required=True)

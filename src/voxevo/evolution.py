@@ -26,6 +26,7 @@ import numpy as np
 
 from .control import ControllerGenome, init_controller, mutate_controller
 from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology, validity_report
+from .tasks import EpisodeEvaluator, terrain_by_name
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
@@ -119,6 +120,10 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint interval must be >= 1")
+        try:
+            terrain_by_name(self.environment, (self.height, self.width))
+        except ValueError as exc:  # the morphology space does not fit the terrain
+            raise ConfigError(str(exc))
 
     def setting_name(self) -> str:
         prefix = {"walker": "W", "bridgewalker": "B"}[self.environment]
@@ -364,17 +369,10 @@ class RunResult:
     champion: Individual          # highest fitness ever evaluated
     snapshots: list[tuple[int, Individual]]
     final_population: Population
+    frozen_body: Morphology | None  # the body trained, if the run froze one
 
     def best_curve(self) -> np.ndarray:
         return np.array([s.best_fitness for s in self.stats])
-
-    def write_generation_log(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
-            for s in self.stats:
-                fh.write(
-                    f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r},{s.best_age},{s.champion_id}\n"
-                )
 
 
 def _population_stats(pop: Population, champion: Individual) -> GenerationStats:
@@ -409,6 +407,7 @@ def save_checkpoint(
         "config": config.to_json(),
         "fingerprint": fingerprint,
     }
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)  # a run's first save makes its directory
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         _write_json(fh, payload)
@@ -470,14 +469,12 @@ def evolve(
     the config's height x width, and trained by the modular controller;
     otherwise this raises a ConfigError. The run's fingerprint, computed
     once, hashes that body, so checkpoints, the resume check and the result
-    name the body that was trained.
+    name the body that was trained; the result also holds the body itself.
     """
     config.validate()
     frozen_body = _frozen_body(config, frozen_body)
     fingerprint = config.fingerprint(frozen_body)
     if evaluator is None:
-        from .tasks import EpisodeEvaluator, terrain_by_name
-
         terrain = terrain_by_name(config.environment, (config.height, config.width))
         evaluator = EpisodeEvaluator(terrain)
 
@@ -489,7 +486,8 @@ def evolve(
         if saved["fingerprint"] != fingerprint:
             raise ConfigError("checkpoint belongs to a different configuration")
         pop = Population(members=saved["members"], generation=saved["generation"], next_id=saved["next_id"])
-        champion = saved["champion"]
+        # the champion, if it survives, is a member that goes on ageing
+        champion = next((m for m in pop.members if m.id == saved["champion"].id), saved["champion"])
         stats = saved["stats"]
         snapshots = saved["snapshots"]
     else:
@@ -517,4 +515,5 @@ def evolve(
         champion=champion,
         snapshots=snapshots,
         final_population=pop,
+        frozen_body=frozen_body,
     )

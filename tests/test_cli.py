@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import json
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from voxevo import evolution
+from voxevo import analysis, cli, evolution
 from voxevo.cli import build_parser, config_from_args, main
 from voxevo.control import blas_core
 from voxevo.morphology import Morphology, random_morphology
@@ -71,9 +72,13 @@ def test_evolve_multi_seed_layout(tmp_path):
         assert (out / f"seed_{seed}" / "champion.json").exists()
 
 
-def test_evolve_invalid_flags_exit_2(tmp_path):
+def test_evolve_invalid_flags_exit_2(tmp_path, capsys):
     assert run_cli("evolve", "--env", "walker", "--size", "5by5", "--out", str(tmp_path / "x")) == 2
     assert run_cli("evolve", "--env", "walker", "--size", "5x5", "--gens", "-3", "--out", str(tmp_path / "y")) == 2
+    # a morphology space too wide for the bridge's start pad is a config error, found before the run starts
+    assert run_cli(*evolve_args(tmp_path / "z", **{"--env": "bridgewalker", "--size": "8x8"})) == 2
+    assert "does not fit on the start pad" in capsys.readouterr().err
+    assert not any((tmp_path / d).exists() for d in "xyz")
 
 
 def test_config_file_merging(tmp_path):
@@ -105,10 +110,82 @@ def test_desk_and_paper_scale_defaults():
     assert config_from_args(args).generations == 10_000
 
 
-def test_retrain_default_generations():
+def capture_runs(monkeypatch):
+    """The configs the commands hand to the run path, in order; nothing runs."""
+    runs = []
+    monkeypatch.setattr(cli, "run_to_dir", lambda config, *rest: runs.append(config))
+    return runs
+
+
+def write_body(path, body, run_id=None):
+    data = body.to_json() if run_id is None else {"run_id": run_id, "morphology": body.to_json()}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_retrain_default_generations(tmp_path, monkeypatch):
+    # flag, then config file, then the command's default: 5000 for retrain
+    body = write_body(tmp_path / "body.json", Morphology([[3, 1]]))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generations": 3}))
+    runs = capture_runs(monkeypatch)
+    argv = ["retrain", "--body", body, "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    assert run_cli(*argv, "--config", str(cfg), "--gens", "4") == 0
+    assert [c.generations for c in runs] == [analysis.RETRAIN_GENERATIONS, 3, 4]
+
+
+@pytest.mark.parametrize("option", [["--size", "7x7"], ["--paper-scale"]])
+def test_retrain_refuses_evolve_only_options(tmp_path, capsys, option):
+    # a retrain's shape comes from its body, and it runs one seed
+    body = write_body(tmp_path / "body.json", Morphology([[3, 1]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["retrain", "--body", body, "--out", str(tmp_path / "o"), "--gens", "0", *option])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+# options that act outside the config: they pick directories, files or seeds
+OUTSIDE_CONFIG = {"--resume", "--seeds", "--body", "--config"}
+OPTION_VALUES = {
+    "--env": ["bridgewalker"],
+    "--size": ["3x4"],
+    "--controller": ["modular"],
+    "--gens": ["7"],
+    "--pop": ["5"],
+    "--seed": ["3"],
+    "--checkpoint-interval": ["9"],
+    "--out": ["elsewhere"],
+    "--paper-scale": [],
+}
+
+
+def _long_options(command):
     parser = build_parser()
-    args = parser.parse_args(["retrain", "--body", "champ.json", "--out", "o"])
-    assert args.gens is None  # resolved to 5000 inside cmd_retrain
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        next(o for o in action.option_strings if o.startswith("--"))
+        for action in sub.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+
+
+@pytest.mark.parametrize("command", ["evolve", "retrain"])
+def test_every_run_option_reaches_the_config(tmp_path, monkeypatch, command):
+    # each option, including any added later, changes the config the run
+    # uses; for retrain that is the config after adapting it to the body
+    body = write_body(tmp_path / "body.json", Morphology([[3, 1], [1, 3]]))
+    base = [command, "--out", str(tmp_path / "o")] + (["--body", body] if command == "retrain" else [])
+    runs = capture_runs(monkeypatch)
+    assert run_cli(*base) == 0
+    for option in _long_options(command):
+        if option in OUTSIDE_CONFIG:
+            continue
+        assert option in OPTION_VALUES, f"give {option} a test value, or list it as acting outside the config"
+        first = len(runs)
+        assert run_cli(*base, option, *OPTION_VALUES[option]) == 0, option
+        assert runs[first] != runs[0], f"{command} {option} does not reach the run's config"
 
 
 def test_retrain_runs_and_records_source(tmp_path, rng):
@@ -130,28 +207,56 @@ def test_retrain_runs_and_records_source(tmp_path, rng):
     assert champion["morphology"] == body.to_json()
 
 
-@pytest.mark.parametrize("interval", [None, "1"])
-def test_retrain_opens_its_body_file_once(tmp_path, monkeypatch, rng, interval):
-    # one read gives the body and the wrapper's run_id, however often the
-    # run saves a checkpoint
-    body_path = tmp_path / "champ.json"
-    body_path.write_text(json.dumps({"run_id": "abc-s0", "morphology": random_morphology(3, 3, rng).to_json()}))
+def count_opens(monkeypatch, path):
     opened = []
     real_open = builtins.open
 
     def counting_open(file, *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(body_path):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
             opened.append(file)
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+@pytest.mark.parametrize("interval", [None, "1"])
+def test_retrain_opens_its_body_file_once(tmp_path, monkeypatch, rng, interval):
+    # one read gives the body and the wrapper's run_id, however often the
+    # run saves a checkpoint
+    body_path = write_body(tmp_path / "champ.json", random_morphology(3, 3, rng), run_id="abc-s0")
+    opened = count_opens(monkeypatch, body_path)
     out = tmp_path / "retrain"
-    argv = ["retrain", "--body", str(body_path), "--out", str(out), "--gens", "4", "--pop", "4", "--seed", "0"]
+    argv = ["retrain", "--body", body_path, "--out", str(out), "--gens", "4", "--pop", "4", "--seed", "0"]
     if interval is not None:
         argv += ["--checkpoint-interval", interval]
     assert run_cli(*argv) == 0
     assert len(opened) == 1
     assert json.loads((out / "manifest.json").read_text())["source_run_id"] == "abc-s0"
+
+
+def test_evolve_config_opens_its_body_file_once_and_records_it(tmp_path, monkeypatch, rng):
+    body_path = write_body(tmp_path / "champ.json", random_morphology(3, 3, rng), run_id="abc-s0")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"height": 3, "width": 3, "controller": "modular", "freeze_body_path": body_path}))
+    opened = count_opens(monkeypatch, body_path)
+    out = tmp_path / "o"
+    argv = ["evolve", "--config", str(cfg), "--out", str(out), "--gens", "4", "--pop", "4", "--checkpoint-interval", "1"]
+    assert run_cli(*argv) == 0
+    assert len(opened) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["source_body"], manifest["source_run_id"]) == (body_path, "abc-s0")
+    assert manifest["group_label"] == "W3-modular-retrained"
+
+
+def test_api_retrain_is_labelled_by_the_body_it_trained(tmp_path, rng):
+    # no body path in the config: the label comes from the body evolve trained
+    body = random_morphology(3, 3, rng)
+    config = evolution.RunConfig(height=3, width=3, generations=1, population_size=4)
+    result = analysis.retrain_controller(body, config)
+    assert result.frozen_body == body
+    cli.write_run_outputs(result, str(tmp_path / "o"))
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["group_label"] == "W3-modular-retrained"
 
 
 _DISCONNECTED = [[3, 0, 0, 0, 0]] + [[0] * 5] * 3 + [[0, 0, 0, 0, 3]]
@@ -176,7 +281,13 @@ def test_evolve_rejects_untrainable_frozen_body(tmp_path, capsys, cells, control
     out = tmp_path / "o"
     assert run_cli("evolve", "--config", str(cfg), "--gens", "1", "--pop", "4", "--out", str(out)) == 2
     assert problem in capsys.readouterr().err
-    assert not (out / "generations.csv").exists()
+    assert not out.exists()  # refused before the run starts: no directory
+
+
+def test_crosseval_body_too_wide_for_the_bridge_pad_exits_2(tmp_path, capsys):
+    body = write_body(tmp_path / "wide.json", Morphology([[3] * 9]))
+    assert run_cli("crosseval", "--body", body, "--env", "bridgewalker") == 2
+    assert "does not fit on the start pad" in capsys.readouterr().err
 
 
 def test_retrain_keeps_1x1_body(tmp_path):
@@ -204,6 +315,23 @@ def test_crosseval_prints_result(tmp_path, capsys, rng):
     assert "fixed-controller fitness" in out
     payload = json.loads(out[: out.rindex("}") + 1])
     assert set(payload) == {"delta_px", "finished", "steps_used", "fitness", "diverged"}
+
+
+def test_crosseval_out_file_holds_the_printed_json(tmp_path, capsys, rng):
+    body = write_body(tmp_path / "body.json", random_morphology(4, 4, rng))
+    out_file = tmp_path / "cross.json"
+    assert run_cli("crosseval", "--body", body, "--out", str(out_file)) == 0
+    printed = capsys.readouterr().out
+    assert out_file.read_text() == printed[: printed.rindex("}") + 1]
+
+
+def test_unexpected_error_exits_3(tmp_path, monkeypatch, capsys):
+    def failing_evolve(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "evolve", failing_evolve)
+    assert run_cli(*evolve_args(tmp_path / "o")) == 3
+    assert "error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_validate_body(tmp_path, capsys):
@@ -356,6 +484,29 @@ def test_resume_after_interrupt(monkeypatch, tmp_path):
     assert run_cli(*argv, "--resume") == 0
     assert started == [3]  # exactly one generation, the interrupted one
     assert (out / "generations.csv").read_bytes() == full_log
+
+
+def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path):
+    # the champion keeps ageing while it survives, resumed or not; in this
+    # run it is born before the generation-4 checkpoint and survives to 8
+    def argv(out):
+        return evolve_args(out, **{"--gens": "8", "--checkpoint-interval": "2", "--pop": "4"})
+
+    assert run_cli(*argv(tmp_path / "full")) == 0
+    original = evolution.advance_generation
+
+    def interrupt_after_4(pop, *args):
+        if pop.generation == 4:
+            raise KeyboardInterrupt
+        return original(pop, *args)
+
+    out = tmp_path / "run"
+    monkeypatch.setattr(evolution, "advance_generation", interrupt_after_4)
+    assert run_cli(*argv(out)) == 3
+    monkeypatch.setattr(evolution, "advance_generation", original)
+    assert run_cli(*argv(out), "--resume") == 0
+    for name in ("champion.json", "generations.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_version_flag(capsys):
