@@ -27,11 +27,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, analysis
-from .control import blas_core
+from .control import VARIANTS, blas_core
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
 from .morphology import Morphology
 from .sim_core import ENGINE_VERSION
-from .tasks import terrain_by_name
+from .terrain import ENVIRONMENTS, terrain_by_name
 
 DESK_GENERATIONS = 300
 PAPER_GENERATIONS = 10_000
@@ -59,10 +59,12 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def config_from_args(args) -> RunConfig:
+def config_from_args(args, retrained: Morphology | None = None) -> RunConfig:
     """The run's config: each field from its flag (an option whose dest is
     the field's name), else the config file, else RunConfig's default;
-    ``generations`` falls back to the command's default instead."""
+    ``generations`` falls back to the command's default instead. A run that
+    retrains a body has its config adapted to the body before it is
+    validated."""
     merged = _load_config_file(args.config)
     merged.update((k, v) for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None)
     if getattr(args, "size", None) is not None:
@@ -71,6 +73,8 @@ def config_from_args(args) -> RunConfig:
         merged["generations"] = PAPER_GENERATIONS if getattr(args, "paper_scale", False) else args.default_generations
     try:
         config = RunConfig.from_json(merged)
+        if retrained is not None:
+            config = analysis.retrain_config(config, retrained)
         config.validate()
     except (TypeError, ConfigError) as exc:
         raise ConfigError(str(exc))
@@ -187,9 +191,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_retrain(args) -> int:
-    config = config_from_args(args)
-    body, provenance = _read_body(config.freeze_body_path)
-    run_to_dir(analysis.retrain_config(config, body), config.output_dir, args.resume, body, provenance)
+    body, provenance = _read_body(args.freeze_body_path)
+    config = config_from_args(args, retrained=body)
+    run_to_dir(config, config.output_dir, args.resume, body, provenance)
     return 0
 
 
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p):
         # a dest named after a RunConfig field sets that field
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--env", dest="environment", choices=("walker", "bridgewalker"))
+        p.add_argument("--env", dest="environment", choices=ENVIRONMENTS)
         p.add_argument(
             "--gens", dest="generations", type=int, metavar="N",
             help="generations to run (default: the config file's, else the command's)",
@@ -411,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="run brain-body (or body-only) evolution")
     add_run_options(p_evolve)
     p_evolve.add_argument("--size", help="morphology space, e.g. 5x5 or 7x7")
-    p_evolve.add_argument("--controller", choices=("modular", "fixed"))
+    p_evolve.add_argument("--controller", choices=VARIANTS)
     p_evolve.add_argument("--paper-scale", action="store_true", help="full-scale defaults: 10000 generations, 10 seeds")
     p_evolve.add_argument("--seeds", type=int, help="number of consecutive seeds to run (default 1)")
     p_evolve.set_defaults(func=cmd_evolve, default_generations=DESK_GENERATIONS)
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crosseval", help="score a body under the fixed controller")
     p_cross.add_argument("--body", required=True)
-    p_cross.add_argument("--env", choices=("walker", "bridgewalker"), default="walker")
+    p_cross.add_argument("--env", choices=ENVIRONMENTS, default="walker")
     p_cross.add_argument("--out", help="optional JSON output file")
     p_cross.set_defaults(func=cmd_crosseval)
 

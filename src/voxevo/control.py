@@ -200,7 +200,7 @@ def _window_tables(state: WorldState) -> _Windows:
     if cached is not None:
         return cached
     shape = np.max([m.cells.shape for m in state.morphologies], axis=0)
-    cells = np.array(state.vox_cells, dtype=np.int64).reshape(-1, 2)
+    cells = state.vox_cells
     absent = cells.shape[0]  # the zero row appended to the feature table
     grid_row = np.full((state.num_worlds, shape[0] + 2, shape[1] + 2), absent, dtype=np.int64)
     grid_code = np.zeros(grid_row.shape, dtype=np.int64)  # empty beyond every body
@@ -209,7 +209,7 @@ def _window_tables(state: WorldState) -> _Windows:
     vox_world = np.repeat(np.arange(state.num_worlds), np.diff(state.starts["vox"]))
     grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(absent)
 
-    act = np.array(state.actuator_cells, dtype=np.int64).reshape(-1, 2)
+    act = state.actuator_cells
     window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
     block_rows = int(shape[0] * shape[1])
     slot = np.arange(act.shape[0]) - state.starts["act"][state.act_world]

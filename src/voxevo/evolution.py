@@ -20,19 +20,17 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .control import ControllerGenome, init_controller, mutate_controller
+from .control import VARIANTS, ControllerGenome, init_controller, mutate_controller
 from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology, validity_report
 from .tasks import EpisodeEvaluator, terrain_by_name
+from .terrain import ENVIRONMENTS
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
-
-ENVIRONMENTS = ("walker", "bridgewalker")
-CONTROLLER_VARIANTS = ("modular", "fixed")
 
 
 class ConfigError(ValueError):
@@ -106,10 +104,17 @@ class RunConfig:
     freeze_body_path: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # an optional path left unset
+            kind = str if f.default is None else type(f.default)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {'an integer' if kind is int else 'a string'}, got {value!r}")
         if self.environment not in ENVIRONMENTS:
             raise ConfigError(f"environment must be one of {ENVIRONMENTS}, got {self.environment!r}")
-        if self.controller not in CONTROLLER_VARIANTS:
-            raise ConfigError(f"controller must be one of {CONTROLLER_VARIANTS}, got {self.controller!r}")
+        if self.controller not in VARIANTS:
+            raise ConfigError(f"controller must be one of {VARIANTS}, got {self.controller!r}")
         if self.height < 1 or self.width < 1:
             raise ConfigError("morphology space must be at least 1x1")
         if self.generations < 0:

@@ -60,10 +60,6 @@ STRIP_TOLERANCE = 1e-9
 STRIP_NEWTON_ITERATIONS = 50
 STRIP_FD_STEP = 1e-6
 
-KIND_STRUCTURAL_H = 0
-KIND_STRUCTURAL_V = 1
-KIND_SHEAR = 2
-
 
 class SimulationDiverged(RuntimeError):
     """Raised when positions become non-finite or absurdly large."""
@@ -79,14 +75,15 @@ class WorldState:
     """Mutable simulation state of one or more worlds, each a robot plus its
     bridge strip, if any.
 
-    ``build_world`` makes a state of one world; ``stack_worlds`` joins
-    several into one disjoint union that steps them all at once. Every
+    ``build_worlds`` makes one disjoint union of several worlds that steps
+    them all at once; ``build_world`` makes a union of one. Every
     per-element table is concatenated world by world: world ``w`` owns the
     rows ``starts[kind][w]:starts[kind][w + 1]`` of each kind ("mass",
-    "vox", "act"), its robot's masses first. Index tables hold union ids,
-    so no spring, contact or sum ever joins two worlds. A world that
-    ``park`` has made inert stays in the union and keeps stepping with it,
-    but it no longer moves, exerts a force or touches the ground.
+    "spring", "vox", "act", "top"), its robot's masses first. Index tables
+    hold union ids, so no spring, contact or sum ever joins two worlds. A
+    world that ``park`` has made inert stays in the union and keeps
+    stepping with it, but it no longer moves, exerts a force or touches the
+    ground.
 
     ``inv_mass`` is (n, 2), each mass's inverse mass in both columns, so a
     step scales its (n, 2) forces by it without a broadcast. The force
@@ -108,17 +105,16 @@ class WorldState:
     spring_target_rest: np.ndarray
     spring_k: np.ndarray
     spring_c: np.ndarray
-    spring_kind: np.ndarray    # (s,) uint8
 
     # per-voxel tables over each robot's non-empty cells, row-major
-    vox_cells: list[tuple[int, int]]
+    vox_cells: np.ndarray      # (v, 2) (row, column) in its robot's grid
     vox_corners: np.ndarray    # (v, 4) mass ids in (bl, br, tr, tl) order
     vox_h_edges: np.ndarray    # (v, 2) spring ids (bottom, top)
     vox_v_edges: np.ndarray    # (v, 2) spring ids (left, right)
     vox_shear: np.ndarray      # (v, 2) spring ids
 
     # active-voxel tables, row-major over each robot's actuator cells
-    actuator_cells: list[tuple[int, int]]
+    actuator_cells: np.ndarray    # (a, 2) (row, column) in its robot's grid
     actuator_springs: np.ndarray  # (a, 2) actuated edge spring ids
 
     bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
@@ -214,18 +210,14 @@ class WorldState:
         self.inv_mass[rows] = 0.0
 
 
-# WorldState tables by the kind of row they run over, and the kind of row
-# each index table points into
+# The row tables that a world's parts hold, by the kind of row they run
+# over, and the kind of row each index table points into
 _ROW_FIELDS = {
-    "mass": ("pos", "vel", "mass", "inv_mass", "pinned", "is_robot"),
-    "spring": (
-        "spring_i", "spring_j", "spring_rest", "spring_current_rest",
-        "spring_target_rest", "spring_k", "spring_c", "spring_kind",
-    ),
+    "mass": ("pos", "mass", "pinned", "is_robot"),
+    "spring": ("spring_i", "spring_j", "spring_rest", "spring_k"),
     "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
     "act": ("actuator_cells", "actuator_springs"),
     "top": ("bridge_top",),
-    "world": ("morphologies", "clamped_actions"),
 }
 _POINTS_INTO = {
     "spring_i": "mass",
@@ -240,45 +232,22 @@ _POINTS_INTO = {
 
 
 def _concatenate(parts: list[dict]) -> tuple[dict, dict]:
-    """The row tables that the parts hold, each concatenated in order with
-    its index entries offset to the rows' new ids; and each kind's row
-    offsets. A part is a state's fields or a grid's rows."""
+    """The parts' row tables, each concatenated in order with its index
+    entries offset to the rows' new ids; and each kind's row offsets. The
+    tables form a part again."""
     offsets = {
         kind: np.cumsum([0] + [len(part[names[0]]) for part in parts])
         for kind, names in _ROW_FIELDS.items()
-        if names[0] in parts[0]
     }
     tables = {}
-    for kind in offsets:
-        for name in _ROW_FIELDS[kind]:
-            if name not in parts[0]:
-                continue
+    for kind, names in _ROW_FIELDS.items():
+        for name in names:
             columns = [part[name] for part in parts]
             ref = _POINTS_INTO.get(name)
             if ref:
                 columns = [rows + offset for rows, offset in zip(columns, offsets[ref])]
-            tables[name] = sum(columns, []) if isinstance(columns[0], list) else np.concatenate(columns)
+            tables[name] = np.concatenate(columns)
     return tables, offsets
-
-
-def stack_worlds(worlds: list[WorldState]) -> WorldState:
-    """Join states on one terrain and one clock into a disjoint union.
-
-    Tables are concatenated in order and index tables offset, so each
-    world keeps its own row order and every per-world sum keeps its terms
-    and their order: a world steps bit for bit as it would alone.
-    """
-    first = worlds[0]
-    if len(worlds) == 1:
-        return first
-    if any(w.terrain != first.terrain or w.sim_time != first.sim_time for w in worlds):
-        raise ValueError("stacked worlds must share their terrain and their clock")
-    tables, offsets = _concatenate([vars(w) for w in worlds])
-    starts = {
-        kind: np.concatenate([[0]] + [w.starts[kind][1:] + offsets[kind][k] for k, w in enumerate(worlds)])
-        for kind in first.starts
-    }
-    return WorldState(**tables, starts=starts, terrain=first.terrain, sim_time=first.sim_time)
 
 
 # edge stiffness by material code; zero for empty cells, which make no springs
@@ -286,7 +255,6 @@ _EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in 
 # a voxel's springs in build order: bottom, top, left, right edge, then its
 # two diagonals; each as (first, second) end among its (tl, tr, bl, br) corners
 _VOXEL_SPRING_ENDS = np.array([[2, 3], [0, 1], [2, 0], [3, 1], [2, 1], [3, 0]])
-_VOXEL_SPRING_KINDS = np.array([KIND_STRUCTURAL_H] * 2 + [KIND_STRUCTURAL_V] * 2 + [KIND_SHEAR] * 2, dtype=np.uint8)
 _VOXEL_SPRING_SCALE = np.array([1.0] * 4 + [materials.SHEAR_STIFFNESS_FACTOR] * 2)
 
 
@@ -338,7 +306,7 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
     springs = springs.reshape(v, 6)
     active = (code == materials.ACTUATOR_H) | (code == materials.ACTUATOR_V)
     horizontal = (code == materials.ACTUATOR_H)[:, None]
-    cells_rc = list(zip(r.tolist(), c.tolist()))
+    cells_rc = np.stack([r, c], axis=1)
     return {
         "pos": pos,
         "mass": mass,
@@ -348,25 +316,28 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
         "spring_j": spring_j,
         "spring_rest": np.hypot(d[:, 0], d[:, 1]),
         "spring_k": spring_k,
-        "spring_kind": _VOXEL_SPRING_KINDS[first % 6],
         "vox_cells": cells_rc,
         "vox_corners": corners[:, [2, 3, 1, 0]],
         "vox_h_edges": springs[:, 0:2],
         "vox_v_edges": springs[:, 2:4],
         "vox_shear": springs[:, 4:6],
-        "actuator_cells": [cell for cell, a in zip(cells_rc, active) if a],
+        "actuator_cells": cells_rc[active],
         "actuator_springs": np.where(horizontal, springs[:, 0:2], springs[:, 2:4])[active],
         "bridge_top": np.zeros(0, dtype=np.int64),
     }
 
 
-def _one_world(parts: list[dict], morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
-    """The state of one world made of the parts' rows, joined in order,
-    at rest at their build-time lengths."""
-    tables, _ = _concatenate(parts)
+def _union(worlds: list[dict], morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
+    """The disjoint union of worlds, each given as one part of rows, at
+    rest at their build-time lengths.
+
+    Tables are concatenated in order and index tables offset, so each world
+    keeps its own row order and every per-world sum keeps its terms and
+    their order: a world steps bit for bit as it would alone.
+    """
+    tables, starts = _concatenate(worlds)
     pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
     m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
-    counts = {"mass": pos.shape[0], "vox": len(tables["vox_cells"]), "act": len(tables["actuator_cells"])}
     return WorldState(
         **tables,
         vel=np.zeros_like(pos),
@@ -375,29 +346,43 @@ def _one_world(parts: list[dict], morphologies: list[Morphology], terrain: Terra
         spring_target_rest=rest.copy(),
         spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
         morphologies=morphologies,
-        clamped_actions=np.zeros(1, dtype=np.int64),
-        starts={kind: np.array([0, count]) for kind, count in counts.items()},
+        clamped_actions=np.zeros(len(worlds), dtype=np.int64),
+        starts=starts,
         terrain=terrain,
     )
 
 
-def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
-    """Assemble the mass-spring world for a body on a terrain.
-
-    The body is placed with its lowest corner resting on the surface
-    (y=0) and its leftmost corner at the terrain's spawn_x (x=0 when
-    terrain is None). For bridge terrain the settled strip's rows follow
-    the robot's in the same world.
-    """
+def _world_rows(morphology: Morphology, terrain: TerrainSpec | None) -> dict:
+    """The rows of one world: the body placed with its lowest corner
+    resting on the surface (y=0) and its leftmost corner at the terrain's
+    spawn_x (x=0 when terrain is None), then on bridge terrain the settled
+    strip's rows."""
     ok, reason = simulability_report(morphology)
     if not ok:
         raise InvalidMorphologyError(reason)
     rows, cols = np.nonzero(morphology.cells)
     spawn_x = terrain.spawn_x if terrain is not None else 0.0
-    parts = [_grid_rows(morphology.cells, spawn_x - cols.min(), float(rows.max() + 1))]
-    if terrain is not None and terrain.kind == "bridge":
-        parts.append(_settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material))
-    return _one_world(parts, [morphology], terrain)
+    robot = _grid_rows(morphology.cells, spawn_x - cols.min(), float(rows.max() + 1))
+    if terrain is None or terrain.kind != "bridge":
+        return robot
+    strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
+    return _concatenate([robot, strip])[0]
+
+
+def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
+    """The disjoint union of one world per body, in order, on one terrain.
+
+    Each distinct body's rows are built once; bodies that repeat share
+    them, and the union holds a copy per world.
+    """
+    morphologies = list(morphologies)
+    rows = {m: _world_rows(m, terrain) for m in dict.fromkeys(morphologies)}
+    return _union([rows[m] for m in morphologies], morphologies, terrain)
+
+
+def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
+    """The world of one body on a terrain: a union of one."""
+    return build_worlds([morphology], terrain)
 
 
 def _strip_rows(span_start: int, span_end: int, material: int) -> dict:
@@ -419,7 +404,7 @@ def _strip_rows(span_start: int, span_end: int, material: int) -> dict:
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
     """The bare strip's rows at its static equilibrium, built once per span;
-    ``build_world`` joins them after the robot's."""
+    a bridge world joins them after its robot's."""
     return dict(_strip_rows(span_start, span_end, material), pos=_bridge_equilibrium(span_start, span_end, material))
 
 
@@ -436,7 +421,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
     accelerates by ``STRIP_TOLERANCE`` or more; raises rather than return
     an unconverged strip.
     """
-    strip = _one_world([_strip_rows(span_start, span_end, material)], [], None)
+    strip = _union([_strip_rows(span_start, span_end, material)], [], None)
     free = np.flatnonzero(~strip.pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip

@@ -21,8 +21,8 @@ from .sim_core import (
     STEPS_PER_ACTION,
     SimulationDiverged,
     build_world,
+    build_worlds,
     set_actuation_targets,
-    stack_worlds,
 )
 from .terrain import (  # re-exported task surface
     TerrainSpec,
@@ -33,6 +33,7 @@ from .terrain import (  # re-exported task surface
 
 __all__ = [
     "T_MAX",
+    "build_world",
     "EpisodeResult",
     "EpisodeEvaluator",
     "compute_fitness",
@@ -89,10 +90,11 @@ def run_episode(morphology: Morphology, controller: ControllerGenome, terrain: T
 def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     """Run one episode per (morphology, controller) pair, in lock-step.
 
-    Each distinct body is built once, and all worlds are stacked once
-    into one disjoint-union world that takes every step, actuation and
-    controller call at once; pairs that share a body get copies of its
-    rows. The pairs must share one body shape and one controller variant.
+    All worlds are built at once, by ``build_worlds``, as one
+    disjoint-union world that takes every step, actuation and controller
+    call at once; each distinct body is built once, and pairs that share a
+    body get copies of its rows. The pairs must share one body shape and
+    one controller variant.
     A world that crosses the finish line or diverges has its result
     recorded and is then parked: it stays in the union, inert, until the
     last world ends. The centres of mass are measured, and the end tests
@@ -108,12 +110,9 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
         return []
     if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
         raise ValueError("a batch holds one body shape and one controller variant")
-    built: dict[Morphology, sim_core.WorldState] = {}
     for morphology, _ in pairs:
         require_valid(morphology)
-        if morphology not in built:
-            built[morphology] = build_world(morphology, terrain)
-    state = stack_worlds([built[morphology] for morphology, _ in pairs])
+    state = build_worlds([morphology for morphology, _ in pairs], terrain)
     controllers = stack_controllers([controller for _, controller in pairs])
     start_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)

@@ -35,7 +35,7 @@ def one_hot(code: int) -> np.ndarray:
 
 def voxel_index(state: WorldState) -> dict[tuple[int, int], tuple[int, ...]]:
     """Cell -> its corner mass ids in (bl, br, tr, tl) order."""
-    return {cell: tuple(corners.tolist()) for cell, corners in zip(state.vox_cells, state.vox_corners)}
+    return {tuple(cell): tuple(corners) for cell, corners in zip(state.vox_cells.tolist(), state.vox_corners.tolist())}
 
 
 @dataclass
@@ -138,9 +138,9 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
     """One episode per (morphology, controller) pair in one union, with the
     bookkeeping done on every step: every robot's centre of mass is
     measured, a diverged world keeps the one of its last valid step, and
-    every world is tested for its end. Worlds are built through
-    ``tasks.build_world``, one per pair."""
-    state = sim_core.stack_worlds([tasks.build_world(m, terrain) for m, _ in pairs])
+    every world is tested for its end. The union is built through
+    ``tasks.build_worlds``."""
+    state = tasks.build_worlds([m for m, _ in pairs], terrain)
     controllers = stack_controllers([c for _, c in pairs])
     start_x = last_x = state.robot_com_x()
     results = [None] * len(pairs)

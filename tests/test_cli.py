@@ -102,6 +102,27 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"generations": 2.5},
+        {"seed": 1.5},
+        {"height": True},
+        {"population_size": "4"},
+        {"output_dir": 5},
+    ],
+    ids=["float-generations", "float-seed", "bool-height", "string-population", "int-out"],
+)
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, fields):
+    # a config file's value of the wrong type is refused before anything
+    # runs, not rounded, hashed or failed on later
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"generations": 1, "population_size": 4, "output_dir": str(tmp_path / "r1"), **fields}))
+    assert run_cli("evolve", "--config", str(cfg)) == 2
+    assert next(iter(fields)) in capsys.readouterr().err
+    assert not (tmp_path / "r1").exists()
+
+
 def test_desk_and_paper_scale_defaults():
     parser = build_parser()
     args = parser.parse_args(["evolve", "--out", "o"])
@@ -288,6 +309,19 @@ def test_crosseval_body_too_wide_for_the_bridge_pad_exits_2(tmp_path, capsys):
     body = write_body(tmp_path / "wide.json", Morphology([[3] * 9]))
     assert run_cli("crosseval", "--body", body, "--env", "bridgewalker") == 2
     assert "does not fit on the start pad" in capsys.readouterr().err
+
+
+def test_retrain_adapts_its_config_to_the_body_before_validating_it(tmp_path):
+    # the config file's 9x9 space does not fit the bridge's start pad, but
+    # the run trains the 5-wide body, which does
+    body = write_body(tmp_path / "b.json", random_morphology(5, 5, np.random.default_rng(3)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"environment": "bridgewalker", "height": 9, "width": 9, "generations": 1}))
+    out = tmp_path / "run"
+    assert run_cli("retrain", "--config", str(cfg), "--body", body, "--out", str(out), "--pop", "2") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["config"]["height"], manifest["config"]["width"]) == (5, 5)
+    assert manifest["group_label"] == "B5-modular-retrained"
 
 
 def test_retrain_keeps_1x1_body(tmp_path):

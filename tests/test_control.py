@@ -18,7 +18,7 @@ from voxevo.control import (
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
-from voxevo.sim_core import STEPS_PER_ACTION, build_world, set_actuation_targets, stack_worlds, step
+from voxevo.sim_core import STEPS_PER_ACTION, build_world, build_worlds, set_actuation_targets, step
 from voxevo.terrain import terrain_by_name
 
 from oracles import gather_observation, modular_forward
@@ -231,7 +231,7 @@ def test_controller_input_holds_no_stale_entries(rng, flat):
     # every observation row matches the scalar oracle
     bodies = [random_morphology(5, 5, rng) for _ in range(3)]
     genomes = [modular(rng) for _ in bodies]
-    union = stack_worlds([build_world(m, flat) for m in bodies])
+    union = build_worlds(bodies, flat)
     alone = [build_world(m, flat) for m in bodies]
     controllers = stack_controllers(genomes)
     starts = union.starts["act"]
@@ -264,7 +264,7 @@ def test_warm_modular_control_allocates_less_than_its_input():
     terrain = terrain_by_name("bridgewalker", (7, 7))
     rng = np.random.default_rng(7)
     pairs = [(random_morphology(7, 7, rng), modular(rng)) for _ in range(17)]
-    state = stack_worlds([build_world(m, terrain) for m, _ in pairs])
+    state = build_worlds([m for m, _ in pairs], terrain)
     controllers = stack_controllers([c for _, c in pairs])
     compute_actions(controllers, state, 0)
     step(state)

@@ -32,7 +32,7 @@ import pytest
 from voxevo.cli import main as cli_main
 from voxevo.control import blas_core, compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
-from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_world, set_actuation_targets, stack_worlds, step
+from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
 from voxevo.tasks import T_MAX, terrain_by_name
 
 GOLDEN_ENGINE_VERSION = 4
@@ -63,7 +63,7 @@ def trajectory_digest(environment: str, size: int, variant: str, neighbours: int
         pairs.insert(0, (random_morphology(size, size, others), init_controller(variant, others)))
         pairs.append((random_morphology(size, size, others), init_controller(variant, others)))
     terrain = terrain_by_name(environment, (size, size))
-    state = stack_worlds([build_world(m, terrain) for m, _ in pairs])
+    state = build_worlds([m for m, _ in pairs], terrain)
     controllers = stack_controllers([c for _, c in pairs])
     rows = slice(state.starts["mass"][neighbours], state.starts["mass"][neighbours + 1])
     digest = hashlib.sha256()

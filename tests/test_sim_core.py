@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from voxevo import sim_core
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import (
     ACTUATION_RATE,
@@ -11,14 +10,12 @@ from voxevo.sim_core import (
     DT,
     FRICTION_MU,
     GRAVITY,
-    KIND_SHEAR,
-    KIND_STRUCTURAL_H,
     SimulationDiverged,
     build_world,
+    build_worlds,
     contact_forces,
     net_forces,
     set_actuation_targets,
-    stack_worlds,
     step,
 )
 from voxevo.terrain import make_bridge_terrain, make_flat_terrain
@@ -39,6 +36,16 @@ def contact_only(w):
     return np.bincount(w.force_bins[start:stop], w.force_terms[start:stop], minlength=2 * w.num_masses).reshape(-1, 2)
 
 
+def spring_kinds(w):
+    """Each spring's kind as the voxel tables file it: "h" for a horizontal
+    edge, "v" for a vertical one, "s" for a diagonal."""
+    kinds = np.full(w.num_springs, "", dtype=object)
+    kinds[w.vox_h_edges] = "h"
+    kinds[w.vox_v_edges] = "v"
+    kinds[w.vox_shear] = "s"
+    return kinds
+
+
 # --- construction ---------------------------------------------------------
 
 
@@ -46,7 +53,7 @@ def test_build_1x1_counts(single_actuator, flat):
     w = build_world(single_actuator, flat)
     assert w.num_masses == 4
     assert w.num_springs == 6
-    assert np.count_nonzero(w.spring_kind == KIND_SHEAR) == 2
+    assert np.count_nonzero(spring_kinds(w) == "s") == 2
 
 
 def test_build_2x1_shared_corners(flat):
@@ -54,7 +61,55 @@ def test_build_2x1_shared_corners(flat):
     w = build_world(Morphology([[1, 1]]), flat)
     assert w.num_masses == 6
     assert w.num_springs == 11
-    assert np.count_nonzero(w.spring_kind == KIND_SHEAR) == 4
+    assert np.count_nonzero(spring_kinds(w) == "s") == 4
+
+
+# every WorldState row table by the kind of row it runs over, and the kind
+# of row each index table points into
+ROW_TABLES = {
+    "mass": ("pos", "vel", "mass", "inv_mass", "pinned", "is_robot"),
+    "spring": (
+        "spring_i", "spring_j", "spring_rest", "spring_current_rest", "spring_target_rest", "spring_k", "spring_c",
+    ),
+    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
+    "act": ("actuator_cells", "actuator_springs"),
+    "top": ("bridge_top",),
+}
+POINTS_INTO = {
+    "spring_i": "mass",
+    "spring_j": "mass",
+    "vox_corners": "mass",
+    "vox_h_edges": "spring",
+    "vox_v_edges": "spring",
+    "vox_shear": "spring",
+    "actuator_springs": "spring",
+    "bridge_top": "mass",
+}
+
+
+@pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])
+def test_union_rows_are_each_world_alone(terrain):
+    # each world's rows of a union, one body repeated, equal its own world
+    # table by table, index tables offset by the world's starts
+    rng = np.random.default_rng(4)
+    body, other = random_morphology(4, 4, rng), random_morphology(4, 4, rng)
+    bodies = [body, other, body]
+    union = build_worlds(bodies, terrain)
+    alone = [build_world(m, terrain) for m in bodies]
+    assert union.morphologies == bodies and union.clamped_actions.tolist() == [0, 0, 0]
+    for kind, names in ROW_TABLES.items():
+        starts = union.starts[kind]
+        assert starts.tolist() == np.cumsum([0] + [len(getattr(w, names[0])) for w in alone]).tolist()
+        for name in names:
+            table = getattr(union, name)
+            assert isinstance(table, np.ndarray)
+            for k, w in enumerate(alone):
+                rows = table[starts[k] : starts[k + 1]]
+                if name in POINTS_INTO:
+                    rows = rows - union.starts[POINTS_INTO[name]][k]
+                own = getattr(w, name)
+                assert rows.dtype == own.dtype and rows.shape == own.shape, name
+                assert rows.tobytes() == own.tobytes(), name
 
 
 def test_build_rejects_empty(flat):
@@ -85,10 +140,11 @@ def test_corner_mass_shares():
 def test_shared_boundary_spring_takes_stiffer_material(flat):
     w = build_world(Morphology([[1], [2]]), flat)  # rigid above elastic
     shared = None
+    kinds = spring_kinds(w)
     for i in range(w.num_springs):
         a, b = w.spring_i[i], w.spring_j[i]
         ys = {round(float(w.pos[a, 1]), 6), round(float(w.pos[b, 1]), 6)}
-        if w.spring_kind[i] == KIND_STRUCTURAL_H and ys == {1.0}:
+        if kinds[i] == "h" and ys == {1.0}:
             shared = i
     assert shared is not None
     assert w.spring_k[shared] == 2000.0
@@ -111,9 +167,9 @@ def test_corners_and_springs_are_numbered_in_order_of_first_use(flat):
     x0 = flat.spawn_x
     corners = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 0), (2, 0), (2, 1), (2, 2)]  # (pi, pj) by id
     assert w.pos.tolist() == [[x0 + pj, 2.0 - pi] for pi, pj in corners]
-    h, v, s = KIND_STRUCTURAL_H, sim_core.KIND_STRUCTURAL_V, KIND_SHEAR
+    h, v, s = "hvs"
     # each voxel's bottom, top, left, right edge, then its two diagonals
-    assert list(zip(w.spring_i.tolist(), w.spring_j.tolist(), w.spring_kind.tolist())) == [
+    assert list(zip(w.spring_i.tolist(), w.spring_j.tolist(), spring_kinds(w).tolist())) == [
         (2, 3, h), (0, 1, h), (0, 2, v), (1, 3, v), (2, 1, s), (3, 0, s),
         (5, 6, h), (2, 4, h), (4, 5, v), (2, 6, v), (5, 2, s), (6, 4, s),
         (6, 7, h), (3, 7, v), (6, 3, s), (7, 2, s),
@@ -184,7 +240,7 @@ def test_actuation_preserves_counts(small_body, flat):
 def test_shared_actuated_spring_averages_commands(flat):
     # two horizontal actuators stacked vertically share one horizontal edge
     w = build_world(Morphology([[3], [3]]), flat)
-    assert w.actuator_cells == [(0, 0), (1, 0)]
+    assert w.actuator_cells.tolist() == [[0, 0], [1, 0]]
     set_actuation_targets(w, np.array([1.6, 0.6]))
     shared = set(w.actuator_springs[0]) & set(w.actuator_springs[1])
     assert len(shared) == 1
@@ -288,7 +344,7 @@ def test_parked_world_is_inert(terrain):
     # raises again; its batch-mate steps exactly as it would alone
     rng = np.random.default_rng(5)
     bodies = [random_morphology(4, 4, rng) for _ in range(2)]
-    union = stack_worlds([build_world(m, terrain) for m in bodies])
+    union = build_worlds(bodies, terrain)
     alone = build_world(bodies[1], terrain)
     parked = union.mass_world == 0
     union.vel[parked] = 1e9
@@ -324,7 +380,8 @@ def test_pinned_masses_never_move(flat):
 
 def sunk_into_the_strip():
     """Three 7x7 worlds whose robots stand on the span, their lowest masses
-    0.1 below the strip's surface, moving at random."""
+    0.1 below the strip's surface, moving at random: their union, and each
+    world alone."""
     terrain = make_bridge_terrain((7, 7))
     rng = np.random.default_rng(11)
     worlds = []
@@ -337,14 +394,18 @@ def sunk_into_the_strip():
         w.pos[robot, 1] -= (w.pos[robot, 1] - surface).min() + 0.1
         w.vel[robot] = rng.normal(0.0, 0.5, size=(robot.sum(), 2))
         worlds.append(w)
-    return worlds
+    union = build_worlds([w.morphologies[0] for w in worlds], terrain)
+    for k, w in enumerate(worlds):
+        rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
+        union.pos[rows] = w.pos
+        union.vel[rows] = w.vel
+    return union, worlds
 
 
 def test_bridge_contact_on_the_span_is_per_world():
     # each world's rows of the union's contact forces are exactly its
     # forces alone, and the strip's top chain takes the reaction
-    worlds = sunk_into_the_strip()
-    union = stack_worlds(worlds)
+    union, worlds = sunk_into_the_strip()
     forces = contact_only(union)
     for k, w in enumerate(worlds):
         rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
@@ -363,8 +424,7 @@ def test_strip_reactions_are_summed_per_world_in_order():
     # each world of the union steps bit for bit as it does alone, and a
     # strip mass still adds its reactions as a segment's left end before
     # those as a right end, each in robot-mass order
-    worlds = sunk_into_the_strip()
-    union = stack_worlds(worlds)
+    union, worlds = sunk_into_the_strip()
     digest = hashlib.sha256()
     for _ in range(200):
         step(union)

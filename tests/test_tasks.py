@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -289,14 +290,14 @@ def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
     # an unexpected exception fails every episode of its batch, and only those
     small = [(random_morphology(3, 3, rng), FIXED) for _ in range(3)]
     large = [(random_morphology(4, 4, rng), FIXED) for _ in range(2)]
-    original = voxevo.tasks.build_world
+    original = voxevo.tasks.build_worlds
 
-    def failing(morphology, terrain):
-        if morphology.h == 3:
+    def failing(morphologies, terrain):
+        if morphologies[0].h == 3:
             raise RuntimeError("boom")
-        return original(morphology, terrain)
+        return original(morphologies, terrain)
 
-    monkeypatch.setattr(voxevo.tasks, "build_world", failing)
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", failing)
     ev = EpisodeEvaluator(flat)
     fits = ev.fitness_many(small + large)
     assert ev.failures == len(set(small))
@@ -351,15 +352,14 @@ def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
     alone = [run_episode(m, c, flat) for m, c in pairs]
     doomed = pairs[2][0]
-    original = voxevo.tasks.build_world
+    original = voxevo.tasks.build_worlds
 
-    def exploding(morphology, terrain):
-        world = original(morphology, terrain)
-        if morphology is doomed:
-            world.vel[:] = 1e9
-        return world
+    def exploding(morphologies, terrain):
+        union = original(morphologies, terrain)
+        union.vel[union.mass_world == morphologies.index(doomed)] = 1e9
+        return union
 
-    monkeypatch.setattr(voxevo.tasks, "build_world", exploding)
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", exploding)
     batch = run_episodes(pairs, flat)
     assert batch[2].diverged and batch[2].steps_used == T_MAX and batch[2].delta_px == 0.0
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
@@ -398,15 +398,14 @@ def test_episode_loop_matches_the_reference_on_a_mid_episode_divergence(monkeypa
     # before, and the other worlds carry on untouched
     pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
     doomed = pairs[2][0]
-    original = voxevo.tasks.build_world
+    original = voxevo.tasks.build_worlds
 
-    def flung(morphology, terrain):
-        world = original(morphology, terrain)
-        if morphology is doomed:
-            world.vel[:, 0] = -2e6
-        return world
+    def flung(morphologies, terrain):
+        union = original(morphologies, terrain)
+        union.vel[union.mass_world == morphologies.index(doomed), 0] = -2e6
+        return union
 
-    monkeypatch.setattr(voxevo.tasks, "build_world", flung)
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", flung)
     batch = run_episodes(pairs, flat)
     assert batch[2].diverged and batch[2].delta_px < -9e5
     assert _bits(batch) == _bits(reference_episodes(pairs, flat))
@@ -449,15 +448,46 @@ def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
     pairs = [(m, init_controller("modular", rng)) for m in bodies]
     alone = [run_episode(m, c, flat) for m, c in pairs]
     built = []
-    original = voxevo.tasks.build_world
+    original = voxevo.sim_core._grid_rows
 
-    def counting(morphology, terrain):
-        built.append(morphology)
-        return original(morphology, terrain)
+    def counting(cells, x0, y0):
+        built.append(cells)
+        return original(cells, x0, y0)
 
-    monkeypatch.setattr(voxevo.tasks, "build_world", counting)
+    monkeypatch.setattr(voxevo.sim_core, "_grid_rows", counting)
     assert run_episodes(pairs, flat) == alone
-    assert built == [body, other]
+    assert len(built) == 2
+    assert np.array_equal(built[0], body.cells) and np.array_equal(built[1], other.cells)
+
+
+@pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
+def test_batch_makes_one_state(monkeypatch, rng, environment):
+    # the batch's union is the only state made: no world is built alone
+    terrain = terrain_by_name(environment, (4, 4))
+    build_world(Morphology([[3]]), terrain)  # the strip's solve is cached from here on
+    body = random_morphology(4, 4, rng)
+    pairs = [(m, init_controller("fixed", rng)) for m in (body, random_morphology(4, 4, rng), body)]
+    made = []
+    original = voxevo.sim_core.WorldState.__post_init__
+
+    def counting(state):
+        made.append(state.num_worlds)
+        original(state)
+
+    monkeypatch.setattr(voxevo.sim_core.WorldState, "__post_init__", counting)
+    run_episodes(pairs, terrain)
+    assert made == [3]
+
+
+def test_every_traced_attribute_exists():
+    # perfbench's tracer wraps each of these by name; one that is missing
+    # makes a traced run (``--trace 1``) fail with AttributeError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [name for owner, attr, name in tracer.WRAPPED if not hasattr(owner, attr)]
+    assert missing == []
 
 
 def test_empty_batch_runs_no_episode(flat):
