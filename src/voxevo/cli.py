@@ -100,13 +100,14 @@ def _read_body(path: str | None) -> tuple[Morphology | None, dict | None]:
     return body, {"source_body": path, "source_run_id": run_id}
 
 
-def run_to_dir(config: RunConfig, out_dir: str, resume: bool, body: Morphology | None, provenance: dict | None) -> None:
-    """The one path from a resolved config to a run directory.
+def run_to_dir(config: RunConfig, resume: bool, body: Morphology | None, provenance: dict | None) -> None:
+    """The one path from a resolved config to its run directory, ``config.output_dir``.
 
     A finished directory is refused unless resuming. The directory is made
     by the run's first checkpoint or by its record, so a run refused before
     it starts leaves none behind.
     """
+    out_dir = config.output_dir
     if os.path.exists(os.path.join(out_dir, "generations.csv")) and not resume:
         raise ConfigError(f"{out_dir} already holds a finished run; use --resume or a new directory")
     result = evolve(config, frozen_body=body, checkpoint_path=os.path.join(out_dir, "checkpoint.json"), resume=resume)
@@ -142,10 +143,6 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         manifest.update(manifest_extra)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    with open(os.path.join(out_dir, "generations.csv"), "w", newline="") as fh:
-        fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
-        for s in result.stats:
-            fh.write(f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r},{s.best_age},{s.champion_id}\n")
     champion = {
         "run_id": f"{result.fingerprint[:12]}-s{config.seed}",
         "fitness": result.champion.fitness,
@@ -155,6 +152,11 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
     }
     with open(os.path.join(out_dir, "champion.json"), "w") as fh:
         fh.write(json.dumps(champion))  # the C encoder; json.dump's bytes
+    # last, as it marks the run finished
+    with open(os.path.join(out_dir, "generations.csv"), "w", newline="") as fh:
+        fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
+        for s in result.stats:
+            fh.write(f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r},{s.best_age},{s.champion_id}\n")
 
 
 def _load_run_dir(run_dir: str) -> dict:
@@ -186,14 +188,14 @@ def cmd_evolve(args) -> int:
     seeds = _seed_list(args, config)
     for seed in seeds:
         out_dir = os.path.join(config.output_dir, f"seed_{seed}") if len(seeds) > 1 else config.output_dir
-        run_to_dir(replace(config, seed=seed), out_dir, args.resume, body, provenance)
+        run_to_dir(replace(config, seed=seed, output_dir=out_dir), args.resume, body, provenance)
     return 0
 
 
 def cmd_retrain(args) -> int:
     body, provenance = _read_body(args.freeze_body_path)
     config = config_from_args(args, retrained=body)
-    run_to_dir(config, config.output_dir, args.resume, body, provenance)
+    run_to_dir(config, args.resume, body, provenance)
     return 0
 
 
@@ -213,6 +215,8 @@ def cmd_crosseval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.bootstrap < 1:
+        raise ConfigError("--bootstrap must be >= 1")
     if len(args.run_dirs) < 2:
         raise ConfigError("report needs at least two run directories")
     runs = [_load_run_dir(d) for d in args.run_dirs]

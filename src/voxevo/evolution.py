@@ -112,7 +112,7 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{f.name} must be {'an integer' if kind is int else 'a string'}, got {value!r}")
         if self.environment not in ENVIRONMENTS:
-            raise ConfigError(f"environment must be one of {ENVIRONMENTS}, got {self.environment!r}")
+            raise ConfigError(f"environment must be one of {tuple(ENVIRONMENTS)}, got {self.environment!r}")
         if self.controller not in VARIANTS:
             raise ConfigError(f"controller must be one of {VARIANTS}, got {self.controller!r}")
         if self.height < 1 or self.width < 1:
@@ -131,8 +131,7 @@ class RunConfig:
             raise ConfigError(str(exc))
 
     def setting_name(self) -> str:
-        prefix = {"walker": "W", "bridgewalker": "B"}[self.environment]
-        return f"{prefix}{self.height}"
+        return f"{ENVIRONMENTS[self.environment]}{self.height}"
 
     def fingerprint(self, frozen_body: Morphology | None = None) -> str:
         """The hash that ties checkpoints, champion run ids and cached runs to

@@ -61,13 +61,9 @@ STRIP_NEWTON_ITERATIONS = 50
 STRIP_FD_STEP = 1e-6
 
 
-class SimulationDiverged(RuntimeError):
-    """Raised when positions become non-finite or absurdly large."""
-
-    def __init__(self, sim_time: int, worlds: np.ndarray):
-        super().__init__(f"simulation diverged at step {sim_time} in worlds {worlds.tolist()}")
-        self.sim_time = sim_time
-        self.worlds = worlds
+# What ``step`` returns when no world diverged: shared, so read-only
+_NO_WORLDS = np.empty(0, dtype=np.intp)
+_NO_WORLDS.flags.writeable = False
 
 
 @dataclass
@@ -190,11 +186,9 @@ class WorldState:
     def num_springs(self) -> int:
         return self.spring_i.shape[0]
 
-    def robot_com_x(self, pos: np.ndarray | None = None) -> np.ndarray:
-        """Each world's robot centre-of-mass x at ``pos``, by default the
-        state's own positions."""
-        pos = self.pos if pos is None else pos
-        weighted = pos[:, 0][self.robot_rows] * self.com_weights
+    def robot_com_x(self) -> np.ndarray:
+        """Each world's robot centre-of-mass x."""
+        weighted = self.pos[:, 0][self.robot_rows] * self.com_weights
         return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
 
     def park(self, worlds: np.ndarray) -> None:
@@ -661,7 +655,7 @@ def _bridge_contact(state: WorldState, in_span: np.ndarray, start: int) -> int:
     return block.stop
 
 
-def step(state: WorldState, gravity: float = GRAVITY) -> WorldState:
+def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     """One semi-implicit Euler step of every world, DT seconds long.
 
     Every spring and contact force comes from one scatter, ``net_forces``'
@@ -670,8 +664,10 @@ def step(state: WorldState, gravity: float = GRAVITY) -> WorldState:
     reactions, in the order that function gives. Gravity is then
     subtracted from each y.
 
-    Raises SimulationDiverged, naming the worlds that blew up, after the
-    step is complete; the other worlds' states stay valid.
+    Returns the ids of the worlds that diverged, ascending (a shared
+    read-only empty array if none did): those with a new position that is
+    non-finite or beyond DIVERGENCE_LIMIT. They keep the positions of their
+    last valid step, and garbage velocities until they are parked.
     """
     if state.actuated_edges.size:
         _advance_actuation(state)
@@ -680,14 +676,19 @@ def step(state: WorldState, gravity: float = GRAVITY) -> WorldState:
     f *= state.inv_mass
     f *= DT
     state.vel += f
-    state.pos += state.vel * DT
+    new_pos = state.vel * DT
+    new_pos += state.pos  # the bits of pos + vel*DT: IEEE addition commutes
     state.sim_time += 1
-    # velocity blow-ups reach positions on the same step (pos += vel*DT),
+    # velocity blow-ups reach positions on the same step (pos + vel*DT),
     # so checking positions alone still flags the offending timestep
-    if not np.abs(state.pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
-        sane = (np.abs(state.pos) <= DIVERGENCE_LIMIT).all(axis=1)
-        raise SimulationDiverged(state.sim_time, np.unique(state.mass_world[~sane]))
-    return state
+    if not np.abs(new_pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
+        sane = (np.abs(new_pos) <= DIVERGENCE_LIMIT).all(axis=1)
+        diverged = np.unique(state.mass_world[~sane])
+        kept = ~np.isin(state.mass_world, diverged)
+        state.pos[kept] = new_pos[kept]
+        return diverged
+    np.copyto(state.pos, new_pos)
+    return _NO_WORLDS
 
 
 _QUAD_NEXT = np.array([1, 2, 3, 0])

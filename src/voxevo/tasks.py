@@ -19,7 +19,6 @@ from .control import ControllerGenome, compute_actions, stack_controllers
 from .morphology import InvalidMorphologyError, Morphology, require_valid
 from .sim_core import (
     STEPS_PER_ACTION,
-    SimulationDiverged,
     build_world,
     build_worlds,
     set_actuation_targets,
@@ -102,8 +101,8 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     last step, or a mass within a voxel of the finish line. Each world's
     result is bit for bit what it would be alone. The engine is
     noise-free, so identical inputs always produce identical results. A
-    diverged simulation scores as unfinished with displacement taken at
-    the last valid step and the full time penalty applied.
+    diverged simulation scores as unfinished with the full time penalty and
+    the displacement of its last valid step, where ``step`` leaves it.
     """
     pairs = list(pairs)
     if not pairs:
@@ -117,7 +116,6 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     start_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)
     running = np.ones(len(pairs), dtype=bool)
-    before = np.empty_like(state.pos)  # positions at the last valid step
     pos_x = state.pos[:, 0]  # a view: the state moves in place
     # a robot's centre of mass lies within its masses' x range, up to a
     # rounding error far below this one-voxel slack
@@ -126,19 +124,13 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
             set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
-        np.copyto(before, state.pos)
-        try:
-            sim_core.step(state)
-        except SimulationDiverged as exc:
-            blown = exc.worlds
-        else:
-            # no world can have ended: no mass has come near the finish line
-            if state.sim_time < T_MAX and np.maximum.reduce(pos_x) < finish_reach:
-                continue
-            blown = []
+        blown = sim_core.step(state)
+        # no world can have ended: none diverged, no mass is near the finish line
+        if not blown.size and state.sim_time < T_MAX and np.maximum.reduce(pos_x) < finish_reach:
+            continue
         diverged = np.zeros(len(pairs), dtype=bool)
         diverged[blown] = True
-        x = np.where(diverged, state.robot_com_x(before), state.robot_com_x())
+        x = state.robot_com_x()
         finished = ~diverged & (x >= terrain.finish_x)
         ended = running & (diverged | finished | (state.sim_time == T_MAX))
         if not np.count_nonzero(ended):
@@ -172,10 +164,11 @@ class EpisodeEvaluator:
 
     Deterministic episodes make caching exact: identical genomes share a
     fitness without re-simulation. The uncached genomes of one call run as
-    batches, one per body shape and controller variant. A failure scores
-    like a divergence (no displacement, full time penalty) and is counted
-    in ``failures`` instead of aborting the call: an invalid body fails
-    alone, an unexpected exception fails its whole batch.
+    batches, one per body shape and controller variant, and ``divergences``
+    counts the episodes that diverged. A failure scores no displacement and
+    the full time penalty, and is counted in ``failures`` instead of
+    aborting the call: an invalid body fails alone, an unexpected exception
+    fails its whole batch.
     """
 
     def __init__(self, terrain: TerrainSpec):
@@ -184,6 +177,7 @@ class EpisodeEvaluator:
         self.episodes_run = 0
         self.cache_hits = 0
         self.failures = 0
+        self.divergences = 0
 
     def fitness_many(self, pairs) -> list[float]:
         """Fitness of each pair, in order; each distinct genome runs once."""
@@ -213,6 +207,7 @@ class EpisodeEvaluator:
                 continue
             for key, result in zip(batch, results):
                 self._cache[key] = result.fitness
+                self.divergences += result.diverged
         return [self._cache[key] for key in keys]
 
     def _fail(self, keys) -> None:

@@ -20,7 +20,7 @@ BRIDGE_SPAN_START = 8.0
 BRIDGE_SPAN_END = 52.0
 BRIDGE_FINISH_X = 58.0
 
-ENVIRONMENTS = ("walker", "bridgewalker")  # the names terrain_by_name takes
+ENVIRONMENTS = {"walker": "W", "bridgewalker": "B"}  # terrain_by_name's names, each with its settings' letter
 
 
 @dataclass(frozen=True)
@@ -75,4 +75,4 @@ def terrain_by_name(name: str, morphology_space: tuple[int, int] = (5, 5)) -> Te
         return make_flat_terrain(morphology_space)
     if name == "bridgewalker":
         return make_bridge_terrain(morphology_space)
-    raise ValueError(f"unknown environment {name!r} (expected one of {ENVIRONMENTS})")
+    raise ValueError(f"unknown environment {name!r} (expected one of {tuple(ENVIRONMENTS)})")

@@ -20,7 +20,7 @@ import numpy as np
 
 from voxevo import materials, sim_core, tasks
 from voxevo.control import CELL_FEATURES, OBS_DIM, ControllerGenome, compute_actions, stack_controllers, unpack_params
-from voxevo.sim_core import ACTION_LOW, GRAVITY, STEPS_PER_ACTION, SimulationDiverged, WorldState
+from voxevo.sim_core import ACTION_LOW, GRAVITY, STEPS_PER_ACTION, WorldState
 from voxevo.tasks import T_MAX, EpisodeResult, compute_fitness
 
 
@@ -149,10 +149,7 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
         if t % STEPS_PER_ACTION == 0:
             sim_core.set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
         diverged = np.zeros(len(pairs), dtype=bool)
-        try:
-            sim_core.step(state)
-        except SimulationDiverged as exc:
-            diverged[exc.worlds] = True
+        diverged[sim_core.step(state)] = True
         x = state.robot_com_x()
         last_x = np.where(diverged, last_x, x)
         finished = ~diverged & (x >= terrain.finish_x)

@@ -66,10 +66,26 @@ def test_evolve_refuses_to_overwrite(tmp_path):
 
 
 def test_evolve_multi_seed_layout(tmp_path):
+    # each seed's run lives in, and records, its own directory
     out = tmp_path / "runs"
     assert run_cli(*evolve_args(out, **{"--seeds": "2", "--gens": "1"}), "--pop", "6") == 0
     for seed in (1, 2):
-        assert (out / f"seed_{seed}" / "champion.json").exists()
+        run_dir = out / f"seed_{seed}"
+        assert (run_dir / "champion.json").exists()
+        for name in ("manifest.json", "checkpoint.json"):
+            assert json.loads((run_dir / name).read_text())["config"]["output_dir"] == str(run_dir)
+
+
+def test_run_without_its_champion_is_not_finished(tmp_path):
+    # generations.csv marks a finished run, so it is written last: a run
+    # whose champion could not be written can be run again
+    out = tmp_path / "run"
+    (out / "champion.json").mkdir(parents=True)
+    assert run_cli(*evolve_args(out)) == 3
+    assert not (out / "generations.csv").exists()
+    (out / "champion.json").rmdir()
+    assert run_cli(*evolve_args(out)) == 0
+    assert (out / "champion.json").is_file() and (out / "generations.csv").is_file()
 
 
 def test_evolve_invalid_flags_exit_2(tmp_path, capsys):
@@ -482,6 +498,16 @@ def test_report_unreadable_run_dir_exits_2(tmp_path, capsys, name, text):
         (tmp_path / "b0" / name).write_text(text)
     assert run_cli("report", str(tmp_path / "a0"), str(tmp_path / "b0"), "--out", str(tmp_path / "r")) == 2
     assert str(tmp_path / "b0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resamples", ["0", "-1"])
+def test_report_bootstrap_below_one_exits_2(tmp_path, capsys, resamples):
+    _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
+    _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3]])
+    out = tmp_path / "r"
+    assert run_cli("report", str(tmp_path / "a0"), str(tmp_path / "b0"), "--out", str(out), "--bootstrap", resamples) == 2
+    assert "--bootstrap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_needs_two_groups(tmp_path):

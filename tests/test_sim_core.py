@@ -10,7 +10,6 @@ from voxevo.sim_core import (
     DT,
     FRICTION_MU,
     GRAVITY,
-    SimulationDiverged,
     build_world,
     build_worlds,
     contact_forces,
@@ -330,31 +329,46 @@ def test_energy_decreases_while_oscillating():
 
 def test_divergence_carries_timestep(single_actuator, flat):
     w = build_world(single_actuator, flat)
+    assert step(w).size == 0
     w.vel[:, 0] = 1e9
-    with pytest.raises(SimulationDiverged) as err:
-        for _ in range(10):
-            step(w)
-    assert err.value.sim_time == 1
-    assert err.value.worlds.tolist() == [0]
+    assert step(w).tolist() == [0]
+    assert w.sim_time == 2
+
+
+def test_diverged_world_keeps_its_last_valid_positions(flat):
+    # the middle world of three is flung: step names it, leaves its
+    # positions as they were, and steps the other two as if alone
+    rng = np.random.default_rng(9)
+    bodies = [random_morphology(4, 4, rng) for _ in range(3)]
+    union = build_worlds(bodies, flat)
+    alone = [build_world(body, flat) for body in bodies]
+    flung = union.mass_world == 1
+    union.vel[flung] = 1e9
+    before = union.pos[flung].copy()
+    assert step(union).tolist() == [1]
+    assert np.array_equal(union.pos[flung], before)
+    for w in (0, 2):
+        step(alone[w])
+        assert np.array_equal(union.pos[union.mass_world == w], alone[w].pos)
 
 
 @pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])
 def test_parked_world_is_inert(terrain):
-    # a diverged world, once parked, rests with no force on it and never
-    # raises again; its batch-mate steps exactly as it would alone
+    # a diverged world, once parked, rests with no force on it and is never
+    # named again; its batch-mate steps exactly as it would alone
     rng = np.random.default_rng(5)
     bodies = [random_morphology(4, 4, rng) for _ in range(2)]
     union = build_worlds(bodies, terrain)
     alone = build_world(bodies[1], terrain)
     parked = union.mass_world == 0
     union.vel[parked] = 1e9
-    with pytest.raises(SimulationDiverged):
-        step(union)
+    assert step(union).tolist() == [0]
     step(alone)
     union.park(np.array([True, False]))
     for _ in range(100):
-        step(union)
+        assert step(union).size == 0
         step(alone)
+    assert union.sim_time == alone.sim_time == 101
     assert not union.pos[parked].any() and not union.vel[parked].any()
     # every spring and contact term on a parked mass is zero
     net_forces(union)

@@ -365,6 +365,25 @@ def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
 
 
+def test_evaluator_counts_divergences(monkeypatch, rng, flat):
+    # a flung world diverges: it is counted, keeps the displacement of its
+    # last valid step, and is no failure
+    pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(3)]
+    doomed = pairs[1][0]
+    original = voxevo.tasks.build_worlds
+
+    def flung(morphologies, terrain):
+        union = original(morphologies, terrain)
+        union.vel[union.mass_world == morphologies.index(doomed), 0] = -2e6
+        return union
+
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", flung)
+    ev = EpisodeEvaluator(flat)
+    fits = ev.fitness_many(pairs)
+    assert ev.divergences == 1 and ev.failures == 0
+    assert fits[1] < -9e5
+
+
 def _bits(results):
     """Each result's fields, its floats as exact hex strings."""
     return [(r.delta_px.hex(), r.finished, r.steps_used, r.fitness.hex(), r.diverged) for r in results]
