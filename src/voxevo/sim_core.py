@@ -12,12 +12,32 @@ Coulomb-capped friction.
 World layout: x grows to the right, y up, the walkable surface at y=0.
 A WorldState holds one world or a disjoint union of several that step
 together; no table joins two worlds, so one world never affects another.
+
+The step runs in C: ``_kernel.c`` holds the actuation advance, the spring
+forces, ground and strip contact, the force table's scatter, gravity,
+integration and the divergence test, and ``step`` is one call into it.
+Python builds the worlds and each state's pointer table (``_kernel_table``),
+parks worlds and sets actuation targets. The kernel does numpy's operations
+in numpy's order, so it gives the bits the numpy step gave
+(``tests/oracles.py`` keeps that step as the reference it is tested
+against). The system C compiler (``_COMPILER``) builds it on first use with
+``_CFLAGS``: ``-O2 -ffp-contract=off`` and never ``-ffast-math`` or
+``-march=native``, either of which could move bits. The library is cached
+in ``_KERNEL_DIR``, beside this file, under a name that carries a hash of
+the source and the flags, so a cache hit only hashes the source and loads
+the file. There is no fallback engine: a second step path would be a second
+set of numerics to keep equal, so a kernel that cannot be built is an error
+that names the compiler, the cache directory and the compiler's complaint.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +85,36 @@ STRIP_FD_STEP = 1e-6
 _NO_WORLDS = np.empty(0, dtype=np.intp)
 _NO_WORLDS.flags.writeable = False
 
+# The compiled kernel: its source, the command that builds it, and the
+# directory that caches the built library
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_DIR = Path(__file__).with_name("_kernel_build")
+_COMPILER = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled kernel could not be built."""
+
+
+class _Table(ctypes.Structure):
+    """A WorldState as the kernel sees it: the ``Table`` of ``_kernel.c``,
+    field for field. ``_kernel_table`` fills it."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in ("masses", "springs", "robots", "worlds", "chain", "edges", "diagonals", "terrain")]
+        + [(name, ctypes.c_double) for name in ("dt", "stiffness", "damping", "mu", "limit", "span_start", "span_end")]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "pos", "vel", "rest", "mass", "inv_mass", "spring_i", "spring_j", "spring_k", "spring_c", "target",
+                "edge_ids", "edge_limit", "edge_floor", "diagonal_sides", "diagonal_ids",
+                "robot_ids", "robot_world", "bridge_top", "mass_starts", "bins", "terms",
+                "net", "new_pos", "diverged", "contact_ids", "contact_w",
+            )
+        ]
+    )
+
 
 @dataclass
 class WorldState:
@@ -84,7 +134,9 @@ class WorldState:
     ``inv_mass`` is (n, 2), each mass's inverse mass in both columns, so a
     step scales its (n, 2) forces by it without a broadcast. The force
     table (``force_bins``, ``force_terms``) is built once per state and
-    written in place by every step; ``net_forces`` gives its layout.
+    written in place by every step; ``net_forces`` gives its layout. The
+    kernel's pointer table into the state's arrays is built once too, so
+    those arrays are written in place and never rebound.
     """
 
     pos: np.ndarray            # (n, 2)
@@ -134,8 +186,6 @@ class WorldState:
     # the force table: one term per row, each summed into its flat (mass, axis) bin
     force_bins: np.ndarray = field(init=False, repr=False)      # (4s + 8r,) springs' i x, i y, j x, j y; ground x, y; strip block
     force_terms: np.ndarray = field(init=False, repr=False)     # (4s + 8r,) the terms, written in place every step
-    spring_terms: np.ndarray = field(init=False, repr=False)    # (4, s) view of the springs' block
-    ground_terms: np.ndarray = field(init=False, repr=False)    # (2, r) view of the ground block: ft, fn of each robot mass
     actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
     actuated_count: np.ndarray = field(init=False, repr=False)  # their actuators, 1 or 2
     actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
@@ -143,6 +193,11 @@ class WorldState:
     actuated_slot: np.ndarray = field(init=False, repr=False)   # (2a,) each actuator_springs entry's row in actuated_edges
     diagonal_sides: np.ndarray = field(init=False, repr=False)  # (2, 2, v') (bottom, left), (top, right) edge ids of the voxels holding one
     diagonals: np.ndarray = field(init=False, repr=False)       # (2, v') those voxels' shear spring ids
+    # the kernel's pointer table, and every array it points into, its own
+    # scratch rows included: held here, so none is freed while it is in use
+    kernel_arrays: dict = field(init=False, repr=False)
+    kernel_table: _Table = field(init=False, repr=False)
+    kernel_address: int = field(init=False, repr=False)         # the table's address, what each kernel call takes
 
     def __post_init__(self):
         worlds = np.arange(self.num_worlds)
@@ -159,9 +214,6 @@ class WorldState:
         i2, j2, r2 = 2 * self.spring_i, 2 * self.spring_j, 2 * self.robot_ids
         self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1, r2, r2 + 1, np.zeros(6 * r2.size, dtype=r2.dtype)])
         self.force_terms = np.zeros(self.force_bins.size)
-        springs_end = 4 * self.num_springs
-        self.spring_terms = self.force_terms[:springs_end].reshape(4, -1)
-        self.ground_terms = self.force_terms[springs_end : springs_end + 2 * r2.size].reshape(2, -1)
         self.actuated_edges, self.actuated_slot, self.actuated_count = np.unique(
             self.actuator_springs.ravel(), return_inverse=True, return_counts=True
         )
@@ -173,6 +225,8 @@ class WorldState:
         affected = np.flatnonzero(holds.any(axis=1))
         self.diagonal_sides = np.stack([self.vox_h_edges[affected], self.vox_v_edges[affected]]).transpose(2, 0, 1).copy()
         self.diagonals = self.vox_shear[affected].T.copy()
+        self.kernel_arrays, self.kernel_table = _kernel_table(self)
+        self.kernel_address = ctypes.addressof(self.kernel_table)
 
     @property
     def num_worlds(self) -> int:
@@ -483,75 +537,145 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
     state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
 
 
-def _advance_actuation(state: WorldState) -> None:
-    """Move actuated edge rest lengths toward their targets, rate-limited;
-    the diagonals of the voxels holding them follow (Pythagoras)."""
-    edges = state.actuated_edges
-    cur = state.spring_current_rest
-    edge_rest = cur.take(edges)
-    delta = state.spring_target_rest.take(edges)
-    delta -= edge_rest
-    if not np.count_nonzero(delta):
-        return  # converged onto the targets; diagonals already consistent
-    np.minimum(delta, state.actuated_limit, out=delta)
-    np.maximum(delta, state.actuated_floor, out=delta)
-    edge_rest += delta
-    cur.put(edges, edge_rest)
-    sides = cur.take(state.diagonal_sides)
-    means = sides[0] + sides[1]  # bottom + top, left + right
-    means *= 0.5
-    # one length per voxel, written to both of its diagonals
-    cur.put(state.diagonals, np.hypot(means[0], means[1]))
+def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
+    """The arrays the kernel reads and writes, by their ``Table`` names: the
+    state's and the kernel's scratch rows; and the kernel's pointer table
+    into them, with the state's sizes and the engine's constants."""
+    robots = state.robot_ids.size
+    arrays = {
+        "pos": state.pos,
+        "vel": state.vel,
+        "rest": state.spring_current_rest,
+        "mass": state.mass,
+        "inv_mass": state.inv_mass,
+        "spring_i": state.spring_i,
+        "spring_j": state.spring_j,
+        "spring_k": state.spring_k,
+        "spring_c": state.spring_c,
+        "target": state.spring_target_rest,
+        "edge_ids": state.actuated_edges,
+        "edge_limit": state.actuated_limit,
+        "edge_floor": state.actuated_floor,
+        "diagonal_sides": state.diagonal_sides,
+        "diagonal_ids": state.diagonals,
+        "robot_ids": state.robot_ids,
+        "robot_world": state.robot_world,
+        "bridge_top": state.bridge_top,
+        "mass_starts": state.starts["mass"],
+        "bins": state.force_bins,
+        "terms": state.force_terms,
+        "net": np.zeros_like(state.pos),  # the summed forces
+        "new_pos": np.zeros_like(state.pos),
+        "diverged": np.zeros(state.num_worlds, dtype=np.int64),  # the last step's diverged worlds lead it
+        "contact_ids": np.zeros(2 * robots, dtype=np.int64),
+        "contact_w": np.zeros(2 * robots),
+    }
+    for name, array in arrays.items():
+        if array.dtype not in (np.float64, np.int64) or not array.flags.c_contiguous:
+            raise TypeError(f"the kernel needs {name} as contiguous float64 or int64, not {array.dtype}")
+    terrain = state.terrain
+    bridge = terrain is not None and terrain.kind == "bridge"
+    return arrays, _Table(
+        masses=state.num_masses,
+        springs=state.num_springs,
+        robots=robots,
+        worlds=state.num_worlds,
+        chain=state.bridge_top.size // state.num_worlds,
+        edges=state.actuated_edges.size,
+        diagonals=state.diagonals.shape[1],
+        terrain=0 if terrain is None else 2 if bridge else 1,
+        dt=DT,
+        stiffness=CONTACT_STIFFNESS,
+        damping=CONTACT_DAMPING,
+        mu=FRICTION_MU,
+        limit=DIVERGENCE_LIMIT,
+        span_start=terrain.span_start if bridge else 0.0,
+        span_end=terrain.span_end if bridge else 0.0,
+        **{name: array.ctypes.data for name, array in arrays.items()},
+    )
+
+
+def _build_kernel(path: Path) -> None:
+    """Compile ``_KERNEL_SOURCE`` to ``path``: into a temporary file of its
+    own in the same directory, then renamed into place, so a process that
+    loads ``path`` never finds a half-written library, even while another
+    builds it too."""
+    import subprocess
+    import tempfile
+
+    partial = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".partial", dir=path.parent)
+        os.close(fd)
+        command = [_COMPILER, *_CFLAGS, "-o", partial, str(_KERNEL_SOURCE), "-lm"]
+        done = subprocess.run(command, capture_output=True, text=True)
+        complaint = (done.stderr.strip() or f"exit status {done.returncode}") if done.returncode else None
+    except OSError as error:
+        complaint = str(error)
+    if complaint is None:
+        os.replace(partial, path)
+        return
+    if partial is not None:
+        os.unlink(partial)
+    raise KernelBuildError(
+        f"`{_COMPILER} {' '.join(_CFLAGS)}` could not build the simulation kernel {_KERNEL_SOURCE} "
+        f"into the cache directory {path.parent}:\n{complaint}"
+    )
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """The compiled kernel, from the cache or built into it on a miss.
+
+    Its file name carries a hash of the source and the flags, so a hit
+    starts no process: it hashes the source, finds the file and loads it.
+    """
+    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    path = _KERNEL_DIR / f"_kernel-{tag}.so"
+    if not path.exists():
+        _build_kernel(path)
+    lib = ctypes.CDLL(str(path))
+    for name, restype, extra in (
+        ("vx_spring_forces", None, []),
+        ("vx_contact_forces", ctypes.c_int64, []),
+        ("vx_net_forces", None, []),
+        ("vx_step", ctypes.c_int64, [ctypes.c_double]),
+    ):
+        function = getattr(lib, name)
+        function.argtypes = [ctypes.c_void_p, *extra]
+        function.restype = restype
+    return lib
+
+
+@lru_cache(maxsize=None)
+def _kernel() -> ctypes.CDLL:
+    """The kernel this process steps with, loaded on first use."""
+    return _load_kernel()
 
 
 def net_forces(state: WorldState) -> np.ndarray:
     """Every spring and contact force on each mass, (n, 2).
 
     ``spring_forces`` and ``contact_forces`` write their terms into the
-    state's force table, and one bincount sums the table's used rows into
-    flat (mass, axis) bins. A bin adds its terms in table order: the
-    mass's springs (its ``spring_i`` ends, then its ``spring_j`` ends, each
-    in spring order), its ground contact, its contact with the strip; a
-    strip mass takes the reactions for which it is a segment's left end,
-    then those for which it is the right end, each in robot-mass order.
+    state's force table, and one scatter sums the table's used rows into
+    flat (mass, axis) bins, from zero, as ``np.bincount`` does. A bin adds
+    its terms in table order: the mass's springs (its ``spring_i`` ends,
+    then its ``spring_j`` ends, each in spring order), its ground contact,
+    its contact with the strip; a strip mass takes the reactions for which
+    it is a segment's left end, then those for which it is the right end,
+    each in robot-mass order. This is the kernel's own force path, the one
+    ``step`` takes.
     """
-    spring_forces(state)
-    stop = contact_forces(state)
-    return np.bincount(state.force_bins[:stop], state.force_terms[:stop], minlength=2 * state.num_masses).reshape(-1, 2)
+    _kernel().vx_net_forces(state.kernel_address)
+    return state.kernel_arrays["net"].copy()
 
 
 def spring_forces(state: WorldState) -> None:
     """Write the Hooke + axial damping force of every spring into the force
     table's springs' block, as the (fx, fy, -fx, -fy) rows that
     ``net_forces`` sums into the i x, i y, j x and j y bins: exact
-    action/reaction.
-
-    The step spends its time in per-call overhead on small arrays, not in
-    arithmetic, so the dot products are spelled out as two-term products
-    (``dx*dx`` then ``+= dy*dy``): ``np.einsum`` costs more per call on
-    length-2 rows and gives the same bits. Gathers use the ``take``
-    method, which skips ``np.take``'s Python-level wrapper.
-    """
-    i, j = state.spring_i, state.spring_j
-    d = state.pos.take(j, axis=0)
-    d -= state.pos.take(i, axis=0)
-    dx, dy = d[:, 0], d[:, 1]
-    dist = dx * dx
-    dist += dy * dy
-    np.sqrt(dist, out=dist)
-    np.maximum(dist, 1e-12, out=dist)
-    dv = state.vel.take(j, axis=0)
-    dv -= state.vel.take(i, axis=0)
-    rel_speed = dv[:, 0] * dx
-    rel_speed += dv[:, 1] * dy
-    rel_speed /= dist
-    magnitude = state.spring_k * (dist - state.spring_current_rest)
-    magnitude += state.spring_c * rel_speed
-    magnitude /= dist
-    terms = state.spring_terms
-    np.multiply(dx, magnitude, out=terms[0])
-    np.multiply(dy, magnitude, out=terms[1])
-    np.negative(terms[:2], out=terms[2:])
+    action/reaction."""
+    _kernel().vx_spring_forces(state.kernel_address)
 
 
 def contact_forces(state: WorldState) -> int:
@@ -561,134 +685,36 @@ def contact_forces(state: WorldState) -> int:
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
     would cancel tangential (relative) velocity within one step, capped at
     mu * |normal|. The ground block holds each robot mass's (ft, fn) on the
-    rigid surface. On bridge terrain, robot masses over the span contact
-    their own world's moving top chain: the strip block takes their
-    (ft, fn) and the equal and opposite reactions on the chain. A state
-    with no terrain writes nothing.
+    rigid surface, in two rows. On bridge terrain, robot masses over the
+    span contact their own world's moving top chain, each on the segment
+    whose index is the number of the chain's masses that lie left of it,
+    minus one, clipped to the chain: the strip block takes one term per
+    mass that sinks into it in each of six rows, ``[ft, fn, -ft*u @ left x,
+    -ft*w @ right x, -fn*u @ left y, -fn*w @ right y]``, where w is the
+    right end's weight and u = 1 - w the left's. A state with no terrain
+    writes nothing.
     """
-    springs_end = state.spring_terms.size
-    if state.terrain is None:
-        return springs_end
-    # per-axis columns, then the robot rows: views when robot_rows is a
-    # slice, and cheap one-dimensional gathers when it is not
-    rows = state.robot_rows
-    px = state.pos[:, 0][rows]
-    py = state.pos[:, 1][rows]
-
-    # rigid surface at y=0 (whole course when flat, the pads when bridged)
-    ft, fn = state.ground_terms
-    np.multiply(py, -CONTACT_STIFFNESS, out=fn)
-    fn -= CONTACT_DAMPING * state.vel[:, 1][rows]
-    np.maximum(fn, 0.0, out=fn)
-    fn *= py < 0.0
-    bridge = state.terrain.kind == "bridge"
-    if bridge:
-        fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
-    cap = FRICTION_MU * fn
-    np.multiply(state.mass[rows], state.vel[:, 0][rows], out=ft)
-    ft /= -DT
-    np.minimum(ft, cap, out=ft)
-    np.negative(cap, out=cap)
-    np.maximum(ft, cap, out=ft)
-
-    ground_end = springs_end + state.ground_terms.size
-    if not bridge:
-        return ground_end
-    in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
-    return _bridge_contact(state, in_span, ground_end)
-
-
-def _bridge_contact(state: WorldState, in_span: np.ndarray, start: int) -> int:
-    """Write the strip block from ``start``: the (ft, fn) of each robot mass
-    that sinks into its chain, then the reactions -ft*u and -ft*w on the x
-    of its segment's left and right ends, then -fn*u and -fn*w on their y,
-    where w is the right end's weight and u = 1 - w the left's. Returns the
-    block's end."""
-    ids = state.robot_ids[in_span]
-    if ids.size == 0:
-        return start
-    pos_x, pos_y = state.pos.T
-    vel_x, vel_y = state.vel.T
-    chains = state.bridge_top.reshape(state.num_worlds, -1)
-    chain_x = pos_x[chains]  # (worlds, T) each world's top-chain x
-    world = state.robot_world[in_span]
-    x = pos_x[ids]
-    # segment under each mass: how many of its chain's masses lie left of it
-    seg = np.clip((chain_x[world] < x[:, None]).sum(axis=1) - 1, 0, chains.shape[1] - 2)
-    seg += world * chains.shape[1]  # the segment's left end in the flat chain tables
-    left = state.bridge_top[seg]
-    right = state.bridge_top[seg + 1]
-    left_x = chain_x.take(seg)
-    span = chain_x.take(seg + 1) - left_x
-    np.maximum(span, 1e-9, out=span)
-    w = np.clip((x - left_x) / span, 0.0, 1.0)
-    u = 1 - w  # the left end's weight
-    depth = pos_y[left] * u + pos_y[right] * w - pos_y[ids]
-    pen = depth > 0.0
-    if not np.count_nonzero(pen):
-        return start
-    ids = ids[pen]
-    left = left[pen]
-    right = right[pen]
-    w = w[pen]
-    u = u[pen]
-    depth = depth[pen]
-    rel_vy = vel_y[ids] - (vel_y[left] * u + vel_y[right] * w)
-    rel_vx = vel_x[ids] - (vel_x[left] * u + vel_x[right] * w)
-
-    block = slice(start, start + 6 * ids.size)
-    terms = state.force_terms[block].reshape(6, -1)
-    bins = state.force_bins[block].reshape(6, -1)
-    ft, fn = terms[0], terms[1]
-    np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0, out=fn)
-    np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn, out=ft)
-    np.multiply(ids, 2, out=bins[0])
-    np.multiply(left, 2, out=bins[2])
-    np.multiply(right, 2, out=bins[3])
-    np.add(bins[0], 1, out=bins[1])
-    np.add(bins[2:4], 1, out=bins[4:6])
-    # equal and opposite load onto the strip's corner masses
-    reactions = terms[2:].reshape(2, 2, -1)
-    np.negative(terms[:2, None], out=reactions)  # -ft, -fn at both ends
-    reactions[:, 0] *= u
-    reactions[:, 1] *= w
-    return block.stop
+    return _kernel().vx_contact_forces(state.kernel_address)
 
 
 def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
-    """One semi-implicit Euler step of every world, DT seconds long.
+    """One semi-implicit Euler step of every world, DT seconds long: one
+    call into the compiled kernel.
 
-    Every spring and contact force comes from one scatter, ``net_forces``'
-    bincount over the state's force table: each mass sums its spring terms,
-    then its ground contact, then its strip contact or the strip's
-    reactions, in the order that function gives. Gravity is then
-    subtracted from each y.
+    The kernel advances the actuated rest lengths, writes the force table
+    (``spring_forces``, ``contact_forces``) and sums it in one scatter
+    (``net_forces``), so each mass adds its spring terms, then its ground
+    contact, then its strip contact or the strip's reactions. Gravity is
+    then subtracted from each y, and velocities, then positions, move.
 
     Returns the ids of the worlds that diverged, ascending (a shared
     read-only empty array if none did): those with a new position that is
     non-finite or beyond DIVERGENCE_LIMIT. They keep the positions of their
     last valid step, and garbage velocities until they are parked.
     """
-    if state.actuated_edges.size:
-        _advance_actuation(state)
-    f = net_forces(state)
-    f[:, 1] -= gravity * state.mass
-    f *= state.inv_mass
-    f *= DT
-    state.vel += f
-    new_pos = state.vel * DT
-    new_pos += state.pos  # the bits of pos + vel*DT: IEEE addition commutes
+    count = _kernel().vx_step(state.kernel_address, gravity)
     state.sim_time += 1
-    # velocity blow-ups reach positions on the same step (pos + vel*DT),
-    # so checking positions alone still flags the offending timestep
-    if not np.abs(new_pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
-        sane = (np.abs(new_pos) <= DIVERGENCE_LIMIT).all(axis=1)
-        diverged = np.unique(state.mass_world[~sane])
-        kept = ~np.isin(state.mass_world, diverged)
-        state.pos[kept] = new_pos[kept]
-        return diverged
-    np.copyto(state.pos, new_pos)
-    return _NO_WORLDS
+    return state.kernel_arrays["diverged"][:count].copy() if count else _NO_WORLDS
 
 
 _QUAD_NEXT = np.array([1, 2, 3, 0])

@@ -9,7 +9,8 @@ vectorised code the engine runs: ``observe_voxel`` and
 ``mechanical_energy`` serves the energy-balance physics checks and
 ``robot_center_of_mass`` the free-fall ones; ``reference_episodes`` is
 the episode loop that measures every world and tests every end on every
-step, against ``tasks.run_episodes``.
+step, against ``tasks.run_episodes``; ``reference_step`` is the engine's
+step in numpy, against the compiled ``sim_core.step``, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,17 @@ import numpy as np
 
 from voxevo import materials, sim_core, tasks
 from voxevo.control import CELL_FEATURES, OBS_DIM, ControllerGenome, compute_actions, stack_controllers, unpack_params
-from voxevo.sim_core import ACTION_LOW, GRAVITY, STEPS_PER_ACTION, WorldState
+from voxevo.sim_core import (
+    ACTION_LOW,
+    CONTACT_DAMPING,
+    CONTACT_STIFFNESS,
+    DIVERGENCE_LIMIT,
+    DT,
+    FRICTION_MU,
+    GRAVITY,
+    STEPS_PER_ACTION,
+    WorldState,
+)
 from voxevo.tasks import T_MAX, EpisodeResult, compute_fitness
 
 
@@ -164,3 +175,155 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
             break
         state.park(ended)
     return results
+
+
+# --- the step in numpy -------------------------------------------------------
+
+
+def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
+    """``sim_core.step`` in numpy: the same operations in the same order,
+    writing the same arrays in place (positions, velocities, current rest
+    lengths, the force table) and returning the diverged worlds' ids."""
+    if state.actuated_edges.size:
+        _reference_advance_actuation(state)
+    f = reference_net_forces(state)
+    f[:, 1] -= gravity * state.mass
+    f *= state.inv_mass
+    f *= DT
+    state.vel += f
+    new_pos = state.vel * DT
+    new_pos += state.pos  # the bits of pos + vel*DT: IEEE addition commutes
+    state.sim_time += 1
+    if not np.abs(new_pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
+        sane = (np.abs(new_pos) <= DIVERGENCE_LIMIT).all(axis=1)
+        diverged = np.unique(state.mass_world[~sane])
+        kept = ~np.isin(state.mass_world, diverged)
+        state.pos[kept] = new_pos[kept]
+        return diverged
+    np.copyto(state.pos, new_pos)
+    return np.empty(0, dtype=np.intp)
+
+
+def _reference_advance_actuation(state: WorldState) -> None:
+    edges = state.actuated_edges
+    cur = state.spring_current_rest
+    edge_rest = cur.take(edges)
+    delta = state.spring_target_rest.take(edges)
+    delta -= edge_rest
+    if not np.count_nonzero(delta):
+        return  # converged onto the targets; diagonals already consistent
+    np.minimum(delta, state.actuated_limit, out=delta)
+    np.maximum(delta, state.actuated_floor, out=delta)
+    edge_rest += delta
+    cur.put(edges, edge_rest)
+    sides = cur.take(state.diagonal_sides)
+    means = sides[0] + sides[1]  # bottom + top, left + right
+    means *= 0.5
+    cur.put(state.diagonals, np.hypot(means[0], means[1]))
+
+
+def reference_net_forces(state: WorldState) -> np.ndarray:
+    """``sim_core.net_forces`` in numpy: one bincount over the force table."""
+    reference_spring_forces(state)
+    stop = reference_contact_forces(state)
+    return np.bincount(state.force_bins[:stop], state.force_terms[:stop], minlength=2 * state.num_masses).reshape(-1, 2)
+
+
+def reference_spring_forces(state: WorldState) -> None:
+    i, j = state.spring_i, state.spring_j
+    d = state.pos.take(j, axis=0)
+    d -= state.pos.take(i, axis=0)
+    dx, dy = d[:, 0], d[:, 1]
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
+    np.maximum(dist, 1e-12, out=dist)
+    dv = state.vel.take(j, axis=0)
+    dv -= state.vel.take(i, axis=0)
+    rel_speed = dv[:, 0] * dx
+    rel_speed += dv[:, 1] * dy
+    rel_speed /= dist
+    magnitude = state.spring_k * (dist - state.spring_current_rest)
+    magnitude += state.spring_c * rel_speed
+    magnitude /= dist
+    terms = state.force_terms[: 4 * state.num_springs].reshape(4, -1)
+    np.multiply(dx, magnitude, out=terms[0])
+    np.multiply(dy, magnitude, out=terms[1])
+    np.negative(terms[:2], out=terms[2:])
+
+
+def reference_contact_forces(state: WorldState) -> int:
+    springs_end = 4 * state.num_springs
+    if state.terrain is None:
+        return springs_end
+    rows = state.robot_rows
+    px = state.pos[:, 0][rows]
+    py = state.pos[:, 1][rows]
+    ground_end = springs_end + 2 * state.robot_ids.size
+    ft, fn = state.force_terms[springs_end:ground_end].reshape(2, -1)
+    np.multiply(py, -CONTACT_STIFFNESS, out=fn)
+    fn -= CONTACT_DAMPING * state.vel[:, 1][rows]
+    np.maximum(fn, 0.0, out=fn)
+    fn *= py < 0.0
+    bridge = state.terrain.kind == "bridge"
+    if bridge:
+        fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
+    cap = FRICTION_MU * fn
+    np.multiply(state.mass[rows], state.vel[:, 0][rows], out=ft)
+    ft /= -DT
+    np.minimum(ft, cap, out=ft)
+    np.negative(cap, out=cap)
+    np.maximum(ft, cap, out=ft)
+    if not bridge:
+        return ground_end
+    in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
+    return _reference_bridge_contact(state, in_span, ground_end)
+
+
+def _reference_bridge_contact(state: WorldState, in_span: np.ndarray, start: int) -> int:
+    ids = state.robot_ids[in_span]
+    if ids.size == 0:
+        return start
+    pos_x, pos_y = state.pos.T
+    vel_x, vel_y = state.vel.T
+    chains = state.bridge_top.reshape(state.num_worlds, -1)
+    chain_x = pos_x[chains]
+    world = state.robot_world[in_span]
+    x = pos_x[ids]
+    seg = np.clip((chain_x[world] < x[:, None]).sum(axis=1) - 1, 0, chains.shape[1] - 2)
+    seg += world * chains.shape[1]
+    left = state.bridge_top[seg]
+    right = state.bridge_top[seg + 1]
+    left_x = chain_x.take(seg)
+    span = chain_x.take(seg + 1) - left_x
+    np.maximum(span, 1e-9, out=span)
+    w = np.clip((x - left_x) / span, 0.0, 1.0)
+    u = 1 - w
+    depth = pos_y[left] * u + pos_y[right] * w - pos_y[ids]
+    pen = depth > 0.0
+    if not np.count_nonzero(pen):
+        return start
+    ids = ids[pen]
+    left = left[pen]
+    right = right[pen]
+    w = w[pen]
+    u = u[pen]
+    depth = depth[pen]
+    rel_vy = vel_y[ids] - (vel_y[left] * u + vel_y[right] * w)
+    rel_vx = vel_x[ids] - (vel_x[left] * u + vel_x[right] * w)
+    block = slice(start, start + 6 * ids.size)
+    terms = state.force_terms[block].reshape(6, -1)
+    bins = state.force_bins[block].reshape(6, -1)
+    ft, fn = terms[0], terms[1]
+    np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0, out=fn)
+    np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn, out=ft)
+    np.multiply(ids, 2, out=bins[0])
+    np.multiply(left, 2, out=bins[2])
+    np.multiply(right, 2, out=bins[3])
+    np.add(bins[0], 1, out=bins[1])
+    np.add(bins[2:4], 1, out=bins[4:6])
+    reactions = terms[2:].reshape(2, 2, -1)
+    np.negative(terms[:2, None], out=reactions)  # -ft, -fn at both ends
+    reactions[:, 0] *= u
+    reactions[:, 1] *= w
+    return block.stop

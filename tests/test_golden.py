@@ -51,10 +51,10 @@ TRAJECTORY_SHA256 = {
 }
 
 
-def trajectory_digest(environment: str, size: int, variant: str, neighbours: int = 0) -> str:
-    """The setting's trajectory digest; with ``neighbours``, its world runs
-    as the middle world of a union, between ``neighbours`` worlds on each
-    side drawn from ``default_rng([size, 7])``, and only its rows are hashed."""
+def golden_pairs(environment: str, size: int, variant: str, neighbours: int = 0):
+    """The setting's (body, controller) pair from ``default_rng([size, 99])``,
+    between ``neighbours`` pairs on each side drawn from
+    ``default_rng([size, 7])``; and the setting's terrain."""
     rng = np.random.default_rng([size, 99])
     body = random_morphology(size, size, rng)
     pairs = [(body, init_controller(variant, rng))]
@@ -62,7 +62,14 @@ def trajectory_digest(environment: str, size: int, variant: str, neighbours: int
     for _ in range(neighbours):
         pairs.insert(0, (random_morphology(size, size, others), init_controller(variant, others)))
         pairs.append((random_morphology(size, size, others), init_controller(variant, others)))
-    terrain = terrain_by_name(environment, (size, size))
+    return pairs, terrain_by_name(environment, (size, size))
+
+
+def trajectory_digest(environment: str, size: int, variant: str, neighbours: int = 0) -> str:
+    """The setting's trajectory digest; with ``neighbours``, its world runs
+    as the middle world of a union (``golden_pairs``), and only its rows are
+    hashed."""
+    pairs, terrain = golden_pairs(environment, size, variant, neighbours)
     state = build_worlds([m for m, _ in pairs], terrain)
     controllers = stack_controllers([c for _, c in pairs])
     rows = slice(state.starts["mass"][neighbours], state.starts["mass"][neighbours + 1])

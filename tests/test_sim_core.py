@@ -31,7 +31,7 @@ def settle(state, seconds, gravity=GRAVITY):
 def contact_only(w):
     """The contact forces alone: the force table's terms after the springs'
     block, summed per mass."""
-    start, stop = w.spring_terms.size, contact_forces(w)
+    start, stop = 4 * w.num_springs, contact_forces(w)
     return np.bincount(w.force_bins[start:stop], w.force_terms[start:stop], minlength=2 * w.num_masses).reshape(-1, 2)
 
 

@@ -433,7 +433,9 @@ def test_episode_loop_matches_the_reference_on_a_mid_episode_divergence(monkeypa
 def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
     # perfbench's tracer times these layers by wrapping the module
     # attributes the library looks them up through; each must be reached
-    # there once per step or control call, or a traced run reads 0 for it
+    # there once per step or control call, or a traced run reads 0 for it.
+    # The springs and contact run inside the compiled step, so no call
+    # reaches their Python names during an episode.
     calls = {}
     build_world(Morphology([[3]]), make_bridge_terrain((4, 4)))  # the strip's solve is cached from here on
 
@@ -455,8 +457,17 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
         rng = np.random.default_rng(3)
         pairs = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(3)]
         assert not any(r.finished or r.diverged for r in run_episodes(pairs, terrain_by_name(environment, (4, 4))))
-    assert calls["step"] == calls["spring_forces"] == calls["contact_forces"] == 2 * T_MAX
+    assert calls["step"] == 2 * T_MAX
+    assert "spring_forces" not in calls and "contact_forces" not in calls
     assert calls["compute_actions"] == calls["forward_batch"] == 2 * T_MAX // STEPS_PER_ACTION
+    # a traced run (``--trace 1``) looks every layer up by name, and would
+    # raise on one that is gone
+    path = Path(voxevo.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attribute, _ in tracer.WRAPPED:
+        assert callable(getattr(owner, attribute)), f"{owner.__name__}.{attribute}"
 
 
 def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
