@@ -1,9 +1,18 @@
 /*
- * The compiled step of voxevo's mass-spring engine (see sim_core.py).
+ * The compiled core of voxevo's mass-spring engine (see sim_core.py): the
+ * step, the episode loop around it, the actuation targets and the modular
+ * controller's observation fill.
+ *
+ * vx_run steps a union of worlds until the first of: a step on which a
+ * world diverged; a step after which some mass has !(x < finish_reach);
+ * the stop time; and, unless the kernel sets the fixed alternation itself,
+ * the next control step, where Python computes the modular commands and
+ * sets them with vx_set_targets. vx_fill_blocks writes the observations
+ * those commands are computed from.
  *
  * Every function takes one Table: pointers into a WorldState's numpy
  * arrays, its sizes and the engine's constants, built once per state by
- * sim_core._kernel_table. The arithmetic is numpy's step, operation for
+ * sim_core._kernel_table. The arithmetic is numpy's, operation for
  * operation and in the same order, so every trajectory keeps its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
  *    double operation at a time; the build flags forbid contraction into
@@ -11,8 +20,10 @@
  *  - sqrt and hypot are libm's, which numpy calls too;
  *  - np.maximum, np.minimum and np.clip are reproduced with their NaN
  *    propagation and their choice between equal operands (see below);
- *  - the force table is summed into its bins in table order, from +0.0,
- *    as np.bincount does.
+ *  - sums that numpy forms with np.bincount or a reduction start from +0.0
+ *    and add their terms in numpy's order.
+ * tests/oracles.py keeps the numpy code as the reference these are tested
+ * against, byte for byte.
  */
 
 #include <math.h>
@@ -25,17 +36,25 @@ typedef struct {
     int64_t edges;      /* actuated edge springs */
     int64_t diagonals;  /* voxels holding an actuated edge */
     int64_t terrain;    /* 0 none, 1 flat, 2 bridge */
+    int64_t actuators;  /* active voxels */
+    int64_t steps_per_action;
     /* constants */
     double dt, stiffness, damping, mu, limit, span_start, span_end;
+    double action_low, action_high;
     /* state, written */
     double *pos, *vel;  /* (masses, 2) */
     double *rest;       /* spring_current_rest */
+    double *target;     /* spring_target_rest */
+    int64_t *clamped_actions;  /* (worlds,) */
     /* state, read */
     const double *mass, *inv_mass;  /* (masses,), (masses, 2) */
     const int64_t *spring_i, *spring_j;
-    const double *spring_k, *spring_c, *target;
+    const double *spring_k, *spring_c, *spring_rest;
     const int64_t *edge_ids;
     const double *edge_limit, *edge_floor;
+    const int64_t *edge_slot;   /* (actuators, 2): each actuator's springs' rows in edge_ids */
+    const int64_t *edge_count;  /* actuators per actuated edge, 1 or 2 */
+    const int64_t *act_world;
     const int64_t *diagonal_sides;  /* (2, 2, diagonals): (bottom, left), (top, right) */
     const int64_t *diagonal_ids;    /* (2, diagonals) */
     const int64_t *robot_ids, *robot_world, *bridge_top, *mass_starts;
@@ -46,8 +65,12 @@ typedef struct {
     double *net;            /* (masses, 2) the summed forces */
     double *new_pos;        /* (masses, 2) */
     int64_t *diverged;      /* (worlds,) */
+    int64_t *blown;         /* (1,) how many worlds vx_run's last step named */
     int64_t *contact_ids;   /* (2, robots) a strip contact's mass and segment */
     double *contact_w;      /* (2, robots) its right end's weight and its depth */
+    double *commands;       /* (actuators,) the fixed alternation's commands */
+    double *clamped;        /* (actuators,) */
+    double *sums;           /* (edges,) */
 } Table;
 
 /* np.maximum and np.minimum: a NaN in either operand propagates, and of
@@ -241,7 +264,7 @@ void vx_net_forces(const Table *t)
  * whose new position is non-finite or beyond the limit into t->diverged,
  * ascending, and returns their number; those worlds keep their positions,
  * every other world commits its step. */
-int64_t vx_step(const Table *t, double gravity)
+static int64_t one_step(const Table *t, double gravity)
 {
     const double dt = t->dt, limit = t->limit;
     double *pos = t->pos, *vel = t->vel, *net = t->net, *new_pos = t->new_pos;
@@ -270,4 +293,108 @@ int64_t vx_step(const Table *t, double gravity)
             pos[m] = new_pos[m];
     }
     return diverged;
+}
+
+/* Set the actuated edges' targets from one command per active voxel: each
+ * command clamped into [action_low, action_high] (a NaN stays NaN, and
+ * counts as clamped), counted per world when clamping changed it; an edge
+ * takes its build-time rest length times the mean of its actuators'
+ * clamped commands, summed in edge_slot order from +0.0 as np.bincount
+ * does. */
+void vx_set_targets(const Table *t, const double *commands)
+{
+    double *clamped = t->clamped, *sums = t->sums;
+    int64_t q, e;
+    for (q = 0; q < t->actuators; q++) {
+        double c = np_min(np_max(commands[q], t->action_low), t->action_high);
+        t->clamped_actions[t->act_world[q]] += !(c == commands[q]);
+        clamped[q] = c;
+    }
+    for (e = 0; e < t->edges; e++)
+        sums[e] = 0.0;
+    for (q = 0; q < 2 * t->actuators; q++)
+        sums[t->edge_slot[q]] += clamped[q / 2];
+    for (e = 0; e < t->edges; e++) {
+        int64_t s = t->edge_ids[e];
+        t->target[s] = t->spring_rest[s] * sums[e] / (double)t->edge_count[e];
+    }
+}
+
+/* Step from time ``time`` until the first of: a step on which a world
+ * diverged (their ids in t->diverged, their number in t->blown); a step
+ * after which some mass has !(x < finish_reach), NaN included; time
+ * ``stop``; and, unless ``fixed``, the next control step, where the caller
+ * sets the targets. With ``fixed``, every control step k sets them itself,
+ * to action_high on even k and action_low on odd k. Returns the number of
+ * steps taken. */
+int64_t vx_run(const Table *t, int64_t time, int64_t stop, double finish_reach, int64_t fixed, double gravity)
+{
+    int64_t taken = 0, diverged = 0, q, m;
+    while (time < stop) {
+        if (time % t->steps_per_action == 0) {
+            if (!fixed && taken)
+                break;
+            if (fixed) {
+                double command = (time / t->steps_per_action) % 2 == 0 ? t->action_high : t->action_low;
+                for (q = 0; q < t->actuators; q++)
+                    t->commands[q] = command;
+                vx_set_targets(t, t->commands);
+            }
+        }
+        diverged = one_step(t, gravity);
+        time++;
+        taken++;
+        if (diverged)
+            break;
+        for (m = 0; m < t->masses && t->pos[2 * m] < finish_reach; m++)
+            ;
+        if (m < t->masses)
+            break;
+    }
+    t->blown[0] = diverged;
+    return taken;
+}
+
+/* The modular controller's input: the blocks and index tables that
+ * control._window_tables builds once per state. */
+typedef struct {
+    int64_t voxels;             /* non-empty robot voxels */
+    int64_t entries;            /* dynamic entries: 27 per active voxel */
+    int64_t rows;               /* active voxels */
+    const int64_t *corners;     /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
+    double *features;           /* (voxels + 1, 3) volume, vx, vy; the last row stays zero */
+    double *blocks;             /* (worlds, block rows, 73) */
+    const int64_t *gather;      /* (entries,) flat entry of features behind each dynamic entry */
+    const int64_t *dynamic;     /* (entries,) flat entry of blocks it is written to */
+    const int64_t *parity;      /* (rows,) flat entry of blocks holding each row's time signal */
+} Windows;
+
+/* Write every voxel's shoelace area and mean corner velocity into the
+ * feature table, copy them to the window slots that see them, and write
+ * ``parity`` as every row's time signal. The corner sums add left to right
+ * from +0.0, as numpy's sum over the rows of a (voxels, 4) array does. */
+void vx_fill_blocks(const Table *t, const Windows *w, double parity)
+{
+    const double *pos = t->pos, *vel = t->vel;
+    double *features = w->features, *blocks = w->blocks;
+    int64_t v, k;
+    for (v = 0; v < w->voxels; v++) {
+        const int64_t *c = w->corners + 4 * v;
+        double area = 0.0, vx = 0.0, vy = 0.0;
+        for (k = 0; k < 4; k++) {
+            int64_t a = c[k], b = c[(k + 1) % 4];
+            double p = pos[2 * a] * pos[2 * b + 1];
+            p = p - pos[2 * b] * pos[2 * a + 1];
+            area = area + p;
+            vx = vx + vel[2 * a];
+            vy = vy + vel[2 * a + 1];
+        }
+        features[3 * v] = 0.5 * fabs(area);
+        features[3 * v + 1] = vx / 4;
+        features[3 * v + 2] = vy / 4;
+    }
+    for (k = 0; k < w->entries; k++)
+        blocks[w->dynamic[k]] = features[w->gather[k]];
+    for (k = 0; k < w->rows; k++)
+        blocks[w->parity[k]] = parity;
 }

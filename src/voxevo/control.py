@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim_core import ACTION_HIGH, ACTION_LOW, WorldState, voxel_areas, voxel_velocities
+from . import sim_core
+from .sim_core import ACTION_HIGH, ACTION_LOW, WorldState
 
 WINDOW_CELLS = 9
 CELL_FEATURES = 8  # volume + 2 velocity components + 5-way material indicator
@@ -163,7 +164,12 @@ def blas_core() -> str:
 
 
 def fixed_action(effective_step: int) -> float:
-    """Open-loop alternation: expand on even control steps, contract on odd."""
+    """Open-loop alternation: expand on even control steps, contract on odd.
+
+    The episode loop's kernel sets the same alternation itself
+    (``sim_core.advance`` with ``fixed``), so a fixed batch never calls
+    ``compute_actions``.
+    """
     if effective_step < 0:
         raise ValueError("effective step index must be >= 0")
     return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
@@ -174,6 +180,15 @@ _WINDOW_DC = np.tile([0, 1, 2], 3)
 _SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
 _DYNAMIC = 3  # volume, vx, vy: the entries of a slot that change as the world moves
 _DYNAMIC_COLUMNS = (_SLOT_BASE[:, None] + np.arange(_DYNAMIC)).ravel()  # (27,) in (slot, feature) order
+
+
+class _WindowTable(ctypes.Structure):
+    """A state's controller input as the kernel sees it: the ``Windows`` of
+    ``_kernel.c``, field for field."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("voxels", "entries", "rows")] + [
+        (name, ctypes.c_void_p) for name in ("corners", "features", "blocks", "gather", "dynamic", "parity")
+    ]
 
 
 class _Windows(NamedTuple):
@@ -192,6 +207,9 @@ class _Windows(NamedTuple):
     dynamic: np.ndarray      # (n_active * 27,) flat entry of ``blocks`` it is written to
     parity: np.ndarray       # (n_active,) flat entry of ``blocks`` holding each row's time signal
     block_index: np.ndarray  # (n_active,) row in the stacked (worlds * h*w) blocks
+    corners: np.ndarray      # (v, 4) the state's vox_corners, row-major for the kernel
+    table: _WindowTable      # the kernel's pointer table into these arrays
+    address: int             # the table's address, what each fill takes
 
 
 def _window_tables(state: WorldState) -> _Windows:
@@ -217,32 +235,30 @@ def _window_tables(state: WorldState) -> _Windows:
     blocks = np.zeros((state.num_worlds, block_rows, OBS_DIM))
     blocks.reshape(-1, OBS_DIM)[block_index[:, None], _SLOT_BASE + 3 + grid_code[window]] = 1.0
     row_start = block_index[:, None] * OBS_DIM
-    cached = _Windows(
-        blocks,
-        np.zeros((absent + 1, _DYNAMIC)),
-        (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).ravel(),
-        (row_start + _DYNAMIC_COLUMNS).ravel(),
-        block_index * OBS_DIM + OBS_DIM - 1,
-        block_index,
-    )
+    arrays = {
+        "corners": np.ascontiguousarray(state.vox_corners),  # the union's is column-major
+        "features": np.zeros((absent + 1, _DYNAMIC)),
+        "blocks": blocks,
+        "gather": (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).ravel(),
+        "dynamic": (row_start + _DYNAMIC_COLUMNS).ravel(),
+        "parity": block_index * OBS_DIM + OBS_DIM - 1,
+    }
+    table = _WindowTable(voxels=absent, entries=arrays["gather"].size, rows=block_index.size, **sim_core._addresses(arrays))
+    cached = _Windows(block_index=block_index, table=table, address=ctypes.addressof(table), **arrays)
     state.obs_cache["windows"] = cached
     return cached
 
 
 def _fill_blocks(state: WorldState, effective_step: int) -> _Windows:
-    """Write the state's current observations into its controller input.
+    """Write the state's current observations into its controller input, in
+    one kernel call.
 
-    Each voxel's volume and corner-mean velocity are computed once, then
-    copied to every window slot that sees it; an empty or out-of-bounds
-    slot reads the feature table's zero row.
+    Each voxel's volume (its corners' shoelace area) and corner-mean
+    velocity are computed once, then copied to every window slot that sees
+    it; an empty or out-of-bounds slot reads the feature table's zero row.
     """
     windows = _window_tables(state)
-    features = windows.features
-    features[:-1, 0] = voxel_areas(state)
-    features[:-1, 1:] = voxel_velocities(state)
-    flat = windows.blocks.reshape(-1)
-    flat.put(windows.dynamic, features.take(windows.gather))
-    flat.put(windows.parity, effective_step % 2)
+    sim_core._kernel().vx_fill_blocks(state.kernel_address, windows.address, effective_step % 2)
     return windows
 
 

@@ -13,27 +13,34 @@ World layout: x grows to the right, y up, the walkable surface at y=0.
 A WorldState holds one world or a disjoint union of several that step
 together; no table joins two worlds, so one world never affects another.
 
-The step runs in C: ``_kernel.c`` holds the actuation advance, the spring
-forces, ground and strip contact, the force table's scatter, gravity,
-integration and the divergence test, and ``step`` is one call into it.
-Python builds the worlds and each state's pointer table (``_kernel_table``),
-parks worlds and sets actuation targets. The kernel does numpy's operations
-in numpy's order, so it gives the bits the numpy step gave
-(``tests/oracles.py`` keeps that step as the reference it is tested
-against). The system C compiler (``_COMPILER``) builds it on first use with
-``_CFLAGS``: ``-O2 -ffp-contract=off`` and never ``-ffast-math`` or
-``-march=native``, either of which could move bits. The library is cached
-in ``_KERNEL_DIR``, beside this file, under a name that carries a hash of
-the source and the flags, so a cache hit only hashes the source and loads
-the file. There is no fallback engine: a second step path would be a second
-set of numerics to keep equal, so a kernel that cannot be built is an error
-that names the compiler, the cache directory and the compiler's complaint.
+The episode's inner loop runs in C: ``_kernel.c`` holds the actuation
+advance, the spring forces, ground and strip contact, the force table's
+scatter, gravity, integration and the divergence test, the loop of steps
+around them, the actuation targets (``set_actuation_targets``), the fixed
+controller's alternation and the modular controller's observation fill
+(``control._fill_blocks``). ``advance`` is one call into it that steps
+until a world may have ended or, for a modular controller, until the next
+control step; ``step`` is its one-step case. Python builds the worlds and
+each state's pointer table (``_kernel_table``), parks worlds, runs the
+modular network and keeps each episode's books (``tasks.run_episodes``).
+The kernel does numpy's operations in numpy's order, so it gives the bits
+the numpy code gave (``tests/oracles.py`` keeps that code as the reference
+it is tested against). The system C compiler (``_COMPILER``) builds it on
+first use with ``_CFLAGS``: ``-O2 -ffp-contract=off`` and never
+``-ffast-math`` or ``-march=native``, either of which could move bits. The
+library is cached in ``_KERNEL_DIR``, beside this file, under a name that
+carries a hash of the source and the flags, so a cache hit only hashes the
+source and loads the file. There is no fallback engine: a second step path
+would be a second set of numerics to keep equal, so a kernel that cannot be
+built is an error that names the compiler, the cache directory and the
+compiler's complaint.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -102,15 +109,26 @@ class _Table(ctypes.Structure):
     field for field. ``_kernel_table`` fills it."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("masses", "springs", "robots", "worlds", "chain", "edges", "diagonals", "terrain")]
-        + [(name, ctypes.c_double) for name in ("dt", "stiffness", "damping", "mu", "limit", "span_start", "span_end")]
+        [
+            (name, ctypes.c_int64)
+            for name in (
+                "masses", "springs", "robots", "worlds", "chain", "edges", "diagonals", "terrain",
+                "actuators", "steps_per_action",
+            )
+        ]
+        + [
+            (name, ctypes.c_double)
+            for name in ("dt", "stiffness", "damping", "mu", "limit", "span_start", "span_end", "action_low", "action_high")
+        ]
         + [
             (name, ctypes.c_void_p)
             for name in (
-                "pos", "vel", "rest", "mass", "inv_mass", "spring_i", "spring_j", "spring_k", "spring_c", "target",
-                "edge_ids", "edge_limit", "edge_floor", "diagonal_sides", "diagonal_ids",
-                "robot_ids", "robot_world", "bridge_top", "mass_starts", "bins", "terms",
-                "net", "new_pos", "diverged", "contact_ids", "contact_w",
+                "pos", "vel", "rest", "target", "clamped_actions", "mass", "inv_mass",
+                "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
+                "edge_ids", "edge_limit", "edge_floor", "edge_slot", "edge_count", "act_world",
+                "diagonal_sides", "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
+                "bins", "terms", "net", "new_pos", "diverged", "blown", "contact_ids", "contact_w",
+                "commands", "clamped", "sums",
             )
         ]
     )
@@ -178,6 +196,7 @@ class WorldState:
 
     # step-loop tables, derived from the fields above
     mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
+    spring_world: np.ndarray = field(init=False, repr=False)    # world of each spring
     act_world: np.ndarray = field(init=False, repr=False)       # world of each active voxel
     robot_ids: np.ndarray = field(init=False, repr=False)       # robot masses, ascending
     robot_rows: slice | np.ndarray = field(init=False, repr=False)  # the same rows; a slice when every mass is a robot's
@@ -202,6 +221,7 @@ class WorldState:
     def __post_init__(self):
         worlds = np.arange(self.num_worlds)
         self.mass_world = np.repeat(worlds, np.diff(self.starts["mass"]))
+        self.spring_world = np.repeat(worlds, np.diff(self.starts["spring"]))
         self.act_world = np.repeat(worlds, np.diff(self.starts["act"]))
         self.robot_ids = np.flatnonzero(self.is_robot)
         # a slice reads views and adds in place; every flat world or union has one
@@ -249,13 +269,18 @@ class WorldState:
         """Make the worlds selected by a per-world mask inert.
 
         Every mass of theirs sits at the origin, at rest and immovable: their
-        springs have zero length and exert no force, and their masses meet no
-        ground or strip. The other worlds step on exactly as before.
+        springs have zero length, their current and target rest lengths are
+        the build-time ones again (a NaN command leaves none behind), they
+        exert no force, and their masses meet no ground or strip. The other
+        worlds step on exactly as before.
         """
         rows = worlds[self.mass_world]
         self.pos[rows] = 0.0
         self.vel[rows] = 0.0
         self.inv_mass[rows] = 0.0
+        springs = worlds[self.spring_world]
+        self.spring_current_rest[springs] = self.spring_rest[springs]
+        self.spring_target_rest[springs] = self.spring_rest[springs]
 
 
 # The row tables that a world's parts hold, by the kind of row they run
@@ -517,24 +542,13 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
-    """Set actuation targets from one command per active voxel.
-
-    Commands are aligned with state.actuator_cells. Out-of-range values are
-    clamped into [ACTION_LOW, ACTION_HIGH] and counted per world in
-    state.clamped_actions. A spring shared by two actuators receives the
-    mean of the two commands.
-    """
-    if commands.shape[0] != len(state.actuator_cells):
-        raise ValueError("one command per active voxel required")
-    clamped = np.maximum(commands, ACTION_LOW)
-    np.minimum(clamped, ACTION_HIGH, out=clamped)
-    changed = clamped != commands
-    if np.count_nonzero(changed):
-        state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
-    edges = state.actuated_edges
-    sums = np.bincount(state.actuated_slot, clamped.repeat(2), minlength=edges.size)
-    state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
+def _addresses(arrays: dict) -> dict:
+    """Each array's data address, by name, for a kernel pointer table; every
+    array must be C-contiguous float64 or int64, as the kernel reads it."""
+    for name, array in arrays.items():
+        if array.dtype not in (np.float64, np.int64) or not array.flags.c_contiguous:
+            raise TypeError(f"the kernel needs {name} as contiguous float64 or int64, not {array.dtype}")
+    return {name: array.ctypes.data for name, array in arrays.items()}
 
 
 def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
@@ -542,20 +556,26 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
     state's and the kernel's scratch rows; and the kernel's pointer table
     into them, with the state's sizes and the engine's constants."""
     robots = state.robot_ids.size
+    actuators = len(state.actuator_cells)
     arrays = {
         "pos": state.pos,
         "vel": state.vel,
         "rest": state.spring_current_rest,
+        "target": state.spring_target_rest,
+        "clamped_actions": state.clamped_actions,
         "mass": state.mass,
         "inv_mass": state.inv_mass,
         "spring_i": state.spring_i,
         "spring_j": state.spring_j,
         "spring_k": state.spring_k,
         "spring_c": state.spring_c,
-        "target": state.spring_target_rest,
+        "spring_rest": state.spring_rest,
         "edge_ids": state.actuated_edges,
         "edge_limit": state.actuated_limit,
         "edge_floor": state.actuated_floor,
+        "edge_slot": state.actuated_slot,
+        "edge_count": state.actuated_count,
+        "act_world": state.act_world,
         "diagonal_sides": state.diagonal_sides,
         "diagonal_ids": state.diagonals,
         "robot_ids": state.robot_ids,
@@ -567,12 +587,13 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         "net": np.zeros_like(state.pos),  # the summed forces
         "new_pos": np.zeros_like(state.pos),
         "diverged": np.zeros(state.num_worlds, dtype=np.int64),  # the last step's diverged worlds lead it
+        "blown": np.zeros(1, dtype=np.int64),  # and their number
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
         "contact_w": np.zeros(2 * robots),
+        "commands": np.zeros(actuators),
+        "clamped": np.zeros(actuators),
+        "sums": np.zeros(state.actuated_edges.size),
     }
-    for name, array in arrays.items():
-        if array.dtype not in (np.float64, np.int64) or not array.flags.c_contiguous:
-            raise TypeError(f"the kernel needs {name} as contiguous float64 or int64, not {array.dtype}")
     terrain = state.terrain
     bridge = terrain is not None and terrain.kind == "bridge"
     return arrays, _Table(
@@ -584,6 +605,8 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         edges=state.actuated_edges.size,
         diagonals=state.diagonals.shape[1],
         terrain=0 if terrain is None else 2 if bridge else 1,
+        actuators=actuators,
+        steps_per_action=STEPS_PER_ACTION,
         dt=DT,
         stiffness=CONTACT_STIFFNESS,
         damping=CONTACT_DAMPING,
@@ -591,7 +614,9 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         limit=DIVERGENCE_LIMIT,
         span_start=terrain.span_start if bridge else 0.0,
         span_end=terrain.span_end if bridge else 0.0,
-        **{name: array.ctypes.data for name, array in arrays.items()},
+        action_low=ACTION_LOW,
+        action_high=ACTION_HIGH,
+        **_addresses(arrays),
     )
 
 
@@ -639,7 +664,9 @@ def _load_kernel() -> ctypes.CDLL:
         ("vx_spring_forces", None, []),
         ("vx_contact_forces", ctypes.c_int64, []),
         ("vx_net_forces", None, []),
-        ("vx_step", ctypes.c_int64, [ctypes.c_double]),
+        ("vx_set_targets", None, [ctypes.c_void_p]),
+        ("vx_run", ctypes.c_int64, [ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_double]),
+        ("vx_fill_blocks", None, [ctypes.c_void_p, ctypes.c_double]),
     ):
         function = getattr(lib, name)
         function.argtypes = [ctypes.c_void_p, *extra]
@@ -697,9 +724,30 @@ def contact_forces(state: WorldState) -> int:
     return _kernel().vx_contact_forces(state.kernel_address)
 
 
+def advance(
+    state: WorldState, stop: int, finish_reach: float = math.inf, fixed: bool = False, gravity: float = GRAVITY
+) -> np.ndarray:
+    """Step every world, in one kernel call, until the first of: a step on
+    which a world diverged; a step after which some mass has
+    ``!(x < finish_reach)``, NaN included; ``state.sim_time == stop``; and,
+    unless ``fixed``, the next control step (a multiple of
+    STEPS_PER_ACTION), where the caller sets the actuation targets. With
+    ``fixed``, the kernel sets them itself on every control step k, to
+    ACTION_HIGH on even k and ACTION_LOW on odd k, as
+    ``control.fixed_action`` does. Each step is the one ``step`` describes.
+
+    Returns the ids of the worlds that diverged on the last step taken,
+    ascending (a shared read-only empty array if none did).
+    """
+    arrays = state.kernel_arrays
+    state.sim_time += _kernel().vx_run(state.kernel_address, state.sim_time, stop, finish_reach, fixed, gravity)
+    count = arrays["blown"][0]
+    return arrays["diverged"][:count].copy() if count else _NO_WORLDS
+
+
 def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
-    """One semi-implicit Euler step of every world, DT seconds long: one
-    call into the compiled kernel.
+    """One semi-implicit Euler step of every world, DT seconds long:
+    ``advance`` to one step ahead.
 
     The kernel advances the actuated rest lengths, writes the force table
     (``spring_forces``, ``contact_forces``) and sums it in one scatter
@@ -712,28 +760,19 @@ def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     non-finite or beyond DIVERGENCE_LIMIT. They keep the positions of their
     last valid step, and garbage velocities until they are parked.
     """
-    count = _kernel().vx_step(state.kernel_address, gravity)
-    state.sim_time += 1
-    return state.kernel_arrays["diverged"][:count].copy() if count else _NO_WORLDS
+    return advance(state, state.sim_time + 1, gravity=gravity)
 
 
-_QUAD_NEXT = np.array([1, 2, 3, 0])
+def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
+    """Set actuation targets from one command per active voxel, in one
+    kernel call.
 
-
-def voxel_areas(state: WorldState) -> np.ndarray:
-    """Shoelace areas of all non-empty robot voxels (row-major cell order)."""
-    x = state.pos[:, 0][state.vox_corners]  # (v, 4)
-    y = state.pos[:, 1][state.vox_corners]
-    return 0.5 * np.abs((x * y[:, _QUAD_NEXT] - x[:, _QUAD_NEXT] * y).sum(axis=1))
-
-
-def voxel_velocities(state: WorldState) -> np.ndarray:
-    """Mean corner velocities of all non-empty robot voxels.
-
-    The sum over the four corners divided by 4 is what ``mean`` computes,
-    bit for bit, without its Python-level wrapper.
+    Commands are aligned with state.actuator_cells. Out-of-range values are
+    clamped into [ACTION_LOW, ACTION_HIGH] and counted per world in
+    state.clamped_actions (a NaN command stays NaN and counts as clamped).
+    A spring shared by two actuators receives the mean of the two commands.
     """
-    corners = state.vox_corners
-    vel = np.stack([state.vel[:, 0][corners].sum(axis=1), state.vel[:, 1][corners].sum(axis=1)], axis=1)
-    vel /= 4
-    return vel
+    commands = np.ascontiguousarray(commands, dtype=np.float64)
+    if commands.shape != (len(state.actuator_cells),):
+        raise ValueError("one command per active voxel required")
+    _kernel().vx_set_targets(state.kernel_address, commands.ctypes.data)

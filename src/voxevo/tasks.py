@@ -19,6 +19,7 @@ from .control import ControllerGenome, compute_actions, stack_controllers
 from .morphology import InvalidMorphologyError, Morphology, require_valid
 from .sim_core import (
     STEPS_PER_ACTION,
+    KernelBuildError,
     build_world,
     build_worlds,
     set_actuation_targets,
@@ -94,11 +95,16 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     call at once; each distinct body is built once, and pairs that share a
     body get copies of its rows. The pairs must share one body shape and
     one controller variant.
-    A world that crosses the finish line or diverges has its result
-    recorded and is then parked: it stays in the union, inert, until the
-    last world ends. The centres of mass are measured, and the end tests
-    run, only on steps where a world can have ended: a divergence, the
-    last step, or a mass within a voxel of the finish line. Each world's
+    The steps run in the compiled kernel, one ``sim_core.advance`` call per
+    stretch: it stops on a step where a world can have ended (a
+    divergence, the last step, or a mass within a voxel of the finish
+    line) and, for modular controllers, at each control step, where
+    Python computes the commands (``compute_actions``) and sets them
+    (``set_actuation_targets``); the kernel sets the fixed alternation
+    itself. The centres of mass are measured, and the end tests run, only
+    where a stretch stopped on a possible end. A world that crosses the
+    finish line or diverges has its result recorded and is then parked: it
+    stays in the union, inert, until the last world ends. Each world's
     result is bit for bit what it would be alone. The engine is
     noise-free, so identical inputs always produce identical results. A
     diverged simulation scores as unfinished with the full time penalty and
@@ -121,11 +127,12 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     # rounding error far below this one-voxel slack
     finish_reach = terrain.finish_x - 1.0
 
-    for t in range(T_MAX):
-        if t % STEPS_PER_ACTION == 0:
-            set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
-        blown = sim_core.step(state)
-        # no world can have ended: none diverged, no mass is near the finish line
+    fixed = controllers.variant == "fixed"
+    while True:
+        if not fixed and state.sim_time % STEPS_PER_ACTION == 0:
+            set_actuation_targets(state, compute_actions(controllers, state, state.sim_time // STEPS_PER_ACTION))
+        blown = sim_core.advance(state, T_MAX, finish_reach, fixed)
+        # a stretch that stopped at a control step: no world can have ended
         if not blown.size and state.sim_time < T_MAX and np.maximum.reduce(pos_x) < finish_reach:
             continue
         diverged = np.zeros(len(pairs), dtype=bool)
@@ -168,7 +175,8 @@ class EpisodeEvaluator:
     counts the episodes that diverged. A failure scores no displacement and
     the full time penalty, and is counted in ``failures`` instead of
     aborting the call: an invalid body fails alone, an unexpected exception
-    fails its whole batch.
+    fails its whole batch. A kernel that cannot be built is raised: it
+    would fail every batch.
     """
 
     def __init__(self, terrain: TerrainSpec):
@@ -202,6 +210,8 @@ class EpisodeEvaluator:
                 continue
             try:
                 results = run_episodes(batch.values(), self.terrain)
+            except KernelBuildError:
+                raise  # no episode can run: an error of the installation, not of the batch
             except Exception:
                 self._fail(batch)
                 continue

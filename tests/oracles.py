@@ -9,8 +9,12 @@ vectorised code the engine runs: ``observe_voxel`` and
 ``mechanical_energy`` serves the energy-balance physics checks and
 ``robot_center_of_mass`` the free-fall ones; ``reference_episodes`` is
 the episode loop that measures every world and tests every end on every
-step, against ``tasks.run_episodes``; ``reference_step`` is the engine's
-step in numpy, against the compiled ``sim_core.step``, bit for bit.
+step, against ``tasks.run_episodes``, and it runs on numpy alone:
+``reference_step`` is the engine's step, against the compiled
+``sim_core.step``; ``reference_set_actuation_targets`` the target setter,
+against ``sim_core.set_actuation_targets``; ``reference_fill_blocks`` (with
+``voxel_areas`` and ``voxel_velocities``) the modular controller's
+observation fill, against the compiled one; each bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxevo import materials, sim_core, tasks
-from voxevo.control import CELL_FEATURES, OBS_DIM, ControllerGenome, compute_actions, stack_controllers, unpack_params
+from voxevo import control, materials, tasks
+from voxevo.control import (
+    CELL_FEATURES,
+    OBS_DIM,
+    ControllerGenome,
+    fixed_action,
+    forward_batch,
+    stack_controllers,
+    unpack_params,
+)
 from voxevo.sim_core import (
+    ACTION_HIGH,
     ACTION_LOW,
     CONTACT_DAMPING,
     CONTACT_STIFFNESS,
@@ -150,7 +163,8 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
     bookkeeping done on every step: every robot's centre of mass is
     measured, a diverged world keeps the one of its last valid step, and
     every world is tested for its end. The union is built through
-    ``tasks.build_worlds``."""
+    ``tasks.build_worlds``; it steps, acts and observes through this
+    module's numpy references only."""
     state = tasks.build_worlds([m for m, _ in pairs], terrain)
     controllers = stack_controllers([c for _, c in pairs])
     start_x = last_x = state.robot_com_x()
@@ -158,9 +172,9 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
     running = np.ones(len(pairs), dtype=bool)
     for t in range(T_MAX):
         if t % STEPS_PER_ACTION == 0:
-            sim_core.set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
+            reference_set_actuation_targets(state, reference_actions(controllers, state, t // STEPS_PER_ACTION))
         diverged = np.zeros(len(pairs), dtype=bool)
-        diverged[sim_core.step(state)] = True
+        diverged[reference_step(state)] = True
         x = state.robot_com_x()
         last_x = np.where(diverged, last_x, x)
         finished = ~diverged & (x >= terrain.finish_x)
@@ -175,6 +189,64 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
             break
         state.park(ended)
     return results
+
+
+# --- actuation and observation in numpy --------------------------------------
+
+
+def reference_actions(controllers, state: WorldState, effective_step: int) -> np.ndarray:
+    """``control.compute_actions`` on the numpy fill: the fixed alternation
+    for every active voxel, or the modular network on the filled blocks."""
+    if controllers.variant == "fixed":
+        return np.full(len(state.actuator_cells), fixed_action(effective_step))
+    windows = reference_fill_blocks(state, effective_step)
+    return forward_batch(controllers.params, windows.blocks, windows.block_index)
+
+
+def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
+    """``sim_core.set_actuation_targets`` in numpy."""
+    if commands.shape[0] != len(state.actuator_cells):
+        raise ValueError("one command per active voxel required")
+    clamped = np.maximum(commands, ACTION_LOW)
+    np.minimum(clamped, ACTION_HIGH, out=clamped)
+    changed = clamped != commands
+    if np.count_nonzero(changed):
+        state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
+    edges = state.actuated_edges
+    sums = np.bincount(state.actuated_slot, clamped.repeat(2), minlength=edges.size)
+    state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
+
+
+_QUAD_NEXT = np.array([1, 2, 3, 0])
+
+
+def voxel_areas(state: WorldState) -> np.ndarray:
+    """Shoelace areas of all non-empty robot voxels (row-major cell order)."""
+    x = state.pos[:, 0][state.vox_corners]  # (v, 4)
+    y = state.pos[:, 1][state.vox_corners]
+    return 0.5 * np.abs((x * y[:, _QUAD_NEXT] - x[:, _QUAD_NEXT] * y).sum(axis=1))
+
+
+def voxel_velocities(state: WorldState) -> np.ndarray:
+    """Mean corner velocities of all non-empty robot voxels: the sum over the
+    four corners divided by 4, which is what ``mean`` computes."""
+    corners = state.vox_corners
+    vel = np.stack([state.vel[:, 0][corners].sum(axis=1), state.vel[:, 1][corners].sum(axis=1)], axis=1)
+    vel /= 4
+    return vel
+
+
+def reference_fill_blocks(state: WorldState, effective_step: int):
+    """The compiled observation fill in numpy: writes the state's controller
+    input (``control._window_tables``) in place, and returns its tables."""
+    windows = control._window_tables(state)
+    features = windows.features
+    features[:-1, 0] = voxel_areas(state)
+    features[:-1, 1:] = voxel_velocities(state)
+    flat = windows.blocks.reshape(-1)
+    flat.put(windows.dynamic, features.take(windows.gather))
+    flat.put(windows.parity, effective_step % 2)
+    return windows
 
 
 # --- the step in numpy -------------------------------------------------------

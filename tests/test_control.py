@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from voxevo import control
 from voxevo.control import (
     HIDDEN_UNITS,
     OBS_DIM,
@@ -21,7 +22,7 @@ from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import STEPS_PER_ACTION, build_world, build_worlds, set_actuation_targets, step
 from voxevo.terrain import terrain_by_name
 
-from oracles import gather_observation, modular_forward
+from oracles import gather_observation, modular_forward, reference_fill_blocks, reference_set_actuation_targets, reference_step
 
 
 def modular(rng):
@@ -255,6 +256,35 @@ def test_controller_input_holds_no_stale_entries(rng, flat):
             step(union)
             for world in alone:
                 step(world)
+
+
+@pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
+def test_compiled_fill_is_the_reference_fill_byte_for_byte(environment):
+    # two equal unions, one filled, acted on and stepped by the kernel, the
+    # other by numpy: over several control steps, with a world parked
+    # midway and one whose velocities are all -0.0 for a step, the blocks
+    # and the feature table hold the same bytes
+    terrain = terrain_by_name(environment, (5, 5))
+    rng = np.random.default_rng([5, 31])
+    bodies = [random_morphology(5, 5, rng) for _ in range(3)]
+    controllers = stack_controllers([modular(rng) for _ in bodies])
+    kernel, oracle = build_worlds(bodies, terrain), build_worlds(bodies, terrain)
+    for k in range(8):
+        if k == 3:
+            for state in (kernel, oracle):
+                state.park(np.array([False, True, False]))
+        if k == 5:
+            for state in (kernel, oracle):
+                state.vel[state.mass_world == 2] = -0.0
+        filled = control._fill_blocks(kernel, k)
+        expected = reference_fill_blocks(oracle, k)
+        assert filled.blocks.tobytes() == expected.blocks.tobytes(), f"control step {k}"
+        assert filled.features.tobytes() == expected.features.tobytes(), f"control step {k}"
+        set_actuation_targets(kernel, forward_batch(controllers.params, filled.blocks, filled.block_index))
+        reference_set_actuation_targets(oracle, forward_batch(controllers.params, expected.blocks, expected.block_index))
+        for _ in range(STEPS_PER_ACTION):
+            assert step(kernel).tolist() == reference_step(oracle).tolist() == []
+    assert kernel.pos.tobytes() == oracle.pos.tobytes()
 
 
 def test_warm_modular_control_allocates_less_than_its_input():

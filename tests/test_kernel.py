@@ -1,9 +1,10 @@
 """The compiled step against the numpy reference step, and the kernel's build.
 
 ``sim_core.step`` is one call into ``_kernel.c``; ``oracles.reference_step``
-is the same step in numpy. Every golden setting steps under both, alone and
-as the middle world of a union, and each step must leave the same bytes in
-every array the step writes.
+is the same step in numpy, and ``oracles.reference_set_actuation_targets``
+the target setter. Every golden setting steps under both, alone and as the
+middle world of a union, and each step must leave the same bytes in every
+array the step or the target setter writes.
 """
 
 import hashlib
@@ -23,13 +24,13 @@ from voxevo.sim_core import STEPS_PER_ACTION, build_worlds, set_actuation_target
 from voxevo.tasks import T_MAX
 from voxevo.terrain import make_flat_terrain
 
-from oracles import reference_step
+from oracles import reference_set_actuation_targets, reference_step
 from test_golden import TRAJECTORY_SHA256, golden_pairs
 from test_sim_core import sunk_into_the_strip
 
-# every array a step writes; the force table whole, so that its unused rows
-# must hold the same leftovers too
-WRITTEN = ("pos", "vel", "spring_current_rest", "force_terms", "force_bins")
+# every array a step or the target setter writes; the force table whole, so
+# that its unused rows must hold the same leftovers too
+WRITTEN = ("pos", "vel", "spring_current_rest", "force_terms", "force_bins", "spring_target_rest", "clamped_actions")
 SRC = str(Path(voxevo.__file__).resolve().parent.parent)
 
 
@@ -40,9 +41,9 @@ def twin_unions(pairs, terrain):
     return build_worlds(bodies, terrain), build_worlds(bodies, terrain), stack_controllers([c for _, c in pairs])
 
 
-def act(state, controllers, t):
+def act(state, controllers, t, set_targets=set_actuation_targets):
     if t % STEPS_PER_ACTION == 0:
-        set_actuation_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
+        set_targets(state, compute_actions(controllers, state, t // STEPS_PER_ACTION))
 
 
 @pytest.mark.parametrize("neighbours", [0, 1], ids=["alone", "union"])
@@ -51,7 +52,7 @@ def test_step_is_the_reference_step_bit_for_bit(setting, neighbours):
     kernel, oracle, controllers = twin_unions(*golden_pairs(*setting, neighbours))
     for t in range(T_MAX):
         act(kernel, controllers, t)
-        act(oracle, controllers, t)
+        act(oracle, controllers, t, reference_set_actuation_targets)
         assert step(kernel).tolist() == reference_step(oracle).tolist() == []
         for name in WRITTEN:
             assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
@@ -73,10 +74,12 @@ def test_strip_contact_is_the_reference_bit_for_bit():
 @pytest.mark.parametrize("fling", [np.nan, -2e6], ids=["nan", "flung"])
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
 def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
-    # the middle world's velocity is spoiled: both engines name it on the
-    # same steps, and its neighbours step on as they do alone. The spoiled
-    # world's own bytes are not compared: its NaN force terms may carry
-    # another sign bit than numpy's, which no result reads
+    # the middle world's velocity is spoiled: both engines name it once, on
+    # the same step, and its neighbours step on as they do alone. Parking
+    # returns its rest lengths to their build-time values, so a NaN command
+    # leaves nothing that names it again. The spoiled world's own bytes are
+    # compared only once it is parked: its NaN force terms may carry another
+    # sign bit than numpy's, which no result reads
     pairs, terrain = golden_pairs(environment, 5, "modular", neighbours=1)
     kernel, oracle, controllers = twin_unions(pairs, terrain)
     alone = [build_worlds([m], terrain) for m, _ in pairs]
@@ -86,20 +89,25 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     named = []
     for t in range(T_MAX):
         act(kernel, controllers, t)
-        act(oracle, controllers, t)
+        act(oracle, controllers, t, reference_set_actuation_targets)
         blown = step(kernel)
         assert blown.tolist() == reference_step(oracle).tolist(), f"step {t + 1}"
         if blown.size:
             named.append((t, blown.tolist()))
             for state in (kernel, oracle):
                 state.park(np.isin(np.arange(3), blown))
+        elif named:
+            for name in WRITTEN:
+                assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
         for w in (0, 2):
             act(alone[w], alone_controllers[w], t)
             assert step(alone[w]).size == 0
             rows = slice(kernel.starts["mass"][w], kernel.starts["mass"][w + 1])
             assert kernel.pos[rows].tobytes() == alone[w].pos.tobytes()
             assert kernel.vel[rows].tobytes() == alone[w].vel.tobytes()
-    assert named and all(worlds == [1] for _, worlds in named)
+    assert len(named) == 1 and named[0][1] == [1]
+    if np.isnan(fling):
+        assert named[0][0] == 0
 
 
 # --- building and loading the kernel ------------------------------------------
@@ -174,4 +182,14 @@ def test_a_cache_hit_starts_no_process(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", refuse)
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    assert sim_core._load_kernel().vx_step
+    assert sim_core._load_kernel().vx_run
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    # every warning GCC's -Wall -Wextra can raise is an error here, so the
+    # growing kernel stays warning-free
+    command = [sim_core._COMPILER, *sim_core._CFLAGS, "-Wall", "-Wextra", "-Werror"]
+    command += ["-o", str(tmp_path / "kernel.so"), str(sim_core._KERNEL_SOURCE), "-lm"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -529,7 +529,7 @@ def test_observation_velocity_is_corner_mean(single_actuator, flat):
 
 def test_volume_positive_throughout_episode(rng, flat):
     from voxevo.morphology import random_morphology
-    from voxevo.sim_core import voxel_areas
+    from oracles import voxel_areas
     from voxevo.control import compute_actions, init_controller, stack_controllers
 
     m = random_morphology(5, 5, rng)

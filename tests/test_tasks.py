@@ -28,6 +28,7 @@ from voxevo.tasks import (
 from voxevo.terrain import TerrainSpec
 
 from oracles import reference_episodes
+from test_golden import TRAJECTORY_SHA256, golden_pairs
 
 FIXED = ControllerGenome("fixed", np.zeros(0))
 
@@ -111,16 +112,19 @@ def test_zero_network_barely_moves(flat):
 
 
 def test_controller_queried_every_fifth_step(monkeypatch, flat, rng):
+    # a modular controller; the kernel sets the fixed alternation itself
     m = random_morphology(5, 5, rng)
     calls = []
     original = voxevo.tasks.compute_actions
 
     def counting(genome, state, k):
         calls.append(k)
+        assert state.sim_time == STEPS_PER_ACTION * k
         return original(genome, state, k)
 
     monkeypatch.setattr(voxevo.tasks, "compute_actions", counting)
-    run_episode(m, FIXED, flat)
+    result = run_episode(m, init_controller("modular", rng), flat)
+    assert not (result.finished or result.diverged)
     assert len(calls) == 100
     assert calls == list(range(100))
 
@@ -399,6 +403,15 @@ def test_episode_loop_matches_the_per_step_reference(environment, variant):
     assert _bits(run_episodes(pairs, terrain)) == _bits(reference_episodes(pairs, terrain))
 
 
+@pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_episode_loop_matches_the_reference_on_every_golden_setting(setting):
+    # the compiled loop (stretches of steps, the kernel's targets, fixed
+    # alternation and observation fill) against numpy alone, every field of
+    # every result bit for bit, each setting's world between two neighbours
+    pairs, terrain = golden_pairs(*setting, neighbours=1)
+    assert _bits(run_episodes(pairs, terrain)) == _bits(reference_episodes(pairs, terrain))
+
+
 def test_episode_loop_matches_the_reference_on_early_finishers():
     # the finish line starts beyond a voxel ahead of every body, so the loop
     # first skips its bookkeeping, then meets worlds that finish mid-episode
@@ -430,12 +443,70 @@ def test_episode_loop_matches_the_reference_on_a_mid_episode_divergence(monkeypa
     assert _bits(batch) == _bits(reference_episodes(pairs, flat))
 
 
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+def test_episode_loop_matches_the_reference_on_a_nan_velocity(monkeypatch, rng, flat, variant):
+    # a world whose velocities are NaN diverges on the first step and is
+    # parked; its NaN commands leave nothing behind, and the others carry on
+    pairs = [(random_morphology(5, 5, rng), init_controller(variant, rng)) for _ in range(3)]
+    alone = [run_episode(m, c, flat) for m, c in pairs]
+    original = voxevo.tasks.build_worlds
+
+    def spoiled(morphologies, terrain):
+        union = original(morphologies, terrain)
+        union.vel[union.mass_world == 1] = np.nan
+        return union
+
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", spoiled)
+    batch = run_episodes(pairs, flat)
+    assert batch[1].diverged and batch[1].delta_px == 0.0 and batch[1].steps_used == T_MAX
+    assert [batch[0], batch[2]] == [alone[0], alone[2]]
+    assert _bits(batch) == _bits(reference_episodes(pairs, flat))
+
+
+def test_a_kernel_that_cannot_be_built_is_raised_not_scored(monkeypatch, tmp_path, rng, flat):
+    # a missing compiler fails every batch alike: the evaluator raises the
+    # build error instead of scoring each episode as a failure
+    monkeypatch.setattr(voxevo.sim_core, "_COMPILER", "no-such-compiler-here")
+    monkeypatch.setattr(voxevo.sim_core, "_KERNEL_DIR", tmp_path / "cache")
+    monkeypatch.setattr(voxevo.sim_core, "_kernel", voxevo.sim_core._load_kernel)  # no cached library
+    ev = EpisodeEvaluator(flat)
+    with pytest.raises(voxevo.sim_core.KernelBuildError, match="no-such-compiler-here"):
+        ev.fitness_many([(random_morphology(4, 4, rng), FIXED)])
+    assert ev.failures == 0
+
+
+def test_evolve_without_a_compiler_exits_3_and_names_it(tmp_path):
+    # in a fresh process, so that no kernel is loaded yet: the run stops
+    # with the compiler named, and writes no generations.csv
+    out = tmp_path / "run"
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from voxevo import cli, sim_core\n"
+        "sim_core._COMPILER = 'no-such-cc'\n"
+        f"sim_core._KERNEL_DIR = Path({str(tmp_path / 'cache')!r})\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["evolve", "--env", "walker", "--size", "5x5", "--controller", "fixed", "--gens", "2", "--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(voxevo.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(out)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 3, done.stderr
+    assert "KernelBuildError" in done.stderr and "no-such-cc" in done.stderr
+    assert not (out / "generations.csv").exists()
+
+
 def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
     # perfbench's tracer times these layers by wrapping the module
-    # attributes the library looks them up through; each must be reached
-    # there once per step or control call, or a traced run reads 0 for it.
-    # The springs and contact run inside the compiled step, so no call
-    # reaches their Python names during an episode.
+    # attributes the library looks them up through. The episode loop steps
+    # in the kernel, one ``advance`` call per stretch, so it never reaches
+    # ``step``, ``spring_forces`` or ``contact_forces``. A modular batch
+    # reaches ``compute_actions``, ``forward_batch`` and
+    # ``set_actuation_targets`` once per control step; a fixed batch
+    # reaches none of them, its alternation set in the kernel. A stretch
+    # ends at a control step or where a world can have ended, so the
+    # ``advance`` calls are bounded by control steps plus world ends.
     calls = {}
     build_world(Morphology([[3]]), make_bridge_terrain((4, 4)))  # the strip's solve is cached from here on
 
@@ -448,18 +519,31 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(voxevo.sim_core, "step")
-    count(voxevo.sim_core, "spring_forces")
-    count(voxevo.sim_core, "contact_forces")
-    count(voxevo.tasks, "compute_actions")
-    count(voxevo.control, "forward_batch")
+    for owner, name in [
+        (voxevo.sim_core, "step"),
+        (voxevo.sim_core, "spring_forces"),
+        (voxevo.sim_core, "contact_forces"),
+        (voxevo.sim_core, "advance"),
+        (voxevo.tasks, "set_actuation_targets"),
+        (voxevo.tasks, "compute_actions"),
+        (voxevo.control, "forward_batch"),
+    ]:
+        count(owner, name)
+    control_steps = T_MAX // STEPS_PER_ACTION
     for environment in ("walker", "bridgewalker"):
-        rng = np.random.default_rng(3)
-        pairs = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(3)]
-        assert not any(r.finished or r.diverged for r in run_episodes(pairs, terrain_by_name(environment, (4, 4))))
-    assert calls["step"] == 2 * T_MAX
-    assert "spring_forces" not in calls and "contact_forces" not in calls
-    assert calls["compute_actions"] == calls["forward_batch"] == 2 * T_MAX // STEPS_PER_ACTION
+        for variant in ("modular", "fixed"):
+            calls.clear()
+            rng = np.random.default_rng(3)
+            pairs = [(random_morphology(4, 4, rng), init_controller(variant, rng)) for _ in range(3)]
+            results = run_episodes(pairs, terrain_by_name(environment, (4, 4)))
+            assert not any(r.finished or r.diverged for r in results)
+            assert not {"step", "spring_forces", "contact_forces"} & set(calls)
+            if variant == "modular":
+                assert calls["compute_actions"] == calls["forward_batch"] == calls["set_actuation_targets"] == control_steps
+                assert control_steps <= calls["advance"] <= control_steps + len(pairs)
+            else:
+                assert not {"compute_actions", "forward_batch", "set_actuation_targets"} & set(calls)
+                assert 1 <= calls["advance"] <= len(pairs)
     # a traced run (``--trace 1``) looks every layer up by name, and would
     # raise on one that is gone
     path = Path(voxevo.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
