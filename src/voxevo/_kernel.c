@@ -1,14 +1,13 @@
 /*
  * The compiled core of voxevo's mass-spring engine (see sim_core.py): the
- * step, the episode loop around it, the actuation targets and the modular
- * controller's observation fill.
+ * step, the episode loop around it, the actuation targets and both
+ * controllers, the modular network included.
  *
  * vx_run steps a union of worlds until the first of: a step on which a
  * world diverged; a step after which some mass has !(x < finish_reach);
- * the stop time; and, unless the kernel sets the fixed alternation itself,
- * the next control step, where Python computes the modular commands and
- * sets them with vx_set_targets. vx_fill_blocks writes the observations
- * those commands are computed from.
+ * and the stop time. At each control step it sets the targets from the
+ * batch's controller table: the fixed alternation, or the modular network
+ * on the observations it fills (vx_act).
  *
  * Every function takes one Table: pointers into a WorldState's numpy
  * arrays, its sizes and the engine's constants, built once per state by
@@ -22,12 +21,15 @@
  *    propagation and their choice between equal operands (see below);
  *  - sums that numpy forms with np.bincount or a reduction start from +0.0
  *    and add their terms in numpy's order.
- * tests/oracles.py keeps the numpy code as the reference these are tested
- * against, byte for byte.
+ * The modular network is the exception: it has numerics of its own, the
+ * same on every CPU, set out above vx_presum. tests/oracles.py keeps the
+ * numpy code as the reference all of these are tested against, byte for
+ * byte.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     /* sizes */
@@ -68,7 +70,6 @@ typedef struct {
     int64_t *blown;         /* (1,) how many worlds vx_run's last step named */
     int64_t *contact_ids;   /* (2, robots) a strip contact's mass and segment */
     double *contact_w;      /* (2, robots) its right end's weight and its depth */
-    double *commands;       /* (actuators,) the fixed alternation's commands */
     double *clamped;        /* (actuators,) */
     double *sums;           /* (edges,) */
 } Table;
@@ -320,63 +321,169 @@ void vx_set_targets(const Table *t, const double *commands)
     }
 }
 
-/* Step from time ``time`` until the first of: a step on which a world
- * diverged (their ids in t->diverged, their number in t->blown); a step
- * after which some mass has !(x < finish_reach), NaN included; time
- * ``stop``; and, unless ``fixed``, the next control step, where the caller
- * sets the targets. With ``fixed``, every control step k sets them itself,
- * to action_high on even k and action_low on odd k. Returns the number of
- * steps taken. */
-int64_t vx_run(const Table *t, int64_t time, int64_t stop, double finish_reach, int64_t fixed, double gravity)
+/* ---- the controllers ------------------------------------------------------
+ *
+ * A control step computes one command per active voxel. The fixed
+ * controller alternates action_high and action_low. The modular one runs
+ * one shared network on each active voxel's 73-entry observation: its 3x3
+ * window's 9 slots of (volume, vx, vy, 5-way material indicator), row-major,
+ * then the control step's parity. Only the first three entries of a slot
+ * and the parity change during an episode, so the material part of every
+ * hidden sum is added once per batch (vx_presum) and each control step adds
+ * the 28 others (vx_mlp). control.py splits W1's columns into the two parts,
+ * in the order they are summed.
+ *
+ * The network's numerics are this file's own, so that every CPU gives the
+ * same bits; no BLAS, libm or numpy transcendental is used:
+ *  - hidden unit j of a row sums, one IEEE operation at a time, b1[j], then
+ *    W1[j][c] * obs[c] over the 45 material entries in column order, then
+ *    over the 27 dynamic entries in (slot, feature) order, then the parity;
+ *  - the loops are vectorised across units, never across a sum: lane l of a
+ *    vector holds unit 8v + l, so each lane does the same operations
+ *    whatever the vector width, and every clone gives the same bits;
+ *  - tanh and the logistic use exp8, built from +, -, *, / and exponent
+ *    bits; tanh takes an odd Taylor polynomial for |x| < TANH_NEAR;
+ *  - z sums w2[j] * tanh(h_j) in lanes, lane l over j = l, l + 8, l + 16,
+ *    l + 24 in that order, then the 8 lanes in order, then adds b2; the
+ *    command is action_low + 1 / (1 + exp(-z)), z clipped to [-60, 60]
+ *    first, which moves no command (0.6 + logistic(+-60) is 1.6 and 0.6
+ *    exactly).
+ * tests/oracles.py's reference_network does the same operations in numpy.
+ *
+ * vx_presum and vx_mlp are compiled for AVX-512 and the baseline
+ * (target_clones); the loader picks the clone the CPU runs, so a CPU with
+ * AVX2 but no AVX-512 runs the baseline. Only the AVX-512 clone is fast:
+ * eight lanes are one of its registers, while GCC splits them for the
+ * baseline and keeps them in memory. On a 17-world W5 batch (174 active
+ * voxels) on a 2-vCPU Xeon with AVX-512, vx_mlp took 40-46 us with the
+ * AVX-512 clone and about 255 us with the baseline (SSE2); a numpy GEMM
+ * network took 148 us on the same rows. So the baseline clone is the
+ * correct path for CPUs without AVX-512, not a fast one. Defining
+ * VX_DEFAULT_CLONE_ONLY builds the baseline clone alone, which is how the
+ * tests check that the two clones agree.
+ */
+
+#define UNITS 32      /* hidden units */
+#define MATERIAL 45   /* material entries: 9 slots x 5 indicators */
+#define DYNAMIC 27    /* dynamic entries: 9 slots x (volume, vx, vy) */
+#define INPUTS (DYNAMIC + 1)  /* a control step's inputs: the dynamic entries, then the parity */
+#define LANES 8
+#define VECTORS (UNITS / LANES)
+
+#ifdef VX_DEFAULT_CLONE_ONLY
+#define VX_CLONES
+#else
+#define VX_CLONES __attribute__((target_clones("avx512f", "default")))
+#endif
+
+/* Eight lanes, whatever the clone: the baseline clone runs each operation
+ * as four SSE2 ones. Values of these types are passed by pointer only, so
+ * no function's ABI depends on the clone. */
+typedef double v8d __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t v8i __attribute__((vector_size(LANES * sizeof(int64_t))));
+typedef uint64_t v8u __attribute__((vector_size(LANES * sizeof(uint64_t))));
+
+#define SPLAT(c) ((v8d){0} + (c))
+/* lanes of a where mask is set (all ones), of b where it is clear */
+#define SELECT(mask, a, b) ((v8d)(((mask) & (v8i)(a)) | (~(mask) & (v8i)(b))))
+/* the mask of a < b, for a and b without sign bits: their bit patterns
+ * order as their values do, with NaN above all. Integer arithmetic, as
+ * a floating-point comparison of eight lanes has no AVX2 or SSE2 form
+ * and would run lane by lane. */
+#define BELOW(a, b) ((v8i) - (((v8u)(a) - (v8u)(b)) >> 63))
+/* |x| clipped to c, a NaN kept */
+#define CLIP_ABS(a, c) SELECT(BELOW(a, SPLAT(c)) | BELOW(SPLAT(INFINITY), a), a, SPLAT(c))
+
+static inline void load8(v8d *v, const double *p) { memcpy(v, p, sizeof *v); }
+static inline void store8(double *p, const v8d *v) { memcpy(p, v, sizeof *v); }
+
+/* e^x = 2^k e^r, k = round(x log2 e) by adding and subtracting SHIFTER,
+ * r = x - k ln2 with ln2 in two parts (k * LN2_HI is exact) */
+static const double LOG2E = 1.4426950408889634;
+static const double SHIFTER = 6755399441055744.0;  /* 1.5 * 2^52 */
+static const double LN2_HI = 0x1.62e42feep-1;
+static const double LN2_LO = 0x1.a39ef35793c76p-33;
+/* 1/n! for n = 13 down to 0: e^r's Taylor polynomial, |r| <= ln2 / 2 */
+static const double EXP_TAYLOR[14] = {
+    1.0 / 6227020800.0, 1.0 / 479001600.0, 1.0 / 39916800.0, 1.0 / 3628800.0, 1.0 / 362880.0,
+    1.0 / 40320.0, 1.0 / 5040.0, 1.0 / 720.0, 1.0 / 120.0, 1.0 / 24.0, 1.0 / 6.0, 1.0 / 2.0, 1.0, 1.0,
+};
+/* tanh(x) = x + x s q(s), s = x^2, for |x| < TANH_NEAR: q's coefficients,
+ * from the s^6 term down; beyond, tanh|x| = 1 - 2 / (e^2|x| + 1) */
+static const double TANH_NEAR = 0.15;
+static const double TANH_TAYLOR[7] = {
+    -929569.0 / 638512875.0, 21844.0 / 6081075.0, -1382.0 / 155925.0, 62.0 / 2835.0,
+    -17.0 / 315.0, 2.0 / 15.0, -1.0 / 3.0,
+};
+
+/* e^x in every lane, for |x| <= 700: within 1 ulp on [-60, 60]; NaN stays NaN */
+static inline void exp8(v8d *y, const v8d *x)
 {
-    int64_t taken = 0, diverged = 0, q, m;
-    while (time < stop) {
-        if (time % t->steps_per_action == 0) {
-            if (!fixed && taken)
-                break;
-            if (fixed) {
-                double command = (time / t->steps_per_action) % 2 == 0 ? t->action_high : t->action_low;
-                for (q = 0; q < t->actuators; q++)
-                    t->commands[q] = command;
-                vx_set_targets(t, t->commands);
-            }
-        }
-        diverged = one_step(t, gravity);
-        time++;
-        taken++;
-        if (diverged)
-            break;
-        for (m = 0; m < t->masses && t->pos[2 * m] < finish_reach; m++)
-            ;
-        if (m < t->masses)
-            break;
-    }
-    t->blown[0] = diverged;
-    return taken;
+    v8d t = *x * LOG2E + SHIFTER;
+    v8d k = t - SHIFTER;
+    v8d r = *x - k * LN2_HI;
+    r = r - k * LN2_LO;
+    v8d p = SPLAT(EXP_TAYLOR[0]);
+#pragma GCC unroll 16
+    for (int n = 1; n < 14; n++)
+        p = p * r + EXP_TAYLOR[n];
+    v8u scale = (v8u)((v8i)t - (int64_t)0x4338000000000000) + 1023;  /* k + 1023, from SHIFTER's bits */
+    *y = p * (v8d)(scale << 52);
 }
 
-/* The modular controller's input: the blocks and index tables that
- * control._window_tables builds once per state. */
+/* tanh in every lane: within 1.7e-16 absolute and 6 ulp on [-30, 30]; the
+ * sign of x is put back last, so tanh(-0.0) is -0.0; NaN stays NaN */
+static inline void tanh8(v8d *y, const v8d *x)
+{
+    v8i sign = (v8i)*x & INT64_MIN;
+    v8d a = (v8d)((v8i)*x & INT64_MAX);
+    v8d twice = CLIP_ABS(a, 20.0);  /* tanh 20 rounds to 1, as tanh of all beyond */
+    twice = twice + twice;
+    v8d e;
+    exp8(&e, &twice);
+    v8d far = 1.0 - 2.0 / (e + 1.0);
+    v8d s = a * a;
+    v8d q = SPLAT(TANH_TAYLOR[0]);
+#pragma GCC unroll 8
+    for (int n = 1; n < 7; n++)
+        q = q * s + TANH_TAYLOR[n];
+    v8d near = a + a * s * q;
+    v8d m = SELECT(BELOW(a, SPLAT(TANH_NEAR)), near, far);
+    *y = (v8d)((v8i)m | sign);
+}
+
+/* The state's observation windows: control._window_tables builds them once
+ * per state. */
 typedef struct {
-    int64_t voxels;             /* non-empty robot voxels */
-    int64_t entries;            /* dynamic entries: 27 per active voxel */
-    int64_t rows;               /* active voxels */
-    const int64_t *corners;     /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
-    double *features;           /* (voxels + 1, 3) volume, vx, vy; the last row stays zero */
-    double *blocks;             /* (worlds, block rows, 73) */
-    const int64_t *gather;      /* (entries,) flat entry of features behind each dynamic entry */
-    const int64_t *dynamic;     /* (entries,) flat entry of blocks it is written to */
-    const int64_t *parity;      /* (rows,) flat entry of blocks holding each row's time signal */
+    int64_t voxels;          /* non-empty robot voxels */
+    const int64_t *corners;  /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
+    const int64_t *gather;   /* (rows, 27) flat entry of features behind each dynamic entry */
+    double *features;        /* (voxels + 1, 3) volume, vx, vy; the last row stays zero */
 } Windows;
 
+/* A batch's controllers: control._controller_table builds one per batch. */
+typedef struct {
+    int64_t fixed;           /* the fixed alternation, else the modular network */
+    int64_t rows;            /* commands per control step, one per active voxel */
+    const Windows *windows;  /* the state's, whose features a modular control step reads */
+    const int64_t *world;    /* (rows,) each row's world, the row of its parameters */
+    const double *w_material;  /* (worlds, 45, 32) W1's material columns, transposed: an entry's 32 unit weights in a row */
+    const double *w_inputs;    /* (worlds, 28, 32) its dynamic columns, then its parity column, likewise */
+    const double *b1, *w2;   /* (worlds, 32) */
+    const double *b2;        /* (worlds,) */
+    double *pre;             /* (rows, 32) b1 plus each row's material sum */
+    double *inputs;          /* (rows, 28) the control step's dynamic entries and parity */
+    double *hidden;          /* (rows, 32) the hidden units */
+    double *actions;         /* (rows,) the commands; vx_mlp leaves the logistics, to which vx_act adds action_low */
+} Brain;
+
 /* Write every voxel's shoelace area and mean corner velocity into the
- * feature table, copy them to the window slots that see them, and write
- * ``parity`` as every row's time signal. The corner sums add left to right
- * from +0.0, as numpy's sum over the rows of a (voxels, 4) array does. */
-void vx_fill_blocks(const Table *t, const Windows *w, double parity)
+ * feature table. The corner sums add left to right from +0.0, as numpy's
+ * sum over the rows of a (voxels, 4) array does. */
+void vx_fill_features(const Table *t, const Windows *w)
 {
     const double *pos = t->pos, *vel = t->vel;
-    double *features = w->features, *blocks = w->blocks;
+    double *features = w->features;
     int64_t v, k;
     for (v = 0; v < w->voxels; v++) {
         const int64_t *c = w->corners + 4 * v;
@@ -393,8 +500,147 @@ void vx_fill_blocks(const Table *t, const Windows *w, double parity)
         features[3 * v + 1] = vx / 4;
         features[3 * v + 2] = vy / 4;
     }
-    for (k = 0; k < w->entries; k++)
-        blocks[w->dynamic[k]] = features[w->gather[k]];
-    for (k = 0; k < w->rows; k++)
-        blocks[w->parity[k]] = parity;
+}
+
+/* Each row's b1 plus its material sum into b->pre, from ``material``:
+ * (rows, 45), the rows' material entries in w_material's order. */
+VX_CLONES void vx_presum(const Brain *b, const double *material)
+{
+    int64_t r, c, u;
+    for (r = 0; r < b->rows; r++) {
+        const int64_t world = b->world[r];
+        const double *weights = b->w_material + world * MATERIAL * UNITS;
+        const double *x = material + r * MATERIAL;
+        v8d h[VECTORS], w;
+#pragma GCC unroll 4
+        for (u = 0; u < VECTORS; u++)
+            load8(&h[u], b->b1 + world * UNITS + u * LANES);
+        for (c = 0; c < MATERIAL; c++) {
+#pragma GCC unroll 4
+            for (u = 0; u < VECTORS; u++) {
+                load8(&w, weights + c * UNITS + u * LANES);
+                h[u] = h[u] + w * x[c];
+            }
+        }
+#pragma GCC unroll 4
+        for (u = 0; u < VECTORS; u++)
+            store8(b->pre + r * UNITS + u * LANES, &h[u]);
+    }
+}
+
+/* The network's logistic 1 / (1 + exp(-z)) for every row into b->actions,
+ * from b->pre and b->inputs, in passes over all rows, each row independent
+ * of the others within a pass: the hidden sums, their tanh, the output
+ * sums, the logistic. Adding action_low makes it the command. */
+VX_CLONES void vx_mlp(const Brain *b)
+{
+    int64_t r, k, u, l;
+    v8d h[VECTORS], w, acc;
+    for (r = 0; r < b->rows; r++) {
+        const double *weights = b->w_inputs + b->world[r] * INPUTS * UNITS;
+        const double *x = b->inputs + r * INPUTS;
+#pragma GCC unroll 4
+        for (u = 0; u < VECTORS; u++)
+            load8(&h[u], b->pre + r * UNITS + u * LANES);
+        for (k = 0; k < INPUTS; k++) {
+#pragma GCC unroll 4
+            for (u = 0; u < VECTORS; u++) {
+                load8(&w, weights + k * UNITS + u * LANES);
+                h[u] = h[u] + w * x[k];
+            }
+        }
+#pragma GCC unroll 4
+        for (u = 0; u < VECTORS; u++)
+            store8(b->hidden + r * UNITS + u * LANES, &h[u]);
+    }
+    for (k = 0; k < b->rows * UNITS; k += LANES) {
+        load8(&w, b->hidden + k);
+        tanh8(&w, &w);
+        store8(b->hidden + k, &w);
+    }
+    for (r = 0; r < b->rows; r++) {
+        const int64_t world = b->world[r];
+#pragma GCC unroll 4
+        for (u = 0; u < VECTORS; u++) {
+            load8(&h[u], b->hidden + r * UNITS + u * LANES);
+            load8(&w, b->w2 + world * UNITS + u * LANES);
+            h[u] = h[u] * w;
+        }
+        acc = h[0];
+#pragma GCC unroll 4
+        for (u = 1; u < VECTORS; u++)
+            acc = acc + h[u];
+        double z = acc[0];
+#pragma GCC unroll 8
+        for (l = 1; l < LANES; l++)
+            z = z + acc[l];
+        b->actions[r] = z + b->b2[world];
+    }
+    for (r = 0; r < b->rows; r += LANES) {
+        double z8[LANES] = {0};
+        const int64_t n = b->rows - r < LANES ? b->rows - r : LANES;
+        v8d z, e;
+        memcpy(z8, b->actions + r, n * sizeof(double));
+        load8(&z, z8);
+        v8i sign = (v8i)z & INT64_MIN;
+        z = (v8d)((v8i)z & INT64_MAX);
+        z = (v8d)((v8i)CLIP_ABS(z, 60.0) | sign);  /* z clipped to [-60, 60] */
+        z = -z;
+        exp8(&e, &z);
+        z = 1.0 / (1.0 + e);
+        store8(z8, &z);
+        memcpy(b->actions + r, z8, n * sizeof(double));
+    }
+}
+
+/* One control step's commands into b->actions: the fixed alternation, or
+ * the network on the current observations, ``parity`` being the control
+ * step's. */
+void vx_act(const Table *t, const Brain *b, int64_t parity)
+{
+    int64_t r, k;
+    if (b->fixed) {
+        for (r = 0; r < b->rows; r++)
+            b->actions[r] = parity ? t->action_low : t->action_high;
+        return;
+    }
+    const Windows *w = b->windows;
+    vx_fill_features(t, w);
+    for (r = 0; r < b->rows; r++) {
+        double *x = b->inputs + r * INPUTS;
+        for (k = 0; k < DYNAMIC; k++)
+            x[k] = w->features[w->gather[r * DYNAMIC + k]];
+        x[DYNAMIC] = (double)parity;
+    }
+    vx_mlp(b);
+    for (r = 0; r < b->rows; r++)
+        b->actions[r] = t->action_low + b->actions[r];
+}
+
+/* Step from time ``time`` until the first of: a step on which a world
+ * diverged (their ids in t->diverged, their number in t->blown); a step
+ * after which some mass has !(x < finish_reach), NaN included; and time
+ * ``stop``. With a controller table ``b``, every control step k first sets
+ * the targets to b's commands (vx_act, with k's parity); without one, the
+ * targets stay as the caller set them. Returns the number of steps taken. */
+int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, double finish_reach, double gravity)
+{
+    int64_t taken = 0, diverged = 0, m;
+    while (time < stop) {
+        if (b && time % t->steps_per_action == 0) {
+            vx_act(t, b, (time / t->steps_per_action) % 2);
+            vx_set_targets(t, b->actions);
+        }
+        diverged = one_step(t, gravity);
+        time++;
+        taken++;
+        if (diverged)
+            break;
+        for (m = 0; m < t->masses && t->pos[2 * m] < finish_reach; m++)
+            ;
+        if (m < t->masses)
+            break;
+    }
+    t->blown[0] = diverged;
+    return taken;
 }

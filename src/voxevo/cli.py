@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, analysis
-from .control import VARIANTS, blas_core
+from .control import VARIANTS
 from .evolution import ConfigError, RunConfig, RunResult, evolve, load_body_file
 from .morphology import Morphology
 from .sim_core import ENGINE_VERSION
@@ -132,7 +132,6 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
         "software": "voxevo",
         "version": __version__,
         "engine_version": ENGINE_VERSION,
-        "blas_core": blas_core(),
         "setting": config.setting_name(),
         "group_label": group_label(result),
         "fingerprint": result.fingerprint,

@@ -9,18 +9,25 @@ Two variants:
   onto the legal actuation interval via 0.6 + logistic(z).
 * ``fixed`` — zero parameters, no observations: every active voxel
   alternates between maximal expansion and contraction each control step.
+
+Both run in the compiled kernel (``_kernel.c``), at every control step
+inside ``sim_core.advance``, from a batch's controller table that Python
+builds once (``controller_table``). The network's numerics are the
+kernel's own, set out there and mirrored in numpy by
+``tests/oracles.reference_network``: no BLAS, libm or numpy call, so the
+same bits in every compiled clone and under any OpenBLAS kernel or numpy
+SIMD dispatch.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import sim_core
+from . import materials, sim_core
 from .sim_core import ACTION_HIGH, ACTION_LOW, WorldState
 
 WINDOW_CELLS = 9
@@ -117,58 +124,11 @@ def unpack_params(params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
-def forward_batch(params: np.ndarray, obs_blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Modular actions of the selected rows of (worlds, block rows, 73)
-    observation blocks, one (worlds, 2401) parameter row per block; pure
-    and reentrant.
-
-    ``rows`` are flat indices into the stacked (worlds * block rows) rows;
-    the result holds one action per index, in their order. Each block is
-    its own GEMM, so a block's results depend only on its own rows, its own
-    parameters and the block shape. Rows do not mix, so the ``tanh`` and
-    the output squashing run on the selected rows alone.
-    """
-    w1, b1, w2, b2 = unpack_params(params)
-    hidden = obs_blocks @ np.swapaxes(w1, -1, -2)
-    hidden += b1[:, None, :]
-    flat = hidden.reshape(-1, HIDDEN_UNITS)
-    active = flat.take(rows, axis=0)
-    np.tanh(active, out=active)
-    flat[rows] = active
-    z = (hidden @ w2[:, :, None])[:, :, 0] + b2[:, None]
-    return ACTION_LOW + _sigmoid(z.take(rows))
-
-
-def blas_core() -> str:
-    """Name of the OpenBLAS kernel that ``forward_batch``'s GEMM runs on in
-    this process, such as "SkylakeX"; "unknown" when numpy's bundled
-    OpenBLAS does not report it.
-
-    Modular-controller results depend on this kernel, so run manifests and
-    cached evidence record it.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):  # not loadable, or no such symbol
-            continue
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
 def fixed_action(effective_step: int) -> float:
     """Open-loop alternation: expand on even control steps, contract on odd.
 
-    The episode loop's kernel sets the same alternation itself
-    (``sim_core.advance`` with ``fixed``), so a fixed batch never calls
-    ``compute_actions``.
+    The kernel's control step sets the same alternation (``compute_actions``
+    on a fixed stack).
     """
     if effective_step < 0:
         raise ValueError("effective step index must be >= 0")
@@ -180,40 +140,39 @@ _WINDOW_DC = np.tile([0, 1, 2], 3)
 _SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
 _DYNAMIC = 3  # volume, vx, vy: the entries of a slot that change as the world moves
 _DYNAMIC_COLUMNS = (_SLOT_BASE[:, None] + np.arange(_DYNAMIC)).ravel()  # (27,) in (slot, feature) order
+_MATERIAL_COLUMNS = (_SLOT_BASE[:, None] + np.arange(_DYNAMIC, CELL_FEATURES)).ravel()  # (45,) in column order
+_INPUT_COLUMNS = np.append(_DYNAMIC_COLUMNS, OBS_DIM - 1)  # what a control step writes: (27,) then the parity
+_INDICATOR = np.eye(materials.NUM_CODES)  # each material code's 5-way indicator
 
 
 class _WindowTable(ctypes.Structure):
-    """A state's controller input as the kernel sees it: the ``Windows`` of
-    ``_kernel.c``, field for field."""
+    """A state's observation windows as the kernel sees them: the
+    ``Windows`` of ``_kernel.c``, field for field."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("voxels", "entries", "rows")] + [
-        (name, ctypes.c_void_p) for name in ("corners", "features", "blocks", "gather", "dynamic", "parity")
-    ]
+    _fields_ = [("voxels", ctypes.c_int64)] + [(name, ctypes.c_void_p) for name in ("corners", "gather", "features")]
 
 
 class _Windows(NamedTuple):
-    """A state's controller input, built once and written in place.
+    """A state's observation windows, built once; the feature table is
+    written in place by every control step.
 
-    ``blocks`` holds h*w rows per world, the most active voxels an h x w
-    body can hold. Active voxel ``a`` owns row ``block_index[a]``; the
-    other rows stay zero. The material indicators are written when the
-    tables are built; each control step writes the dynamic entries and the
-    parity, and nothing else.
+    Active voxel ``a`` sees, in window slot ``s``, the (volume, vx, vy) at
+    flat entry ``gather[a, 3*s:3*s+3]`` of the feature table and the
+    material indicator ``material[a, 5*s:5*s+5]``; an empty or
+    out-of-bounds slot reads the feature table's zero row and the empty
+    indicator.
     """
 
-    blocks: np.ndarray       # (worlds, h*w, 73) the controller input
-    features: np.ndarray     # (v + 1, 3) volume, vx, vy of each voxel; the last row stays zero
-    gather: np.ndarray       # (n_active * 27,) flat entry of ``features`` behind each dynamic entry
-    dynamic: np.ndarray      # (n_active * 27,) flat entry of ``blocks`` it is written to
-    parity: np.ndarray       # (n_active,) flat entry of ``blocks`` holding each row's time signal
-    block_index: np.ndarray  # (n_active,) row in the stacked (worlds * h*w) blocks
-    corners: np.ndarray      # (v, 4) the state's vox_corners, row-major for the kernel
-    table: _WindowTable      # the kernel's pointer table into these arrays
-    address: int             # the table's address, what each fill takes
+    features: np.ndarray  # (v + 1, 3) volume, vx, vy of each voxel; the last row stays zero
+    gather: np.ndarray    # (n_active, 27) flat entry of ``features`` behind each dynamic entry
+    material: np.ndarray  # (n_active, 45) the material entries of each window, in column order
+    corners: np.ndarray   # (v, 4) the state's vox_corners, row-major for the kernel
+    table: _WindowTable   # the kernel's pointer table into these arrays
+    address: int          # the table's address
 
 
 def _window_tables(state: WorldState) -> _Windows:
-    """The state's controller input and its index tables, built on first use."""
+    """The state's observation windows, built on first use."""
     cached = state.obs_cache.get("windows")
     if cached is not None:
         return cached
@@ -229,37 +188,108 @@ def _window_tables(state: WorldState) -> _Windows:
 
     act = state.actuator_cells
     window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
-    block_rows = int(shape[0] * shape[1])
-    slot = np.arange(act.shape[0]) - state.starts["act"][state.act_world]
-    block_index = state.act_world * block_rows + slot
-    blocks = np.zeros((state.num_worlds, block_rows, OBS_DIM))
-    blocks.reshape(-1, OBS_DIM)[block_index[:, None], _SLOT_BASE + 3 + grid_code[window]] = 1.0
-    row_start = block_index[:, None] * OBS_DIM
     arrays = {
         "corners": np.ascontiguousarray(state.vox_corners),  # the union's is column-major
+        "gather": (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).reshape(len(act), -1),
         "features": np.zeros((absent + 1, _DYNAMIC)),
-        "blocks": blocks,
-        "gather": (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).ravel(),
-        "dynamic": (row_start + _DYNAMIC_COLUMNS).ravel(),
-        "parity": block_index * OBS_DIM + OBS_DIM - 1,
     }
-    table = _WindowTable(voxels=absent, entries=arrays["gather"].size, rows=block_index.size, **sim_core._addresses(arrays))
-    cached = _Windows(block_index=block_index, table=table, address=ctypes.addressof(table), **arrays)
+    table = _WindowTable(voxels=absent, **sim_core._addresses(arrays))
+    material = _INDICATOR[grid_code[window]].reshape(len(act), -1)
+    cached = _Windows(material=material, table=table, address=ctypes.addressof(table), **arrays)
     state.obs_cache["windows"] = cached
     return cached
 
 
-def _fill_blocks(state: WorldState, effective_step: int) -> _Windows:
-    """Write the state's current observations into its controller input, in
-    one kernel call.
+class _ControllerTable(ctypes.Structure):
+    """A batch's controllers as the kernel sees them: the ``Brain`` of
+    ``_kernel.c``, field for field."""
 
-    Each voxel's volume (its corners' shoelace area) and corner-mean
-    velocity are computed once, then copied to every window slot that sees
-    it; an empty or out-of-bounds slot reads the feature table's zero row.
+    _fields_ = (
+        [("fixed", ctypes.c_int64), ("rows", ctypes.c_int64)]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "windows", "world", "w_material", "w_inputs", "b1", "w2", "b2", "pre", "inputs", "hidden", "actions"
+            )
+        ]
+    )
+
+
+class ControllerTable(NamedTuple):
+    """A batch's controllers, built once for the kernel: the parameter rows,
+    each active voxel's material pre-sums and the scratch a control step
+    writes, the commands in ``arrays["actions"]``. ``sim_core.advance``
+    takes it, and queries it on every control step."""
+
+    arrays: dict              # every array the table points into, held so that none is freed
+    table: _ControllerTable
+    address: int              # the table's address, what each kernel call takes
+
+
+def _controller_table(variant: str, world: np.ndarray, params=None, material=None, windows=None) -> ControllerTable:
+    """The controller table of ``world.size`` rows, row ``r`` run by the
+    parameters ``params[world[r]]``; for the modular network, each row's
+    material pre-sum is added from ``material``, its (45,) material entries,
+    in one kernel call."""
+    rows = world.size
+    arrays = {"world": np.ascontiguousarray(world, dtype=np.int64), "actions": np.zeros(rows)}
+    if variant == "modular":
+        w1, b1, w2, b2 = unpack_params(params)
+        w1t = np.swapaxes(w1, -1, -2)  # (worlds, 73, 32): each column's unit weights in a row
+        arrays.update(
+            w_material=np.ascontiguousarray(w1t[:, _MATERIAL_COLUMNS]),
+            w_inputs=np.ascontiguousarray(w1t[:, _INPUT_COLUMNS]),
+            b1=np.ascontiguousarray(b1),
+            w2=np.ascontiguousarray(w2),
+            b2=np.ascontiguousarray(b2),
+            pre=np.zeros((rows, HIDDEN_UNITS)),
+            inputs=np.zeros((rows, _INPUT_COLUMNS.size)),
+            hidden=np.zeros((rows, HIDDEN_UNITS)),
+        )
+    table = _ControllerTable(
+        fixed=variant == "fixed",
+        rows=rows,
+        windows=None if windows is None else windows.address,
+        **sim_core._addresses(arrays),
+    )
+    controllers = ControllerTable(arrays, table, ctypes.addressof(table))
+    if variant == "modular":
+        material = np.ascontiguousarray(material, dtype=np.float64)
+        sim_core._kernel().vx_presum(controllers.address, material.ctypes.data)
+    return controllers
+
+
+def controller_table(controllers: ControllerStack, state: WorldState) -> ControllerTable:
+    """The kernel's table for a batch's controllers on its state, built on
+    first use and kept until the state is given another stack."""
+    cached = state.obs_cache.get("controllers")
+    if cached is not None and cached[0] is controllers:
+        return cached[1]
+    if controllers.variant == "fixed":
+        table = _controller_table("fixed", state.act_world)
+    else:
+        windows = _window_tables(state)
+        table = _controller_table("modular", state.act_world, controllers.params, windows.material, windows)
+    state.obs_cache["controllers"] = (controllers, table)
+    return table
+
+
+def forward_batch(params: np.ndarray, obs_blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Modular actions of the selected rows of (worlds, block rows, 73)
+    observation blocks, one (worlds, 2401) parameter row per block; pure
+    and reentrant.
+
+    ``rows`` are flat indices into the stacked (worlds * block rows) rows;
+    the result holds one action per index, in their order. This is the
+    kernel's network, the one an episode runs, on whatever the rows hold:
+    their material entries need not be indicators.
     """
-    windows = _window_tables(state)
-    sim_core._kernel().vx_fill_blocks(state.kernel_address, windows.address, effective_step % 2)
-    return windows
+    rows = np.asarray(rows, dtype=np.int64)
+    obs = obs_blocks.reshape(-1, OBS_DIM)[rows]
+    table = _controller_table("modular", rows // obs_blocks.shape[1], params, obs[:, _MATERIAL_COLUMNS])
+    table.arrays["inputs"][:] = obs[:, _INPUT_COLUMNS]
+    sim_core._kernel().vx_mlp(table.address)
+    return ACTION_LOW + table.arrays["actions"]
 
 
 def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
@@ -269,22 +299,24 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     Each row scans the 3x3 window around its cell row-major; every slot
     contributes (volume, vx, vy, material indicator x5), with empty and
     out-of-bounds cells reading as zeros and the empty indicator. The
-    final entry is the control-step parity.
+    final entry is the control-step parity. The kernel computes each
+    voxel's volume (its corners' shoelace area) and corner-mean velocity
+    once, as a control step does; they are copied to every slot that sees
+    them.
     """
-    windows = _fill_blocks(state, effective_step)
-    return windows.blocks.reshape(-1, OBS_DIM)[windows.block_index]
+    windows = _window_tables(state)
+    sim_core._kernel().vx_fill_features(state.kernel_address, windows.address)
+    obs = np.empty((len(windows.material), OBS_DIM))
+    obs[:, _DYNAMIC_COLUMNS] = windows.features.take(windows.gather)
+    obs[:, _MATERIAL_COLUMNS] = windows.material
+    obs[:, -1] = effective_step % 2
+    return obs
 
 
 def compute_actions(controllers: ControllerStack, state: WorldState, effective_step: int) -> np.ndarray:
-    """Per-active-voxel commands, aligned with state.actuator_cells.
-
-    Modular observations go to the network in blocks of h*w rows per
-    world, the most active voxels an h x w body can hold, so a world's
-    block never depends on the other worlds in the state. The blocks are
-    the state's persistent controller input, rewritten in place on every
-    call.
-    """
-    if controllers.variant == "fixed":
-        return np.full(len(state.actuator_cells), fixed_action(effective_step))
-    windows = _fill_blocks(state, effective_step)
-    return forward_batch(controllers.params, windows.blocks, windows.block_index)
+    """Per-active-voxel commands, aligned with state.actuator_cells: the
+    kernel's control step, the one ``sim_core.advance`` takes at every
+    control step of an episode."""
+    table = controller_table(controllers, state)
+    sim_core._kernel().vx_act(state.kernel_address, table.address, effective_step % 2)
+    return table.arrays["actions"].copy()

@@ -11,7 +11,8 @@ branch degenerates into a verbatim copy.
 Randomness is drawn from per-individual streams derived from
 (master seed, individual id), so evaluation order can never change a
 run's outcome, and a checkpoint only needs the seed and the next id to
-resume exactly.
+resume exactly. A checkpoint records the engine version whose fitnesses it
+holds, and resumes under that engine only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .control import VARIANTS, ControllerGenome, init_controller, mutate_controller
 from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology, validity_report
+from .sim_core import ENGINE_VERSION
 from .tasks import EpisodeEvaluator, terrain_by_name
 from .terrain import ENVIRONMENTS
 
@@ -410,6 +412,7 @@ def save_checkpoint(
         "snapshots": [[g, ind.to_json()] for g, ind in snapshots],
         "config": config.to_json(),
         "fingerprint": fingerprint,
+        "engine_version": ENGINE_VERSION,
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)  # a run's first save makes its directory
     tmp = f"{path}.tmp"
@@ -465,7 +468,8 @@ def evolve(
     The champion is the best individual ever evaluated, not merely the
     final population's best. With ``checkpoint_path`` set, state is saved
     every checkpoint_interval generations and an interrupted run can be
-    continued with ``resume=True``.
+    continued with ``resume=True``, under the engine version that wrote the
+    checkpoint; another version, or none recorded, is a ConfigError.
 
     A run freezes a body when it is given one (``frozen_body``) or, failing
     that, when the config names a body file (``freeze_body_path``), which is
@@ -489,6 +493,12 @@ def evolve(
         saved = load_checkpoint(checkpoint_path)
         if saved["fingerprint"] != fingerprint:
             raise ConfigError("checkpoint belongs to a different configuration")
+        if saved.get("engine_version") != ENGINE_VERSION:
+            # its population's fitnesses would mix with this engine's
+            raise ConfigError(
+                f"checkpoint {checkpoint_path} was written by engine version {saved.get('engine_version')}, "
+                f"and this is engine version {ENGINE_VERSION}; start the run afresh"
+            )
         pop = Population(members=saved["members"], generation=saved["generation"], next_id=saved["next_id"])
         # the champion, if it survives, is a member that goes on ageing
         champion = next((m for m in pop.members if m.id == saved["champion"].id), saved["champion"])

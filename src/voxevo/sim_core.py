@@ -16,24 +16,29 @@ together; no table joins two worlds, so one world never affects another.
 The episode's inner loop runs in C: ``_kernel.c`` holds the actuation
 advance, the spring forces, ground and strip contact, the force table's
 scatter, gravity, integration and the divergence test, the loop of steps
-around them, the actuation targets (``set_actuation_targets``), the fixed
-controller's alternation and the modular controller's observation fill
-(``control._fill_blocks``). ``advance`` is one call into it that steps
-until a world may have ended or, for a modular controller, until the next
-control step; ``step`` is its one-step case. Python builds the worlds and
-each state's pointer table (``_kernel_table``), parks worlds, runs the
-modular network and keeps each episode's books (``tasks.run_episodes``).
-The kernel does numpy's operations in numpy's order, so it gives the bits
-the numpy code gave (``tests/oracles.py`` keeps that code as the reference
-it is tested against). The system C compiler (``_COMPILER``) builds it on
-first use with ``_CFLAGS``: ``-O2 -ffp-contract=off`` and never
-``-ffast-math`` or ``-march=native``, either of which could move bits. The
-library is cached in ``_KERNEL_DIR``, beside this file, under a name that
-carries a hash of the source and the flags, so a cache hit only hashes the
-source and loads the file. There is no fallback engine: a second step path
-would be a second set of numerics to keep equal, so a kernel that cannot be
-built is an error that names the compiler, the cache directory and the
-compiler's complaint.
+around them, the actuation targets (``set_actuation_targets``) and both
+controllers: the fixed alternation, and the modular network with its
+observation fill (``control.controller_table``). ``advance`` is one call
+into it that steps until a world may have ended, querying a batch's
+controller table at every control step; ``step`` is its one-step case,
+which queries none. Python builds the worlds, each state's pointer table
+(``_kernel_table``) and each batch's controller table, parks worlds and
+keeps each episode's books (``tasks.run_episodes``). The kernel does
+numpy's operations in numpy's order, so the physics gives the bits the
+numpy code gave (``tests/oracles.py`` keeps that code as the reference it
+is tested against). The modular network has numerics of its own instead: a
+fixed summation order, and ``tanh`` and the logistic built on the kernel's
+own ``exp``, with no libm, numpy or BLAS call, so that each of its compiled
+clones (AVX-512 and the baseline, picked by the CPU) gives the same
+bits (``_kernel.c`` sets them out). The system C compiler (``_COMPILER``)
+builds the kernel on first use with ``_CFLAGS``: ``-O2 -ffp-contract=off``
+and never ``-ffast-math`` or ``-march=native``, either of which could move
+bits. The library is cached in ``_KERNEL_DIR``, beside this file, under a
+name that carries a hash of the source and the flags, so a cache hit only
+hashes the source and loads the file. There is no fallback engine: a second
+step path would be a second set of numerics to keep equal, so a kernel that
+cannot be built is an error that names the compiler, the cache directory
+and the compiler's complaint.
 """
 
 from __future__ import annotations
@@ -53,9 +58,11 @@ from .morphology import Morphology, simulability_report, InvalidMorphologyError
 from .terrain import TerrainSpec
 
 # Version of the episode numerics. Bump it with any change that can move a
-# simulated trajectory or fitness by even one ulp: cached evidence and run
-# manifests carry it, so results are never served across engines.
-ENGINE_VERSION = 4
+# simulated trajectory or fitness by even one ulp: cached evidence, run
+# manifests and checkpoints carry it, so results are never served or mixed
+# across engines. 5: the modular network runs in the kernel, with its own
+# tanh and exp and a fixed summation order, the same bits in every clone.
+ENGINE_VERSION = 5
 
 # Integration and units
 DT = 0.005                 # seconds per simulation step
@@ -128,7 +135,7 @@ class _Table(ctypes.Structure):
                 "edge_ids", "edge_limit", "edge_floor", "edge_slot", "edge_count", "act_world",
                 "diagonal_sides", "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
                 "bins", "terms", "net", "new_pos", "diverged", "blown", "contact_ids", "contact_w",
-                "commands", "clamped", "sums",
+                "clamped", "sums",
             )
         ]
     )
@@ -590,7 +597,6 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         "blown": np.zeros(1, dtype=np.int64),  # and their number
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
         "contact_w": np.zeros(2 * robots),
-        "commands": np.zeros(actuators),
         "clamped": np.zeros(actuators),
         "sums": np.zeros(state.actuated_edges.size),
     }
@@ -665,8 +671,11 @@ def _load_kernel() -> ctypes.CDLL:
         ("vx_contact_forces", ctypes.c_int64, []),
         ("vx_net_forces", None, []),
         ("vx_set_targets", None, [ctypes.c_void_p]),
-        ("vx_run", ctypes.c_int64, [ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_double]),
-        ("vx_fill_blocks", None, [ctypes.c_void_p, ctypes.c_double]),
+        ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
+        ("vx_fill_features", None, [ctypes.c_void_p]),
+        ("vx_act", None, [ctypes.c_void_p, ctypes.c_int64]),
+        ("vx_presum", None, [ctypes.c_void_p]),
+        ("vx_mlp", None, []),
     ):
         function = getattr(lib, name)
         function.argtypes = [ctypes.c_void_p, *extra]
@@ -725,22 +734,23 @@ def contact_forces(state: WorldState) -> int:
 
 
 def advance(
-    state: WorldState, stop: int, finish_reach: float = math.inf, fixed: bool = False, gravity: float = GRAVITY
+    state: WorldState, stop: int, finish_reach: float = math.inf, controller=None, gravity: float = GRAVITY
 ) -> np.ndarray:
     """Step every world, in one kernel call, until the first of: a step on
     which a world diverged; a step after which some mass has
-    ``!(x < finish_reach)``, NaN included; ``state.sim_time == stop``; and,
-    unless ``fixed``, the next control step (a multiple of
-    STEPS_PER_ACTION), where the caller sets the actuation targets. With
-    ``fixed``, the kernel sets them itself on every control step k, to
-    ACTION_HIGH on even k and ACTION_LOW on odd k, as
-    ``control.fixed_action`` does. Each step is the one ``step`` describes.
+    ``!(x < finish_reach)``, NaN included; and ``state.sim_time == stop``.
+    With a ``controller`` table (``control.controller_table``), the kernel
+    sets the actuation targets from its commands at every control step (a
+    multiple of STEPS_PER_ACTION), as ``control.compute_actions`` and
+    ``set_actuation_targets`` would; without one, they stay as set. Each
+    step is the one ``step`` describes.
 
     Returns the ids of the worlds that diverged on the last step taken,
     ascending (a shared read-only empty array if none did).
     """
     arrays = state.kernel_arrays
-    state.sim_time += _kernel().vx_run(state.kernel_address, state.sim_time, stop, finish_reach, fixed, gravity)
+    table = None if controller is None else controller.address
+    state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach, gravity)
     count = arrays["blown"][0]
     return arrays["diverged"][:count].copy() if count else _NO_WORLDS
 

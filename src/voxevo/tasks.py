@@ -15,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_core
-from .control import ControllerGenome, compute_actions, stack_controllers
+from .control import ControllerGenome, compute_actions, controller_table, stack_controllers
 from .morphology import InvalidMorphologyError, Morphology, require_valid
-from .sim_core import (
-    STEPS_PER_ACTION,
-    KernelBuildError,
-    build_world,
-    build_worlds,
-    set_actuation_targets,
-)
+from .sim_core import KernelBuildError, build_world, build_worlds, set_actuation_targets
 from .terrain import (  # re-exported task surface
     TerrainSpec,
     make_bridge_terrain,
@@ -34,6 +28,8 @@ from .terrain import (  # re-exported task surface
 __all__ = [
     "T_MAX",
     "build_world",
+    "compute_actions",  # one control step and its targets, outside an episode
+    "set_actuation_targets",
     "EpisodeResult",
     "EpisodeEvaluator",
     "compute_fitness",
@@ -95,18 +91,16 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     call at once; each distinct body is built once, and pairs that share a
     body get copies of its rows. The pairs must share one body shape and
     one controller variant.
-    The steps run in the compiled kernel, one ``sim_core.advance`` call per
-    stretch: it stops on a step where a world can have ended (a
-    divergence, the last step, or a mass within a voxel of the finish
-    line) and, for modular controllers, at each control step, where
-    Python computes the commands (``compute_actions``) and sets them
-    (``set_actuation_targets``); the kernel sets the fixed alternation
-    itself. The centres of mass are measured, and the end tests run, only
-    where a stretch stopped on a possible end. A world that crosses the
-    finish line or diverges has its result recorded and is then parked: it
-    stays in the union, inert, until the last world ends. Each world's
-    result is bit for bit what it would be alone. The engine is
-    noise-free, so identical inputs always produce identical results. A
+    The episode runs in the compiled kernel, one ``sim_core.advance`` call
+    per stretch, with the batch's controller table (``controller_table``)
+    queried at every control step inside it, whichever the variant. A
+    stretch stops on a step where a world can have ended: a divergence, the
+    last step, or a mass within a voxel of the finish line. Only there are
+    the centres of mass measured and the end tests run. A world that
+    crosses the finish line or diverges has its result recorded and is
+    then parked: it stays in the union, inert, until the last world ends.
+    Each world's result is bit for bit what it would be alone. The engine
+    is noise-free, so identical inputs always produce identical results. A
     diverged simulation scores as unfinished with the full time penalty and
     the displacement of its last valid step, where ``step`` leaves it.
     """
@@ -118,23 +112,16 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     for morphology, _ in pairs:
         require_valid(morphology)
     state = build_worlds([morphology for morphology, _ in pairs], terrain)
-    controllers = stack_controllers([controller for _, controller in pairs])
+    controllers = controller_table(stack_controllers([controller for _, controller in pairs]), state)
     start_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * len(pairs)
     running = np.ones(len(pairs), dtype=bool)
-    pos_x = state.pos[:, 0]  # a view: the state moves in place
     # a robot's centre of mass lies within its masses' x range, up to a
     # rounding error far below this one-voxel slack
     finish_reach = terrain.finish_x - 1.0
 
-    fixed = controllers.variant == "fixed"
     while True:
-        if not fixed and state.sim_time % STEPS_PER_ACTION == 0:
-            set_actuation_targets(state, compute_actions(controllers, state, state.sim_time // STEPS_PER_ACTION))
-        blown = sim_core.advance(state, T_MAX, finish_reach, fixed)
-        # a stretch that stopped at a control step: no world can have ended
-        if not blown.size and state.sim_time < T_MAX and np.maximum.reduce(pos_x) < finish_reach:
-            continue
+        blown = sim_core.advance(state, T_MAX, finish_reach, controllers)
         diverged = np.zeros(len(pairs), dtype=bool)
         diverged[blown] = True
         x = state.robot_com_x()

@@ -3,9 +3,10 @@
 The headline desk experiment (walker, 5x5, population 16, 300 generations,
 5 seeds per controller arm) takes tens of minutes, and three acceptance
 tests consume its artifacts. Runs are cached on disk keyed by the config
-fingerprint, the engine version and the OpenBLAS kernel, so repeated pytest
-invocations only pay the cost once and neither a numerics change nor another
-kernel reuses old results.
+fingerprint and the engine version, so repeated pytest invocations only pay
+the cost once and a numerics change never reuses old results. An episode's
+numerics are the same on every CPU (``tests/test_kernel.py`` checks it), so
+the key names no CPU or BLAS kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 from pathlib import Path
 
-from voxevo.control import blas_core
 from voxevo.evolution import RunConfig, evolve
 from voxevo.sim_core import ENGINE_VERSION
 from voxevo.tasks import EpisodeEvaluator, terrain_by_name
@@ -41,7 +41,7 @@ def desk_config(controller: str, seed: int, generations: int = DESK_GENERATIONS)
 def run_cached(config: RunConfig) -> dict:
     """Run (or load) one evolutionary run; returns a plain-JSON summary."""
     CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{config.fingerprint()[:16]}_e{ENGINE_VERSION}_{blas_core()}_s{config.seed}.json"
+    path = CACHE_DIR / f"{config.fingerprint()[:16]}_e{ENGINE_VERSION}_s{config.seed}.json"
     if path.exists():
         with open(path) as fh:
             return json.load(fh)
@@ -52,7 +52,6 @@ def run_cached(config: RunConfig) -> dict:
         "config": config.to_json(),
         "fingerprint": config.fingerprint(),
         "engine_version": ENGINE_VERSION,
-        "blas_core": blas_core(),
         "seed": config.seed,
         "champion_fitness": result.champion.fitness,
         "champion_morphology": result.champion.morphology.to_json(),

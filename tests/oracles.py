@@ -5,20 +5,24 @@ Each oracle computes one voxel, one window or one network evaluation at a
 time, in the most direct form, so that a test can compare it with the
 vectorised code the engine runs: ``observe_voxel`` and
 ``gather_observation`` against ``control.observation_matrix``,
-``modular_forward`` against ``control.forward_batch``;
+``modular_forward`` (the network's float formula, with numpy's ``tanh`` and
+``exp``) against ``control.forward_batch`` to 1e-12;
 ``mechanical_energy`` serves the energy-balance physics checks and
 ``robot_center_of_mass`` the free-fall ones; ``reference_episodes`` is
 the episode loop that measures every world and tests every end on every
 step, against ``tasks.run_episodes``, and it runs on numpy alone:
 ``reference_step`` is the engine's step, against the compiled
 ``sim_core.step``; ``reference_set_actuation_targets`` the target setter,
-against ``sim_core.set_actuation_targets``; ``reference_fill_blocks`` (with
-``voxel_areas`` and ``voxel_velocities``) the modular controller's
-observation fill, against the compiled one; each bit for bit.
+against ``sim_core.set_actuation_targets``; ``reference_observations``
+(with ``voxel_areas`` and ``voxel_velocities``) the modular controller's
+observations, against the compiled fill; ``reference_network`` (with
+``reference_tanh`` and ``reference_exp``) the kernel's modular network,
+against ``control.forward_batch``; each bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +33,6 @@ from voxevo.control import (
     OBS_DIM,
     ControllerGenome,
     fixed_action,
-    forward_batch,
     stack_controllers,
     unpack_params,
 )
@@ -195,12 +198,11 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
 
 
 def reference_actions(controllers, state: WorldState, effective_step: int) -> np.ndarray:
-    """``control.compute_actions`` on the numpy fill: the fixed alternation
-    for every active voxel, or the modular network on the filled blocks."""
+    """``control.compute_actions`` in numpy: the fixed alternation for every
+    active voxel, or ``reference_network`` on ``reference_observations``."""
     if controllers.variant == "fixed":
         return np.full(len(state.actuator_cells), fixed_action(effective_step))
-    windows = reference_fill_blocks(state, effective_step)
-    return forward_batch(controllers.params, windows.blocks, windows.block_index)
+    return reference_network(controllers.params, state.act_world, reference_observations(state, effective_step))
 
 
 def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
@@ -215,6 +217,85 @@ def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> 
     edges = state.actuated_edges
     sums = np.bincount(state.actuated_slot, clamped.repeat(2), minlength=edges.size)
     state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
+
+
+# --- the modular network of engine 5 in numpy --------------------------------
+# The kernel's constants (``_kernel.c``), and its operations in its order,
+# each elementwise: so every bit is the kernel's, on every CPU.
+
+LOG2E = 1.4426950408889634
+SHIFTER = 6755399441055744.0  # 1.5 * 2**52: adding it rounds to an integer
+SHIFTER_BITS = np.array(SHIFTER).view(np.int64)
+LN2_HI = float.fromhex("0x1.62e42feep-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+EXP_TAYLOR = [1.0 / math.factorial(n) for n in range(13, -1, -1)]
+TANH_NEAR = 0.15
+TANH_TAYLOR = [
+    -929569.0 / 638512875.0, 21844.0 / 6081075.0, -1382.0 / 155925.0, 62.0 / 2835.0, -17.0 / 315.0, 2.0 / 15.0, -1.0 / 3.0
+]
+LANES = 8
+
+
+def reference_exp(x: np.ndarray) -> np.ndarray:
+    """The kernel's ``exp8``: 2^k e^r, e^r by a degree-13 Taylor polynomial."""
+    t = x * LOG2E + SHIFTER
+    k = t - SHIFTER
+    r = x - k * LN2_HI
+    r = r - k * LN2_LO
+    p = np.full_like(x, EXP_TAYLOR[0])
+    for c in EXP_TAYLOR[1:]:
+        p = p * r + c
+    scale = (t.view(np.int64) - SHIFTER_BITS).view(np.uint64) + np.uint64(1023)
+    return p * (scale << np.uint64(52)).view(np.float64)
+
+
+def reference_tanh(x: np.ndarray) -> np.ndarray:
+    """The kernel's ``tanh8``: an odd polynomial near 0, 1 - 2/(e^2|x| + 1)
+    beyond, the sign of x put back last. Both branches are computed for every
+    entry, as the kernel does, so the unused one may overflow; that raises
+    nothing."""
+    bits = x.view(np.int64)
+    sign = bits & np.int64(-(2**63))
+    a = (bits & np.int64(2**63 - 1)).view(np.float64)
+    twice = np.where(a > 20.0, 20.0, a)
+    twice = twice + twice
+    far = 1.0 - 2.0 / (reference_exp(twice) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a * a
+        q = np.full_like(s, TANH_TAYLOR[0])
+        for c in TANH_TAYLOR[1:]:
+            q = q * s + c
+        near = a + a * s * q
+    m = np.where(a < TANH_NEAR, near, far)
+    return (m.view(np.int64) | sign).view(np.float64)
+
+
+def reference_network(params: np.ndarray, world: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """The kernel's modular network (``vx_presum``, ``vx_mlp``) on dense
+    (rows, 73) observations, row ``r`` run by ``params[world[r]]``.
+
+    Each hidden sum starts from b1 and adds W1[j, c] * obs[c] over the
+    material columns in column order, then the dynamic ones in (slot,
+    feature) order, then the parity. The output sum adds w2[j] * tanh(h_j)
+    in 8 lanes, lane l over j = l, l + 8, l + 16, l + 24, then the lanes in
+    order, then b2.
+    """
+    w1, b1, w2, b2 = unpack_params(params[world])
+    columns = np.concatenate([control._MATERIAL_COLUMNS, control._INPUT_COLUMNS])
+    h = b1.copy()
+    for c in columns:
+        h = h + w1[:, :, c] * obs[:, c, None]
+    t = reference_tanh(h) * w2
+    acc = t[:, :LANES]
+    for v in range(LANES, t.shape[1], LANES):
+        acc = acc + t[:, v : v + LANES]
+    z = acc[:, 0]
+    for lane in range(1, LANES):
+        z = z + acc[:, lane]
+    z = z + b2
+    z = np.where(z > 60.0, 60.0, z)
+    z = np.where(z < -60.0, -60.0, z)
+    return ACTION_LOW + 1.0 / (1.0 + reference_exp(-z))
 
 
 _QUAD_NEXT = np.array([1, 2, 3, 0])
@@ -236,17 +317,18 @@ def voxel_velocities(state: WorldState) -> np.ndarray:
     return vel
 
 
-def reference_fill_blocks(state: WorldState, effective_step: int):
-    """The compiled observation fill in numpy: writes the state's controller
-    input (``control._window_tables``) in place, and returns its tables."""
+def reference_observations(state: WorldState, effective_step: int) -> np.ndarray:
+    """``control.observation_matrix`` in numpy, on the state's windows
+    (``control._window_tables``)."""
     windows = control._window_tables(state)
-    features = windows.features
+    features = np.zeros_like(windows.features)
     features[:-1, 0] = voxel_areas(state)
     features[:-1, 1:] = voxel_velocities(state)
-    flat = windows.blocks.reshape(-1)
-    flat.put(windows.dynamic, features.take(windows.gather))
-    flat.put(windows.parity, effective_step % 2)
-    return windows
+    obs = np.empty((len(windows.material), OBS_DIM))
+    obs[:, control._DYNAMIC_COLUMNS] = features.take(windows.gather)
+    obs[:, control._MATERIAL_COLUMNS] = windows.material
+    obs[:, -1] = effective_step % 2
+    return obs
 
 
 # --- the step in numpy -------------------------------------------------------

@@ -47,8 +47,8 @@ def test_desk_configs_name_committed_cache_files():
     for controller in ("fixed", "modular"):
         for seed in range(DESK_SEEDS):
             fp = desk_config(controller, seed).fingerprint()
-            pattern = f"{fp[:16]}_e{ENGINE_VERSION}_*_s{seed}.json"
-            assert list(CACHE_DIR.glob(pattern)), f"no cached desk run {pattern} for {controller} seed {seed}"
+            name = f"{fp[:16]}_e{ENGINE_VERSION}_s{seed}.json"
+            assert (CACHE_DIR / name).exists(), f"no cached desk run {name} for {controller} seed {seed}"
 
 
 # --- criterion 1: fitness formula exactness ---------------------------------

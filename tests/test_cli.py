@@ -8,7 +8,6 @@ import pytest
 
 from voxevo import analysis, cli, evolution
 from voxevo.cli import build_parser, config_from_args, main
-from voxevo.control import blas_core
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import ENGINE_VERSION
 
@@ -40,7 +39,6 @@ def test_evolve_writes_outputs(tmp_path):
     assert manifest["setting"] == "W5"
     assert manifest["group_label"] == "W5-fixed"
     assert manifest["engine_version"] == ENGINE_VERSION
-    assert manifest["blas_core"] == blas_core() != "unknown"
     assert manifest["config"]["generations"] == 2
     assert (out / "generations.csv").exists()
     assert (out / "checkpoint.json").exists()
@@ -544,6 +542,36 @@ def test_resume_after_interrupt(monkeypatch, tmp_path):
     assert run_cli(*argv, "--resume") == 0
     assert started == [3]  # exactly one generation, the interrupted one
     assert (out / "generations.csv").read_bytes() == full_log
+
+
+@pytest.mark.parametrize("version", [ENGINE_VERSION - 1, None], ids=["older", "missing"])
+def test_resume_under_another_engine_exits_2(monkeypatch, tmp_path, capsys, version):
+    # an interrupted run's checkpoint holds its engine's fitnesses: resumed
+    # under another engine it would mix two engines' in one population
+    out = tmp_path / "run"
+    argv = evolve_args(out, **{"--gens": "3", "--checkpoint-interval": "1"})
+    original = evolution.advance_generation
+
+    def interrupt_at_3(pop, *args):
+        if pop.generation == 2:
+            raise KeyboardInterrupt
+        return original(pop, *args)
+
+    monkeypatch.setattr(evolution, "advance_generation", interrupt_at_3)
+    assert run_cli(*argv) == 3
+    monkeypatch.setattr(evolution, "advance_generation", original)
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["engine_version"] == ENGINE_VERSION
+    if version is None:
+        del checkpoint["engine_version"]
+    else:
+        checkpoint["engine_version"] = version
+    (out / "checkpoint.json").write_text(json.dumps(checkpoint))
+    capsys.readouterr()
+    assert run_cli(*argv, "--resume") == 2
+    err = capsys.readouterr().err
+    assert f"engine version {version}" in err and f"engine version {ENGINE_VERSION}" in err
+    assert not (out / "generations.csv").exists()
 
 
 def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path):

@@ -22,7 +22,17 @@ from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import STEPS_PER_ACTION, build_world, build_worlds, set_actuation_targets, step
 from voxevo.terrain import terrain_by_name
 
-from oracles import gather_observation, modular_forward, reference_fill_blocks, reference_set_actuation_targets, reference_step
+from oracles import (
+    gather_observation,
+    modular_forward,
+    reference_actions,
+    reference_network,
+    reference_observations,
+    reference_set_actuation_targets,
+    reference_exp,
+    reference_step,
+    reference_tanh,
+)
 
 
 def modular(rng):
@@ -260,10 +270,10 @@ def test_controller_input_holds_no_stale_entries(rng, flat):
 
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
 def test_compiled_fill_is_the_reference_fill_byte_for_byte(environment):
-    # two equal unions, one filled, acted on and stepped by the kernel, the
+    # two equal unions, one observed, acted on and stepped by the kernel, the
     # other by numpy: over several control steps, with a world parked
-    # midway and one whose velocities are all -0.0 for a step, the blocks
-    # and the feature table hold the same bytes
+    # midway and one whose velocities are all -0.0 for a step, the
+    # observations and the commands hold the same bytes
     terrain = terrain_by_name(environment, (5, 5))
     rng = np.random.default_rng([5, 31])
     bodies = [random_morphology(5, 5, rng) for _ in range(3)]
@@ -276,21 +286,55 @@ def test_compiled_fill_is_the_reference_fill_byte_for_byte(environment):
         if k == 5:
             for state in (kernel, oracle):
                 state.vel[state.mass_world == 2] = -0.0
-        filled = control._fill_blocks(kernel, k)
-        expected = reference_fill_blocks(oracle, k)
-        assert filled.blocks.tobytes() == expected.blocks.tobytes(), f"control step {k}"
-        assert filled.features.tobytes() == expected.features.tobytes(), f"control step {k}"
-        set_actuation_targets(kernel, forward_batch(controllers.params, filled.blocks, filled.block_index))
-        reference_set_actuation_targets(oracle, forward_batch(controllers.params, expected.blocks, expected.block_index))
+        observed = observation_matrix(kernel, k)
+        assert observed.tobytes() == reference_observations(oracle, k).tobytes(), f"control step {k}"
+        actions = compute_actions(controllers, kernel, k)
+        assert actions.tobytes() == reference_actions(controllers, oracle, k).tobytes(), f"control step {k}"
+        set_actuation_targets(kernel, actions)
+        reference_set_actuation_targets(oracle, reference_actions(controllers, oracle, k))
         for _ in range(STEPS_PER_ACTION):
             assert step(kernel).tolist() == reference_step(oracle).tolist() == []
     assert kernel.pos.tobytes() == oracle.pos.tobytes()
 
 
+@pytest.mark.parametrize("scale", [0.1, 3.0, 1e3])
+def test_kernel_network_is_the_reference_network_byte_for_byte(scale):
+    # dense rows, their material entries no indicators, of three worlds'
+    # parameters: at the initial spread, where tanh and the logistic
+    # saturate, and with -0.0, infinities and NaN among the inputs (a NaN
+    # command may carry another sign bit than numpy's, which no result reads)
+    rng = np.random.default_rng(11)
+    params = rng.normal(0.0, scale, size=(3, PARAM_COUNT))
+    obs = rng.normal(0.0, scale, size=(3, 40, OBS_DIM))
+    obs[0, :4, 0] = [-0.0, np.inf, -np.inf, np.nan]
+    rows = rng.permutation(120)[:77]
+    actions = forward_batch(params, obs, rows)
+    expected = reference_network(params, rows // 40, obs.reshape(-1, OBS_DIM)[rows])
+    nan = np.isnan(expected)
+    assert np.count_nonzero(nan) == 1 and np.array_equal(np.isnan(actions), nan)
+    assert actions[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_network_functions_are_accurate():
+    # the kernel's own tanh and logistic (the oracle holds their bits):
+    # within two units in the last place of numpy's, odd, and saturating
+    # exactly
+    x = np.linspace(-30.0, 30.0, 600_001)
+    assert np.abs(reference_tanh(x) - np.tanh(x)).max() <= 2.3e-16
+    assert np.array_equal(reference_tanh(-x), -reference_tanh(x))
+    assert reference_tanh(np.array([-0.0]))[0] == 0.0 and np.signbit(reference_tanh(np.array([-0.0]))[0])
+    zero = np.zeros(PARAM_COUNT)
+    for b2, action in [(60.0, 1.6), (-60.0, 0.6), (1e300, 1.6), (-1e300, 0.6), (0.0, 1.1)]:
+        zero[-1] = b2
+        assert forward_batch(zero[None], np.zeros((1, 1, OBS_DIM)), np.arange(1))[0] == action
+    z = np.linspace(-60.0, 60.0, 120_001)
+    assert np.abs(1.0 / (1.0 + reference_exp(-z)) - 1.0 / (1.0 + np.exp(-z))).max() <= 2.3e-16
+
+
 def test_warm_modular_control_allocates_less_than_its_input():
-    # a 17-world B7 union, as one generation runs it: a warm call writes the
-    # persistent (worlds, h*w, 73) controller input in place, so it
-    # allocates less than one copy of those blocks
+    # a 17-world B7 union, as one generation runs it: a warm call reuses the
+    # state's controller table and its scratch, so it allocates less than
+    # one (worlds, h*w, 73) block of observations
     terrain = terrain_by_name("bridgewalker", (7, 7))
     rng = np.random.default_rng(7)
     pairs = [(random_morphology(7, 7, rng), modular(rng)) for _ in range(17)]

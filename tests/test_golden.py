@@ -17,11 +17,12 @@ in the old order hashing to the old digests.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests.
 
-The fixed-controller digests make no BLAS call, so they hold under every
-OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell`` included); the bridge
-strip's static solve makes none either. The modular digests still depend on
-the kernel, through the controller GEMM, and were taken on SkylakeX; a
-failure message names the kernel it ran on.
+No episode makes a BLAS call, and the modular network uses no libm or numpy
+transcendental: it is the kernel's own arithmetic, vectorised across hidden
+units only (``_kernel.c``). So every digest holds under every OpenBLAS
+kernel and every numpy SIMD dispatch, and in each of the network's compiled
+clones; ``test_kernel.py`` checks both. The bridge strip's static solve
+calls no BLAS either.
 """
 
 import hashlib
@@ -30,24 +31,24 @@ import numpy as np
 import pytest
 
 from voxevo.cli import main as cli_main
-from voxevo.control import blas_core, compute_actions, init_controller, stack_controllers
+from voxevo.control import compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
 from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
 from voxevo.tasks import T_MAX, terrain_by_name
 
-GOLDEN_ENGINE_VERSION = 4
+GOLDEN_ENGINE_VERSION = 5
 
 CRITERION_3_CSV_SHA256 = "c84fa47bebace6be8f653308eb07db8d23324b21449cd1f30b21fc6d51dffc7d"
 
 TRAJECTORY_SHA256 = {
     ("walker", 5, "fixed"): "a98a57b11af810d86be7934a04c04645e09ab81757c7b07759c3172ebdd91982",
-    ("walker", 5, "modular"): "96ee125d8ef05770d1ccf1b073c79cd188106b27df3addebbd5aefe0f028ae22",
+    ("walker", 5, "modular"): "027b70b9bf92878b40f279961ed37779cc4e04835ac4e9547dd0b378c39d7b99",
     ("bridgewalker", 5, "fixed"): "398a9cd4ad5f8809a0b0d1e6e40b33bc43b6bcae10855f7c8e0b3503e97a82e3",
-    ("bridgewalker", 5, "modular"): "4d7a7fa6c7eaf553dff6fc7fd31d96f3de49416e5d9d5c30083498308aaea5ec",
+    ("bridgewalker", 5, "modular"): "87f02e7b6ec71a3e6ada13031526fdd4d1844c75aec8e44c350a6d13fe864b36",
     ("walker", 7, "fixed"): "20cca5306be861d36ca0044514af797af5800688bda8729526eb1e08411e57f1",
-    ("walker", 7, "modular"): "9a1ce57d35d75839248f180b3b905e6f31ed381f001ad02eb95d68f2ba787f11",
+    ("walker", 7, "modular"): "194b0f963ed505cf601278b4b6e228392e62fee2ce4bdce5e5b1391ffd0e7961",
     ("bridgewalker", 7, "fixed"): "0e7cd546770538bed7ffea25523bb7fe903a4399dabd56c4fdd5b4ccbf8b2c8b",
-    ("bridgewalker", 7, "modular"): "f99bc663ec2a6068a503679694aa3338172122cd568c0b4481f1bcf25ee9f019",
+    ("bridgewalker", 7, "modular"): "a3e0a9163955974f3a86d7b34630e0a58387fef197df40d0b3d783eb04584b22",
 }
 
 
@@ -90,7 +91,7 @@ def test_engine_version_matches_golden_data():
 @pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
 def test_trajectory_digest(setting):
     digest = trajectory_digest(*setting)
-    assert digest == TRAJECTORY_SHA256[setting], f"{digest} on OpenBLAS kernel {blas_core()}"
+    assert digest == TRAJECTORY_SHA256[setting], digest
 
 
 @pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
@@ -98,7 +99,7 @@ def test_trajectory_digest_in_a_union(setting):
     # the same trajectory as the middle world of a 3-world union: robot rows
     # read as a slice on flat terrain and by index on the bridge
     digest = trajectory_digest(*setting, neighbours=1)
-    assert digest == TRAJECTORY_SHA256[setting], f"{digest} on OpenBLAS kernel {blas_core()}"
+    assert digest == TRAJECTORY_SHA256[setting], digest
 
 
 def test_criterion_3_generations_csv_digest(tmp_path):

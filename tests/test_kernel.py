@@ -1,10 +1,13 @@
-"""The compiled step against the numpy reference step, and the kernel's build.
+"""The compiled step against the numpy reference step, the kernel's build,
+and the modular network's independence of the CPU.
 
 ``sim_core.step`` is one call into ``_kernel.c``; ``oracles.reference_step``
 is the same step in numpy, and ``oracles.reference_set_actuation_targets``
 the target setter. Every golden setting steps under both, alone and as the
 middle world of a union, and each step must leave the same bytes in every
-array the step or the target setter writes.
+array the step or the target setter writes. The modular digests must hold
+under another OpenBLAS kernel, with numpy's SIMD dispatch cut down, and in
+the network's baseline clone.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from voxevo.tasks import T_MAX
 from voxevo.terrain import make_flat_terrain
 
 from oracles import reference_set_actuation_targets, reference_step
-from test_golden import TRAJECTORY_SHA256, golden_pairs
+from test_golden import TRAJECTORY_SHA256, golden_pairs, trajectory_digest
 from test_sim_core import sunk_into_the_strip
 
 # every array a step or the target setter writes; the force table whole, so
@@ -193,3 +196,68 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# --- the modular network on every CPU -----------------------------------------
+
+MODULAR = [setting for setting in TRAJECTORY_SHA256 if setting[2] == "modular"]
+
+
+def modular_evidence_script(cache_dir: Path | None = None, cflags: tuple = ()) -> str:
+    """A fresh interpreter's program: print the modular golden digests and
+    the bytes of one union's first modular commands, with the kernel built
+    with ``cflags`` added into ``cache_dir`` if one is given."""
+    script = "import sys\nfrom pathlib import Path\nfrom voxevo import sim_core\n"
+    if cache_dir is not None:
+        script += f"sim_core._KERNEL_DIR = Path({str(cache_dir)!r})\n"
+        script += f"sim_core._CFLAGS = sim_core._CFLAGS + {tuple(cflags)!r}\n"
+    script += f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+    script += "import test_kernel\nprint(test_kernel.modular_evidence())\n"
+    return script
+
+
+def modular_evidence() -> str:
+    """The modular golden digests, and the hex bytes of a stepped B7 union's
+    modular commands, one line each."""
+    lines = [trajectory_digest(*setting) for setting in MODULAR]
+    pairs, terrain = golden_pairs("bridgewalker", 7, "modular", neighbours=1)
+    state, _, controllers = twin_unions(pairs, terrain)
+    for t in range(23):
+        act(state, controllers, t)
+        step(state)
+    lines.append(compute_actions(controllers, state, 5).tobytes().hex())
+    return "\n".join(lines)
+
+
+def run_script(script: str, **env) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}],
+    ids=["openblas-prescott", "numpy-without-avx2"],
+)
+def test_modular_digests_are_cpu_independent(env):
+    # the network calls no BLAS and no numpy or libm transcendental, so
+    # neither OpenBLAS's kernel nor numpy's SIMD dispatch moves a bit
+    out = run_script(modular_evidence_script(), **env).splitlines()
+    assert out[: len(MODULAR)] == [TRAJECTORY_SHA256[setting] for setting in MODULAR]
+
+
+def test_the_network_clones_agree(tmp_path):
+    # the network's baseline clone alone (VX_DEFAULT_CLONE_ONLY), built into
+    # a cache of its own, gives the commands and the digests of the clone
+    # this CPU dispatches to
+    out = run_script(modular_evidence_script(tmp_path / "cache", ("-DVX_DEFAULT_CLONE_ONLY",)))
+    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".so"]
+    assert out == modular_evidence()
+    assert out.splitlines()[: len(MODULAR)] == [TRAJECTORY_SHA256[setting] for setting in MODULAR]

@@ -11,10 +11,27 @@ import voxevo
 import voxevo.control
 import voxevo.sim_core
 import voxevo.tasks
-from voxevo.control import ControllerGenome, init_controller
+from voxevo.control import (
+    OBS_DIM,
+    PARAM_COUNT,
+    ControllerGenome,
+    compute_actions,
+    controller_table,
+    init_controller,
+    stack_controllers,
+    unpack_params,
+)
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.materials import ELASTIC
-from voxevo.sim_core import GRAVITY, STEPS_PER_ACTION, _bridge_equilibrium, build_world, net_forces, step
+from voxevo.sim_core import (
+    GRAVITY,
+    STEPS_PER_ACTION,
+    _bridge_equilibrium,
+    build_world,
+    net_forces,
+    set_actuation_targets,
+    step,
+)
 from voxevo.tasks import (
     T_MAX,
     EpisodeEvaluator,
@@ -111,22 +128,22 @@ def test_zero_network_barely_moves(flat):
     assert abs(result.delta_px) < 0.5
 
 
-def test_controller_queried_every_fifth_step(monkeypatch, flat, rng):
-    # a modular controller; the kernel sets the fixed alternation itself
+def test_controller_queried_every_fifth_step(rng, flat):
+    # the kernel queries the controller table inside ``advance``: its
+    # episode is bit for bit a Python loop that computes and sets the
+    # commands on every fifth step, and not one that does so a step late
     m = random_morphology(5, 5, rng)
-    calls = []
-    original = voxevo.tasks.compute_actions
-
-    def counting(genome, state, k):
-        calls.append(k)
-        assert state.sim_time == STEPS_PER_ACTION * k
-        return original(genome, state, k)
-
-    monkeypatch.setattr(voxevo.tasks, "compute_actions", counting)
-    result = run_episode(m, init_controller("modular", rng), flat)
-    assert not (result.finished or result.diverged)
-    assert len(calls) == 100
-    assert calls == list(range(100))
+    controllers = stack_controllers([init_controller("modular", rng)])
+    kernel = build_world(m, flat)
+    voxevo.sim_core.advance(kernel, T_MAX, controller=controller_table(controllers, kernel))
+    for offset, same in ((0, True), (1, False)):
+        loop = build_world(m, flat)
+        for t in range(T_MAX):
+            if t % STEPS_PER_ACTION == offset:
+                set_actuation_targets(loop, compute_actions(controllers, loop, t // STEPS_PER_ACTION))
+            step(loop)
+        assert (loop.pos.tobytes() == kernel.pos.tobytes()) == same
+        assert (loop.vel.tobytes() == kernel.vel.tobytes()) == same
 
 
 def test_episode_determinism(rng, flat):
@@ -499,14 +516,13 @@ def test_evolve_without_a_compiler_exits_3_and_names_it(tmp_path):
 
 def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
     # perfbench's tracer times these layers by wrapping the module
-    # attributes the library looks them up through. The episode loop steps
-    # in the kernel, one ``advance`` call per stretch, so it never reaches
-    # ``step``, ``spring_forces`` or ``contact_forces``. A modular batch
-    # reaches ``compute_actions``, ``forward_batch`` and
-    # ``set_actuation_targets`` once per control step; a fixed batch
-    # reaches none of them, its alternation set in the kernel. A stretch
-    # ends at a control step or where a world can have ended, so the
-    # ``advance`` calls are bounded by control steps plus world ends.
+    # attributes the library looks them up through. An episode runs in the
+    # kernel, one ``advance`` call per stretch, with the controller queried
+    # inside it for both variants: so a batch never reaches ``step``,
+    # ``spring_forces``, ``contact_forces``, ``compute_actions``,
+    # ``forward_batch`` or ``set_actuation_targets``. A stretch ends only
+    # where a world can have ended, so the ``advance`` calls are bounded by
+    # the world ends.
     calls = {}
     build_world(Morphology([[3]]), make_bridge_terrain((4, 4)))  # the strip's solve is cached from here on
 
@@ -527,9 +543,9 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
         (voxevo.tasks, "set_actuation_targets"),
         (voxevo.tasks, "compute_actions"),
         (voxevo.control, "forward_batch"),
+        (voxevo.control, "observation_matrix"),
     ]:
         count(owner, name)
-    control_steps = T_MAX // STEPS_PER_ACTION
     for environment in ("walker", "bridgewalker"):
         for variant in ("modular", "fixed"):
             calls.clear()
@@ -537,13 +553,8 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
             pairs = [(random_morphology(4, 4, rng), init_controller(variant, rng)) for _ in range(3)]
             results = run_episodes(pairs, terrain_by_name(environment, (4, 4)))
             assert not any(r.finished or r.diverged for r in results)
-            assert not {"step", "spring_forces", "contact_forces"} & set(calls)
-            if variant == "modular":
-                assert calls["compute_actions"] == calls["forward_batch"] == calls["set_actuation_targets"] == control_steps
-                assert control_steps <= calls["advance"] <= control_steps + len(pairs)
-            else:
-                assert not {"compute_actions", "forward_batch", "set_actuation_targets"} & set(calls)
-                assert 1 <= calls["advance"] <= len(pairs)
+            assert set(calls) == {"advance"}
+            assert 1 <= calls["advance"] <= len(pairs)
     # a traced run (``--trace 1``) looks every layer up by name, and would
     # raise on one that is gone
     path = Path(voxevo.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
@@ -552,6 +563,29 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
     spec.loader.exec_module(tracer)
     for owner, attribute, _ in tracer.WRAPPED:
         assert callable(getattr(owner, attribute)), f"{owner.__name__}.{attribute}"
+
+
+def fixed_gait_genome() -> ControllerGenome:
+    """The fixed alternation as a modular genome: one hidden unit reads the
+    parity, and 60 * tanh(10 - 20 * parity), about +-60, saturates the
+    logistic so that every command is exactly 1.6 or 0.6."""
+    params = np.zeros(PARAM_COUNT)
+    w1, b1, w2, _ = unpack_params(params)  # views: writing them writes params
+    w1[0, OBS_DIM - 1] = -20.0
+    b1[0] = 10.0
+    w2[0] = 60.0
+    return ControllerGenome("modular", params)
+
+
+@pytest.mark.parametrize("setting", [s for s in TRAJECTORY_SHA256 if s[2] == "fixed"], ids=lambda s: f"{s[0]}-{s[1]}")
+def test_the_fixed_gait_lies_inside_the_modular_space(setting):
+    # a body's fixed fitness is a lower bound on its modular potential: the
+    # one-unit genome scores every golden body's fixed fitness bit for bit
+    pairs, terrain = golden_pairs(*setting, neighbours=1)
+    genome = fixed_gait_genome()
+    fixed = run_episodes(pairs, terrain)
+    modular = run_episodes([(m, genome) for m, _ in pairs], terrain)
+    assert _bits(modular) == _bits(fixed)
 
 
 def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
