@@ -1,7 +1,8 @@
 /*
  * The compiled core of voxevo's mass-spring engine (see sim_core.py): the
  * step, the episode loop around it, the actuation targets and both
- * controllers, the modular network included.
+ * controllers, the modular network included; and the builder of a batch's
+ * worlds (vx_count, vx_build), set out at the end of this file.
  *
  * vx_run steps a union of worlds until the first of: a step on which a
  * world diverged; a step after which some mass has !(x < finish_reach);
@@ -9,9 +10,9 @@
  * batch's controller table: the fixed alternation, or the modular network
  * on the observations it fills (vx_act).
  *
- * Every function takes one Table: pointers into a WorldState's numpy
- * arrays, its sizes and the engine's constants, built once per state by
- * sim_core._kernel_table. The arithmetic is numpy's, operation for
+ * Every function but the builder's takes one Table: pointers into a
+ * WorldState's numpy arrays, its sizes and the engine's constants, built
+ * once per state by sim_core._kernel_table. The arithmetic is numpy's, operation for
  * operation and in the same order, so every trajectory keeps its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
  *    double operation at a time; the build flags forbid contraction into
@@ -643,4 +644,218 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
     }
     t->blown[0] = diverged;
     return taken;
+}
+
+/* ---- building worlds -------------------------------------------------------
+ *
+ * vx_count and vx_build make a batch's disjoint union of worlds
+ * (sim_core.build_worlds): vx_count writes each kind's starts, from which
+ * Python sizes the tables, and vx_build fills them. World w holds the rows
+ * of body grid[w], then, if there is one, the part every world appends
+ * (the settled bridge strip); every index is a union id.
+ *
+ * A body's non-empty cells are visited row-major. Each touches its corners
+ * in (tl, tr, bl, br) order and its springs in the order bottom, top, left
+ * and right edge, then the diagonals (bl, tr) and (br, tl); corners and
+ * springs are numbered in order of first use. Grid corner (pi, pj) sits at
+ * (x0 + pj, y0 - pi), which puts the body's leftmost corner at x = left and
+ * its lowest at y = ground. A corner weighs corner_mass per voxel holding
+ * it. An edge shared by two voxels is stored once, as (lower id, higher id),
+ * with the stiffer voxel's constant; a diagonal is never shared and takes
+ * shear times its voxel's. Rest lengths are libm's hypot of the end-to-end
+ * vector, as np.hypot computes them. tests/oracles.py's
+ * reference_build_worlds is the numpy builder these tables are tested
+ * against, byte for byte.
+ */
+
+enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' order */
+
+typedef struct {
+    /* sizes */
+    int64_t h, w;           /* every body's grid, h x w (smaller bodies padded with empty cells) */
+    int64_t worlds;
+    int64_t part_masses, part_springs, part_top;  /* the appended part's rows; 0 when there is none */
+    /* constants */
+    int64_t actuator_h, actuator_v;  /* the actuator materials' codes, horizontal and vertical */
+    double left, ground;    /* each body's leftmost corner x and lowest corner y */
+    double shear;           /* a diagonal's stiffness over its voxel's edge stiffness */
+    double corner_mass;     /* a corner's mass per voxel holding it */
+    /* read */
+    const int8_t *cells;       /* (bodies, h, w) material codes */
+    const int64_t *grid;       /* (worlds,) each world's body */
+    const double *stiffness;   /* edge stiffness by material code */
+    const double *part_pos, *part_mass;  /* the part's tables, its ids its own */
+    const uint8_t *part_pinned;
+    const int64_t *part_spring_i, *part_spring_j;
+    const double *part_spring_k, *part_spring_rest;
+    const int64_t *part_bridge_top;
+    /* scratch: 3 (h + 1) (w + 1) ids, by grid corner, horizontal and vertical edge */
+    int64_t *scratch;
+    /* written: the starts by vx_count, the rest by vx_build */
+    int64_t *starts;           /* (KINDS, worlds + 1) */
+    double *pos, *mass;        /* (masses, 2), (masses,) */
+    uint8_t *pinned, *is_robot;
+    int64_t *spring_i, *spring_j;
+    double *spring_k, *spring_rest;
+    int64_t *vox_cells, *vox_corners, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2 or 4) */
+    int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2) */
+    int64_t *bridge_top;
+} Builder;
+
+/* The spring from corner i to corner j (ids among the body's), of
+ * stiffness k, numbered on first use: in *slot when an edge, whose ends are
+ * then sorted and which keeps the stiffer k of its voxels', or always new
+ * when a diagonal (slot NULL). Returns its id among the body's. */
+static int64_t spring(const Builder *b, const int64_t *at, int64_t *count, int64_t *slot, int64_t i, int64_t j, double k)
+{
+    if (slot && *slot >= 0) {
+        if (at)
+            b->spring_k[at[SPRING] + *slot] = np_max(b->spring_k[at[SPRING] + *slot], k);
+        return *slot;
+    }
+    const int64_t s = count[SPRING]++;
+    if (slot) {
+        *slot = s;
+        if (i > j) {
+            int64_t swap = i;
+            i = j;
+            j = swap;
+        }
+    }
+    if (at) {
+        const double *pi = b->pos + 2 * (at[MASS] + i), *pj = b->pos + 2 * (at[MASS] + j);
+        b->spring_i[at[SPRING] + s] = at[MASS] + i;
+        b->spring_j[at[SPRING] + s] = at[MASS] + j;
+        b->spring_k[at[SPRING] + s] = k;
+        b->spring_rest[at[SPRING] + s] = hypot(pi[0] - pj[0], pi[1] - pj[1]);
+    }
+    return s;
+}
+
+/* Number body g's rows and count them into count[KINDS]; with row offsets
+ * ``at``, also write them there. */
+static void body_rows(const Builder *b, int64_t g, const int64_t *at, int64_t *count)
+{
+    const int64_t h = b->h, w = b->w, stride = w + 1, grid = (h + 1) * stride;
+    const int8_t *cells = b->cells + g * h * w;
+    int64_t *corner = b->scratch, *h_edge = corner + grid, *v_edge = h_edge + grid;
+    int64_t r, c, k, low = w, bottom = 0;
+    for (k = 0; k < 3 * grid; k++)
+        corner[k] = -1;
+    for (k = 0; k < KINDS; k++)
+        count[k] = 0;
+    for (r = 0; r < h; r++)
+        for (c = 0; c < w; c++)
+            if (cells[r * w + c]) {
+                low = c < low ? c : low;
+                bottom = r;
+            }
+    const double x0 = b->left - (double)low, y0 = b->ground + (double)(bottom + 1);
+    for (r = 0; r < h; r++)
+        for (c = 0; c < w; c++) {
+            const int8_t code = cells[r * w + c];
+            if (!code)
+                continue;
+            int64_t id[4];  /* tl, tr, bl, br */
+            for (k = 0; k < 4; k++) {
+                const int64_t pi = r + k / 2, pj = c + k % 2;
+                int64_t *slot = corner + pi * stride + pj;
+                if (*slot < 0) {
+                    *slot = count[MASS]++;
+                    if (at) {
+                        b->pos[2 * (at[MASS] + *slot)] = x0 + (double)pj;
+                        b->pos[2 * (at[MASS] + *slot) + 1] = y0 - (double)pi;
+                        b->mass[at[MASS] + *slot] = 0.0;
+                    }
+                }
+                id[k] = *slot;
+                if (at)
+                    b->mass[at[MASS] + id[k]] += 1.0;  /* voxels holding it, exact */
+            }
+            const double edge = b->stiffness[code], diagonal = edge * b->shear;
+            const int64_t bottom_edge = spring(b, at, count, h_edge + (r + 1) * stride + c, id[2], id[3], edge);
+            const int64_t top_edge = spring(b, at, count, h_edge + r * stride + c, id[0], id[1], edge);
+            const int64_t left_edge = spring(b, at, count, v_edge + r * stride + c, id[2], id[0], edge);
+            const int64_t right_edge = spring(b, at, count, v_edge + r * stride + c + 1, id[3], id[1], edge);
+            const int64_t rising = spring(b, at, count, NULL, id[2], id[1], diagonal);
+            const int64_t falling = spring(b, at, count, NULL, id[3], id[0], diagonal);
+            const int active = code == b->actuator_h || code == b->actuator_v;
+            if (at) {
+                const int64_t v = at[VOX] + count[VOX], s = at[SPRING], m = at[MASS];
+                b->vox_cells[2 * v] = r;
+                b->vox_cells[2 * v + 1] = c;
+                b->vox_corners[4 * v] = m + id[2];  /* bl, br, tr, tl */
+                b->vox_corners[4 * v + 1] = m + id[3];
+                b->vox_corners[4 * v + 2] = m + id[1];
+                b->vox_corners[4 * v + 3] = m + id[0];
+                b->vox_h_edges[2 * v] = s + bottom_edge;
+                b->vox_h_edges[2 * v + 1] = s + top_edge;
+                b->vox_v_edges[2 * v] = s + left_edge;
+                b->vox_v_edges[2 * v + 1] = s + right_edge;
+                b->vox_shear[2 * v] = s + rising;
+                b->vox_shear[2 * v + 1] = s + falling;
+                if (active) {
+                    const int64_t a = at[ACT] + count[ACT];
+                    const int horizontal = code == b->actuator_h;
+                    b->actuator_cells[2 * a] = r;
+                    b->actuator_cells[2 * a + 1] = c;
+                    b->actuator_springs[2 * a] = s + (horizontal ? bottom_edge : left_edge);
+                    b->actuator_springs[2 * a + 1] = s + (horizontal ? top_edge : right_edge);
+                }
+            }
+            count[VOX]++;
+            count[ACT] += active;
+        }
+    if (at)
+        for (k = at[MASS]; k < at[MASS] + count[MASS]; k++) {
+            b->mass[k] = b->mass[k] * b->corner_mass;
+            b->pinned[k] = 0;
+            b->is_robot[k] = 1;
+        }
+}
+
+/* Each kind's starts: world w's rows of a kind are starts[kind][w] up to
+ * starts[kind][w + 1]; the last entry is the union's number of rows. */
+void vx_count(const Builder *b)
+{
+    const int64_t n = b->worlds + 1;
+    int64_t count[KINDS], w, k;
+    for (k = 0; k < KINDS; k++)
+        b->starts[k * n] = 0;
+    for (w = 0; w < b->worlds; w++) {
+        body_rows(b, b->grid[w], NULL, count);
+        count[MASS] += b->part_masses;
+        count[SPRING] += b->part_springs;
+        count[TOP] += b->part_top;
+        for (k = 0; k < KINDS; k++)
+            b->starts[k * n + w + 1] = b->starts[k * n + w] + count[k];
+    }
+}
+
+/* Every table of the union, at the starts vx_count wrote. */
+void vx_build(const Builder *b)
+{
+    const int64_t n = b->worlds + 1;
+    int64_t at[KINDS], count[KINDS], w, k;
+    for (w = 0; w < b->worlds; w++) {
+        for (k = 0; k < KINDS; k++)
+            at[k] = b->starts[k * n + w];
+        body_rows(b, b->grid[w], at, count);
+        const int64_t m = at[MASS] + count[MASS], s = at[SPRING] + count[SPRING];
+        for (k = 0; k < b->part_masses; k++) {
+            b->pos[2 * (m + k)] = b->part_pos[2 * k];
+            b->pos[2 * (m + k) + 1] = b->part_pos[2 * k + 1];
+            b->mass[m + k] = b->part_mass[k];
+            b->pinned[m + k] = b->part_pinned[k];
+            b->is_robot[m + k] = 0;
+        }
+        for (k = 0; k < b->part_springs; k++) {
+            b->spring_i[s + k] = m + b->part_spring_i[k];
+            b->spring_j[s + k] = m + b->part_spring_j[k];
+            b->spring_k[s + k] = b->part_spring_k[k];
+            b->spring_rest[s + k] = b->part_spring_rest[k];
+        }
+        for (k = 0; k < b->part_top; k++)
+            b->bridge_top[at[TOP] + k] = m + b->part_bridge_top[k];
+    }
 }

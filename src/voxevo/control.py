@@ -189,7 +189,7 @@ def _window_tables(state: WorldState) -> _Windows:
     act = state.actuator_cells
     window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
     arrays = {
-        "corners": np.ascontiguousarray(state.vox_corners),  # the union's is column-major
+        "corners": state.vox_corners,
         "gather": (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).reshape(len(act), -1),
         "features": np.zeros((absent + 1, _DYNAMIC)),
     }

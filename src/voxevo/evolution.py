@@ -230,40 +230,36 @@ def dominates(a: tuple[float, int], b: tuple[float, int]) -> bool:
     return fa >= fb and aa <= ab and (fa > fb or aa < ab)
 
 
-def pareto_layers(members: list[Individual]) -> list[list[Individual]]:
-    """Peel non-dominated fronts until the pool is exhausted."""
-    remaining = list(members)
-    layers = []
-    while remaining:
-        front = [
-            m
-            for m in remaining
-            if not any(
-                dominates((o.fitness, o.age), (m.fitness, m.age)) for o in remaining if o is not m
-            )
-        ]
-        layers.append(front)
-        front_ids = {id(m) for m in front}
-        remaining = [m for m in remaining if id(m) not in front_ids]
-    return layers
-
-
 def _truncation_key(ind: Individual):
     return (-ind.fitness, ind.age, ind.id)
 
 
 def truncation_select(members: list[Individual], keep: int) -> list[Individual]:
-    """Fill layer by layer; break ties inside the cut layer by fitness desc,
-    then age asc, then id asc. Output is sorted by the same key."""
-    chosen: list[Individual] = []
-    for layer in pareto_layers(members):
-        room = keep - len(chosen)
-        if room <= 0:
-            break
-        if len(layer) <= room:
-            chosen.extend(layer)
+    """Fill with non-dominated fronts, peeled in turn until ``keep`` are
+    chosen; break ties inside the cut front by fitness desc, then age asc,
+    then id asc. Output is sorted by the same key.
+
+    The fronts are built in one pass over the members in that order, in
+    which every member's dominators come before it. With two objectives, a
+    front's last member so far is its youngest, and it dominates a later
+    member whenever any member of the front does. So each member joins the
+    first front whose last member does not dominate it, and every front
+    comes out already in key order.
+    """
+    fronts: list[list[Individual]] = []
+    for m in sorted(members, key=_truncation_key):
+        for front in fronts:
+            last = front[-1]
+            if not dominates((last.fitness, last.age), (m.fitness, m.age)):
+                front.append(m)
+                break
         else:
-            chosen.extend(sorted(layer, key=_truncation_key)[:room])
+            fronts.append([m])
+    chosen: list[Individual] = []
+    for front in fronts:
+        if len(chosen) >= keep:
+            break
+        chosen.extend(front[: keep - len(chosen)])
     return sorted(chosen, key=_truncation_key)
 
 

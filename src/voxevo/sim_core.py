@@ -21,24 +21,29 @@ controllers: the fixed alternation, and the modular network with its
 observation fill (``control.controller_table``). ``advance`` is one call
 into it that steps until a world may have ended, querying a batch's
 controller table at every control step; ``step`` is its one-step case,
-which queries none. Python builds the worlds, each state's pointer table
-(``_kernel_table``) and each batch's controller table, parks worlds and
-keeps each episode's books (``tasks.run_episodes``). The kernel does
-numpy's operations in numpy's order, so the physics gives the bits the
-numpy code gave (``tests/oracles.py`` keeps that code as the reference it
-is tested against). The modular network has numerics of its own instead: a
-fixed summation order, and ``tanh`` and the logistic built on the kernel's
-own ``exp``, with no libm, numpy or BLAS call, so that each of its compiled
-clones (AVX-512 and the baseline, picked by the CPU) gives the same
-bits (``_kernel.c`` sets them out). The system C compiler (``_COMPILER``)
-builds the kernel on first use with ``_CFLAGS``: ``-O2 -ffp-contract=off``
-and never ``-ffast-math`` or ``-march=native``, either of which could move
-bits. The library is cached in ``_KERNEL_DIR``, beside this file, under a
-name that carries a hash of the source and the flags, so a cache hit only
-hashes the source and loads the file. There is no fallback engine: a second
-step path would be a second set of numerics to keep equal, so a kernel that
-cannot be built is an error that names the compiler, the cache directory
-and the compiler's complaint.
+which queries none. The kernel also builds a batch's worlds: one call
+counts the rows of every table and one fills them (``build_worlds``),
+the settled strip appended to every bridge world. Python checks the
+bodies, allocates those tables and derives the rest of each state from
+them (``_union``, ``WorldState.__post_init__``), builds each state's
+pointer table (``_kernel_table``) and each batch's controller table,
+solves the strip's statics once per span, parks worlds and keeps each
+episode's books (``tasks.run_episodes``). The kernel does numpy's
+operations in numpy's order, so the physics and the built tables give
+the bits the numpy code gave (``tests/oracles.py`` keeps that code as
+the reference it is tested against). The modular network has numerics of
+its own instead: a fixed summation order, and ``tanh`` and the logistic
+built on the kernel's own ``exp``, with no libm, numpy or BLAS call, so
+that each of its compiled clones (AVX-512 and the baseline, picked by the
+CPU) gives the same bits (``_kernel.c`` sets them out). The system C
+compiler (``_COMPILER``) builds the kernel on first use with ``_CFLAGS``:
+``-O2 -ffp-contract=off`` and never ``-ffast-math`` or ``-march=native``,
+either of which could move bits. The library is cached in ``_KERNEL_DIR``,
+beside this file, under a name that carries a hash of the source and the
+flags, so a cache hit only hashes the source and loads the file. There is
+no fallback engine: a second step path would be a second set of numerics
+to keep equal, so a kernel that cannot be built is an error that names the
+compiler, the cache directory and the compiler's complaint.
 """
 
 from __future__ import annotations
@@ -290,132 +295,99 @@ class WorldState:
         self.spring_target_rest[springs] = self.spring_rest[springs]
 
 
-# The row tables that a world's parts hold, by the kind of row they run
-# over, and the kind of row each index table points into
-_ROW_FIELDS = {
-    "mass": ("pos", "mass", "pinned", "is_robot"),
-    "spring": ("spring_i", "spring_j", "spring_rest", "spring_k"),
-    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
-    "act": ("actuator_cells", "actuator_springs"),
-    "top": ("bridge_top",),
+# The row tables of a world by the kind of row they run over, each with the
+# dtype of its rows (a sub-array dtype makes a 2-D table): the kinds of
+# ``WorldState.starts`` and the tables of the kernel's ``Builder``, in its
+# order
+_ROW_TABLES = {
+    "mass": {"pos": (np.float64, 2), "mass": np.float64, "pinned": np.bool_, "is_robot": np.bool_},
+    "spring": {"spring_i": np.int64, "spring_j": np.int64, "spring_k": np.float64, "spring_rest": np.float64},
+    "vox": {
+        "vox_cells": (np.int64, 2),
+        "vox_corners": (np.int64, 4),
+        "vox_h_edges": (np.int64, 2),
+        "vox_v_edges": (np.int64, 2),
+        "vox_shear": (np.int64, 2),
+    },
+    "act": {"actuator_cells": (np.int64, 2), "actuator_springs": (np.int64, 2)},
+    "top": {"bridge_top": np.int64},
 }
-_POINTS_INTO = {
-    "spring_i": "mass",
-    "spring_j": "mass",
-    "vox_corners": "mass",
-    "vox_h_edges": "spring",
-    "vox_v_edges": "spring",
-    "vox_shear": "spring",
-    "actuator_springs": "spring",
-    "bridge_top": "mass",
-}
-
-
-def _concatenate(parts: list[dict]) -> tuple[dict, dict]:
-    """The parts' row tables, each concatenated in order with its index
-    entries offset to the rows' new ids; and each kind's row offsets. The
-    tables form a part again."""
-    offsets = {
-        kind: np.cumsum([0] + [len(part[names[0]]) for part in parts])
-        for kind, names in _ROW_FIELDS.items()
-    }
-    tables = {}
-    for kind, names in _ROW_FIELDS.items():
-        for name in names:
-            columns = [part[name] for part in parts]
-            ref = _POINTS_INTO.get(name)
-            if ref:
-                columns = [rows + offset for rows, offset in zip(columns, offsets[ref])]
-            tables[name] = np.concatenate(columns)
-    return tables, offsets
-
-
+# the tables of the part that every world of a union appends after its body
+_PART_TABLES = ("pos", "mass", "pinned", "spring_i", "spring_j", "spring_k", "spring_rest", "bridge_top")
 # edge stiffness by material code; zero for empty cells, which make no springs
 _EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
-# a voxel's springs in build order: bottom, top, left, right edge, then its
-# two diagonals; each as (first, second) end among its (tl, tr, bl, br) corners
-_VOXEL_SPRING_ENDS = np.array([[2, 3], [0, 1], [2, 0], [3, 1], [2, 1], [3, 0]])
-_VOXEL_SPRING_SCALE = np.array([1.0] * 4 + [materials.SHEAR_STIFFNESS_FACTOR] * 2)
 
 
-def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids handed out to ``keys`` in order of first use: each key's id, and
-    each id's first position in ``keys``."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse], first[order]
+class _Builder(ctypes.Structure):
+    """A batch's bodies and its union's tables as the kernel's builder sees
+    them: the ``Builder`` of ``_kernel.c``, field for field."""
+
+    _fields_ = (
+        [
+            (name, ctypes.c_int64)
+            for name in ("h", "w", "worlds", "part_masses", "part_springs", "part_top", "actuator_h", "actuator_v")
+        ]
+        + [(name, ctypes.c_double) for name in ("left", "ground", "shear", "corner_mass")]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "cells", "grid", "stiffness", *(f"part_{name}" for name in _PART_TABLES), "scratch", "starts",
+                *(name for tables in _ROW_TABLES.values() for name in tables),
+            )
+        ]
+    )
 
 
-def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
-    """Mass, spring and voxel rows of a material grid, none pinned.
+def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None = None) -> tuple[dict, dict]:
+    """The row tables of a union of worlds, and each kind's starts, from two
+    kernel calls: ``vx_count`` sizes the tables, ``vx_build`` fills them.
 
-    Grid corner (pi, pj) sits at (x0 + pj, y0 - pi). Non-empty cells are
-    visited row-major, each touching its corners in (tl, tr, bl, br) order
-    and its springs in ``_VOXEL_SPRING_ENDS`` order; corners and edges are
-    numbered in order of first use. Each corner weighs
-    ``CORNER_MASS_PER_VOXEL`` per voxel that holds it; an edge shared by
-    two voxels is stored once, with the stiffer material's constant;
-    diagonals are never shared.
+    World ``w`` holds the rows of body ``cells[grid[w]]``, an (h, w) grid of
+    material codes, placed with its leftmost corner at x = ``left`` and its
+    lowest at y = ``ground``; then ``part``'s rows, if one is given, its ids
+    offset to the world's. ``_kernel.c`` sets out the numbering.
     """
-    r, c = np.nonzero(cells)
-    code = cells[r, c]
-    v = r.size
-    corner_pi = r[:, None] + np.array([0, 0, 1, 1])
-    corner_pj = c[:, None] + np.array([0, 1, 0, 1])
-    corners, first = _first_use((corner_pi * (cells.shape[1] + 1) + corner_pj).ravel())
-    corners = corners.reshape(v, 4)
-    pos = np.stack([x0 + corner_pj.ravel()[first], y0 - corner_pi.ravel()[first]], axis=1)
-    mass = np.bincount(corners.ravel()) * CORNER_MASS_PER_VOXEL
-
-    ends = corners[:, _VOXEL_SPRING_ENDS]  # (v, 6, 2)
-    i, j = ends[..., 0], ends[..., 1]
-    # an edge is known by its sorted ends, so neighbours share it; a diagonal
-    # keeps its ends in order and a key of its own
-    i[:, :4], j[:, :4] = np.minimum(i[:, :4], j[:, :4]), np.maximum(i[:, :4], j[:, :4])
-    n = mass.size
-    key = i * n + j
-    key[:, 4:] = n * n + np.arange(2 * v).reshape(v, 2)
-    springs, first = _first_use(key.ravel())
-    spring_i, spring_j = i.ravel()[first], j.ravel()[first]
-    spring_k = np.zeros(first.size)
-    np.maximum.at(spring_k, springs, (_EDGE_STIFFNESS[code][:, None] * _VOXEL_SPRING_SCALE).ravel())
-    d = pos[spring_i] - pos[spring_j]
-
-    springs = springs.reshape(v, 6)
-    active = (code == materials.ACTUATOR_H) | (code == materials.ACTUATOR_V)
-    horizontal = (code == materials.ACTUATOR_H)[:, None]
-    cells_rc = np.stack([r, c], axis=1)
-    return {
-        "pos": pos,
-        "mass": mass,
-        "pinned": np.zeros(n, dtype=bool),
-        "is_robot": np.ones(n, dtype=bool),
-        "spring_i": spring_i,
-        "spring_j": spring_j,
-        "spring_rest": np.hypot(d[:, 0], d[:, 1]),
-        "spring_k": spring_k,
-        "vox_cells": cells_rc,
-        "vox_corners": corners[:, [2, 3, 1, 0]],
-        "vox_h_edges": springs[:, 0:2],
-        "vox_v_edges": springs[:, 2:4],
-        "vox_shear": springs[:, 4:6],
-        "actuator_cells": cells_rc[active],
-        "actuator_springs": np.where(horizontal, springs[:, 0:2], springs[:, 2:4])[active],
-        "bridge_top": np.zeros(0, dtype=np.int64),
+    grid = np.asarray(grid, dtype=np.int64)
+    _, h, w = cells.shape
+    starts = np.empty((len(_ROW_TABLES), grid.size + 1), dtype=np.int64)
+    arrays = {
+        "cells": cells,
+        "grid": grid,
+        "stiffness": _EDGE_STIFFNESS,
+        "scratch": np.empty(3 * (h + 1) * (w + 1), dtype=np.int64),
+        "starts": starts,
     }
+    if part is not None:
+        arrays.update((f"part_{name}", part[name]) for name in _PART_TABLES)
+    builder = _Builder(
+        h=h,
+        w=w,
+        worlds=grid.size,
+        part_masses=0 if part is None else part["mass"].size,
+        part_springs=0 if part is None else part["spring_i"].size,
+        part_top=0 if part is None else part["bridge_top"].size,
+        actuator_h=materials.ACTUATOR_H,
+        actuator_v=materials.ACTUATOR_V,
+        left=left,
+        ground=ground,
+        shear=materials.SHEAR_STIFFNESS_FACTOR,
+        corner_mass=CORNER_MASS_PER_VOXEL,
+        **{name: array.ctypes.data for name, array in arrays.items()},
+    )
+    kernel = _kernel()
+    kernel.vx_count(ctypes.byref(builder))
+    tables = {}
+    for kind_tables, size in zip(_ROW_TABLES.values(), starts[:, -1].tolist()):
+        for name, dtype in kind_tables.items():
+            tables[name] = np.empty(size, dtype=dtype)
+            setattr(builder, name, tables[name].ctypes.data)
+    kernel.vx_build(ctypes.byref(builder))
+    return tables, dict(zip(_ROW_TABLES, starts))
 
 
-def _union(worlds: list[dict], morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
-    """The disjoint union of worlds, each given as one part of rows, at
-    rest at their build-time lengths.
-
-    Tables are concatenated in order and index tables offset, so each world
-    keeps its own row order and every per-world sum keeps its terms and
-    their order: a world steps bit for bit as it would alone.
-    """
-    tables, starts = _concatenate(worlds)
+def _union(tables: dict, starts: dict, morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
+    """The union of worlds with these row tables and starts, at rest at
+    their build-time lengths."""
     pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
     m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
     return WorldState(
@@ -426,38 +398,38 @@ def _union(worlds: list[dict], morphologies: list[Morphology], terrain: TerrainS
         spring_target_rest=rest.copy(),
         spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
         morphologies=morphologies,
-        clamped_actions=np.zeros(len(worlds), dtype=np.int64),
+        clamped_actions=np.zeros(len(starts["mass"]) - 1, dtype=np.int64),
         starts=starts,
         terrain=terrain,
     )
 
 
-def _world_rows(morphology: Morphology, terrain: TerrainSpec | None) -> dict:
-    """The rows of one world: the body placed with its lowest corner
-    resting on the surface (y=0) and its leftmost corner at the terrain's
-    spawn_x (x=0 when terrain is None), then on bridge terrain the settled
-    strip's rows."""
-    ok, reason = simulability_report(morphology)
-    if not ok:
-        raise InvalidMorphologyError(reason)
-    rows, cols = np.nonzero(morphology.cells)
-    spawn_x = terrain.spawn_x if terrain is not None else 0.0
-    robot = _grid_rows(morphology.cells, spawn_x - cols.min(), float(rows.max() + 1))
-    if terrain is None or terrain.kind != "bridge":
-        return robot
-    strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
-    return _concatenate([robot, strip])[0]
-
-
 def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     """The disjoint union of one world per body, in order, on one terrain.
 
-    Each distinct body's rows are built once; bodies that repeat share
-    them, and the union holds a copy per world.
+    Each world holds its body placed with its lowest corner resting on the
+    surface (y=0) and its leftmost corner at the terrain's spawn_x (x=0
+    when terrain is None), then on bridge terrain the settled strip's rows.
+    Every body is checked simulable first; then the kernel numbers, places
+    and joins the rows of every world (``_rows``), so bodies that repeat
+    get identical rows, and Python adds the derived columns. Bodies of
+    different shapes may share a union.
     """
     morphologies = list(morphologies)
-    rows = {m: _world_rows(m, terrain) for m in dict.fromkeys(morphologies)}
-    return _union([rows[m] for m in morphologies], morphologies, terrain)
+    index: dict[Morphology, int] = {}
+    grid = [index.setdefault(m, len(index)) for m in morphologies]
+    for m in index:
+        ok, reason = simulability_report(m)
+        if not ok:
+            raise InvalidMorphologyError(reason)
+    cells = np.zeros((len(index), max(m.h for m in index), max(m.w for m in index)), dtype=np.int8)
+    for k, m in enumerate(index):
+        cells[k, : m.h, : m.w] = m.cells  # a smaller body padded with empty cells, which build nothing
+    strip = None
+    if terrain is not None and terrain.kind == "bridge":
+        strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
+    tables, starts = _rows(cells, grid, terrain.spawn_x if terrain is not None else 0.0, 0.0, strip)
+    return _union(tables, starts, morphologies, terrain)
 
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
@@ -465,27 +437,27 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
     return build_worlds([morphology], terrain)
 
 
-def _strip_rows(span_start: int, span_end: int, material: int) -> dict:
-    """The bare compliant strip, flat: a 1-voxel-thick row of ``material``,
-    top at y=0, pinned at both pad junctions, with its top chain ordered by
-    x. It has no voxel or actuator rows; those are a robot's."""
-    rows = _grid_rows(np.full((1, span_end - span_start), material, dtype=np.int8), float(span_start), 0.0)
-    x, y = rows["pos"].T
-    rows.update(
-        pinned=(x == span_start) | (x == span_end),
-        is_robot=np.zeros(x.size, dtype=bool),
-        bridge_top=np.flatnonzero(y == 0.0),
-    )
-    for name in _ROW_FIELDS["vox"] + _ROW_FIELDS["act"]:
-        rows[name] = rows[name][:0]
-    return rows
+def _strip_rows(span_start: int, span_end: int, material: int) -> tuple[dict, dict]:
+    """The bare compliant strip, flat, and its starts: a 1-voxel-thick row of
+    ``material`` built as a one-row body with its top at y=0, pinned at both
+    pad junctions, with its top chain ordered by x. It has no voxel or
+    actuator rows; those are a robot's."""
+    cells = np.full((1, 1, span_end - span_start), material, dtype=np.int8)
+    tables, starts = _rows(cells, [0], float(span_start), -1.0)
+    x, y = tables["pos"].T
+    top = np.flatnonzero(y == 0.0)
+    tables.update(pinned=(x == span_start) | (x == span_end), is_robot=np.zeros(x.size, dtype=bool), bridge_top=top)
+    for name in (*_ROW_TABLES["vox"], *_ROW_TABLES["act"]):
+        tables[name] = tables[name][:0]
+    starts.update(vox=np.zeros(2, dtype=np.int64), act=np.zeros(2, dtype=np.int64), top=np.array([0, top.size]))
+    return tables, starts
 
 
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
-    """The bare strip's rows at its static equilibrium, built once per span;
-    a bridge world joins them after its robot's."""
-    return dict(_strip_rows(span_start, span_end, material), pos=_bridge_equilibrium(span_start, span_end, material))
+    """The bare strip's tables at its static equilibrium, built once per
+    span; a bridge world appends them after its robot's."""
+    return dict(_strip_rows(span_start, span_end, material)[0], pos=_bridge_equilibrium(span_start, span_end, material))
 
 
 @lru_cache(maxsize=8)
@@ -501,7 +473,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
     accelerates by ``STRIP_TOLERANCE`` or more; raises rather than return
     an unconverged strip.
     """
-    strip = _union([_strip_rows(span_start, span_end, material)], [], None)
+    strip = _union(*_strip_rows(span_start, span_end, material), [], None)
     free = np.flatnonzero(~strip.pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
@@ -676,6 +648,8 @@ def _load_kernel() -> ctypes.CDLL:
         ("vx_act", None, [ctypes.c_void_p, ctypes.c_int64]),
         ("vx_presum", None, [ctypes.c_void_p]),
         ("vx_mlp", None, []),
+        ("vx_count", None, []),
+        ("vx_build", None, []),
     ):
         function = getattr(lib, name)
         function.argtypes = [ctypes.c_void_p, *extra]

@@ -86,11 +86,10 @@ def run_episode(morphology: Morphology, controller: ControllerGenome, terrain: T
 def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     """Run one episode per (morphology, controller) pair, in lock-step.
 
-    All worlds are built at once, by ``build_worlds``, as one
+    All worlds are built at once, by ``build_worlds`` in the kernel, as one
     disjoint-union world that takes every step, actuation and controller
-    call at once; each distinct body is built once, and pairs that share a
-    body get copies of its rows. The pairs must share one body shape and
-    one controller variant.
+    call at once; pairs that share a body get identical rows. The pairs
+    must share one body shape and one controller variant.
     The episode runs in the compiled kernel, one ``sim_core.advance`` call
     per stretch, with the batch's controller table (``controller_table``)
     queried at every control step inside it, whichever the variant. A

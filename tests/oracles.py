@@ -10,14 +10,20 @@ vectorised code the engine runs: ``observe_voxel`` and
 ``mechanical_energy`` serves the energy-balance physics checks and
 ``robot_center_of_mass`` the free-fall ones; ``reference_episodes`` is
 the episode loop that measures every world and tests every end on every
-step, against ``tasks.run_episodes``, and it runs on numpy alone:
+step, against ``tasks.run_episodes``, and it steps, acts and observes on
+numpy alone:
 ``reference_step`` is the engine's step, against the compiled
 ``sim_core.step``; ``reference_set_actuation_targets`` the target setter,
 against ``sim_core.set_actuation_targets``; ``reference_observations``
 (with ``voxel_areas`` and ``voxel_velocities``) the modular controller's
 observations, against the compiled fill; ``reference_network`` (with
 ``reference_tanh`` and ``reference_exp``) the kernel's modular network,
-against ``control.forward_batch``; each bit for bit.
+against ``control.forward_batch``; ``reference_build_worlds`` (with
+``reference_strip``) the numpy world builder, against the kernel's
+``sim_core.build_worlds``; each bit for bit. ``pareto_layers`` peels
+Pareto fronts by brute force, one ``dominates`` call per ordered pair, and
+``reference_truncation_select`` fills from them, against
+``evolution.truncation_select``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxevo import control, materials, tasks
+from voxevo import control, materials, sim_core, tasks
 from voxevo.control import (
     CELL_FEATURES,
     OBS_DIM,
@@ -36,11 +42,15 @@ from voxevo.control import (
     stack_controllers,
     unpack_params,
 )
+from voxevo.evolution import Individual, dominates
+from voxevo.morphology import InvalidMorphologyError, Morphology, simulability_report
 from voxevo.sim_core import (
     ACTION_HIGH,
     ACTION_LOW,
     CONTACT_DAMPING,
     CONTACT_STIFFNESS,
+    CORNER_MASS_PER_VOXEL,
+    DAMPING_RATIO,
     DIVERGENCE_LIMIT,
     DT,
     FRICTION_MU,
@@ -481,3 +491,232 @@ def _reference_bridge_contact(state: WorldState, in_span: np.ndarray, start: int
     reactions[:, 0] *= u
     reactions[:, 1] *= w
     return block.stop
+
+
+# --- the world builder in numpy ----------------------------------------------
+# ``sim_core.build_worlds`` numbers, places and joins a batch's rows in
+# ``_kernel.c``; these functions do the same in numpy.
+
+# The row tables that a world's parts hold, by the kind of row they run
+# over, and the kind of row each index table points into
+_ROW_FIELDS = {
+    "mass": ("pos", "mass", "pinned", "is_robot"),
+    "spring": ("spring_i", "spring_j", "spring_rest", "spring_k"),
+    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
+    "act": ("actuator_cells", "actuator_springs"),
+    "top": ("bridge_top",),
+}
+_POINTS_INTO = {
+    "spring_i": "mass",
+    "spring_j": "mass",
+    "vox_corners": "mass",
+    "vox_h_edges": "spring",
+    "vox_v_edges": "spring",
+    "vox_shear": "spring",
+    "actuator_springs": "spring",
+    "bridge_top": "mass",
+}
+
+
+def _concatenate(parts: list[dict]) -> tuple[dict, dict]:
+    """The parts' row tables, each concatenated in order with its index
+    entries offset to the rows' new ids; and each kind's row offsets. The
+    tables form a part again."""
+    offsets = {
+        kind: np.cumsum([0] + [len(part[names[0]]) for part in parts])
+        for kind, names in _ROW_FIELDS.items()
+    }
+    tables = {}
+    for kind, names in _ROW_FIELDS.items():
+        for name in names:
+            columns = [part[name] for part in parts]
+            ref = _POINTS_INTO.get(name)
+            if ref:
+                columns = [rows + offset for rows, offset in zip(columns, offsets[ref])]
+            tables[name] = np.concatenate(columns)
+    return tables, offsets
+
+
+# edge stiffness by material code; zero for empty cells, which make no springs
+_EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
+# a voxel's springs in build order: bottom, top, left, right edge, then its
+# two diagonals; each as (first, second) end among its (tl, tr, bl, br) corners
+_VOXEL_SPRING_ENDS = np.array([[2, 3], [0, 1], [2, 0], [3, 1], [2, 1], [3, 0]])
+_VOXEL_SPRING_SCALE = np.array([1.0] * 4 + [materials.SHEAR_STIFFNESS_FACTOR] * 2)
+
+
+def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids handed out to ``keys`` in order of first use: each key's id, and
+    each id's first position in ``keys``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], first[order]
+
+
+def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
+    """Mass, spring and voxel rows of a material grid, none pinned.
+
+    Grid corner (pi, pj) sits at (x0 + pj, y0 - pi). Non-empty cells are
+    visited row-major, each touching its corners in (tl, tr, bl, br) order
+    and its springs in ``_VOXEL_SPRING_ENDS`` order; corners and edges are
+    numbered in order of first use. Each corner weighs
+    ``CORNER_MASS_PER_VOXEL`` per voxel that holds it; an edge shared by
+    two voxels is stored once, with the stiffer material's constant;
+    diagonals are never shared.
+    """
+    r, c = np.nonzero(cells)
+    code = cells[r, c]
+    v = r.size
+    corner_pi = r[:, None] + np.array([0, 0, 1, 1])
+    corner_pj = c[:, None] + np.array([0, 1, 0, 1])
+    corners, first = _first_use((corner_pi * (cells.shape[1] + 1) + corner_pj).ravel())
+    corners = corners.reshape(v, 4)
+    pos = np.stack([x0 + corner_pj.ravel()[first], y0 - corner_pi.ravel()[first]], axis=1)
+    mass = np.bincount(corners.ravel()) * CORNER_MASS_PER_VOXEL
+
+    ends = corners[:, _VOXEL_SPRING_ENDS]  # (v, 6, 2)
+    i, j = ends[..., 0], ends[..., 1]
+    # an edge is known by its sorted ends, so neighbours share it; a diagonal
+    # keeps its ends in order and a key of its own
+    i[:, :4], j[:, :4] = np.minimum(i[:, :4], j[:, :4]), np.maximum(i[:, :4], j[:, :4])
+    n = mass.size
+    key = i * n + j
+    key[:, 4:] = n * n + np.arange(2 * v).reshape(v, 2)
+    springs, first = _first_use(key.ravel())
+    spring_i, spring_j = i.ravel()[first], j.ravel()[first]
+    spring_k = np.zeros(first.size)
+    np.maximum.at(spring_k, springs, (_EDGE_STIFFNESS[code][:, None] * _VOXEL_SPRING_SCALE).ravel())
+    d = pos[spring_i] - pos[spring_j]
+
+    springs = springs.reshape(v, 6)
+    active = (code == materials.ACTUATOR_H) | (code == materials.ACTUATOR_V)
+    horizontal = (code == materials.ACTUATOR_H)[:, None]
+    cells_rc = np.stack([r, c], axis=1)
+    return {
+        "pos": pos,
+        "mass": mass,
+        "pinned": np.zeros(n, dtype=bool),
+        "is_robot": np.ones(n, dtype=bool),
+        "spring_i": spring_i,
+        "spring_j": spring_j,
+        "spring_rest": np.hypot(d[:, 0], d[:, 1]),
+        "spring_k": spring_k,
+        "vox_cells": cells_rc,
+        "vox_corners": corners[:, [2, 3, 1, 0]],
+        "vox_h_edges": springs[:, 0:2],
+        "vox_v_edges": springs[:, 2:4],
+        "vox_shear": springs[:, 4:6],
+        "actuator_cells": cells_rc[active],
+        "actuator_springs": np.where(horizontal, springs[:, 0:2], springs[:, 2:4])[active],
+        "bridge_top": np.zeros(0, dtype=np.int64),
+    }
+
+
+def _reference_union(worlds: list[dict], morphologies: list[Morphology], terrain) -> WorldState:
+    """The disjoint union of worlds, each given as one part of rows, at
+    rest at their build-time lengths."""
+    tables, starts = _concatenate(worlds)
+    pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
+    m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
+    return WorldState(
+        **tables,
+        vel=np.zeros_like(pos),
+        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass)[:, None].repeat(2, axis=1),
+        spring_current_rest=rest.copy(),
+        spring_target_rest=rest.copy(),
+        spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
+        morphologies=morphologies,
+        clamped_actions=np.zeros(len(worlds), dtype=np.int64),
+        starts=starts,
+        terrain=terrain,
+    )
+
+
+def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
+    """The bare compliant strip, flat: a 1-voxel-thick row of ``material``,
+    top at y=0, pinned at both pad junctions, with its top chain ordered by
+    x. It has no voxel or actuator rows; those are a robot's."""
+    rows = _grid_rows(np.full((1, span_end - span_start), material, dtype=np.int8), float(span_start), 0.0)
+    x, y = rows["pos"].T
+    rows.update(
+        pinned=(x == span_start) | (x == span_end),
+        is_robot=np.zeros(x.size, dtype=bool),
+        bridge_top=np.flatnonzero(y == 0.0),
+    )
+    for name in _ROW_FIELDS["vox"] + _ROW_FIELDS["act"]:
+        rows[name] = rows[name][:0]
+    return rows
+
+
+def reference_strip(span_start: int, span_end: int, material: int) -> WorldState:
+    """The bare strip alone, flat, as the world the strip's static solve
+    relaxes: a union of one with no robot and no terrain."""
+    return _reference_union([reference_strip_rows(span_start, span_end, material)], [], None)
+
+
+def _reference_world_rows(morphology: Morphology, terrain) -> dict:
+    """The rows of one world: the body placed with its lowest corner
+    resting on the surface (y=0) and its leftmost corner at the terrain's
+    spawn_x (x=0 when terrain is None), then on bridge terrain the settled
+    strip's rows (its positions from ``sim_core``'s static solve)."""
+    ok, reason = simulability_report(morphology)
+    if not ok:
+        raise InvalidMorphologyError(reason)
+    rows, cols = np.nonzero(morphology.cells)
+    spawn_x = terrain.spawn_x if terrain is not None else 0.0
+    robot = _grid_rows(morphology.cells, spawn_x - cols.min(), float(rows.max() + 1))
+    if terrain is None or terrain.kind != "bridge":
+        return robot
+    span = int(terrain.span_start), int(terrain.span_end), terrain.bridge_material
+    strip = dict(reference_strip_rows(*span), pos=sim_core._bridge_equilibrium(*span))
+    return _concatenate([robot, strip])[0]
+
+
+def reference_build_worlds(morphologies, terrain) -> WorldState:
+    """``sim_core.build_worlds`` in numpy: each distinct body's rows built
+    once, the worlds' rows concatenated in order with their index tables
+    offset."""
+    morphologies = list(morphologies)
+    rows = {m: _reference_world_rows(m, terrain) for m in dict.fromkeys(morphologies)}
+    return _reference_union([rows[m] for m in morphologies], morphologies, terrain)
+
+
+# --- AFPO selection, brute force ---------------------------------------------
+
+
+def pareto_layers(members: list[Individual]) -> list[list[Individual]]:
+    """Peel non-dominated fronts until the pool is exhausted, one
+    ``dominates`` call per ordered pair of members left."""
+    remaining = list(members)
+    layers = []
+    while remaining:
+        front = [
+            m
+            for m in remaining
+            if not any(
+                dominates((o.fitness, o.age), (m.fitness, m.age)) for o in remaining if o is not m
+            )
+        ]
+        layers.append(front)
+        front_ids = {id(m) for m in front}
+        remaining = [m for m in remaining if id(m) not in front_ids]
+    return layers
+
+
+def reference_truncation_select(members: list[Individual], keep: int) -> list[Individual]:
+    """``evolution.truncation_select`` on ``pareto_layers``: fill layer by
+    layer; break ties inside the cut layer by fitness desc, then age asc,
+    then id asc. Output is sorted by the same key."""
+    key = lambda ind: (-ind.fitness, ind.age, ind.id)  # noqa: E731
+    chosen: list[Individual] = []
+    for layer in pareto_layers(members):
+        room = keep - len(chosen)
+        if room <= 0:
+            break
+        if len(layer) <= room:
+            chosen.extend(layer)
+        else:
+            chosen.extend(sorted(layer, key=key)[:room])
+    return sorted(chosen, key=key)

@@ -20,10 +20,11 @@ from voxevo.evolution import (
     load_checkpoint,
     make_initial_population,
     make_offspring,
-    pareto_layers,
     truncation_select,
 )
 from voxevo.morphology import Morphology, random_morphology
+
+from oracles import pareto_layers, reference_truncation_select
 
 
 class HashEvaluator:
@@ -170,6 +171,25 @@ def test_pareto_layers_partition_pool():
             if seen:
                 assert any(dominates((s.fitness, s.age), (m.fitness, m.age)) for s in seen)
         seen.extend(layer)
+
+
+@pytest.mark.parametrize("keep", [1, 16, 40])
+def test_truncation_select_is_the_brute_force_reference(keep):
+    # pools of 33 with fitnesses and ages drawn from a few values each, so
+    # that ties in either, and whole duplicate points, are common; the
+    # survivors and their order must be the brute-force peel's
+    rng = np.random.default_rng(12)
+    body = random_morphology(2, 2, np.random.default_rng(1))
+    for _ in range(300):
+        pool = []
+        for i in rng.permutation(33).tolist():
+            ind = Individual(id=i, morphology=body, controller=ControllerGenome("fixed", np.zeros(0)))
+            ind.fitness = float(rng.choice([-1.5, 0.0, 2.25, 2.5, 7.0]))
+            ind.age = int(rng.integers(0, 4))
+            pool.append(ind)
+        chosen = truncation_select(pool, keep)
+        assert [i.id for i in chosen] == [i.id for i in reference_truncation_select(pool, keep)]
+        assert len(chosen) == min(keep, len(pool))
 
 
 # --- offspring -----------------------------------------------------------------

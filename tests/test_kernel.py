@@ -1,13 +1,17 @@
-"""The compiled step against the numpy reference step, the kernel's build,
-and the modular network's independence of the CPU.
+"""The compiled step and world builder against their numpy references, the
+kernel's build, its memory safety, and the modular network's independence
+of the CPU.
 
 ``sim_core.step`` is one call into ``_kernel.c``; ``oracles.reference_step``
 is the same step in numpy, and ``oracles.reference_set_actuation_targets``
 the target setter. Every golden setting steps under both, alone and as the
 middle world of a union, and each step must leave the same bytes in every
-array the step or the target setter writes. The modular digests must hold
-under another OpenBLAS kernel, with numpy's SIMD dispatch cut down, and in
-the network's baseline clone.
+array the step or the target setter writes. ``sim_core.build_worlds`` must
+make every array ``oracles.reference_build_worlds`` makes, byte for byte.
+Built with AddressSanitizer, the kernel must build and run unions without
+one invalid access. The modular digests must hold under another OpenBLAS
+kernel, with numpy's SIMD dispatch cut down, and in the network's baseline
+clone.
 """
 
 import hashlib
@@ -21,13 +25,14 @@ import pytest
 
 import voxevo
 from voxevo import sim_core
-from voxevo.control import compute_actions, stack_controllers
-from voxevo.morphology import Morphology
+from voxevo.control import compute_actions, controller_table, init_controller, stack_controllers
+from voxevo.materials import ELASTIC
+from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
 from voxevo.tasks import T_MAX
-from voxevo.terrain import make_flat_terrain
+from voxevo.terrain import BRIDGE_SPAN_END, BRIDGE_SPAN_START, make_bridge_terrain, make_flat_terrain
 
-from oracles import reference_set_actuation_targets, reference_step
+from oracles import reference_build_worlds, reference_set_actuation_targets, reference_step, reference_strip
 from test_golden import TRAJECTORY_SHA256, golden_pairs, trajectory_digest
 from test_sim_core import sunk_into_the_strip
 
@@ -111,6 +116,110 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     assert len(named) == 1 and named[0][1] == [1]
     if np.isnan(fling):
         assert named[0][0] == 0
+
+
+# --- building worlds ------------------------------------------------------------
+
+TERRAINS = {"walker": make_flat_terrain(), "bridgewalker": make_bridge_terrain((7, 7)), "none": None}
+
+
+def assert_same_state(state, reference):
+    """Every array of two states, their starts and the kernel's arrays
+    included, byte for byte and dtype for dtype; and the same bodies,
+    terrain and time."""
+    for name, value in vars(reference).items():
+        if isinstance(value, np.ndarray):
+            arrays = [(name, getattr(state, name), value)]
+        elif name in ("starts", "kernel_arrays"):
+            assert getattr(state, name).keys() == value.keys(), name
+            arrays = [(f"{name}[{key}]", getattr(state, name)[key], array) for key, array in value.items()]
+        else:
+            continue
+        for label, ours, theirs in arrays:
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), label
+            assert ours.tobytes() == theirs.tobytes(), label
+    assert state.morphologies == reference.morphologies
+    assert (state.terrain, state.sim_time) == (reference.terrain, reference.sim_time)
+
+
+@pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_the_golden_unions_build_as_the_reference(setting):
+    pairs, terrain = golden_pairs(*setting, neighbours=1)
+    bodies = [m for m, _ in pairs]
+    assert_same_state(build_worlds(bodies, terrain), reference_build_worlds(bodies, terrain))
+
+
+@pytest.mark.parametrize("terrain", list(TERRAINS.values()), ids=list(TERRAINS))
+def test_random_unions_build_as_the_reference(terrain):
+    # bodies of every shape from 1x1 to 7x7, a single actuator, a row, a
+    # column and full grids among them, alone and in unions of mixed shapes
+    # that repeat bodies, as the same object and as an equal copy
+    rng = np.random.default_rng(21)
+    corner_cases = [
+        Morphology([[3]]),
+        Morphology([[4, 1, 2, 3, 3, 2, 1]]),
+        Morphology([[3], [2], [4], [1], [3]]),
+        Morphology(np.full((7, 7), 4)),
+        Morphology(rng.integers(1, 5, size=(7, 7))),
+        Morphology(rng.integers(1, 5, size=(3, 6))),
+    ]
+    for body in corner_cases:
+        assert_same_state(build_worlds([body], terrain), reference_build_worlds([body], terrain))
+    for _ in range(30):
+        bodies = [random_morphology(*rng.integers(1, 8, size=2).tolist(), rng) for _ in range(rng.integers(1, 5))]
+        bodies += [bodies[0], Morphology(bodies[-1].cells.copy()), corner_cases[rng.integers(len(corner_cases))]]
+        bodies = [bodies[k] for k in rng.permutation(len(bodies))]
+        assert_same_state(build_worlds(bodies, terrain), reference_build_worlds(bodies, terrain))
+
+
+def test_the_bare_strip_builds_as_the_reference():
+    # the strip the static solve relaxes: a one-row body's rows, pinned at
+    # both ends, with its top chain, alone and on no terrain
+    span = int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC
+    strip = sim_core._union(*sim_core._strip_rows(*span), [], None)
+    assert_same_state(strip, reference_strip(*span))
+
+
+def sanitised_script(cache_dir: Path) -> str:
+    """A fresh interpreter's program: build the kernel with AddressSanitizer
+    into ``cache_dir``, then print ``sanitised_evidence``."""
+    return (
+        "import sys\nfrom pathlib import Path\nfrom voxevo import sim_core\n"
+        f"sim_core._KERNEL_DIR = Path({str(cache_dir)!r})\n"
+        "sim_core._CFLAGS = sim_core._CFLAGS + ('-fsanitize=address', '-fno-omit-frame-pointer')\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import test_kernel\nprint(test_kernel.sanitised_evidence())\n"
+    )
+
+
+def sanitised_evidence() -> str:
+    """Build walker and bridgewalker unions of random 1x1 to 7x7 bodies, one
+    repeated, and run each for 100 steps under a fixed and a modular
+    controller; one digest of positions and velocities per run."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for environment in ("walker", "bridgewalker"):
+        for variant in ("fixed", "modular"):
+            bodies = [random_morphology(*rng.integers(1, 8, size=2).tolist(), rng) for _ in range(6)]
+            state = build_worlds(bodies + bodies[:1], TERRAINS[environment])
+            controllers = stack_controllers([init_controller(variant, rng) for _ in range(state.num_worlds)])
+            sim_core.advance(state, 100, controller=controller_table(controllers, state))
+            lines.append(hashlib.sha256(state.pos.tobytes() + state.vel.tobytes()).hexdigest())
+    return "\n".join(lines)
+
+
+def test_the_kernel_is_clean_under_address_sanitizer(tmp_path):
+    # the builder writes tables whose sizes its own counting pass sets: a
+    # kernel built with AddressSanitizer aborts on any access out of the
+    # arrays, and must give the bits of the kernel this process runs
+    runtime = subprocess.run(
+        [sim_core._COMPILER, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60
+    ).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("the compiler has no AddressSanitizer runtime")
+    out = run_script(sanitised_script(tmp_path / "cache"), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".so"]
+    assert out == sanitised_evidence()
 
 
 # --- building and loading the kernel ------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxevo import morphology
 from voxevo.morphology import (
     InvalidMorphologyError,
     Morphology,
@@ -134,6 +135,21 @@ def test_repair_never_adds_cells(rng):
         assert np.all(rep_filled <= raw_filled)
         # kept cells keep their code
         assert np.all(repaired[rep_filled] == raw[rep_filled])
+
+
+def test_each_candidate_body_is_labelled_once(monkeypatch, rng):
+    # a repaired candidate takes its one-component answer from the repair's
+    # own labels: sampling and mutation label each candidate once, and the
+    # answers are the ones a fresh scan of the same cells gives
+    labelled, repaired = [], []
+    label, repair = morphology._component_sizes, morphology.repair_to_largest_component
+    monkeypatch.setattr(morphology, "_component_sizes", lambda cells: labelled.append(cells) or label(cells))
+    monkeypatch.setattr(morphology, "repair_to_largest_component", lambda cells: repaired.append(cells) or repair(cells))
+    bodies = [random_morphology(5, 5, rng) for _ in range(20)]
+    bodies += [mutate_morphology(body, rng) for body in bodies for _ in range(5)]
+    assert len(labelled) == len(repaired) >= len(bodies)
+    for body in bodies:
+        assert validity_report(body) == validity_report(Morphology(body.cells.copy())) == (True, None)
 
 
 def test_repair_tie_break_deterministic():

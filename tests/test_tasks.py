@@ -28,6 +28,7 @@ from voxevo.sim_core import (
     STEPS_PER_ACTION,
     _bridge_equilibrium,
     build_world,
+    build_worlds,
     net_forces,
     set_actuation_targets,
     step,
@@ -46,6 +47,7 @@ from voxevo.terrain import TerrainSpec
 
 from oracles import reference_episodes
 from test_golden import TRAJECTORY_SHA256, golden_pairs
+from test_sim_core import POINTS_INTO, ROW_TABLES
 
 FIXED = ControllerGenome("fixed", np.zeros(0))
 
@@ -588,24 +590,28 @@ def test_the_fixed_gait_lies_inside_the_modular_space(setting):
     assert _bits(modular) == _bits(fixed)
 
 
-def test_batch_builds_each_distinct_body_once(monkeypatch, rng, flat):
-    # a retraining batch shares one frozen body: equal bodies are built
-    # once and their rows copied into each world, with results unchanged
+def test_batch_builds_each_distinct_body_once(rng, flat):
+    # a retraining batch shares one frozen body: every world of a repeated
+    # body, the same object or an equal copy, gets identical rows (its index
+    # tables offset by its starts), and every result is the body's solo run
     body, other = random_morphology(5, 5, rng), random_morphology(5, 5, rng)
     bodies = [body, Morphology(body.cells.copy()), other, body]
     pairs = [(m, init_controller("modular", rng)) for m in bodies]
     alone = [run_episode(m, c, flat) for m, c in pairs]
-    built = []
-    original = voxevo.sim_core._grid_rows
-
-    def counting(cells, x0, y0):
-        built.append(cells)
-        return original(cells, x0, y0)
-
-    monkeypatch.setattr(voxevo.sim_core, "_grid_rows", counting)
     assert run_episodes(pairs, flat) == alone
-    assert len(built) == 2
-    assert np.array_equal(built[0], body.cells) and np.array_equal(built[1], other.cells)
+    union = build_worlds(bodies, flat)
+
+    def world_rows(w):
+        rows = []
+        for kind, names in ROW_TABLES.items():
+            for name in names:
+                table = getattr(union, name)[union.starts[kind][w] : union.starts[kind][w + 1]]
+                if name in POINTS_INTO:
+                    table = table - union.starts[POINTS_INTO[name]][w]
+                rows.append(table.tobytes())
+        return rows
+
+    assert world_rows(0) == world_rows(1) == world_rows(3) != world_rows(2)
 
 
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
