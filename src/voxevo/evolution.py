@@ -17,6 +17,7 @@ holds, and resumes under that engine only.
 
 from __future__ import annotations
 
+import base64
 import copy
 import hashlib
 import json
@@ -33,6 +34,8 @@ from .terrain import ENVIRONMENTS
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
+# a checkpoint's controller parameters: base64 of their little-endian float64 bytes
+PARAMS_KEY = "params_f64le_base64"
 
 
 class ConfigError(ValueError):
@@ -59,10 +62,12 @@ class Individual:
         self.fitness = float(value)
 
     def to_json(self) -> dict:
+        """The checkpoint record: the controller's parameters as bytes, under ``PARAMS_KEY``."""
+        params = base64.b64encode(self.controller.params.astype("<f8", copy=False).tobytes()).decode("ascii")
         return {
             "id": self.id,
             "morphology": self.morphology.to_json(),
-            "controller": self.controller.to_json(),
+            "controller": {"variant": self.controller.variant, PARAMS_KEY: params},
             "age": self.age,
             "fitness": self.fitness,
             "parent_id": self.parent_id,
@@ -71,10 +76,17 @@ class Individual:
 
     @staticmethod
     def from_json(data: dict) -> "Individual":
+        """Decode a checkpoint record; checkpoints before ``PARAMS_KEY`` hold float lists."""
+        ctrl = data["controller"]
+        if PARAMS_KEY in ctrl:
+            params = np.frombuffer(base64.b64decode(ctrl[PARAMS_KEY], validate=True), dtype="<f8")
+            controller = ControllerGenome(ctrl["variant"], params)
+        else:
+            controller = ControllerGenome.from_json(ctrl)
         ind = Individual(
             id=data["id"],
             morphology=Morphology.from_json(data["morphology"]),
-            controller=ControllerGenome.from_json(data["controller"]),
+            controller=controller,
             age=data["age"],
             parent_id=data.get("parent_id"),
             mutated_component=data.get("mutated_component"),
@@ -396,57 +408,74 @@ def _update_champion(champion: Individual | None, candidates: list[Individual]) 
     return champion
 
 
+def _stats_text(row: GenerationStats) -> str:
+    return json.dumps(row.to_json())
+
+
+def _snapshot_text(generation: int, ind: Individual) -> str:
+    return json.dumps([generation, ind.to_json()])
+
+
 def save_checkpoint(
-    path, pop: Population, champion: Individual, stats, snapshots, config: RunConfig, fingerprint: str
+    path, pop: Population, champion: Individual, stats_text, snapshots_text, config: RunConfig, fingerprint: str
 ) -> None:
-    payload = {
-        "generation": pop.generation,
-        "next_id": pop.next_id,
-        "members": [m.to_json() for m in pop.members],
-        "champion": champion.to_json(),
-        "stats": [s.to_json() for s in stats],
-        "snapshots": [[g, ind.to_json()] for g, ind in snapshots],
-        "config": config.to_json(),
-        "fingerprint": fingerprint,
-        "engine_version": ENGINE_VERSION,
+    """Replace the checkpoint at ``path`` atomically with the run's state.
+
+    ``stats_text`` and ``snapshots_text`` hold the JSON text of each stats
+    row and each snapshot, encoded once when the run added it; only the
+    population and the champion are encoded here. Controller parameters
+    are stored as bytes (``Individual.to_json``). The file's text is what
+    ``json.dump`` writes for the decoded payload.
+    """
+    parts = {
+        "generation": json.dumps(pop.generation),
+        "next_id": json.dumps(pop.next_id),
+        "members": [json.dumps(m.to_json()) for m in pop.members],
+        "champion": json.dumps(champion.to_json()),
+        "stats": stats_text,
+        "snapshots": snapshots_text,
+        "config": json.dumps(config.to_json()),
+        "fingerprint": json.dumps(fingerprint),
+        "engine_version": json.dumps(ENGINE_VERSION),
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)  # a run's first save makes its directory
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        _write_json(fh, payload)
+        _write_json(fh, parts)
     os.replace(tmp, path)
 
 
-def _write_json(fh, payload: dict) -> None:
-    """Write the text ``json.dump(payload, fh)`` writes, through the C encoder.
+def _write_json(fh, parts: dict) -> None:
+    """Write the JSON object whose values are given already encoded.
 
-    ``json.dump`` runs the pure-Python encoder, about twice as slow on a
-    modular checkpoint; ``json.dumps`` of the whole payload holds its text
-    several times over while joining it. Each top-level value, or each
-    item of a top-level list, is encoded on its own instead. The keys are
-    strings.
+    Each value is the JSON text of a top-level value, or a list of the JSON
+    texts of a top-level list's items. The keys are strings. The text
+    written is what ``json.dump`` writes for the decoded object.
     """
-    head = "{"
-    for key, value in payload.items():
-        fh.write(f"{head}{json.dumps(key)}: ")
-        if isinstance(value, list) and value:
-            for k, item in enumerate(value):
-                fh.write(("[" if k == 0 else ", ") + json.dumps(item))
-            fh.write("]")
-        else:
-            fh.write(json.dumps(value))
-        head = ", "
-    fh.write("}" if payload else "{}")
+    fh.write("{")
+    for k, (key, value) in enumerate(parts.items()):
+        fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+        fh.write(value if isinstance(value, str) else "[" + ", ".join(value) + "]")
+    fh.write("}")
 
 
 def load_checkpoint(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["members"] = [Individual.from_json(m) for m in payload["members"]]
-    payload["champion"] = Individual.from_json(payload["champion"])
-    payload["stats"] = [GenerationStats(**s) for s in payload["stats"]]
-    payload["snapshots"] = [(g, Individual.from_json(ind)) for g, ind in payload["snapshots"]]
-    payload["config"] = RunConfig.from_json(payload["config"])
+    """The payload of the checkpoint at ``path``, its records decoded.
+
+    Controller parameters come back bit for bit, from bytes or, in
+    checkpoints written before they were stored as bytes, from float
+    lists. A file that cannot be read or decoded is a ConfigError naming it.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["members"] = [Individual.from_json(m) for m in payload["members"]]
+        payload["champion"] = Individual.from_json(payload["champion"])
+        payload["stats"] = [GenerationStats(**s) for s in payload["stats"]]
+        payload["snapshots"] = [(g, Individual.from_json(ind)) for g, ind in payload["snapshots"]]
+        payload["config"] = RunConfig.from_json(payload["config"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # bad JSON and bad base64 are ValueErrors
+        raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}")
     return payload
 
 
@@ -474,6 +503,10 @@ def evolve(
     otherwise this raises a ConfigError. The run's fingerprint, computed
     once, hashes that body, so checkpoints, the resume check and the result
     name the body that was trained; the result also holds the body itself.
+
+    Each stats row and each snapshot is encoded for the checkpoint once,
+    when it is added or, for those a resumed run loads, after loading; a
+    save then encodes only the population and the champion afresh.
     """
     config.validate()
     frozen_body = _frozen_body(config, frozen_body)
@@ -505,16 +538,20 @@ def evolve(
         _evaluate_members(pop.members, evaluator)
         champion = _update_champion(None, pop.members)
         stats.append(_population_stats(pop, champion))
+    stats_text = [_stats_text(row) for row in stats]
+    snapshots_text = [_snapshot_text(g, ind) for g, ind in snapshots]
 
     while pop.generation < config.generations:
         pop = advance_generation(pop, evaluator, config, frozen_body)
         champion = _update_champion(champion, pop.members)
         stats.append(_population_stats(pop, champion))
+        stats_text.append(_stats_text(stats[-1]))
         at_interval = pop.generation % config.checkpoint_interval == 0
         if at_interval or pop.generation == config.generations:
             snapshots.append((pop.generation, copy.deepcopy(champion)))
+            snapshots_text.append(_snapshot_text(*snapshots[-1]))
             if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, pop, champion, stats, snapshots, config, fingerprint)
+                save_checkpoint(checkpoint_path, pop, champion, stats_text, snapshots_text, config, fingerprint)
         if progress is not None:
             progress(pop, champion)
 

@@ -544,11 +544,9 @@ def test_resume_after_interrupt(monkeypatch, tmp_path):
     assert (out / "generations.csv").read_bytes() == full_log
 
 
-@pytest.mark.parametrize("version", [ENGINE_VERSION - 1, None], ids=["older", "missing"])
-def test_resume_under_another_engine_exits_2(monkeypatch, tmp_path, capsys, version):
-    # an interrupted run's checkpoint holds its engine's fitnesses: resumed
-    # under another engine it would mix two engines' in one population
-    out = tmp_path / "run"
+def interrupted_run(monkeypatch, out):
+    """Interrupt a 3-generation run as it starts generation 3, after
+    generation 2's checkpoint; return its arguments."""
     argv = evolve_args(out, **{"--gens": "3", "--checkpoint-interval": "1"})
     original = evolution.advance_generation
 
@@ -560,6 +558,15 @@ def test_resume_under_another_engine_exits_2(monkeypatch, tmp_path, capsys, vers
     monkeypatch.setattr(evolution, "advance_generation", interrupt_at_3)
     assert run_cli(*argv) == 3
     monkeypatch.setattr(evolution, "advance_generation", original)
+    return argv
+
+
+@pytest.mark.parametrize("version", [ENGINE_VERSION - 1, None], ids=["older", "missing"])
+def test_resume_under_another_engine_exits_2(monkeypatch, tmp_path, capsys, version):
+    # an interrupted run's checkpoint holds its engine's fitnesses: resumed
+    # under another engine it would mix two engines' in one population
+    out = tmp_path / "run"
+    argv = interrupted_run(monkeypatch, out)
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["engine_version"] == ENGINE_VERSION
     if version is None:
@@ -574,11 +581,13 @@ def test_resume_under_another_engine_exits_2(monkeypatch, tmp_path, capsys, vers
     assert not (out / "generations.csv").exists()
 
 
-def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path):
-    # the champion keeps ageing while it survives, resumed or not; in this
-    # run it is born before the generation-4 checkpoint and survives to 8
+@pytest.mark.parametrize("controller", ["fixed", "modular"])
+def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path, controller):
+    # the champion keeps ageing while it survives, resumed or not; in the
+    # fixed run it is born before the generation-4 checkpoint and survives
+    # to 8. A modular run's resume also reads back every weight.
     def argv(out):
-        return evolve_args(out, **{"--gens": "8", "--checkpoint-interval": "2", "--pop": "4"})
+        return evolve_args(out, **{"--gens": "8", "--checkpoint-interval": "2", "--pop": "4", "--controller": controller})
 
     assert run_cli(*argv(tmp_path / "full")) == 0
     original = evolution.advance_generation
@@ -595,6 +604,23 @@ def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path):
     assert run_cli(*argv(out), "--resume") == 0
     for name in ("champion.json", "generations.csv"):
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bad-base64", "wrong-count"])
+def test_resume_from_an_unreadable_checkpoint_exits_2(monkeypatch, tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    argv = interrupted_run(monkeypatch, out)
+    path = out / "checkpoint.json"
+    if damage == "truncated":
+        path.write_text(path.read_text()[:100])
+    else:
+        checkpoint = json.loads(path.read_text())
+        checkpoint["members"][1]["controller"][evolution.PARAMS_KEY] = "!!" if damage == "bad-base64" else "AAAAAAAAAAA="
+        path.write_text(json.dumps(checkpoint))
+    capsys.readouterr()
+    assert run_cli(*argv, "--resume") == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out / "generations.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from voxevo import evolution
-from voxevo.control import ControllerGenome, init_controller
+from voxevo.control import PARAM_COUNT, ControllerGenome, init_controller
 from voxevo.evolution import (
+    PARAMS_KEY,
     ConfigError,
     Individual,
     Population,
@@ -334,18 +335,132 @@ def test_checkpoint_resume_identical(tmp_path):
     assert resumed.champion.controller == full.champion.controller
 
 
-def test_checkpoint_round_trip(tmp_path):
+def assert_same_individual(loaded, own):
+    assert (loaded.id, loaded.age, loaded.fitness, loaded.parent_id) == (own.id, own.age, own.fitness, own.parent_id)
+    assert loaded.mutated_component == own.mutated_component
+    assert loaded.morphology == own.morphology
+    assert loaded.controller.variant == own.controller.variant
+    assert loaded.controller.params.dtype == own.controller.params.dtype
+    assert loaded.controller.params.tobytes() == own.controller.params.tobytes()
+
+
+@pytest.mark.parametrize("controller", ["fixed", "modular"])
+def test_checkpoint_round_trip(tmp_path, controller):
     ck = tmp_path / "checkpoint.json"
-    evolve(small_config(generations=4), HashEvaluator(), checkpoint_path=ck)
+    result = evolve(small_config(controller=controller, generations=4), HashEvaluator(), checkpoint_path=ck)
     saved = load_checkpoint(ck)
     assert saved["generation"] == 4
     assert len(saved["members"]) == 8
     assert saved["config"].generations == 4
+    for loaded, own in zip(saved["members"], result.final_population.members, strict=True):
+        assert_same_individual(loaded, own)
+    assert_same_individual(saved["champion"], result.champion)
+    assert [g for g, _ in saved["snapshots"]] == [g for g, _ in result.snapshots] == [2, 4]
+    for (_, loaded), (_, own) in zip(saved["snapshots"], result.snapshots):
+        assert_same_individual(loaded, own)
+    assert saved["stats"] == result.stats
+
+
+def test_checkpoint_weights_are_exact(tmp_path):
+    # the values decimal text is most likely to get wrong, bit for bit
+    specials = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.30000000000000004, 1.0000000000000002, -2.2250738585072014e-308, 0.1 / 3]
+    rng = np.random.default_rng(5)
+    members = []
+    for k in range(3):
+        params = rng.normal(0.0, 1.0, size=PARAM_COUNT)
+        params[k : k + len(specials)] = specials
+        ind = make_individual(k, fitness=float(k), age=k)
+        ind.controller = ControllerGenome("modular", params)
+        members.append(ind)
+    pop = Population(members=members, generation=1, next_id=3)
+    ck = tmp_path / "checkpoint.json"
+    config = small_config(controller="modular")
+    snapshot = evolution._snapshot_text(1, members[2])
+    evolution.save_checkpoint(ck, pop, members[1], [], [snapshot], config, config.fingerprint())
+    saved = load_checkpoint(ck)
+    for loaded, own in zip(saved["members"], members, strict=True):
+        assert_same_individual(loaded, own)
+    assert_same_individual(saved["champion"], members[1])
+    assert_same_individual(saved["snapshots"][0][1], members[2])
+
+
+def to_float_lists(record):
+    """A checkpoint record as written before parameters were stored as bytes."""
+    controller = Individual.from_json(record).controller
+    return {**record, "controller": {"variant": controller.variant, "params": controller.params.tolist()}}
+
+
+def test_checkpoint_with_float_lists_still_resumes(tmp_path):
+    # a run interrupted before parameters were stored as bytes keeps its resume
+    ck = tmp_path / "checkpoint.json"
+    config = small_config(controller="modular", generations=8)
+    full = evolve(config, HashEvaluator())
+
+    class Interrupt(Exception):
+        pass
+
+    def bail_at_4(pop, champion):
+        if pop.generation == 4:
+            raise Interrupt
+
+    with pytest.raises(Interrupt):
+        evolve(config, HashEvaluator(), checkpoint_path=ck, progress=bail_at_4)
+    current = load_checkpoint(ck)
+    payload = json.loads(ck.read_text())
+    # float lists were last written under engine 5; once the engine moves on,
+    # no such checkpoint can resume and their reader can go
+    assert payload["engine_version"] == 5
+    payload["members"] = [to_float_lists(m) for m in payload["members"]]
+    payload["champion"] = to_float_lists(payload["champion"])
+    payload["snapshots"] = [[g, to_float_lists(ind)] for g, ind in payload["snapshots"]]
+    ck.write_text(json.dumps(payload))
+    old = load_checkpoint(ck)
+    for loaded, own in zip(old["members"] + [old["champion"]], current["members"] + [current["champion"]], strict=True):
+        assert_same_individual(loaded, own)
+    for (_, loaded), (_, own) in zip(old["snapshots"], current["snapshots"], strict=True):
+        assert_same_individual(loaded, own)
+
+    resumed = evolve(config, HashEvaluator(), checkpoint_path=ck, resume=True)
+    assert resumed.stats == full.stats
+    assert_same_individual(resumed.champion, full.champion)
+    assert PARAMS_KEY in json.loads(ck.read_text())["snapshots"][0][1]["controller"]
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_each_row_is_encoded_once(monkeypatch, tmp_path, resume):
+    # a save writes the rows encoded before it, and encodes afresh only the
+    # population and the champion; a resumed run encodes the rows it loads once
+    ck = tmp_path / "checkpoint.json"
+    config = small_config(generations=10, checkpoint_interval=1)
+    if resume:
+        def bail_at_4(pop, champion):
+            if pop.generation == 4:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            evolve(config, HashEvaluator(), checkpoint_path=ck, progress=bail_at_4)
+    encoded = []  # every object encoded, kept alive so that identity is a fair test
+
+    def counting(original):
+        def to_json(self):
+            encoded.append(self)
+            return original(self)
+
+        return to_json
+
+    monkeypatch.setattr(evolution.GenerationStats, "to_json", counting(evolution.GenerationStats.to_json))
+    monkeypatch.setattr(Individual, "to_json", counting(Individual.to_json))
+    result = evolve(config, HashEvaluator(), checkpoint_path=ck, resume=resume)
+    assert len(result.stats) == 11 and len(result.snapshots) == 10
+    assert [sum(x is row for x in encoded) for row in result.stats] == [1] * 11
+    assert [sum(x is ind for x in encoded) for _, ind in result.snapshots] == [1] * 10
 
 
 def test_checkpoint_text_is_json_dumps(tmp_path):
-    # checkpoints go through the C encoder one piece at a time, and their
-    # text is exactly what json.dump's pure-Python encoder writes
+    # checkpoints go through the C encoder one piece at a time, each stats
+    # row and snapshot encoded once, and their text is exactly what
+    # json.dump's pure-Python encoder writes
     ck = tmp_path / "checkpoint.json"
     evolve(small_config(controller="modular", generations=2), HashEvaluator(), checkpoint_path=ck)
     text = ck.read_text()
@@ -354,7 +469,9 @@ def test_checkpoint_text_is_json_dumps(tmp_path):
     assert text == expected.getvalue()
     for payload in ({}, {"a": [], "b": {}, "ü\"": [[1.5, float("nan")], ("t", None)], "c": [{1: [True, -0.0, 1e300]}]}):
         written, expected = io.StringIO(), io.StringIO()
-        evolution._write_json(written, payload)
+        # a value comes whole, or a list item by item
+        parts = {k: [json.dumps(x) for x in v] if k in ("a", "c") else json.dumps(v) for k, v in payload.items()}
+        evolution._write_json(written, parts)
         json.dump(payload, expected)
         assert written.getvalue() == expected.getvalue()
 
