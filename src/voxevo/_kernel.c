@@ -12,25 +12,72 @@
  *
  * Every function but the builder's takes one Table: pointers into a
  * WorldState's numpy arrays, its sizes and the engine's constants, built
- * once per state by sim_core._kernel_table. The arithmetic is numpy's, operation for
- * operation and in the same order, so every trajectory keeps its bits:
+ * once per state by sim_core._kernel_table. The arithmetic is numpy's,
+ * operation for operation and in the same order, so every trajectory keeps
+ * its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
  *    double operation at a time; the build flags forbid contraction into
  *    fused multiply-adds and any fast-math reassociation;
- *  - sqrt and hypot are libm's, which numpy calls too;
+ *  - sqrt is the correctly rounded square root and hypot is libm's, as in
+ *    numpy;
  *  - np.maximum, np.minimum and np.clip are reproduced with their NaN
  *    propagation and their choice between equal operands (see below);
  *  - sums that numpy forms with np.bincount or a reduction start from +0.0
  *    and add their terms in numpy's order.
- * The modular network is the exception: it has numerics of its own, the
- * same on every CPU, set out above vx_presum. tests/oracles.py keeps the
- * numpy code as the reference all of these are tested against, byte for
- * byte.
+ *
+ * Each mass's force is such a sum. numpy formed it with one np.bincount over
+ * a table of terms, which tests/oracles.py still builds; the kernel keeps no
+ * table, but adds each mass's terms in place, from +0.0, in the order the
+ * table gave them (sum_forces):
+ *  1. its spring_i ends, in spring order, each adding the spring's (fx, fy);
+ *  2. its spring_j ends, in spring order, each adding (-fx, -fy);
+ *  3. its ground contact's (ft, fn), a robot mass on any terrain;
+ *  4. its strip terms: a robot mass's (ft, fn); a strip mass's reactions
+ *     where it is a segment's left end, in robot-mass order, then those
+ *     where it is the right end.
+ * Another order rounds otherwise, so this order is part of the engine; the
+ * golden digests guard it.
+ *
+ * The elementwise loops around those sums take no data-dependent branch:
+ * the springs' forces (spring_pass), the ground contact (ground_pass), the
+ * strip-segment search (strip_segments, a count of a chain's masses left of
+ * x), integration with its per-world divergence flag (integrate) and the
+ * finish test (reached, an OR over every mass). np.maximum and its kin are
+ * selects, and the loops' only reductions are integer ORs and counts, so a
+ * vector lane does the scalar code's operations and no floating-point sum is
+ * reordered. These five are compiled for AVX-512 and for the baseline
+ * (VX_CLONES), and vectorised with no cost model (VX_VECTOR), as -O2's cheap
+ * model vectorises none of them; the baseline clone vectorises what SSE2
+ * can. GCC vectorises a loop's indexed loads only through restrict pointers
+ * that are the function's parameters, so each loop takes the arrays it
+ * indexes or writes as such. The springs' end-to-end differences
+ * (spring_ends) stay a scalar loop on every CPU: a vector would gather them
+ * one element at a time. The build flags' -fno-math-errno lets sqrt be one
+ * instruction, in a vector too; it moves no bit, as all it drops is sqrt of
+ * a negative number setting errno.
+ *
+ * The modular network is the exception to numpy's numerics: it has numerics
+ * of its own, the same on every CPU, set out above vx_presum.
+ * tests/oracles.py keeps the numpy code as the reference all of these are
+ * tested against, byte for byte.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* A function so marked is compiled for AVX-512 and for the baseline
+ * (target_clones), and the loader picks the clone the CPU runs, so a CPU
+ * with AVX2 but no AVX-512 runs the baseline. Defining VX_DEFAULT_CLONE_ONLY
+ * builds the baseline clone alone, which is how the tests check that the
+ * clones agree. */
+#ifdef VX_DEFAULT_CLONE_ONLY
+#define VX_CLONES
+#else
+#define VX_CLONES __attribute__((target_clones("avx512f", "default")))
+#endif
+/* the vectoriser on, with no cost model */
+#define VX_VECTOR __attribute__((optimize("tree-vectorize", "vect-cost-model=unlimited")))
 
 typedef struct {
     /* sizes */
@@ -61,16 +108,23 @@ typedef struct {
     const int64_t *diagonal_sides;  /* (2, 2, diagonals): (bottom, left), (top, right) */
     const int64_t *diagonal_ids;    /* (2, diagonals) */
     const int64_t *robot_ids, *robot_world, *bridge_top, *mass_starts;
-    /* the force table: one term per row, summed into its flat (mass, axis) bin */
-    int64_t *bins;
-    double *terms;
+    /* mass m's spring ends are the rows ends[end_starts[m]] up to
+     * ends[end_starts[m + 1]] of spring_f, k for spring k's i end and
+     * springs + k for its j end: its spring_i ends, then its spring_j ends,
+     * each in spring order */
+    const int64_t *end_starts, *ends;
     /* scratch */
+    double *spring_d;       /* (springs, 4) each spring's dx, dy, dvx, dvy: its j end's less its i end's */
+    double *spring_f;       /* (2, springs, 2) each spring's (fx, fy) on its i end, then (-fx, -fy) on its j end */
+    double *ground;         /* (robots, 2) each robot mass's ground contact (ft, fn) */
+    double *chain_x;        /* (worlds, chain) the top chains' x */
     double *net;            /* (masses, 2) the summed forces */
     double *new_pos;        /* (masses, 2) */
+    int64_t *bad;           /* (worlds,) whether a world's new positions diverged */
     int64_t *diverged;      /* (worlds,) */
     int64_t *blown;         /* (1,) how many worlds vx_run's last step named */
     int64_t *contact_ids;   /* (2, robots) a strip contact's mass and segment */
-    double *contact_w;      /* (2, robots) its right end's weight and its depth */
+    double *contact_w;      /* (4, robots) its right end's weight, its depth, its ft and its fn */
     double *clamped;        /* (actuators,) */
     double *sums;           /* (edges,) */
 } Table;
@@ -119,23 +173,34 @@ static void advance_actuation(const Table *t)
     }
 }
 
-/* The springs' block: rows fx, fy, -fx, -fy of the Hooke + axial damping
- * force of every spring, for its i x, i y, j x and j y bins. */
-void vx_spring_forces(const Table *t)
+/* Each spring's end-to-end position and velocity differences into
+ * t->spring_d. Scalar on every CPU: a vector of them would gather its
+ * operands one element at a time. */
+static void spring_ends(const Table *t)
 {
-    const int64_t s = t->springs;
     const double *pos = t->pos, *vel = t->vel;
-    double *terms = t->terms;
-    int64_t k;
-    for (k = 0; k < s; k++) {
+    double *d = t->spring_d;
+    for (int64_t k = 0; k < t->springs; k++) {
         int64_t i = t->spring_i[k], j = t->spring_j[k];
-        double dx = pos[2 * j] - pos[2 * i];
-        double dy = pos[2 * j + 1] - pos[2 * i + 1];
+        d[4 * k] = pos[2 * j] - pos[2 * i];
+        d[4 * k + 1] = pos[2 * j + 1] - pos[2 * i + 1];
+        d[4 * k + 2] = vel[2 * j] - vel[2 * i];
+        d[4 * k + 3] = vel[2 * j + 1] - vel[2 * i + 1];
+    }
+}
+
+/* The Hooke + axial damping force of every spring, from its differences
+ * ``d`` (spring_ends), into its rows of t->spring_f: (fx, fy) on its i end,
+ * and the exact reaction (-fx, -fy) on its j end. A row of four for both
+ * ends would cost the vector loop more to store. */
+VX_CLONES VX_VECTOR static void spring_pass(const Table *t, const double *restrict d, double *restrict f,
+                                             double *restrict reaction)
+{
+    for (int64_t k = 0; k < t->springs; k++) {
+        double dx = d[4 * k], dy = d[4 * k + 1], dvx = d[4 * k + 2], dvy = d[4 * k + 3];
         double dist = dx * dx;
         dist = dist + dy * dy;
         dist = np_max(sqrt(dist), 1e-12);
-        double dvx = vel[2 * j] - vel[2 * i];
-        double dvy = vel[2 * j + 1] - vel[2 * i + 1];
         double rel_speed = dvx * dx;
         rel_speed = rel_speed + dvy * dy;
         rel_speed = rel_speed / dist;
@@ -143,123 +208,234 @@ void vx_spring_forces(const Table *t)
         magnitude = magnitude + t->spring_c[k] * rel_speed;
         magnitude = magnitude / dist;
         double fx = dx * magnitude, fy = dy * magnitude;
-        terms[k] = fx;
-        terms[s + k] = fy;
-        terms[2 * s + k] = -fx;
-        terms[3 * s + k] = -fy;
+        f[2 * k] = fx;
+        f[2 * k + 1] = fy;
+        reaction[2 * k] = -fx;
+        reaction[2 * k + 1] = -fy;
     }
 }
 
-/* The strip block from row ``start``: the (ft, fn) of each robot mass over
- * the span that sinks into its own world's top chain, then the reactions
- * -ft*u and -ft*w on the x of its segment's left and right ends, then -fn*u
- * and -fn*w on their y; w is the right end's weight and u = 1 - w the
- * left's. Six rows of one term per such mass, in robot-mass order. Returns
- * the block's end. */
-static int64_t bridge_contact(const Table *t, int64_t start)
+/* Each robot mass's ground contact (ft, fn) into its row of t->ground, on
+ * the rigid surface at y=0 (the pads only, on a bridge). Normal:
+ * k*depth - c*v_normal, clamped >= 0. Friction: the force that would cancel
+ * the tangential velocity within one step, capped at mu * |normal|. */
+VX_CLONES VX_VECTOR static void ground_pass(const Table *t, const double *restrict pos, const double *restrict vel,
+                                             const double *restrict mass, double *restrict ground)
 {
-    const double *pos = t->pos, *vel = t->vel;
-    const int64_t r = t->robots, chain = t->chain;
-    int64_t *ids = t->contact_ids, *segs = t->contact_ids + r;
-    double *weights = t->contact_w, *depths = t->contact_w + r;
-    int64_t q, c, n = 0;
-    for (q = 0; q < r; q++) {
-        int64_t m = t->robot_ids[q];
-        double x = pos[2 * m];
-        if (!(x > t->span_start && x < t->span_end))
-            continue;
-        /* segment under the mass: how many of its chain's masses lie left of it */
-        const int64_t *top = t->bridge_top + t->robot_world[q] * chain;
-        int64_t seg = -1;
-        for (c = 0; c < chain; c++)
-            seg += pos[2 * top[c]] < x;
-        seg = seg < 0 ? 0 : (seg > chain - 2 ? chain - 2 : seg);
-        int64_t left = top[seg], right = top[seg + 1];
-        double left_x = pos[2 * left];
-        double span = np_max(pos[2 * right] - left_x, 1e-9);
-        double w = clip_scalar((x - left_x) / span, 0.0, 1.0);
-        double u = 1 - w;
-        double depth = pos[2 * left + 1] * u + pos[2 * right + 1] * w;
-        depth = depth - pos[2 * m + 1];
-        if (!(depth > 0.0))
-            continue;
-        ids[n] = m;
-        segs[n] = top + seg - t->bridge_top;
-        weights[n] = w;
-        depths[n] = depth;
-        n++;
-    }
-    int64_t *bins = t->bins + start;
-    double *terms = t->terms + start;
-    for (q = 0; q < n; q++) {
-        int64_t m = ids[q];
-        int64_t left = t->bridge_top[segs[q]], right = t->bridge_top[segs[q] + 1];
-        double w = weights[q];
-        double u = 1 - w;
-        double rel_vy = vel[2 * m + 1] - (vel[2 * left + 1] * u + vel[2 * right + 1] * w);
-        double rel_vx = vel[2 * m] - (vel[2 * left] * u + vel[2 * right] * w);
-        double fn = np_max(t->stiffness * depths[q] - t->damping * rel_vy, 0.0);
-        double ft = clip_array(-t->mass[m] * rel_vx / t->dt, -t->mu * fn, t->mu * fn);
-        terms[q] = ft;
-        terms[n + q] = fn;
-        terms[2 * n + q] = -ft * u;
-        terms[3 * n + q] = -ft * w;
-        terms[4 * n + q] = -fn * u;
-        terms[5 * n + q] = -fn * w;
-        bins[q] = 2 * m;
-        bins[n + q] = 2 * m + 1;
-        bins[2 * n + q] = 2 * left;
-        bins[3 * n + q] = 2 * right;
-        bins[4 * n + q] = 2 * left + 1;
-        bins[5 * n + q] = 2 * right + 1;
-    }
-    return start + 6 * n;
-}
-
-/* The robot masses' contact forces, after the springs' block: the ground
- * block's (ft, fn) rows on the rigid surface at y=0 (the pads only, on a
- * bridge), then the strip block. Returns where the written terms end. */
-int64_t vx_contact_forces(const Table *t)
-{
-    const int64_t r = t->robots;
-    const double *pos = t->pos, *vel = t->vel;
-    const int bridge = t->terrain == 2;
-    double *ft_row = t->terms + 4 * t->springs, *fn_row = ft_row + r;
-    int64_t q;
-    if (t->terrain == 0)
-        return 4 * t->springs;
-    for (q = 0; q < r; q++) {
+    const int64_t bridge = t->terrain == 2;
+    for (int64_t q = 0; q < t->robots; q++) {
         int64_t m = t->robot_ids[q];
         double px = pos[2 * m], py = pos[2 * m + 1];
         double fn = py * -t->stiffness;
         fn = fn - t->damping * vel[2 * m + 1];
         fn = np_max(fn, 0.0);
         fn = fn * (py < 0.0 ? 1.0 : 0.0);
-        if (bridge)
-            fn = fn * ((px <= t->span_start || px >= t->span_end) ? 1.0 : 0.0);
+        /* 1.0 off a bridge's span, and always when flat: x * 1.0 is x, NaN included */
+        fn = fn * ((px <= t->span_start) | (px >= t->span_end) | !bridge ? 1.0 : 0.0);
         double cap = t->mu * fn;
-        double ft = t->mass[m] * vel[2 * m];
+        double ft = mass[m] * vel[2 * m];
         ft = ft / -t->dt;
         ft = np_min(ft, cap);
         ft = np_max(ft, -cap);
-        ft_row[q] = ft;
-        fn_row[q] = fn;
+        ground[2 * q] = ft;
+        ground[2 * q + 1] = fn;
     }
-    int64_t ground_end = 4 * t->springs + 2 * r;
-    return bridge ? bridge_contact(t, ground_end) : ground_end;
 }
 
-/* Every spring and contact force on each mass into t->net: the force
- * table's terms summed into their bins in table order, from +0.0. */
+/* The segment of its world's top chain under each of n robot masses, given
+ * by their robot rows: the number of the chain's masses left of its x,
+ * minus one, clipped to the chain, as a union index into bridge_top. */
+VX_CLONES VX_VECTOR static void strip_segments(const Table *t, int64_t n, const int64_t *restrict rows,
+                                                const double *restrict pos, double *restrict chain_x,
+                                                int64_t *restrict segs)
+{
+    const int64_t chain = t->chain;
+    int64_t c, k;
+    for (c = 0; c < t->worlds * chain; c++)
+        chain_x[c] = pos[2 * t->bridge_top[c]];
+    for (k = 0; k < n; k++) {
+        const int64_t world = t->robot_world[rows[k]];
+        const double x = pos[2 * t->robot_ids[rows[k]]];
+        const double *row = chain_x + world * chain;
+        int64_t left = 0;
+        for (c = 0; c < chain; c++)
+            left += row[c] < x;
+        int64_t seg = left - 1;
+        seg = seg < 0 ? 0 : (seg > chain - 2 ? chain - 2 : seg);
+        segs[k] = world * chain + seg;
+    }
+}
+
+/* The robot masses over the span that sink into their own world's top
+ * chain, in robot-mass order: each one's mass and segment into
+ * contact_ids, and its right end's weight w, its depth, and its contact
+ * (ft, fn) into contact_w. Returns their number. */
+static int64_t strip_contacts(const Table *t)
+{
+    const double *pos = t->pos, *vel = t->vel;
+    const int64_t r = t->robots;
+    int64_t *ids = t->contact_ids, *segs = t->contact_ids + r;
+    double *weights = t->contact_w, *depths = weights + r, *fts = depths + r, *fns = fts + r;
+    int64_t q, k, n = 0;
+    for (q = 0; q < r; q++) {
+        double x = pos[2 * t->robot_ids[q]];
+        ids[n] = q;
+        n += (x > t->span_start) & (x < t->span_end);
+    }
+    if (!n)
+        return 0;
+    strip_segments(t, n, ids, pos, t->chain_x, segs);
+    int64_t sunk = 0;
+    for (k = 0; k < n; k++) {  /* ids[sunk] is written after ids[k] is read, and sunk <= k */
+        int64_t m = t->robot_ids[ids[k]], seg = segs[k];
+        int64_t left = t->bridge_top[seg], right = t->bridge_top[seg + 1];
+        double left_x = pos[2 * left];
+        double span = np_max(pos[2 * right] - left_x, 1e-9);
+        double w = clip_scalar((pos[2 * m] - left_x) / span, 0.0, 1.0);
+        double u = 1 - w;
+        double depth = pos[2 * left + 1] * u + pos[2 * right + 1] * w;
+        depth = depth - pos[2 * m + 1];
+        ids[sunk] = m;
+        segs[sunk] = seg;
+        weights[sunk] = w;
+        depths[sunk] = depth;
+        sunk += depth > 0.0;
+    }
+    for (k = 0; k < sunk; k++) {
+        int64_t m = ids[k];
+        int64_t left = t->bridge_top[segs[k]], right = t->bridge_top[segs[k] + 1];
+        double w = weights[k];
+        double u = 1 - w;
+        double rel_vy = vel[2 * m + 1] - (vel[2 * left + 1] * u + vel[2 * right + 1] * w);
+        double rel_vx = vel[2 * m] - (vel[2 * left] * u + vel[2 * right] * w);
+        double fn = np_max(t->stiffness * depths[k] - t->damping * rel_vy, 0.0);
+        fts[k] = clip_array(-t->mass[m] * rel_vx / t->dt, -t->mu * fn, t->mu * fn);
+        fns[k] = fn;
+    }
+    return sunk;
+}
+
+/* Each mass's force into t->net, summed in place from +0.0 in the order the
+ * header sets out: its spring ends' forces if ``springs``; then, if
+ * ``contact``, its ground contact; then the ``sunk`` strip contacts' terms
+ * (strip_contacts): a robot mass's (ft, fn), and -ft*u and -fn*u on its
+ * segment's left end, then -ft*w and -fn*w on its right end, where w is the
+ * right end's weight and u = 1 - w the left's. Each kind of contact term is
+ * added in its own pass, in robot-mass order, so every mass adds its terms
+ * in the header's order. */
+static void sum_forces(const Table *t, int springs, int contact, int64_t sunk)
+{
+    const int64_t r = t->robots;
+    const int64_t *ids = t->contact_ids, *segs = ids + r;
+    const double *weights = t->contact_w, *fts = weights + 2 * r, *fns = fts + r;
+    double *net = t->net;
+    int64_t m, e, q, k;
+    for (m = 0; m < t->masses; m++) {
+        double fx = 0.0, fy = 0.0;
+        if (springs)
+            for (e = t->end_starts[m]; e < t->end_starts[m + 1]; e++) {
+                const double *f = t->spring_f + 2 * t->ends[e];
+                fx = fx + f[0];
+                fy = fy + f[1];
+            }
+        net[2 * m] = fx;
+        net[2 * m + 1] = fy;
+    }
+    if (contact && t->terrain)
+        for (q = 0; q < r; q++) {
+            net[2 * t->robot_ids[q]] += t->ground[2 * q];
+            net[2 * t->robot_ids[q] + 1] += t->ground[2 * q + 1];
+        }
+    for (k = 0; k < sunk; k++) {
+        net[2 * ids[k]] += fts[k];
+        net[2 * ids[k] + 1] += fns[k];
+    }
+    for (k = 0; k < sunk; k++) {
+        const int64_t left = t->bridge_top[segs[k]];
+        const double u = 1 - weights[k];
+        net[2 * left] += -fts[k] * u;
+        net[2 * left + 1] += -fns[k] * u;
+    }
+    for (k = 0; k < sunk; k++) {
+        const int64_t right = t->bridge_top[segs[k] + 1];
+        net[2 * right] += -fts[k] * weights[k];
+        net[2 * right + 1] += -fns[k] * weights[k];
+    }
+}
+
+/* The springs' forces, one per spring end, into t->spring_f */
+static void spring_terms(const Table *t)
+{
+    spring_ends(t);
+    spring_pass(t, t->spring_d, t->spring_f, t->spring_f + 2 * t->springs);
+}
+
+/* The contact forces: the ground's into t->ground; returns the number of
+ * strip contacts, whose terms strip_contacts writes. */
+static int64_t contact_terms(const Table *t)
+{
+    if (!t->terrain)
+        return 0;
+    ground_pass(t, t->pos, t->vel, t->mass, t->ground);
+    return t->terrain == 2 ? strip_contacts(t) : 0;
+}
+
+/* The springs' forces alone into t->net, each mass's sum from +0.0. */
+void vx_spring_forces(const Table *t)
+{
+    spring_terms(t);
+    sum_forces(t, 1, 0, 0);
+}
+
+/* The contact forces alone into t->net, each mass's sum from +0.0: the
+ * ground's on every robot mass, and on a bridge the strip's. A state with
+ * no terrain has none. */
+void vx_contact_forces(const Table *t)
+{
+    sum_forces(t, 0, 1, contact_terms(t));
+}
+
+/* Every spring and contact force on each mass into t->net. */
 void vx_net_forces(const Table *t)
 {
-    int64_t k, stop;
-    vx_spring_forces(t);
-    stop = vx_contact_forces(t);
-    for (k = 0; k < 2 * t->masses; k++)
-        t->net[k] = 0.0;
-    for (k = 0; k < stop; k++)
-        t->net[t->bins[k]] += t->terms[k];
+    spring_terms(t);
+    sum_forces(t, 1, 1, contact_terms(t));
+}
+
+/* Velocities, then new positions, of every mass from t->net and gravity,
+ * into t->vel and t->new_pos; t->bad[w] is set when world w has a new
+ * position that is non-finite or beyond the limit. */
+VX_CLONES VX_VECTOR static void integrate(const Table *t, double gravity, const double *restrict pos,
+                                           const double *restrict net, double *restrict vel, double *restrict new_pos)
+{
+    const double dt = t->dt, limit = t->limit;
+    const double *mass = t->mass, *inv_mass = t->inv_mass;
+    for (int64_t w = 0; w < t->worlds; w++) {
+        int64_t bad = 0;
+        for (int64_t m = t->mass_starts[w]; m < t->mass_starts[w + 1]; m++) {
+            double fx = net[2 * m], fy = net[2 * m + 1] - gravity * mass[m];
+            fx = fx * inv_mass[2 * m] * dt;
+            fy = fy * inv_mass[2 * m + 1] * dt;
+            double vx = vel[2 * m] + fx, vy = vel[2 * m + 1] + fy;
+            vel[2 * m] = vx;
+            vel[2 * m + 1] = vy;
+            double x = vx * dt + pos[2 * m];
+            double y = vy * dt + pos[2 * m + 1];
+            new_pos[2 * m] = x;
+            new_pos[2 * m + 1] = y;
+            bad |= !(fabs(x) <= limit) | !(fabs(y) <= limit);  /* true for NaN too */
+        }
+        t->bad[w] = bad;
+    }
+}
+
+/* Whether some mass has !(x < reach), NaN included. */
+VX_CLONES VX_VECTOR static int64_t reached(int64_t masses, const double *pos, double reach)
+{
+    int64_t any = 0;
+    for (int64_t m = 0; m < masses; m++)
+        any |= !(pos[2 * m] < reach);
+    return any;
 }
 
 /* One semi-implicit Euler step of every world. Writes the ids of the worlds
@@ -268,31 +444,16 @@ void vx_net_forces(const Table *t)
  * every other world commits its step. */
 static int64_t one_step(const Table *t, double gravity)
 {
-    const double dt = t->dt, limit = t->limit;
-    double *pos = t->pos, *vel = t->vel, *net = t->net, *new_pos = t->new_pos;
-    int64_t w, m, diverged = 0;
+    int64_t w, diverged = 0;
     advance_actuation(t);
     vx_net_forces(t);
+    integrate(t, gravity, t->pos, t->net, t->vel, t->new_pos);
     for (w = 0; w < t->worlds; w++) {
-        int sane = 1;
-        for (m = t->mass_starts[w]; m < t->mass_starts[w + 1]; m++) {
-            double fx = net[2 * m], fy = net[2 * m + 1] - gravity * t->mass[m];
-            fx = fx * t->inv_mass[2 * m] * dt;
-            fy = fy * t->inv_mass[2 * m + 1] * dt;
-            vel[2 * m] = vel[2 * m] + fx;
-            vel[2 * m + 1] = vel[2 * m + 1] + fy;
-            double x = vel[2 * m] * dt + pos[2 * m];
-            double y = vel[2 * m + 1] * dt + pos[2 * m + 1];
-            new_pos[2 * m] = x;
-            new_pos[2 * m + 1] = y;
-            sane &= fabs(x) <= limit && fabs(y) <= limit;  /* false for NaN too */
-        }
-        if (!sane) {
-            t->diverged[diverged++] = w;
-            continue;
-        }
-        for (m = 2 * t->mass_starts[w]; m < 2 * t->mass_starts[w + 1]; m++)
-            pos[m] = new_pos[m];
+        const int64_t start = t->mass_starts[w], stop = t->mass_starts[w + 1];
+        t->diverged[diverged] = w;
+        diverged += t->bad[w];
+        if (!t->bad[w])
+            memcpy(t->pos + 2 * start, t->new_pos + 2 * start, 2 * (stop - start) * sizeof(double));
     }
     return diverged;
 }
@@ -351,17 +512,17 @@ void vx_set_targets(const Table *t, const double *commands)
  *    exactly).
  * tests/oracles.py's reference_network does the same operations in numpy.
  *
- * vx_presum and vx_mlp are compiled for AVX-512 and the baseline
- * (target_clones); the loader picks the clone the CPU runs, so a CPU with
- * AVX2 but no AVX-512 runs the baseline. Only the AVX-512 clone is fast:
- * eight lanes are one of its registers, while GCC splits them for the
- * baseline and keeps them in memory. On a 17-world W5 batch (174 active
- * voxels) on a 2-vCPU Xeon with AVX-512, vx_mlp took 40-46 us with the
- * AVX-512 clone and about 255 us with the baseline (SSE2); a numpy GEMM
- * network took 148 us on the same rows. So the baseline clone is the
- * correct path for CPUs without AVX-512, not a fast one. Defining
- * VX_DEFAULT_CLONE_ONLY builds the baseline clone alone, which is how the
- * tests check that the two clones agree.
+ * vx_presum and vx_mlp are cloned (VX_CLONES) as the step's loops are, but
+ * only the network's AVX-512 clone is fast: eight lanes are one of its
+ * registers, while GCC splits them for the baseline and keeps them in
+ * memory. On a 17-world W5 batch (174 active voxels) on a 2-vCPU Xeon with
+ * AVX-512, vx_mlp took 40-46 us with the AVX-512 clone and about 255 us
+ * with the baseline (SSE2); a numpy GEMM network took 148 us on the same
+ * rows. So the network's baseline clone is the correct path for CPUs
+ * without AVX-512, not a fast one. The step's baseline clones are no slower
+ * than the scalar step they replace: a fixed-controller step of 17 worlds
+ * took about as long built with the baseline clones alone as the scalar
+ * step did (W5), or less (B7).
  */
 
 #define UNITS 32      /* hidden units */
@@ -370,12 +531,6 @@ void vx_set_targets(const Table *t, const double *commands)
 #define INPUTS (DYNAMIC + 1)  /* a control step's inputs: the dynamic entries, then the parity */
 #define LANES 8
 #define VECTORS (UNITS / LANES)
-
-#ifdef VX_DEFAULT_CLONE_ONLY
-#define VX_CLONES
-#else
-#define VX_CLONES __attribute__((target_clones("avx512f", "default")))
-#endif
 
 /* Eight lanes, whatever the clone: the baseline clone runs each operation
  * as four SSE2 ones. Values of these types are passed by pointer only, so
@@ -626,7 +781,7 @@ void vx_act(const Table *t, const Brain *b, int64_t parity)
  * targets stay as the caller set them. Returns the number of steps taken. */
 int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, double finish_reach, double gravity)
 {
-    int64_t taken = 0, diverged = 0, m;
+    int64_t taken = 0, diverged = 0;
     while (time < stop) {
         if (b && time % t->steps_per_action == 0) {
             vx_act(t, b, (time / t->steps_per_action) % 2);
@@ -637,9 +792,7 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
         taken++;
         if (diverged)
             break;
-        for (m = 0; m < t->masses && t->pos[2 * m] < finish_reach; m++)
-            ;
-        if (m < t->masses)
+        if (reached(t->masses, t->pos, finish_reach))
             break;
     }
     t->blown[0] = diverged;

@@ -14,8 +14,8 @@ A WorldState holds one world or a disjoint union of several that step
 together; no table joins two worlds, so one world never affects another.
 
 The episode's inner loop runs in C: ``_kernel.c`` holds the actuation
-advance, the spring forces, ground and strip contact, the force table's
-scatter, gravity, integration and the divergence test, the loop of steps
+advance, the spring forces, ground and strip contact, each mass's force
+sum, gravity, integration and the divergence test, the loop of steps
 around them, the actuation targets (``set_actuation_targets``) and both
 controllers: the fixed alternation, and the modular network with its
 observation fill (``control.controller_table``). ``advance`` is one call
@@ -31,14 +31,15 @@ solves the strip's statics once per span, parks worlds and keeps each
 episode's books (``tasks.run_episodes``). The kernel does numpy's
 operations in numpy's order, so the physics and the built tables give
 the bits the numpy code gave (``tests/oracles.py`` keeps that code as
-the reference it is tested against). The modular network has numerics of
-its own instead: a fixed summation order, and ``tanh`` and the logistic
-built on the kernel's own ``exp``, with no libm, numpy or BLAS call, so
-that each of its compiled clones (AVX-512 and the baseline, picked by the
-CPU) gives the same bits (``_kernel.c`` sets them out). The system C
-compiler (``_COMPILER``) builds the kernel on first use with ``_CFLAGS``:
-``-O2 -ffp-contract=off`` and never ``-ffast-math`` or ``-march=native``,
-either of which could move bits. The library is cached in ``_KERNEL_DIR``,
+the reference it is tested against). Its step loops and the modular
+network are compiled twice, for AVX-512 and the baseline, and the CPU
+picks the clone; both give the same bits. The network has numerics of
+its own: a fixed summation order, and ``tanh`` and the logistic built on
+the kernel's own ``exp``, with no libm, numpy or BLAS call (``_kernel.c``
+sets them out). The system C compiler (``_COMPILER``) builds the kernel
+on first use with ``_CFLAGS``: ``-O2 -ffp-contract=off -fno-math-errno``
+and never ``-ffast-math`` or ``-march=native``, either of which could
+move bits. The library is cached in ``_KERNEL_DIR``,
 beside this file, under a name that carries a hash of the source and the
 flags, so a cache hit only hashes the source and loads the file. There is
 no fallback engine: a second step path would be a second set of numerics
@@ -109,7 +110,11 @@ _NO_WORLDS.flags.writeable = False
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_DIR = Path(__file__).with_name("_kernel_build")
 _COMPILER = "cc"
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -ffp-contract=off keeps every multiply and add its own rounded operation.
+# -fno-math-errno lets sqrt compile to the square-root instruction, in
+# vectors too; it moves no bit, as all it drops is sqrt setting errno on a
+# negative operand, which nothing reads.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 class KernelBuildError(RuntimeError):
@@ -139,8 +144,8 @@ class _Table(ctypes.Structure):
                 "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
                 "edge_ids", "edge_limit", "edge_floor", "edge_slot", "edge_count", "act_world",
                 "diagonal_sides", "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
-                "bins", "terms", "net", "new_pos", "diverged", "blown", "contact_ids", "contact_w",
-                "clamped", "sums",
+                "end_starts", "ends", "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
+                "diverged", "blown", "contact_ids", "contact_w", "clamped", "sums",
             )
         ]
     )
@@ -162,11 +167,10 @@ class WorldState:
     ground.
 
     ``inv_mass`` is (n, 2), each mass's inverse mass in both columns, so a
-    step scales its (n, 2) forces by it without a broadcast. The force
-    table (``force_bins``, ``force_terms``) is built once per state and
-    written in place by every step; ``net_forces`` gives its layout. The
-    kernel's pointer table into the state's arrays is built once too, so
-    those arrays are written in place and never rebound.
+    step scales its (n, 2) forces by it without a broadcast. The kernel's
+    pointer table into the state's arrays, and its scratch rows, are built
+    once per state, so those arrays are written in place and never
+    rebound.
     """
 
     pos: np.ndarray            # (n, 2)
@@ -214,9 +218,6 @@ class WorldState:
     robot_rows: slice | np.ndarray = field(init=False, repr=False)  # the same rows; a slice when every mass is a robot's
     robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
     com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
-    # the force table: one term per row, each summed into its flat (mass, axis) bin
-    force_bins: np.ndarray = field(init=False, repr=False)      # (4s + 8r,) springs' i x, i y, j x, j y; ground x, y; strip block
-    force_terms: np.ndarray = field(init=False, repr=False)     # (4s + 8r,) the terms, written in place every step
     actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
     actuated_count: np.ndarray = field(init=False, repr=False)  # their actuators, 1 or 2
     actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
@@ -241,11 +242,6 @@ class WorldState:
         self.robot_world = self.mass_world[self.robot_ids]
         robot_mass = self.mass[self.robot_ids]
         self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
-        # the springs' block, the ground block, and room for the strip
-        # block: up to six terms per robot mass, with bins written per step
-        i2, j2, r2 = 2 * self.spring_i, 2 * self.spring_j, 2 * self.robot_ids
-        self.force_bins = np.concatenate([i2, i2 + 1, j2, j2 + 1, r2, r2 + 1, np.zeros(6 * r2.size, dtype=r2.dtype)])
-        self.force_terms = np.zeros(self.force_bins.size)
         self.actuated_edges, self.actuated_slot, self.actuated_count = np.unique(
             self.actuator_springs.ravel(), return_inverse=True, return_counts=True
         )
@@ -533,9 +529,19 @@ def _addresses(arrays: dict) -> dict:
 def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
     """The arrays the kernel reads and writes, by their ``Table`` names: the
     state's and the kernel's scratch rows; and the kernel's pointer table
-    into them, with the state's sizes and the engine's constants."""
-    robots = state.robot_ids.size
+    into them, with the state's sizes and the engine's constants.
+
+    Row k of the kernel's ``spring_f`` is spring k's force on its i end,
+    row ``num_springs + k`` the reaction on its j end. ``ends`` lists each
+    mass's rows in row order, ``end_starts`` where each mass's list starts,
+    so a mass sums its ``spring_i`` ends, then its ``spring_j`` ends, each
+    in spring order.
+    """
+    n, s, robots = state.num_masses, state.num_springs, state.robot_ids.size
     actuators = len(state.actuator_cells)
+    owners = np.concatenate([state.spring_i, state.spring_j])  # the mass of each row
+    end_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
     arrays = {
         "pos": state.pos,
         "vel": state.vel,
@@ -561,22 +567,27 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         "robot_world": state.robot_world,
         "bridge_top": state.bridge_top,
         "mass_starts": state.starts["mass"],
-        "bins": state.force_bins,
-        "terms": state.force_terms,
+        "end_starts": end_starts,
+        "ends": np.argsort(owners, kind="stable"),
+        "spring_d": np.zeros((s, 4)),
+        "spring_f": np.zeros((2, s, 2)),
+        "ground": np.zeros((robots, 2)),
+        "chain_x": np.zeros(state.bridge_top.size),
         "net": np.zeros_like(state.pos),  # the summed forces
         "new_pos": np.zeros_like(state.pos),
+        "bad": np.zeros(state.num_worlds, dtype=np.int64),
         "diverged": np.zeros(state.num_worlds, dtype=np.int64),  # the last step's diverged worlds lead it
         "blown": np.zeros(1, dtype=np.int64),  # and their number
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
-        "contact_w": np.zeros(2 * robots),
+        "contact_w": np.zeros(4 * robots),
         "clamped": np.zeros(actuators),
         "sums": np.zeros(state.actuated_edges.size),
     }
     terrain = state.terrain
     bridge = terrain is not None and terrain.kind == "bridge"
     return arrays, _Table(
-        masses=state.num_masses,
-        springs=state.num_springs,
+        masses=n,
+        springs=s,
         robots=robots,
         worlds=state.num_worlds,
         chain=state.bridge_top.size // state.num_worlds,
@@ -640,7 +651,7 @@ def _load_kernel() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     for name, restype, extra in (
         ("vx_spring_forces", None, []),
-        ("vx_contact_forces", ctypes.c_int64, []),
+        ("vx_contact_forces", None, []),
         ("vx_net_forces", None, []),
         ("vx_set_targets", None, [ctypes.c_void_p]),
         ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
@@ -664,47 +675,48 @@ def _kernel() -> ctypes.CDLL:
 
 
 def net_forces(state: WorldState) -> np.ndarray:
-    """Every spring and contact force on each mass, (n, 2).
+    """Every spring and contact force on each mass, (n, 2), in one kernel
+    call: the force path ``step`` takes.
 
-    ``spring_forces`` and ``contact_forces`` write their terms into the
-    state's force table, and one scatter sums the table's used rows into
-    flat (mass, axis) bins, from zero, as ``np.bincount`` does. A bin adds
-    its terms in table order: the mass's springs (its ``spring_i`` ends,
-    then its ``spring_j`` ends, each in spring order), its ground contact,
-    its contact with the strip; a strip mass takes the reactions for which
-    it is a segment's left end, then those for which it is the right end,
-    each in robot-mass order. This is the kernel's own force path, the one
-    ``step`` takes.
+    Each mass's (x, y) sum starts from +0.0 and adds its terms in a fixed
+    order, the one ``np.bincount`` gave over the force table that
+    ``tests/oracles.py`` builds: its ``spring_i`` ends' forces, then its
+    ``spring_j`` ends' reactions, each in spring order (``spring_forces``);
+    then its ground contact, then its strip contact, or for a strip mass
+    the reactions for which it is a segment's left end, then those for
+    which it is the right end, each in robot-mass order
+    (``contact_forces``).
     """
     _kernel().vx_net_forces(state.kernel_address)
     return state.kernel_arrays["net"].copy()
 
 
-def spring_forces(state: WorldState) -> None:
-    """Write the Hooke + axial damping force of every spring into the force
-    table's springs' block, as the (fx, fy, -fx, -fy) rows that
-    ``net_forces`` sums into the i x, i y, j x and j y bins: exact
-    action/reaction."""
+def spring_forces(state: WorldState) -> np.ndarray:
+    """The Hooke + axial damping forces of the springs alone on each mass,
+    (n, 2): each spring pulls its i end by (fx, fy) and its j end by the
+    exact reaction (-fx, -fy), summed in ``net_forces``' order."""
     _kernel().vx_spring_forces(state.kernel_address)
+    return state.kernel_arrays["net"].copy()
 
 
-def contact_forces(state: WorldState) -> int:
-    """Write the robot masses' contact forces into the force table, after
-    the springs' block; returns where the written terms end.
+def contact_forces(state: WorldState) -> np.ndarray:
+    """The contact forces alone on each mass, (n, 2), summed in
+    ``net_forces``' order.
 
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
     would cancel tangential (relative) velocity within one step, capped at
-    mu * |normal|. The ground block holds each robot mass's (ft, fn) on the
-    rigid surface, in two rows. On bridge terrain, robot masses over the
+    mu * |normal|. Each robot mass takes its (ft, fn) on the rigid surface
+    (the pads only, on a bridge). On bridge terrain, robot masses over the
     span contact their own world's moving top chain, each on the segment
     whose index is the number of the chain's masses that lie left of it,
-    minus one, clipped to the chain: the strip block takes one term per
-    mass that sinks into it in each of six rows, ``[ft, fn, -ft*u @ left x,
-    -ft*w @ right x, -fn*u @ left y, -fn*w @ right y]``, where w is the
+    minus one, clipped to the chain. A mass that sinks into its segment
+    takes (ft, fn), and the segment's ends take the reactions: -ft*u and
+    -fn*u on the left end, -ft*w and -fn*w on the right, where w is the
     right end's weight and u = 1 - w the left's. A state with no terrain
-    writes nothing.
+    has no contact forces.
     """
-    return _kernel().vx_contact_forces(state.kernel_address)
+    _kernel().vx_contact_forces(state.kernel_address)
+    return state.kernel_arrays["net"].copy()
 
 
 def advance(
@@ -733,11 +745,10 @@ def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     """One semi-implicit Euler step of every world, DT seconds long:
     ``advance`` to one step ahead.
 
-    The kernel advances the actuated rest lengths, writes the force table
-    (``spring_forces``, ``contact_forces``) and sums it in one scatter
-    (``net_forces``), so each mass adds its spring terms, then its ground
-    contact, then its strip contact or the strip's reactions. Gravity is
-    then subtracted from each y, and velocities, then positions, move.
+    The kernel advances the actuated rest lengths and sums every mass's
+    force (``net_forces``): its spring terms, then its ground contact, then
+    its strip contact or the strip's reactions. Gravity is then subtracted
+    from each y, and velocities, then positions, move.
 
     Returns the ids of the worlds that diverged, ascending (a shared
     read-only empty array if none did): those with a new position that is

@@ -347,7 +347,7 @@ def reference_observations(state: WorldState, effective_step: int) -> np.ndarray
 def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     """``sim_core.step`` in numpy: the same operations in the same order,
     writing the same arrays in place (positions, velocities, current rest
-    lengths, the force table) and returning the diverged worlds' ids."""
+    lengths) and returning the diverged worlds' ids."""
     if state.actuated_edges.size:
         _reference_advance_actuation(state)
     f = reference_net_forces(state)
@@ -387,13 +387,30 @@ def _reference_advance_actuation(state: WorldState) -> None:
 
 
 def reference_net_forces(state: WorldState) -> np.ndarray:
-    """``sim_core.net_forces`` in numpy: one bincount over the force table."""
-    reference_spring_forces(state)
-    stop = reference_contact_forces(state)
-    return np.bincount(state.force_bins[:stop], state.force_terms[:stop], minlength=2 * state.num_masses).reshape(-1, 2)
+    """``sim_core.net_forces`` in numpy: one bincount over the force table,
+    the springs' block then the contact blocks, each term summed into its
+    flat (mass, axis) bin."""
+    bins, terms = (np.concatenate(block) for block in zip(_spring_table(state), _contact_table(state)))
+    return _bin_sums(state, bins, terms)
 
 
-def reference_spring_forces(state: WorldState) -> None:
+def reference_spring_forces(state: WorldState) -> np.ndarray:
+    """``sim_core.spring_forces`` in numpy: the springs' block alone."""
+    return _bin_sums(state, *_spring_table(state))
+
+
+def reference_contact_forces(state: WorldState) -> np.ndarray:
+    """``sim_core.contact_forces`` in numpy: the contact blocks alone."""
+    return _bin_sums(state, *_contact_table(state))
+
+
+def _bin_sums(state: WorldState, bins: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    return np.bincount(bins, terms, minlength=2 * state.num_masses).reshape(-1, 2)
+
+
+def _spring_table(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """The springs' block of the force table: rows fx, fy, -fx, -fy of every
+    spring, for its i x, i y, j x and j y bins."""
     i, j = state.spring_i, state.spring_j
     d = state.pos.take(j, axis=0)
     d -= state.pos.take(i, axis=0)
@@ -410,22 +427,23 @@ def reference_spring_forces(state: WorldState) -> None:
     magnitude = state.spring_k * (dist - state.spring_current_rest)
     magnitude += state.spring_c * rel_speed
     magnitude /= dist
-    terms = state.force_terms[: 4 * state.num_springs].reshape(4, -1)
+    terms = np.empty((4, state.num_springs))
     np.multiply(dx, magnitude, out=terms[0])
     np.multiply(dy, magnitude, out=terms[1])
     np.negative(terms[:2], out=terms[2:])
+    i2, j2 = 2 * i, 2 * j
+    return np.concatenate([i2, i2 + 1, j2, j2 + 1]), terms.ravel()
 
 
-def reference_contact_forces(state: WorldState) -> int:
-    springs_end = 4 * state.num_springs
+def _contact_table(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """The contact blocks of the force table: the ground block, rows ft and
+    fn of every robot mass; then on a bridge the strip block."""
     if state.terrain is None:
-        return springs_end
+        return np.empty(0, dtype=np.int64), np.empty(0)
     rows = state.robot_rows
     px = state.pos[:, 0][rows]
     py = state.pos[:, 1][rows]
-    ground_end = springs_end + 2 * state.robot_ids.size
-    ft, fn = state.force_terms[springs_end:ground_end].reshape(2, -1)
-    np.multiply(py, -CONTACT_STIFFNESS, out=fn)
+    fn = py * -CONTACT_STIFFNESS
     fn -= CONTACT_DAMPING * state.vel[:, 1][rows]
     np.maximum(fn, 0.0, out=fn)
     fn *= py < 0.0
@@ -433,21 +451,26 @@ def reference_contact_forces(state: WorldState) -> int:
     if bridge:
         fn *= (px <= state.terrain.span_start) | (px >= state.terrain.span_end)
     cap = FRICTION_MU * fn
-    np.multiply(state.mass[rows], state.vel[:, 0][rows], out=ft)
+    ft = state.mass[rows] * state.vel[:, 0][rows]
     ft /= -DT
     np.minimum(ft, cap, out=ft)
     np.negative(cap, out=cap)
     np.maximum(ft, cap, out=ft)
-    if not bridge:
-        return ground_end
-    in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
-    return _reference_bridge_contact(state, in_span, ground_end)
+    r2 = 2 * state.robot_ids
+    bins, terms = [r2, r2 + 1], [ft, fn]
+    if bridge:
+        in_span = (px > state.terrain.span_start) & (px < state.terrain.span_end)
+        strip_bins, strip_terms = _strip_table(state, in_span)
+        bins.append(strip_bins)
+        terms.append(strip_terms)
+    return np.concatenate(bins), np.concatenate(terms)
 
 
-def _reference_bridge_contact(state: WorldState, in_span: np.ndarray, start: int) -> int:
+def _strip_table(state: WorldState, in_span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strip block of the force table: six rows of one term per robot
+    mass that sinks into its world's top chain, ``[ft, fn, -ft*u @ left x,
+    -ft*w @ right x, -fn*u @ left y, -fn*w @ right y]``."""
     ids = state.robot_ids[in_span]
-    if ids.size == 0:
-        return start
     pos_x, pos_y = state.pos.T
     vel_x, vel_y = state.vel.T
     chains = state.bridge_top.reshape(state.num_worlds, -1)
@@ -465,8 +488,6 @@ def _reference_bridge_contact(state: WorldState, in_span: np.ndarray, start: int
     u = 1 - w
     depth = pos_y[left] * u + pos_y[right] * w - pos_y[ids]
     pen = depth > 0.0
-    if not np.count_nonzero(pen):
-        return start
     ids = ids[pen]
     left = left[pen]
     right = right[pen]
@@ -475,22 +496,16 @@ def _reference_bridge_contact(state: WorldState, in_span: np.ndarray, start: int
     depth = depth[pen]
     rel_vy = vel_y[ids] - (vel_y[left] * u + vel_y[right] * w)
     rel_vx = vel_x[ids] - (vel_x[left] * u + vel_x[right] * w)
-    block = slice(start, start + 6 * ids.size)
-    terms = state.force_terms[block].reshape(6, -1)
-    bins = state.force_bins[block].reshape(6, -1)
+    terms = np.empty((6, ids.size))
     ft, fn = terms[0], terms[1]
     np.maximum(CONTACT_STIFFNESS * depth - CONTACT_DAMPING * rel_vy, 0.0, out=fn)
     np.clip(-state.mass[ids] * rel_vx / DT, -FRICTION_MU * fn, FRICTION_MU * fn, out=ft)
-    np.multiply(ids, 2, out=bins[0])
-    np.multiply(left, 2, out=bins[2])
-    np.multiply(right, 2, out=bins[3])
-    np.add(bins[0], 1, out=bins[1])
-    np.add(bins[2:4], 1, out=bins[4:6])
     reactions = terms[2:].reshape(2, 2, -1)
     np.negative(terms[:2, None], out=reactions)  # -ft, -fn at both ends
     reactions[:, 0] *= u
     reactions[:, 1] *= w
-    return block.stop
+    bins = np.concatenate([2 * ids, 2 * ids + 1, 2 * left, 2 * right, 2 * left + 1, 2 * right + 1])
+    return bins, terms.ravel()
 
 
 # --- the world builder in numpy ----------------------------------------------

@@ -1,6 +1,5 @@
 """The compiled step and world builder against their numpy references, the
-kernel's build, its memory safety, and the modular network's independence
-of the CPU.
+kernel's build, its memory safety, and its independence of the CPU.
 
 ``sim_core.step`` is one call into ``_kernel.c``; ``oracles.reference_step``
 is the same step in numpy, and ``oracles.reference_set_actuation_targets``
@@ -10,8 +9,8 @@ array the step or the target setter writes. ``sim_core.build_worlds`` must
 make every array ``oracles.reference_build_worlds`` makes, byte for byte.
 Built with AddressSanitizer, the kernel must build and run unions without
 one invalid access. The modular digests must hold under another OpenBLAS
-kernel, with numpy's SIMD dispatch cut down, and in the network's baseline
-clone.
+kernel and with numpy's SIMD dispatch cut down, and every golden digest in
+the kernel's baseline clones.
 """
 
 import hashlib
@@ -32,13 +31,19 @@ from voxevo.sim_core import STEPS_PER_ACTION, build_worlds, set_actuation_target
 from voxevo.tasks import T_MAX
 from voxevo.terrain import BRIDGE_SPAN_END, BRIDGE_SPAN_START, make_bridge_terrain, make_flat_terrain
 
-from oracles import reference_build_worlds, reference_set_actuation_targets, reference_step, reference_strip
+from oracles import (
+    reference_build_worlds,
+    reference_contact_forces,
+    reference_set_actuation_targets,
+    reference_spring_forces,
+    reference_step,
+    reference_strip,
+)
 from test_golden import TRAJECTORY_SHA256, golden_pairs, trajectory_digest
 from test_sim_core import sunk_into_the_strip
 
-# every array a step or the target setter writes; the force table whole, so
-# that its unused rows must hold the same leftovers too
-WRITTEN = ("pos", "vel", "spring_current_rest", "force_terms", "force_bins", "spring_target_rest", "clamped_actions")
+# every state array a step or the target setter writes
+WRITTEN = ("pos", "vel", "spring_current_rest", "spring_target_rest", "clamped_actions")
 SRC = str(Path(voxevo.__file__).resolve().parent.parent)
 
 
@@ -70,13 +75,16 @@ def test_step_is_the_reference_step_bit_for_bit(setting, neighbours):
 def test_strip_contact_is_the_reference_bit_for_bit():
     # three robots stand on the span, sunk into the strip and moving: the
     # golden robots barely reach the span in an episode, these press on it
-    # from the first step
+    # from the first step. The springs' and the contacts' sums alone match
+    # their references too
     kernel, _ = sunk_into_the_strip()
     oracle, _ = sunk_into_the_strip()
     for t in range(200):
         assert step(kernel).tolist() == reference_step(oracle).tolist() == []
         for name in WRITTEN:
             assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
+        assert sim_core.spring_forces(kernel).tobytes() == reference_spring_forces(oracle).tobytes()
+        assert sim_core.contact_forces(kernel).tobytes() == reference_contact_forces(oracle).tobytes()
 
 
 @pytest.mark.parametrize("fling", [np.nan, -2e6], ids=["nan", "flung"])
@@ -86,7 +94,7 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     # the same step, and its neighbours step on as they do alone. Parking
     # returns its rest lengths to their build-time values, so a NaN command
     # leaves nothing that names it again. The spoiled world's own bytes are
-    # compared only once it is parked: its NaN force terms may carry another
+    # compared only once it is parked: its NaN values may carry another
     # sign bit than numpy's, which no result reads
     pairs, terrain = golden_pairs(environment, 5, "modular", neighbours=1)
     kernel, oracle, controllers = twin_unions(pairs, terrain)
@@ -307,28 +315,27 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert done.stderr == ""
 
 
-# --- the modular network on every CPU -----------------------------------------
+# --- the kernel on every CPU -------------------------------------------------
 
 MODULAR = [setting for setting in TRAJECTORY_SHA256 if setting[2] == "modular"]
 
 
-def modular_evidence_script(cache_dir: Path | None = None, cflags: tuple = ()) -> str:
-    """A fresh interpreter's program: print the modular golden digests and
-    the bytes of one union's first modular commands, with the kernel built
-    with ``cflags`` added into ``cache_dir`` if one is given."""
+def evidence_script(settings, cache_dir: Path | None = None, cflags: tuple = ()) -> str:
+    """A fresh interpreter's program: print ``evidence(settings)``, with the
+    kernel built with ``cflags`` added into ``cache_dir`` if one is given."""
     script = "import sys\nfrom pathlib import Path\nfrom voxevo import sim_core\n"
     if cache_dir is not None:
         script += f"sim_core._KERNEL_DIR = Path({str(cache_dir)!r})\n"
         script += f"sim_core._CFLAGS = sim_core._CFLAGS + {tuple(cflags)!r}\n"
     script += f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-    script += "import test_kernel\nprint(test_kernel.modular_evidence())\n"
+    script += f"import test_kernel\nprint(test_kernel.evidence({list(settings)!r}))\n"
     return script
 
 
-def modular_evidence() -> str:
-    """The modular golden digests, and the hex bytes of a stepped B7 union's
-    modular commands, one line each."""
-    lines = [trajectory_digest(*setting) for setting in MODULAR]
+def evidence(settings) -> str:
+    """The golden digests of ``settings``, and the hex bytes of a stepped B7
+    union's modular commands, one line each."""
+    lines = [trajectory_digest(*setting) for setting in settings]
     pairs, terrain = golden_pairs("bridgewalker", 7, "modular", neighbours=1)
     state, _, controllers = twin_unions(pairs, terrain)
     for t in range(23):
@@ -358,15 +365,18 @@ def run_script(script: str, **env) -> str:
 def test_modular_digests_are_cpu_independent(env):
     # the network calls no BLAS and no numpy or libm transcendental, so
     # neither OpenBLAS's kernel nor numpy's SIMD dispatch moves a bit
-    out = run_script(modular_evidence_script(), **env).splitlines()
+    out = run_script(evidence_script(MODULAR), **env).splitlines()
     assert out[: len(MODULAR)] == [TRAJECTORY_SHA256[setting] for setting in MODULAR]
 
 
-def test_the_network_clones_agree(tmp_path):
-    # the network's baseline clone alone (VX_DEFAULT_CLONE_ONLY), built into
-    # a cache of its own, gives the commands and the digests of the clone
-    # this CPU dispatches to
-    out = run_script(modular_evidence_script(tmp_path / "cache", ("-DVX_DEFAULT_CLONE_ONLY",)))
+def test_the_kernel_clones_agree(tmp_path):
+    # the kernel's baseline clones alone (VX_DEFAULT_CLONE_ONLY), the step's
+    # loops and the network's, built into a cache of their own, give the
+    # commands and every golden digest, fixed and modular, of the clones
+    # this CPU dispatches to. A CPU without AVX-512 runs these clones, and
+    # nothing else runs them on one with it
+    settings = list(TRAJECTORY_SHA256)
+    out = run_script(evidence_script(settings, tmp_path / "cache", ("-DVX_DEFAULT_CLONE_ONLY",)))
     assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".so"]
-    assert out == modular_evidence()
-    assert out.splitlines()[: len(MODULAR)] == [TRAJECTORY_SHA256[setting] for setting in MODULAR]
+    assert out == evidence(settings)
+    assert out.splitlines()[: len(settings)] == [TRAJECTORY_SHA256[setting] for setting in settings]

@@ -15,6 +15,7 @@ from voxevo.sim_core import (
     contact_forces,
     net_forces,
     set_actuation_targets,
+    spring_forces,
     step,
 )
 from voxevo.terrain import make_bridge_terrain, make_flat_terrain
@@ -26,13 +27,6 @@ def settle(state, seconds, gravity=GRAVITY):
     for _ in range(round(seconds / DT)):
         step(state, gravity=gravity)
     return state
-
-
-def contact_only(w):
-    """The contact forces alone: the force table's terms after the springs'
-    block, summed per mass."""
-    start, stop = 4 * w.num_springs, contact_forces(w)
-    return np.bincount(w.force_bins[start:stop], w.force_terms[start:stop], minlength=2 * w.num_masses).reshape(-1, 2)
 
 
 def spring_kinds(w):
@@ -370,10 +364,9 @@ def test_parked_world_is_inert(terrain):
         step(alone)
     assert union.sim_time == alone.sim_time == 101
     assert not union.pos[parked].any() and not union.vel[parked].any()
-    # every spring and contact term on a parked mass is zero
-    net_forces(union)
-    stop = contact_forces(union)
-    assert not union.force_terms[:stop][parked.repeat(2)[union.force_bins[:stop]]].any()
+    # no spring or contact force acts on a parked mass
+    assert not spring_forces(union)[parked].any()
+    assert not contact_forces(union)[parked].any()
     assert np.array_equal(union.pos[~parked], alone.pos)
 
 
@@ -420,10 +413,10 @@ def test_bridge_contact_on_the_span_is_per_world():
     # each world's rows of the union's contact forces are exactly its
     # forces alone, and the strip's top chain takes the reaction
     union, worlds = sunk_into_the_strip()
-    forces = contact_only(union)
+    forces = contact_forces(union)
     for k, w in enumerate(worlds):
         rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
-        alone = contact_only(w)
+        alone = contact_forces(w)
         assert forces[rows].tobytes() == alone.tobytes()
         assert np.any(alone[w.bridge_top] != 0.0)
 
@@ -454,14 +447,14 @@ def test_strip_reactions_are_summed_per_world_in_order():
 
 def test_contact_zero_at_surface(single_actuator, flat):
     w = build_world(single_actuator, flat)  # resting exactly on y=0
-    assert np.all(contact_only(w) == 0.0)
+    assert np.all(contact_forces(w) == 0.0)
 
 
 def test_contact_normal_force_formula(single_actuator, flat):
     w = build_world(single_actuator, flat)
     depth = 0.01
     w.pos[:, 1] -= depth
-    f = contact_only(w)
+    f = contact_forces(w)
     bottom = np.isclose(w.pos[:, 1], -depth)
     assert np.allclose(f[bottom, 1], CONTACT_STIFFNESS * depth)
     assert np.all(f[:, 0] == 0.0)  # zero velocity, zero friction
@@ -472,7 +465,7 @@ def test_friction_cone_clamp(single_actuator, flat):
     depth = 0.01
     w.pos[:, 1] -= depth
     w.vel[:, 0] = 5.0  # sliding fast: raw stopping force exceeds the cone
-    f = contact_only(w)
+    f = contact_forces(w)
     bottom = np.isclose(w.pos[:, 1], -depth)
     fn = f[bottom, 1]
     assert np.allclose(np.abs(f[bottom, 0]), FRICTION_MU * fn)
@@ -483,7 +476,7 @@ def test_friction_viscous_below_cone(single_actuator, flat):
     w = build_world(single_actuator, flat)
     w.pos[:, 1] -= 0.01
     w.vel[:, 0] = 1e-4  # slow: the one-step stopping force is inside the cone
-    f = contact_only(w)
+    f = contact_forces(w)
     bottom = np.isclose(w.pos[:, 1], -0.01)
     expected = -w.mass[bottom] * 1e-4 / DT
     assert np.allclose(f[bottom, 0], expected)
