@@ -10,7 +10,7 @@ tooling (controller retraining, cross-evaluation, rank-sum statistics).
 __version__ = "0.1.0"
 
 from .morphology import Morphology, is_valid, morphology_distance, mutate_morphology, random_morphology
-from .control import ControllerGenome, fixed_action, init_controller, mutate_controller
+from .control import ControllerGenome, init_controller, mutate_controller
 from .terrain import TerrainSpec, make_bridge_terrain, make_flat_terrain
 from .tasks import EpisodeResult, compute_fitness, run_episode, run_episodes
 from .evolution import Individual, Population, RunConfig, RunResult, dominates, evolve
@@ -27,7 +27,6 @@ __all__ = [
     "compute_fitness",
     "dominates",
     "evolve",
-    "fixed_action",
     "init_controller",
     "is_valid",
     "make_bridge_terrain",

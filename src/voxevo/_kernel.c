@@ -10,9 +10,11 @@
  * batch's controller table: the fixed alternation, or the modular network
  * on the observations it fills (vx_act).
  *
- * Every function but the builder's takes one Table: pointers into a
- * WorldState's numpy arrays, its sizes and the engine's constants, built
- * once per state by sim_core._kernel_table. The arithmetic is numpy's,
+ * The step's functions take one Table: pointers into a WorldState's numpy
+ * arrays and into the tables derived from them, its sizes and the engine's
+ * constants, built once per state by sim_core._kernel_table. The network's
+ * functions (vx_presum, vx_mlp) take a batch's Brain, and its control step
+ * (vx_act) both; the builder's take a Builder. The arithmetic is numpy's,
  * operation for operation and in the same order, so every trajectory keeps
  * its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
@@ -87,6 +89,7 @@ typedef struct {
     int64_t diagonals;  /* voxels holding an actuated edge */
     int64_t terrain;    /* 0 none, 1 flat, 2 bridge */
     int64_t actuators;  /* active voxels */
+    int64_t voxels;     /* non-empty robot voxels */
     int64_t steps_per_action;
     /* constants */
     double dt, stiffness, damping, mu, limit, span_start, span_end;
@@ -97,14 +100,15 @@ typedef struct {
     double *target;     /* spring_target_rest */
     int64_t *clamped_actions;  /* (worlds,) */
     /* state, read */
-    const double *mass, *inv_mass;  /* (masses,), (masses, 2) */
+    const double *mass, *inv_mass;  /* (masses,) */
     const int64_t *spring_i, *spring_j;
     const double *spring_k, *spring_c, *spring_rest;
-    const int64_t *edge_ids;
-    const double *edge_limit, *edge_floor;
+    const int64_t *edge_ids;    /* the actuated edge springs, ascending */
+    const double *edge_limit;   /* their per-step rest-length change limit */
     const int64_t *edge_slot;   /* (actuators, 2): each actuator's springs' rows in edge_ids */
     const int64_t *edge_count;  /* actuators per actuated edge, 1 or 2 */
     const int64_t *act_world;
+    const int64_t *vox_corners;     /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
     const int64_t *diagonal_sides;  /* (2, 2, diagonals): (bottom, left), (top, right) */
     const int64_t *diagonal_ids;    /* (2, diagonals) */
     const int64_t *robot_ids, *robot_world, *bridge_top, *mass_starts;
@@ -157,7 +161,7 @@ static void advance_actuation(const Table *t)
         int64_t s = t->edge_ids[e];
         double delta = t->target[s] - rest[s];
         delta = np_min(delta, t->edge_limit[e]);
-        delta = np_max(delta, t->edge_floor[e]);
+        delta = np_max(delta, -t->edge_limit[e]);
         rest[s] = rest[s] + delta;
     }
     const int64_t n = t->diagonals;
@@ -414,8 +418,8 @@ VX_CLONES VX_VECTOR static void integrate(const Table *t, double gravity, const 
         int64_t bad = 0;
         for (int64_t m = t->mass_starts[w]; m < t->mass_starts[w + 1]; m++) {
             double fx = net[2 * m], fy = net[2 * m + 1] - gravity * mass[m];
-            fx = fx * inv_mass[2 * m] * dt;
-            fy = fy * inv_mass[2 * m + 1] * dt;
+            fx = fx * inv_mass[m] * dt;
+            fy = fy * inv_mass[m] * dt;
             double vx = vel[2 * m] + fx, vy = vel[2 * m + 1] + fy;
             vel[2 * m] = vx;
             vel[2 * m + 1] = vy;
@@ -608,20 +612,11 @@ static inline void tanh8(v8d *y, const v8d *x)
     *y = (v8d)((v8i)m | sign);
 }
 
-/* The state's observation windows: control._window_tables builds them once
- * per state. */
-typedef struct {
-    int64_t voxels;          /* non-empty robot voxels */
-    const int64_t *corners;  /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
-    const int64_t *gather;   /* (rows, 27) flat entry of features behind each dynamic entry */
-    double *features;        /* (voxels + 1, 3) volume, vx, vy; the last row stays zero */
-} Windows;
-
-/* A batch's controllers: control._controller_table builds one per batch. */
+/* A batch's controllers and, for a modular batch, its state's observation
+ * windows: control._controller_table builds one per batch. */
 typedef struct {
     int64_t fixed;           /* the fixed alternation, else the modular network */
     int64_t rows;            /* commands per control step, one per active voxel */
-    const Windows *windows;  /* the state's, whose features a modular control step reads */
     const int64_t *world;    /* (rows,) each row's world, the row of its parameters */
     const double *w_material;  /* (worlds, 45, 32) W1's material columns, transposed: an entry's 32 unit weights in a row */
     const double *w_inputs;    /* (worlds, 28, 32) its dynamic columns, then its parity column, likewise */
@@ -631,18 +626,19 @@ typedef struct {
     double *inputs;          /* (rows, 28) the control step's dynamic entries and parity */
     double *hidden;          /* (rows, 32) the hidden units */
     double *actions;         /* (rows,) the commands; vx_mlp leaves the logistics, to which vx_act adds action_low */
+    const int64_t *gather;   /* (rows, 27) flat entry of features behind each dynamic entry */
+    double *features;        /* (voxels + 1, 3) volume, vx, vy of each voxel; the last row stays zero */
 } Brain;
 
-/* Write every voxel's shoelace area and mean corner velocity into the
- * feature table. The corner sums add left to right from +0.0, as numpy's
- * sum over the rows of a (voxels, 4) array does. */
-void vx_fill_features(const Table *t, const Windows *w)
+/* Write every voxel's shoelace area and mean corner velocity into
+ * ``features``, (voxels, 3) or longer. The corner sums add left to right
+ * from +0.0, as numpy's sum over the rows of a (voxels, 4) array does. */
+void vx_fill_features(const Table *t, double *features)
 {
     const double *pos = t->pos, *vel = t->vel;
-    double *features = w->features;
     int64_t v, k;
-    for (v = 0; v < w->voxels; v++) {
-        const int64_t *c = w->corners + 4 * v;
+    for (v = 0; v < t->voxels; v++) {
+        const int64_t *c = t->vox_corners + 4 * v;
         double area = 0.0, vx = 0.0, vy = 0.0;
         for (k = 0; k < 4; k++) {
             int64_t a = c[k], b = c[(k + 1) % 4];
@@ -760,12 +756,11 @@ void vx_act(const Table *t, const Brain *b, int64_t parity)
             b->actions[r] = parity ? t->action_low : t->action_high;
         return;
     }
-    const Windows *w = b->windows;
-    vx_fill_features(t, w);
+    vx_fill_features(t, b->features);
     for (r = 0; r < b->rows; r++) {
         double *x = b->inputs + r * INPUTS;
         for (k = 0; k < DYNAMIC; k++)
-            x[k] = w->features[w->gather[r * DYNAMIC + k]];
+            x[k] = b->features[b->gather[r * DYNAMIC + k]];
         x[DYNAMIC] = (double)parity;
     }
     vx_mlp(b);

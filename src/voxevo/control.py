@@ -10,9 +10,11 @@ Two variants:
 * ``fixed`` — zero parameters, no observations: every active voxel
   alternates between maximal expansion and contraction each control step.
 
-Both run in the compiled kernel (``_kernel.c``), at every control step
-inside ``sim_core.advance``, from a batch's controller table that Python
-builds once (``controller_table``). The network's numerics are the
+Both run only in the compiled kernel (``_kernel.c``), at every control
+step inside ``sim_core.advance``, from the controller table that Python
+builds once per state and stack (``controller_table``): the parameter
+rows and, for the network, each active voxel's material pre-sums and
+the state's observation windows. The network's numerics are the
 kernel's own, set out there and mirrored in numpy by
 ``tests/oracles.reference_network``: no BLAS, libm or numpy call, so the
 same bits in every compiled clone and under any OpenBLAS kernel or numpy
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials, sim_core
-from .sim_core import ACTION_HIGH, ACTION_LOW, WorldState
+from .sim_core import ACTION_LOW, WorldState
 
 WINDOW_CELLS = 9
 CELL_FEATURES = 8  # volume + 2 velocity components + 5-way material indicator
@@ -84,7 +86,8 @@ class ControllerGenome:
 
 @dataclass(frozen=True)
 class ControllerStack:
-    """The genomes of a batch of worlds: one variant, one parameter row per world."""
+    """The genomes of a batch of worlds: one variant, one parameter row per
+    world, read-only."""
 
     variant: str
     params: np.ndarray  # (worlds, PARAM_COUNT); (worlds, 0) for fixed
@@ -95,7 +98,9 @@ def stack_controllers(genomes) -> ControllerStack:
     variants = {g.variant for g in genomes}
     if len(variants) != 1:
         raise ValueError(f"a batch needs one controller variant, got {sorted(variants)}")
-    return ControllerStack(variants.pop(), np.stack([g.params for g in genomes]))
+    params = np.stack([g.params for g in genomes])
+    params.setflags(write=False)  # a state keeps the stack's controller table, which aliases some of these rows
+    return ControllerStack(variants.pop(), params)
 
 
 def init_controller(variant: str, rng: np.random.Generator) -> ControllerGenome:
@@ -124,17 +129,6 @@ def unpack_params(params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def fixed_action(effective_step: int) -> float:
-    """Open-loop alternation: expand on even control steps, contract on odd.
-
-    The kernel's control step sets the same alternation (``compute_actions``
-    on a fixed stack).
-    """
-    if effective_step < 0:
-        raise ValueError("effective step index must be >= 0")
-    return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
-
-
 _WINDOW_DR = np.repeat([0, 1, 2], 3)  # 3x3 window offsets, row-major, on a grid padded by one cell
 _WINDOW_DC = np.tile([0, 1, 2], 3)
 _SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
@@ -145,37 +139,16 @@ _INPUT_COLUMNS = np.append(_DYNAMIC_COLUMNS, OBS_DIM - 1)  # what a control step
 _INDICATOR = np.eye(materials.NUM_CODES)  # each material code's 5-way indicator
 
 
-class _WindowTable(ctypes.Structure):
-    """A state's observation windows as the kernel sees them: the
-    ``Windows`` of ``_kernel.c``, field for field."""
-
-    _fields_ = [("voxels", ctypes.c_int64)] + [(name, ctypes.c_void_p) for name in ("corners", "gather", "features")]
-
-
-class _Windows(NamedTuple):
-    """A state's observation windows, built once; the feature table is
-    written in place by every control step.
+def _window_tables(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state's observation windows: ``gather``, ``features`` and
+    ``material``.
 
     Active voxel ``a`` sees, in window slot ``s``, the (volume, vx, vy) at
-    flat entry ``gather[a, 3*s:3*s+3]`` of the feature table and the
-    material indicator ``material[a, 5*s:5*s+5]``; an empty or
-    out-of-bounds slot reads the feature table's zero row and the empty
-    indicator.
+    flat entry ``gather[a, 3*s:3*s+3]`` of ``features``, the (v + 1, 3)
+    feature table that a control step fills, and the material indicator
+    ``material[a, 5*s:5*s+5]``; an empty or out-of-bounds slot reads the
+    feature table's last row, which stays zero, and the empty indicator.
     """
-
-    features: np.ndarray  # (v + 1, 3) volume, vx, vy of each voxel; the last row stays zero
-    gather: np.ndarray    # (n_active, 27) flat entry of ``features`` behind each dynamic entry
-    material: np.ndarray  # (n_active, 45) the material entries of each window, in column order
-    corners: np.ndarray   # (v, 4) the state's vox_corners, row-major for the kernel
-    table: _WindowTable   # the kernel's pointer table into these arrays
-    address: int          # the table's address
-
-
-def _window_tables(state: WorldState) -> _Windows:
-    """The state's observation windows, built on first use."""
-    cached = state.obs_cache.get("windows")
-    if cached is not None:
-        return cached
     shape = np.max([m.cells.shape for m in state.morphologies], axis=0)
     cells = state.vox_cells
     absent = cells.shape[0]  # the zero row appended to the feature table
@@ -188,16 +161,9 @@ def _window_tables(state: WorldState) -> _Windows:
 
     act = state.actuator_cells
     window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
-    arrays = {
-        "corners": state.vox_corners,
-        "gather": (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).reshape(len(act), -1),
-        "features": np.zeros((absent + 1, _DYNAMIC)),
-    }
-    table = _WindowTable(voxels=absent, **sim_core._addresses(arrays))
+    gather = (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).reshape(len(act), -1)
     material = _INDICATOR[grid_code[window]].reshape(len(act), -1)
-    cached = _Windows(material=material, table=table, address=ctypes.addressof(table), **arrays)
-    state.obs_cache["windows"] = cached
-    return cached
+    return gather, np.zeros((absent + 1, _DYNAMIC)), material
 
 
 class _ControllerTable(ctypes.Structure):
@@ -209,7 +175,8 @@ class _ControllerTable(ctypes.Structure):
         + [
             (name, ctypes.c_void_p)
             for name in (
-                "windows", "world", "w_material", "w_inputs", "b1", "w2", "b2", "pre", "inputs", "hidden", "actions"
+                "world", "w_material", "w_inputs", "b1", "w2", "b2", "pre", "inputs", "hidden", "actions", "gather",
+                "features",
             )
         ]
     )
@@ -217,22 +184,24 @@ class _ControllerTable(ctypes.Structure):
 
 class ControllerTable(NamedTuple):
     """A batch's controllers, built once for the kernel: the parameter rows,
-    each active voxel's material pre-sums and the scratch a control step
-    writes, the commands in ``arrays["actions"]``. ``sim_core.advance``
-    takes it, and queries it on every control step."""
+    each active voxel's material pre-sums, its state's observation windows
+    and the scratch a control step writes, the commands in
+    ``arrays["actions"]``. ``sim_core.advance`` takes it, and queries it on
+    every control step."""
 
     arrays: dict              # every array the table points into, held so that none is freed
     table: _ControllerTable
     address: int              # the table's address, what each kernel call takes
 
 
-def _controller_table(variant: str, world: np.ndarray, params=None, material=None, windows=None) -> ControllerTable:
+def _controller_table(variant: str, world: np.ndarray, params=None, material=None, **windows) -> ControllerTable:
     """The controller table of ``world.size`` rows, row ``r`` run by the
     parameters ``params[world[r]]``; for the modular network, each row's
     material pre-sum is added from ``material``, its (45,) material entries,
-    in one kernel call."""
+    in one kernel call. A modular control step reads the observation
+    windows ``gather`` and ``features`` (``_window_tables``)."""
     rows = world.size
-    arrays = {"world": np.ascontiguousarray(world, dtype=np.int64), "actions": np.zeros(rows)}
+    arrays = {"world": np.ascontiguousarray(world, dtype=np.int64), "actions": np.zeros(rows), **windows}
     if variant == "modular":
         w1, b1, w2, b2 = unpack_params(params)
         w1t = np.swapaxes(w1, -1, -2)  # (worlds, 73, 32): each column's unit weights in a row
@@ -246,12 +215,7 @@ def _controller_table(variant: str, world: np.ndarray, params=None, material=Non
             inputs=np.zeros((rows, _INPUT_COLUMNS.size)),
             hidden=np.zeros((rows, HIDDEN_UNITS)),
         )
-    table = _ControllerTable(
-        fixed=variant == "fixed",
-        rows=rows,
-        windows=None if windows is None else windows.address,
-        **sim_core._addresses(arrays),
-    )
+    table = _ControllerTable(fixed=variant == "fixed", rows=rows, **sim_core._addresses(arrays))
     controllers = ControllerTable(arrays, table, ctypes.addressof(table))
     if variant == "modular":
         material = np.ascontiguousarray(material, dtype=np.float64)
@@ -262,15 +226,16 @@ def _controller_table(variant: str, world: np.ndarray, params=None, material=Non
 def controller_table(controllers: ControllerStack, state: WorldState) -> ControllerTable:
     """The kernel's table for a batch's controllers on its state, built on
     first use and kept until the state is given another stack."""
-    cached = state.obs_cache.get("controllers")
-    if cached is not None and cached[0] is controllers:
-        return cached[1]
+    if state.controller is not None and state.controller[0] is controllers:
+        return state.controller[1]
     if controllers.variant == "fixed":
         table = _controller_table("fixed", state.act_world)
     else:
-        windows = _window_tables(state)
-        table = _controller_table("modular", state.act_world, controllers.params, windows.material, windows)
-    state.obs_cache["controllers"] = (controllers, table)
+        gather, features, material = _window_tables(state)
+        table = _controller_table(
+            "modular", state.act_world, controllers.params, material, gather=gather, features=features
+        )
+    state.controller = (controllers, table)
     return table
 
 
@@ -304,11 +269,11 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     once, as a control step does; they are copied to every slot that sees
     them.
     """
-    windows = _window_tables(state)
-    sim_core._kernel().vx_fill_features(state.kernel_address, windows.address)
-    obs = np.empty((len(windows.material), OBS_DIM))
-    obs[:, _DYNAMIC_COLUMNS] = windows.features.take(windows.gather)
-    obs[:, _MATERIAL_COLUMNS] = windows.material
+    gather, features, material = _window_tables(state)
+    sim_core._kernel().vx_fill_features(state.kernel_address, features.ctypes.data)
+    obs = np.empty((len(material), OBS_DIM))
+    obs[:, _DYNAMIC_COLUMNS] = features.take(gather)
+    obs[:, _MATERIAL_COLUMNS] = material
     obs[:, -1] = effective_step % 2
     return obs
 

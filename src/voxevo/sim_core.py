@@ -25,13 +25,14 @@ which queries none. The kernel also builds a batch's worlds: one call
 counts the rows of every table and one fills them (``build_worlds``),
 the settled strip appended to every bridge world. Python checks the
 bodies, allocates those tables and derives the rest of each state from
-them (``_union``, ``WorldState.__post_init__``), builds each state's
-pointer table (``_kernel_table``) and each batch's controller table,
-solves the strip's statics once per span, parks worlds and keeps each
-episode's books (``tasks.run_episodes``). The kernel does numpy's
-operations in numpy's order, so the physics and the built tables give
-the bits the numpy code gave (``tests/oracles.py`` keeps that code as
-the reference it is tested against). Its step loops and the modular
+them (``_union``, ``WorldState.__post_init__``), derives the tables only
+the kernel reads with each state's pointer table (``_kernel_table``),
+builds each batch's controller table, with its state's observation
+windows, solves the strip's statics once per span, parks worlds and
+keeps each episode's books (``tasks.run_episodes``). The kernel does
+numpy's operations in numpy's order, so the physics and the built tables
+give the bits the numpy code gave (``tests/oracles.py`` keeps that code
+as the reference it is tested against). Its step loops and the modular
 network are compiled twice, for AVX-512 and the baseline, and the CPU
 picks the clone; both give the same bits. The network has numerics of
 its own: a fixed summation order, and ``tanh`` and the logistic built on
@@ -101,10 +102,6 @@ STRIP_NEWTON_ITERATIONS = 50
 STRIP_FD_STEP = 1e-6
 
 
-# What ``step`` returns when no world diverged: shared, so read-only
-_NO_WORLDS = np.empty(0, dtype=np.intp)
-_NO_WORLDS.flags.writeable = False
-
 # The compiled kernel: its source, the command that builds it, and the
 # directory that caches the built library
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -115,6 +112,23 @@ _COMPILER = "cc"
 # vectors too; it moves no bit, as all it drops is sqrt setting errno on a
 # negative operand, which nothing reads.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+
+
+# Every function the kernel exports: its name, its result type, and the
+# types of its arguments after the first, which is a table's address
+_EXPORTS = (
+    ("vx_spring_forces", None, []),
+    ("vx_contact_forces", None, []),
+    ("vx_net_forces", None, []),
+    ("vx_set_targets", None, [ctypes.c_void_p]),
+    ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
+    ("vx_fill_features", None, [ctypes.c_void_p]),
+    ("vx_act", None, [ctypes.c_void_p, ctypes.c_int64]),
+    ("vx_presum", None, [ctypes.c_void_p]),
+    ("vx_mlp", None, []),
+    ("vx_count", None, []),
+    ("vx_build", None, []),
+)
 
 
 class KernelBuildError(RuntimeError):
@@ -130,7 +144,7 @@ class _Table(ctypes.Structure):
             (name, ctypes.c_int64)
             for name in (
                 "masses", "springs", "robots", "worlds", "chain", "edges", "diagonals", "terrain",
-                "actuators", "steps_per_action",
+                "actuators", "voxels", "steps_per_action",
             )
         ]
         + [
@@ -142,8 +156,8 @@ class _Table(ctypes.Structure):
             for name in (
                 "pos", "vel", "rest", "target", "clamped_actions", "mass", "inv_mass",
                 "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
-                "edge_ids", "edge_limit", "edge_floor", "edge_slot", "edge_count", "act_world",
-                "diagonal_sides", "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
+                "edge_ids", "edge_limit", "edge_slot", "edge_count", "act_world", "vox_corners", "diagonal_sides",
+                "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
                 "end_starts", "ends", "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
                 "diverged", "blown", "contact_ids", "contact_w", "clamped", "sums",
             )
@@ -166,17 +180,16 @@ class WorldState:
     stepping with it, but it no longer moves, exerts a force or touches the
     ground.
 
-    ``inv_mass`` is (n, 2), each mass's inverse mass in both columns, so a
-    step scales its (n, 2) forces by it without a broadcast. The kernel's
-    pointer table into the state's arrays, and its scratch rows, are built
-    once per state, so those arrays are written in place and never
+    The kernel's pointer table into the state's arrays, the tables that
+    only the kernel reads and its scratch rows are built once per state
+    (``_kernel_table``), so those arrays are written in place and never
     rebound.
     """
 
     pos: np.ndarray            # (n, 2)
     vel: np.ndarray            # (n, 2)
     mass: np.ndarray           # (n,)
-    inv_mass: np.ndarray       # (n, 2) each mass's 1/mass in both columns; zero for pinned masses
+    inv_mass: np.ndarray       # (n,) 1/mass; zero for pinned masses
     pinned: np.ndarray         # (n,) bool
     is_robot: np.ndarray       # (n,) bool, false for bridge-strip masses
 
@@ -208,25 +221,19 @@ class WorldState:
     starts: dict[str, np.ndarray] = field(repr=False)
     terrain: TerrainSpec | None = None
     sim_time: int = 0
-    obs_cache: dict = field(default_factory=dict, repr=False)
+    # (stack, its controller table): the last that control.controller_table built
+    controller: tuple | None = field(default=None, repr=False)
 
     # step-loop tables, derived from the fields above
     mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
     spring_world: np.ndarray = field(init=False, repr=False)    # world of each spring
     act_world: np.ndarray = field(init=False, repr=False)       # world of each active voxel
     robot_ids: np.ndarray = field(init=False, repr=False)       # robot masses, ascending
-    robot_rows: slice | np.ndarray = field(init=False, repr=False)  # the same rows; a slice when every mass is a robot's
     robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
     com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
-    actuated_edges: np.ndarray = field(init=False, repr=False)  # unique actuated edge spring ids
-    actuated_count: np.ndarray = field(init=False, repr=False)  # their actuators, 1 or 2
-    actuated_limit: np.ndarray = field(init=False, repr=False)  # their per-step rest-length change limit
-    actuated_floor: np.ndarray = field(init=False, repr=False)  # minus that limit
-    actuated_slot: np.ndarray = field(init=False, repr=False)   # (2a,) each actuator_springs entry's row in actuated_edges
-    diagonal_sides: np.ndarray = field(init=False, repr=False)  # (2, 2, v') (bottom, left), (top, right) edge ids of the voxels holding one
-    diagonals: np.ndarray = field(init=False, repr=False)       # (2, v') those voxels' shear spring ids
-    # the kernel's pointer table, and every array it points into, its own
-    # scratch rows included: held here, so none is freed while it is in use
+    # the kernel's pointer table, and every array it points into, the tables
+    # only it reads and its scratch rows included: held here, so none is
+    # freed while it is in use
     kernel_arrays: dict = field(init=False, repr=False)
     kernel_table: _Table = field(init=False, repr=False)
     kernel_address: int = field(init=False, repr=False)         # the table's address, what each kernel call takes
@@ -237,22 +244,9 @@ class WorldState:
         self.spring_world = np.repeat(worlds, np.diff(self.starts["spring"]))
         self.act_world = np.repeat(worlds, np.diff(self.starts["act"]))
         self.robot_ids = np.flatnonzero(self.is_robot)
-        # a slice reads views and adds in place; every flat world or union has one
-        self.robot_rows = slice(0, self.num_masses) if self.robot_ids.size == self.num_masses else self.robot_ids
         self.robot_world = self.mass_world[self.robot_ids]
         robot_mass = self.mass[self.robot_ids]
         self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
-        self.actuated_edges, self.actuated_slot, self.actuated_count = np.unique(
-            self.actuator_springs.ravel(), return_inverse=True, return_counts=True
-        )
-        self.actuated_limit = ACTUATION_RATE * self.spring_rest[self.actuated_edges]
-        self.actuated_floor = -self.actuated_limit
-        actuated = np.zeros(self.num_springs, dtype=bool)
-        actuated[self.actuated_edges] = True
-        holds = actuated[self.vox_h_edges] | actuated[self.vox_v_edges]
-        affected = np.flatnonzero(holds.any(axis=1))
-        self.diagonal_sides = np.stack([self.vox_h_edges[affected], self.vox_v_edges[affected]]).transpose(2, 0, 1).copy()
-        self.diagonals = self.vox_shear[affected].T.copy()
         self.kernel_arrays, self.kernel_table = _kernel_table(self)
         self.kernel_address = ctypes.addressof(self.kernel_table)
 
@@ -270,7 +264,7 @@ class WorldState:
 
     def robot_com_x(self) -> np.ndarray:
         """Each world's robot centre-of-mass x."""
-        weighted = self.pos[:, 0][self.robot_rows] * self.com_weights
+        weighted = self.pos[:, 0][self.robot_ids] * self.com_weights
         return np.bincount(self.robot_world, weighted, minlength=self.num_worlds)
 
     def park(self, worlds: np.ndarray) -> None:
@@ -389,7 +383,7 @@ def _union(tables: dict, starts: dict, morphologies: list[Morphology], terrain: 
     return WorldState(
         **tables,
         vel=np.zeros_like(pos),
-        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass)[:, None].repeat(2, axis=1),
+        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
         spring_current_rest=rest.copy(),
         spring_target_rest=rest.copy(),
         spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
@@ -477,7 +471,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
     def residual() -> np.ndarray:
         force = net_forces(strip)
         force[:, 1] -= GRAVITY * strip.mass
-        return (force * strip.inv_mass).reshape(-1)[unknowns]
+        return (force * strip.inv_mass[:, None]).reshape(-1)[unknowns]
 
     for _ in range(STRIP_NEWTON_ITERATIONS):
         r = residual()
@@ -528,8 +522,9 @@ def _addresses(arrays: dict) -> dict:
 
 def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
     """The arrays the kernel reads and writes, by their ``Table`` names: the
-    state's and the kernel's scratch rows; and the kernel's pointer table
-    into them, with the state's sizes and the engine's constants.
+    state's, the tables that only the kernel reads, derived here, and the
+    kernel's scratch rows; and the kernel's pointer table into them, with
+    the state's sizes and the engine's constants.
 
     Row k of the kernel's ``spring_f`` is spring k's force on its i end,
     row ``num_springs + k`` the reaction on its j end. ``ends`` lists each
@@ -539,6 +534,12 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
     """
     n, s, robots = state.num_masses, state.num_springs, state.robot_ids.size
     actuators = len(state.actuator_cells)
+    # the actuated edges, and the voxels whose diagonals follow them (``_kernel.c``'s Table sets out each table)
+    edges, slot, count = np.unique(state.actuator_springs.ravel(), return_inverse=True, return_counts=True)
+    actuated = np.zeros(s, dtype=bool)
+    actuated[edges] = True
+    holds = actuated[state.vox_h_edges] | actuated[state.vox_v_edges]
+    affected = np.flatnonzero(holds.any(axis=1))
     owners = np.concatenate([state.spring_i, state.spring_j])  # the mass of each row
     end_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
@@ -555,14 +556,14 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         "spring_k": state.spring_k,
         "spring_c": state.spring_c,
         "spring_rest": state.spring_rest,
-        "edge_ids": state.actuated_edges,
-        "edge_limit": state.actuated_limit,
-        "edge_floor": state.actuated_floor,
-        "edge_slot": state.actuated_slot,
-        "edge_count": state.actuated_count,
+        "edge_ids": edges,
+        "edge_limit": ACTUATION_RATE * state.spring_rest[edges],
+        "edge_slot": slot,
+        "edge_count": count,
         "act_world": state.act_world,
-        "diagonal_sides": state.diagonal_sides,
-        "diagonal_ids": state.diagonals,
+        "vox_corners": state.vox_corners,
+        "diagonal_sides": np.stack([state.vox_h_edges[affected], state.vox_v_edges[affected]]).transpose(2, 0, 1).copy(),
+        "diagonal_ids": state.vox_shear[affected].T.copy(),
         "robot_ids": state.robot_ids,
         "robot_world": state.robot_world,
         "bridge_top": state.bridge_top,
@@ -581,7 +582,7 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
         "contact_w": np.zeros(4 * robots),
         "clamped": np.zeros(actuators),
-        "sums": np.zeros(state.actuated_edges.size),
+        "sums": np.zeros(edges.size),
     }
     terrain = state.terrain
     bridge = terrain is not None and terrain.kind == "bridge"
@@ -591,10 +592,11 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         robots=robots,
         worlds=state.num_worlds,
         chain=state.bridge_top.size // state.num_worlds,
-        edges=state.actuated_edges.size,
-        diagonals=state.diagonals.shape[1],
+        edges=edges.size,
+        diagonals=affected.size,
         terrain=0 if terrain is None else 2 if bridge else 1,
         actuators=actuators,
+        voxels=len(state.vox_cells),
         steps_per_action=STEPS_PER_ACTION,
         dt=DT,
         stiffness=CONTACT_STIFFNESS,
@@ -649,19 +651,7 @@ def _load_kernel() -> ctypes.CDLL:
     if not path.exists():
         _build_kernel(path)
     lib = ctypes.CDLL(str(path))
-    for name, restype, extra in (
-        ("vx_spring_forces", None, []),
-        ("vx_contact_forces", None, []),
-        ("vx_net_forces", None, []),
-        ("vx_set_targets", None, [ctypes.c_void_p]),
-        ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
-        ("vx_fill_features", None, [ctypes.c_void_p]),
-        ("vx_act", None, [ctypes.c_void_p, ctypes.c_int64]),
-        ("vx_presum", None, [ctypes.c_void_p]),
-        ("vx_mlp", None, []),
-        ("vx_count", None, []),
-        ("vx_build", None, []),
-    ):
+    for name, restype, extra in _EXPORTS:
         function = getattr(lib, name)
         function.argtypes = [ctypes.c_void_p, *extra]
         function.restype = restype
@@ -731,14 +721,13 @@ def advance(
     ``set_actuation_targets`` would; without one, they stay as set. Each
     step is the one ``step`` describes.
 
-    Returns the ids of the worlds that diverged on the last step taken,
-    ascending (a shared read-only empty array if none did).
+    Returns a new array of the ids of the worlds that diverged on the last
+    step taken, ascending; it is empty if none did.
     """
     arrays = state.kernel_arrays
     table = None if controller is None else controller.address
     state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach, gravity)
-    count = arrays["blown"][0]
-    return arrays["diverged"][:count].copy() if count else _NO_WORLDS
+    return arrays["diverged"][: arrays["blown"][0]].copy()
 
 
 def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
@@ -750,9 +739,9 @@ def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     its strip contact or the strip's reactions. Gravity is then subtracted
     from each y, and velocities, then positions, move.
 
-    Returns the ids of the worlds that diverged, ascending (a shared
-    read-only empty array if none did): those with a new position that is
-    non-finite or beyond DIVERGENCE_LIMIT. They keep the positions of their
+    Returns the ids of the worlds that diverged, ascending, in a new array
+    that is empty if none did: those with a new position that is non-finite
+    or beyond DIVERGENCE_LIMIT. They keep the positions of their
     last valid step, and garbage velocities until they are parked.
     """
     return advance(state, state.sim_time + 1, gravity=gravity)

@@ -38,7 +38,6 @@ from voxevo.control import (
     CELL_FEATURES,
     OBS_DIM,
     ControllerGenome,
-    fixed_action,
     stack_controllers,
     unpack_params,
 )
@@ -207,6 +206,12 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
 # --- actuation and observation in numpy --------------------------------------
 
 
+def fixed_action(effective_step: int) -> float:
+    """The fixed controller's command at a control step: expand on even
+    steps, contract on odd."""
+    return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
+
+
 def reference_actions(controllers, state: WorldState, effective_step: int) -> np.ndarray:
     """``control.compute_actions`` in numpy: the fixed alternation for every
     active voxel, or ``reference_network`` on ``reference_observations``."""
@@ -224,9 +229,9 @@ def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> 
     changed = clamped != commands
     if np.count_nonzero(changed):
         state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
-    edges = state.actuated_edges
-    sums = np.bincount(state.actuated_slot, clamped.repeat(2), minlength=edges.size)
-    state.spring_target_rest[edges] = state.spring_rest[edges] * sums / state.actuated_count
+    edges, slot, count = (state.kernel_arrays[name] for name in ("edge_ids", "edge_slot", "edge_count"))
+    sums = np.bincount(slot, clamped.repeat(2), minlength=edges.size)
+    state.spring_target_rest[edges] = state.spring_rest[edges] * sums / count
 
 
 # --- the modular network of engine 5 in numpy --------------------------------
@@ -330,13 +335,12 @@ def voxel_velocities(state: WorldState) -> np.ndarray:
 def reference_observations(state: WorldState, effective_step: int) -> np.ndarray:
     """``control.observation_matrix`` in numpy, on the state's windows
     (``control._window_tables``)."""
-    windows = control._window_tables(state)
-    features = np.zeros_like(windows.features)
+    gather, features, material = control._window_tables(state)
     features[:-1, 0] = voxel_areas(state)
     features[:-1, 1:] = voxel_velocities(state)
-    obs = np.empty((len(windows.material), OBS_DIM))
-    obs[:, control._DYNAMIC_COLUMNS] = features.take(windows.gather)
-    obs[:, control._MATERIAL_COLUMNS] = windows.material
+    obs = np.empty((len(material), OBS_DIM))
+    obs[:, control._DYNAMIC_COLUMNS] = features.take(gather)
+    obs[:, control._MATERIAL_COLUMNS] = material
     obs[:, -1] = effective_step % 2
     return obs
 
@@ -348,11 +352,11 @@ def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     """``sim_core.step`` in numpy: the same operations in the same order,
     writing the same arrays in place (positions, velocities, current rest
     lengths) and returning the diverged worlds' ids."""
-    if state.actuated_edges.size:
+    if state.kernel_arrays["edge_ids"].size:
         _reference_advance_actuation(state)
     f = reference_net_forces(state)
     f[:, 1] -= gravity * state.mass
-    f *= state.inv_mass
+    f *= state.inv_mass[:, None]
     f *= DT
     state.vel += f
     new_pos = state.vel * DT
@@ -369,21 +373,21 @@ def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
 
 
 def _reference_advance_actuation(state: WorldState) -> None:
-    edges = state.actuated_edges
+    edges, limit = state.kernel_arrays["edge_ids"], state.kernel_arrays["edge_limit"]
     cur = state.spring_current_rest
     edge_rest = cur.take(edges)
     delta = state.spring_target_rest.take(edges)
     delta -= edge_rest
     if not np.count_nonzero(delta):
         return  # converged onto the targets; diagonals already consistent
-    np.minimum(delta, state.actuated_limit, out=delta)
-    np.maximum(delta, state.actuated_floor, out=delta)
+    np.minimum(delta, limit, out=delta)
+    np.maximum(delta, -limit, out=delta)
     edge_rest += delta
     cur.put(edges, edge_rest)
-    sides = cur.take(state.diagonal_sides)
+    sides = cur.take(state.kernel_arrays["diagonal_sides"])
     means = sides[0] + sides[1]  # bottom + top, left + right
     means *= 0.5
-    cur.put(state.diagonals, np.hypot(means[0], means[1]))
+    cur.put(state.kernel_arrays["diagonal_ids"], np.hypot(means[0], means[1]))
 
 
 def reference_net_forces(state: WorldState) -> np.ndarray:
@@ -440,7 +444,7 @@ def _contact_table(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     fn of every robot mass; then on a bridge the strip block."""
     if state.terrain is None:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    rows = state.robot_rows
+    rows = state.robot_ids
     px = state.pos[:, 0][rows]
     py = state.pos[:, 1][rows]
     fn = py * -CONTACT_STIFFNESS
@@ -619,7 +623,7 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
         "spring_rest": np.hypot(d[:, 0], d[:, 1]),
         "spring_k": spring_k,
         "vox_cells": cells_rc,
-        "vox_corners": corners[:, [2, 3, 1, 0]],
+        "vox_corners": np.ascontiguousarray(corners[:, [2, 3, 1, 0]]),  # C-ordered, as the kernel reads it
         "vox_h_edges": springs[:, 0:2],
         "vox_v_edges": springs[:, 2:4],
         "vox_shear": springs[:, 4:6],
@@ -638,7 +642,7 @@ def _reference_union(worlds: list[dict], morphologies: list[Morphology], terrain
     return WorldState(
         **tables,
         vel=np.zeros_like(pos),
-        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass)[:, None].repeat(2, axis=1),
+        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
         spring_current_rest=rest.copy(),
         spring_target_rest=rest.copy(),
         spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),

@@ -10,7 +10,6 @@ from voxevo.control import (
     PARAM_COUNT,
     ControllerGenome,
     compute_actions,
-    fixed_action,
     forward_batch,
     init_controller,
     mutate_controller,
@@ -108,13 +107,12 @@ def test_forward_rejects_wrong_variant_and_shape(rng):
         modular_forward(modular(rng), np.zeros(10))
 
 
-def test_fixed_action_parity():
-    assert fixed_action(0) == 1.6
-    assert fixed_action(1) == 0.6
-    assert fixed_action(7) == 0.6
-    assert fixed_action(12) == 1.6
-    with pytest.raises(ValueError):
-        fixed_action(-1)
+def test_fixed_action_parity(rng, flat):
+    # the kernel's alternation: expand on even control steps, contract on odd
+    w = build_world(random_morphology(5, 5, rng), flat)
+    fixed = stack_controllers([init_controller("fixed", rng)])
+    commands = [compute_actions(fixed, w, k).tolist() for k in range(8)]
+    assert commands == [[1.6] * len(w.actuator_cells), [0.6] * len(w.actuator_cells)] * 4
 
 
 def test_fixed_controller_ignores_world(rng, flat):
@@ -350,3 +348,16 @@ def test_warm_modular_control_allocates_less_than_its_input():
     finally:
         tracemalloc.stop()
     assert peak < block_bytes
+
+
+def test_stacked_parameters_are_read_only(rng, flat):
+    # a state keeps its stack's controller table, which copies some of the
+    # stack's rows and aliases others: an edit in place would give commands
+    # of neither network, so the stack refuses one
+    state = build_world(random_morphology(5, 5, rng), flat)
+    controllers = stack_controllers([modular(rng)])
+    compute_actions(controllers, state, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        controllers.params[0, -1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        controllers.params += 0.1

@@ -13,8 +13,10 @@ kernel and with numpy's SIMD dispatch cut down, and every golden digest in
 the kernel's baseline clones.
 """
 
+import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 import voxevo
-from voxevo import sim_core
+from voxevo import control, sim_core
 from voxevo.control import compute_actions, controller_table, init_controller, stack_controllers
 from voxevo.materials import ELASTIC
 from voxevo.morphology import Morphology, random_morphology
@@ -305,14 +307,57 @@ def test_a_cache_hit_starts_no_process(monkeypatch):
     assert sim_core._load_kernel().vx_run
 
 
-def test_the_kernel_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("cflags", [(), ("-DVX_DEFAULT_CLONE_ONLY",)], ids=["default", "baseline-clones-only"])
+def test_the_kernel_compiles_without_warnings(tmp_path, cflags):
     # every warning GCC's -Wall -Wextra can raise is an error here, so the
-    # growing kernel stays warning-free
-    command = [sim_core._COMPILER, *sim_core._CFLAGS, "-Wall", "-Wextra", "-Werror"]
+    # growing kernel stays warning-free, and so does the build of its
+    # baseline clones alone that test_the_kernel_clones_agree runs
+    command = [sim_core._COMPILER, *sim_core._CFLAGS, *cflags, "-Wall", "-Wextra", "-Werror"]
     command += ["-o", str(tmp_path / "kernel.so"), str(sim_core._KERNEL_SOURCE), "-lm"]
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# each ctypes field type by the kind of C field it mirrors
+KINDS = {ctypes.c_int64: "int64", ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+
+
+def kernel_source() -> str:
+    """``_kernel.c`` without its comments."""
+    return re.sub(r"/\*.*?\*/", "", sim_core._KERNEL_SOURCE.read_text(), flags=re.S)
+
+
+def kernel_struct(name: str) -> list[tuple[str, str]]:
+    """The fields of ``_kernel.c``'s ``typedef struct {...} name;`` in their
+    order, each with its kind: int64, double or pointer."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", kernel_source()).group(1)
+    fields = []
+    for declaration in filter(str.strip, body.split(";")):
+        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", declaration, flags=re.S).groups()
+        for declarator in declarators.split(","):
+            star, field = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
+            fields.append((field, "pointer" if star else {"int64_t": "int64", "double": "double"}[base]))
+    return fields
+
+
+@pytest.mark.parametrize(
+    "struct, mirror",
+    [("Table", sim_core._Table), ("Brain", control._ControllerTable), ("Builder", sim_core._Builder)],
+    ids=["Table", "Brain", "Builder"],
+)
+def test_the_ctypes_mirrors_are_the_kernel_structs(struct, mirror):
+    # the kernel reads a table by the offsets of its C struct: a mirror
+    # that names, orders or types one field otherwise hands it another array
+    assert [(name, KINDS[ctype]) for name, ctype in mirror._fields_] == kernel_struct(struct)
+
+
+def test_the_loader_declares_every_kernel_export():
+    # every function the kernel exports, cloned or not, and nothing else,
+    # has its argument and result types declared when the kernel loads
+    exported = re.findall(r"^(?:VX_CLONES\s+)?\w+\s+(vx_\w+)\(", kernel_source(), flags=re.M)
+    assert len(exported) == len(set(exported))
+    assert sorted(exported) == sorted(name for name, _, _ in sim_core._EXPORTS)
 
 
 # --- the kernel on every CPU -------------------------------------------------
