@@ -30,7 +30,8 @@
  * Each mass's force is such a sum. numpy formed it with one np.bincount over
  * a table of terms, which tests/oracles.py still builds; the kernel keeps no
  * table, but adds each mass's terms in place, from +0.0, in the order the
- * table gave them (sum_forces):
+ * table gave them (vx_forces, the kernel's one force entry, which a step
+ * asks for both kinds of term):
  *  1. its spring_i ends, in spring order, each adding the spring's (fx, fy);
  *  2. its spring_j ends, in spring order, each adding (-fx, -fy);
  *  3. its ground contact's (ft, fn), a robot mass on any terrain;
@@ -320,20 +321,31 @@ static int64_t strip_contacts(const Table *t)
 }
 
 /* Each mass's force into t->net, summed in place from +0.0 in the order the
- * header sets out: its spring ends' forces if ``springs``; then, if
- * ``contact``, its ground contact; then the ``sunk`` strip contacts' terms
- * (strip_contacts): a robot mass's (ft, fn), and -ft*u and -fn*u on its
- * segment's left end, then -ft*w and -fn*w on its right end, where w is the
- * right end's weight and u = 1 - w the left's. Each kind of contact term is
- * added in its own pass, in robot-mass order, so every mass adds its terms
- * in the header's order. */
-static void sum_forces(const Table *t, int springs, int contact, int64_t sunk)
+ * header sets out: if ``springs``, its spring ends' forces (spring_ends,
+ * spring_pass, into t->spring_f); then, if ``contact`` and there is a
+ * terrain, its ground contact (ground_pass, into t->ground) and on a bridge
+ * the strip contacts' terms (strip_contacts): a robot mass's (ft, fn), and
+ * -ft*u and -fn*u on its segment's left end, then -ft*w and -fn*w on its
+ * right end, where w is the right end's weight and u = 1 - w the left's.
+ * Each kind of contact term is added in its own pass, in robot-mass order,
+ * so every mass adds its terms in the header's order. */
+void vx_forces(const Table *t, int64_t springs, int64_t contact)
 {
     const int64_t r = t->robots;
     const int64_t *ids = t->contact_ids, *segs = ids + r;
     const double *weights = t->contact_w, *fts = weights + 2 * r, *fns = fts + r;
     double *net = t->net;
-    int64_t m, e, q, k;
+    int64_t m, e, q, k, sunk = 0;
+    contact = contact && t->terrain;
+    if (springs) {
+        spring_ends(t);
+        spring_pass(t, t->spring_d, t->spring_f, t->spring_f + 2 * t->springs);
+    }
+    if (contact) {
+        ground_pass(t, t->pos, t->vel, t->mass, t->ground);
+        if (t->terrain == 2)
+            sunk = strip_contacts(t);
+    }
     for (m = 0; m < t->masses; m++) {
         double fx = 0.0, fy = 0.0;
         if (springs)
@@ -345,7 +357,7 @@ static void sum_forces(const Table *t, int springs, int contact, int64_t sunk)
         net[2 * m] = fx;
         net[2 * m + 1] = fy;
     }
-    if (contact && t->terrain)
+    if (contact)
         for (q = 0; q < r; q++) {
             net[2 * t->robot_ids[q]] += t->ground[2 * q];
             net[2 * t->robot_ids[q] + 1] += t->ground[2 * q + 1];
@@ -365,45 +377,6 @@ static void sum_forces(const Table *t, int springs, int contact, int64_t sunk)
         net[2 * right] += -fts[k] * weights[k];
         net[2 * right + 1] += -fns[k] * weights[k];
     }
-}
-
-/* The springs' forces, one per spring end, into t->spring_f */
-static void spring_terms(const Table *t)
-{
-    spring_ends(t);
-    spring_pass(t, t->spring_d, t->spring_f, t->spring_f + 2 * t->springs);
-}
-
-/* The contact forces: the ground's into t->ground; returns the number of
- * strip contacts, whose terms strip_contacts writes. */
-static int64_t contact_terms(const Table *t)
-{
-    if (!t->terrain)
-        return 0;
-    ground_pass(t, t->pos, t->vel, t->mass, t->ground);
-    return t->terrain == 2 ? strip_contacts(t) : 0;
-}
-
-/* The springs' forces alone into t->net, each mass's sum from +0.0. */
-void vx_spring_forces(const Table *t)
-{
-    spring_terms(t);
-    sum_forces(t, 1, 0, 0);
-}
-
-/* The contact forces alone into t->net, each mass's sum from +0.0: the
- * ground's on every robot mass, and on a bridge the strip's. A state with
- * no terrain has none. */
-void vx_contact_forces(const Table *t)
-{
-    sum_forces(t, 0, 1, contact_terms(t));
-}
-
-/* Every spring and contact force on each mass into t->net. */
-void vx_net_forces(const Table *t)
-{
-    spring_terms(t);
-    sum_forces(t, 1, 1, contact_terms(t));
 }
 
 /* Velocities, then new positions, of every mass from t->net and gravity,
@@ -450,7 +423,7 @@ static int64_t one_step(const Table *t, double gravity)
 {
     int64_t w, diverged = 0;
     advance_actuation(t);
-    vx_net_forces(t);
+    vx_forces(t, 1, 1);
     integrate(t, gravity, t->pos, t->net, t->vel, t->new_pos);
     for (w = 0; w < t->worlds; w++) {
         const int64_t start = t->mass_starts[w], stop = t->mass_starts[w + 1];

@@ -24,14 +24,13 @@ EXACT_TEST_MAX_N = 12  # exact enumeration when n_a + n_b <= this
 RETRAIN_GENERATIONS = 5000
 STAR_THRESHOLDS = ((0.001, "***"), (0.005, "**"), (0.05, "*"))
 BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     label_a: str
     label_b: str
-    samples_a: tuple[float, ...]
-    samples_b: tuple[float, ...]
     u_statistic: float  # U of sample a
     p_value: float
     stars: str
@@ -106,8 +105,6 @@ def rank_sum_test(samples_a, samples_b, labels: tuple[str, str] = ("a", "b")) ->
     return ComparisonReport(
         label_a=labels[0],
         label_b=labels[1],
-        samples_a=tuple(a.tolist()),
-        samples_b=tuple(b.tolist()),
         u_statistic=u_a,
         p_value=p,
         stars=significance_stars(p),
@@ -119,10 +116,13 @@ def intra_cluster_distance(bodies: list[Morphology]) -> float:
     """Mean Hamming distance over all unordered pairs of bodies."""
     if len(bodies) < 2:
         raise ValueError("need at least 2 bodies")
-    distances = [
-        morphology_distance(x, y) for x, y in itertools.combinations(bodies, 2)
-    ]
-    return float(np.mean(distances))
+    return mean_pair_distance(distance_matrix(bodies))
+
+
+def mean_pair_distance(matrix: np.ndarray) -> float:
+    """The mean of a distance matrix's upper triangle: each unordered pair
+    once, in ``itertools.combinations`` order."""
+    return float(np.mean(matrix[np.triu_indices(len(matrix), k=1)]))
 
 
 def distance_matrix(bodies: list[Morphology]) -> np.ndarray:
@@ -149,10 +149,10 @@ def export_distance_matrix(bodies: list[Morphology], labels: list[str], path) ->
 def bootstrap_mean_ci(
     samples: np.ndarray,
     n_resamples: int = BOOTSTRAP_RESAMPLES,
-    confidence: float = 0.95,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and bootstrap CI of the column-wise mean of (n_runs, ...) samples."""
+    """Mean and BOOTSTRAP_CONFIDENCE bootstrap CI of the column-wise mean
+    of (n_runs, ...) samples."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     rng = np.random.default_rng(seed)
     n = samples.shape[0]
@@ -160,7 +160,7 @@ def bootstrap_mean_ci(
     for i in range(n_resamples):
         idx = rng.integers(0, n, size=n)
         means[i] = samples[idx].mean(axis=0)
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0
     lo = np.quantile(means, alpha, axis=0)
     hi = np.quantile(means, 1.0 - alpha, axis=0)
     return samples.mean(axis=0), lo, hi

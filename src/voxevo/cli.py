@@ -303,12 +303,12 @@ def _write_distances(groups, labels, out_dir) -> dict:
                 f"group {label} mixes morphology spaces {sorted(shapes)}; distances are undefined"
             )
         if len(bodies) >= 2:
-            distances[label] = analysis.intra_cluster_distance(bodies)
-            analysis.export_distance_matrix(
+            matrix = analysis.export_distance_matrix(
                 bodies,
                 [f"seed_{r['seed']}" for r in runs],
                 os.path.join(out_dir, f"distance_matrix_{label}.csv"),
             )
+            distances[label] = analysis.mean_pair_distance(matrix)
     with open(os.path.join(out_dir, "distances.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "n", "intra_cluster_distance"])

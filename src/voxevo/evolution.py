@@ -385,9 +385,6 @@ class RunResult:
     final_population: Population
     frozen_body: Morphology | None  # the body trained, if the run froze one
 
-    def best_curve(self) -> np.ndarray:
-        return np.array([s.best_fitness for s in self.stats])
-
 
 def _population_stats(pop: Population, champion: Individual) -> GenerationStats:
     best = min(pop.members, key=_truncation_key)

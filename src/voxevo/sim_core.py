@@ -24,9 +24,9 @@ controller table at every control step; ``step`` is its one-step case,
 which queries none. The kernel also builds a batch's worlds: one call
 counts the rows of every table and one fills them (``build_worlds``),
 the settled strip appended to every bridge world. Python checks the
-bodies, allocates those tables and derives the rest of each state from
-them (``_union``, ``WorldState.__post_init__``), derives the tables only
-the kernel reads with each state's pointer table (``_kernel_table``),
+bodies, allocates those tables and makes each state from them alone
+(``WorldState``, which derives its other columns), derives the tables
+only the kernel reads with each state's pointer table (``_kernel_table``),
 builds each batch's controller table, with its state's observation
 windows, solves the strip's statics once per span, parks worlds and
 keeps each episode's books (``tasks.run_episodes``). The kernel does
@@ -50,6 +50,7 @@ compiler, the cache directory and the compiler's complaint.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -117,9 +118,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # Every function the kernel exports: its name, its result type, and the
 # types of its arguments after the first, which is a table's address
 _EXPORTS = (
-    ("vx_spring_forces", None, []),
-    ("vx_contact_forces", None, []),
-    ("vx_net_forces", None, []),
+    ("vx_forces", None, [ctypes.c_int64, ctypes.c_int64]),
     ("vx_set_targets", None, [ctypes.c_void_p]),
     ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
     ("vx_fill_features", None, [ctypes.c_void_p]),
@@ -180,26 +179,23 @@ class WorldState:
     stepping with it, but it no longer moves, exerts a force or touches the
     ground.
 
-    The kernel's pointer table into the state's arrays, the tables that
-    only the kernel reads and its scratch rows are built once per state
-    (``_kernel_table``), so those arrays are written in place and never
-    rebound.
+    A state is made from the builder's row tables, starts, bodies and
+    terrain alone, and derives every other column from them. The kernel's
+    pointer table into the state's arrays, the tables that only the kernel
+    reads and its scratch rows are built once per state (``_kernel_table``),
+    so those arrays are written in place and never rebound.
     """
 
+    # the builder's row tables (``_ROW_TABLES``), world by world
     pos: np.ndarray            # (n, 2)
-    vel: np.ndarray            # (n, 2)
     mass: np.ndarray           # (n,)
-    inv_mass: np.ndarray       # (n,) 1/mass; zero for pinned masses
     pinned: np.ndarray         # (n,) bool
     is_robot: np.ndarray       # (n,) bool, false for bridge-strip masses
 
     spring_i: np.ndarray       # (s,) first endpoint index
     spring_j: np.ndarray       # (s,)
-    spring_rest: np.ndarray    # (s,) build-time rest lengths
-    spring_current_rest: np.ndarray
-    spring_target_rest: np.ndarray
     spring_k: np.ndarray
-    spring_c: np.ndarray
+    spring_rest: np.ndarray    # (s,) build-time rest lengths
 
     # per-voxel tables over each robot's non-empty cells, row-major
     vox_cells: np.ndarray      # (v, 2) (row, column) in its robot's grid
@@ -214,15 +210,20 @@ class WorldState:
 
     bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
 
-    # per-world rows
-    morphologies: list[Morphology]  # empty for the bare bridge strip
-    clamped_actions: np.ndarray  # out-of-range commands clamped so far
-
+    morphologies: list[Morphology]  # one per world; empty for the bare bridge strip
     starts: dict[str, np.ndarray] = field(repr=False)
-    terrain: TerrainSpec | None = None
+    terrain: TerrainSpec | None
     sim_time: int = 0
     # (stack, its controller table): the last that control.controller_table built
     controller: tuple | None = field(default=None, repr=False)
+
+    # the moving columns, derived at rest at the build-time lengths
+    vel: np.ndarray = field(init=False)                  # (n, 2)
+    inv_mass: np.ndarray = field(init=False)             # (n,) 1/mass; zero for pinned masses
+    spring_current_rest: np.ndarray = field(init=False)
+    spring_target_rest: np.ndarray = field(init=False)
+    spring_c: np.ndarray = field(init=False)             # (s,) axial damping
+    clamped_actions: np.ndarray = field(init=False)      # per world, out-of-range commands clamped so far
 
     # step-loop tables, derived from the fields above
     mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
@@ -239,6 +240,13 @@ class WorldState:
     kernel_address: int = field(init=False, repr=False)         # the table's address, what each kernel call takes
 
     def __post_init__(self):
+        m_avg = 0.5 * (self.mass[self.spring_i] + self.mass[self.spring_j])
+        self.vel = np.zeros_like(self.pos)
+        self.inv_mass = np.where(self.pinned, 0.0, 1.0 / self.mass)
+        self.spring_current_rest = self.spring_rest.copy()
+        self.spring_target_rest = self.spring_rest.copy()
+        self.spring_c = DAMPING_RATIO * 2.0 * np.sqrt(self.spring_k * m_avg)
+        self.clamped_actions = np.zeros(self.num_worlds, dtype=np.int64)
         worlds = np.arange(self.num_worlds)
         self.mass_world = np.repeat(worlds, np.diff(self.starts["mass"]))
         self.spring_world = np.repeat(worlds, np.diff(self.starts["spring"]))
@@ -375,25 +383,6 @@ def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None
     return tables, dict(zip(_ROW_TABLES, starts))
 
 
-def _union(tables: dict, starts: dict, morphologies: list[Morphology], terrain: TerrainSpec | None) -> WorldState:
-    """The union of worlds with these row tables and starts, at rest at
-    their build-time lengths."""
-    pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
-    m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
-    return WorldState(
-        **tables,
-        vel=np.zeros_like(pos),
-        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
-        spring_current_rest=rest.copy(),
-        spring_target_rest=rest.copy(),
-        spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
-        morphologies=morphologies,
-        clamped_actions=np.zeros(len(starts["mass"]) - 1, dtype=np.int64),
-        starts=starts,
-        terrain=terrain,
-    )
-
-
 def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     """The disjoint union of one world per body, in order, on one terrain.
 
@@ -402,8 +391,8 @@ def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     when terrain is None), then on bridge terrain the settled strip's rows.
     Every body is checked simulable first; then the kernel numbers, places
     and joins the rows of every world (``_rows``), so bodies that repeat
-    get identical rows, and Python adds the derived columns. Bodies of
-    different shapes may share a union.
+    get identical rows, and ``WorldState`` derives the other columns.
+    Bodies of different shapes may share a union.
     """
     morphologies = list(morphologies)
     index: dict[Morphology, int] = {}
@@ -419,7 +408,7 @@ def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     if terrain is not None and terrain.kind == "bridge":
         strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
     tables, starts = _rows(cells, grid, terrain.spawn_x if terrain is not None else 0.0, 0.0, strip)
-    return _union(tables, starts, morphologies, terrain)
+    return WorldState(**tables, morphologies=morphologies, starts=starts, terrain=terrain)
 
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
@@ -445,25 +434,21 @@ def _strip_rows(span_start: int, span_end: int, material: int) -> tuple[dict, di
 
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
-    """The bare strip's tables at its static equilibrium, built once per
-    span; a bridge world appends them after its robot's."""
-    return dict(_strip_rows(span_start, span_end, material)[0], pos=_bridge_equilibrium(span_start, span_end, material))
+    """The bare strip's row tables at its static equilibrium under gravity,
+    their positions read-only: built and settled once per span; a bridge
+    world appends them after its robot's.
 
-
-@lru_cache(maxsize=8)
-def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.ndarray:
-    """Static shape of the unloaded strip under gravity, (masses, 2) read-only.
-
-    Solved once per span by Newton's method on the free masses'
-    coordinates, starting from the flat strip. The residual is each free
-    mass's acceleration under ``net_forces`` plus gravity; its Jacobian
-    is taken by central differences of that same residual, and each step
-    is solved by ``_eliminate``, which calls no BLAS, so the strip's bytes
-    do not depend on the OpenBLAS kernel. Stops once no free mass
-    accelerates by ``STRIP_TOLERANCE`` or more; raises rather than return
-    an unconverged strip.
+    Newton's method on the free masses' coordinates, starting from the flat
+    strip. The residual is each free mass's acceleration under
+    ``net_forces`` plus gravity; its Jacobian is taken by central
+    differences of that same residual, and each step is solved by
+    ``_eliminate``, which calls no BLAS, so the strip's bytes do not depend
+    on the OpenBLAS kernel. Stops once no free mass accelerates by
+    ``STRIP_TOLERANCE`` or more; raises rather than return an unconverged
+    strip.
     """
-    strip = _union(*_strip_rows(span_start, span_end, material), [], None)
+    tables, starts = _strip_rows(span_start, span_end, material)
+    strip = WorldState(**tables, morphologies=[], starts=starts, terrain=None)
     free = np.flatnonzero(~strip.pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
@@ -477,7 +462,7 @@ def _bridge_equilibrium(span_start: int, span_end: int, material: int) -> np.nda
         r = residual()
         if np.abs(r).max() < STRIP_TOLERANCE:
             strip.pos.setflags(write=False)
-            return strip.pos
+            return tables
         jacobian = np.empty((r.size, r.size))
         for k, u in enumerate(unknowns):
             held = coords[u]
@@ -615,7 +600,8 @@ def _build_kernel(path: Path) -> None:
     """Compile ``_KERNEL_SOURCE`` to ``path``: into a temporary file of its
     own in the same directory, then renamed into place, so a process that
     loads ``path`` never finds a half-written library, even while another
-    builds it too."""
+    builds it too. Once it is in place, every other library in the
+    directory is removed; another builder's temporary files are left alone."""
     import subprocess
     import tempfile
 
@@ -631,6 +617,9 @@ def _build_kernel(path: Path) -> None:
         complaint = str(error)
     if complaint is None:
         os.replace(partial, path)
+        for stale in set(path.parent.glob("_kernel-*.so")) - {path}:
+            with contextlib.suppress(OSError):  # a process that loaded it keeps it mapped
+                stale.unlink()
         return
     if partial is not None:
         os.unlink(partial)
@@ -664,9 +653,17 @@ def _kernel() -> ctypes.CDLL:
     return _load_kernel()
 
 
+def _forces(state: WorldState, springs: int, contact: int) -> np.ndarray:
+    """Each mass's sum of its spring terms if ``springs``, then of its
+    contact terms if ``contact``, (n, 2): one call of the kernel's force
+    entry."""
+    _kernel().vx_forces(state.kernel_address, springs, contact)
+    return state.kernel_arrays["net"].copy()
+
+
 def net_forces(state: WorldState) -> np.ndarray:
-    """Every spring and contact force on each mass, (n, 2), in one kernel
-    call: the force path ``step`` takes.
+    """Every spring and contact force on each mass, (n, 2): the sums a step
+    integrates.
 
     Each mass's (x, y) sum starts from +0.0 and adds its terms in a fixed
     order, the one ``np.bincount`` gave over the force table that
@@ -677,21 +674,20 @@ def net_forces(state: WorldState) -> np.ndarray:
     which it is the right end, each in robot-mass order
     (``contact_forces``).
     """
-    _kernel().vx_net_forces(state.kernel_address)
-    return state.kernel_arrays["net"].copy()
+    return _forces(state, 1, 1)
 
 
 def spring_forces(state: WorldState) -> np.ndarray:
     """The Hooke + axial damping forces of the springs alone on each mass,
     (n, 2): each spring pulls its i end by (fx, fy) and its j end by the
-    exact reaction (-fx, -fy), summed in ``net_forces``' order."""
-    _kernel().vx_spring_forces(state.kernel_address)
-    return state.kernel_arrays["net"].copy()
+    exact reaction (-fx, -fy), each mass's terms summed from +0.0 in
+    ``net_forces``' order."""
+    return _forces(state, 1, 0)
 
 
 def contact_forces(state: WorldState) -> np.ndarray:
-    """The contact forces alone on each mass, (n, 2), summed in
-    ``net_forces``' order.
+    """The contact forces alone on each mass, (n, 2), each mass's terms
+    summed from +0.0 in ``net_forces``' order.
 
     Normal: k*depth - c*v_normal, clamped >= 0. Friction: the force that
     would cancel tangential (relative) velocity within one step, capped at
@@ -705,8 +701,7 @@ def contact_forces(state: WorldState) -> np.ndarray:
     right end's weight and u = 1 - w the left's. A state with no terrain
     has no contact forces.
     """
-    _kernel().vx_contact_forces(state.kernel_address)
-    return state.kernel_arrays["net"].copy()
+    return _forces(state, 0, 1)
 
 
 def advance(

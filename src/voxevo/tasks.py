@@ -88,8 +88,8 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
 
     All worlds are built at once, by ``build_worlds`` in the kernel, as one
     disjoint-union world that takes every step, actuation and controller
-    call at once; pairs that share a body get identical rows. The pairs
-    must share one body shape and one controller variant.
+    call at once; pairs that share a body get identical rows. The bodies
+    may differ in shape; the pairs must share one controller variant.
     The episode runs in the compiled kernel, one ``sim_core.advance`` call
     per stretch, with the batch's controller table (``controller_table``)
     queried at every control step inside it, whichever the variant. A
@@ -106,8 +106,6 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     pairs = list(pairs)
     if not pairs:
         return []
-    if len({(m.cells.shape, c.variant) for m, c in pairs}) > 1:
-        raise ValueError("a batch holds one body shape and one controller variant")
     for morphology, _ in pairs:
         require_valid(morphology)
     state = build_worlds([morphology for morphology, _ in pairs], terrain)
@@ -157,12 +155,12 @@ class EpisodeEvaluator:
 
     Deterministic episodes make caching exact: identical genomes share a
     fitness without re-simulation. The uncached genomes of one call run as
-    batches, one per body shape and controller variant, and ``divergences``
-    counts the episodes that diverged. A failure scores no displacement and
-    the full time penalty, and is counted in ``failures`` instead of
-    aborting the call: an invalid body fails alone, an unexpected exception
-    fails its whole batch. A kernel that cannot be built is raised: it
-    would fail every batch.
+    batches, one per controller variant, whatever their body shapes, and
+    ``divergences`` counts the episodes that diverged. A failure scores no
+    displacement and the full time penalty, and is counted in ``failures``
+    instead of aborting the call: an invalid body fails alone, an
+    unexpected exception fails its whole batch. A kernel that cannot be
+    built is raised: it would fail every batch.
     """
 
     def __init__(self, terrain: TerrainSpec):
@@ -176,11 +174,11 @@ class EpisodeEvaluator:
     def fitness_many(self, pairs) -> list[float]:
         """Fitness of each pair, in order; each distinct genome runs once."""
         keys = []
-        batches: dict[tuple, dict[bytes, tuple]] = {}
+        batches: dict[str, dict[bytes, tuple]] = {}
         for morphology, controller in pairs:
             key = _genome_key(morphology, controller)
             keys.append(key)
-            batch = batches.setdefault((morphology.cells.shape, controller.variant), {})
+            batch = batches.setdefault(controller.variant, {})
             if key in self._cache or key in batch:
                 self.cache_hits += 1
                 continue

@@ -49,7 +49,6 @@ from voxevo.sim_core import (
     CONTACT_DAMPING,
     CONTACT_STIFFNESS,
     CORNER_MASS_PER_VOXEL,
-    DAMPING_RATIO,
     DIVERGENCE_LIMIT,
     DT,
     FRICTION_MU,
@@ -633,26 +632,6 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
     }
 
 
-def _reference_union(worlds: list[dict], morphologies: list[Morphology], terrain) -> WorldState:
-    """The disjoint union of worlds, each given as one part of rows, at
-    rest at their build-time lengths."""
-    tables, starts = _concatenate(worlds)
-    pos, mass, rest, k = tables["pos"], tables["mass"], tables["spring_rest"], tables["spring_k"]
-    m_avg = 0.5 * (mass[tables["spring_i"]] + mass[tables["spring_j"]])
-    return WorldState(
-        **tables,
-        vel=np.zeros_like(pos),
-        inv_mass=np.where(tables["pinned"], 0.0, 1.0 / mass),
-        spring_current_rest=rest.copy(),
-        spring_target_rest=rest.copy(),
-        spring_c=DAMPING_RATIO * 2.0 * np.sqrt(k * m_avg),
-        morphologies=morphologies,
-        clamped_actions=np.zeros(len(worlds), dtype=np.int64),
-        starts=starts,
-        terrain=terrain,
-    )
-
-
 def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
     """The bare compliant strip, flat: a 1-voxel-thick row of ``material``,
     top at y=0, pinned at both pad junctions, with its top chain ordered by
@@ -672,7 +651,8 @@ def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
 def reference_strip(span_start: int, span_end: int, material: int) -> WorldState:
     """The bare strip alone, flat, as the world the strip's static solve
     relaxes: a union of one with no robot and no terrain."""
-    return _reference_union([reference_strip_rows(span_start, span_end, material)], [], None)
+    tables, starts = _concatenate([reference_strip_rows(span_start, span_end, material)])
+    return WorldState(**tables, morphologies=[], starts=starts, terrain=None)
 
 
 def _reference_world_rows(morphology: Morphology, terrain) -> dict:
@@ -689,7 +669,7 @@ def _reference_world_rows(morphology: Morphology, terrain) -> dict:
     if terrain is None or terrain.kind != "bridge":
         return robot
     span = int(terrain.span_start), int(terrain.span_end), terrain.bridge_material
-    strip = dict(reference_strip_rows(*span), pos=sim_core._bridge_equilibrium(*span))
+    strip = dict(reference_strip_rows(*span), pos=sim_core._settled_strip(*span)["pos"])
     return _concatenate([robot, strip])[0]
 
 
@@ -699,7 +679,8 @@ def reference_build_worlds(morphologies, terrain) -> WorldState:
     offset."""
     morphologies = list(morphologies)
     rows = {m: _reference_world_rows(m, terrain) for m in dict.fromkeys(morphologies)}
-    return _reference_union([rows[m] for m in morphologies], morphologies, terrain)
+    tables, starts = _concatenate([rows[m] for m in morphologies])
+    return WorldState(**tables, morphologies=morphologies, starts=starts, terrain=terrain)
 
 
 # --- AFPO selection, brute force ---------------------------------------------

@@ -291,7 +291,7 @@ def test_generation_zero_result_is_initial_population():
 
 def test_best_ever_curve_monotone():
     res = evolve(small_config(generations=30), HashEvaluator())
-    curve = np.maximum.accumulate(res.best_curve())
+    curve = np.maximum.accumulate([s.best_fitness for s in res.stats])
     assert np.all(np.diff(curve) >= 0)
     assert res.champion.fitness == pytest.approx(curve[-1])
 

@@ -186,7 +186,8 @@ def test_the_bare_strip_builds_as_the_reference():
     # the strip the static solve relaxes: a one-row body's rows, pinned at
     # both ends, with its top chain, alone and on no terrain
     span = int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC
-    strip = sim_core._union(*sim_core._strip_rows(*span), [], None)
+    tables, starts = sim_core._strip_rows(*span)
+    strip = sim_core.WorldState(**tables, morphologies=[], starts=starts, terrain=None)
     assert_same_state(strip, reference_strip(*span))
 
 
@@ -270,6 +271,23 @@ def test_two_first_builds_at_once_step_to_the_same_bytes(tmp_path):
     here = hashlib.sha256(w.pos.tobytes() + w.vel.tobytes()).hexdigest()
     assert [out.strip() for out, _ in outputs] == [here, here]
     assert [path.suffix for path in cache.iterdir()] == [".so"]
+
+
+def test_a_build_removes_the_libraries_it_replaces(tmp_path, monkeypatch):
+    # the libraries of older sources or flags go once the new one is in
+    # place, so the cache holds one library; another builder's half-written
+    # file is left alone
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = ["_kernel-0000000000000000.so", "_kernel-1111111111111111.so"]
+    partial = "_kernel-2222222222222222.abc123.partial"
+    for name in (*stale, partial):
+        (cache / name).write_bytes(b"stale")
+    monkeypatch.setattr(sim_core, "_KERNEL_DIR", cache)
+    assert sim_core._load_kernel().vx_run
+    built = [path.name for path in cache.glob("*.so")]
+    assert len(built) == 1 and built[0] not in stale
+    assert sorted(path.name for path in cache.iterdir()) == sorted([*built, partial])
 
 
 def test_a_missing_compiler_is_an_error_that_names_it(tmp_path, monkeypatch):

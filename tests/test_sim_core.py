@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from voxevo import sim_core
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import (
     ACTUATION_RATE,
@@ -78,6 +80,14 @@ POINTS_INTO = {
     "actuator_springs": "spring",
     "bridge_top": "mass",
 }
+
+
+def test_a_state_is_made_from_the_builder_tables_alone():
+    # a state takes every table the builder fills and derives every other
+    # column, so no builder table can be left out of a state
+    made_from = {f.name for f in dataclasses.fields(sim_core.WorldState) if f.init}
+    tables = {name for kind in sim_core._ROW_TABLES.values() for name in kind}
+    assert made_from == tables | {"morphologies", "starts", "terrain", "sim_time", "controller"}
 
 
 @pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])

@@ -26,7 +26,7 @@ from voxevo.materials import ELASTIC
 from voxevo.sim_core import (
     GRAVITY,
     STEPS_PER_ACTION,
-    _bridge_equilibrium,
+    _settled_strip,
     build_world,
     build_worlds,
     net_forces,
@@ -222,11 +222,11 @@ def test_bridge_strip_starts_at_rest():
 def test_bridge_strip_is_kernel_independent():
     # the strip solve calls no BLAS, so another OpenBLAS kernel, in a fresh
     # process, settles the strip to the same bytes
-    script = f"import sys; from voxevo.sim_core import _bridge_equilibrium as e; print(e(8, 52, {ELASTIC}).tobytes().hex())"
+    script = f"import sys; from voxevo.sim_core import _settled_strip as e; print(e(8, 52, {ELASTIC})['pos'].tobytes().hex())"
     src = str(Path(voxevo.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert bytes.fromhex(done.stdout.strip()) == _bridge_equilibrium(8, 52, ELASTIC).tobytes()
+    assert bytes.fromhex(done.stdout.strip()) == _settled_strip(8, 52, ELASTIC)["pos"].tobytes()
 
 
 def test_bridge_anchors_never_move():
@@ -284,8 +284,8 @@ def test_evaluator_scores_match_single_episodes(rng, flat):
 
 
 def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
-    # one run_episodes batch per (body shape, controller variant); each score
-    # equals the pair's own episode
+    # one run_episodes batch per controller variant, whatever the body
+    # shapes; each score equals the pair's own episode
     pairs = [
         (random_morphology(h, h, rng), init_controller(variant, rng))
         for h, variant in [(4, "fixed"), (5, "modular"), (4, "fixed"), (5, "fixed"), (5, "modular"), (3, "fixed")]
@@ -303,30 +303,29 @@ def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
     monkeypatch.setattr(voxevo.tasks, "run_episodes", recording)
     ev = EpisodeEvaluator(flat)
     assert ev.fitness_many(pairs) == alone
-    assert sorted(batches) == [
-        [((3, 3), "fixed")], [((4, 4), "fixed")], [((5, 5), "fixed")], [((5, 5), "modular")]
-    ]
+    assert sorted(batches) == [[((3, 3), "fixed"), ((4, 4), "fixed"), ((5, 5), "fixed")], [((5, 5), "modular")]]
     assert (ev.episodes_run, ev.cache_hits, ev.failures) == (6, 1, 0)
 
 
 def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
-    # an unexpected exception fails every episode of its batch, and only those
-    small = [(random_morphology(3, 3, rng), FIXED) for _ in range(3)]
-    large = [(random_morphology(4, 4, rng), FIXED) for _ in range(2)]
-    original = voxevo.tasks.build_worlds
+    # an unexpected exception fails every episode of its batch, and only
+    # those: here the fixed controllers' batch, of two body shapes
+    fixed = [(random_morphology(h, h, rng), FIXED) for h in (3, 4, 3)]
+    modular = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(2)]
+    original = voxevo.tasks.stack_controllers
 
-    def failing(morphologies, terrain):
-        if morphologies[0].h == 3:
+    def failing(genomes):
+        if genomes[0].variant == "fixed":
             raise RuntimeError("boom")
-        return original(morphologies, terrain)
+        return original(genomes)
 
-    monkeypatch.setattr(voxevo.tasks, "build_worlds", failing)
+    monkeypatch.setattr(voxevo.tasks, "stack_controllers", failing)
     ev = EpisodeEvaluator(flat)
-    fits = ev.fitness_many(small + large)
-    assert ev.failures == len(set(small))
-    assert fits[: len(small)] == [compute_fitness(0.0, False, T_MAX)] * len(small)
+    fits = ev.fitness_many(fixed + modular)
+    assert ev.failures == len(fixed)
+    assert fits[: len(fixed)] == [compute_fitness(0.0, False, T_MAX)] * len(fixed)
     monkeypatch.undo()
-    assert fits[len(small) :] == [run_episode(m, c, flat).fitness for m, c in large]
+    assert fits[len(fixed) :] == [run_episode(m, c, flat).fitness for m, c in modular]
 
 
 def test_evaluator_survives_bad_individual(flat):
@@ -649,8 +648,19 @@ def test_empty_batch_runs_no_episode(flat):
 
 
 def test_batch_rejects_mixed_shapes_and_variants(rng, flat):
+    # a batch holds one controller variant; its body shapes may differ
+    # (test_a_batch_may_mix_body_shapes)
     body = random_morphology(4, 4, rng)
     with pytest.raises(ValueError):
-        run_episodes([(body, FIXED), (random_morphology(5, 5, rng), FIXED)], flat)
-    with pytest.raises(ValueError):
         run_episodes([(body, FIXED), (body, init_controller("modular", rng))], flat)
+
+
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+@pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
+def test_a_batch_may_mix_body_shapes(rng, environment, variant):
+    # seven shapes, from a 1x4 row to a full 7x7 grid, in one batch: every
+    # world's result is its episode alone, bit for bit
+    terrain = terrain_by_name(environment, (7, 7))
+    shapes = [(1, 4), (2, 5), (3, 3), (4, 6), (5, 5), (6, 2), (7, 7)]
+    pairs = [(random_morphology(h, w, rng), init_controller(variant, rng)) for h, w in shapes]
+    assert _bits(run_episodes(pairs, terrain)) == _bits([run_episode(m, c, terrain) for m, c in pairs])
