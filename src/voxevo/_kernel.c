@@ -14,9 +14,18 @@
  * arrays and into the tables derived from them, its sizes and the engine's
  * constants, built once per state by sim_core._kernel_table. The network's
  * functions (vx_presum, vx_mlp) take a batch's Brain, and its control step
- * (vx_act) both; the builder's take a Builder. The arithmetic is numpy's,
- * operation for operation and in the same order, so every trajectory keeps
- * its bits:
+ * (vx_act) both; the builder's take a Builder. Python declares none of
+ * these a second time: it reads them from this file's text, comments left
+ * out. A struct it fills is a "typedef struct { ... } Name;" in which every
+ * declaration is "[const] type a, b;" with type int64_t or double, or
+ * "[const] type *a, *b;" with any type; it mirrors the struct field for
+ * field (sim_core._struct), and points a field only at a C-contiguous array
+ * of the type it points to (sim_core._point). A function it calls is
+ * defined on a line that begins "[VX_CLONES ]type vx_name(", its result
+ * void, int64_t or double and each parameter one name of those forms
+ * (sim_core._load_kernel). A field or parameter of another form fails the
+ * load. The arithmetic is numpy's, operation for operation and in the same
+ * order, so every trajectory keeps its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
  *    double operation at a time; the build flags forbid contraction into
  *    fused multiply-adds and any fast-math reassociation;

@@ -166,31 +166,16 @@ def _window_tables(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return gather, np.zeros((absent + 1, _DYNAMIC)), material
 
 
-class _ControllerTable(ctypes.Structure):
-    """A batch's controllers as the kernel sees them: the ``Brain`` of
-    ``_kernel.c``, field for field."""
-
-    _fields_ = (
-        [("fixed", ctypes.c_int64), ("rows", ctypes.c_int64)]
-        + [
-            (name, ctypes.c_void_p)
-            for name in (
-                "world", "w_material", "w_inputs", "b1", "w2", "b2", "pre", "inputs", "hidden", "actions", "gather",
-                "features",
-            )
-        ]
-    )
-
-
 class ControllerTable(NamedTuple):
     """A batch's controllers, built once for the kernel: the parameter rows,
     each active voxel's material pre-sums, its state's observation windows
     and the scratch a control step writes, the commands in
-    ``arrays["actions"]``. ``sim_core.advance`` takes it, and queries it on
-    every control step."""
+    ``arrays["actions"]``, and the kernel's ``Brain`` pointing into them,
+    as ``sim_core._struct`` reads it from ``_kernel.c``. ``sim_core.advance``
+    takes it, and queries it on every control step."""
 
     arrays: dict              # every array the table points into, held so that none is freed
-    table: _ControllerTable
+    table: ctypes.Structure   # the kernel's Brain
     address: int              # the table's address, what each kernel call takes
 
 
@@ -215,7 +200,8 @@ def _controller_table(variant: str, world: np.ndarray, params=None, material=Non
             inputs=np.zeros((rows, _INPUT_COLUMNS.size)),
             hidden=np.zeros((rows, HIDDEN_UNITS)),
         )
-    table = _ControllerTable(fixed=variant == "fixed", rows=rows, **sim_core._addresses(arrays))
+    table = sim_core._struct("Brain")(fixed=variant == "fixed", rows=rows)
+    sim_core._point(table, arrays)
     controllers = ControllerTable(arrays, table, ctypes.addressof(table))
     if variant == "modular":
         material = np.ascontiguousarray(material, dtype=np.float64)

@@ -153,21 +153,15 @@ class RunConfig:
 
         ``evolve`` passes the frozen body it trains, resolved once per run.
         Without one, the body named by ``freeze_body_path`` is read; that is
-        for callers outside a run, which hold only the config.
+        for callers outside a run, which hold only the config. Every field
+        is hashed but where the run writes and the body file's path, for
+        which the body's own hash stands.
         """
         if frozen_body is None and self.freeze_body_path is not None:
             frozen_body, _ = load_body_file(self.freeze_body_path)
-        payload = {
-            "environment": self.environment,
-            "height": self.height,
-            "width": self.width,
-            "controller": self.controller,
-            "generations": self.generations,
-            "population_size": self.population_size,
-            "seed": self.seed,
-            "checkpoint_interval": self.checkpoint_interval,
-            "freeze_body": None if frozen_body is None else hashlib.sha256(frozen_body.cells.tobytes()).hexdigest(),
-        }
+        payload = asdict(self)
+        del payload["output_dir"], payload["freeze_body_path"]
+        payload["freeze_body"] = None if frozen_body is None else hashlib.sha256(frozen_body.cells.tobytes()).hexdigest()
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

@@ -40,11 +40,15 @@ the kernel's own ``exp``, with no libm, numpy or BLAS call (``_kernel.c``
 sets them out). The system C compiler (``_COMPILER``) builds the kernel
 on first use with ``_CFLAGS``: ``-O2 -ffp-contract=off -fno-math-errno``
 and never ``-ffast-math`` or ``-march=native``, either of which could
-move bits. The library is cached in ``_KERNEL_DIR``,
-beside this file, under a name that carries a hash of the source and the
-flags, so a cache hit only hashes the source and loads the file. There is
-no fallback engine: a second step path would be a second set of numerics
-to keep equal, so a kernel that cannot be built is an error that names the
+move bits. The library is cached in ``_KERNEL_DIR``, beside this file,
+under a name that carries a hash of the source and the flags, so a cache
+hit only hashes the source and loads the file. Python declares none of
+the kernel's interface a second time: each struct it fills (``_struct``)
+and each function's types (``_load_kernel``) are read from ``_kernel.c``'s
+text, read once per process, and a struct's pointers are bound only to
+C-contiguous arrays of the C type they point to (``_point``). There is no
+fallback engine: a second step path would be a second set of numerics to
+keep equal, so a kernel that cannot be built is an error that names the
 compiler, the cache directory and the compiler's complaint.
 """
 
@@ -55,6 +59,7 @@ import ctypes
 import hashlib
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -114,54 +119,64 @@ _COMPILER = "cc"
 # negative operand, which nothing reads.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
-
-# Every function the kernel exports: its name, its result type, and the
-# types of its arguments after the first, which is a table's address
-_EXPORTS = (
-    ("vx_forces", None, [ctypes.c_int64, ctypes.c_int64]),
-    ("vx_set_targets", None, [ctypes.c_void_p]),
-    ("vx_run", ctypes.c_int64, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double]),
-    ("vx_fill_features", None, [ctypes.c_void_p]),
-    ("vx_act", None, [ctypes.c_void_p, ctypes.c_int64]),
-    ("vx_presum", None, [ctypes.c_void_p]),
-    ("vx_mlp", None, []),
-    ("vx_count", None, []),
-    ("vx_build", None, []),
-)
+# The kernel's scalar C types, and the numpy dtypes that each C type a
+# pointer may point to accepts
+_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+_POINTEES = {
+    "double": (np.dtype(np.float64),),
+    "int64_t": (np.dtype(np.int64),),
+    "int8_t": (np.dtype(np.int8),),
+    "uint8_t": (np.dtype(np.uint8), np.dtype(np.bool_)),
+}
 
 
 class KernelBuildError(RuntimeError):
     """The compiled kernel could not be built."""
 
 
-class _Table(ctypes.Structure):
-    """A WorldState as the kernel sees it: the ``Table`` of ``_kernel.c``,
-    field for field. ``_kernel_table`` fills it."""
+@lru_cache(maxsize=None)
+def _kernel_source() -> tuple[bytes, str]:
+    """``_kernel.c``'s bytes, read once per process, and its text without
+    comments, from which its interface is read."""
+    source = _KERNEL_SOURCE.read_bytes()
+    return source, re.sub(r"/\*.*?\*/", "", source.decode(), flags=re.S)
 
-    _fields_ = (
-        [
-            (name, ctypes.c_int64)
-            for name in (
-                "masses", "springs", "robots", "worlds", "chain", "edges", "diagonals", "terrain",
-                "actuators", "voxels", "steps_per_action",
+
+def _declared(declaration: str, owner: str) -> list[tuple[str, type, str]]:
+    """Each name that one C declaration of ``owner``'s, ``[const] type name``
+    or ``[const] type *name`` with more names after commas, declares: with
+    its ctypes type, ``c_void_p`` for any pointer, and its C type, the one
+    it points to for a pointer. Any other form is an error."""
+    match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(\*?\s*\w+\s*(?:,\s*\*?\s*\w+\s*)*)", declaration)
+    names = re.findall(r"(\*?)\s*(\w+)", match[2]) if match else []
+    if not names or not all(star or match[1] in _SCALARS for star, _ in names):
+        raise TypeError(f"_kernel.c's {owner} declares `{' '.join(declaration.split())}`, which Python cannot mirror")
+    return [(name, ctypes.c_void_p if star else _SCALARS[match[1]], match[1]) for star, name in names]
+
+
+@lru_cache(maxsize=None)
+def _struct(name: str) -> type:
+    """``_kernel.c``'s ``typedef struct {...} name;`` as a ctypes structure,
+    field for field, with the C type that each pointer field points to in
+    its ``pointees``; ``_point`` binds those fields."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", _kernel_source()[1]).group(1)
+    members = [member for declaration in filter(str.strip, body.split(";")) for member in _declared(declaration, name)]
+    pointees = {member: base for member, ctype, base in members if ctype is ctypes.c_void_p}
+    return type(name, (ctypes.Structure,), {"_fields_": [member[:2] for member in members], "pointees": pointees})
+
+
+def _point(struct: ctypes.Structure, arrays: dict) -> None:
+    """Point each of ``struct``'s pointer fields named in ``arrays`` at its
+    array's data. An array must be C-contiguous, of a dtype that the C type
+    the field points to accepts (``_POINTEES``); any other is a TypeError."""
+    pointees = type(struct).pointees
+    for name, array in arrays.items():
+        if array.dtype not in _POINTEES.get(pointees[name], ()) or not array.flags.c_contiguous:
+            raise TypeError(
+                f"the kernel's {type(struct).__name__}.{name} points to {pointees[name]}: it needs a C-contiguous "
+                f"array of that type, not a{'' if array.flags.c_contiguous else ' strided'} {array.dtype} one"
             )
-        ]
-        + [
-            (name, ctypes.c_double)
-            for name in ("dt", "stiffness", "damping", "mu", "limit", "span_start", "span_end", "action_low", "action_high")
-        ]
-        + [
-            (name, ctypes.c_void_p)
-            for name in (
-                "pos", "vel", "rest", "target", "clamped_actions", "mass", "inv_mass",
-                "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
-                "edge_ids", "edge_limit", "edge_slot", "edge_count", "act_world", "vox_corners", "diagonal_sides",
-                "diagonal_ids", "robot_ids", "robot_world", "bridge_top", "mass_starts",
-                "end_starts", "ends", "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
-                "diverged", "blown", "contact_ids", "contact_w", "clamped", "sums",
-            )
-        ]
-    )
+        setattr(struct, name, array.ctypes.data)
 
 
 @dataclass
@@ -236,7 +251,7 @@ class WorldState:
     # only it reads and its scratch rows included: held here, so none is
     # freed while it is in use
     kernel_arrays: dict = field(init=False, repr=False)
-    kernel_table: _Table = field(init=False, repr=False)
+    kernel_table: ctypes.Structure = field(init=False, repr=False)  # the kernel's Table
     kernel_address: int = field(init=False, repr=False)         # the table's address, what each kernel call takes
 
     def __post_init__(self):
@@ -295,8 +310,8 @@ class WorldState:
 
 # The row tables of a world by the kind of row they run over, each with the
 # dtype of its rows (a sub-array dtype makes a 2-D table): the kinds of
-# ``WorldState.starts`` and the tables of the kernel's ``Builder``, in its
-# order
+# ``WorldState.starts``, in the order of ``_kernel.c``'s kinds of row, and
+# the tables of its ``Builder``
 _ROW_TABLES = {
     "mass": {"pos": (np.float64, 2), "mass": np.float64, "pinned": np.bool_, "is_robot": np.bool_},
     "spring": {"spring_i": np.int64, "spring_j": np.int64, "spring_k": np.float64, "spring_rest": np.float64},
@@ -314,26 +329,6 @@ _ROW_TABLES = {
 _PART_TABLES = ("pos", "mass", "pinned", "spring_i", "spring_j", "spring_k", "spring_rest", "bridge_top")
 # edge stiffness by material code; zero for empty cells, which make no springs
 _EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
-
-
-class _Builder(ctypes.Structure):
-    """A batch's bodies and its union's tables as the kernel's builder sees
-    them: the ``Builder`` of ``_kernel.c``, field for field."""
-
-    _fields_ = (
-        [
-            (name, ctypes.c_int64)
-            for name in ("h", "w", "worlds", "part_masses", "part_springs", "part_top", "actuator_h", "actuator_v")
-        ]
-        + [(name, ctypes.c_double) for name in ("left", "ground", "shear", "corner_mass")]
-        + [
-            (name, ctypes.c_void_p)
-            for name in (
-                "cells", "grid", "stiffness", *(f"part_{name}" for name in _PART_TABLES), "scratch", "starts",
-                *(name for tables in _ROW_TABLES.values() for name in tables),
-            )
-        ]
-    )
 
 
 def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None = None) -> tuple[dict, dict]:
@@ -357,7 +352,7 @@ def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None
     }
     if part is not None:
         arrays.update((f"part_{name}", part[name]) for name in _PART_TABLES)
-    builder = _Builder(
+    builder = _struct("Builder")(
         h=h,
         w=w,
         worlds=grid.size,
@@ -370,15 +365,16 @@ def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None
         ground=ground,
         shear=materials.SHEAR_STIFFNESS_FACTOR,
         corner_mass=CORNER_MASS_PER_VOXEL,
-        **{name: array.ctypes.data for name, array in arrays.items()},
     )
+    _point(builder, arrays)
     kernel = _kernel()
     kernel.vx_count(ctypes.byref(builder))
-    tables = {}
-    for kind_tables, size in zip(_ROW_TABLES.values(), starts[:, -1].tolist()):
-        for name, dtype in kind_tables.items():
-            tables[name] = np.empty(size, dtype=dtype)
-            setattr(builder, name, tables[name].ctypes.data)
+    tables = {
+        name: np.empty(size, dtype=dtype)
+        for kind_tables, size in zip(_ROW_TABLES.values(), starts[:, -1].tolist())
+        for name, dtype in kind_tables.items()
+    }
+    _point(builder, tables)
     kernel.vx_build(ctypes.byref(builder))
     return tables, dict(zip(_ROW_TABLES, starts))
 
@@ -496,16 +492,7 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _addresses(arrays: dict) -> dict:
-    """Each array's data address, by name, for a kernel pointer table; every
-    array must be C-contiguous float64 or int64, as the kernel reads it."""
-    for name, array in arrays.items():
-        if array.dtype not in (np.float64, np.int64) or not array.flags.c_contiguous:
-            raise TypeError(f"the kernel needs {name} as contiguous float64 or int64, not {array.dtype}")
-    return {name: array.ctypes.data for name, array in arrays.items()}
-
-
-def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
+def _kernel_table(state: WorldState) -> tuple[dict, ctypes.Structure]:
     """The arrays the kernel reads and writes, by their ``Table`` names: the
     state's, the tables that only the kernel reads, derived here, and the
     kernel's scratch rows; and the kernel's pointer table into them, with
@@ -571,7 +558,7 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
     }
     terrain = state.terrain
     bridge = terrain is not None and terrain.kind == "bridge"
-    return arrays, _Table(
+    table = _struct("Table")(
         masses=n,
         springs=s,
         robots=robots,
@@ -592,8 +579,9 @@ def _kernel_table(state: WorldState) -> tuple[dict, _Table]:
         span_end=terrain.span_end if bridge else 0.0,
         action_low=ACTION_LOW,
         action_high=ACTION_HIGH,
-        **_addresses(arrays),
     )
+    _point(table, arrays)
+    return arrays, table
 
 
 def _build_kernel(path: Path) -> None:
@@ -634,16 +622,22 @@ def _load_kernel() -> ctypes.CDLL:
 
     Its file name carries a hash of the source and the flags, so a hit
     starts no process: it hashes the source, finds the file and loads it.
+    Every ``vx_*`` function has its types declared from its definition, and
+    every struct is read, so a declaration that Python cannot mirror fails
+    the load (``_kernel.c``'s header sets out the forms it reads).
     """
-    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    source, code = _kernel_source()
+    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     path = _KERNEL_DIR / f"_kernel-{tag}.so"
     if not path.exists():
         _build_kernel(path)
     lib = ctypes.CDLL(str(path))
-    for name, restype, extra in _EXPORTS:
+    for result, name, parameters in re.findall(r"^(?:VX_CLONES )?(\w+) (vx_\w+)\(([^)]*)\)", code, flags=re.M):
         function = getattr(lib, name)
-        function.argtypes = [ctypes.c_void_p, *extra]
-        function.restype = restype
+        function.argtypes = [ctype for parameter in parameters.split(",") for _, ctype, _ in _declared(parameter, name)]
+        function.restype = None if result == "void" else _declared(f"{result} {name}", name)[0][1]
+    for name in re.findall(r"typedef struct \{[^}]*\} (\w+);", code):
+        _struct(name)  # every struct is read now, so a declaration Python cannot mirror fails the load
     return lib
 
 

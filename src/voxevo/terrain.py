@@ -43,6 +43,10 @@ class TerrainSpec:
                 raise ValueError("bridge terrain requires span_start and span_end")
             if not (0 <= self.span_start < self.span_end <= self.total_length):
                 raise ValueError("bridge span must lie inside the course")
+            if not (float(self.span_start).is_integer() and float(self.span_end).is_integer()):
+                raise ValueError("bridge span must start and end on whole voxels: its strip is built of unit voxels")
+            if self.bridge_material not in materials.EDGE_STIFFNESS:
+                raise ValueError(f"bridge_material must be a voxel material, one of {sorted(materials.EDGE_STIFFNESS)}")
 
 
 def make_flat_terrain(morphology_space: tuple[int, int] = (5, 5)) -> TerrainSpec:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -534,6 +535,19 @@ def test_fingerprint_sensitive_to_fields():
     assert small_config(seed=5).fingerprint() != base
     assert small_config(controller="modular").fingerprint() != base
     assert small_config().fingerprint() == base
+
+
+def test_fingerprint_covers_every_field_but_where_the_run_writes(tmp_path):
+    # built from the config's own fields, so a field added later cannot be
+    # left out; the default config's digest names its cached desk run, so
+    # its bytes are pinned
+    base = RunConfig()
+    assert base.fingerprint().startswith("45e45bc80338a1d1")
+    for f in fields(RunConfig):
+        if f.name not in ("output_dir", "freeze_body_path"):
+            other = f.default + 1 if isinstance(f.default, int) else f"{f.default}-other"
+            assert replace(base, **{f.name: other}).fingerprint() != base.fingerprint(), f.name
+    assert replace(base, output_dir=str(tmp_path)).fingerprint() == base.fingerprint()
 
 
 def test_frozen_body_population(rng):

@@ -1,5 +1,6 @@
 """The compiled step and world builder against their numpy references, the
-kernel's build, its memory safety, and its independence of the CPU.
+kernel's build, its interface as Python reads it, its memory safety, and its
+independence of the CPU.
 
 ``sim_core.step`` is one call into ``_kernel.c``; ``oracles.reference_step``
 is the same step in numpy, and ``oracles.reference_set_actuation_targets``
@@ -10,7 +11,9 @@ make every array ``oracles.reference_build_worlds`` makes, byte for byte.
 Built with AddressSanitizer, the kernel must build and run unions without
 one invalid access. The modular digests must hold under another OpenBLAS
 kernel and with numpy's SIMD dispatch cut down, and every golden digest in
-the kernel's baseline clones.
+the kernel's baseline clones. The structs that Python reads from
+``_kernel.c`` must have the compiler's layout, and every function the
+library exports must have its types declared.
 """
 
 import ctypes
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 import voxevo
-from voxevo import control, sim_core
+from voxevo import sim_core
 from voxevo.control import compute_actions, controller_table, init_controller, stack_controllers
 from voxevo.materials import ELASTIC
 from voxevo.morphology import Morphology, random_morphology
@@ -337,45 +340,79 @@ def test_the_kernel_compiles_without_warnings(tmp_path, cflags):
     assert done.stderr == ""
 
 
-# each ctypes field type by the kind of C field it mirrors
-KINDS = {ctypes.c_int64: "int64", ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+STRUCTS = ("Table", "Brain", "Builder")
 
 
-def kernel_source() -> str:
-    """``_kernel.c`` without its comments."""
-    return re.sub(r"/\*.*?\*/", "", sim_core._KERNEL_SOURCE.read_text(), flags=re.S)
+@pytest.fixture(scope="module")
+def compiled_layout(tmp_path_factory) -> dict:
+    """Each kernel struct's layout as the compiler lays it out: its size,
+    then each field's name, offset and kind (int64, double or pointer), in
+    the order of ``sim_core._struct``'s mirror. A probe built by
+    ``_COMPILER`` includes ``_kernel.c`` and prints them."""
+    lines = []
+    for name in STRUCTS:
+        lines.append(f'printf("{name} %zu\\n", sizeof({name}));')
+        for field, _ in sim_core._struct(name)._fields_:
+            kind = f'_Generic((({name} *)0)->{field}, int64_t: "int64", double: "double", default: "pointer")'
+            lines.append(f'printf("{name} {field} %zu %s\\n", offsetof({name}, {field}), {kind});')
+    directory = tmp_path_factory.mktemp("layout")
+    probe = directory / "probe.c"
+    probe.write_text(
+        f'#include <stddef.h>\n#include <stdio.h>\n#include "{sim_core._KERNEL_SOURCE}"\n'
+        "int main(void)\n{\n" + "\n".join(lines) + "\nreturn 0;\n}\n"
+    )
+    command = [sim_core._COMPILER, "-o", str(directory / "probe"), str(probe), "-lm"]
+    built = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    printed = subprocess.run([str(directory / "probe")], capture_output=True, text=True, timeout=60, check=True)
+    layout = {name: [] for name in STRUCTS}
+    for line in printed.stdout.splitlines():
+        name, *rest = line.split()
+        layout[name].append(rest)
+    return layout
 
 
-def kernel_struct(name: str) -> list[tuple[str, str]]:
-    """The fields of ``_kernel.c``'s ``typedef struct {...} name;`` in their
-    order, each with its kind: int64, double or pointer."""
-    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", kernel_source()).group(1)
-    fields = []
-    for declaration in filter(str.strip, body.split(";")):
-        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", declaration, flags=re.S).groups()
-        for declarator in declarators.split(","):
-            star, field = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
-            fields.append((field, "pointer" if star else {"int64_t": "int64", "double": "double"}[base]))
-    return fields
-
-
-@pytest.mark.parametrize(
-    "struct, mirror",
-    [("Table", sim_core._Table), ("Brain", control._ControllerTable), ("Builder", sim_core._Builder)],
-    ids=["Table", "Brain", "Builder"],
-)
-def test_the_ctypes_mirrors_are_the_kernel_structs(struct, mirror):
+@pytest.mark.parametrize("struct", STRUCTS)
+def test_the_ctypes_mirrors_are_the_kernel_structs(struct, compiled_layout):
     # the kernel reads a table by the offsets of its C struct: a mirror
-    # that names, orders or types one field otherwise hands it another array
-    assert [(name, KINDS[ctype]) for name, ctype in mirror._fields_] == kernel_struct(struct)
+    # that names, orders, types or places one field otherwise hands it
+    # another array
+    mirror = sim_core._struct(struct)
+    kinds = {ctypes.c_int64: "int64", ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+    expected = [[str(ctypes.sizeof(mirror))]]
+    expected += [[field, str(getattr(mirror, field).offset), kinds[ctype]] for field, ctype in mirror._fields_]
+    assert compiled_layout[struct] == expected
 
 
 def test_the_loader_declares_every_kernel_export():
-    # every function the kernel exports, cloned or not, and nothing else,
-    # has its argument and result types declared when the kernel loads
-    exported = re.findall(r"^(?:VX_CLONES\s+)?\w+\s+(vx_\w+)\(", kernel_source(), flags=re.M)
-    assert len(exported) == len(set(exported))
-    assert sorted(exported) == sorted(name for name, _, _ in sim_core._EXPORTS)
+    # every function the library exports, cloned or not, has its argument
+    # and result types declared when the kernel loads
+    lib = sim_core._kernel()
+    listed = subprocess.run(["nm", "-D", "--defined-only", lib._name], capture_output=True, text=True, timeout=60)
+    exported = re.findall(r" [Ti] (vx_\w+)$", listed.stdout, flags=re.M)
+    assert len(exported) == len(set(exported)) == 9
+    assert [name for name in exported if getattr(lib, name).argtypes is None] == []
+
+
+def test_a_struct_declaration_python_cannot_mirror_fails(monkeypatch):
+    # a field of a type or form that the parser does not map is an error
+    # naming the struct and the declaration, never a guessed layout
+    source = "typedef struct {\n    int64_t rows;\n    float  weights[4];\n} Odd;\n"
+    monkeypatch.setattr(sim_core, "_kernel_source", lambda: (source.encode(), source))
+    with pytest.raises(TypeError, match=r"Odd declares `float weights\[4\]`"):
+        sim_core._struct.__wrapped__("Odd")
+
+
+@pytest.mark.parametrize(
+    "field, array",
+    [("spring_i", np.zeros(4)), ("pos", np.zeros((4, 2), dtype=bool)), ("pos", np.zeros((4, 4))[:, ::2])],
+    ids=["float64-in-int64_t", "bool-in-double", "strided"],
+)
+def test_the_binder_refuses_an_array_the_kernel_would_misread(field, array):
+    table = sim_core._struct("Table")()
+    with pytest.raises(TypeError, match=f"Table.{field} points to"):
+        sim_core._point(table, {field: array})
+    assert getattr(table, field) is None  # nothing was bound
 
 
 # --- the kernel on every CPU -------------------------------------------------

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from voxevo.control import (
     unpack_params,
 )
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
-from voxevo.materials import ELASTIC
+from voxevo.materials import ELASTIC, RIGID
 from voxevo.sim_core import (
     GRAVITY,
     STEPS_PER_ACTION,
@@ -104,6 +105,24 @@ def test_bridge_terrain_constants():
 def test_bridge_rejects_oversized_body():
     with pytest.raises(ValueError):
         make_bridge_terrain((9, 9))
+
+
+@pytest.mark.parametrize("span", [(8.5, 51.7), (8.0, 51.5)], ids=["both-ends", "one-end"])
+def test_bridge_span_ends_on_whole_voxels(span):
+    # the strip is built one voxel per unit and pinned at its ends: a span
+    # of 8.5-51.7 would be built and pinned from 8 to 51, but contacted
+    # from 8.5 to 51.7
+    with pytest.raises(ValueError, match="whole voxels"):
+        replace(make_bridge_terrain(), span_start=span[0], span_end=span[1])
+
+
+@pytest.mark.parametrize("material", [0, 5, 7])
+def test_bridge_material_is_a_voxel_material(material):
+    # the kernel reads the strip's stiffness by material code: code 7 reads
+    # past its table, and empty code 0 builds no strip at all
+    with pytest.raises(ValueError, match="bridge_material"):
+        replace(make_bridge_terrain(), bridge_material=material)
+    assert replace(make_bridge_terrain(), bridge_material=RIGID).bridge_material == RIGID
 
 
 def test_terrain_by_name():
