@@ -10,6 +10,12 @@
  * batch's controller table: the fixed alternation, or the modular network
  * on the observations it fills (vx_act).
  *
+ * The kernel keeps no mutable global state: its only file-scope data are
+ * static const tables, and a call writes only through the Table, Brain or
+ * Builder it is given and the arrays they point into. So calls on distinct
+ * Tables and Brains may run at once, each on its own thread; ctypes drops
+ * the GIL for every call, and tasks.run_episodes steps one union per CPU so.
+ *
  * The step's functions take one Table: pointers into a WorldState's numpy
  * arrays and into the tables derived from them, its sizes and the engine's
  * constants, built once per state by sim_core._kernel_table. The network's

@@ -29,8 +29,10 @@ bodies, allocates those tables and makes each state from them alone
 only the kernel reads with each state's pointer table (``_kernel_table``),
 builds each batch's controller table, with its state's observation
 windows, solves the strip's statics once per span, parks worlds and
-keeps each episode's books (``tasks.run_episodes``). The kernel does
-numpy's operations in numpy's order, so the physics and the built tables
+keeps each episode's books (``tasks.run_episodes``, which runs a batch as
+one union per CPU, all at once: the kernel keeps no mutable global state,
+and a call into it holds no GIL). The kernel does numpy's operations in
+numpy's order, so the physics and the built tables
 give the bits the numpy code gave (``tests/oracles.py`` keeps that code
 as the reference it is tested against). Its step loops and the modular
 network are compiled twice, for AVX-512 and the baseline, and the CPU

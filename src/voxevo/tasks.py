@@ -10,12 +10,14 @@ constant offset that exactly cancels the maximum possible penalty.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sim_core
-from .control import ControllerGenome, compute_actions, controller_table, stack_controllers
+from .control import ControllerGenome, ControllerStack, compute_actions, controller_table, stack_controllers
 from .morphology import InvalidMorphologyError, Morphology, require_valid
 from .sim_core import KernelBuildError, build_world, build_worlds, set_actuation_targets
 from .terrain import (  # re-exported task surface
@@ -45,6 +47,10 @@ T_MAX = 500
 COMPLETION_BONUS = 1.0
 STEP_PENALTY = 0.01
 REWARD_OFFSET = 5.0  # = STEP_PENALTY * T_MAX, cancels the worst-case penalty
+
+# The CPUs this process may run on: a batch runs as at most this many
+# unions at once (run_episodes). ``taskset`` limits it.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -86,40 +92,80 @@ def run_episode(morphology: Morphology, controller: ControllerGenome, terrain: T
 def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     """Run one episode per (morphology, controller) pair, in lock-step.
 
-    All worlds are built at once, by ``build_worlds`` in the kernel, as one
-    disjoint-union world that takes every step, actuation and controller
-    call at once; pairs that share a body get identical rows. The bodies
-    may differ in shape; the pairs must share one controller variant.
-    The episode runs in the compiled kernel, one ``sim_core.advance`` call
-    per stretch, with the batch's controller table (``controller_table``)
-    queried at every control step inside it, whichever the variant. A
-    stretch stops on a step where a world can have ended: a divergence, the
-    last step, or a mass within a voxel of the finish line. Only there are
-    the centres of mass measured and the end tests run. A world that
-    crosses the finish line or diverges has its result recorded and is
-    then parked: it stays in the union, inert, until the last world ends.
-    Each world's result is bit for bit what it would be alone. The engine
-    is noise-free, so identical inputs always produce identical results. A
-    diverged simulation scores as unfinished with the full time penalty and
-    the displacement of its last valid step, where ``step`` leaves it.
+    The bodies may differ in shape; the pairs must share one controller
+    variant. Chunk ``i`` of ``k`` holds ``pairs[i::k]``: one chunk per CPU
+    the process may run on (``_CPUS``), at most one per pair. Each chunk is
+    built, by ``build_worlds`` in the kernel, as one disjoint-union world
+    with its controller table (``controller_table``); pairs that share a
+    body get identical rows. The batch is checked and every union built on
+    the calling thread; then the unions run at once (``_episodes``), chunk 0
+    on the calling thread and each other chunk on its own thread, as a
+    kernel call holds no GIL. On one CPU no thread starts. If a chunk
+    raises, the others still run to their end, and then the error of the
+    lowest-numbered chunk that raised is raised. Each world's result is bit
+    for bit its result alone, so the results, in pair order, do not depend
+    on ``k``; the engine is noise-free, so identical inputs always produce
+    identical results.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     for morphology, _ in pairs:
         require_valid(morphology)
-    state = build_worlds([morphology for morphology, _ in pairs], terrain)
-    controllers = controller_table(stack_controllers([controller for _, controller in pairs]), state)
-    start_x = state.robot_com_x()
+    stack = stack_controllers([controller for _, controller in pairs])
+    k = min(len(pairs), _CPUS)
+    chunks = []
+    for i in range(k):
+        state = build_worlds([morphology for morphology, _ in pairs[i::k]], terrain)
+        chunks.append((state, controller_table(ControllerStack(stack.variant, stack.params[i::k]), state)))
     results: list[EpisodeResult | None] = [None] * len(pairs)
-    running = np.ones(len(pairs), dtype=bool)
+    errors: list[BaseException | None] = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            results[i::k] = _episodes(*chunks[i], terrain)
+        except BaseException as error:  # raised on the calling thread, once every chunk has stopped
+            errors[i] = error
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def _episodes(state: sim_core.WorldState, controllers, terrain: TerrainSpec) -> list[EpisodeResult]:
+    """The episodes of a union's worlds, one ``sim_core.advance`` call per
+    stretch, with the controller table queried at every control step inside
+    it, whichever the variant. A stretch stops on a step where a world can
+    have ended: a divergence, the last step, or a mass within a voxel of the
+    finish line. Only there are the centres of mass measured and the end
+    tests run. A world that crosses the finish line or diverges has its
+    result recorded and is then parked: it stays in the union, inert, until
+    the last world ends. Each world's result is bit for bit what it would
+    be alone. A diverged simulation scores as unfinished with the full time
+    penalty and the displacement of its last valid step, where ``step``
+    leaves it.
+    """
+    worlds = state.num_worlds
+    start_x = state.robot_com_x()
+    results: list[EpisodeResult | None] = [None] * worlds
+    running = np.ones(worlds, dtype=bool)
     # a robot's centre of mass lies within its masses' x range, up to a
     # rounding error far below this one-voxel slack
     finish_reach = terrain.finish_x - 1.0
 
     while True:
         blown = sim_core.advance(state, T_MAX, finish_reach, controllers)
-        diverged = np.zeros(len(pairs), dtype=bool)
+        diverged = np.zeros(worlds, dtype=bool)
         diverged[blown] = True
         x = state.robot_com_x()
         finished = ~diverged & (x >= terrain.finish_x)
@@ -155,12 +201,14 @@ class EpisodeEvaluator:
 
     Deterministic episodes make caching exact: identical genomes share a
     fitness without re-simulation. The uncached genomes of one call run as
-    batches, one per controller variant, whatever their body shapes, and
+    batches, one per controller variant, whatever their body shapes, each
+    batch on every CPU the process may run on (``run_episodes``), and
     ``divergences`` counts the episodes that diverged. A failure scores no
     displacement and the full time penalty, and is counted in ``failures``
     instead of aborting the call: an invalid body fails alone, an
-    unexpected exception fails its whole batch. A kernel that cannot be
-    built is raised: it would fail every batch.
+    unexpected exception fails its whole batch, whichever of its unions
+    raised it. A kernel that cannot be built is raised: it would fail every
+    batch.
     """
 
     def __init__(self, terrain: TerrainSpec):

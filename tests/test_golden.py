@@ -6,7 +6,9 @@ generations, seed 7) and eight 500-step trajectories, one per setting (W5,
 B5, W7, B7) and controller. A trajectory digest is sha256 over the ``pos``
 and ``vel`` bytes after every step, rows in build order; its body and
 controller come from ``default_rng([size, 99])``. Run as the middle world of
-a 3-world union, the same world hashes to the same digest.
+a 3-world union, the same world hashes to the same digest, and the
+criterion-3 run writes the same bytes whether its batches run as one union
+or as one union per CPU.
 
 A change that moves them on purpose bumps ``ENGINE_VERSION``, regenerates
 ``.acceptance_cache/`` (``python tests/desk_runs.py``) and these digests,
@@ -30,6 +32,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import voxevo.tasks
 from voxevo.cli import main as cli_main
 from voxevo.control import compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
@@ -107,6 +110,14 @@ def test_criterion_3_generations_csv_digest(tmp_path):
     argv = ["evolve", "--env", "walker", "--size", "5x5", "--controller", "fixed"]
     assert cli_main(argv + ["--gens", "50", "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "generations.csv").read_bytes()).hexdigest() == CRITERION_3_CSV_SHA256
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_criterion_3_digest_does_not_depend_on_the_split(monkeypatch, tmp_path, cpus):
+    # each batch runs as one union per CPU at once, or as one union on one
+    # CPU: the run writes the same bytes
+    monkeypatch.setattr(voxevo.tasks, "_CPUS", cpus)
+    test_criterion_3_generations_csv_digest(tmp_path)
 
 
 if __name__ == "__main__":

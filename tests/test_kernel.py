@@ -9,9 +9,10 @@ middle world of a union, and each step must leave the same bytes in every
 array the step or the target setter writes. ``sim_core.build_worlds`` must
 make every array ``oracles.reference_build_worlds`` makes, byte for byte.
 Built with AddressSanitizer, the kernel must build and run unions without
-one invalid access. The modular digests must hold under another OpenBLAS
-kernel and with numpy's SIMD dispatch cut down, and every golden digest in
-the kernel's baseline clones. The structs that Python reads from
+one invalid access. Two unions advanced at once, on two threads, must end
+with the bytes they end with one after the other. The modular digests must
+hold under another OpenBLAS kernel and with numpy's SIMD dispatch cut down,
+and every golden digest in the kernel's baseline clones. The structs that Python reads from
 ``_kernel.c`` must have the compiler's layout, and every function the
 library exports must have its types declared.
 """
@@ -22,6 +23,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,43 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     assert len(named) == 1 and named[0][1] == [1]
     if np.isnan(fling):
         assert named[0][0] == 0
+
+
+def test_two_unions_advanced_at_once_end_as_one_after_the_other():
+    # the kernel keeps no mutable global state: two unions, each with its
+    # own controller table, advanced to T_MAX on two threads at once end
+    # with the bytes they end with when advanced one after the other
+    terrain = make_bridge_terrain((5, 5))
+    rng = np.random.default_rng([5, 26])
+    batches = [[(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(4)] for _ in range(2)]
+
+    def unions():
+        made = []
+        for pairs in batches:
+            state = build_worlds([m for m, _ in pairs], terrain)
+            made.append((state, controller_table(stack_controllers([c for _, c in pairs]), state)))
+        return made
+
+    alone = unions()
+    for state, controllers in alone:
+        sim_core.advance(state, T_MAX, controller=controllers)
+    together = unions()
+    barrier = threading.Barrier(len(together), timeout=60)
+
+    def advance(state, controllers):
+        barrier.wait()
+        sim_core.advance(state, T_MAX, controller=controllers)
+
+    threads = [threading.Thread(target=advance, args=union) for union in together]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [state.sim_time for state, _ in together + alone] == [T_MAX] * 4
+    for (state, _), (reference, _) in zip(together, alone):
+        assert state.pos.tobytes() == reference.pos.tobytes()
+        assert state.vel.tobytes() == reference.vel.tobytes()
 
 
 # --- building worlds ------------------------------------------------------------

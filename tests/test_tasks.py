@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,18 +390,25 @@ def test_batch_with_early_finishers_matches_single_episodes():
     assert run_episodes(pairs, terrain) == alone
 
 
+def spoil(monkeypatch, doomed, velocity, axis=slice(None)):
+    """Make every union built for a batch start the worlds of the body
+    ``doomed``, the object, with ``velocity`` along ``axis``, in whichever
+    of the batch's unions holds them."""
+    original = voxevo.tasks.build_worlds
+
+    def spoiled(morphologies, terrain):
+        union = original(morphologies, terrain)
+        worlds = [w for w, m in enumerate(morphologies) if m is doomed]
+        union.vel[np.isin(union.mass_world, worlds), axis] = velocity
+        return union
+
+    monkeypatch.setattr(voxevo.tasks, "build_worlds", spoiled)
+
+
 def test_diverging_world_leaves_the_others_untouched(monkeypatch, rng, flat):
     pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
     alone = [run_episode(m, c, flat) for m, c in pairs]
-    doomed = pairs[2][0]
-    original = voxevo.tasks.build_worlds
-
-    def exploding(morphologies, terrain):
-        union = original(morphologies, terrain)
-        union.vel[union.mass_world == morphologies.index(doomed)] = 1e9
-        return union
-
-    monkeypatch.setattr(voxevo.tasks, "build_worlds", exploding)
+    spoil(monkeypatch, pairs[2][0], 1e9)
     batch = run_episodes(pairs, flat)
     assert batch[2].diverged and batch[2].steps_used == T_MAX and batch[2].delta_px == 0.0
     assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
@@ -410,15 +418,7 @@ def test_evaluator_counts_divergences(monkeypatch, rng, flat):
     # a flung world diverges: it is counted, keeps the displacement of its
     # last valid step, and is no failure
     pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(3)]
-    doomed = pairs[1][0]
-    original = voxevo.tasks.build_worlds
-
-    def flung(morphologies, terrain):
-        union = original(morphologies, terrain)
-        union.vel[union.mass_world == morphologies.index(doomed), 0] = -2e6
-        return union
-
-    monkeypatch.setattr(voxevo.tasks, "build_worlds", flung)
+    spoil(monkeypatch, pairs[1][0], -2e6, 0)
     ev = EpisodeEvaluator(flat)
     fits = ev.fitness_many(pairs)
     assert ev.divergences == 1 and ev.failures == 0
@@ -466,15 +466,7 @@ def test_episode_loop_matches_the_reference_on_a_mid_episode_divergence(monkeypa
     # after about 100 steps: it scores from its centre of mass one step
     # before, and the other worlds carry on untouched
     pairs = [(random_morphology(5, 5, rng), init_controller("modular", rng)) for _ in range(5)]
-    doomed = pairs[2][0]
-    original = voxevo.tasks.build_worlds
-
-    def flung(morphologies, terrain):
-        union = original(morphologies, terrain)
-        union.vel[union.mass_world == morphologies.index(doomed), 0] = -2e6
-        return union
-
-    monkeypatch.setattr(voxevo.tasks, "build_worlds", flung)
+    spoil(monkeypatch, pairs[2][0], -2e6, 0)
     batch = run_episodes(pairs, flat)
     assert batch[2].diverged and batch[2].delta_px < -9e5
     assert _bits(batch) == _bits(reference_episodes(pairs, flat))
@@ -486,14 +478,7 @@ def test_episode_loop_matches_the_reference_on_a_nan_velocity(monkeypatch, rng, 
     # parked; its NaN commands leave nothing behind, and the others carry on
     pairs = [(random_morphology(5, 5, rng), init_controller(variant, rng)) for _ in range(3)]
     alone = [run_episode(m, c, flat) for m, c in pairs]
-    original = voxevo.tasks.build_worlds
-
-    def spoiled(morphologies, terrain):
-        union = original(morphologies, terrain)
-        union.vel[union.mass_world == 1] = np.nan
-        return union
-
-    monkeypatch.setattr(voxevo.tasks, "build_worlds", spoiled)
+    spoil(monkeypatch, pairs[1][0], np.nan)
     batch = run_episodes(pairs, flat)
     assert batch[1].diverged and batch[1].delta_px == 0.0 and batch[1].steps_used == T_MAX
     assert [batch[0], batch[2]] == [alone[0], alone[2]]
@@ -634,7 +619,8 @@ def test_batch_builds_each_distinct_body_once(rng, flat):
 
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
 def test_batch_makes_one_state(monkeypatch, rng, environment):
-    # the batch's union is the only state made: no world is built alone
+    # the batch's unions, one per chunk, are the only states made: no world
+    # is built alone, and the chunk sizes sum to the batch
     terrain = terrain_by_name(environment, (4, 4))
     build_world(Morphology([[3]]), terrain)  # the strip's solve is cached from here on
     body = random_morphology(4, 4, rng)
@@ -648,7 +634,9 @@ def test_batch_makes_one_state(monkeypatch, rng, environment):
 
     monkeypatch.setattr(voxevo.sim_core.WorldState, "__post_init__", counting)
     run_episodes(pairs, terrain)
-    assert made == [3]
+    chunks = min(len(pairs), voxevo.tasks._CPUS)
+    assert made == [len(pairs[i::chunks]) for i in range(chunks)]
+    assert sum(made) == 3
 
 
 def test_every_traced_attribute_exists():
@@ -683,3 +671,90 @@ def test_a_batch_may_mix_body_shapes(rng, environment, variant):
     shapes = [(1, 4), (2, 5), (3, 3), (4, 6), (5, 5), (6, 2), (7, 7)]
     pairs = [(random_morphology(h, w, rng), init_controller(variant, rng)) for h, w in shapes]
     assert _bits(run_episodes(pairs, terrain)) == _bits([run_episode(m, c, terrain) for m, c in pairs])
+
+
+# --- one union per CPU ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+@pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
+def test_results_do_not_depend_on_the_split(monkeypatch, environment, variant):
+    # a batch of seven shapes, a flung world and an early finisher gives
+    # every field of every result bit for bit, whether it runs as one union
+    # or as 2, 3 or 7 unions at once, with threads switched every microsecond
+    terrain = replace(terrain_by_name(environment, (4, 4)), finish_x=4.05)
+    rng = np.random.default_rng([4, 26])
+    shapes = [(1, 4), (2, 3), (3, 3), (4, 2), (2, 2), (3, 4), (4, 4)]
+    pairs = [(m, init_controller(variant, rng)) for m in [random_morphology(h, w, rng) for h, w in shapes]]
+    if variant == "modular":
+        pairs[4] = (pairs[4][0], fixed_gait_genome())  # it finishes, as under the fixed controller
+    spoil(monkeypatch, pairs[1][0], -2e6, 0)
+    bits = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 17):
+            monkeypatch.setattr(voxevo.tasks, "_CPUS", cpus)
+            bits[cpus] = _bits(run_episodes(pairs, terrain))
+    finally:
+        sys.setswitchinterval(interval)
+    assert bits[2] == bits[3] == bits[17] == bits[1] == _bits(reference_episodes(pairs, terrain))
+    assert bits[1][4][1:3] == (True, 223) and not all(finished for _, finished, *_ in bits[1])
+    assert [diverged for *_, diverged in bits[1]] == [w == 1 for w in range(len(pairs))]
+
+
+@pytest.mark.parametrize("fault", ["not-simulable", "two-variants", "no-compiler"])
+def test_a_batch_that_cannot_be_built_raises_before_any_thread_starts(monkeypatch, tmp_path, rng, flat, fault):
+    # the whole batch is checked, and every union built, on the calling
+    # thread: a bad pair in the last chunk, or a kernel that cannot be
+    # built, raises there, and no thread starts
+    monkeypatch.setattr(voxevo.tasks, "_CPUS", 4)
+    pairs = [(random_morphology(4, 4, rng), FIXED) for _ in range(4)]
+    if fault == "not-simulable":
+        pairs[3] = (Morphology([[3, 0, 3]]), FIXED)
+    elif fault == "two-variants":
+        pairs[3] = (pairs[3][0], init_controller("modular", rng))
+    else:
+        monkeypatch.setattr(voxevo.sim_core, "_COMPILER", "no-such-compiler-here")
+        monkeypatch.setattr(voxevo.sim_core, "_KERNEL_DIR", tmp_path / "cache")
+        monkeypatch.setattr(voxevo.sim_core, "_kernel", voxevo.sim_core._load_kernel)  # no cached library
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    before = threading.active_count()
+    with pytest.raises((InvalidMorphologyError, ValueError, voxevo.sim_core.KernelBuildError)):
+        run_episodes(pairs, flat)
+    assert started == [] and threading.active_count() == before
+
+
+def test_a_chunk_that_raises_fails_the_batch_once(monkeypatch, rng, flat):
+    # one union's kernel call raises on a worker thread: the other chunks
+    # run to their end, no worker outlives the call, the error is raised
+    # once, on the calling thread, and the evaluator fails the whole batch
+    monkeypatch.setattr(voxevo.tasks, "_CPUS", 3)
+    pairs = [(random_morphology(4, 4, rng), FIXED) for _ in range(5)]  # chunks: worlds 0 3, 1 4, and 2
+    doomed = pairs[2][0]
+    original = voxevo.sim_core.advance
+    raised, ended = [], []
+
+    def failing(state, *args, **kwargs):
+        if any(m is doomed for m in state.morphologies):
+            raised.append(threading.current_thread())
+            raise RuntimeError("boom")
+        blown = original(state, *args, **kwargs)
+        if state.sim_time == T_MAX:
+            ended.append(state.num_worlds)
+        return blown
+
+    monkeypatch.setattr(voxevo.sim_core, "advance", failing)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_episodes(pairs, flat)
+    assert threading.active_count() == before
+    assert len(raised) == 1 and raised[0] is not threading.current_thread()
+    assert sorted(ended) == [2, 2] and unhandled == []
+    ev = EpisodeEvaluator(flat)
+    assert ev.fitness_many(pairs) == [compute_fitness(0.0, False, T_MAX)] * len(pairs)
+    assert (ev.failures, ev.episodes_run) == (len(pairs), len(pairs))
+    assert threading.active_count() == before
