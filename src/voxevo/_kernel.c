@@ -16,11 +16,11 @@
  * Tables and Brains may run at once, each on its own thread; ctypes drops
  * the GIL for every call, and tasks.run_episodes steps one union per CPU so.
  *
- * The step's functions take one Table: pointers into a WorldState's numpy
- * arrays and into the tables derived from them, its sizes and the engine's
- * constants, built once per state by sim_core._kernel_table. The network's
- * functions (vx_presum, vx_mlp) take a batch's Brain, and its control step
- * (vx_act) both; the builder's take a Builder. Python declares none of
+ * The step's functions take one Table: a union's sizes, the engine's
+ * constants and pointers to every table of the union, which the builder lays
+ * out in one buffer (vx_count, vx_build). The network's functions (vx_presum,
+ * vx_mlp) take a batch's Brain, and its control step (vx_act) both; the
+ * builder's take a Builder and the Table they build. Python declares none of
  * these a second time: it reads them from this file's text, comments left
  * out. A struct it fills is a "typedef struct { ... } Name;" in which every
  * declaration is "[const] type a, b;" with type int64_t or double, or
@@ -97,6 +97,13 @@
 /* the vectoriser on, with no cost model */
 #define VX_VECTOR __attribute__((optimize("tree-vectorize", "vect-cost-model=unlimited")))
 
+enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' order */
+
+/* A union of worlds: its sizes, the engine's constants, and pointers to every
+ * table of the union, all in the one buffer that vx_build lays out and fills
+ * (the builder, at the end of this file). The step writes the state's first
+ * group of tables and reads the next; only Python reads the union's other
+ * tables, and only the kernel its scratch rows. */
 typedef struct {
     /* sizes */
     int64_t masses, springs, robots, worlds;
@@ -112,27 +119,36 @@ typedef struct {
     double action_low, action_high;
     /* state, written */
     double *pos, *vel;  /* (masses, 2) */
-    double *rest;       /* spring_current_rest */
-    double *target;     /* spring_target_rest */
+    double *spring_current_rest, *spring_target_rest;  /* (springs,) */
     int64_t *clamped_actions;  /* (worlds,) */
     /* state, read */
-    const double *mass, *inv_mass;  /* (masses,) */
-    const int64_t *spring_i, *spring_j;
-    const double *spring_k, *spring_c, *spring_rest;
-    const int64_t *edge_ids;    /* the actuated edge springs, ascending */
-    const double *edge_limit;   /* their per-step rest-length change limit */
-    const int64_t *edge_slot;   /* (actuators, 2): each actuator's springs' rows in edge_ids */
-    const int64_t *edge_count;  /* actuators per actuated edge, 1 or 2 */
-    const int64_t *act_world;
-    const int64_t *vox_corners;     /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
-    const int64_t *diagonal_sides;  /* (2, 2, diagonals): (bottom, left), (top, right) */
-    const int64_t *diagonal_ids;    /* (2, diagonals) */
-    const int64_t *robot_ids, *robot_world, *bridge_top, *mass_starts;
+    double *mass, *inv_mass;  /* (masses,) 1 / mass; zero for pinned masses */
+    int64_t *spring_i, *spring_j;
+    double *spring_k, *spring_c, *spring_rest;  /* spring_c: axial damping */
+    int64_t *edge_ids;    /* the actuated edge springs, ascending */
+    double *edge_limit;   /* their per-step rest-length change limit */
+    int64_t *edge_slot;   /* (actuators, 2): each actuator's springs' rows in edge_ids */
+    int64_t *edge_count;  /* actuators per actuated edge, 1 or 2 */
+    int64_t *act_world;
+    int64_t *vox_corners;     /* (voxels, 4) corner mass ids, (bl, br, tr, tl) */
+    int64_t *diagonal_sides;  /* (2, 2, diagonals): (bottom, left), (top, right) */
+    int64_t *diagonal_ids;    /* (2, diagonals) */
+    int64_t *robot_ids, *robot_world;  /* (robots,) the robot masses, ascending, and their worlds */
+    int64_t *bridge_top;      /* (worlds, chain) each world's top-chain masses, ordered by x */
+    /* (KINDS, worlds + 1): world w's rows of a kind are starts[kind][w] up
+     * to starts[kind][w + 1]; the step reads row MASS, the first */
+    int64_t *starts;
     /* mass m's spring ends are the rows ends[end_starts[m]] up to
      * ends[end_starts[m + 1]] of spring_f, k for spring k's i end and
      * springs + k for its j end: its spring_i ends, then its spring_j ends,
      * each in spring order */
-    const int64_t *end_starts, *ends;
+    int64_t *end_starts, *ends;
+    /* the union's other tables, which Python reads */
+    uint8_t *pinned, *is_robot;  /* (masses,) */
+    int64_t *mass_world, *spring_world;  /* the world of each mass and each spring */
+    int64_t *vox_cells, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2): (row, column), spring ids */
+    int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2): (row, column), actuated edge ids */
+    double *com_weights;      /* (robots,) each robot mass's fraction of its robot's */
     /* scratch */
     double *spring_d;       /* (springs, 4) each spring's dx, dy, dvx, dvy: its j end's less its i end's */
     double *spring_f;       /* (2, springs, 2) each spring's (fx, fy) on its i end, then (-fx, -fy) on its j end */
@@ -165,17 +181,17 @@ static inline double clip_array(double x, double lo, double hi) { return np_min(
  * once every edge sits on its target. */
 static void advance_actuation(const Table *t)
 {
-    double *rest = t->rest;
+    double *rest = t->spring_current_rest;
     int64_t e, k, moving = 0;
     for (e = 0; e < t->edges; e++) {
         int64_t s = t->edge_ids[e];
-        moving |= (t->target[s] - rest[s]) != 0.0;  /* NaN counts as moving */
+        moving |= (t->spring_target_rest[s] - rest[s]) != 0.0;  /* NaN counts as moving */
     }
     if (!moving)
         return;
     for (e = 0; e < t->edges; e++) {
         int64_t s = t->edge_ids[e];
-        double delta = t->target[s] - rest[s];
+        double delta = t->spring_target_rest[s] - rest[s];
         delta = np_min(delta, t->edge_limit[e]);
         delta = np_max(delta, -t->edge_limit[e]);
         rest[s] = rest[s] + delta;
@@ -224,7 +240,7 @@ VX_CLONES VX_VECTOR static void spring_pass(const Table *t, const double *restri
         double rel_speed = dvx * dx;
         rel_speed = rel_speed + dvy * dy;
         rel_speed = rel_speed / dist;
-        double magnitude = t->spring_k[k] * (dist - t->rest[k]);
+        double magnitude = t->spring_k[k] * (dist - t->spring_current_rest[k]);
         magnitude = magnitude + t->spring_c[k] * rel_speed;
         magnitude = magnitude / dist;
         double fx = dx * magnitude, fy = dy * magnitude;
@@ -404,7 +420,7 @@ VX_CLONES VX_VECTOR static void integrate(const Table *t, double gravity, const 
     const double *mass = t->mass, *inv_mass = t->inv_mass;
     for (int64_t w = 0; w < t->worlds; w++) {
         int64_t bad = 0;
-        for (int64_t m = t->mass_starts[w]; m < t->mass_starts[w + 1]; m++) {
+        for (int64_t m = t->starts[w]; m < t->starts[w + 1]; m++) {  /* row MASS */
             double fx = net[2 * m], fy = net[2 * m + 1] - gravity * mass[m];
             fx = fx * inv_mass[m] * dt;
             fy = fy * inv_mass[m] * dt;
@@ -441,7 +457,7 @@ static int64_t one_step(const Table *t, double gravity)
     vx_forces(t, 1, 1);
     integrate(t, gravity, t->pos, t->net, t->vel, t->new_pos);
     for (w = 0; w < t->worlds; w++) {
-        const int64_t start = t->mass_starts[w], stop = t->mass_starts[w + 1];
+        const int64_t start = t->starts[w], stop = t->starts[w + 1];  /* row MASS */
         t->diverged[diverged] = w;
         diverged += t->bad[w];
         if (!t->bad[w])
@@ -471,7 +487,7 @@ void vx_set_targets(const Table *t, const double *commands)
         sums[t->edge_slot[q]] += clamped[q / 2];
     for (e = 0; e < t->edges; e++) {
         int64_t s = t->edge_ids[e];
-        t->target[s] = t->spring_rest[s] * sums[e] / (double)t->edge_count[e];
+        t->spring_target_rest[s] = t->spring_rest[s] * sums[e] / (double)t->edge_count[e];
     }
 }
 
@@ -785,10 +801,12 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
 /* ---- building worlds -------------------------------------------------------
  *
  * vx_count and vx_build make a batch's disjoint union of worlds
- * (sim_core.build_worlds): vx_count writes each kind's starts, from which
- * Python sizes the tables, and vx_build fills them. World w holds the rows
- * of body grid[w], then, if there is one, the part every world appends
- * (the settled bridge strip); every index is a union id.
+ * (sim_core.build_worlds), every table of it in one buffer: vx_count writes
+ * the union's sizes into its Table and returns the bytes its tables take, and
+ * vx_build lays the tables out in a zeroed buffer of that size, points the
+ * Table at them and fills them. World w holds the rows of body grid[w], then,
+ * if there is one, the part every world appends (the settled bridge strip);
+ * every index is a union id.
  *
  * A body's non-empty cells are visited row-major. Each touches its corners
  * in (tl, tr, bl, br) order and its springs in the order bottom, top, left
@@ -799,23 +817,55 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
  * it. An edge shared by two voxels is stored once, as (lower id, higher id),
  * with the stiffer voxel's constant; a diagonal is never shared and takes
  * shear times its voxel's. Rest lengths are libm's hypot of the end-to-end
- * vector, as np.hypot computes them. tests/oracles.py's
- * reference_build_worlds is the numpy builder these tables are tested
- * against, byte for byte.
+ * vector, as np.hypot computes them. A bare body is the bridge strip that
+ * sim_core._settled_strip relaxes, built alone as a one-row body: its masses
+ * are no robot's, those at its grid's left and right ends are pinned, its
+ * top chain is its grid's top corners in id order, which for one row is x
+ * order, and it has no voxel or actuator rows.
+ *
+ * vx_build then derives the union's other tables from those rows, each as
+ * numpy derived it:
+ *  - inv_mass, 1 / mass or zero for a pinned mass; both rest columns, the
+ *    build-time rest lengths; spring_c, damping_ratio * 2 times
+ *    sqrt(k * (0.5 * (m_i + m_j))); each row's world;
+ *  - the robot masses, ascending, and each one's com_weight, its mass over
+ *    its robot's, which is summed in robot-mass order from +0.0;
+ *  - the actuated edges, ascending as np.unique gives them, with each
+ *    actuator's slots among them, each edge's number of actuators and its
+ *    limit, actuation_rate * rest; and the voxels holding an actuated edge,
+ *    in voxel order, for the diagonals that follow them;
+ *  - each mass's list of spring ends: a counting sort of the rows of
+ *    spring_f by their masses, which keeps each mass's rows in row order,
+ *    as the stable np.argsort did.
+ * tests/oracles.py's reference_build_worlds is the numpy builder and
+ * reference_tables the numpy derivation that every table is tested against,
+ * byte for byte, the zeroed scratch rows included.
+ *
+ * Each table starts on a 64-byte boundary of the buffer and is followed by a
+ * gap of at least GAP bytes that no table uses. Built with AddressSanitizer,
+ * vx_build poisons the gaps, so that an access past a table's end is caught,
+ * as it would be past an allocation of its own.
  */
 
-enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' order */
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+
+#define GAP 64
 
 typedef struct {
     /* sizes */
     int64_t h, w;           /* every body's grid, h x w (smaller bodies padded with empty cells) */
     int64_t worlds;
     int64_t part_masses, part_springs, part_top;  /* the appended part's rows; 0 when there is none */
+    int64_t bare;           /* whether the body is the bare strip, alone */
     /* constants */
     int64_t actuator_h, actuator_v;  /* the actuator materials' codes, horizontal and vertical */
     double left, ground;    /* each body's leftmost corner x and lowest corner y */
     double shear;           /* a diagonal's stiffness over its voxel's edge stiffness */
     double corner_mass;     /* a corner's mass per voxel holding it */
+    double damping_ratio;   /* a spring's damping as a fraction of critical */
+    double actuation_rate;  /* an actuated edge's rest-length change per step, as a fraction of its build-time one */
     /* read */
     const int8_t *cells;       /* (bodies, h, w) material codes */
     const int64_t *grid;       /* (worlds,) each world's body */
@@ -825,28 +875,17 @@ typedef struct {
     const int64_t *part_spring_i, *part_spring_j;
     const double *part_spring_k, *part_spring_rest;
     const int64_t *part_bridge_top;
-    /* scratch: 3 (h + 1) (w + 1) ids, by grid corner, horizontal and vertical edge */
-    int64_t *scratch;
-    /* written: the starts by vx_count, the rest by vx_build */
-    int64_t *starts;           /* (KINDS, worlds + 1) */
-    double *pos, *mass;        /* (masses, 2), (masses,) */
-    uint8_t *pinned, *is_robot;
-    int64_t *spring_i, *spring_j;
-    double *spring_k, *spring_rest;
-    int64_t *vox_cells, *vox_corners, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2 or 4) */
-    int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2) */
-    int64_t *bridge_top;
 } Builder;
 
 /* The spring from corner i to corner j (ids among the body's), of
  * stiffness k, numbered on first use: in *slot when an edge, whose ends are
  * then sorted and which keeps the stiffer k of its voxels', or always new
  * when a diagonal (slot NULL). Returns its id among the body's. */
-static int64_t spring(const Builder *b, const int64_t *at, int64_t *count, int64_t *slot, int64_t i, int64_t j, double k)
+static int64_t spring(const Table *t, const int64_t *at, int64_t *count, int64_t *slot, int64_t i, int64_t j, double k)
 {
     if (slot && *slot >= 0) {
         if (at)
-            b->spring_k[at[SPRING] + *slot] = np_max(b->spring_k[at[SPRING] + *slot], k);
+            t->spring_k[at[SPRING] + *slot] = np_max(t->spring_k[at[SPRING] + *slot], k);
         return *slot;
     }
     const int64_t s = count[SPRING]++;
@@ -859,25 +898,26 @@ static int64_t spring(const Builder *b, const int64_t *at, int64_t *count, int64
         }
     }
     if (at) {
-        const double *pi = b->pos + 2 * (at[MASS] + i), *pj = b->pos + 2 * (at[MASS] + j);
-        b->spring_i[at[SPRING] + s] = at[MASS] + i;
-        b->spring_j[at[SPRING] + s] = at[MASS] + j;
-        b->spring_k[at[SPRING] + s] = k;
-        b->spring_rest[at[SPRING] + s] = hypot(pi[0] - pj[0], pi[1] - pj[1]);
+        const double *pi = t->pos + 2 * (at[MASS] + i), *pj = t->pos + 2 * (at[MASS] + j);
+        t->spring_i[at[SPRING] + s] = at[MASS] + i;
+        t->spring_j[at[SPRING] + s] = at[MASS] + j;
+        t->spring_k[at[SPRING] + s] = k;
+        t->spring_rest[at[SPRING] + s] = hypot(pi[0] - pj[0], pi[1] - pj[1]);
     }
     return s;
 }
 
 /* Number body g's rows and count them into count[KINDS]; with row offsets
- * ``at``, also write them there. */
-static void body_rows(const Builder *b, int64_t g, const int64_t *at, int64_t *count)
+ * ``at``, also write them into t's tables there. */
+static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t *at, int64_t *count)
 {
     const int64_t h = b->h, w = b->w, stride = w + 1, grid = (h + 1) * stride;
     const int8_t *cells = b->cells + g * h * w;
-    int64_t *corner = b->scratch, *h_edge = corner + grid, *v_edge = h_edge + grid;
+    int64_t ids[3 * grid];  /* by grid corner, horizontal and vertical edge */
+    int64_t *corner = ids, *h_edge = corner + grid, *v_edge = h_edge + grid;
     int64_t r, c, k, low = w, bottom = 0;
     for (k = 0; k < 3 * grid; k++)
-        corner[k] = -1;
+        ids[k] = -1;
     for (k = 0; k < KINDS; k++)
         count[k] = 0;
     for (r = 0; r < h; r++)
@@ -899,44 +939,50 @@ static void body_rows(const Builder *b, int64_t g, const int64_t *at, int64_t *c
                 if (*slot < 0) {
                     *slot = count[MASS]++;
                     if (at) {
-                        b->pos[2 * (at[MASS] + *slot)] = x0 + (double)pj;
-                        b->pos[2 * (at[MASS] + *slot) + 1] = y0 - (double)pi;
-                        b->mass[at[MASS] + *slot] = 0.0;
+                        t->pos[2 * (at[MASS] + *slot)] = x0 + (double)pj;
+                        t->pos[2 * (at[MASS] + *slot) + 1] = y0 - (double)pi;
+                    }
+                    if (b->bare && pi == 0) {
+                        if (at)
+                            t->bridge_top[at[TOP] + count[TOP]] = at[MASS] + *slot;
+                        count[TOP]++;
                     }
                 }
                 id[k] = *slot;
                 if (at)
-                    b->mass[at[MASS] + id[k]] += 1.0;  /* voxels holding it, exact */
+                    t->mass[at[MASS] + id[k]] += 1.0;  /* voxels holding it, exact */
             }
             const double edge = b->stiffness[code], diagonal = edge * b->shear;
-            const int64_t bottom_edge = spring(b, at, count, h_edge + (r + 1) * stride + c, id[2], id[3], edge);
-            const int64_t top_edge = spring(b, at, count, h_edge + r * stride + c, id[0], id[1], edge);
-            const int64_t left_edge = spring(b, at, count, v_edge + r * stride + c, id[2], id[0], edge);
-            const int64_t right_edge = spring(b, at, count, v_edge + r * stride + c + 1, id[3], id[1], edge);
-            const int64_t rising = spring(b, at, count, NULL, id[2], id[1], diagonal);
-            const int64_t falling = spring(b, at, count, NULL, id[3], id[0], diagonal);
+            const int64_t bottom_edge = spring(t, at, count, h_edge + (r + 1) * stride + c, id[2], id[3], edge);
+            const int64_t top_edge = spring(t, at, count, h_edge + r * stride + c, id[0], id[1], edge);
+            const int64_t left_edge = spring(t, at, count, v_edge + r * stride + c, id[2], id[0], edge);
+            const int64_t right_edge = spring(t, at, count, v_edge + r * stride + c + 1, id[3], id[1], edge);
+            const int64_t rising = spring(t, at, count, NULL, id[2], id[1], diagonal);
+            const int64_t falling = spring(t, at, count, NULL, id[3], id[0], diagonal);
+            if (b->bare)
+                continue;
             const int active = code == b->actuator_h || code == b->actuator_v;
             if (at) {
                 const int64_t v = at[VOX] + count[VOX], s = at[SPRING], m = at[MASS];
-                b->vox_cells[2 * v] = r;
-                b->vox_cells[2 * v + 1] = c;
-                b->vox_corners[4 * v] = m + id[2];  /* bl, br, tr, tl */
-                b->vox_corners[4 * v + 1] = m + id[3];
-                b->vox_corners[4 * v + 2] = m + id[1];
-                b->vox_corners[4 * v + 3] = m + id[0];
-                b->vox_h_edges[2 * v] = s + bottom_edge;
-                b->vox_h_edges[2 * v + 1] = s + top_edge;
-                b->vox_v_edges[2 * v] = s + left_edge;
-                b->vox_v_edges[2 * v + 1] = s + right_edge;
-                b->vox_shear[2 * v] = s + rising;
-                b->vox_shear[2 * v + 1] = s + falling;
+                t->vox_cells[2 * v] = r;
+                t->vox_cells[2 * v + 1] = c;
+                t->vox_corners[4 * v] = m + id[2];  /* bl, br, tr, tl */
+                t->vox_corners[4 * v + 1] = m + id[3];
+                t->vox_corners[4 * v + 2] = m + id[1];
+                t->vox_corners[4 * v + 3] = m + id[0];
+                t->vox_h_edges[2 * v] = s + bottom_edge;
+                t->vox_h_edges[2 * v + 1] = s + top_edge;
+                t->vox_v_edges[2 * v] = s + left_edge;
+                t->vox_v_edges[2 * v + 1] = s + right_edge;
+                t->vox_shear[2 * v] = s + rising;
+                t->vox_shear[2 * v + 1] = s + falling;
                 if (active) {
                     const int64_t a = at[ACT] + count[ACT];
                     const int horizontal = code == b->actuator_h;
-                    b->actuator_cells[2 * a] = r;
-                    b->actuator_cells[2 * a + 1] = c;
-                    b->actuator_springs[2 * a] = s + (horizontal ? bottom_edge : left_edge);
-                    b->actuator_springs[2 * a + 1] = s + (horizontal ? top_edge : right_edge);
+                    t->actuator_cells[2 * a] = r;
+                    t->actuator_cells[2 * a + 1] = c;
+                    t->actuator_springs[2 * a] = s + (horizontal ? bottom_edge : left_edge);
+                    t->actuator_springs[2 * a + 1] = s + (horizontal ? top_edge : right_edge);
                 }
             }
             count[VOX]++;
@@ -944,54 +990,245 @@ static void body_rows(const Builder *b, int64_t g, const int64_t *at, int64_t *c
         }
     if (at)
         for (k = at[MASS]; k < at[MASS] + count[MASS]; k++) {
-            b->mass[k] = b->mass[k] * b->corner_mass;
-            b->pinned[k] = 0;
-            b->is_robot[k] = 1;
+            const double x = t->pos[2 * k];
+            t->mass[k] = t->mass[k] * b->corner_mass;
+            t->pinned[k] = b->bare && (x == x0 || x == x0 + (double)w);
+            t->is_robot[k] = !b->bare;
         }
 }
 
-/* Each kind's starts: world w's rows of a kind are starts[kind][w] up to
- * starts[kind][w + 1]; the last entry is the union's number of rows. */
-void vx_count(const Builder *b)
+/* The place of a table of ``bytes`` bytes at offset *at of the buffer at
+ * ``base``, or NULL while the buffer is only measured (base NULL); *at moves
+ * past the table and its gap, to the next 64-byte boundary. */
+static void *place(char *base, int64_t *at, int64_t bytes)
+{
+    const int64_t start = *at, end = start + bytes;
+    *at = (end + GAP + 63) / 64 * 64;
+#ifdef __SANITIZE_ADDRESS__
+    if (base)
+        __asan_poison_memory_region(base + end, (size_t)(*at - end));
+#endif
+    return base ? base + start : NULL;
+}
+
+#define PLACE(table, entries) (t->table = place(base, &at, (entries) * (int64_t)sizeof *t->table))
+
+/* Lay out every table of t's union in the buffer at ``base``, pointing t at
+ * them, and after them the builder's work rows (into *work); or, with base
+ * NULL, only measure them. Returns their bytes. The edge tables take room for
+ * two edges per actuator and the diagonal tables for every voxel, bounds of
+ * their numbers. */
+static int64_t lay_out(Table *t, char *base, int64_t **work)
+{
+    const int64_t n = t->masses, s = t->springs, r = t->robots, w = t->worlds, v = t->voxels, a = t->actuators;
+    const int64_t edges = 2 * a, tops = w * t->chain;
+    int64_t at = 0;
+    PLACE(pos, 2 * n);
+    PLACE(vel, 2 * n);
+    PLACE(spring_current_rest, s);
+    PLACE(spring_target_rest, s);
+    PLACE(clamped_actions, w);
+    PLACE(mass, n);
+    PLACE(inv_mass, n);
+    PLACE(spring_i, s);
+    PLACE(spring_j, s);
+    PLACE(spring_k, s);
+    PLACE(spring_c, s);
+    PLACE(spring_rest, s);
+    PLACE(edge_ids, edges);
+    PLACE(edge_limit, edges);
+    PLACE(edge_slot, 2 * a);
+    PLACE(edge_count, edges);
+    PLACE(act_world, a);
+    PLACE(vox_corners, 4 * v);
+    PLACE(diagonal_sides, 4 * v);
+    PLACE(diagonal_ids, 2 * v);
+    PLACE(robot_ids, r);
+    PLACE(robot_world, r);
+    PLACE(bridge_top, tops);
+    PLACE(starts, KINDS * (w + 1));
+    PLACE(end_starts, n + 1);
+    PLACE(ends, 2 * s);
+    PLACE(pinned, n);
+    PLACE(is_robot, n);
+    PLACE(mass_world, n);
+    PLACE(spring_world, s);
+    PLACE(vox_cells, 2 * v);
+    PLACE(vox_h_edges, 2 * v);
+    PLACE(vox_v_edges, 2 * v);
+    PLACE(vox_shear, 2 * v);
+    PLACE(actuator_cells, 2 * a);
+    PLACE(actuator_springs, 2 * a);
+    PLACE(com_weights, r);
+    PLACE(spring_d, 4 * s);
+    PLACE(spring_f, 4 * s);
+    PLACE(ground, 2 * r);
+    PLACE(chain_x, tops);
+    PLACE(net, 2 * n);
+    PLACE(new_pos, 2 * n);
+    PLACE(bad, w);
+    PLACE(diverged, w);
+    PLACE(blown, 1);
+    PLACE(contact_ids, 2 * r);
+    PLACE(contact_w, 4 * r);
+    PLACE(clamped, a);
+    PLACE(sums, edges);
+    int64_t *rows = place(base, &at, (s > n ? s : n) * (int64_t)sizeof(int64_t));
+    if (work)
+        *work = rows;
+    return at;
+}
+
+/* The union's sizes into t, the edges and diagonals as bounds until vx_build
+ * counts them; returns the bytes of the buffer vx_build needs, zeroed. */
+int64_t vx_count(const Builder *b, Table *t)
+{
+    int64_t count[KINDS], rows[KINDS] = {0}, w, k;
+    for (w = 0; w < b->worlds; w++) {
+        body_rows(b, t, b->grid[w], NULL, count);
+        for (k = 0; k < KINDS; k++)
+            rows[k] += count[k];
+    }
+    t->worlds = b->worlds;
+    t->masses = rows[MASS] + b->worlds * b->part_masses;
+    t->springs = rows[SPRING] + b->worlds * b->part_springs;
+    t->robots = b->bare ? 0 : rows[MASS];
+    t->voxels = rows[VOX];
+    t->actuators = rows[ACT];
+    t->chain = b->part_top + (b->worlds ? rows[TOP] / b->worlds : 0);
+    t->edges = 2 * t->actuators;
+    t->diagonals = t->voxels;
+    return lay_out(t, NULL, NULL);
+}
+
+/* Every world's rows, the part's after its body's, and each kind's starts. */
+static void union_rows(const Builder *b, const Table *t)
 {
     const int64_t n = b->worlds + 1;
-    int64_t count[KINDS], w, k;
-    for (k = 0; k < KINDS; k++)
-        b->starts[k * n] = 0;
+    int64_t at[KINDS] = {0}, count[KINDS], w, k;
     for (w = 0; w < b->worlds; w++) {
-        body_rows(b, b->grid[w], NULL, count);
+        for (k = 0; k < KINDS; k++)
+            t->starts[k * n + w] = at[k];
+        body_rows(b, t, b->grid[w], at, count);
+        const int64_t m = at[MASS] + count[MASS], s = at[SPRING] + count[SPRING], top = at[TOP] + count[TOP];
+        for (k = 0; k < b->part_masses; k++) {
+            t->pos[2 * (m + k)] = b->part_pos[2 * k];
+            t->pos[2 * (m + k) + 1] = b->part_pos[2 * k + 1];
+            t->mass[m + k] = b->part_mass[k];
+            t->pinned[m + k] = b->part_pinned[k];
+            t->is_robot[m + k] = 0;
+        }
+        for (k = 0; k < b->part_springs; k++) {
+            t->spring_i[s + k] = m + b->part_spring_i[k];
+            t->spring_j[s + k] = m + b->part_spring_j[k];
+            t->spring_k[s + k] = b->part_spring_k[k];
+            t->spring_rest[s + k] = b->part_spring_rest[k];
+        }
+        for (k = 0; k < b->part_top; k++)
+            t->bridge_top[top + k] = m + b->part_bridge_top[k];
         count[MASS] += b->part_masses;
         count[SPRING] += b->part_springs;
         count[TOP] += b->part_top;
         for (k = 0; k < KINDS; k++)
-            b->starts[k * n + w + 1] = b->starts[k * n + w] + count[k];
+            at[k] += count[k];
     }
+    for (k = 0; k < KINDS; k++)
+        t->starts[k * n + b->worlds] = at[k];
 }
 
-/* Every table of the union, at the starts vx_count wrote. */
-void vx_build(const Builder *b)
+/* The world of each row of ``kind``, from its starts. */
+static void row_worlds(const Table *t, int64_t kind, int64_t *world)
 {
-    const int64_t n = b->worlds + 1;
-    int64_t at[KINDS], count[KINDS], w, k;
-    for (w = 0; w < b->worlds; w++) {
-        for (k = 0; k < KINDS; k++)
-            at[k] = b->starts[k * n + w];
-        body_rows(b, b->grid[w], at, count);
-        const int64_t m = at[MASS] + count[MASS], s = at[SPRING] + count[SPRING];
-        for (k = 0; k < b->part_masses; k++) {
-            b->pos[2 * (m + k)] = b->part_pos[2 * k];
-            b->pos[2 * (m + k) + 1] = b->part_pos[2 * k + 1];
-            b->mass[m + k] = b->part_mass[k];
-            b->pinned[m + k] = b->part_pinned[k];
-            b->is_robot[m + k] = 0;
+    const int64_t *starts = t->starts + kind * (t->worlds + 1);
+    for (int64_t w = 0; w < t->worlds; w++)
+        for (int64_t k = starts[w]; k < starts[w + 1]; k++)
+            world[k] = w;
+}
+
+/* The tables derived from the union's rows, as the header sets out; ``work``
+ * holds max(springs, masses) rows. */
+static void derive(const Builder *b, Table *t, int64_t *work)
+{
+    const int64_t n = t->masses, s = t->springs, a = t->actuators, v = t->voxels;
+    int64_t m, k, q, e, d;
+    row_worlds(t, MASS, t->mass_world);
+    row_worlds(t, SPRING, t->spring_world);
+    row_worlds(t, ACT, t->act_world);
+    for (m = 0, q = 0; m < n; m++) {
+        t->inv_mass[m] = t->pinned[m] ? 0.0 : 1.0 / t->mass[m];
+        if (t->is_robot[m]) {
+            t->robot_ids[q] = m;
+            t->robot_world[q++] = t->mass_world[m];
         }
-        for (k = 0; k < b->part_springs; k++) {
-            b->spring_i[s + k] = m + b->part_spring_i[k];
-            b->spring_j[s + k] = m + b->part_spring_j[k];
-            b->spring_k[s + k] = b->part_spring_k[k];
-            b->spring_rest[s + k] = b->part_spring_rest[k];
-        }
-        for (k = 0; k < b->part_top; k++)
-            b->bridge_top[at[TOP] + k] = m + b->part_bridge_top[k];
     }
+    for (q = 0; q < t->robots; q = k) {  /* one robot at a time */
+        double total = 0.0;
+        for (k = q; k < t->robots && t->robot_world[k] == t->robot_world[q]; k++)
+            total = total + t->mass[t->robot_ids[k]];
+        for (e = q; e < k; e++)
+            t->com_weights[e] = t->mass[t->robot_ids[e]] / total;
+    }
+    for (k = 0; k < s; k++) {
+        const double m_avg = 0.5 * (t->mass[t->spring_i[k]] + t->mass[t->spring_j[k]]);
+        t->spring_current_rest[k] = t->spring_rest[k];
+        t->spring_target_rest[k] = t->spring_rest[k];
+        t->spring_c[k] = (b->damping_ratio * 2.0) * sqrt(t->spring_k[k] * m_avg);
+    }
+
+    /* work[k]: how many actuators drive spring k; then its row of edge_ids */
+    for (k = 0; k < s; k++)
+        work[k] = 0;
+    for (q = 0; q < 2 * a; q++)
+        work[t->actuator_springs[q]]++;
+#define HOLDS(k) (work[t->vox_h_edges[2 * (k)]] | work[t->vox_h_edges[2 * (k) + 1]] | \
+                  work[t->vox_v_edges[2 * (k)]] | work[t->vox_v_edges[2 * (k) + 1]])
+    for (k = 0, d = 0; k < v; k++)
+        d += HOLDS(k) != 0;
+    t->diagonals = d;
+    for (k = 0, e = 0; k < v; k++)
+        if (HOLDS(k)) {
+            t->diagonal_sides[e] = t->vox_h_edges[2 * k];  /* bottom */
+            t->diagonal_sides[d + e] = t->vox_v_edges[2 * k];  /* left */
+            t->diagonal_sides[2 * d + e] = t->vox_h_edges[2 * k + 1];  /* top */
+            t->diagonal_sides[3 * d + e] = t->vox_v_edges[2 * k + 1];  /* right */
+            t->diagonal_ids[e] = t->vox_shear[2 * k];
+            t->diagonal_ids[d + e] = t->vox_shear[2 * k + 1];
+            e++;
+        }
+#undef HOLDS
+    for (k = 0, e = 0; k < s; k++)
+        if (work[k]) {
+            t->edge_ids[e] = k;
+            t->edge_count[e] = work[k];
+            t->edge_limit[e] = b->actuation_rate * t->spring_rest[k];
+            work[k] = e++;
+        }
+    t->edges = e;
+    for (q = 0; q < 2 * a; q++)
+        t->edge_slot[q] = work[t->actuator_springs[q]];
+
+    /* each mass's spring ends: work[m] counts them, then is where its next goes */
+    for (m = 0; m < n; m++)
+        work[m] = 0;
+    for (k = 0; k < s; k++) {
+        work[t->spring_i[k]]++;
+        work[t->spring_j[k]]++;
+    }
+    t->end_starts[0] = 0;
+    for (m = 0; m < n; m++) {
+        t->end_starts[m + 1] = t->end_starts[m] + work[m];
+        work[m] = t->end_starts[m];
+    }
+    for (k = 0; k < 2 * s; k++)
+        t->ends[work[k < s ? t->spring_i[k] : t->spring_j[k - s]]++] = k;
+}
+
+/* Lay out t's union in the zeroed buffer at ``base``, of the bytes vx_count
+ * returned, point t at its tables, and fill every one of them. */
+void vx_build(const Builder *b, Table *t, void *base)
+{
+    int64_t *work;
+    lay_out(t, base, &work);
+    union_rows(b, t);
+    derive(b, t, work);
 }

@@ -21,20 +21,21 @@ controllers: the fixed alternation, and the modular network with its
 observation fill (``control.controller_table``). ``advance`` is one call
 into it that steps until a world may have ended, querying a batch's
 controller table at every control step; ``step`` is its one-step case,
-which queries none. The kernel also builds a batch's worlds: one call
-counts the rows of every table and one fills them (``build_worlds``),
-the settled strip appended to every bridge world. Python checks the
-bodies, allocates those tables and makes each state from them alone
-(``WorldState``, which derives its other columns), derives the tables
-only the kernel reads with each state's pointer table (``_kernel_table``),
-builds each batch's controller table, with its state's observation
-windows, solves the strip's statics once per span, parks worlds and
-keeps each episode's books (``tasks.run_episodes``, which runs a batch as
-one union per CPU, all at once: the kernel keeps no mutable global state,
-and a call into it holds no GIL). The kernel does numpy's operations in
-numpy's order, so the physics and the built tables
-give the bits the numpy code gave (``tests/oracles.py`` keeps that code
-as the reference it is tested against). Its step loops and the modular
+which queries none. The kernel also builds a batch's worlds, every table
+of a union in one zeroed buffer (``build_worlds``): one call sizes the
+union, and one lays out, fills and points its ``Table`` at every table,
+the settled strip appended to every bridge world, and derives the
+columns, the tables only the kernel reads and the zeroed scratch rows from
+the rows. Python checks the bodies, allocates that buffer and makes each
+state from views of the tables it reads (``WorldState``), builds each
+batch's controller table, with its state's observation windows, solves
+the strip's statics once per span, parks worlds and keeps each episode's
+books (``tasks.run_episodes``, which runs a batch as one union per CPU,
+all at once: the kernel keeps no mutable global state, and a call into it
+holds no GIL). The kernel does numpy's operations in numpy's order, so the
+physics and the built tables give the bits the numpy code gave
+(``tests/oracles.py`` keeps that code as the reference it is tested
+against). Its step loops and the modular
 network are compiled twice, for AVX-512 and the baseline, and the CPU
 picks the clone; both give the same bits. The network has numerics of
 its own: a fixed summation order, and ``tanh`` and the logistic built on
@@ -48,10 +49,12 @@ hit only hashes the source and loads the file. Python declares none of
 the kernel's interface a second time: each struct it fills (``_struct``)
 and each function's types (``_load_kernel``) are read from ``_kernel.c``'s
 text, read once per process, and a struct's pointers are bound only to
-C-contiguous arrays of the C type they point to (``_point``). There is no
-fallback engine: a second step path would be a second set of numerics to
-keep equal, so a kernel that cannot be built is an error that names the
-compiler, the cache directory and the compiler's complaint.
+C-contiguous arrays of the C type they point to (``_point``); a build binds
+its bodies alone, as each terrain's constants and strip are bound once
+(``_blueprint``). There is no fallback engine: a second step path would be
+a second set of numerics to keep equal, so a kernel that cannot be built
+is an error that names the compiler, the cache directory and the
+compiler's complaint.
 """
 
 from __future__ import annotations
@@ -196,23 +199,31 @@ class WorldState:
     stepping with it, but it no longer moves, exerts a force or touches the
     ground.
 
-    A state is made from the builder's row tables, starts, bodies and
-    terrain alone, and derives every other column from them. The kernel's
-    pointer table into the state's arrays, the tables that only the kernel
-    reads and its scratch rows are built once per state (``_kernel_table``),
-    so those arrays are written in place and never rebound.
+    Every table of a union lies in its one buffer, which the kernel lays
+    out, fills and points its ``Table`` at (``_build``): the row tables, the
+    columns derived from them, the tables only the kernel reads and its
+    scratch rows. A state holds that buffer, the Table, and a view of each
+    table that Python reads, under the Table's name for it; the kernel
+    writes those tables in place, so no view is ever rebound.
     """
 
-    # the builder's row tables (``_ROW_TABLES``), world by world
-    pos: np.ndarray            # (n, 2)
-    mass: np.ndarray           # (n,)
-    pinned: np.ndarray         # (n,) bool
-    is_robot: np.ndarray       # (n,) bool, false for bridge-strip masses
+    # the masses, (n,) or (n, 2)
+    pos: np.ndarray
+    vel: np.ndarray
+    mass: np.ndarray
+    inv_mass: np.ndarray       # 1/mass; zero for pinned masses
+    pinned: np.ndarray         # bool
+    is_robot: np.ndarray       # bool, false for bridge-strip masses
+    mass_world: np.ndarray     # world of each mass
 
-    spring_i: np.ndarray       # (s,) first endpoint index
-    spring_j: np.ndarray       # (s,)
+    # the springs, (s,)
+    spring_i: np.ndarray       # first endpoint index
+    spring_j: np.ndarray
     spring_k: np.ndarray
-    spring_rest: np.ndarray    # (s,) build-time rest lengths
+    spring_rest: np.ndarray    # build-time rest lengths
+    spring_current_rest: np.ndarray
+    spring_target_rest: np.ndarray
+    spring_world: np.ndarray   # world of each spring
 
     # per-voxel tables over each robot's non-empty cells, row-major
     vox_cells: np.ndarray      # (v, 2) (row, column) in its robot's grid
@@ -224,55 +235,29 @@ class WorldState:
     # active-voxel tables, row-major over each robot's actuator cells
     actuator_cells: np.ndarray    # (a, 2) (row, column) in its robot's grid
     actuator_springs: np.ndarray  # (a, 2) actuated edge spring ids
+    act_world: np.ndarray         # world of each active voxel
 
+    robot_ids: np.ndarray      # robot masses, ascending
+    robot_world: np.ndarray    # their worlds
+    com_weights: np.ndarray    # their mass fractions within their robot
     bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
 
-    morphologies: list[Morphology]  # one per world; empty for the bare bridge strip
+    clamped_actions: np.ndarray  # per world, out-of-range commands clamped so far
+    net: np.ndarray            # (n, 2) the kernel's last force sums
+    diverged: np.ndarray       # (worlds,) the worlds the last step of ``advance`` named lead it
+    blown: np.ndarray          # (1,) and their number
+
     starts: dict[str, np.ndarray] = field(repr=False)
+    morphologies: list[Morphology]  # one per world; empty for the bare bridge strip
     terrain: TerrainSpec | None
+    buffer: np.ndarray = field(repr=False)                # the union's one allocation
+    kernel_table: ctypes.Structure = field(repr=False)    # the kernel's Table, pointing into it
     sim_time: int = 0
     # (stack, its controller table): the last that control.controller_table built
     controller: tuple | None = field(default=None, repr=False)
-
-    # the moving columns, derived at rest at the build-time lengths
-    vel: np.ndarray = field(init=False)                  # (n, 2)
-    inv_mass: np.ndarray = field(init=False)             # (n,) 1/mass; zero for pinned masses
-    spring_current_rest: np.ndarray = field(init=False)
-    spring_target_rest: np.ndarray = field(init=False)
-    spring_c: np.ndarray = field(init=False)             # (s,) axial damping
-    clamped_actions: np.ndarray = field(init=False)      # per world, out-of-range commands clamped so far
-
-    # step-loop tables, derived from the fields above
-    mass_world: np.ndarray = field(init=False, repr=False)      # world of each mass
-    spring_world: np.ndarray = field(init=False, repr=False)    # world of each spring
-    act_world: np.ndarray = field(init=False, repr=False)       # world of each active voxel
-    robot_ids: np.ndarray = field(init=False, repr=False)       # robot masses, ascending
-    robot_world: np.ndarray = field(init=False, repr=False)     # their worlds
-    com_weights: np.ndarray = field(init=False, repr=False)     # their mass fractions within their robot
-    # the kernel's pointer table, and every array it points into, the tables
-    # only it reads and its scratch rows included: held here, so none is
-    # freed while it is in use
-    kernel_arrays: dict = field(init=False, repr=False)
-    kernel_table: ctypes.Structure = field(init=False, repr=False)  # the kernel's Table
-    kernel_address: int = field(init=False, repr=False)         # the table's address, what each kernel call takes
+    kernel_address: int = field(init=False, repr=False)  # the table's address, what each kernel call takes
 
     def __post_init__(self):
-        m_avg = 0.5 * (self.mass[self.spring_i] + self.mass[self.spring_j])
-        self.vel = np.zeros_like(self.pos)
-        self.inv_mass = np.where(self.pinned, 0.0, 1.0 / self.mass)
-        self.spring_current_rest = self.spring_rest.copy()
-        self.spring_target_rest = self.spring_rest.copy()
-        self.spring_c = DAMPING_RATIO * 2.0 * np.sqrt(self.spring_k * m_avg)
-        self.clamped_actions = np.zeros(self.num_worlds, dtype=np.int64)
-        worlds = np.arange(self.num_worlds)
-        self.mass_world = np.repeat(worlds, np.diff(self.starts["mass"]))
-        self.spring_world = np.repeat(worlds, np.diff(self.starts["spring"]))
-        self.act_world = np.repeat(worlds, np.diff(self.starts["act"]))
-        self.robot_ids = np.flatnonzero(self.is_robot)
-        self.robot_world = self.mass_world[self.robot_ids]
-        robot_mass = self.mass[self.robot_ids]
-        self.com_weights = robot_mass / np.bincount(self.robot_world, robot_mass)[self.robot_world]
-        self.kernel_arrays, self.kernel_table = _kernel_table(self)
         self.kernel_address = ctypes.addressof(self.kernel_table)
 
     @property
@@ -310,75 +295,103 @@ class WorldState:
         self.spring_target_rest[springs] = self.spring_rest[springs]
 
 
-# The row tables of a world by the kind of row they run over, each with the
-# dtype of its rows (a sub-array dtype makes a 2-D table): the kinds of
-# ``WorldState.starts``, in the order of ``_kernel.c``'s kinds of row, and
-# the tables of its ``Builder``
-_ROW_TABLES = {
-    "mass": {"pos": (np.float64, 2), "mass": np.float64, "pinned": np.bool_, "is_robot": np.bool_},
-    "spring": {"spring_i": np.int64, "spring_j": np.int64, "spring_k": np.float64, "spring_rest": np.float64},
-    "vox": {
-        "vox_cells": (np.int64, 2),
-        "vox_corners": (np.int64, 4),
-        "vox_h_edges": (np.int64, 2),
-        "vox_v_edges": (np.int64, 2),
-        "vox_shear": (np.int64, 2),
-    },
-    "act": {"actuator_cells": (np.int64, 2), "actuator_springs": (np.int64, 2)},
-    "top": {"bridge_top": np.int64},
-}
-# the tables of the part that every world of a union appends after its body
+# the kinds of row of ``WorldState.starts``, in the order of ``_kernel.c``'s
+_KINDS = ("mass", "spring", "vox", "act", "top")
+# the tables of the part that every world of a bridge union appends after its body
 _PART_TABLES = ("pos", "mass", "pinned", "spring_i", "spring_j", "spring_k", "spring_rest", "bridge_top")
 # edge stiffness by material code; zero for empty cells, which make no springs
 _EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
+# the dtype of a state's view of a table, by the C type the table holds
+_VIEW_DTYPES = {"double": np.dtype(np.float64), "int64_t": np.dtype(np.int64), "uint8_t": np.dtype(np.bool_)}
 
 
-def _rows(cells: np.ndarray, grid, left: float, ground: float, part: dict | None = None) -> tuple[dict, dict]:
-    """The row tables of a union of worlds, and each kind's starts, from two
-    kernel calls: ``vx_count`` sizes the tables, ``vx_build`` fills them.
-
-    World ``w`` holds the rows of body ``cells[grid[w]]``, an (h, w) grid of
-    material codes, placed with its leftmost corner at x = ``left`` and its
-    lowest at y = ``ground``; then ``part``'s rows, if one is given, its ids
-    offset to the world's. ``_kernel.c`` sets out the numbering.
-    """
-    grid = np.asarray(grid, dtype=np.int64)
-    _, h, w = cells.shape
-    starts = np.empty((len(_ROW_TABLES), grid.size + 1), dtype=np.int64)
-    arrays = {
-        "cells": cells,
-        "grid": grid,
-        "stiffness": _EDGE_STIFFNESS,
-        "scratch": np.empty(3 * (h + 1) * (w + 1), dtype=np.int64),
-        "starts": starts,
-    }
-    if part is not None:
-        arrays.update((f"part_{name}", part[name]) for name in _PART_TABLES)
+@lru_cache(maxsize=8)
+def _blueprint(terrain: TerrainSpec | None) -> tuple[ctypes.Structure, ctypes.Structure, dict]:
+    """The ``Builder`` and the ``Table`` that every build on ``terrain``
+    copies, with the engine's constants set and, on a bridge, the settled
+    strip's tables bound as the part each world appends; and the arrays they
+    point to, held so that none is freed. Made once per terrain, so that a
+    build binds only its bodies."""
+    bridge = terrain is not None and terrain.kind == "bridge"
+    arrays = {"stiffness": _EDGE_STIFFNESS}
     builder = _struct("Builder")(
-        h=h,
-        w=w,
-        worlds=grid.size,
-        part_masses=0 if part is None else part["mass"].size,
-        part_springs=0 if part is None else part["spring_i"].size,
-        part_top=0 if part is None else part["bridge_top"].size,
         actuator_h=materials.ACTUATOR_H,
         actuator_v=materials.ACTUATOR_V,
-        left=left,
-        ground=ground,
         shear=materials.SHEAR_STIFFNESS_FACTOR,
         corner_mass=CORNER_MASS_PER_VOXEL,
+        damping_ratio=DAMPING_RATIO,
+        actuation_rate=ACTUATION_RATE,
     )
+    if bridge:
+        strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
+        arrays.update((f"part_{name}", strip[name]) for name in _PART_TABLES)
+        builder.part_masses, builder.part_springs, builder.part_top = (
+            strip[name].shape[0] for name in ("mass", "spring_i", "bridge_top")
+        )
     _point(builder, arrays)
+    table = _struct("Table")(
+        terrain=0 if terrain is None else 2 if bridge else 1,
+        steps_per_action=STEPS_PER_ACTION,
+        dt=DT,
+        stiffness=CONTACT_STIFFNESS,
+        damping=CONTACT_DAMPING,
+        mu=FRICTION_MU,
+        limit=DIVERGENCE_LIMIT,
+        span_start=terrain.span_start if bridge else 0.0,
+        span_end=terrain.span_end if bridge else 0.0,
+        action_low=ACTION_LOW,
+        action_high=ACTION_HIGH,
+    )
+    return builder, table, arrays
+
+
+def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: float, bare=False) -> WorldState:
+    """The union of worlds on ``terrain`` (its ``_blueprint``) whose world
+    ``w`` holds body ``cells[grid[w]]``, an (h, w) grid of material codes,
+    placed with its leftmost corner at x = ``left`` and its lowest at
+    y = ``ground``, then on a bridge the settled strip; or, ``bare``, the
+    bare strip alone. ``_kernel.c`` sets out the numbering.
+
+    Two kernel calls: ``vx_count`` sizes the union, and ``vx_build`` lays
+    out every table in one zeroed buffer, fills them and points the Table at
+    them. A build binds only its bodies' cells and grid and reads one
+    address more, its buffer's: the rest was bound once (``_blueprint``).
+    """
+    template, table, _ = _blueprint(terrain)
+    builder = type(template).from_buffer_copy(template)
+    builder.h, builder.w = cells.shape[1:]
+    builder.worlds, builder.left, builder.ground, builder.bare = len(grid), left, ground, bare
+    _point(builder, {"cells": cells, "grid": np.asarray(grid, dtype=np.int64)})
+    table = type(table).from_buffer_copy(table)
     kernel = _kernel()
-    kernel.vx_count(ctypes.byref(builder))
-    tables = {
-        name: np.empty(size, dtype=dtype)
-        for kind_tables, size in zip(_ROW_TABLES.values(), starts[:, -1].tolist())
-        for name, dtype in kind_tables.items()
+    buffer = np.zeros(kernel.vx_count(ctypes.byref(builder), ctypes.byref(table)) // 8, dtype=np.int64)
+    base = buffer.ctypes.data
+    kernel.vx_build(ctypes.byref(builder), ctypes.byref(table), base)
+    views = _views(table, buffer, base)
+    starts = dict(zip(_KINDS, views.pop("starts")))
+    return WorldState(
+        **views, starts=starts, morphologies=morphologies, terrain=terrain, buffer=buffer, kernel_table=table
+    )
+
+
+def _views(table: ctypes.Structure, buffer: np.ndarray, base: int) -> dict:
+    """A view of ``buffer``, at address ``base``, of each table of the union
+    that Python reads, by its ``Table`` name, shaped by the Table's sizes."""
+    n, s, v, a, r, w = table.masses, table.springs, table.voxels, table.actuators, table.robots, table.worlds
+    shapes = {
+        "pos": (n, 2), "vel": (n, 2), "mass": n, "inv_mass": n, "pinned": n, "is_robot": n, "mass_world": n,
+        "spring_i": s, "spring_j": s, "spring_k": s, "spring_rest": s,
+        "spring_current_rest": s, "spring_target_rest": s, "spring_world": s,
+        "vox_cells": (v, 2), "vox_corners": (v, 4), "vox_h_edges": (v, 2), "vox_v_edges": (v, 2), "vox_shear": (v, 2),
+        "actuator_cells": (a, 2), "actuator_springs": (a, 2), "act_world": a,
+        "robot_ids": r, "robot_world": r, "com_weights": r, "bridge_top": w * table.chain,
+        "clamped_actions": w, "net": (n, 2), "diverged": w, "blown": 1, "starts": (len(_KINDS), w + 1),
     }
-    _point(builder, tables)
-    kernel.vx_build(ctypes.byref(builder))
-    return tables, dict(zip(_ROW_TABLES, starts))
+    pointees = type(table).pointees
+    return {
+        name: np.ndarray(shape, _VIEW_DTYPES[pointees[name]], buffer, getattr(table, name) - base)
+        for name, shape in shapes.items()
+    }
 
 
 def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
@@ -388,11 +401,14 @@ def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     surface (y=0) and its leftmost corner at the terrain's spawn_x (x=0
     when terrain is None), then on bridge terrain the settled strip's rows.
     Every body is checked simulable first; then the kernel numbers, places
-    and joins the rows of every world (``_rows``), so bodies that repeat
-    get identical rows, and ``WorldState`` derives the other columns.
-    Bodies of different shapes may share a union.
+    and joins the rows of every world and derives every other table from
+    them, in one buffer (``_build``), so bodies that repeat get identical
+    rows. Bodies of different shapes may share a union; a union of no body
+    is refused.
     """
     morphologies = list(morphologies)
+    if not morphologies:
+        raise ValueError("build_worlds needs at least one body: a union of no worlds has no tables")
     index: dict[Morphology, int] = {}
     grid = [index.setdefault(m, len(index)) for m in morphologies]
     for m in index:
@@ -402,11 +418,7 @@ def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     cells = np.zeros((len(index), max(m.h for m in index), max(m.w for m in index)), dtype=np.int8)
     for k, m in enumerate(index):
         cells[k, : m.h, : m.w] = m.cells  # a smaller body padded with empty cells, which build nothing
-    strip = None
-    if terrain is not None and terrain.kind == "bridge":
-        strip = _settled_strip(int(terrain.span_start), int(terrain.span_end), terrain.bridge_material)
-    tables, starts = _rows(cells, grid, terrain.spawn_x if terrain is not None else 0.0, 0.0, strip)
-    return WorldState(**tables, morphologies=morphologies, starts=starts, terrain=terrain)
+    return _build(cells, grid, morphologies, terrain, terrain.spawn_x if terrain is not None else 0.0, 0.0)
 
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
@@ -414,27 +426,20 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
     return build_worlds([morphology], terrain)
 
 
-def _strip_rows(span_start: int, span_end: int, material: int) -> tuple[dict, dict]:
-    """The bare compliant strip, flat, and its starts: a 1-voxel-thick row of
-    ``material`` built as a one-row body with its top at y=0, pinned at both
-    pad junctions, with its top chain ordered by x. It has no voxel or
-    actuator rows; those are a robot's."""
+def _bare_strip(span_start: int, span_end: int, material: int) -> WorldState:
+    """The bare compliant strip, flat, alone on no terrain: a 1-voxel-thick
+    row of ``material`` built as a bare one-row body with its top at y=0,
+    pinned at both pad junctions, with its top chain ordered by x and no
+    robot, voxel or actuator rows (``_kernel.c`` sets out a bare body)."""
     cells = np.full((1, 1, span_end - span_start), material, dtype=np.int8)
-    tables, starts = _rows(cells, [0], float(span_start), -1.0)
-    x, y = tables["pos"].T
-    top = np.flatnonzero(y == 0.0)
-    tables.update(pinned=(x == span_start) | (x == span_end), is_robot=np.zeros(x.size, dtype=bool), bridge_top=top)
-    for name in (*_ROW_TABLES["vox"], *_ROW_TABLES["act"]):
-        tables[name] = tables[name][:0]
-    starts.update(vox=np.zeros(2, dtype=np.int64), act=np.zeros(2, dtype=np.int64), top=np.array([0, top.size]))
-    return tables, starts
+    return _build(cells, [0], [], None, float(span_start), -1.0, bare=True)
 
 
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
-    """The bare strip's row tables at its static equilibrium under gravity,
-    their positions read-only: built and settled once per span; a bridge
-    world appends them after its robot's.
+    """The bare strip's tables that a bridge world appends (``_PART_TABLES``)
+    at its static equilibrium under gravity, their positions read-only:
+    built and settled once per span.
 
     Newton's method on the free masses' coordinates, starting from the flat
     strip. The residual is each free mass's acceleration under
@@ -445,8 +450,7 @@ def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
     ``STRIP_TOLERANCE`` or more; raises rather than return an unconverged
     strip.
     """
-    tables, starts = _strip_rows(span_start, span_end, material)
-    strip = WorldState(**tables, morphologies=[], starts=starts, terrain=None)
+    strip = _bare_strip(span_start, span_end, material)
     free = np.flatnonzero(~strip.pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
@@ -460,7 +464,7 @@ def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
         r = residual()
         if np.abs(r).max() < STRIP_TOLERANCE:
             strip.pos.setflags(write=False)
-            return tables
+            return {name: getattr(strip, name) for name in _PART_TABLES}
         jacobian = np.empty((r.size, r.size))
         for k, u in enumerate(unknowns):
             held = coords[u]
@@ -492,98 +496,6 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[k] = rhs[k] / m[k, k]
         rhs[:k] -= m[:k, k] * x[k]
     return x
-
-
-def _kernel_table(state: WorldState) -> tuple[dict, ctypes.Structure]:
-    """The arrays the kernel reads and writes, by their ``Table`` names: the
-    state's, the tables that only the kernel reads, derived here, and the
-    kernel's scratch rows; and the kernel's pointer table into them, with
-    the state's sizes and the engine's constants.
-
-    Row k of the kernel's ``spring_f`` is spring k's force on its i end,
-    row ``num_springs + k`` the reaction on its j end. ``ends`` lists each
-    mass's rows in row order, ``end_starts`` where each mass's list starts,
-    so a mass sums its ``spring_i`` ends, then its ``spring_j`` ends, each
-    in spring order.
-    """
-    n, s, robots = state.num_masses, state.num_springs, state.robot_ids.size
-    actuators = len(state.actuator_cells)
-    # the actuated edges, and the voxels whose diagonals follow them (``_kernel.c``'s Table sets out each table)
-    edges, slot, count = np.unique(state.actuator_springs.ravel(), return_inverse=True, return_counts=True)
-    actuated = np.zeros(s, dtype=bool)
-    actuated[edges] = True
-    holds = actuated[state.vox_h_edges] | actuated[state.vox_v_edges]
-    affected = np.flatnonzero(holds.any(axis=1))
-    owners = np.concatenate([state.spring_i, state.spring_j])  # the mass of each row
-    end_starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
-    arrays = {
-        "pos": state.pos,
-        "vel": state.vel,
-        "rest": state.spring_current_rest,
-        "target": state.spring_target_rest,
-        "clamped_actions": state.clamped_actions,
-        "mass": state.mass,
-        "inv_mass": state.inv_mass,
-        "spring_i": state.spring_i,
-        "spring_j": state.spring_j,
-        "spring_k": state.spring_k,
-        "spring_c": state.spring_c,
-        "spring_rest": state.spring_rest,
-        "edge_ids": edges,
-        "edge_limit": ACTUATION_RATE * state.spring_rest[edges],
-        "edge_slot": slot,
-        "edge_count": count,
-        "act_world": state.act_world,
-        "vox_corners": state.vox_corners,
-        "diagonal_sides": np.stack([state.vox_h_edges[affected], state.vox_v_edges[affected]]).transpose(2, 0, 1).copy(),
-        "diagonal_ids": state.vox_shear[affected].T.copy(),
-        "robot_ids": state.robot_ids,
-        "robot_world": state.robot_world,
-        "bridge_top": state.bridge_top,
-        "mass_starts": state.starts["mass"],
-        "end_starts": end_starts,
-        "ends": np.argsort(owners, kind="stable"),
-        "spring_d": np.zeros((s, 4)),
-        "spring_f": np.zeros((2, s, 2)),
-        "ground": np.zeros((robots, 2)),
-        "chain_x": np.zeros(state.bridge_top.size),
-        "net": np.zeros_like(state.pos),  # the summed forces
-        "new_pos": np.zeros_like(state.pos),
-        "bad": np.zeros(state.num_worlds, dtype=np.int64),
-        "diverged": np.zeros(state.num_worlds, dtype=np.int64),  # the last step's diverged worlds lead it
-        "blown": np.zeros(1, dtype=np.int64),  # and their number
-        "contact_ids": np.zeros(2 * robots, dtype=np.int64),
-        "contact_w": np.zeros(4 * robots),
-        "clamped": np.zeros(actuators),
-        "sums": np.zeros(edges.size),
-    }
-    terrain = state.terrain
-    bridge = terrain is not None and terrain.kind == "bridge"
-    table = _struct("Table")(
-        masses=n,
-        springs=s,
-        robots=robots,
-        worlds=state.num_worlds,
-        chain=state.bridge_top.size // state.num_worlds,
-        edges=edges.size,
-        diagonals=affected.size,
-        terrain=0 if terrain is None else 2 if bridge else 1,
-        actuators=actuators,
-        voxels=len(state.vox_cells),
-        steps_per_action=STEPS_PER_ACTION,
-        dt=DT,
-        stiffness=CONTACT_STIFFNESS,
-        damping=CONTACT_DAMPING,
-        mu=FRICTION_MU,
-        limit=DIVERGENCE_LIMIT,
-        span_start=terrain.span_start if bridge else 0.0,
-        span_end=terrain.span_end if bridge else 0.0,
-        action_low=ACTION_LOW,
-        action_high=ACTION_HIGH,
-    )
-    _point(table, arrays)
-    return arrays, table
 
 
 def _build_kernel(path: Path) -> None:
@@ -654,7 +566,7 @@ def _forces(state: WorldState, springs: int, contact: int) -> np.ndarray:
     contact terms if ``contact``, (n, 2): one call of the kernel's force
     entry."""
     _kernel().vx_forces(state.kernel_address, springs, contact)
-    return state.kernel_arrays["net"].copy()
+    return state.net.copy()
 
 
 def net_forces(state: WorldState) -> np.ndarray:
@@ -715,10 +627,9 @@ def advance(
     Returns a new array of the ids of the worlds that diverged on the last
     step taken, ascending; it is empty if none did.
     """
-    arrays = state.kernel_arrays
     table = None if controller is None else controller.address
     state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach, gravity)
-    return arrays["diverged"][: arrays["blown"][0]].copy()
+    return state.diverged[: state.blown[0]].copy()
 
 
 def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:

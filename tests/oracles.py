@@ -19,8 +19,13 @@ against ``sim_core.set_actuation_targets``; ``reference_observations``
 observations, against the compiled fill; ``reference_network`` (with
 ``reference_tanh`` and ``reference_exp``) the kernel's modular network,
 against ``control.forward_batch``; ``reference_build_worlds`` (with
-``reference_strip``) the numpy world builder, against the kernel's
-``sim_core.build_worlds``; each bit for bit. ``pareto_layers`` peels
+``reference_strip``) the numpy world builder, and ``reference_tables``
+the numpy derivation of every other table of a union from its rows (the
+columns, the tables only the kernel reads, its zeroed scratch rows),
+against the kernel's ``sim_core.build_worlds``, which builds them all in
+one buffer; each bit for bit. ``kernel_tables`` reads a built union's
+tables where its kernel ``Table`` points, the kernel's own included,
+which the state holds no view of. ``pareto_layers`` peels
 Pareto fronts by brute force, one ``dominates`` call per ordered pair, and
 ``reference_truncation_select`` fills from them, against
 ``evolution.truncation_select``.
@@ -46,9 +51,11 @@ from voxevo.morphology import InvalidMorphologyError, Morphology, simulability_r
 from voxevo.sim_core import (
     ACTION_HIGH,
     ACTION_LOW,
+    ACTUATION_RATE,
     CONTACT_DAMPING,
     CONTACT_STIFFNESS,
     CORNER_MASS_PER_VOXEL,
+    DAMPING_RATIO,
     DIVERGENCE_LIMIT,
     DT,
     FRICTION_MU,
@@ -228,7 +235,7 @@ def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> 
     changed = clamped != commands
     if np.count_nonzero(changed):
         state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
-    edges, slot, count = (state.kernel_arrays[name] for name in ("edge_ids", "edge_slot", "edge_count"))
+    edges, slot, count = kernel_tables(state, "edge_ids", "edge_slot", "edge_count").values()
     sums = np.bincount(slot, clamped.repeat(2), minlength=edges.size)
     state.spring_target_rest[edges] = state.spring_rest[edges] * sums / count
 
@@ -351,7 +358,7 @@ def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     """``sim_core.step`` in numpy: the same operations in the same order,
     writing the same arrays in place (positions, velocities, current rest
     lengths) and returning the diverged worlds' ids."""
-    if state.kernel_arrays["edge_ids"].size:
+    if state.kernel_table.edges:
         _reference_advance_actuation(state)
     f = reference_net_forces(state)
     f[:, 1] -= gravity * state.mass
@@ -372,7 +379,8 @@ def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
 
 
 def _reference_advance_actuation(state: WorldState) -> None:
-    edges, limit = state.kernel_arrays["edge_ids"], state.kernel_arrays["edge_limit"]
+    tables = kernel_tables(state, "edge_ids", "edge_limit", "diagonal_sides", "diagonal_ids")
+    edges, limit = tables["edge_ids"], tables["edge_limit"]
     cur = state.spring_current_rest
     edge_rest = cur.take(edges)
     delta = state.spring_target_rest.take(edges)
@@ -383,10 +391,10 @@ def _reference_advance_actuation(state: WorldState) -> None:
     np.maximum(delta, -limit, out=delta)
     edge_rest += delta
     cur.put(edges, edge_rest)
-    sides = cur.take(state.kernel_arrays["diagonal_sides"])
+    sides = cur.take(tables["diagonal_sides"])
     means = sides[0] + sides[1]  # bottom + top, left + right
     means *= 0.5
-    cur.put(state.kernel_arrays["diagonal_ids"], np.hypot(means[0], means[1]))
+    cur.put(tables["diagonal_ids"], np.hypot(means[0], means[1]))
 
 
 def reference_net_forces(state: WorldState) -> np.ndarray:
@@ -428,7 +436,7 @@ def _spring_table(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     rel_speed += dv[:, 1] * dy
     rel_speed /= dist
     magnitude = state.spring_k * (dist - state.spring_current_rest)
-    magnitude += state.spring_c * rel_speed
+    magnitude += kernel_tables(state, "spring_c")["spring_c"] * rel_speed
     magnitude /= dist
     terms = np.empty((4, state.num_springs))
     np.multiply(dx, magnitude, out=terms[0])
@@ -513,7 +521,8 @@ def _strip_table(state: WorldState, in_span: np.ndarray) -> tuple[np.ndarray, np
 
 # --- the world builder in numpy ----------------------------------------------
 # ``sim_core.build_worlds`` numbers, places and joins a batch's rows in
-# ``_kernel.c``; these functions do the same in numpy.
+# ``_kernel.c`` and derives every other table of the union from them; these
+# functions do the same in numpy.
 
 # The row tables that a world's parts hold, by the kind of row they run
 # over, and the kind of row each index table points into
@@ -648,11 +657,12 @@ def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
     return rows
 
 
-def reference_strip(span_start: int, span_end: int, material: int) -> WorldState:
+def reference_strip(span_start: int, span_end: int, material: int) -> tuple[dict, dict]:
     """The bare strip alone, flat, as the world the strip's static solve
-    relaxes: a union of one with no robot and no terrain."""
-    tables, starts = _concatenate([reference_strip_rows(span_start, span_end, material)])
-    return WorldState(**tables, morphologies=[], starts=starts, terrain=None)
+    relaxes, a union of one with no robot and no terrain: its tables and
+    sizes (``reference_tables``)."""
+    rows = reference_strip_rows(span_start, span_end, material)
+    return reference_tables(*_concatenate([rows]), num_worlds=1)
 
 
 def _reference_world_rows(morphology: Morphology, terrain) -> dict:
@@ -673,14 +683,132 @@ def _reference_world_rows(morphology: Morphology, terrain) -> dict:
     return _concatenate([robot, strip])[0]
 
 
-def reference_build_worlds(morphologies, terrain) -> WorldState:
+def reference_build_worlds(morphologies, terrain) -> tuple[dict, dict]:
     """``sim_core.build_worlds`` in numpy: each distinct body's rows built
     once, the worlds' rows concatenated in order with their index tables
-    offset."""
+    offset, and every other table derived from them; the union's tables and
+    sizes (``reference_tables``)."""
     morphologies = list(morphologies)
     rows = {m: _reference_world_rows(m, terrain) for m in dict.fromkeys(morphologies)}
-    tables, starts = _concatenate([rows[m] for m in morphologies])
-    return WorldState(**tables, morphologies=morphologies, starts=starts, terrain=terrain)
+    return reference_tables(*_concatenate([rows[m] for m in morphologies]), num_worlds=len(morphologies))
+
+
+def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, dict]:
+    """Every table of a union's kernel ``Table``, by its name, and the
+    Table's sizes, from the union's row tables and each kind's row offsets,
+    derived in numpy as the library derived them before ``vx_build`` did:
+    the moving columns, each row's world, the robot masses' weights, the
+    actuated edges and the diagonals that follow them, each mass's list of
+    spring ends (a stable argsort), and the zeroed scratch rows."""
+    pos, mass, spring_rest = rows["pos"], rows["mass"], rows["spring_rest"]
+    spring_i, spring_j = rows["spring_i"], rows["spring_j"]
+    n, s = mass.size, spring_i.size
+    starts = np.stack([offsets[kind] for kind in _ROW_FIELDS])
+    worlds = np.arange(num_worlds)
+    mass_world = np.repeat(worlds, np.diff(offsets["mass"]))
+    robot_ids = np.flatnonzero(rows["is_robot"])
+    robot_world = mass_world[robot_ids]
+    robot_mass = mass[robot_ids]
+    robots, actuators = robot_ids.size, len(rows["actuator_cells"])
+    m_avg = 0.5 * (mass[spring_i] + mass[spring_j])
+    # the actuated edges, and the voxels whose diagonals follow them
+    edges, slot, count = np.unique(rows["actuator_springs"].ravel(), return_inverse=True, return_counts=True)
+    actuated = np.zeros(s, dtype=bool)
+    actuated[edges] = True
+    h_edges, v_edges = rows["vox_h_edges"], rows["vox_v_edges"]
+    affected = np.flatnonzero((actuated[h_edges] | actuated[v_edges]).any(axis=1))
+    owners = np.concatenate([spring_i, spring_j])  # the mass of each row of spring_f
+    end_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
+    tables = {
+        **rows,
+        "vel": np.zeros_like(pos),
+        "inv_mass": np.where(rows["pinned"], 0.0, 1.0 / mass),
+        "spring_current_rest": spring_rest.copy(),
+        "spring_target_rest": spring_rest.copy(),
+        "spring_c": DAMPING_RATIO * 2.0 * np.sqrt(rows["spring_k"] * m_avg),
+        "clamped_actions": np.zeros(num_worlds, dtype=np.int64),
+        "mass_world": mass_world,
+        "spring_world": np.repeat(worlds, np.diff(offsets["spring"])),
+        "act_world": np.repeat(worlds, np.diff(offsets["act"])),
+        "robot_ids": robot_ids,
+        "robot_world": robot_world,
+        "com_weights": robot_mass / np.bincount(robot_world, robot_mass)[robot_world],
+        "starts": starts,
+        "edge_ids": edges,
+        "edge_limit": ACTUATION_RATE * spring_rest[edges],
+        "edge_slot": slot,
+        "edge_count": count,
+        "diagonal_sides": np.stack([h_edges[affected], v_edges[affected]]).transpose(2, 0, 1).copy(),
+        "diagonal_ids": rows["vox_shear"][affected].T.copy(),
+        "end_starts": end_starts,
+        "ends": np.argsort(owners, kind="stable"),
+        "spring_d": np.zeros((s, 4)),
+        "spring_f": np.zeros((2, s, 2)),
+        "ground": np.zeros((robots, 2)),
+        "chain_x": np.zeros(rows["bridge_top"].size),
+        "net": np.zeros_like(pos),
+        "new_pos": np.zeros_like(pos),
+        "bad": np.zeros(num_worlds, dtype=np.int64),
+        "diverged": np.zeros(num_worlds, dtype=np.int64),
+        "blown": np.zeros(1, dtype=np.int64),
+        "contact_ids": np.zeros(2 * robots, dtype=np.int64),
+        "contact_w": np.zeros(4 * robots),
+        "clamped": np.zeros(actuators),
+        "sums": np.zeros(edges.size),
+    }
+    sizes = {
+        "masses": n,
+        "springs": s,
+        "robots": robots,
+        "worlds": num_worlds,
+        "chain": rows["bridge_top"].size // num_worlds,
+        "edges": edges.size,
+        "diagonals": affected.size,
+        "actuators": actuators,
+        "voxels": len(rows["vox_cells"]),
+    }
+    return tables, sizes
+
+
+def table_shapes(table) -> dict:
+    """The dtype and shape of each table of a kernel ``Table``, by its name,
+    as ``reference_tables`` makes it, from the Table's sizes."""
+    n, s, r, w, a, v = table.masses, table.springs, table.robots, table.worlds, table.actuators, table.voxels
+    e, d, tops = table.edges, table.diagonals, table.worlds * table.chain
+    f, i, b = np.float64, np.int64, np.bool_
+    return {
+        "pos": (f, (n, 2)), "vel": (f, (n, 2)), "spring_current_rest": (f, s), "spring_target_rest": (f, s),
+        "clamped_actions": (i, w), "mass": (f, n), "inv_mass": (f, n), "spring_i": (i, s), "spring_j": (i, s),
+        "spring_k": (f, s), "spring_c": (f, s), "spring_rest": (f, s),
+        "edge_ids": (i, e), "edge_limit": (f, e), "edge_slot": (i, 2 * a), "edge_count": (i, e), "act_world": (i, a),
+        "vox_corners": (i, (v, 4)), "diagonal_sides": (i, (2, 2, d)), "diagonal_ids": (i, (2, d)),
+        "robot_ids": (i, r), "robot_world": (i, r), "bridge_top": (i, tops), "starts": (i, (len(_ROW_FIELDS), w + 1)),
+        "end_starts": (i, n + 1), "ends": (i, 2 * s),
+        "pinned": (b, n), "is_robot": (b, n), "mass_world": (i, n), "spring_world": (i, s),
+        "vox_cells": (i, (v, 2)), "vox_h_edges": (i, (v, 2)), "vox_v_edges": (i, (v, 2)), "vox_shear": (i, (v, 2)),
+        "actuator_cells": (i, (a, 2)), "actuator_springs": (i, (a, 2)), "com_weights": (f, r),
+        "spring_d": (f, (s, 4)), "spring_f": (f, (2, s, 2)), "ground": (f, (r, 2)), "chain_x": (f, tops),
+        "net": (f, (n, 2)), "new_pos": (f, (n, 2)), "bad": (i, w), "diverged": (i, w), "blown": (i, 1),
+        "contact_ids": (i, 2 * r), "contact_w": (f, 4 * r), "clamped": (f, a), "sums": (f, e),
+    }
+
+
+def kernel_tables(state: WorldState, *names: str) -> dict:
+    """The tables of ``state``'s kernel ``Table`` named (all if none is),
+    each a view of the state's buffer where the Table points, of the dtype
+    and shape ``table_shapes`` gives; a table that does not lie inside the
+    buffer is an error."""
+    shapes = table_shapes(state.kernel_table)
+    base, size = state.buffer.ctypes.data, state.buffer.nbytes
+    views = {}
+    for name in names or shapes:
+        dtype, shape = shapes[name]
+        offset = getattr(state.kernel_table, name) - base
+        nbytes = np.dtype(dtype).itemsize * math.prod(np.atleast_1d(shape))
+        assert 0 <= offset and offset + nbytes <= size, f"Table.{name} lies outside the union's buffer"
+        views[name] = np.ndarray(shape, dtype, state.buffer, offset)
+    return views
 
 
 # --- AFPO selection, brute force ---------------------------------------------

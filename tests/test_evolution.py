@@ -477,6 +477,24 @@ def test_checkpoint_text_is_json_dumps(tmp_path):
         assert written.getvalue() == expected.getvalue()
 
 
+def test_a_record_s_text_is_json_dumps():
+    # a checkpoint record's text puts the parameters' base64 in unscanned;
+    # it is what json.dumps writes for the record, for either controller,
+    # evaluated or not, with and without a parent
+    rng = np.random.default_rng(20)
+    for variant, fitness, parent, component in [("modular", 1.25, 3, "brain"), ("fixed", None, None, None)]:
+        ind = Individual(
+            id=7,
+            morphology=random_morphology(5, 5, rng),
+            controller=init_controller(variant, rng),
+            parent_id=parent,
+            mutated_component=component,
+        )
+        ind.fitness = fitness
+        assert evolution._record_text(ind) == json.dumps(ind.to_json())
+        assert evolution._snapshot_text(4, ind) == json.dumps([4, ind.to_json()])
+
+
 def test_checkpoint_rejects_other_config(tmp_path):
     ck = tmp_path / "checkpoint.json"
     evolve(small_config(generations=4), HashEvaluator(), checkpoint_path=ck)

@@ -7,9 +7,10 @@ is the same step in numpy, and ``oracles.reference_set_actuation_targets``
 the target setter. Every golden setting steps under both, alone and as the
 middle world of a union, and each step must leave the same bytes in every
 array the step or the target setter writes. ``sim_core.build_worlds`` must
-make every array ``oracles.reference_build_worlds`` makes, byte for byte.
-Built with AddressSanitizer, the kernel must build and run unions without
-one invalid access. Two unions advanced at once, on two threads, must end
+make every table ``oracles.reference_build_worlds`` makes, byte for byte,
+each read where the union's kernel ``Table`` points, inside its one buffer.
+Built with AddressSanitizer, which also sees the gaps between the buffer's
+tables, the kernel must build and run unions without one invalid access. Two unions advanced at once, on two threads, must end
 with the bytes they end with one after the other. The modular digests must
 hold under another OpenBLAS kernel and with numpy's SIMD dispatch cut down,
 and every golden digest in the kernel's baseline clones. The structs that Python reads from
@@ -39,6 +40,7 @@ from voxevo.tasks import T_MAX
 from voxevo.terrain import BRIDGE_SPAN_END, BRIDGE_SPAN_START, make_bridge_terrain, make_flat_terrain
 
 from oracles import (
+    kernel_tables,
     reference_build_worlds,
     reference_contact_forces,
     reference_set_actuation_targets,
@@ -175,30 +177,54 @@ def test_two_unions_advanced_at_once_end_as_one_after_the_other():
 TERRAINS = {"walker": make_flat_terrain(), "bridgewalker": make_bridge_terrain((7, 7)), "none": None}
 
 
+# every table of the kernel's Table, each of which assert_same_state
+# compares: all the kernel reads or writes, the scratch rows included, and
+# every table of which a state holds a view
+KERNEL_TABLES = (
+    "pos", "vel", "spring_current_rest", "spring_target_rest", "clamped_actions",
+    "mass", "inv_mass", "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
+    "edge_ids", "edge_limit", "edge_slot", "edge_count", "act_world", "vox_corners", "diagonal_sides", "diagonal_ids",
+    "robot_ids", "robot_world", "bridge_top", "starts", "end_starts", "ends",
+    "pinned", "is_robot", "mass_world", "spring_world", "vox_cells", "vox_h_edges", "vox_v_edges", "vox_shear",
+    "actuator_cells", "actuator_springs", "com_weights",
+    "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad", "diverged", "blown",
+    "contact_ids", "contact_w", "clamped", "sums",
+)
+
+
+def state_views(state) -> dict:
+    """Every array a state holds, by its name, each row of its starts as
+    ``starts[kind]``; its buffer left out."""
+    views = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray) and name != "buffer"}
+    return {**views, **{f"starts[{kind}]": row for kind, row in state.starts.items()}}
+
+
 def assert_same_state(state, reference):
-    """Every array of two states, their starts and the kernel's arrays
-    included, byte for byte and dtype for dtype; and the same bodies,
-    terrain and time."""
-    for name, value in vars(reference).items():
-        if isinstance(value, np.ndarray):
-            arrays = [(name, getattr(state, name), value)]
-        elif name in ("starts", "kernel_arrays"):
-            assert getattr(state, name).keys() == value.keys(), name
-            arrays = [(f"{name}[{key}]", getattr(state, name)[key], array) for key, array in value.items()]
-        else:
-            continue
-        for label, ours, theirs in arrays:
-            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), label
-            assert ours.tobytes() == theirs.tobytes(), label
-    assert state.morphologies == reference.morphologies
-    assert (state.terrain, state.sim_time) == (reference.terrain, reference.sim_time)
+    """Every table of a built union, read where its kernel Table points, and
+    the Table's sizes equal the numpy reference's (``reference_tables``),
+    byte for byte and dtype for dtype; and every array the state holds is a
+    view of the union's buffer at its table."""
+    tables, sizes = reference
+    assert set(KERNEL_TABLES) == set(type(state.kernel_table).pointees) == set(tables)
+    ours = kernel_tables(state)
+    for name in KERNEL_TABLES:
+        assert (ours[name].dtype, ours[name].shape) == (tables[name].dtype, tables[name].shape), name
+        assert ours[name].tobytes() == tables[name].tobytes(), name
+    assert {name: getattr(state.kernel_table, name) for name in sizes} == sizes
+    rows = {f"starts[{kind}]": row for kind, row in zip(state.starts, ours["starts"])}
+    for name, view in state_views(state).items():
+        table = rows[name] if name in rows else ours[name]
+        assert view.base is state.buffer, name
+        assert view.__array_interface__ == table.__array_interface__, name
 
 
 @pytest.mark.parametrize("setting", list(TRAJECTORY_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
 def test_the_golden_unions_build_as_the_reference(setting):
     pairs, terrain = golden_pairs(*setting, neighbours=1)
     bodies = [m for m, _ in pairs]
-    assert_same_state(build_worlds(bodies, terrain), reference_build_worlds(bodies, terrain))
+    union = build_worlds(bodies, terrain)
+    assert_same_state(union, reference_build_worlds(bodies, terrain))
+    assert (union.morphologies, union.terrain, union.sim_time) == (bodies, terrain, 0)
 
 
 @pytest.mark.parametrize("terrain", list(TERRAINS.values()), ids=list(TERRAINS))
@@ -224,13 +250,74 @@ def test_random_unions_build_as_the_reference(terrain):
         assert_same_state(build_worlds(bodies, terrain), reference_build_worlds(bodies, terrain))
 
 
+@pytest.mark.parametrize("terrain", list(TERRAINS.values()), ids=list(TERRAINS))
+def test_a_shared_actuated_edge_and_a_voxel_without_one_build_as_the_reference(terrain):
+    # two horizontal actuators, one above the other, share their middle
+    # edge, which both then drive; the rigid voxels beside them hold no
+    # actuated edge, so their diagonals never follow one. A world without
+    # actuators sits between two with them
+    bodies = [Morphology([[3, 1], [3, 1]]), Morphology([[1, 2]]), Morphology([[3, 1], [3, 1]])]
+    union = build_worlds(bodies, terrain)
+    assert_same_state(union, reference_build_worlds(bodies, terrain))
+    assert kernel_tables(union, "edge_count")["edge_count"].tolist() == [2, 1, 1] * 2
+    assert union.kernel_table.diagonals == 4 < union.kernel_table.voxels == 10
+
+
 def test_the_bare_strip_builds_as_the_reference():
-    # the strip the static solve relaxes: a one-row body's rows, pinned at
-    # both ends, with its top chain, alone and on no terrain
+    # the strip the static solve relaxes: a one-row bare body's rows, pinned
+    # at both ends, with its top chain, alone and on no terrain
     span = int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC
-    tables, starts = sim_core._strip_rows(*span)
-    strip = sim_core.WorldState(**tables, morphologies=[], starts=starts, terrain=None)
+    strip = sim_core._bare_strip(*span)
     assert_same_state(strip, reference_strip(*span))
+    assert (strip.morphologies, strip.terrain, strip.kernel_table.terrain) == ([], None, 0)
+
+
+def bare_and_built():
+    """A W5 and a B7 union of random bodies, and the bare strip."""
+    rng = np.random.default_rng(27)
+    return [
+        build_worlds([random_morphology(5, 5, rng) for _ in range(4)], TERRAINS["walker"]),
+        build_worlds([random_morphology(7, 7, rng) for _ in range(3)], TERRAINS["bridgewalker"]),
+        sim_core._bare_strip(int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC),
+    ]
+
+
+@pytest.mark.parametrize("state", bare_and_built(), ids=["W5", "B7", "bare-strip"])
+def test_every_table_lies_in_the_union_s_one_buffer(state):
+    # every pointer of the kernel's Table points into the state's buffer,
+    # no two tables overlap, a gap follows each, and every array the state
+    # holds is a view of the buffer where the Table points
+    tables = kernel_tables(state)  # each asserted inside the buffer
+    assert set(tables) == set(type(state.kernel_table).pointees)
+    spans = sorted((getattr(state.kernel_table, name), table.nbytes) for name, table in tables.items())
+    for (start, nbytes), (following, _) in zip(spans, spans[1:]):
+        assert start + nbytes + 64 <= following
+    views = state_views(state)
+    assert all(view.base is state.buffer for view in views.values())
+    for name, view in views.items():
+        if name in tables:
+            assert view.__array_interface__ == tables[name].__array_interface__, name
+
+
+def test_a_build_binds_only_its_bodies(monkeypatch):
+    # the engine's constants and the strip's tables are bound once per
+    # terrain; a build binds its bodies' cells and grid, and reads one
+    # address for the union it makes
+    bound = []
+    original = sim_core._point
+
+    def counting(struct, arrays):
+        bound.extend(arrays)
+        original(struct, arrays)
+
+    rng = np.random.default_rng(8)
+    for terrain in TERRAINS.values():
+        build_worlds([random_morphology(5, 5, rng)], terrain)  # the terrain's blueprint is made by now
+        monkeypatch.setattr(sim_core, "_point", counting)
+        build_worlds([random_morphology(5, 5, rng) for _ in range(17)], terrain)
+        monkeypatch.undo()
+        assert sorted(bound) == ["cells", "grid"]
+        bound.clear()
 
 
 def sanitised_script(cache_dir: Path) -> str:
@@ -262,9 +349,10 @@ def sanitised_evidence() -> str:
 
 
 def test_the_kernel_is_clean_under_address_sanitizer(tmp_path):
-    # the builder writes tables whose sizes its own counting pass sets: a
-    # kernel built with AddressSanitizer aborts on any access out of the
-    # arrays, and must give the bits of the kernel this process runs
+    # the builder writes tables whose sizes its own counting pass sets, all
+    # in one buffer: a kernel built with AddressSanitizer poisons the gap
+    # after each table, so it aborts on any access out of a table, and it
+    # must give the bits of the kernel this process runs
     runtime = subprocess.run(
         [sim_core._COMPILER, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60
     ).stdout.strip()

@@ -22,7 +22,7 @@ from voxevo.sim_core import (
 )
 from voxevo.terrain import make_bridge_terrain, make_flat_terrain
 
-from oracles import mechanical_energy, observe_voxel, robot_center_of_mass, voxel_index
+from oracles import kernel_tables, mechanical_energy, observe_voxel, robot_center_of_mass, voxel_index
 
 
 def settle(state, seconds, gravity=GRAVITY):
@@ -59,8 +59,8 @@ def test_build_2x1_shared_corners(flat):
     assert np.count_nonzero(spring_kinds(w) == "s") == 4
 
 
-# every WorldState row table by the kind of row it runs over, and the kind
-# of row each index table points into
+# every row table of a union's kernel Table by the kind of row it runs over,
+# and the kind of row each index table points into
 ROW_TABLES = {
     "mass": ("pos", "vel", "mass", "inv_mass", "pinned", "is_robot"),
     "spring": (
@@ -82,12 +82,18 @@ POINTS_INTO = {
 }
 
 
-def test_a_state_is_made_from_the_builder_tables_alone():
-    # a state takes every table the builder fills and derives every other
-    # column, so no builder table can be left out of a state
+def test_a_state_is_made_from_the_builder_tables_alone(flat):
+    # a state is made from its union's one buffer, the kernel's Table that
+    # points into it, and a view of each table Python reads, under the
+    # Table's name for it, so no table has a second home in a state
     made_from = {f.name for f in dataclasses.fields(sim_core.WorldState) if f.init}
-    tables = {name for kind in sim_core._ROW_TABLES.values() for name in kind}
-    assert made_from == tables | {"morphologies", "starts", "terrain", "sim_time", "controller"}
+    held = {"starts", "morphologies", "terrain", "buffer", "kernel_table", "sim_time", "controller"}
+    views = made_from - held
+    assert held <= made_from and views <= set(sim_core._struct("Table").pointees)
+    state = build_world(Morphology([[3, 1], [2, 4]]), flat)
+    for name in views | {"starts"}:
+        for view in state.starts.values() if name == "starts" else [getattr(state, name)]:
+            assert view.base is state.buffer, name
 
 
 @pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])
@@ -100,17 +106,16 @@ def test_union_rows_are_each_world_alone(terrain):
     union = build_worlds(bodies, terrain)
     alone = [build_world(m, terrain) for m in bodies]
     assert union.morphologies == bodies and union.clamped_actions.tolist() == [0, 0, 0]
+    tables, own_tables = kernel_tables(union), [kernel_tables(w) for w in alone]
     for kind, names in ROW_TABLES.items():
         starts = union.starts[kind]
         assert starts.tolist() == np.cumsum([0] + [len(getattr(w, names[0])) for w in alone]).tolist()
         for name in names:
-            table = getattr(union, name)
-            assert isinstance(table, np.ndarray)
             for k, w in enumerate(alone):
-                rows = table[starts[k] : starts[k + 1]]
+                rows = tables[name][starts[k] : starts[k + 1]]
                 if name in POINTS_INTO:
                     rows = rows - union.starts[POINTS_INTO[name]][k]
-                own = getattr(w, name)
+                own = own_tables[k][name]
                 assert rows.dtype == own.dtype and rows.shape == own.shape, name
                 assert rows.tobytes() == own.tobytes(), name
 
@@ -118,6 +123,23 @@ def test_union_rows_are_each_world_alone(terrain):
 def test_build_rejects_empty(flat):
     with pytest.raises(InvalidMorphologyError):
         build_world(Morphology(np.zeros((5, 5), dtype=np.int8)), flat)
+
+
+@pytest.mark.parametrize(
+    "terrain", [None, make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["none", "flat", "bridge"]
+)
+def test_a_union_of_no_body_is_refused_before_it_is_built(monkeypatch, terrain):
+    # a union of no worlds has no tables: it is refused with an error that
+    # says so, before any allocation or kernel call
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty union reached the builder")
+
+    monkeypatch.setattr(sim_core, "_build", refuse)
+    monkeypatch.setattr(sim_core, "_kernel", refuse)
+    with pytest.raises(ValueError, match="at least one body"):
+        build_worlds([], terrain)
+    with pytest.raises(ValueError, match="at least one body"):
+        build_worlds(iter(()), terrain)
 
 
 def test_build_rejects_disconnected(flat):

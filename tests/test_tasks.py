@@ -47,7 +47,7 @@ from voxevo.tasks import (
 )
 from voxevo.terrain import TerrainSpec
 
-from oracles import reference_episodes
+from oracles import kernel_tables, reference_episodes
 from test_golden import TRAJECTORY_SHA256, golden_pairs
 from test_sim_core import POINTS_INTO, ROW_TABLES
 
@@ -603,12 +603,13 @@ def test_batch_builds_each_distinct_body_once(rng, flat):
     alone = [run_episode(m, c, flat) for m, c in pairs]
     assert run_episodes(pairs, flat) == alone
     union = build_worlds(bodies, flat)
+    tables = kernel_tables(union)
 
     def world_rows(w):
         rows = []
         for kind, names in ROW_TABLES.items():
             for name in names:
-                table = getattr(union, name)[union.starts[kind][w] : union.starts[kind][w + 1]]
+                table = tables[name][union.starts[kind][w] : union.starts[kind][w + 1]]
                 if name in POINTS_INTO:
                     table = table - union.starts[POINTS_INTO[name]][w]
                 rows.append(table.tobytes())
