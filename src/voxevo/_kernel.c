@@ -8,7 +8,9 @@
  * world diverged; a step after which some mass has !(x < finish_reach);
  * and the stop time. At each control step it sets the targets from the
  * batch's controller table: the fixed alternation, or the modular network
- * on the observations it fills (vx_act).
+ * on the observations it fills (vx_act). A step's gravity is the Table's
+ * constant, and the worlds its last step saw diverge are flagged in the
+ * Table's per-world bad row, which the caller reads.
  *
  * The kernel keeps no mutable global state: its only file-scope data are
  * static const tables, and a call writes only through the Table, Brain or
@@ -54,7 +56,8 @@
  *     where it is a segment's left end, in robot-mass order, then those
  *     where it is the right end.
  * Another order rounds otherwise, so this order is part of the engine; the
- * golden digests guard it.
+ * golden digests guard it. The step then subtracts the Table's gravity times
+ * each mass from its y sum, and integrates (integrate).
  *
  * The elementwise loops around those sums take no data-dependent branch:
  * the springs' forces (spring_pass), the ground contact (ground_pass), the
@@ -101,9 +104,12 @@ enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' or
 
 /* A union of worlds: its sizes, the engine's constants, and pointers to every
  * table of the union, all in the one buffer that vx_build lays out and fills
- * (the builder, at the end of this file). The step writes the state's first
- * group of tables and reads the next; only Python reads the union's other
- * tables, and only the kernel its scratch rows. */
+ * (the builder, at the end of this file). Each fact has one table: a row's
+ * world, for one, is read from starts. The step writes the state's first
+ * group of tables and reads the next, which the builder derives from the
+ * rows of the third. The scratch rows carry a call's work from one pass to
+ * the next; of those, Python reads net and bad. sim_core.WorldState says
+ * which tables Python reads. */
 typedef struct {
     /* sizes */
     int64_t masses, springs, robots, worlds;
@@ -115,7 +121,7 @@ typedef struct {
     int64_t voxels;     /* non-empty robot voxels */
     int64_t steps_per_action;
     /* constants */
-    double dt, stiffness, damping, mu, limit, span_start, span_end;
+    double dt, gravity, stiffness, damping, mu, limit, span_start, span_end;
     double action_low, action_high;
     /* state, written */
     double *pos, *vel;  /* (masses, 2) */
@@ -143,9 +149,8 @@ typedef struct {
      * springs + k for its j end: its spring_i ends, then its spring_j ends,
      * each in spring order */
     int64_t *end_starts, *ends;
-    /* the union's other tables, which Python reads */
+    /* rows that the step never reads */
     uint8_t *pinned, *is_robot;  /* (masses,) */
-    int64_t *mass_world, *spring_world;  /* the world of each mass and each spring */
     int64_t *vox_cells, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2): (row, column), spring ids */
     int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2): (row, column), actuated edge ids */
     double *com_weights;      /* (robots,) each robot mass's fraction of its robot's */
@@ -156,12 +161,9 @@ typedef struct {
     double *chain_x;        /* (worlds, chain) the top chains' x */
     double *net;            /* (masses, 2) the summed forces */
     double *new_pos;        /* (masses, 2) */
-    int64_t *bad;           /* (worlds,) whether a world's new positions diverged */
-    int64_t *diverged;      /* (worlds,) */
-    int64_t *blown;         /* (1,) how many worlds vx_run's last step named */
+    int64_t *bad;           /* (worlds,) whether a world's new positions diverged on vx_run's last step */
     int64_t *contact_ids;   /* (2, robots) a strip contact's mass and segment */
     double *contact_w;      /* (4, robots) its right end's weight, its depth, its ft and its fn */
-    double *clamped;        /* (actuators,) */
     double *sums;           /* (edges,) */
 } Table;
 
@@ -410,13 +412,13 @@ void vx_forces(const Table *t, int64_t springs, int64_t contact)
     }
 }
 
-/* Velocities, then new positions, of every mass from t->net and gravity,
+/* Velocities, then new positions, of every mass from t->net and t->gravity,
  * into t->vel and t->new_pos; t->bad[w] is set when world w has a new
- * position that is non-finite or beyond the limit. */
-VX_CLONES VX_VECTOR static void integrate(const Table *t, double gravity, const double *restrict pos,
-                                           const double *restrict net, double *restrict vel, double *restrict new_pos)
+ * position that is non-finite or beyond the limit, and cleared otherwise. */
+VX_CLONES VX_VECTOR static void integrate(const Table *t, const double *restrict pos, const double *restrict net,
+                                           double *restrict vel, double *restrict new_pos)
 {
-    const double dt = t->dt, limit = t->limit;
+    const double dt = t->dt, gravity = t->gravity, limit = t->limit;
     const double *mass = t->mass, *inv_mass = t->inv_mass;
     for (int64_t w = 0; w < t->worlds; w++) {
         int64_t bad = 0;
@@ -446,20 +448,19 @@ VX_CLONES VX_VECTOR static int64_t reached(int64_t masses, const double *pos, do
     return any;
 }
 
-/* One semi-implicit Euler step of every world. Writes the ids of the worlds
- * whose new position is non-finite or beyond the limit into t->diverged,
- * ascending, and returns their number; those worlds keep their positions,
- * every other world commits its step. */
-static int64_t one_step(const Table *t, double gravity)
+/* One semi-implicit Euler step of every world. Flags in t->bad the worlds
+ * whose new position is non-finite or beyond the limit and returns whether
+ * there is one; those worlds keep their positions, every other world commits
+ * its step. */
+static int64_t one_step(const Table *t)
 {
     int64_t w, diverged = 0;
     advance_actuation(t);
     vx_forces(t, 1, 1);
-    integrate(t, gravity, t->pos, t->net, t->vel, t->new_pos);
+    integrate(t, t->pos, t->net, t->vel, t->new_pos);
     for (w = 0; w < t->worlds; w++) {
         const int64_t start = t->starts[w], stop = t->starts[w + 1];  /* row MASS */
-        t->diverged[diverged] = w;
-        diverged += t->bad[w];
+        diverged |= t->bad[w];
         if (!t->bad[w])
             memcpy(t->pos + 2 * start, t->new_pos + 2 * start, 2 * (stop - start) * sizeof(double));
     }
@@ -470,21 +471,21 @@ static int64_t one_step(const Table *t, double gravity)
  * command clamped into [action_low, action_high] (a NaN stays NaN, and
  * counts as clamped), counted per world when clamping changed it; an edge
  * takes its build-time rest length times the mean of its actuators'
- * clamped commands, summed in edge_slot order from +0.0 as np.bincount
- * does. */
+ * clamped commands. Each clamped command is added to both of its edges'
+ * sums as it is made, so every sum adds its terms in edge_slot order from
+ * +0.0, as np.bincount does. */
 void vx_set_targets(const Table *t, const double *commands)
 {
-    double *clamped = t->clamped, *sums = t->sums;
+    double *sums = t->sums;
     int64_t q, e;
+    for (e = 0; e < t->edges; e++)
+        sums[e] = 0.0;
     for (q = 0; q < t->actuators; q++) {
         double c = np_min(np_max(commands[q], t->action_low), t->action_high);
         t->clamped_actions[t->act_world[q]] += !(c == commands[q]);
-        clamped[q] = c;
+        sums[t->edge_slot[2 * q]] += c;
+        sums[t->edge_slot[2 * q + 1]] += c;
     }
-    for (e = 0; e < t->edges; e++)
-        sums[e] = 0.0;
-    for (q = 0; q < 2 * t->actuators; q++)
-        sums[t->edge_slot[q]] += clamped[q / 2];
     for (e = 0; e < t->edges; e++) {
         int64_t s = t->edge_ids[e];
         t->spring_target_rest[s] = t->spring_rest[s] * sums[e] / (double)t->edge_count[e];
@@ -773,28 +774,27 @@ void vx_act(const Table *t, const Brain *b, int64_t parity)
 }
 
 /* Step from time ``time`` until the first of: a step on which a world
- * diverged (their ids in t->diverged, their number in t->blown); a step
- * after which some mass has !(x < finish_reach), NaN included; and time
- * ``stop``. With a controller table ``b``, every control step k first sets
- * the targets to b's commands (vx_act, with k's parity); without one, the
- * targets stay as the caller set them. Returns the number of steps taken. */
-int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, double finish_reach, double gravity)
+ * diverged; a step after which some mass has !(x < finish_reach), NaN
+ * included; and time ``stop``. With a controller table ``b``, every control
+ * step k first sets the targets to b's commands (vx_act, with k's parity);
+ * without one, the targets stay as the caller set them. t->bad flags the
+ * worlds that diverged on the last step taken, and none when no step is
+ * taken. Returns the number of steps taken. */
+int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, double finish_reach)
 {
-    int64_t taken = 0, diverged = 0;
+    int64_t taken = 0;
+    memset(t->bad, 0, t->worlds * sizeof *t->bad);
     while (time < stop) {
         if (b && time % t->steps_per_action == 0) {
             vx_act(t, b, (time / t->steps_per_action) % 2);
             vx_set_targets(t, b->actions);
         }
-        diverged = one_step(t, gravity);
+        const int64_t diverged = one_step(t);
         time++;
         taken++;
-        if (diverged)
-            break;
-        if (reached(t->masses, t->pos, finish_reach))
+        if (diverged || reached(t->masses, t->pos, finish_reach))
             break;
     }
-    t->blown[0] = diverged;
     return taken;
 }
 
@@ -817,19 +817,20 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
  * it. An edge shared by two voxels is stored once, as (lower id, higher id),
  * with the stiffer voxel's constant; a diagonal is never shared and takes
  * shear times its voxel's. Rest lengths are libm's hypot of the end-to-end
- * vector, as np.hypot computes them. A bare body is the bridge strip that
- * sim_core._settled_strip relaxes, built alone as a one-row body: its masses
- * are no robot's, those at its grid's left and right ends are pinned, its
- * top chain is its grid's top corners in id order, which for one row is x
- * order, and it has no voxel or actuator rows.
+ * vector, as np.hypot computes them. A body's masses are its robot's and
+ * none is pinned; the part's are no robot's, and it brings its own pins and
+ * top chain. The bridge strip that sim_core._settled_strip relaxes is built
+ * alone as an ordinary one-row body, whose pins and top chain Python picks
+ * out by position.
  *
  * vx_build then derives the union's other tables from those rows, each as
  * numpy derived it:
  *  - inv_mass, 1 / mass or zero for a pinned mass; both rest columns, the
  *    build-time rest lengths; spring_c, damping_ratio * 2 times
- *    sqrt(k * (0.5 * (m_i + m_j))); each row's world;
- *  - the robot masses, ascending, and each one's com_weight, its mass over
- *    its robot's, which is summed in robot-mass order from +0.0;
+ *    sqrt(k * (0.5 * (m_i + m_j))); each active voxel's world;
+ *  - the robot masses, ascending, walking each world's mass rows, with
+ *    their worlds, and each one's com_weight, its mass over its robot's,
+ *    which is summed in robot-mass order from +0.0;
  *  - the actuated edges, ascending as np.unique gives them, with each
  *    actuator's slots among them, each edge's number of actuators and its
  *    limit, actuation_rate * rest; and the voxels holding an actuated edge,
@@ -858,7 +859,6 @@ typedef struct {
     int64_t h, w;           /* every body's grid, h x w (smaller bodies padded with empty cells) */
     int64_t worlds;
     int64_t part_masses, part_springs, part_top;  /* the appended part's rows; 0 when there is none */
-    int64_t bare;           /* whether the body is the bare strip, alone */
     /* constants */
     int64_t actuator_h, actuator_v;  /* the actuator materials' codes, horizontal and vertical */
     double left, ground;    /* each body's leftmost corner x and lowest corner y */
@@ -942,11 +942,6 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
                         t->pos[2 * (at[MASS] + *slot)] = x0 + (double)pj;
                         t->pos[2 * (at[MASS] + *slot) + 1] = y0 - (double)pi;
                     }
-                    if (b->bare && pi == 0) {
-                        if (at)
-                            t->bridge_top[at[TOP] + count[TOP]] = at[MASS] + *slot;
-                        count[TOP]++;
-                    }
                 }
                 id[k] = *slot;
                 if (at)
@@ -959,8 +954,6 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
             const int64_t right_edge = spring(t, at, count, v_edge + r * stride + c + 1, id[3], id[1], edge);
             const int64_t rising = spring(t, at, count, NULL, id[2], id[1], diagonal);
             const int64_t falling = spring(t, at, count, NULL, id[3], id[0], diagonal);
-            if (b->bare)
-                continue;
             const int active = code == b->actuator_h || code == b->actuator_v;
             if (at) {
                 const int64_t v = at[VOX] + count[VOX], s = at[SPRING], m = at[MASS];
@@ -990,10 +983,8 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
         }
     if (at)
         for (k = at[MASS]; k < at[MASS] + count[MASS]; k++) {
-            const double x = t->pos[2 * k];
             t->mass[k] = t->mass[k] * b->corner_mass;
-            t->pinned[k] = b->bare && (x == x0 || x == x0 + (double)w);
-            t->is_robot[k] = !b->bare;
+            t->is_robot[k] = 1;
         }
 }
 
@@ -1051,8 +1042,6 @@ static int64_t lay_out(Table *t, char *base, int64_t **work)
     PLACE(ends, 2 * s);
     PLACE(pinned, n);
     PLACE(is_robot, n);
-    PLACE(mass_world, n);
-    PLACE(spring_world, s);
     PLACE(vox_cells, 2 * v);
     PLACE(vox_h_edges, 2 * v);
     PLACE(vox_v_edges, 2 * v);
@@ -1067,11 +1056,8 @@ static int64_t lay_out(Table *t, char *base, int64_t **work)
     PLACE(net, 2 * n);
     PLACE(new_pos, 2 * n);
     PLACE(bad, w);
-    PLACE(diverged, w);
-    PLACE(blown, 1);
     PLACE(contact_ids, 2 * r);
     PLACE(contact_w, 4 * r);
-    PLACE(clamped, a);
     PLACE(sums, edges);
     int64_t *rows = place(base, &at, (s > n ? s : n) * (int64_t)sizeof(int64_t));
     if (work)
@@ -1092,10 +1078,10 @@ int64_t vx_count(const Builder *b, Table *t)
     t->worlds = b->worlds;
     t->masses = rows[MASS] + b->worlds * b->part_masses;
     t->springs = rows[SPRING] + b->worlds * b->part_springs;
-    t->robots = b->bare ? 0 : rows[MASS];
+    t->robots = rows[MASS];
     t->voxels = rows[VOX];
     t->actuators = rows[ACT];
-    t->chain = b->part_top + (b->worlds ? rows[TOP] / b->worlds : 0);
+    t->chain = b->part_top;
     t->edges = 2 * t->actuators;
     t->diagonals = t->voxels;
     return lay_out(t, NULL, NULL);
@@ -1116,7 +1102,6 @@ static void union_rows(const Builder *b, const Table *t)
             t->pos[2 * (m + k) + 1] = b->part_pos[2 * k + 1];
             t->mass[m + k] = b->part_mass[k];
             t->pinned[m + k] = b->part_pinned[k];
-            t->is_robot[m + k] = 0;
         }
         for (k = 0; k < b->part_springs; k++) {
             t->spring_i[s + k] = m + b->part_spring_i[k];
@@ -1136,30 +1121,23 @@ static void union_rows(const Builder *b, const Table *t)
         t->starts[k * n + b->worlds] = at[k];
 }
 
-/* The world of each row of ``kind``, from its starts. */
-static void row_worlds(const Table *t, int64_t kind, int64_t *world)
-{
-    const int64_t *starts = t->starts + kind * (t->worlds + 1);
-    for (int64_t w = 0; w < t->worlds; w++)
-        for (int64_t k = starts[w]; k < starts[w + 1]; k++)
-            world[k] = w;
-}
-
 /* The tables derived from the union's rows, as the header sets out; ``work``
  * holds max(springs, masses) rows. */
 static void derive(const Builder *b, Table *t, int64_t *work)
 {
     const int64_t n = t->masses, s = t->springs, a = t->actuators, v = t->voxels;
-    int64_t m, k, q, e, d;
-    row_worlds(t, MASS, t->mass_world);
-    row_worlds(t, SPRING, t->spring_world);
-    row_worlds(t, ACT, t->act_world);
-    for (m = 0, q = 0; m < n; m++) {
-        t->inv_mass[m] = t->pinned[m] ? 0.0 : 1.0 / t->mass[m];
-        if (t->is_robot[m]) {
-            t->robot_ids[q] = m;
-            t->robot_world[q++] = t->mass_world[m];
+    const int64_t *masses = t->starts + MASS * (t->worlds + 1), *acts = t->starts + ACT * (t->worlds + 1);
+    int64_t w, m, k, q, e, d;
+    for (w = 0, q = 0; w < t->worlds; w++) {
+        for (m = masses[w]; m < masses[w + 1]; m++) {
+            t->inv_mass[m] = t->pinned[m] ? 0.0 : 1.0 / t->mass[m];
+            if (t->is_robot[m]) {
+                t->robot_ids[q] = m;
+                t->robot_world[q++] = w;
+            }
         }
+        for (k = acts[w]; k < acts[w + 1]; k++)
+            t->act_world[k] = w;
     }
     for (q = 0; q < t->robots; q = k) {  /* one robot at a time */
         double total = 0.0;

@@ -56,11 +56,6 @@ class Morphology:
     def is_canonical_size(self) -> bool:
         return (self.h, self.w) in CANONICAL_SIZES
 
-    def active_cells(self) -> list[tuple[int, int]]:
-        mask = (self.cells == materials.ACTUATOR_H) | (self.cells == materials.ACTUATOR_V)
-        rows, cols = np.nonzero(mask)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     @cached_property
     def _simulability(self) -> tuple[bool, str | None]:
         """``simulability_report``, scanned once: the cells are read-only."""
@@ -75,7 +70,7 @@ class Morphology:
     def _validity(self) -> tuple[bool, str | None]:
         """``validity_report``, checked once: the cells are read-only."""
         ok, reason = self._simulability
-        if ok and not self.active_cells():
+        if ok and not np.count_nonzero((self.cells == materials.ACTUATOR_H) | (self.cells == materials.ACTUATOR_V)):
             return False, "no actuator cell (code 3 or 4)"
         return ok, reason
 

@@ -20,7 +20,8 @@ around them, the actuation targets (``set_actuation_targets``) and both
 controllers: the fixed alternation, and the modular network with its
 observation fill (``control.controller_table``). ``advance`` is one call
 into it that steps until a world may have ended, querying a batch's
-controller table at every control step; ``step`` is its one-step case,
+controller table at every control step, and names the worlds that the
+table's ``bad`` row flags as diverged; ``step`` is its one-step case,
 which queries none. The kernel also builds a batch's worlds, every table
 of a union in one zeroed buffer (``build_worlds``): one call sizes the
 union, and one lays out, fills and points its ``Table`` at every table,
@@ -50,11 +51,11 @@ the kernel's interface a second time: each struct it fills (``_struct``)
 and each function's types (``_load_kernel``) are read from ``_kernel.c``'s
 text, read once per process, and a struct's pointers are bound only to
 C-contiguous arrays of the C type they point to (``_point``); a build binds
-its bodies alone, as each terrain's constants and strip are bound once
-(``_blueprint``). There is no fallback engine: a second step path would be
-a second set of numerics to keep equal, so a kernel that cannot be built
-is an error that names the compiler, the cache directory and the
-compiler's complaint.
+its bodies alone, as each terrain's constants, gravity among them, and
+strip are bound once (``_blueprint``). There is no fallback engine: a
+second step path would be a second set of numerics to keep equal, so a
+kernel that cannot be built is an error that names the compiler, the
+cache directory and the compiler's complaint.
 """
 
 from __future__ import annotations
@@ -203,8 +204,10 @@ class WorldState:
     out, fills and points its ``Table`` at (``_build``): the row tables, the
     columns derived from them, the tables only the kernel reads and its
     scratch rows. A state holds that buffer, the Table, and a view of each
-    table that Python reads, under the Table's name for it; the kernel
-    writes those tables in place, so no view is ever rebound.
+    table that ``voxevo`` reads, under the Table's name for it; the kernel
+    writes those tables in place, so no view is ever rebound. Its other
+    tables are read where the Table points (``tests/oracles.py``'s
+    ``kernel_tables``).
     """
 
     # the masses, (n,) or (n, 2)
@@ -212,9 +215,6 @@ class WorldState:
     vel: np.ndarray
     mass: np.ndarray
     inv_mass: np.ndarray       # 1/mass; zero for pinned masses
-    pinned: np.ndarray         # bool
-    is_robot: np.ndarray       # bool, false for bridge-strip masses
-    mass_world: np.ndarray     # world of each mass
 
     # the springs, (s,)
     spring_i: np.ndarray       # first endpoint index
@@ -223,32 +223,20 @@ class WorldState:
     spring_rest: np.ndarray    # build-time rest lengths
     spring_current_rest: np.ndarray
     spring_target_rest: np.ndarray
-    spring_world: np.ndarray   # world of each spring
 
-    # per-voxel tables over each robot's non-empty cells, row-major
-    vox_cells: np.ndarray      # (v, 2) (row, column) in its robot's grid
-    vox_corners: np.ndarray    # (v, 4) mass ids in (bl, br, tr, tl) order
-    vox_h_edges: np.ndarray    # (v, 2) spring ids (bottom, top)
-    vox_v_edges: np.ndarray    # (v, 2) spring ids (left, right)
-    vox_shear: np.ndarray      # (v, 2) spring ids
-
-    # active-voxel tables, row-major over each robot's actuator cells
-    actuator_cells: np.ndarray    # (a, 2) (row, column) in its robot's grid
-    actuator_springs: np.ndarray  # (a, 2) actuated edge spring ids
-    act_world: np.ndarray         # world of each active voxel
+    vox_cells: np.ndarray      # (v, 2) (row, column) of each robot's non-empty cells, row-major
+    actuator_cells: np.ndarray  # (a, 2) (row, column) of each robot's actuator cells, row-major
+    act_world: np.ndarray      # world of each active voxel
 
     robot_ids: np.ndarray      # robot masses, ascending
     robot_world: np.ndarray    # their worlds
     com_weights: np.ndarray    # their mass fractions within their robot
-    bridge_top: np.ndarray     # top-chain mass ids ordered by x, per world; empty when flat
 
-    clamped_actions: np.ndarray  # per world, out-of-range commands clamped so far
     net: np.ndarray            # (n, 2) the kernel's last force sums
-    diverged: np.ndarray       # (worlds,) the worlds the last step of ``advance`` named lead it
-    blown: np.ndarray          # (1,) and their number
+    bad: np.ndarray            # (worlds,) nonzero for the worlds that diverged on the last step ``advance`` took
 
     starts: dict[str, np.ndarray] = field(repr=False)
-    morphologies: list[Morphology]  # one per world; empty for the bare bridge strip
+    morphologies: list[Morphology]  # one per world; empty for the bridge strip alone
     terrain: TerrainSpec | None
     buffer: np.ndarray = field(repr=False)                # the union's one allocation
     kernel_table: ctypes.Structure = field(repr=False)    # the kernel's Table, pointing into it
@@ -286,11 +274,11 @@ class WorldState:
         exert no force, and their masses meet no ground or strip. The other
         worlds step on exactly as before.
         """
-        rows = worlds[self.mass_world]
+        rows = np.repeat(worlds, np.diff(self.starts["mass"]))
         self.pos[rows] = 0.0
         self.vel[rows] = 0.0
         self.inv_mass[rows] = 0.0
-        springs = worlds[self.spring_world]
+        springs = np.repeat(worlds, np.diff(self.starts["spring"]))
         self.spring_current_rest[springs] = self.spring_rest[springs]
         self.spring_target_rest[springs] = self.spring_rest[springs]
 
@@ -302,7 +290,7 @@ _PART_TABLES = ("pos", "mass", "pinned", "spring_i", "spring_j", "spring_k", "sp
 # edge stiffness by material code; zero for empty cells, which make no springs
 _EDGE_STIFFNESS = np.array([materials.EDGE_STIFFNESS.get(code, 0.0) for code in range(materials.NUM_CODES)])
 # the dtype of a state's view of a table, by the C type the table holds
-_VIEW_DTYPES = {"double": np.dtype(np.float64), "int64_t": np.dtype(np.int64), "uint8_t": np.dtype(np.bool_)}
+_VIEW_DTYPES = {"double": np.dtype(np.float64), "int64_t": np.dtype(np.int64)}
 
 
 @lru_cache(maxsize=8)
@@ -333,6 +321,7 @@ def _blueprint(terrain: TerrainSpec | None) -> tuple[ctypes.Structure, ctypes.St
         terrain=0 if terrain is None else 2 if bridge else 1,
         steps_per_action=STEPS_PER_ACTION,
         dt=DT,
+        gravity=GRAVITY,
         stiffness=CONTACT_STIFFNESS,
         damping=CONTACT_DAMPING,
         mu=FRICTION_MU,
@@ -345,12 +334,12 @@ def _blueprint(terrain: TerrainSpec | None) -> tuple[ctypes.Structure, ctypes.St
     return builder, table, arrays
 
 
-def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: float, bare=False) -> WorldState:
+def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: float) -> WorldState:
     """The union of worlds on ``terrain`` (its ``_blueprint``) whose world
     ``w`` holds body ``cells[grid[w]]``, an (h, w) grid of material codes,
     placed with its leftmost corner at x = ``left`` and its lowest at
-    y = ``ground``, then on a bridge the settled strip; or, ``bare``, the
-    bare strip alone. ``_kernel.c`` sets out the numbering.
+    y = ``ground``, then on a bridge the settled strip. ``_kernel.c`` sets
+    out the numbering.
 
     Two kernel calls: ``vx_count`` sizes the union, and ``vx_build`` lays
     out every table in one zeroed buffer, fills them and points the Table at
@@ -360,7 +349,7 @@ def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: 
     template, table, _ = _blueprint(terrain)
     builder = type(template).from_buffer_copy(template)
     builder.h, builder.w = cells.shape[1:]
-    builder.worlds, builder.left, builder.ground, builder.bare = len(grid), left, ground, bare
+    builder.worlds, builder.left, builder.ground = len(grid), left, ground
     _point(builder, {"cells": cells, "grid": np.asarray(grid, dtype=np.int64)})
     table = type(table).from_buffer_copy(table)
     kernel = _kernel()
@@ -376,16 +365,15 @@ def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: 
 
 def _views(table: ctypes.Structure, buffer: np.ndarray, base: int) -> dict:
     """A view of ``buffer``, at address ``base``, of each table of the union
-    that Python reads, by its ``Table`` name, shaped by the Table's sizes."""
+    that ``voxevo`` reads, by its ``Table`` name, shaped by the Table's
+    sizes."""
     n, s, v, a, r, w = table.masses, table.springs, table.voxels, table.actuators, table.robots, table.worlds
     shapes = {
-        "pos": (n, 2), "vel": (n, 2), "mass": n, "inv_mass": n, "pinned": n, "is_robot": n, "mass_world": n,
+        "pos": (n, 2), "vel": (n, 2), "mass": n, "inv_mass": n, "net": (n, 2),
         "spring_i": s, "spring_j": s, "spring_k": s, "spring_rest": s,
-        "spring_current_rest": s, "spring_target_rest": s, "spring_world": s,
-        "vox_cells": (v, 2), "vox_corners": (v, 4), "vox_h_edges": (v, 2), "vox_v_edges": (v, 2), "vox_shear": (v, 2),
-        "actuator_cells": (a, 2), "actuator_springs": (a, 2), "act_world": a,
-        "robot_ids": r, "robot_world": r, "com_weights": r, "bridge_top": w * table.chain,
-        "clamped_actions": w, "net": (n, 2), "diverged": w, "blown": 1, "starts": (len(_KINDS), w + 1),
+        "spring_current_rest": s, "spring_target_rest": s,
+        "vox_cells": (v, 2), "actuator_cells": (a, 2), "act_world": a,
+        "robot_ids": r, "robot_world": r, "com_weights": r, "bad": w, "starts": (len(_KINDS), w + 1),
     }
     pointees = type(table).pointees
     return {
@@ -428,18 +416,20 @@ def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldSta
 
 def _bare_strip(span_start: int, span_end: int, material: int) -> WorldState:
     """The bare compliant strip, flat, alone on no terrain: a 1-voxel-thick
-    row of ``material`` built as a bare one-row body with its top at y=0,
-    pinned at both pad junctions, with its top chain ordered by x and no
-    robot, voxel or actuator rows (``_kernel.c`` sets out a bare body)."""
+    row of ``material`` from x = ``span_start`` to ``span_end``, built as an
+    ordinary one-row body with its top at y=0. Nothing is pinned yet, and
+    it has no top chain: ``_settled_strip`` picks both out by position."""
     cells = np.full((1, 1, span_end - span_start), material, dtype=np.int8)
-    return _build(cells, [0], [], None, float(span_start), -1.0, bare=True)
+    return _build(cells, [0], [], None, float(span_start), -1.0)
 
 
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
     """The bare strip's tables that a bridge world appends (``_PART_TABLES``)
     at its static equilibrium under gravity, their positions read-only:
-    built and settled once per span.
+    built and settled once per span. Its masses at x = ``span_start`` and
+    x = ``span_end``, the pad junctions, are pinned; its top chain is its
+    masses at y = 0 in id order, which for one row is x order.
 
     Newton's method on the free masses' coordinates, starting from the flat
     strip. The residual is each free mass's acceleration under
@@ -451,7 +441,10 @@ def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
     strip.
     """
     strip = _bare_strip(span_start, span_end, material)
-    free = np.flatnonzero(~strip.pinned)
+    x, y = strip.pos.T
+    pinned = (x == span_start) | (x == span_end)
+    tables = {"pinned": pinned, "bridge_top": np.flatnonzero(y == 0.0)}
+    free = np.flatnonzero(~pinned)
     unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
     coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
 
@@ -464,7 +457,7 @@ def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
         r = residual()
         if np.abs(r).max() < STRIP_TOLERANCE:
             strip.pos.setflags(write=False)
-            return {name: getattr(strip, name) for name in _PART_TABLES}
+            return {name: tables[name] if name in tables else getattr(strip, name) for name in _PART_TABLES}
         jacobian = np.empty((r.size, r.size))
         for k, u in enumerate(unknowns):
             held = coords[u]
@@ -612,41 +605,45 @@ def contact_forces(state: WorldState) -> np.ndarray:
     return _forces(state, 0, 1)
 
 
-def advance(
-    state: WorldState, stop: int, finish_reach: float = math.inf, controller=None, gravity: float = GRAVITY
-) -> np.ndarray:
+def advance(state: WorldState, stop: int, finish_reach: float = math.inf, controller=None) -> np.ndarray:
     """Step every world, in one kernel call, until the first of: a step on
     which a world diverged; a step after which some mass has
     ``!(x < finish_reach)``, NaN included; and ``state.sim_time == stop``.
-    With a ``controller`` table (``control.controller_table``), the kernel
-    sets the actuation targets from its commands at every control step (a
-    multiple of STEPS_PER_ACTION), as ``control.compute_actions`` and
-    ``set_actuation_targets`` would; without one, they stay as set. Each
-    step is the one ``step`` describes.
+    With a ``controller`` table, the kernel sets the actuation targets from
+    its commands at every control step (a multiple of STEPS_PER_ACTION), as
+    ``control.compute_actions`` and ``set_actuation_targets`` would; without
+    one, they stay as set. The table must be the one that
+    ``control.controller_table`` last built for this state, whose rows and
+    windows are this state's: any other is a ValueError, raised before the
+    kernel is called. Each step is the one ``step`` describes.
 
     Returns a new array of the ids of the worlds that diverged on the last
-    step taken, ascending; it is empty if none did.
+    step taken, ascending (``state.bad`` flags them); it is empty if none
+    did or no step was taken.
     """
+    if controller is not None and (state.controller is None or controller is not state.controller[1]):
+        raise ValueError("advance takes only the controller table control.controller_table last built for the state")
     table = None if controller is None else controller.address
-    state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach, gravity)
-    return state.diverged[: state.blown[0]].copy()
+    state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach)
+    return np.flatnonzero(state.bad)
 
 
-def step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
+def step(state: WorldState) -> np.ndarray:
     """One semi-implicit Euler step of every world, DT seconds long:
     ``advance`` to one step ahead.
 
     The kernel advances the actuated rest lengths and sums every mass's
     force (``net_forces``): its spring terms, then its ground contact, then
-    its strip contact or the strip's reactions. Gravity is then subtracted
-    from each y, and velocities, then positions, move.
+    its strip contact or the strip's reactions. Gravity, the kernel table's
+    constant (GRAVITY), is then subtracted from each y, and velocities, then
+    positions, move.
 
     Returns the ids of the worlds that diverged, ascending, in a new array
     that is empty if none did: those with a new position that is non-finite
     or beyond DIVERGENCE_LIMIT. They keep the positions of their
     last valid step, and garbage velocities until they are parked.
     """
-    return advance(state, state.sim_time + 1, gravity=gravity)
+    return advance(state, state.sim_time + 1)
 
 
 def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
@@ -654,8 +651,9 @@ def set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:
     kernel call.
 
     Commands are aligned with state.actuator_cells. Out-of-range values are
-    clamped into [ACTION_LOW, ACTION_HIGH] and counted per world in
-    state.clamped_actions (a NaN command stays NaN and counts as clamped).
+    clamped into [ACTION_LOW, ACTION_HIGH] and counted per world in the
+    kernel table's ``clamped_actions`` (a NaN command stays NaN and counts
+    as clamped).
     A spring shared by two actuators receives the mean of the two commands.
     """
     commands = np.ascontiguousarray(commands, dtype=np.float64)

@@ -48,9 +48,12 @@ COMPLETION_BONUS = 1.0
 STEP_PENALTY = 0.01
 REWARD_OFFSET = 5.0  # = STEP_PENALTY * T_MAX, cancels the worst-case penalty
 
-# The CPUs this process may run on: a batch runs as at most this many
-# unions at once (run_episodes). ``taskset`` limits it.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+def _cpus() -> int:
+    """How many CPUs this process may run on now, as ``taskset`` or
+    ``os.sched_setaffinity`` last set them: a batch runs as at most this
+    many unions at once (``run_episodes``)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
 
     The bodies may differ in shape; the pairs must share one controller
     variant. Chunk ``i`` of ``k`` holds ``pairs[i::k]``: one chunk per CPU
-    the process may run on (``_CPUS``), at most one per pair. Each chunk is
+    the process may run on (``_cpus``), at most one per pair. Each chunk is
     built, by ``build_worlds`` in the kernel, as one disjoint-union world
     with its controller table (``controller_table``); pairs that share a
     body get identical rows. The batch is checked and every union built on
@@ -113,7 +116,7 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     for morphology, _ in pairs:
         require_valid(morphology)
     stack = stack_controllers([controller for _, controller in pairs])
-    k = min(len(pairs), _CPUS)
+    k = min(len(pairs), _cpus())
     chunks = []
     for i in range(k):
         state = build_worlds([morphology for morphology, _ in pairs[i::k]], terrain)
@@ -164,9 +167,8 @@ def _episodes(state: sim_core.WorldState, controllers, terrain: TerrainSpec) -> 
     finish_reach = terrain.finish_x - 1.0
 
     while True:
-        blown = sim_core.advance(state, T_MAX, finish_reach, controllers)
-        diverged = np.zeros(worlds, dtype=bool)
-        diverged[blown] = True
+        sim_core.advance(state, T_MAX, finish_reach, controllers)
+        diverged = state.bad != 0
         x = state.robot_com_x()
         finished = ~diverged & (x >= terrain.finish_x)
         ended = running & (diverged | finished | (state.sim_time == T_MAX))

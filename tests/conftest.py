@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,15 @@ def single_actuator():
 def small_body():
     # one of each material around a vertical actuator
     return Morphology([[3, 1], [2, 4]])
+
+
+@pytest.fixture
+def affinity(monkeypatch):
+    """``affinity(k)`` makes ``os.sched_getaffinity`` report ``k`` CPUs for
+    the rest of the test, as if the process had been narrowed (or widened)
+    to them."""
+
+    def narrow(cpus: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return narrow

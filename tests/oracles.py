@@ -19,13 +19,15 @@ against ``sim_core.set_actuation_targets``; ``reference_observations``
 observations, against the compiled fill; ``reference_network`` (with
 ``reference_tanh`` and ``reference_exp``) the kernel's modular network,
 against ``control.forward_batch``; ``reference_build_worlds`` (with
-``reference_strip``) the numpy world builder, and ``reference_tables``
-the numpy derivation of every other table of a union from its rows (the
-columns, the tables only the kernel reads, its zeroed scratch rows),
-against the kernel's ``sim_core.build_worlds``, which builds them all in
-one buffer; each bit for bit. ``kernel_tables`` reads a built union's
-tables where its kernel ``Table`` points, the kernel's own included,
-which the state holds no view of. ``pareto_layers`` peels
+``reference_strip`` and ``reference_strip_rows``) the numpy world
+builder, and ``reference_tables`` the numpy derivation of every other
+table of a union from its rows (the columns, the tables only the kernel
+reads, its zeroed scratch rows), against the kernel's
+``sim_core.build_worlds``, which builds them all in one buffer; each bit
+for bit. ``kernel_tables`` reads a built union's tables where its kernel
+``Table`` points, those the state holds no view of included (one at a
+time, ``read_table``), and ``row_worlds`` gives each row's world from
+the union's ``starts``. ``pareto_layers`` peels
 Pareto fronts by brute force, one ``dominates`` call per ordered pair, and
 ``reference_truncation_select`` fills from them, against
 ``evolution.truncation_select``.
@@ -59,7 +61,6 @@ from voxevo.sim_core import (
     DIVERGENCE_LIMIT,
     DT,
     FRICTION_MU,
-    GRAVITY,
     STEPS_PER_ACTION,
     WorldState,
 )
@@ -77,7 +78,14 @@ def one_hot(code: int) -> np.ndarray:
 
 def voxel_index(state: WorldState) -> dict[tuple[int, int], tuple[int, ...]]:
     """Cell -> its corner mass ids in (bl, br, tr, tl) order."""
-    return {tuple(cell): tuple(corners) for cell, corners in zip(state.vox_cells.tolist(), state.vox_corners.tolist())}
+    corners = read_table(state, "vox_corners")
+    return {tuple(cell): tuple(ids) for cell, ids in zip(state.vox_cells.tolist(), corners.tolist())}
+
+
+def row_worlds(state: WorldState, kind: str = "mass") -> np.ndarray:
+    """The world of each row of ``kind`` ("mass", "spring", "vox", "act" or
+    "top"), from the union's ``starts``."""
+    return np.repeat(np.arange(state.num_worlds), np.diff(state.starts[kind]))
 
 
 @dataclass
@@ -157,21 +165,23 @@ def modular_forward(genome: ControllerGenome, obs: np.ndarray) -> float:
     return ACTION_LOW + float(1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
 
 
-def mechanical_energy(state: WorldState, gravity: float = GRAVITY) -> float:
-    """Kinetic + spring elastic + gravitational PE (surface at y=0 as datum)."""
+def mechanical_energy(state: WorldState) -> float:
+    """Kinetic + spring elastic + gravitational PE (surface at y=0 as datum),
+    under the gravity of the state's kernel table."""
     ke = 0.5 * float((state.mass * (state.vel * state.vel).sum(axis=1)).sum())
     d = state.pos[state.spring_j] - state.pos[state.spring_i]
     dist = np.sqrt((d * d).sum(axis=1))
     pe_spring = 0.5 * float((state.spring_k * (dist - state.spring_current_rest) ** 2).sum())
-    pe_grav = gravity * float((state.mass * state.pos[:, 1]).sum())
+    pe_grav = state.kernel_table.gravity * float((state.mass * state.pos[:, 1]).sum())
     return ke + pe_spring + pe_grav
 
 
 def robot_center_of_mass(state: WorldState) -> np.ndarray:
     """(worlds, 2) robot centres of mass, one world at a time."""
     com = np.empty((state.num_worlds, 2))
+    is_robot, mass_world = read_table(state, "is_robot"), row_worlds(state)
     for w in range(state.num_worlds):
-        robot = state.is_robot & (state.mass_world == w)
+        robot = is_robot & (mass_world == w)
         com[w] = state.mass[robot] @ state.pos[robot] / state.mass[robot].sum()
     return com
 
@@ -233,9 +243,11 @@ def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> 
     clamped = np.maximum(commands, ACTION_LOW)
     np.minimum(clamped, ACTION_HIGH, out=clamped)
     changed = clamped != commands
+    edges, slot, count, clamped_actions = kernel_tables(
+        state, "edge_ids", "edge_slot", "edge_count", "clamped_actions"
+    ).values()
     if np.count_nonzero(changed):
-        state.clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
-    edges, slot, count = kernel_tables(state, "edge_ids", "edge_slot", "edge_count").values()
+        clamped_actions += np.bincount(state.act_world[changed], minlength=state.num_worlds)
     sums = np.bincount(slot, clamped.repeat(2), minlength=edges.size)
     state.spring_target_rest[edges] = state.spring_rest[edges] * sums / count
 
@@ -324,15 +336,16 @@ _QUAD_NEXT = np.array([1, 2, 3, 0])
 
 def voxel_areas(state: WorldState) -> np.ndarray:
     """Shoelace areas of all non-empty robot voxels (row-major cell order)."""
-    x = state.pos[:, 0][state.vox_corners]  # (v, 4)
-    y = state.pos[:, 1][state.vox_corners]
+    corners = read_table(state, "vox_corners")
+    x = state.pos[:, 0][corners]  # (v, 4)
+    y = state.pos[:, 1][corners]
     return 0.5 * np.abs((x * y[:, _QUAD_NEXT] - x[:, _QUAD_NEXT] * y).sum(axis=1))
 
 
 def voxel_velocities(state: WorldState) -> np.ndarray:
     """Mean corner velocities of all non-empty robot voxels: the sum over the
     four corners divided by 4, which is what ``mean`` computes."""
-    corners = state.vox_corners
+    corners = read_table(state, "vox_corners")
     vel = np.stack([state.vel[:, 0][corners].sum(axis=1), state.vel[:, 1][corners].sum(axis=1)], axis=1)
     vel /= 4
     return vel
@@ -354,14 +367,15 @@ def reference_observations(state: WorldState, effective_step: int) -> np.ndarray
 # --- the step in numpy -------------------------------------------------------
 
 
-def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
+def reference_step(state: WorldState) -> np.ndarray:
     """``sim_core.step`` in numpy: the same operations in the same order,
-    writing the same arrays in place (positions, velocities, current rest
-    lengths) and returning the diverged worlds' ids."""
+    under the gravity of the state's kernel table, writing the same arrays
+    in place (positions, velocities, current rest lengths) and returning
+    the diverged worlds' ids."""
     if state.kernel_table.edges:
         _reference_advance_actuation(state)
     f = reference_net_forces(state)
-    f[:, 1] -= gravity * state.mass
+    f[:, 1] -= state.kernel_table.gravity * state.mass
     f *= state.inv_mass[:, None]
     f *= DT
     state.vel += f
@@ -370,8 +384,9 @@ def reference_step(state: WorldState, gravity: float = GRAVITY) -> np.ndarray:
     state.sim_time += 1
     if not np.abs(new_pos).max() <= DIVERGENCE_LIMIT:  # also true for NaN
         sane = (np.abs(new_pos) <= DIVERGENCE_LIMIT).all(axis=1)
-        diverged = np.unique(state.mass_world[~sane])
-        kept = ~np.isin(state.mass_world, diverged)
+        mass_world = row_worlds(state)
+        diverged = np.unique(mass_world[~sane])
+        kept = ~np.isin(mass_world, diverged)
         state.pos[kept] = new_pos[kept]
         return diverged
     np.copyto(state.pos, new_pos)
@@ -436,7 +451,7 @@ def _spring_table(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     rel_speed += dv[:, 1] * dy
     rel_speed /= dist
     magnitude = state.spring_k * (dist - state.spring_current_rest)
-    magnitude += kernel_tables(state, "spring_c")["spring_c"] * rel_speed
+    magnitude += read_table(state, "spring_c") * rel_speed
     magnitude /= dist
     terms = np.empty((4, state.num_springs))
     np.multiply(dx, magnitude, out=terms[0])
@@ -484,14 +499,15 @@ def _strip_table(state: WorldState, in_span: np.ndarray) -> tuple[np.ndarray, np
     ids = state.robot_ids[in_span]
     pos_x, pos_y = state.pos.T
     vel_x, vel_y = state.vel.T
-    chains = state.bridge_top.reshape(state.num_worlds, -1)
+    top = read_table(state, "bridge_top")
+    chains = top.reshape(state.num_worlds, -1)
     chain_x = pos_x[chains]
     world = state.robot_world[in_span]
     x = pos_x[ids]
     seg = np.clip((chain_x[world] < x[:, None]).sum(axis=1) - 1, 0, chains.shape[1] - 2)
     seg += world * chains.shape[1]
-    left = state.bridge_top[seg]
-    right = state.bridge_top[seg + 1]
+    left = top[seg]
+    right = top[seg + 1]
     left_x = chain_x.take(seg)
     span = chain_x.take(seg + 1) - left_x
     np.maximum(span, 1e-9, out=span)
@@ -641,11 +657,16 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
     }
 
 
+def _strip_cells(span_start: int, span_end: int, material: int) -> np.ndarray:
+    return np.full((1, span_end - span_start), material, dtype=np.int8)
+
+
 def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
-    """The bare compliant strip, flat: a 1-voxel-thick row of ``material``,
-    top at y=0, pinned at both pad junctions, with its top chain ordered by
-    x. It has no voxel or actuator rows; those are a robot's."""
-    rows = _grid_rows(np.full((1, span_end - span_start), material, dtype=np.int8), float(span_start), 0.0)
+    """The bare compliant strip, flat, as the part a bridge world appends: a
+    1-voxel-thick row of ``material``, top at y=0, pinned at both pad
+    junctions, with its top chain ordered by x. It has no voxel or actuator
+    rows; those are a robot's."""
+    rows = _grid_rows(_strip_cells(span_start, span_end, material), float(span_start), 0.0)
     x, y = rows["pos"].T
     rows.update(
         pinned=(x == span_start) | (x == span_end),
@@ -659,9 +680,10 @@ def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
 
 def reference_strip(span_start: int, span_end: int, material: int) -> tuple[dict, dict]:
     """The bare strip alone, flat, as the world the strip's static solve
-    relaxes, a union of one with no robot and no terrain: its tables and
-    sizes (``reference_tables``)."""
-    rows = reference_strip_rows(span_start, span_end, material)
+    relaxes: an ordinary one-row body, top at y=0, in a union of one on no
+    terrain, nothing pinned and no top chain. Its tables and sizes
+    (``reference_tables``)."""
+    rows = _grid_rows(_strip_cells(span_start, span_end, material), float(span_start), 0.0)
     return reference_tables(*_concatenate([rows]), num_worlds=1)
 
 
@@ -728,8 +750,6 @@ def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, 
         "spring_target_rest": spring_rest.copy(),
         "spring_c": DAMPING_RATIO * 2.0 * np.sqrt(rows["spring_k"] * m_avg),
         "clamped_actions": np.zeros(num_worlds, dtype=np.int64),
-        "mass_world": mass_world,
-        "spring_world": np.repeat(worlds, np.diff(offsets["spring"])),
         "act_world": np.repeat(worlds, np.diff(offsets["act"])),
         "robot_ids": robot_ids,
         "robot_world": robot_world,
@@ -750,11 +770,8 @@ def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, 
         "net": np.zeros_like(pos),
         "new_pos": np.zeros_like(pos),
         "bad": np.zeros(num_worlds, dtype=np.int64),
-        "diverged": np.zeros(num_worlds, dtype=np.int64),
-        "blown": np.zeros(1, dtype=np.int64),
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
         "contact_w": np.zeros(4 * robots),
-        "clamped": np.zeros(actuators),
         "sums": np.zeros(edges.size),
     }
     sizes = {
@@ -785,12 +802,12 @@ def table_shapes(table) -> dict:
         "vox_corners": (i, (v, 4)), "diagonal_sides": (i, (2, 2, d)), "diagonal_ids": (i, (2, d)),
         "robot_ids": (i, r), "robot_world": (i, r), "bridge_top": (i, tops), "starts": (i, (len(_ROW_FIELDS), w + 1)),
         "end_starts": (i, n + 1), "ends": (i, 2 * s),
-        "pinned": (b, n), "is_robot": (b, n), "mass_world": (i, n), "spring_world": (i, s),
+        "pinned": (b, n), "is_robot": (b, n),
         "vox_cells": (i, (v, 2)), "vox_h_edges": (i, (v, 2)), "vox_v_edges": (i, (v, 2)), "vox_shear": (i, (v, 2)),
         "actuator_cells": (i, (a, 2)), "actuator_springs": (i, (a, 2)), "com_weights": (f, r),
         "spring_d": (f, (s, 4)), "spring_f": (f, (2, s, 2)), "ground": (f, (r, 2)), "chain_x": (f, tops),
-        "net": (f, (n, 2)), "new_pos": (f, (n, 2)), "bad": (i, w), "diverged": (i, w), "blown": (i, 1),
-        "contact_ids": (i, 2 * r), "contact_w": (f, 4 * r), "clamped": (f, a), "sums": (f, e),
+        "net": (f, (n, 2)), "new_pos": (f, (n, 2)), "bad": (i, w),
+        "contact_ids": (i, 2 * r), "contact_w": (f, 4 * r), "sums": (f, e),
     }
 
 
@@ -809,6 +826,12 @@ def kernel_tables(state: WorldState, *names: str) -> dict:
         assert 0 <= offset and offset + nbytes <= size, f"Table.{name} lies outside the union's buffer"
         views[name] = np.ndarray(shape, dtype, state.buffer, offset)
     return views
+
+
+def read_table(state: WorldState, name: str) -> np.ndarray:
+    """The one table of ``state``'s kernel ``Table`` named, as
+    ``kernel_tables`` reads it: for a table the state holds no view of."""
+    return kernel_tables(state, name)[name]
 
 
 # --- AFPO selection, brute force ---------------------------------------------

@@ -31,6 +31,7 @@ from oracles import (
     reference_exp,
     reference_step,
     reference_tanh,
+    row_worlds,
 )
 
 
@@ -283,7 +284,7 @@ def test_compiled_fill_is_the_reference_fill_byte_for_byte(environment):
                 state.park(np.array([False, True, False]))
         if k == 5:
             for state in (kernel, oracle):
-                state.vel[state.mass_world == 2] = -0.0
+                state.vel[row_worlds(state) == 2] = -0.0
         observed = observation_matrix(kernel, k)
         assert observed.tobytes() == reference_observations(oracle, k).tobytes(), f"control step {k}"
         actions = compute_actions(controllers, kernel, k)

@@ -32,7 +32,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import voxevo.tasks
 from voxevo.cli import main as cli_main
 from voxevo.control import compute_actions, init_controller, stack_controllers
 from voxevo.morphology import random_morphology
@@ -113,10 +112,10 @@ def test_criterion_3_generations_csv_digest(tmp_path):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_criterion_3_digest_does_not_depend_on_the_split(monkeypatch, tmp_path, cpus):
+def test_criterion_3_digest_does_not_depend_on_the_split(affinity, tmp_path, cpus):
     # each batch runs as one union per CPU at once, or as one union on one
     # CPU: the run writes the same bytes
-    monkeypatch.setattr(voxevo.tasks, "_CPUS", cpus)
+    affinity(cpus)
     test_criterion_3_generations_csv_digest(tmp_path)
 
 

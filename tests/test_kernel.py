@@ -33,7 +33,7 @@ import pytest
 import voxevo
 from voxevo import sim_core
 from voxevo.control import compute_actions, controller_table, init_controller, stack_controllers
-from voxevo.materials import ELASTIC
+from voxevo.materials import ELASTIC, RIGID
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
 from voxevo.tasks import T_MAX
@@ -47,13 +47,22 @@ from oracles import (
     reference_spring_forces,
     reference_step,
     reference_strip,
+    reference_strip_rows,
+    row_worlds,
 )
 from test_golden import TRAJECTORY_SHA256, golden_pairs, trajectory_digest
 from test_sim_core import sunk_into_the_strip
 
-# every state array a step or the target setter writes
+# every table a step or the target setter writes
 WRITTEN = ("pos", "vel", "spring_current_rest", "spring_target_rest", "clamped_actions")
 SRC = str(Path(voxevo.__file__).resolve().parent.parent)
+
+
+def assert_same_written(kernel, oracle, t):
+    """Every table in ``WRITTEN`` holds the same bytes in both states after step ``t + 1``."""
+    ours, theirs = kernel_tables(kernel, *WRITTEN), kernel_tables(oracle, *WRITTEN)
+    for name in WRITTEN:
+        assert ours[name].tobytes() == theirs[name].tobytes(), f"{name} after step {t + 1}"
 
 
 def twin_unions(pairs, terrain):
@@ -76,8 +85,7 @@ def test_step_is_the_reference_step_bit_for_bit(setting, neighbours):
         act(kernel, controllers, t)
         act(oracle, controllers, t, reference_set_actuation_targets)
         assert step(kernel).tolist() == reference_step(oracle).tolist() == []
-        for name in WRITTEN:
-            assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
+        assert_same_written(kernel, oracle, t)
     assert kernel.sim_time == oracle.sim_time == T_MAX
 
 
@@ -90,8 +98,7 @@ def test_strip_contact_is_the_reference_bit_for_bit():
     oracle, _ = sunk_into_the_strip()
     for t in range(200):
         assert step(kernel).tolist() == reference_step(oracle).tolist() == []
-        for name in WRITTEN:
-            assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
+        assert_same_written(kernel, oracle, t)
         assert sim_core.spring_forces(kernel).tobytes() == reference_spring_forces(oracle).tobytes()
         assert sim_core.contact_forces(kernel).tobytes() == reference_contact_forces(oracle).tobytes()
 
@@ -110,7 +117,7 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     alone = [build_worlds([m], terrain) for m, _ in pairs]
     alone_controllers = [stack_controllers([c]) for _, c in pairs]
     for state in (kernel, oracle):
-        state.vel[state.mass_world == 1] = fling
+        state.vel[row_worlds(state) == 1] = fling
     named = []
     for t in range(T_MAX):
         act(kernel, controllers, t)
@@ -122,8 +129,7 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
             for state in (kernel, oracle):
                 state.park(np.isin(np.arange(3), blown))
         elif named:
-            for name in WRITTEN:
-                assert getattr(kernel, name).tobytes() == getattr(oracle, name).tobytes(), f"{name} after step {t + 1}"
+            assert_same_written(kernel, oracle, t)
         for w in (0, 2):
             act(alone[w], alone_controllers[w], t)
             assert step(alone[w]).size == 0
@@ -185,10 +191,10 @@ KERNEL_TABLES = (
     "mass", "inv_mass", "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
     "edge_ids", "edge_limit", "edge_slot", "edge_count", "act_world", "vox_corners", "diagonal_sides", "diagonal_ids",
     "robot_ids", "robot_world", "bridge_top", "starts", "end_starts", "ends",
-    "pinned", "is_robot", "mass_world", "spring_world", "vox_cells", "vox_h_edges", "vox_v_edges", "vox_shear",
+    "pinned", "is_robot", "vox_cells", "vox_h_edges", "vox_v_edges", "vox_shear",
     "actuator_cells", "actuator_springs", "com_weights",
-    "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad", "diverged", "blown",
-    "contact_ids", "contact_w", "clamped", "sums",
+    "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
+    "contact_ids", "contact_w", "sums",
 )
 
 
@@ -263,13 +269,34 @@ def test_a_shared_actuated_edge_and_a_voxel_without_one_build_as_the_reference(t
     assert union.kernel_table.diagonals == 4 < union.kernel_table.voxels == 10
 
 
-def test_the_bare_strip_builds_as_the_reference():
-    # the strip the static solve relaxes: a one-row bare body's rows, pinned
-    # at both ends, with its top chain, alone and on no terrain
-    span = int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC
-    strip = sim_core._bare_strip(*span)
-    assert_same_state(strip, reference_strip(*span))
-    assert (strip.morphologies, strip.terrain, strip.kernel_table.terrain) == ([], None, 0)
+# sha256 of the settled strip's positions for each (span_start, span_end,
+# material), recorded while the kernel built the strip in a mode of its own
+SETTLED_STRIP_SHA256 = {
+    (8, 52, ELASTIC): "4e103e2c2ec2d1fb8dc9c8361be9e571bc68bc7901a923e038242f4231689159",
+    (8, 52, RIGID): "07cc32fb0dd1be976907d2fb52d7496cdb571bf0b795e09b63a307a432e999ea",
+    (3, 9, ELASTIC): "2897eb6d4db3be42c6734f72428d2d0eb6495d0532a26da2abd361cf3ca0efc4",
+    (3, 9, RIGID): "806c1f9a45c63b900c7f845f88dd51456d6eb90d103f6db625e007b663c4e123",
+}
+
+
+def test_the_settled_strip_is_the_reference_strip():
+    # the strip the static solve relaxes is an ordinary one-row body, alone
+    # on no terrain; the part a bridge world appends is its rows with its
+    # pad junctions pinned and its top corners as the chain, as the numpy
+    # strip makes them, at the positions the solve has always settled to
+    for span, digest in SETTLED_STRIP_SHA256.items():
+        strip = sim_core._bare_strip(*span)
+        assert_same_state(strip, reference_strip(*span))
+        assert (strip.morphologies, strip.terrain, strip.kernel_table.terrain) == ([], None, 0)
+        settled, rows = sim_core._settled_strip(*span), reference_strip_rows(*span)
+        assert list(settled) == list(sim_core._PART_TABLES)
+        for name, table in settled.items():
+            if name == "pos":
+                assert hashlib.sha256(table.tobytes()).hexdigest() == digest, span
+                assert table[rows["pinned"]].tobytes() == rows["pos"][rows["pinned"]].tobytes()
+            else:
+                assert (table.dtype, table.shape) == (rows[name].dtype, rows[name].shape), name
+                assert table.tobytes() == rows[name].tobytes(), name
 
 
 def bare_and_built():

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voxevo import sim_core
+from voxevo.control import controller_table, init_controller, stack_controllers
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import (
     ACTUATION_RATE,
@@ -22,12 +25,26 @@ from voxevo.sim_core import (
 )
 from voxevo.terrain import make_bridge_terrain, make_flat_terrain
 
-from oracles import kernel_tables, mechanical_energy, observe_voxel, robot_center_of_mass, voxel_index
+from oracles import (
+    kernel_tables,
+    mechanical_energy,
+    observe_voxel,
+    read_table,
+    robot_center_of_mass,
+    row_worlds,
+    voxel_index,
+)
 
 
-def settle(state, seconds, gravity=GRAVITY):
+def settle(state, seconds):
     for _ in range(round(seconds / DT)):
-        step(state, gravity=gravity)
+        step(state)
+    return state
+
+
+def weightless(state):
+    """``state``, its kernel table's gravity set to zero for every later step."""
+    state.kernel_table.gravity = 0.0
     return state
 
 
@@ -35,9 +52,10 @@ def spring_kinds(w):
     """Each spring's kind as the voxel tables file it: "h" for a horizontal
     edge, "v" for a vertical one, "s" for a diagonal."""
     kinds = np.full(w.num_springs, "", dtype=object)
-    kinds[w.vox_h_edges] = "h"
-    kinds[w.vox_v_edges] = "v"
-    kinds[w.vox_shear] = "s"
+    tables = kernel_tables(w, "vox_h_edges", "vox_v_edges", "vox_shear")
+    kinds[tables["vox_h_edges"]] = "h"
+    kinds[tables["vox_v_edges"]] = "v"
+    kinds[tables["vox_shear"]] = "s"
     return kinds
 
 
@@ -82,6 +100,15 @@ POINTS_INTO = {
 }
 
 
+def test_a_state_views_only_the_tables_voxevo_reads():
+    # each view a state holds is read somewhere in the library: as an
+    # attribute, or as one of the strip's tables that a bridge world appends
+    views = {f.name for f in dataclasses.fields(sim_core.WorldState) if f.type == "np.ndarray"} - {"buffer"}
+    source = "\n".join(path.read_text() for path in Path(sim_core.__file__).parent.glob("*.py"))
+    unread = [name for name in views if not re.search(rf"\.{name}\b", source) and name not in sim_core._PART_TABLES]
+    assert len(views) == 18 and unread == []
+
+
 def test_a_state_is_made_from_the_builder_tables_alone(flat):
     # a state is made from its union's one buffer, the kernel's Table that
     # points into it, and a view of each table Python reads, under the
@@ -105,11 +132,11 @@ def test_union_rows_are_each_world_alone(terrain):
     bodies = [body, other, body]
     union = build_worlds(bodies, terrain)
     alone = [build_world(m, terrain) for m in bodies]
-    assert union.morphologies == bodies and union.clamped_actions.tolist() == [0, 0, 0]
     tables, own_tables = kernel_tables(union), [kernel_tables(w) for w in alone]
+    assert union.morphologies == bodies and tables["clamped_actions"].tolist() == [0, 0, 0]
     for kind, names in ROW_TABLES.items():
         starts = union.starts[kind]
-        assert starts.tolist() == np.cumsum([0] + [len(getattr(w, names[0])) for w in alone]).tolist()
+        assert starts.tolist() == np.cumsum([0] + [len(own[names[0]]) for own in own_tables]).tolist()
         for name in names:
             for k, w in enumerate(alone):
                 rows = tables[name][starts[k] : starts[k + 1]]
@@ -159,7 +186,7 @@ def test_corner_mass_shares():
     for m in w.mass:
         counts[round(float(m), 2)] += 1
     assert counts == {0.25: 4, 0.5: 4, 1.0: 1}
-    assert w.mass[w.is_robot].sum() == pytest.approx(4.0)
+    assert w.mass[read_table(w, "is_robot")].sum() == pytest.approx(4.0)
 
 
 def test_shared_boundary_spring_takes_stiffer_material(flat):
@@ -200,9 +227,10 @@ def test_corners_and_springs_are_numbered_in_order_of_first_use(flat):
         (6, 7, h), (3, 7, v), (6, 3, s), (7, 2, s),
     ]
     # cell (0, 1)'s bottom edge is cell (1, 1)'s top, stored once
-    assert w.vox_h_edges.tolist() == [[0, 1], [6, 7], [12, 0]]
-    assert w.vox_v_edges.tolist() == [[2, 3], [8, 9], [9, 13]]
-    assert w.vox_corners.tolist() == [[2, 3, 1, 0], [5, 6, 2, 4], [6, 7, 3, 2]]
+    tables = kernel_tables(w, "vox_h_edges", "vox_v_edges", "vox_corners")
+    assert tables["vox_h_edges"].tolist() == [[0, 1], [6, 7], [12, 0]]
+    assert tables["vox_v_edges"].tolist() == [[2, 3], [8, 9], [9, 13]]
+    assert tables["vox_corners"].tolist() == [[2, 3, 1, 0], [5, 6, 2, 4], [6, 7, 3, 2]]
 
 
 # --- actuation ------------------------------------------------------------
@@ -216,18 +244,18 @@ def test_identity_actuation_steady_state(single_actuator, flat):
 
 
 def test_rate_limited_full_expansion(single_actuator, flat):
-    w = build_world(single_actuator, flat)
+    w = weightless(build_world(single_actuator, flat))
     set_actuation_targets(w, np.array([1.6]))
     n_steps = int(np.ceil(0.6 / ACTUATION_RATE))
     for i in range(n_steps):
-        step(w, gravity=0.0)
-    actuated = w.actuator_springs[0]
+        step(w)
+    actuated = read_table(w, "actuator_springs")[0]
     assert np.allclose(w.spring_current_rest[actuated], 1.6)
     # one step earlier it must not have arrived yet
-    w2 = build_world(single_actuator, flat)
+    w2 = weightless(build_world(single_actuator, flat))
     set_actuation_targets(w2, np.array([1.6]))
     for i in range(n_steps - 1):
-        step(w2, gravity=0.0)
+        step(w2)
     assert np.all(w2.spring_current_rest[actuated] < 1.6)
 
 
@@ -247,11 +275,12 @@ def test_actuation_missing_key_rejected(small_body, flat):
 
 def test_out_of_range_action_clamped_and_flagged(single_actuator, flat):
     w = build_world(single_actuator, flat)
+    clamped = read_table(w, "clamped_actions")
     set_actuation_targets(w, np.array([2.5]))
-    assert w.clamped_actions.tolist() == [1]
-    assert np.all(w.spring_target_rest[w.actuator_springs[0]] == 1.6)
+    assert clamped.tolist() == [1]
+    assert np.all(w.spring_target_rest[read_table(w, "actuator_springs")[0]] == 1.6)
     set_actuation_targets(w, np.array([1.6]))  # in range, boundary included
-    assert w.clamped_actions.tolist() == [1]
+    assert clamped.tolist() == [1]
 
 
 def test_actuation_preserves_counts(small_body, flat):
@@ -267,17 +296,18 @@ def test_shared_actuated_spring_averages_commands(flat):
     w = build_world(Morphology([[3], [3]]), flat)
     assert w.actuator_cells.tolist() == [[0, 0], [1, 0]]
     set_actuation_targets(w, np.array([1.6, 0.6]))
-    shared = set(w.actuator_springs[0]) & set(w.actuator_springs[1])
+    actuated = read_table(w, "actuator_springs")
+    shared = set(actuated[0]) & set(actuated[1])
     assert len(shared) == 1
     assert w.spring_target_rest[shared.pop()] == pytest.approx(1.1)
 
 
 def test_diagonal_rest_follows_edges(single_actuator, flat):
-    w = build_world(single_actuator, flat)
+    w = weightless(build_world(single_actuator, flat))
     set_actuation_targets(w, np.array([1.6]))
     for _ in range(60):
-        step(w, gravity=0.0)
-    d1, d2 = w.vox_shear[0]
+        step(w)
+    d1, d2 = read_table(w, "vox_shear")[0]
     expected = np.hypot(1.6, 1.0)
     assert w.spring_current_rest[d1] == pytest.approx(expected)
     assert w.spring_current_rest[d2] == pytest.approx(expected)
@@ -287,10 +317,10 @@ def test_diagonal_rest_follows_edges(single_actuator, flat):
 
 
 def test_equilibrium_state_unchanged(single_actuator):
-    w = build_world(single_actuator, None)
+    w = weightless(build_world(single_actuator, None))
     pos0 = w.pos.copy()
     for _ in range(100):
-        step(w, gravity=0.0)
+        step(w)
     assert np.array_equal(w.pos, pos0)
     assert np.all(w.vel == 0.0)
 
@@ -342,13 +372,13 @@ def test_energy_non_increasing_after_transients(flat):
 
 
 def test_energy_decreases_while_oscillating():
-    w = build_world(Morphology([[2]]), None)
+    w = weightless(build_world(Morphology([[2]]), None))
     w.pos[0] += (0.1, -0.05)
-    energies = [mechanical_energy(w, gravity=0.0)]
+    energies = [mechanical_energy(w)]
     for _ in range(5):
         for _ in range(100):
-            step(w, gravity=0.0)
-        energies.append(mechanical_energy(w, gravity=0.0))
+            step(w)
+        energies.append(mechanical_energy(w))
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
     assert energies[-1] < energies[0]
 
@@ -361,6 +391,36 @@ def test_divergence_carries_timestep(single_actuator, flat):
     assert w.sim_time == 2
 
 
+def test_a_zero_step_advance_names_no_world(single_actuator, flat):
+    # the worlds named are those that diverged on the last step the call
+    # took: a call that takes none names none, even right after a divergence
+    w = build_world(single_actuator, flat)
+    w.vel[:, 0] = 1e9
+    assert step(w).tolist() == [0]
+    assert sim_core.advance(w, w.sim_time).tolist() == []
+    assert not w.bad.any() and w.sim_time == 1
+
+
+def test_advance_refuses_a_controller_table_built_for_another_state(flat):
+    # a controller table's rows and windows fit the state it was built for:
+    # run on a 17-world union of 7x7 actuators, a one-voxel state's table
+    # would take 2,499 features into room for 6 and hand out 833 commands
+    # from room for 1. advance refuses it, as it does a table the state has
+    # since replaced, before the kernel is called
+    rng = np.random.default_rng(30)
+    alone = build_world(Morphology([[3]]), flat)
+    foreign = controller_table(stack_controllers([init_controller("modular", rng)]), alone)
+    union = build_worlds([Morphology(np.full((7, 7), 3))] * 17, flat)
+    stale = controller_table(stack_controllers([init_controller("modular", rng) for _ in range(17)]), union)
+    last = controller_table(stack_controllers([init_controller("modular", rng) for _ in range(17)]), union)
+    for table in (foreign, stale):
+        with pytest.raises(ValueError, match="controller_table"):
+            sim_core.advance(union, 10, controller=table)
+        assert union.sim_time == 0 and not union.vel.any()
+    sim_core.advance(union, 10, controller=last)
+    assert union.sim_time == 10
+
+
 def test_diverged_world_keeps_its_last_valid_positions(flat):
     # the middle world of three is flung: step names it, leaves its
     # positions as they were, and steps the other two as if alone
@@ -368,14 +428,14 @@ def test_diverged_world_keeps_its_last_valid_positions(flat):
     bodies = [random_morphology(4, 4, rng) for _ in range(3)]
     union = build_worlds(bodies, flat)
     alone = [build_world(body, flat) for body in bodies]
-    flung = union.mass_world == 1
+    flung = row_worlds(union) == 1
     union.vel[flung] = 1e9
     before = union.pos[flung].copy()
     assert step(union).tolist() == [1]
     assert np.array_equal(union.pos[flung], before)
     for w in (0, 2):
         step(alone[w])
-        assert np.array_equal(union.pos[union.mass_world == w], alone[w].pos)
+        assert np.array_equal(union.pos[row_worlds(union) == w], alone[w].pos)
 
 
 @pytest.mark.parametrize("terrain", [make_flat_terrain(), make_bridge_terrain((4, 4))], ids=["flat", "bridge"])
@@ -386,7 +446,7 @@ def test_parked_world_is_inert(terrain):
     bodies = [random_morphology(4, 4, rng) for _ in range(2)]
     union = build_worlds(bodies, terrain)
     alone = build_world(bodies[1], terrain)
-    parked = union.mass_world == 0
+    parked = row_worlds(union) == 0
     union.vel[parked] = 1e9
     assert step(union).tolist() == [0]
     step(alone)
@@ -404,7 +464,7 @@ def test_parked_world_is_inert(terrain):
 
 def test_pinned_masses_never_move(flat):
     w = build_world(Morphology([[2, 2]]), flat)
-    w.pinned[0] = True
+    read_table(w, "pinned")[0] = True
     w.inv_mass[0] = 0.0
     w.vel[0] = 0.0
     anchor = w.pos[0].copy()
@@ -426,10 +486,10 @@ def sunk_into_the_strip():
     worlds = []
     for shift in (2.5, 6.0, 9.5):
         w = build_world(random_morphology(7, 7, rng), terrain)
-        robot = w.is_robot
+        robot = read_table(w, "is_robot")
         w.pos[robot, 0] += terrain.span_start + shift - terrain.spawn_x
         # the strip sags by metres: sink the robot 0.1 below its surface
-        surface = np.interp(w.pos[robot, 0], *w.pos[w.bridge_top].T)
+        surface = np.interp(w.pos[robot, 0], *w.pos[read_table(w, "bridge_top")].T)
         w.pos[robot, 1] -= (w.pos[robot, 1] - surface).min() + 0.1
         w.vel[robot] = rng.normal(0.0, 0.5, size=(robot.sum(), 2))
         worlds.append(w)
@@ -450,7 +510,7 @@ def test_bridge_contact_on_the_span_is_per_world():
         rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
         alone = contact_forces(w)
         assert forces[rows].tobytes() == alone.tobytes()
-        assert np.any(alone[w.bridge_top] != 0.0)
+        assert np.any(alone[read_table(w, "bridge_top")] != 0.0)
 
 
 # sha256 of the union's pos and vel bytes after each of the 200 steps in

@@ -47,7 +47,7 @@ from voxevo.tasks import (
 )
 from voxevo.terrain import TerrainSpec
 
-from oracles import kernel_tables, reference_episodes
+from oracles import kernel_tables, read_table, reference_episodes, row_worlds
 from test_golden import TRAJECTORY_SHA256, golden_pairs
 from test_sim_core import POINTS_INTO, ROW_TABLES
 
@@ -135,7 +135,7 @@ def test_terrain_by_name():
 
 def test_flat_has_no_pinned_masses(flat, rng):
     w = build_world(random_morphology(5, 5, rng), flat)
-    assert not w.pinned.any()
+    assert not read_table(w, "pinned").any()
 
 
 # --- episodes ---------------------------------------------------------------
@@ -220,9 +220,9 @@ def test_fixed_episode_reproducible_from_body_alone(rng, flat):
 
 def test_bridge_sags_below_surface():
     w = build_world(Morphology([[3]]), make_bridge_terrain())
-    top_y = w.pos[w.bridge_top, 1]
-    assert top_y.min() < 0.0  # settled equilibrium sags below the pads
-    mid = w.bridge_top[len(w.bridge_top) // 2]
+    top = read_table(w, "bridge_top")
+    assert w.pos[top, 1].min() < 0.0  # settled equilibrium sags below the pads
+    mid = top[len(top) // 2]
     for _ in range(500):
         step(w)
     assert w.pos[mid, 1] < 0.0
@@ -234,7 +234,7 @@ def test_bridge_strip_starts_at_rest():
     w = build_world(Morphology([[3]]), make_bridge_terrain())
     force = net_forces(w)  # the robot stands on the pad: no strip contact
     force[:, 1] -= GRAVITY * w.mass
-    free = ~w.is_robot & ~w.pinned
+    free = ~read_table(w, "is_robot") & ~read_table(w, "pinned")
     assert np.count_nonzero(free) == 2 * (52 - 8 + 1) - 4
     assert np.abs(force[free] / w.mass[free, None]).max() < 1e-9
 
@@ -251,17 +251,18 @@ def test_bridge_strip_is_kernel_independent():
 
 def test_bridge_anchors_never_move():
     w = build_world(Morphology([[3]]), make_bridge_terrain())
-    anchors = w.pos[w.pinned].copy()
+    pinned = read_table(w, "pinned")
+    anchors = w.pos[pinned].copy()
     for _ in range(500):
         step(w)
-    assert np.array_equal(w.pos[w.pinned], anchors)
+    assert np.array_equal(w.pos[pinned], anchors)
     assert anchors[:, 0].min() == 8.0 and anchors[:, 0].max() == 52.0
 
 
 def test_bridge_deforms_more_under_load():
     base = make_bridge_terrain()
     w_empty = build_world(Morphology([[3]]), base)
-    empty_min = w_empty.pos[w_empty.bridge_top, 1].min()
+    empty_min = w_empty.pos[read_table(w_empty, "bridge_top"), 1].min()
 
     parked = TerrainSpec(
         kind="bridge",
@@ -273,12 +274,13 @@ def test_bridge_deforms_more_under_load():
     )
     heavy = Morphology(np.ones((5, 5), dtype=np.int8))  # all rigid, no actuators
     w = build_world(heavy, parked)
+    top = read_table(w, "bridge_top")
     # lower the robot onto the settled strip before releasing it
-    over_robot = (w.pos[w.bridge_top, 0] > 26) & (w.pos[w.bridge_top, 0] < 34)
-    w.pos[w.is_robot, 1] += w.pos[w.bridge_top, 1][over_robot].max() + 0.05
+    over_robot = (w.pos[top, 0] > 26) & (w.pos[top, 0] < 34)
+    w.pos[read_table(w, "is_robot"), 1] += w.pos[top, 1][over_robot].max() + 0.05
     for _ in range(2000):
         step(w)
-    loaded_min = w.pos[w.bridge_top, 1].min()
+    loaded_min = w.pos[top, 1].min()
     assert loaded_min < empty_min
 
 
@@ -399,7 +401,7 @@ def spoil(monkeypatch, doomed, velocity, axis=slice(None)):
     def spoiled(morphologies, terrain):
         union = original(morphologies, terrain)
         worlds = [w for w, m in enumerate(morphologies) if m is doomed]
-        union.vel[np.isin(union.mass_world, worlds), axis] = velocity
+        union.vel[np.isin(row_worlds(union), worlds), axis] = velocity
         return union
 
     monkeypatch.setattr(voxevo.tasks, "build_worlds", spoiled)
@@ -635,7 +637,7 @@ def test_batch_makes_one_state(monkeypatch, rng, environment):
 
     monkeypatch.setattr(voxevo.sim_core.WorldState, "__post_init__", counting)
     run_episodes(pairs, terrain)
-    chunks = min(len(pairs), voxevo.tasks._CPUS)
+    chunks = min(len(pairs), voxevo.tasks._cpus())
     assert made == [len(pairs[i::chunks]) for i in range(chunks)]
     assert sum(made) == 3
 
@@ -679,7 +681,7 @@ def test_a_batch_may_mix_body_shapes(rng, environment, variant):
 
 @pytest.mark.parametrize("variant", ["fixed", "modular"])
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
-def test_results_do_not_depend_on_the_split(monkeypatch, environment, variant):
+def test_results_do_not_depend_on_the_split(monkeypatch, affinity, environment, variant):
     # a batch of seven shapes, a flung world and an early finisher gives
     # every field of every result bit for bit, whether it runs as one union
     # or as 2, 3 or 7 unions at once, with threads switched every microsecond
@@ -695,7 +697,7 @@ def test_results_do_not_depend_on_the_split(monkeypatch, environment, variant):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2, 3, 17):
-            monkeypatch.setattr(voxevo.tasks, "_CPUS", cpus)
+            affinity(cpus)
             bits[cpus] = _bits(run_episodes(pairs, terrain))
     finally:
         sys.setswitchinterval(interval)
@@ -705,11 +707,13 @@ def test_results_do_not_depend_on_the_split(monkeypatch, environment, variant):
 
 
 @pytest.mark.parametrize("fault", ["not-simulable", "two-variants", "no-compiler"])
-def test_a_batch_that_cannot_be_built_raises_before_any_thread_starts(monkeypatch, tmp_path, rng, flat, fault):
+def test_a_batch_that_cannot_be_built_raises_before_any_thread_starts(
+    monkeypatch, affinity, tmp_path, rng, flat, fault
+):
     # the whole batch is checked, and every union built, on the calling
     # thread: a bad pair in the last chunk, or a kernel that cannot be
     # built, raises there, and no thread starts
-    monkeypatch.setattr(voxevo.tasks, "_CPUS", 4)
+    affinity(4)
     pairs = [(random_morphology(4, 4, rng), FIXED) for _ in range(4)]
     if fault == "not-simulable":
         pairs[3] = (Morphology([[3, 0, 3]]), FIXED)
@@ -727,11 +731,11 @@ def test_a_batch_that_cannot_be_built_raises_before_any_thread_starts(monkeypatc
     assert started == [] and threading.active_count() == before
 
 
-def test_a_chunk_that_raises_fails_the_batch_once(monkeypatch, rng, flat):
+def test_a_chunk_that_raises_fails_the_batch_once(monkeypatch, affinity, rng, flat):
     # one union's kernel call raises on a worker thread: the other chunks
     # run to their end, no worker outlives the call, the error is raised
     # once, on the calling thread, and the evaluator fails the whole batch
-    monkeypatch.setattr(voxevo.tasks, "_CPUS", 3)
+    affinity(3)
     pairs = [(random_morphology(4, 4, rng), FIXED) for _ in range(5)]  # chunks: worlds 0 3, 1 4, and 2
     doomed = pairs[2][0]
     original = voxevo.sim_core.advance
@@ -759,3 +763,19 @@ def test_a_chunk_that_raises_fails_the_batch_once(monkeypatch, rng, flat):
     assert ev.fitness_many(pairs) == [compute_fitness(0.0, False, T_MAX)] * len(pairs)
     assert (ev.failures, ev.episodes_run) == (len(pairs), len(pairs))
     assert threading.active_count() == before
+
+
+def test_the_cpus_are_read_at_every_batch(monkeypatch, affinity, rng, flat):
+    # a process that narrows its affinity between batches splits the next
+    # batch by its new CPUs: on two, one thread starts beside the calling
+    # one; on one, none does, and the results are the same
+    pairs = [(random_morphology(4, 4, rng), FIXED) for _ in range(8)]
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    affinity(2)
+    wide = run_episodes(pairs, flat)
+    assert len(started) == 1
+    started.clear()
+    affinity(1)
+    assert run_episodes(pairs, flat) == wide and started == []
