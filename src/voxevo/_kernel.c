@@ -32,8 +32,9 @@
  * defined on a line that begins "[VX_CLONES ]type vx_name(", its result
  * void, int64_t or double and each parameter one name of those forms
  * (sim_core._load_kernel). A field or parameter of another form fails the
- * load. The arithmetic is numpy's, operation for operation and in the same
- * order, so every trajectory keeps its bits:
+ * load, as does a vx_ function defined on a line of another form. The
+ * arithmetic is numpy's, operation for operation and in the same order, so
+ * every trajectory keeps its bits:
  *  - each expression is evaluated as the numpy code wrote it, one IEEE
  *    double operation at a time; the build flags forbid contraction into
  *    fused multiply-adds and any fast-math reassociation;
@@ -66,16 +67,16 @@
  * finish test (reached, an OR over every mass). np.maximum and its kin are
  * selects, and the loops' only reductions are integer ORs and counts, so a
  * vector lane does the scalar code's operations and no floating-point sum is
- * reordered. These five are compiled for AVX-512 and for the baseline
- * (VX_CLONES), and vectorised with no cost model (VX_VECTOR), as -O2's cheap
- * model vectorises none of them; the baseline clone vectorises what SSE2
- * can. GCC vectorises a loop's indexed loads only through restrict pointers
- * that are the function's parameters, so each loop takes the arrays it
- * indexes or writes as such. The springs' end-to-end differences
- * (spring_ends) stay a scalar loop on every CPU: a vector would gather them
- * one element at a time. The build flags' -fno-math-errno lets sqrt be one
- * instruction, in a vector too; it moves no bit, as all it drops is sqrt of
- * a negative number setting errno.
+ * reordered. These five, and the modular network's loops, are compiled for
+ * AVX-512 and for the baseline and vectorised with no cost model
+ * (VX_CLONES), as -O2's cheap model vectorises none of the five; the
+ * baseline clone vectorises what SSE2 can. GCC vectorises a loop's indexed
+ * loads only through restrict pointers that are the function's parameters,
+ * so each loop takes the arrays it indexes or writes as such. The springs'
+ * end-to-end differences (spring_ends) stay a scalar loop on every CPU: a
+ * vector would gather them one element at a time. The build flags'
+ * -fno-math-errno lets sqrt be one instruction, in a vector too; it moves no
+ * bit, as all it drops is sqrt of a negative number setting errno.
  *
  * The modular network is the exception to numpy's numerics: it has numerics
  * of its own, the same on every CPU, set out above vx_presum.
@@ -88,17 +89,16 @@
 #include <string.h>
 
 /* A function so marked is compiled for AVX-512 and for the baseline
- * (target_clones), and the loader picks the clone the CPU runs, so a CPU
- * with AVX2 but no AVX-512 runs the baseline. Defining VX_DEFAULT_CLONE_ONLY
- * builds the baseline clone alone, which is how the tests check that the
- * clones agree. */
+ * (target_clones), with its loops vectorised and no cost model, and the
+ * loader picks the clone the CPU runs, so a CPU with AVX2 but no AVX-512
+ * runs the baseline. Defining VX_DEFAULT_CLONE_ONLY builds the baseline
+ * clone alone, which is how the tests check that the clones agree. */
 #ifdef VX_DEFAULT_CLONE_ONLY
-#define VX_CLONES
+#define VX_CLONES __attribute__((optimize("tree-vectorize", "vect-cost-model=unlimited")))
 #else
-#define VX_CLONES __attribute__((target_clones("avx512f", "default")))
+#define VX_CLONES \
+    __attribute__((target_clones("avx512f", "default"), optimize("tree-vectorize", "vect-cost-model=unlimited")))
 #endif
-/* the vectoriser on, with no cost model */
-#define VX_VECTOR __attribute__((optimize("tree-vectorize", "vect-cost-model=unlimited")))
 
 enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' order */
 
@@ -231,7 +231,7 @@ static void spring_ends(const Table *t)
  * ``d`` (spring_ends), into its rows of t->spring_f: (fx, fy) on its i end,
  * and the exact reaction (-fx, -fy) on its j end. A row of four for both
  * ends would cost the vector loop more to store. */
-VX_CLONES VX_VECTOR static void spring_pass(const Table *t, const double *restrict d, double *restrict f,
+VX_CLONES static void spring_pass(const Table *t, const double *restrict d, double *restrict f,
                                              double *restrict reaction)
 {
     for (int64_t k = 0; k < t->springs; k++) {
@@ -257,7 +257,7 @@ VX_CLONES VX_VECTOR static void spring_pass(const Table *t, const double *restri
  * the rigid surface at y=0 (the pads only, on a bridge). Normal:
  * k*depth - c*v_normal, clamped >= 0. Friction: the force that would cancel
  * the tangential velocity within one step, capped at mu * |normal|. */
-VX_CLONES VX_VECTOR static void ground_pass(const Table *t, const double *restrict pos, const double *restrict vel,
+VX_CLONES static void ground_pass(const Table *t, const double *restrict pos, const double *restrict vel,
                                              const double *restrict mass, double *restrict ground)
 {
     const int64_t bridge = t->terrain == 2;
@@ -283,7 +283,7 @@ VX_CLONES VX_VECTOR static void ground_pass(const Table *t, const double *restri
 /* The segment of its world's top chain under each of n robot masses, given
  * by their robot rows: the number of the chain's masses left of its x,
  * minus one, clipped to the chain, as a union index into bridge_top. */
-VX_CLONES VX_VECTOR static void strip_segments(const Table *t, int64_t n, const int64_t *restrict rows,
+VX_CLONES static void strip_segments(const Table *t, int64_t n, const int64_t *restrict rows,
                                                 const double *restrict pos, double *restrict chain_x,
                                                 int64_t *restrict segs)
 {
@@ -415,7 +415,7 @@ void vx_forces(const Table *t, int64_t springs, int64_t contact)
 /* Velocities, then new positions, of every mass from t->net and t->gravity,
  * into t->vel and t->new_pos; t->bad[w] is set when world w has a new
  * position that is non-finite or beyond the limit, and cleared otherwise. */
-VX_CLONES VX_VECTOR static void integrate(const Table *t, const double *restrict pos, const double *restrict net,
+VX_CLONES static void integrate(const Table *t, const double *restrict pos, const double *restrict net,
                                            double *restrict vel, double *restrict new_pos)
 {
     const double dt = t->dt, gravity = t->gravity, limit = t->limit;
@@ -440,7 +440,7 @@ VX_CLONES VX_VECTOR static void integrate(const Table *t, const double *restrict
 }
 
 /* Whether some mass has !(x < reach), NaN included. */
-VX_CLONES VX_VECTOR static int64_t reached(int64_t masses, const double *pos, double reach)
+VX_CLONES static int64_t reached(int64_t masses, const double *pos, double reach)
 {
     int64_t any = 0;
     for (int64_t m = 0; m < masses; m++)
@@ -509,58 +509,29 @@ void vx_set_targets(const Table *t, const double *commands)
  *  - hidden unit j of a row sums, one IEEE operation at a time, b1[j], then
  *    W1[j][c] * obs[c] over the 45 material entries in column order, then
  *    over the 27 dynamic entries in (slot, feature) order, then the parity;
- *  - the loops are vectorised across units, never across a sum: lane l of a
- *    vector holds unit 8v + l, so each lane does the same operations
- *    whatever the vector width, and every clone gives the same bits;
- *  - tanh and the logistic use exp8, built from +, -, *, / and exponent
+ *  - tanh and the logistic use net_exp, built from +, -, *, / and exponent
  *    bits; tanh takes an odd Taylor polynomial for |x| < TANH_NEAR;
- *  - z sums w2[j] * tanh(h_j) in lanes, lane l over j = l, l + 8, l + 16,
- *    l + 24 in that order, then the 8 lanes in order, then adds b2; the
- *    command is action_low + 1 / (1 + exp(-z)), z clipped to [-60, 60]
- *    first, which moves no command (0.6 + logistic(+-60) is 1.6 and 0.6
- *    exactly).
+ *  - z sums w2[j] * tanh(h_j) in 8 accumulators, accumulator l over
+ *    j = l, l + 8, l + 16, l + 24 in that order, then the 8 in order, then
+ *    adds b2; the command is action_low + 1 / (1 + exp(-z)), z clipped to
+ *    [-60, 60] first, which moves no command (0.6 + logistic(+-60) is 1.6
+ *    and 0.6 exactly).
  * tests/oracles.py's reference_network does the same operations in numpy.
  *
- * vx_presum and vx_mlp are cloned (VX_CLONES) as the step's loops are, but
- * only the network's AVX-512 clone is fast: eight lanes are one of its
- * registers, while GCC splits them for the baseline and keeps them in
- * memory. On a 17-world W5 batch (174 active voxels) on a 2-vCPU Xeon with
- * AVX-512, vx_mlp took 40-46 us with the AVX-512 clone and about 255 us
- * with the baseline (SSE2); a numpy GEMM network took 148 us on the same
- * rows. So the network's baseline clone is the correct path for CPUs
- * without AVX-512, not a fast one. The step's baseline clones are no slower
- * than the scalar step they replace: a fixed-controller step of 17 worlds
- * took about as long built with the baseline clones alone as the scalar
- * step did (W5), or less (B7).
+ * These are plain loops and scalar functions, cloned and vectorised as the
+ * step's loops are (VX_CLONES): across units or across rows, never across
+ * a sum, so a vector lane does one unit's or one row's scalar operations
+ * and every clone gives the same bits. Their selects (np_min,
+ * clip_scalar and a plain <) are false for NaN and keep it. GCC vectorises
+ * the tanh and logistic loops only with AVX-512's masked operations: the
+ * baseline clone runs them one value at a time.
  */
 
 #define UNITS 32      /* hidden units */
 #define MATERIAL 45   /* material entries: 9 slots x 5 indicators */
 #define DYNAMIC 27    /* dynamic entries: 9 slots x (volume, vx, vy) */
 #define INPUTS (DYNAMIC + 1)  /* a control step's inputs: the dynamic entries, then the parity */
-#define LANES 8
-#define VECTORS (UNITS / LANES)
-
-/* Eight lanes, whatever the clone: the baseline clone runs each operation
- * as four SSE2 ones. Values of these types are passed by pointer only, so
- * no function's ABI depends on the clone. */
-typedef double v8d __attribute__((vector_size(LANES * sizeof(double))));
-typedef int64_t v8i __attribute__((vector_size(LANES * sizeof(int64_t))));
-typedef uint64_t v8u __attribute__((vector_size(LANES * sizeof(uint64_t))));
-
-#define SPLAT(c) ((v8d){0} + (c))
-/* lanes of a where mask is set (all ones), of b where it is clear */
-#define SELECT(mask, a, b) ((v8d)(((mask) & (v8i)(a)) | (~(mask) & (v8i)(b))))
-/* the mask of a < b, for a and b without sign bits: their bit patterns
- * order as their values do, with NaN above all. Integer arithmetic, as
- * a floating-point comparison of eight lanes has no AVX2 or SSE2 form
- * and would run lane by lane. */
-#define BELOW(a, b) ((v8i) - (((v8u)(a) - (v8u)(b)) >> 63))
-/* |x| clipped to c, a NaN kept */
-#define CLIP_ABS(a, c) SELECT(BELOW(a, SPLAT(c)) | BELOW(SPLAT(INFINITY), a), a, SPLAT(c))
-
-static inline void load8(v8d *v, const double *p) { memcpy(v, p, sizeof *v); }
-static inline void store8(double *p, const v8d *v) { memcpy(p, v, sizeof *v); }
+#define LANES 8       /* the output sum's accumulators */
 
 /* e^x = 2^k e^r, k = round(x log2 e) by adding and subtracting SHIFTER,
  * r = x - k ln2 with ln2 in two parts (k * LN2_HI is exact) */
@@ -581,40 +552,46 @@ static const double TANH_TAYLOR[7] = {
     -17.0 / 315.0, 2.0 / 15.0, -1.0 / 3.0,
 };
 
-/* e^x in every lane, for |x| <= 700: within 1 ulp on [-60, 60]; NaN stays NaN */
-static inline void exp8(v8d *y, const v8d *x)
+/* a double's bit pattern, and the double of a bit pattern */
+static inline uint64_t bits_of(double x) { uint64_t b; memcpy(&b, &x, sizeof b); return b; }
+static inline double of_bits(uint64_t b) { double x; memcpy(&x, &b, sizeof x); return x; }
+
+/* e^x, for |x| <= 700: within 1 ulp on [-60, 60]; NaN stays NaN */
+static inline double net_exp(double x)
 {
-    v8d t = *x * LOG2E + SHIFTER;
-    v8d k = t - SHIFTER;
-    v8d r = *x - k * LN2_HI;
+    double t = x * LOG2E + SHIFTER;
+    double k = t - SHIFTER;
+    double r = x - k * LN2_HI;
     r = r - k * LN2_LO;
-    v8d p = SPLAT(EXP_TAYLOR[0]);
+    double p = EXP_TAYLOR[0];
 #pragma GCC unroll 16
     for (int n = 1; n < 14; n++)
         p = p * r + EXP_TAYLOR[n];
-    v8u scale = (v8u)((v8i)t - (int64_t)0x4338000000000000) + 1023;  /* k + 1023, from SHIFTER's bits */
-    *y = p * (v8d)(scale << 52);
+    return p * of_bits((bits_of(t) - bits_of(SHIFTER) + 1023) << 52);  /* 2^k, k + 1023 from t's bits */
 }
 
-/* tanh in every lane: within 1.7e-16 absolute and 6 ulp on [-30, 30]; the
- * sign of x is put back last, so tanh(-0.0) is -0.0; NaN stays NaN */
-static inline void tanh8(v8d *y, const v8d *x)
+/* tanh: within 1.7e-16 absolute and 6 ulp on [-30, 30]; the sign of x is
+ * put back last, so tanh(-0.0) is -0.0; NaN stays NaN */
+static inline double net_tanh(double x)
 {
-    v8i sign = (v8i)*x & INT64_MIN;
-    v8d a = (v8d)((v8i)*x & INT64_MAX);
-    v8d twice = CLIP_ABS(a, 20.0);  /* tanh 20 rounds to 1, as tanh of all beyond */
+    double a = fabs(x);  /* x with its sign bit cleared, a NaN's too */
+    double twice = np_min(a, 20.0);  /* tanh 20 rounds to 1, as tanh of all beyond */
     twice = twice + twice;
-    v8d e;
-    exp8(&e, &twice);
-    v8d far = 1.0 - 2.0 / (e + 1.0);
-    v8d s = a * a;
-    v8d q = SPLAT(TANH_TAYLOR[0]);
+    double far = 1.0 - 2.0 / (net_exp(twice) + 1.0);
+    double s = a * a;
+    double q = TANH_TAYLOR[0];
 #pragma GCC unroll 8
     for (int n = 1; n < 7; n++)
         q = q * s + TANH_TAYLOR[n];
-    v8d near = a + a * s * q;
-    v8d m = SELECT(BELOW(a, SPLAT(TANH_NEAR)), near, far);
-    *y = (v8d)((v8i)m | sign);
+    double near = a + a * s * q;
+    return of_bits(bits_of(a < TANH_NEAR ? near : far) | (bits_of(x) & (UINT64_C(1) << 63)));
+}
+
+/* 1 / (1 + e^-z), z clipped to [-60, 60] first */
+static inline double logistic(double z)
+{
+    z = clip_scalar(z, -60.0, 60.0);
+    return 1.0 / (1.0 + net_exp(-z));
 }
 
 /* A batch's controllers and, for a modular batch, its state's observation
@@ -668,20 +645,19 @@ VX_CLONES void vx_presum(const Brain *b, const double *material)
         const int64_t world = b->world[r];
         const double *weights = b->w_material + world * MATERIAL * UNITS;
         const double *x = material + r * MATERIAL;
-        v8d h[VECTORS], w;
+        double h[UNITS];
+        for (u = 0; u < UNITS; u++)
+            h[u] = b->b1[world * UNITS + u];
+        /* the unit loop inside, unrolled: AVX-512 keeps the 32 sums in 4
+         * registers, 4 independent chains across the inputs; rolled, the
+         * sums go through the stack at every input, and vx_mlp took about
+         * a third longer */
+        for (c = 0; c < MATERIAL; c++)
 #pragma GCC unroll 4
-        for (u = 0; u < VECTORS; u++)
-            load8(&h[u], b->b1 + world * UNITS + u * LANES);
-        for (c = 0; c < MATERIAL; c++) {
-#pragma GCC unroll 4
-            for (u = 0; u < VECTORS; u++) {
-                load8(&w, weights + c * UNITS + u * LANES);
-                h[u] = h[u] + w * x[c];
-            }
-        }
-#pragma GCC unroll 4
-        for (u = 0; u < VECTORS; u++)
-            store8(b->pre + r * UNITS + u * LANES, &h[u]);
+            for (u = 0; u < UNITS; u++)
+                h[u] = h[u] + weights[c * UNITS + u] * x[c];
+        for (u = 0; u < UNITS; u++)
+            b->pre[r * UNITS + u] = h[u];
     }
 }
 
@@ -692,62 +668,37 @@ VX_CLONES void vx_presum(const Brain *b, const double *material)
 VX_CLONES void vx_mlp(const Brain *b)
 {
     int64_t r, k, u, l;
-    v8d h[VECTORS], w, acc;
     for (r = 0; r < b->rows; r++) {
         const double *weights = b->w_inputs + b->world[r] * INPUTS * UNITS;
         const double *x = b->inputs + r * INPUTS;
+        double h[UNITS];
+        for (u = 0; u < UNITS; u++)
+            h[u] = b->pre[r * UNITS + u];
+        for (k = 0; k < INPUTS; k++)
 #pragma GCC unroll 4
-        for (u = 0; u < VECTORS; u++)
-            load8(&h[u], b->pre + r * UNITS + u * LANES);
-        for (k = 0; k < INPUTS; k++) {
-#pragma GCC unroll 4
-            for (u = 0; u < VECTORS; u++) {
-                load8(&w, weights + k * UNITS + u * LANES);
-                h[u] = h[u] + w * x[k];
-            }
-        }
-#pragma GCC unroll 4
-        for (u = 0; u < VECTORS; u++)
-            store8(b->hidden + r * UNITS + u * LANES, &h[u]);
+            for (u = 0; u < UNITS; u++)
+                h[u] = h[u] + weights[k * UNITS + u] * x[k];
+        for (u = 0; u < UNITS; u++)
+            b->hidden[r * UNITS + u] = h[u];
     }
-    for (k = 0; k < b->rows * UNITS; k += LANES) {
-        load8(&w, b->hidden + k);
-        tanh8(&w, &w);
-        store8(b->hidden + k, &w);
-    }
+    for (k = 0; k < b->rows * UNITS; k++)
+        b->hidden[k] = net_tanh(b->hidden[k]);
     for (r = 0; r < b->rows; r++) {
         const int64_t world = b->world[r];
-#pragma GCC unroll 4
-        for (u = 0; u < VECTORS; u++) {
-            load8(&h[u], b->hidden + r * UNITS + u * LANES);
-            load8(&w, b->w2 + world * UNITS + u * LANES);
-            h[u] = h[u] * w;
-        }
-        acc = h[0];
-#pragma GCC unroll 4
-        for (u = 1; u < VECTORS; u++)
-            acc = acc + h[u];
+        const double *w2 = b->w2 + world * UNITS, *t = b->hidden + r * UNITS;
+        double acc[LANES];
+        for (l = 0; l < LANES; l++)
+            acc[l] = t[l] * w2[l];
+        for (u = LANES; u < UNITS; u += LANES)
+            for (l = 0; l < LANES; l++)
+                acc[l] = acc[l] + t[u + l] * w2[u + l];
         double z = acc[0];
-#pragma GCC unroll 8
         for (l = 1; l < LANES; l++)
             z = z + acc[l];
         b->actions[r] = z + b->b2[world];
     }
-    for (r = 0; r < b->rows; r += LANES) {
-        double z8[LANES] = {0};
-        const int64_t n = b->rows - r < LANES ? b->rows - r : LANES;
-        v8d z, e;
-        memcpy(z8, b->actions + r, n * sizeof(double));
-        load8(&z, z8);
-        v8i sign = (v8i)z & INT64_MIN;
-        z = (v8d)((v8i)z & INT64_MAX);
-        z = (v8d)((v8i)CLIP_ABS(z, 60.0) | sign);  /* z clipped to [-60, 60] */
-        z = -z;
-        exp8(&e, &z);
-        z = 1.0 / (1.0 + e);
-        store8(z8, &z);
-        memcpy(b->actions + r, z8, n * sizeof(double));
-    }
+    for (r = 0; r < b->rows; r++)
+        b->actions[r] = logistic(b->actions[r]);
 }
 
 /* One control step's commands into b->actions: the fixed alternation, or

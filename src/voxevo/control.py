@@ -16,9 +16,10 @@ builds once per state and stack (``controller_table``): the parameter
 rows and, for the network, each active voxel's material pre-sums and
 the state's observation windows. The network's numerics are the
 kernel's own, set out there and mirrored in numpy by
-``tests/oracles.reference_network``: no BLAS, libm or numpy call, so the
-same bits in every compiled clone and under any OpenBLAS kernel or numpy
-SIMD dispatch.
+``tests/oracles.reference_network``: plain loops that the compiler
+vectorises as it does the step's, across units or rows and never across
+a sum, and no BLAS, libm or numpy call, so the same bits in every
+compiled clone and under any OpenBLAS kernel or numpy SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -233,8 +234,11 @@ def forward_batch(params: np.ndarray, obs_blocks: np.ndarray, rows: np.ndarray) 
     ``rows`` are flat indices into the stacked (worlds * block rows) rows;
     the result holds one action per index, in their order. This is the
     kernel's network, the one an episode runs, on whatever the rows hold:
-    their material entries need not be indicators.
+    their material entries need not be indicators. A parameter stack
+    whose row count is not the block count is a ValueError.
     """
+    if params.shape[0] != obs_blocks.shape[0]:
+        raise ValueError(f"one parameter row per observation block: got {params.shape[0]} for {obs_blocks.shape[0]}")
     rows = np.asarray(rows, dtype=np.int64)
     obs = obs_blocks.reshape(-1, OBS_DIM)[rows]
     table = _controller_table("modular", rows // obs_blocks.shape[1], params, obs[:, _MATERIAL_COLUMNS])

@@ -531,15 +531,21 @@ def _load_kernel() -> ctypes.CDLL:
     starts no process: it hashes the source, finds the file and loads it.
     Every ``vx_*`` function has its types declared from its definition, and
     every struct is read, so a declaration that Python cannot mirror fails
-    the load (``_kernel.c``'s header sets out the forms it reads).
+    the load (``_kernel.c``'s header sets out the forms it reads), as does,
+    before any build, a ``vx_*`` function defined on a line of another form,
+    which would load with no types and be passed truncated pointers.
     """
     source, code = _kernel_source()
+    read = {m.start(): m.groups() for m in re.finditer(r"^(?:VX_CLONES )?(\w+) (vx_\w+)\(([^)]*)\)", code, flags=re.M)}
+    for line in re.finditer(r"^\S.*\bvx_\w+\(.*$", code, flags=re.M):
+        if line.start() not in read:
+            raise TypeError(f"_kernel.c defines a kernel function on the line `{line[0]}`, which Python does not read")
     tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     path = _KERNEL_DIR / f"_kernel-{tag}.so"
     if not path.exists():
         _build_kernel(path)
     lib = ctypes.CDLL(str(path))
-    for result, name, parameters in re.findall(r"^(?:VX_CLONES )?(\w+) (vx_\w+)\(([^)]*)\)", code, flags=re.M):
+    for result, name, parameters in read.values():
         function = getattr(lib, name)
         function.argtypes = [ctype for parameter in parameters.split(",") for _, ctype, _ in _declared(parameter, name)]
         function.restype = None if result == "void" else _declared(f"{result} {name}", name)[0][1]

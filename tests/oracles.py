@@ -270,7 +270,7 @@ LANES = 8
 
 
 def reference_exp(x: np.ndarray) -> np.ndarray:
-    """The kernel's ``exp8``: 2^k e^r, e^r by a degree-13 Taylor polynomial."""
+    """The kernel's ``net_exp``: 2^k e^r, e^r by a degree-13 Taylor polynomial."""
     t = x * LOG2E + SHIFTER
     k = t - SHIFTER
     r = x - k * LN2_HI
@@ -283,7 +283,7 @@ def reference_exp(x: np.ndarray) -> np.ndarray:
 
 
 def reference_tanh(x: np.ndarray) -> np.ndarray:
-    """The kernel's ``tanh8``: an odd polynomial near 0, 1 - 2/(e^2|x| + 1)
+    """The kernel's ``net_tanh``: an odd polynomial near 0, 1 - 2/(e^2|x| + 1)
     beyond, the sign of x put back last. Both branches are computed for every
     entry, as the kernel does, so the unused one may overflow; that raises
     nothing."""
@@ -310,8 +310,8 @@ def reference_network(params: np.ndarray, world: np.ndarray, obs: np.ndarray) ->
     Each hidden sum starts from b1 and adds W1[j, c] * obs[c] over the
     material columns in column order, then the dynamic ones in (slot,
     feature) order, then the parity. The output sum adds w2[j] * tanh(h_j)
-    in 8 lanes, lane l over j = l, l + 8, l + 16, l + 24, then the lanes in
-    order, then b2.
+    in 8 accumulators, accumulator l over j = l, l + 8, l + 16, l + 24, then
+    the 8 in order, then b2.
     """
     w1, b1, w2, b2 = unpack_params(params[world])
     columns = np.concatenate([control._MATERIAL_COLUMNS, control._INPUT_COLUMNS])

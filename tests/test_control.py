@@ -106,6 +106,9 @@ def test_forward_rejects_wrong_variant_and_shape(rng):
         modular_forward(fixed, np.zeros(OBS_DIM))
     with pytest.raises(ValueError):
         modular_forward(modular(rng), np.zeros(10))
+    # the kernel would read rows 9 and 11's parameters past the one row given
+    with pytest.raises(ValueError, match="got 1 for 3"):
+        forward_batch(modular(rng).params[None], np.zeros((3, 4, OBS_DIM)), np.array([0, 9, 11]))
 
 
 def test_fixed_action_parity(rng, flat):
@@ -301,17 +304,21 @@ def test_kernel_network_is_the_reference_network_byte_for_byte(scale):
     # dense rows, their material entries no indicators, of three worlds'
     # parameters: at the initial spread, where tanh and the logistic
     # saturate, and with -0.0, infinities and NaN among the inputs (a NaN
-    # command may carry another sign bit than numpy's, which no result reads)
+    # command may carry another sign bit than numpy's, which no result
+    # reads); 1 and 7 rows, fewer than one AVX-512 vector, run only the
+    # scalar remainders of the loops vectorised across rows
     rng = np.random.default_rng(11)
     params = rng.normal(0.0, scale, size=(3, PARAM_COUNT))
     obs = rng.normal(0.0, scale, size=(3, 40, OBS_DIM))
     obs[0, :4, 0] = [-0.0, np.inf, -np.inf, np.nan]
-    rows = rng.permutation(120)[:77]
-    actions = forward_batch(params, obs, rows)
-    expected = reference_network(params, rows // 40, obs.reshape(-1, OBS_DIM)[rows])
-    nan = np.isnan(expected)
-    assert np.count_nonzero(nan) == 1 and np.array_equal(np.isnan(actions), nan)
-    assert actions[~nan].tobytes() == expected[~nan].tobytes()
+    order = rng.permutation(120)
+    for count in (1, 7, 77):
+        rows = order[:count]
+        actions = forward_batch(params, obs, rows)
+        expected = reference_network(params, rows // 40, obs.reshape(-1, OBS_DIM)[rows])
+        nan = np.isnan(expected)
+        assert np.count_nonzero(nan) == np.count_nonzero(rows == 3) and np.array_equal(np.isnan(actions), nan)
+        assert actions[~nan].tobytes() == expected[~nan].tobytes(), f"{count} rows"
 
 
 def test_network_functions_are_accurate():

@@ -21,10 +21,10 @@ in the old order hashing to the old digests.
 
 No episode makes a BLAS call, and the modular network uses no libm or numpy
 transcendental: it is the kernel's own arithmetic, vectorised across hidden
-units only (``_kernel.c``). So every digest holds under every OpenBLAS
-kernel and every numpy SIMD dispatch, and in each of the kernel's compiled
-clones; ``test_kernel.py`` checks both. The bridge strip's static solve
-calls no BLAS either.
+units or rows, never across a sum (``_kernel.c``). So every digest holds
+under every OpenBLAS kernel and every numpy SIMD dispatch, and in each of
+the kernel's compiled clones; ``test_kernel.py`` checks both. The bridge
+strip's static solve calls no BLAS either.
 """
 
 import hashlib

@@ -557,6 +557,18 @@ def test_a_struct_declaration_python_cannot_mirror_fails(monkeypatch):
         sim_core._struct.__wrapped__("Odd")
 
 
+def test_a_kernel_function_defined_on_a_line_the_loader_does_not_read_fails(monkeypatch):
+    # such a function would load with no argument types, and ctypes would
+    # pass its pointers truncated: it is an error naming the line, raised
+    # before the kernel is built
+    source = "VX_CLONES VX_VECTOR void vx_presum(const Brain *b, const double *material)\n{\n}\n"
+    monkeypatch.setattr(sim_core, "_kernel_source", lambda: (source.encode(), source))
+    monkeypatch.setattr(sim_core, "_build_kernel", lambda path: pytest.fail("the kernel was built"))
+    line = r"`VX_CLONES VX_VECTOR void vx_presum\(const Brain \*b, const double \*material\)`"
+    with pytest.raises(TypeError, match=line):
+        sim_core._load_kernel()
+
+
 @pytest.mark.parametrize(
     "field, array",
     [("spring_i", np.zeros(4)), ("pos", np.zeros((4, 2), dtype=bool)), ("pos", np.zeros((4, 4))[:, ::2])],
