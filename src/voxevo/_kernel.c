@@ -594,8 +594,8 @@ static inline double logistic(double z)
     return 1.0 / (1.0 + net_exp(-z));
 }
 
-/* A batch's controllers and, for a modular batch, its state's observation
- * windows: control._controller_table builds one per batch. */
+/* A state's controllers, one per world, and, for a modular batch, its
+ * observation windows: control.controller_table builds it, the state keeps it. */
 typedef struct {
     int64_t fixed;           /* the fixed alternation, else the modular network */
     int64_t rows;            /* commands per control step, one per active voxel */

@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import RunConfig, RunResult, evolve
 from .morphology import Morphology, morphology_distance
-from .tasks import EpisodeResult, TerrainSpec, run_episode
+from .tasks import EpisodeResult, TerrainSpec, run_episodes
 from .control import ControllerGenome
 
 EXACT_TEST_MAX_N = 12  # exact enumeration when n_a + n_b <= this
@@ -199,4 +199,4 @@ def retrain_controller(
 def cross_evaluate_fixed(champion_body: Morphology, terrain: TerrainSpec) -> EpisodeResult:
     """Score a body under the open-loop controller: one deterministic episode."""
     fixed = ControllerGenome("fixed", np.zeros(0))
-    return run_episode(champion_body, fixed, terrain)
+    return run_episodes([(champion_body, fixed)], terrain)[0]

@@ -52,7 +52,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")

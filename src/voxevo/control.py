@@ -11,10 +11,10 @@ Two variants:
   alternates between maximal expansion and contraction each control step.
 
 Both run only in the compiled kernel (``_kernel.c``), at every control
-step inside ``sim_core.advance``, from the controller table that Python
-builds once per state and stack (``controller_table``): the parameter
-rows and, for the network, each active voxel's material pre-sums and
-the state's observation windows. The network's numerics are the
+step inside ``sim_core.advance``, from the controller table that the
+state keeps (``controller_table``), built from one genome per world: the
+parameter rows and, for the network, each active voxel's material
+pre-sums and the state's observation windows. The network's numerics are the
 kernel's own, set out there and mirrored in numpy by
 ``tests/oracles.reference_network``: plain loops that the compiler
 vectorises as it does the step's, across units or rows and never across
@@ -85,23 +85,13 @@ class ControllerGenome:
         return ControllerGenome(data["variant"], np.asarray(data["params"], dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ControllerStack:
-    """The genomes of a batch of worlds: one variant, one parameter row per
-    world, read-only."""
-
-    variant: str
-    params: np.ndarray  # (worlds, PARAM_COUNT); (worlds, 0) for fixed
-
-
-def stack_controllers(genomes) -> ControllerStack:
-    """The controllers of a batch of worlds, one row per world."""
+def batch_variant(genomes) -> str:
+    """The one controller variant of a batch's genomes; mixed or no
+    variants are a ValueError."""
     variants = {g.variant for g in genomes}
     if len(variants) != 1:
         raise ValueError(f"a batch needs one controller variant, got {sorted(variants)}")
-    params = np.stack([g.params for g in genomes])
-    params.setflags(write=False)  # a state keeps the stack's controller table, which aliases some of these rows
-    return ControllerStack(variants.pop(), params)
+    return variants.pop()
 
 
 def init_controller(variant: str, rng: np.random.Generator) -> ControllerGenome:
@@ -172,8 +162,9 @@ class ControllerTable(NamedTuple):
     each active voxel's material pre-sums, its state's observation windows
     and the scratch a control step writes, the commands in
     ``arrays["actions"]``, and the kernel's ``Brain`` pointing into them,
-    as ``sim_core._struct`` reads it from ``_kernel.c``. ``sim_core.advance``
-    takes it, and queries it on every control step."""
+    as ``sim_core._struct`` reads it from ``_kernel.c``. A state keeps its
+    own (``WorldState.controller``), which ``sim_core.advance`` queries on
+    every control step."""
 
     arrays: dict              # every array the table points into, held so that none is freed
     table: ctypes.Structure   # the kernel's Brain
@@ -210,19 +201,21 @@ def _controller_table(variant: str, world: np.ndarray, params=None, material=Non
     return controllers
 
 
-def controller_table(controllers: ControllerStack, state: WorldState) -> ControllerTable:
-    """The kernel's table for a batch's controllers on its state, built on
-    first use and kept until the state is given another stack."""
-    if state.controller is not None and state.controller[0] is controllers:
-        return state.controller[1]
-    if controllers.variant == "fixed":
+def controller_table(genomes, state: WorldState) -> ControllerTable:
+    """Build the kernel's table for one genome per world of ``state``, in world
+    order, and keep it as ``state.controller``, which ``sim_core.advance``
+    steps with. Mixed variants, or a count other than the state's worlds, is
+    a ValueError, raised before any kernel call."""
+    variant = batch_variant(genomes)
+    if len(genomes) != state.num_worlds:
+        raise ValueError(f"one genome per world: got {len(genomes)} for {state.num_worlds}")
+    if variant == "fixed":
         table = _controller_table("fixed", state.act_world)
     else:
         gather, features, material = _window_tables(state)
-        table = _controller_table(
-            "modular", state.act_world, controllers.params, material, gather=gather, features=features
-        )
-    state.controller = (controllers, table)
+        params = np.stack([g.params for g in genomes])
+        table = _controller_table("modular", state.act_world, params, material, gather=gather, features=features)
+    state.controller = table
     return table
 
 
@@ -268,10 +261,11 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     return obs
 
 
-def compute_actions(controllers: ControllerStack, state: WorldState, effective_step: int) -> np.ndarray:
-    """Per-active-voxel commands, aligned with state.actuator_cells: the
-    kernel's control step, the one ``sim_core.advance`` takes at every
-    control step of an episode."""
-    table = controller_table(controllers, state)
+def compute_actions(genomes, state: WorldState, effective_step: int) -> np.ndarray:
+    """Per-active-voxel commands, aligned with state.actuator_cells, of one
+    genome per world: the kernel's control step, the one
+    ``sim_core.advance`` takes at every control step of an episode, on a
+    table built for this call."""
+    table = controller_table(genomes, state)
     sim_core._kernel().vx_act(state.kernel_address, table.address, effective_step % 2)
     return table.arrays["actions"].copy()

@@ -19,10 +19,10 @@ sum, gravity, integration and the divergence test, the loop of steps
 around them, the actuation targets (``set_actuation_targets``) and both
 controllers: the fixed alternation, and the modular network with its
 observation fill (``control.controller_table``). ``advance`` is one call
-into it that steps until a world may have ended, querying a batch's
-controller table at every control step, and names the worlds that the
-table's ``bad`` row flags as diverged; ``step`` is its one-step case,
-which queries none. The kernel also builds a batch's worlds, every table
+into it that steps until a world may have ended, querying, with control,
+the state's controller table at every control step, and names the worlds
+that the kernel table's ``bad`` row flags as diverged; ``step`` is its
+one-step case. The kernel also builds a batch's worlds, every table
 of a union in one zeroed buffer (``build_worlds``): one call sizes the
 union, and one lays out, fills and points its ``Table`` at every table,
 the settled strip appended to every bridge world, and derives the
@@ -69,12 +69,16 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import materials
 from .morphology import Morphology, simulability_report, InvalidMorphologyError
 from .terrain import TerrainSpec
+
+if TYPE_CHECKING:
+    from .control import ControllerTable
 
 # Version of the episode numerics. Bump it with any change that can move a
 # simulated trajectory or fitness by even one ulp: cached evidence, run
@@ -241,8 +245,8 @@ class WorldState:
     buffer: np.ndarray = field(repr=False)                # the union's one allocation
     kernel_table: ctypes.Structure = field(repr=False)    # the kernel's Table, pointing into it
     sim_time: int = 0
-    # (stack, its controller table): the last that control.controller_table built
-    controller: tuple | None = field(default=None, repr=False)
+    # the ControllerTable that control.controller_table last built for this state
+    controller: ControllerTable | None = field(default=None, repr=False)
     kernel_address: int = field(init=False, repr=False)  # the table's address, what each kernel call takes
 
     def __post_init__(self):
@@ -611,32 +615,32 @@ def contact_forces(state: WorldState) -> np.ndarray:
     return _forces(state, 0, 1)
 
 
-def advance(state: WorldState, stop: int, finish_reach: float = math.inf, controller=None) -> np.ndarray:
+def advance(state: WorldState, stop: int, finish_reach: float = math.inf, control: bool = False) -> np.ndarray:
     """Step every world, in one kernel call, until the first of: a step on
     which a world diverged; a step after which some mass has
     ``!(x < finish_reach)``, NaN included; and ``state.sim_time == stop``.
-    With a ``controller`` table, the kernel sets the actuation targets from
-    its commands at every control step (a multiple of STEPS_PER_ACTION), as
-    ``control.compute_actions`` and ``set_actuation_targets`` would; without
-    one, they stay as set. The table must be the one that
-    ``control.controller_table`` last built for this state, whose rows and
-    windows are this state's: any other is a ValueError, raised before the
-    kernel is called. Each step is the one ``step`` describes.
+    With ``control``, the kernel sets the actuation targets from the
+    commands of the state's controller table (``state.controller``) at
+    every control step (a multiple of STEPS_PER_ACTION), as
+    ``control.compute_actions`` and ``set_actuation_targets`` would; a
+    state with no table is a ValueError, raised before the kernel is
+    called. Without, the targets stay as set. Each step is the one
+    ``step`` describes.
 
     Returns a new array of the ids of the worlds that diverged on the last
     step taken, ascending (``state.bad`` flags them); it is empty if none
     did or no step was taken.
     """
-    if controller is not None and (state.controller is None or controller is not state.controller[1]):
-        raise ValueError("advance takes only the controller table control.controller_table last built for the state")
-    table = None if controller is None else controller.address
+    if control and state.controller is None:
+        raise ValueError("advance with control needs the state's table: build it with control.controller_table")
+    table = state.controller.address if control else None
     state.sim_time += _kernel().vx_run(state.kernel_address, table, state.sim_time, stop, finish_reach)
     return np.flatnonzero(state.bad)
 
 
 def step(state: WorldState) -> np.ndarray:
     """One semi-implicit Euler step of every world, DT seconds long:
-    ``advance`` to one step ahead.
+    ``advance`` to one step ahead, without control.
 
     The kernel advances the actuated rest lengths and sums every mass's
     force (``net_forces``): its spring terms, then its ground contact, then

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim_core
-from .control import ControllerGenome, ControllerStack, compute_actions, controller_table, stack_controllers
+from .control import ControllerGenome, batch_variant, compute_actions, controller_table
 from .morphology import InvalidMorphologyError, Morphology, require_valid
 from .sim_core import KernelBuildError, build_world, build_worlds, set_actuation_targets
 from .terrain import (  # re-exported task surface
@@ -97,36 +97,36 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
 
     The bodies may differ in shape; the pairs must share one controller
     variant. Chunk ``i`` of ``k`` holds ``pairs[i::k]``: one chunk per CPU
-    the process may run on (``_cpus``), at most one per pair. Each chunk is
-    built, by ``build_worlds`` in the kernel, as one disjoint-union world
-    with its controller table (``controller_table``); pairs that share a
-    body get identical rows. The batch is checked and every union built on
-    the calling thread; then the unions run at once (``_episodes``), chunk 0
-    on the calling thread and each other chunk on its own thread, as a
-    kernel call holds no GIL. On one CPU no thread starts. If a chunk
-    raises, the others still run to their end, and then the error of the
-    lowest-numbered chunk that raised is raised. Each world's result is bit
-    for bit its result alone, so the results, in pair order, do not depend
-    on ``k``; the engine is noise-free, so identical inputs always produce
-    identical results.
+    the process may run on (``_cpus``), at most one per pair. On the calling
+    thread, the whole batch is checked, then each chunk is built, by
+    ``build_worlds`` in the kernel, as one disjoint-union world that keeps
+    the controller table of its genomes (``controller_table``); pairs that
+    share a body get identical rows. Then the unions run at once
+    (``_episodes``), chunk 0 on the calling thread and each other chunk on
+    its own thread, as a kernel call holds no GIL. On one CPU no thread
+    starts. If a chunk raises, the others still run to their end, and then
+    the error of the lowest-numbered chunk that raised is raised. Each
+    world's result is bit for bit its result alone, so the results, in pair
+    order, do not depend on ``k``; the engine is noise-free, so identical
+    inputs always produce identical results.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     for morphology, _ in pairs:
         require_valid(morphology)
-    stack = stack_controllers([controller for _, controller in pairs])
+    genomes = [controller for _, controller in pairs]
+    batch_variant(genomes)
     k = min(len(pairs), _cpus())
-    chunks = []
-    for i in range(k):
-        state = build_worlds([morphology for morphology, _ in pairs[i::k]], terrain)
-        chunks.append((state, controller_table(ControllerStack(stack.variant, stack.params[i::k]), state)))
+    unions = [build_worlds([morphology for morphology, _ in pairs[i::k]], terrain) for i in range(k)]
+    for i, union in enumerate(unions):
+        controller_table(genomes[i::k], union)
     results: list[EpisodeResult | None] = [None] * len(pairs)
     errors: list[BaseException | None] = [None] * k
 
     def run(i: int) -> None:
         try:
-            results[i::k] = _episodes(*chunks[i], terrain)
+            results[i::k] = _episodes(unions[i])
         except BaseException as error:  # raised on the calling thread, once every chunk has stopped
             errors[i] = error
 
@@ -145,20 +145,20 @@ def run_episodes(pairs, terrain: TerrainSpec) -> list[EpisodeResult]:
     return results
 
 
-def _episodes(state: sim_core.WorldState, controllers, terrain: TerrainSpec) -> list[EpisodeResult]:
-    """The episodes of a union's worlds, one ``sim_core.advance`` call per
-    stretch, with the controller table queried at every control step inside
-    it, whichever the variant. A stretch stops on a step where a world can
-    have ended: a divergence, the last step, or a mass within a voxel of the
-    finish line. Only there are the centres of mass measured and the end
+def _episodes(state: sim_core.WorldState) -> list[EpisodeResult]:
+    """The episodes of a union's worlds on its terrain, one
+    ``sim_core.advance`` call per stretch, with its controller table queried
+    at every control step inside it. A stretch stops on a step where a world
+    can have ended: a divergence, the last step, or a mass within a voxel of
+    the finish line. Only there are the centres of mass measured and the end
     tests run. A world that crosses the finish line or diverges has its
     result recorded and is then parked: it stays in the union, inert, until
-    the last world ends. Each world's result is bit for bit what it would
-    be alone. A diverged simulation scores as unfinished with the full time
+    the last world ends. Each world's result is bit for bit what it would be
+    alone. A diverged simulation scores as unfinished with the full time
     penalty and the displacement of its last valid step, where ``step``
     leaves it.
     """
-    worlds = state.num_worlds
+    worlds, terrain = state.num_worlds, state.terrain
     start_x = state.robot_com_x()
     results: list[EpisodeResult | None] = [None] * worlds
     running = np.ones(worlds, dtype=bool)
@@ -167,7 +167,7 @@ def _episodes(state: sim_core.WorldState, controllers, terrain: TerrainSpec) -> 
     finish_reach = terrain.finish_x - 1.0
 
     while True:
-        sim_core.advance(state, T_MAX, finish_reach, controllers)
+        sim_core.advance(state, T_MAX, finish_reach, control=True)
         diverged = state.bad != 0
         x = state.robot_com_x()
         finished = ~diverged & (x >= terrain.finish_x)

@@ -45,7 +45,6 @@ from voxevo.control import (
     CELL_FEATURES,
     OBS_DIM,
     ControllerGenome,
-    stack_controllers,
     unpack_params,
 )
 from voxevo.evolution import Individual, dominates
@@ -194,7 +193,7 @@ def reference_episodes(pairs, terrain) -> list[EpisodeResult]:
     ``tasks.build_worlds``; it steps, acts and observes through this
     module's numpy references only."""
     state = tasks.build_worlds([m for m, _ in pairs], terrain)
-    controllers = stack_controllers([c for _, c in pairs])
+    controllers = [c for _, c in pairs]
     start_x = last_x = state.robot_com_x()
     results = [None] * len(pairs)
     running = np.ones(len(pairs), dtype=bool)
@@ -228,12 +227,14 @@ def fixed_action(effective_step: int) -> float:
     return ACTION_HIGH if effective_step % 2 == 0 else ACTION_LOW
 
 
-def reference_actions(controllers, state: WorldState, effective_step: int) -> np.ndarray:
-    """``control.compute_actions`` in numpy: the fixed alternation for every
-    active voxel, or ``reference_network`` on ``reference_observations``."""
-    if controllers.variant == "fixed":
+def reference_actions(genomes, state: WorldState, effective_step: int) -> np.ndarray:
+    """``control.compute_actions`` in numpy, of one genome per world: the
+    fixed alternation for every active voxel, or ``reference_network`` on
+    ``reference_observations``."""
+    if genomes[0].variant == "fixed":
         return np.full(len(state.actuator_cells), fixed_action(effective_step))
-    return reference_network(controllers.params, state.act_world, reference_observations(state, effective_step))
+    params = np.stack([g.params for g in genomes])
+    return reference_network(params, state.act_world, reference_observations(state, effective_step))
 
 
 def reference_set_actuation_targets(state: WorldState, commands: np.ndarray) -> None:

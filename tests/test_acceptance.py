@@ -23,7 +23,6 @@ from voxevo.control import (
     init_controller,
     mutate_controller,
     observation_matrix,
-    stack_controllers,
 )
 from voxevo.evolution import Individual, truncation_select
 from voxevo.morphology import Morphology, random_morphology, resample_cells
@@ -254,7 +253,7 @@ def test_criterion_6_observation_controller_contracts():
         ok = ok and bool(np.all((acts > 0.6) & (acts < 1.6)))
     zero = ControllerGenome("modular", np.zeros(PARAM_COUNT))
     ok = ok and modular_forward(zero, np.zeros(73)) == 1.1
-    fixed = stack_controllers([init_controller("fixed", rng)])
+    fixed = [init_controller("fixed", rng)]
     seq = [set(compute_actions(fixed, w, k).tolist()) for k in range(8)]
     ok = ok and seq == [{1.6}, {0.6}] * 4
     report("criterion 6: observation/controller contracts", ok, f"{time.perf_counter() - t0:.1f}s")

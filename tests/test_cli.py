@@ -116,6 +116,16 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_config_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # a config file that cannot be decoded is refused as any other
+    # malformed one, naming the file, before anything runs
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert run_cli("evolve", "--config", str(cfg), "--gens", "1", "--out", str(tmp_path / "o")) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "fields",
     [

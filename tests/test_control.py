@@ -3,18 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from voxevo import control
+from voxevo import control, sim_core
 from voxevo.control import (
     HIDDEN_UNITS,
     OBS_DIM,
     PARAM_COUNT,
     ControllerGenome,
     compute_actions,
+    controller_table,
     forward_batch,
     init_controller,
     mutate_controller,
     observation_matrix,
-    stack_controllers,
     unpack_params,
 )
 from voxevo.morphology import Morphology, random_morphology
@@ -114,7 +114,7 @@ def test_forward_rejects_wrong_variant_and_shape(rng):
 def test_fixed_action_parity(rng, flat):
     # the kernel's alternation: expand on even control steps, contract on odd
     w = build_world(random_morphology(5, 5, rng), flat)
-    fixed = stack_controllers([init_controller("fixed", rng)])
+    fixed = [init_controller("fixed", rng)]
     commands = [compute_actions(fixed, w, k).tolist() for k in range(8)]
     assert commands == [[1.6] * len(w.actuator_cells), [0.6] * len(w.actuator_cells)] * 4
 
@@ -123,10 +123,10 @@ def test_fixed_controller_ignores_world(rng, flat):
     m = random_morphology(5, 5, rng)
     w = build_world(m, flat)
     fixed = ControllerGenome("fixed", np.zeros(0))
-    before = compute_actions(stack_controllers([fixed]), w, 3).copy()
+    before = compute_actions([fixed], w, 3).copy()
     w.pos += rng.normal(0, 0.2, w.pos.shape)
     w.vel += rng.normal(0, 1.0, w.vel.shape)
-    assert np.array_equal(compute_actions(stack_controllers([fixed]), w, 3), before)
+    assert np.array_equal(compute_actions([fixed], w, 3), before)
     assert np.all(before == 0.6)
 
 
@@ -232,42 +232,41 @@ def test_weight_sharing_single_genome_many_voxels(rng, flat):
     w = build_world(m, flat)
     genome = modular(rng)
     obs = observation_matrix(w, 0)
-    actions = compute_actions(stack_controllers([genome]), w, 0)
+    actions = compute_actions([genome], w, 0)
     for a, row in zip(actions, obs):
         assert a == pytest.approx(modular_forward(genome, row), abs=1e-12)
 
 
 def test_controller_input_holds_no_stale_entries(rng, flat):
-    # the persistent controller input is rewritten on every call: over
-    # several control steps, with steps in between and one world parked
-    # midway, each world of a union acts bit for bit as it does alone, and
-    # every observation row matches the scalar oracle
+    # a state keeps its controller table, whose input advance rewrites at
+    # every control step: over several control steps, with one world
+    # parked midway, each world of a union acts bit for bit as it does
+    # alone, and every observation row matches the scalar oracle
     bodies = [random_morphology(5, 5, rng) for _ in range(3)]
     genomes = [modular(rng) for _ in bodies]
     union = build_worlds(bodies, flat)
     alone = [build_world(m, flat) for m in bodies]
-    controllers = stack_controllers(genomes)
+    controller_table(genomes, union)
     starts = union.starts["act"]
     for k in range(6):
         if k == 3:
             union.park(np.array([False, True, False]))
             alone[1].park(np.array([True]))
-        actions = compute_actions(controllers, union, k)
         obs = observation_matrix(union, k)
+        sim_core.advance(union, union.sim_time + STEPS_PER_ACTION, control=True)
+        actions = union.controller.arrays["actions"]
         for w, world in enumerate(alone):
             rows = slice(starts[w], starts[w + 1])
-            own = compute_actions(stack_controllers([genomes[w]]), world, k)
+            own = compute_actions([genomes[w]], world, k)
             assert np.array_equal(actions[rows], own)
             for row, cell, action in zip(obs[rows], world.actuator_cells, own):
                 expected = gather_observation(world, cell, k)
                 assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
                 assert action == pytest.approx(modular_forward(genomes[w], expected), abs=1e-12)
             set_actuation_targets(world, own)
-        set_actuation_targets(union, actions)
-        for _ in range(STEPS_PER_ACTION):
-            step(union)
-            for world in alone:
+            for _ in range(STEPS_PER_ACTION):
                 step(world)
+        assert union.sim_time == STEPS_PER_ACTION * (k + 1)
 
 
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])
@@ -279,7 +278,7 @@ def test_compiled_fill_is_the_reference_fill_byte_for_byte(environment):
     terrain = terrain_by_name(environment, (5, 5))
     rng = np.random.default_rng([5, 31])
     bodies = [random_morphology(5, 5, rng) for _ in range(3)]
-    controllers = stack_controllers([modular(rng) for _ in bodies])
+    controllers = [modular(rng) for _ in bodies]
     kernel, oracle = build_worlds(bodies, terrain), build_worlds(bodies, terrain)
     for k in range(8):
         if k == 3:
@@ -338,34 +337,53 @@ def test_network_functions_are_accurate():
 
 
 def test_warm_modular_control_allocates_less_than_its_input():
-    # a 17-world B7 union, as one generation runs it: a warm call reuses the
-    # state's controller table and its scratch, so it allocates less than
-    # one (worlds, h*w, 73) block of observations
+    # a 17-world B7 union, as one generation runs it: the control steps of
+    # a warm advance reuse the state's controller table and its scratch, so
+    # they allocate less than one (worlds, h*w, 73) block of observations
     terrain = terrain_by_name("bridgewalker", (7, 7))
     rng = np.random.default_rng(7)
     pairs = [(random_morphology(7, 7, rng), modular(rng)) for _ in range(17)]
     state = build_worlds([m for m, _ in pairs], terrain)
-    controllers = stack_controllers([c for _, c in pairs])
-    compute_actions(controllers, state, 0)
-    step(state)
+    controller_table([c for _, c in pairs], state)
+    sim_core.advance(state, 1, control=True)
     block_bytes = 17 * 7 * 7 * OBS_DIM * 8
     tracemalloc.start()
     try:
-        compute_actions(controllers, state, 1)
+        sim_core.advance(state, 4 * STEPS_PER_ACTION + 1, control=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert state.sim_time == 4 * STEPS_PER_ACTION + 1
     assert peak < block_bytes
 
 
-def test_stacked_parameters_are_read_only(rng, flat):
-    # a state keeps its stack's controller table, which copies some of the
-    # stack's rows and aliases others: an edit in place would give commands
-    # of neither network, so the stack refuses one
-    state = build_world(random_morphology(5, 5, rng), flat)
-    controllers = stack_controllers([modular(rng)])
-    compute_actions(controllers, state, 0)
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+def test_a_controller_table_needs_one_genome_per_world_of_one_variant(monkeypatch, rng, flat, variant):
+    # one genome on a 17-world union would run 16 worlds' commands from
+    # parameters past its one row: controller_table refuses it, as it does
+    # one genome too many and a mixed batch, before any kernel call, and
+    # the state keeps no table
+    union = build_worlds([random_morphology(5, 5, rng) for _ in range(17)], flat)
+    monkeypatch.setattr(sim_core, "_kernel", lambda: pytest.fail("the kernel was called"))
+    other = "fixed" if variant == "modular" else "modular"
+    for genomes, message in [
+        ([init_controller(variant, rng)], "got 1 for 17"),
+        ([init_controller(variant, rng) for _ in range(18)], "got 18 for 17"),
+        ([init_controller(other, rng)] + [init_controller(variant, rng) for _ in range(16)], "one controller variant"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            controller_table(genomes, union)
+        with pytest.raises(ValueError, match=message):
+            compute_actions(genomes, union, 0)
+        assert union.controller is None
+
+
+def test_genome_parameters_are_read_only(rng):
+    # a genome's parameters are its evaluator cache key and the rows a
+    # controller table copies: an edit in place would give a cached fitness
+    # to another network, so the genome refuses one
+    genome = modular(rng)
     with pytest.raises(ValueError, match="read-only"):
-        controllers.params[0, -1] = 1.0
+        genome.params[-1] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        controllers.params += 0.1
+        genome.params += 0.1

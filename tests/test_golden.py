@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from voxevo.cli import main as cli_main
-from voxevo.control import compute_actions, init_controller, stack_controllers
+from voxevo.control import compute_actions, init_controller
 from voxevo.morphology import random_morphology
 from voxevo.sim_core import ENGINE_VERSION, STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
 from voxevo.tasks import T_MAX, terrain_by_name
@@ -74,7 +74,7 @@ def trajectory_digest(environment: str, size: int, variant: str, neighbours: int
     hashed."""
     pairs, terrain = golden_pairs(environment, size, variant, neighbours)
     state = build_worlds([m for m, _ in pairs], terrain)
-    controllers = stack_controllers([c for _, c in pairs])
+    controllers = [c for _, c in pairs]
     rows = slice(state.starts["mass"][neighbours], state.starts["mass"][neighbours + 1])
     digest = hashlib.sha256()
     for t in range(T_MAX):

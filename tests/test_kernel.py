@@ -32,7 +32,7 @@ import pytest
 
 import voxevo
 from voxevo import sim_core
-from voxevo.control import compute_actions, controller_table, init_controller, stack_controllers
+from voxevo.control import compute_actions, controller_table, init_controller
 from voxevo.materials import ELASTIC, RIGID
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import STEPS_PER_ACTION, build_worlds, set_actuation_targets, step
@@ -69,7 +69,7 @@ def twin_unions(pairs, terrain):
     """Two equal unions of the pairs' worlds, one for each engine, and their
     controllers."""
     bodies = [m for m, _ in pairs]
-    return build_worlds(bodies, terrain), build_worlds(bodies, terrain), stack_controllers([c for _, c in pairs])
+    return build_worlds(bodies, terrain), build_worlds(bodies, terrain), [c for _, c in pairs]
 
 
 def act(state, controllers, t, set_targets=set_actuation_targets):
@@ -115,7 +115,7 @@ def test_a_diverging_world_is_named_on_the_reference_step(environment, fling):
     pairs, terrain = golden_pairs(environment, 5, "modular", neighbours=1)
     kernel, oracle, controllers = twin_unions(pairs, terrain)
     alone = [build_worlds([m], terrain) for m, _ in pairs]
-    alone_controllers = [stack_controllers([c]) for _, c in pairs]
+    alone_controllers = [[c] for _, c in pairs]
     for state in (kernel, oracle):
         state.vel[row_worlds(state) == 1] = fling
     named = []
@@ -153,27 +153,28 @@ def test_two_unions_advanced_at_once_end_as_one_after_the_other():
         made = []
         for pairs in batches:
             state = build_worlds([m for m, _ in pairs], terrain)
-            made.append((state, controller_table(stack_controllers([c for _, c in pairs]), state)))
+            controller_table([c for _, c in pairs], state)
+            made.append(state)
         return made
 
     alone = unions()
-    for state, controllers in alone:
-        sim_core.advance(state, T_MAX, controller=controllers)
+    for state in alone:
+        sim_core.advance(state, T_MAX, control=True)
     together = unions()
     barrier = threading.Barrier(len(together), timeout=60)
 
-    def advance(state, controllers):
+    def advance(state):
         barrier.wait()
-        sim_core.advance(state, T_MAX, controller=controllers)
+        sim_core.advance(state, T_MAX, control=True)
 
-    threads = [threading.Thread(target=advance, args=union) for union in together]
+    threads = [threading.Thread(target=advance, args=(union,)) for union in together]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert [state.sim_time for state, _ in together + alone] == [T_MAX] * 4
-    for (state, _), (reference, _) in zip(together, alone):
+    assert [state.sim_time for state in together + alone] == [T_MAX] * 4
+    for state, reference in zip(together, alone):
         assert state.pos.tobytes() == reference.pos.tobytes()
         assert state.vel.tobytes() == reference.vel.tobytes()
 
@@ -369,8 +370,8 @@ def sanitised_evidence() -> str:
         for variant in ("fixed", "modular"):
             bodies = [random_morphology(*rng.integers(1, 8, size=2).tolist(), rng) for _ in range(6)]
             state = build_worlds(bodies + bodies[:1], TERRAINS[environment])
-            controllers = stack_controllers([init_controller(variant, rng) for _ in range(state.num_worlds)])
-            sim_core.advance(state, 100, controller=controller_table(controllers, state))
+            controller_table([init_controller(variant, rng) for _ in range(state.num_worlds)], state)
+            sim_core.advance(state, 100, control=True)
             lines.append(hashlib.sha256(state.pos.tobytes() + state.vel.tobytes()).hexdigest())
     return "\n".join(lines)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voxevo import sim_core
-from voxevo.control import controller_table, init_controller, stack_controllers
+from voxevo.control import controller_table, init_controller
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
 from voxevo.sim_core import (
     ACTUATION_RATE,
@@ -403,21 +403,24 @@ def test_a_zero_step_advance_names_no_world(single_actuator, flat):
 
 def test_advance_refuses_a_controller_table_built_for_another_state(flat):
     # a controller table's rows and windows fit the state it was built for:
-    # run on a 17-world union of 7x7 actuators, a one-voxel state's table
-    # would take 2,499 features into room for 6 and hand out 833 commands
-    # from room for 1. advance refuses it, as it does a table the state has
-    # since replaced, before the kernel is called
+    # a one-voxel state's genome driving a 17-world union of 7x7 actuators
+    # would hand out 16 worlds' commands from parameters past its one row.
+    # controller_table refuses it, one genome per world, and advance
+    # refuses to control a state that keeps no table, before the kernel is
+    # called; a state steps only with the table built for it
     rng = np.random.default_rng(30)
     alone = build_world(Morphology([[3]]), flat)
-    foreign = controller_table(stack_controllers([init_controller("modular", rng)]), alone)
+    genome = init_controller("modular", rng)
+    controller_table([genome], alone)
     union = build_worlds([Morphology(np.full((7, 7), 3))] * 17, flat)
-    stale = controller_table(stack_controllers([init_controller("modular", rng) for _ in range(17)]), union)
-    last = controller_table(stack_controllers([init_controller("modular", rng) for _ in range(17)]), union)
-    for table in (foreign, stale):
-        with pytest.raises(ValueError, match="controller_table"):
-            sim_core.advance(union, 10, controller=table)
-        assert union.sim_time == 0 and not union.vel.any()
-    sim_core.advance(union, 10, controller=last)
+    with pytest.raises(ValueError, match="one genome per world"):
+        controller_table([genome], union)
+    with pytest.raises(ValueError, match="controller_table"):
+        sim_core.advance(union, 10, control=True)
+    assert union.controller is None and union.sim_time == 0 and not union.vel.any()
+    table = controller_table([init_controller("modular", rng) for _ in range(17)], union)
+    assert union.controller is table
+    sim_core.advance(union, 10, control=True)
     assert union.sim_time == 10
 
 
@@ -615,14 +618,14 @@ def test_observation_velocity_is_corner_mean(single_actuator, flat):
 def test_volume_positive_throughout_episode(rng, flat):
     from voxevo.morphology import random_morphology
     from oracles import voxel_areas
-    from voxevo.control import compute_actions, init_controller, stack_controllers
+    from voxevo.control import compute_actions, init_controller
 
     m = random_morphology(5, 5, rng)
     genome = init_controller("modular", rng)
     w = build_world(m, flat)
     for t in range(300):
         if t % 5 == 0:
-            set_actuation_targets(w, compute_actions(stack_controllers([genome]), w, t // 5))
+            set_actuation_targets(w, compute_actions([genome], w, t // 5))
         step(w)
         assert np.all(voxel_areas(w) > 0.0)
 

@@ -20,7 +20,6 @@ from voxevo.control import (
     compute_actions,
     controller_table,
     init_controller,
-    stack_controllers,
     unpack_params,
 )
 from voxevo.morphology import InvalidMorphologyError, Morphology, random_morphology
@@ -155,9 +154,10 @@ def test_controller_queried_every_fifth_step(rng, flat):
     # episode is bit for bit a Python loop that computes and sets the
     # commands on every fifth step, and not one that does so a step late
     m = random_morphology(5, 5, rng)
-    controllers = stack_controllers([init_controller("modular", rng)])
+    controllers = [init_controller("modular", rng)]
     kernel = build_world(m, flat)
-    voxevo.sim_core.advance(kernel, T_MAX, controller=controller_table(controllers, kernel))
+    controller_table(controllers, kernel)
+    voxevo.sim_core.advance(kernel, T_MAX, control=True)
     for offset, same in ((0, True), (1, False)):
         loop = build_world(m, flat)
         for t in range(T_MAX):
@@ -334,14 +334,14 @@ def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
     # those: here the fixed controllers' batch, of two body shapes
     fixed = [(random_morphology(h, h, rng), FIXED) for h in (3, 4, 3)]
     modular = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(2)]
-    original = voxevo.tasks.stack_controllers
+    original = voxevo.tasks.controller_table
 
-    def failing(genomes):
+    def failing(genomes, state):
         if genomes[0].variant == "fixed":
             raise RuntimeError("boom")
-        return original(genomes)
+        return original(genomes, state)
 
-    monkeypatch.setattr(voxevo.tasks, "stack_controllers", failing)
+    monkeypatch.setattr(voxevo.tasks, "controller_table", failing)
     ev = EpisodeEvaluator(flat)
     fits = ev.fitness_many(fixed + modular)
     assert ev.failures == len(fixed)
