@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .morphology import Morphology, is_valid, morphology_distance, mutate_morphology, random_morphology
 from .control import ControllerGenome, init_controller, mutate_controller
 from .terrain import TerrainSpec, make_bridge_terrain, make_flat_terrain
-from .tasks import EpisodeResult, compute_fitness, run_episode, run_episodes
+from .tasks import EpisodeResult, compute_fitness, run_episodes
 from .evolution import Individual, Population, RunConfig, RunResult, dominates, evolve
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "mutate_controller",
     "mutate_morphology",
     "random_morphology",
-    "run_episode",
     "run_episodes",
 ]

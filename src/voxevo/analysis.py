@@ -1,10 +1,11 @@
 """Post-hoc analysis: retraining, cross-evaluation, statistics.
 
-Covers the comparison protocols around finished runs: re-optimizing a
-controller for a frozen champion body, scoring a champion body under the
-open-loop controller, morphology convergence metrics on champion sets,
-and two-sided rank-sum significance tests with an exact small-sample
-branch.
+Covers the comparison protocols around finished runs: the config of a run
+that re-optimizes a controller for a frozen champion body (which
+``voxevo retrain`` passes to ``evolve`` with the body), scoring a champion
+body under the open-loop controller, morphology convergence metrics on
+champion sets, and two-sided rank-sum significance tests with an exact
+small-sample branch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import RunConfig, RunResult, evolve
+from .evolution import RunConfig
 from .morphology import Morphology, morphology_distance
 from .tasks import EpisodeResult, TerrainSpec, run_episodes
 from .control import ControllerGenome
@@ -171,29 +172,6 @@ def retrain_config(config: RunConfig, body: Morphology) -> RunConfig:
     becomes the body's and its controller modular. This is the one place a
     config is adapted to a retrained body."""
     return replace(config, height=body.h, width=body.w, controller="modular")
-
-
-def retrain_controller(
-    champion_body: Morphology,
-    config: RunConfig,
-    evaluator=None,
-    checkpoint_path=None,
-    resume: bool = False,
-) -> RunResult:
-    """Optimize a modular controller from scratch for a frozen body.
-
-    The whole population carries the champion body; mutation only ever
-    touches the controller. The body is passed to ``evolve`` as a value, so
-    a ``freeze_body_path`` in the config is not read again; ``evolve``
-    validates the body and hashes it into the run's fingerprint.
-    """
-    return evolve(
-        retrain_config(config, champion_body),
-        evaluator,
-        frozen_body=champion_body,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-    )
 
 
 def cross_evaluate_fixed(champion_body: Morphology, terrain: TerrainSpec) -> EpisodeResult:

@@ -5,11 +5,14 @@ config and its fingerprint, the per-generation log CSV, a resumable
 checkpoint, and the champion (body + controller) as JSON. ``evolve`` and
 ``retrain`` reach that directory by one path, ``run_to_dir``. Each setting
 comes from its flag, else the --config file, else the command's default.
-A retrain takes its morphology space from its body and always trains the
-modular controller; every other setting, ``generations`` included, is
-resolved like evolve's. The report command aggregates champion fitness
-across run directories, compares groups pairwise with the rank-sum test,
-and emits star-annotated tables plus bootstrap-CI fitness curves.
+A frozen body is trained by ``retrain`` only, which reads its --body once
+and passes the body on as a value; ``evolve`` refuses a config file that
+names one (``freeze_body_path``). A retrain takes its morphology space
+from its body and always trains the modular controller; every other
+setting, ``generations`` included, is resolved like evolve's. The report
+command aggregates champion fitness across run directories, compares
+groups pairwise with the rank-sum test, and emits star-annotated tables
+plus bootstrap-CI fitness curves.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -92,20 +95,13 @@ def _seed_list(args, config: RunConfig) -> list[int]:
     return list(range(config.seed, config.seed + count))
 
 
-def _read_body(path: str | None) -> tuple[Morphology | None, dict | None]:
-    """The body a run freezes, read once, and the provenance its manifest records."""
-    if path is None:
-        return None, None
-    body, run_id = load_body_file(path)
-    return body, {"source_body": path, "source_run_id": run_id}
-
-
-def run_to_dir(config: RunConfig, resume: bool, body: Morphology | None, provenance: dict | None) -> None:
+def run_to_dir(config: RunConfig, resume: bool, body: Morphology | None = None, provenance: dict | None = None) -> None:
     """The one path from a resolved config to its run directory, ``config.output_dir``.
 
-    A finished directory is refused unless resuming. The directory is made
-    by the run's first checkpoint or by its record, so a run refused before
-    it starts leaves none behind.
+    A run that trains a frozen body is given it as a value, with the
+    provenance its manifest records. A finished directory is refused unless
+    resuming. The directory is made by the run's first checkpoint or by its
+    record, so a run refused before it starts leaves none behind.
     """
     out_dir = config.output_dir
     if os.path.exists(os.path.join(out_dir, "generations.csv")) and not resume:
@@ -151,11 +147,14 @@ def write_run_outputs(result: RunResult, out_dir: str, manifest_extra: dict | No
     }
     with open(os.path.join(out_dir, "champion.json"), "w") as fh:
         fh.write(json.dumps(champion))  # the C encoder; json.dump's bytes
-    # last, as it marks the run finished
-    with open(os.path.join(out_dir, "generations.csv"), "w", newline="") as fh:
+    # last, as it marks the run finished, and whole: a write cut short leaves none
+    path = os.path.join(out_dir, "generations.csv")
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
         fh.write("generation,best_fitness,mean_fitness,best_age,champion_id\n")
         for s in result.stats:
             fh.write(f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r},{s.best_age},{s.champion_id}\n")
+    os.replace(tmp, path)
 
 
 def _load_run_dir(run_dir: str) -> dict:
@@ -174,27 +173,28 @@ def _load_run_dir(run_dir: str) -> dict:
             "group": manifest.get("group_label", manifest["setting"]),
             "seed": manifest.get("seed", manifest["config"].get("seed")),
             "champion_fitness": champion["fitness"],
-            "champion_body": champion["morphology"],
+            "champion_body": Morphology.from_json(champion["morphology"]),
             "best_curve": np.array(best),
         }
-    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read run directory {run_dir}: {type(exc).__name__}: {exc}")
 
 
 def cmd_evolve(args) -> int:
     config = config_from_args(args)
-    body, provenance = _read_body(config.freeze_body_path)
+    if config.freeze_body_path is not None:
+        raise ConfigError(f"evolve trains no frozen body ({config.freeze_body_path}): use `voxevo retrain --body BODY`")
     seeds = _seed_list(args, config)
     for seed in seeds:
         out_dir = os.path.join(config.output_dir, f"seed_{seed}") if len(seeds) > 1 else config.output_dir
-        run_to_dir(replace(config, seed=seed, output_dir=out_dir), args.resume, body, provenance)
+        run_to_dir(replace(config, seed=seed, output_dir=out_dir), args.resume)
     return 0
 
 
 def cmd_retrain(args) -> int:
-    body, provenance = _read_body(args.freeze_body_path)
+    body, run_id = load_body_file(args.freeze_body_path)
     config = config_from_args(args, retrained=body)
-    run_to_dir(config, args.resume, body, provenance)
+    run_to_dir(config, args.resume, body, {"source_body": args.freeze_body_path, "source_run_id": run_id})
     return 0
 
 
@@ -224,6 +224,10 @@ def cmd_report(args) -> int:
         groups[run["group"]].append(run)
     if len(groups) < 2:
         raise ConfigError("report needs at least two distinct run groups")
+    for label, group in groups.items():  # checked before any file is written
+        shapes = {(run["champion_body"].h, run["champion_body"].w) for run in group}
+        if len(shapes) > 1:
+            raise ConfigError(f"group {label} mixes morphology spaces {sorted(shapes)}; distances are undefined")
     os.makedirs(args.out, exist_ok=True)
 
     labels = sorted(groups)
@@ -296,15 +300,9 @@ def _write_distances(groups, labels, out_dir) -> dict:
     distances = {}
     for label in labels:
         runs = groups[label]
-        bodies = [Morphology.from_json(run["champion_body"]) for run in runs]
-        shapes = {(b.h, b.w) for b in bodies}
-        if len(shapes) > 1:
-            raise ConfigError(
-                f"group {label} mixes morphology spaces {sorted(shapes)}; distances are undefined"
-            )
-        if len(bodies) >= 2:
+        if len(runs) >= 2:
             matrix = analysis.export_distance_matrix(
-                bodies,
+                [run["champion_body"] for run in runs],
                 [f"seed_{r['seed']}" for r in runs],
                 os.path.join(out_dir, f"distance_matrix_{label}.csv"),
             )
@@ -415,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
         p.add_argument("--resume", action="store_true", help="continue from the checkpoint in --out")
 
-    p_evolve = sub.add_parser("evolve", help="run brain-body (or body-only) evolution")
+    p_evolve = sub.add_parser(
+        "evolve", help="run brain-body (or body-only) evolution; `voxevo retrain` trains a frozen body"
+    )
     add_run_options(p_evolve)
     p_evolve.add_argument("--size", help="morphology space, e.g. 5x5 or 7x7")
     p_evolve.add_argument("--controller", choices=VARIANTS)
@@ -425,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_retrain = sub.add_parser(
         "retrain",
-        help="optimize a fresh modular controller for a frozen body",
-        description="Optimize a fresh modular controller for the body in --body. The run takes its "
+        help="optimize a fresh modular controller for a frozen body (the only command that freezes one)",
+        description="Optimize a fresh modular controller for the body in --body, the one way to train "
+        "a frozen body. The run takes its "
         "morphology space from the body and always trains the modular controller; every other "
         "setting comes from its flag, else the --config file (generations included), else the "
         f"default ({analysis.RETRAIN_GENERATIONS} generations).",

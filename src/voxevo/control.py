@@ -24,6 +24,7 @@ compiled clone and under any OpenBLAS kernel or numpy SIMD dispatch.
 
 from __future__ import annotations
 
+import base64
 import ctypes
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,6 +44,8 @@ INIT_SIGMA = 0.1
 MUTATION_SIGMA = 0.1
 
 VARIANTS = ("modular", "fixed")
+# a genome record's parameters: base64 of their little-endian float64 bytes
+PARAMS_KEY = "params_f64le_base64"
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class ControllerGenome:
     For the modular variant, ``params`` is the flat vector
     [W1 row-major (32x73), b1 (32), W2 row-major (1x32), b2 (1)].
     The fixed variant carries an empty vector.
+
+    A genome has one JSON record, which checkpoints, ``champion.json`` and
+    every other writer use: the variant and, under ``PARAMS_KEY``, the
+    parameters as base64 of their little-endian float64 bytes, so they
+    come back bit for bit.
     """
 
     variant: str
@@ -78,11 +86,21 @@ class ControllerGenome:
         return hash((self.variant, self.params.tobytes()))
 
     def to_json(self) -> dict:
-        return {"variant": self.variant, "params": self.params.tolist()}
+        params = base64.b64encode(self.params.astype("<f8", copy=False).tobytes()).decode("ascii")
+        return {"variant": self.variant, PARAMS_KEY: params}
 
     @staticmethod
     def from_json(data: dict) -> "ControllerGenome":
-        return ControllerGenome(data["variant"], np.asarray(data["params"], dtype=np.float64))
+        """The genome of a record, bit for bit. Records written before
+        parameters were stored as bytes hold a float list under ``"params"``
+        instead: older checkpoints and ``champion.json`` files, and the
+        acceptance tests' cached desk runs. Bad base64 or a wrong parameter
+        count is a ValueError."""
+        if PARAMS_KEY in data:
+            params = np.frombuffer(base64.b64decode(data[PARAMS_KEY], validate=True), dtype="<f8")
+        else:
+            params = np.asarray(data["params"], dtype=np.float64)
+        return ControllerGenome(data["variant"], params)
 
 
 def batch_variant(genomes) -> str:

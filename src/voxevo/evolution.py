@@ -17,7 +17,6 @@ holds, and resumes under that engine only.
 
 from __future__ import annotations
 
-import base64
 import copy
 import hashlib
 import json
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .control import VARIANTS, ControllerGenome, init_controller, mutate_controller
+from .control import PARAMS_KEY, VARIANTS, ControllerGenome, init_controller, mutate_controller
 from .morphology import InvalidMorphologyError, Morphology, mutate_morphology, random_morphology, validity_report
 from .sim_core import ENGINE_VERSION
 from .tasks import EpisodeEvaluator, terrain_by_name
@@ -34,8 +33,6 @@ from .terrain import ENVIRONMENTS
 
 POPULATION_SIZE = 16
 BODY_MUTATION_PROBABILITY = 0.5
-# a checkpoint's controller parameters: base64 of their little-endian float64 bytes
-PARAMS_KEY = "params_f64le_base64"
 
 
 class ConfigError(ValueError):
@@ -44,7 +41,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class Individual:
-    """One unit of selection: a body, a controller, an age, a score."""
+    """One unit of selection: a body, a controller, an age, a score.
+
+    Its checkpoint record holds the controller's own record, which
+    ``ControllerGenome.to_json`` writes and ``ControllerGenome.from_json``
+    reads.
+    """
 
     id: int
     morphology: Morphology
@@ -62,12 +64,11 @@ class Individual:
         self.fitness = float(value)
 
     def to_json(self) -> dict:
-        """The checkpoint record: the controller's parameters as bytes, under ``PARAMS_KEY``."""
-        params = base64.b64encode(self.controller.params.astype("<f8", copy=False).tobytes()).decode("ascii")
+        """The checkpoint record."""
         return {
             "id": self.id,
             "morphology": self.morphology.to_json(),
-            "controller": {"variant": self.controller.variant, PARAMS_KEY: params},
+            "controller": self.controller.to_json(),
             "age": self.age,
             "fitness": self.fitness,
             "parent_id": self.parent_id,
@@ -76,17 +77,11 @@ class Individual:
 
     @staticmethod
     def from_json(data: dict) -> "Individual":
-        """Decode a checkpoint record; checkpoints before ``PARAMS_KEY`` hold float lists."""
-        ctrl = data["controller"]
-        if PARAMS_KEY in ctrl:
-            params = np.frombuffer(base64.b64decode(ctrl[PARAMS_KEY], validate=True), dtype="<f8")
-            controller = ControllerGenome(ctrl["variant"], params)
-        else:
-            controller = ControllerGenome.from_json(ctrl)
+        """Decode a checkpoint record."""
         ind = Individual(
             id=data["id"],
             morphology=Morphology.from_json(data["morphology"]),
-            controller=controller,
+            controller=ControllerGenome.from_json(data["controller"]),
             age=data["age"],
             parent_id=data.get("parent_id"),
             mutated_component=data.get("mutated_component"),
@@ -145,7 +140,10 @@ class RunConfig:
             raise ConfigError(str(exc))
 
     def setting_name(self) -> str:
-        return f"{ENVIRONMENTS[self.environment]}{self.height}"
+        """The setting's label: the environment's letter and the morphology
+        space, ``W5`` for a square 5x5 one and ``W5x7`` for a 5x7 one."""
+        size = self.height if self.height == self.width else f"{self.height}x{self.width}"
+        return f"{ENVIRONMENTS[self.environment]}{size}"
 
     def fingerprint(self, frozen_body: Morphology | None = None) -> str:
         """The hash that ties checkpoints, champion run ids and cached runs to
@@ -426,8 +424,8 @@ def save_checkpoint(
     ``stats_text`` and ``snapshots_text`` hold the JSON text of each stats
     row and each snapshot, encoded once when the run added it; only the
     population and the champion are encoded here. Controller parameters
-    are stored as bytes (``Individual.to_json``). The file's text is what
-    ``json.dump`` writes for the decoded payload.
+    are stored as bytes (``ControllerGenome.to_json``). The file's text is
+    what ``json.dump`` writes for the decoded payload.
     """
     parts = {
         "generation": json.dumps(pop.generation),
@@ -500,8 +498,10 @@ def evolve(
 
     A run freezes a body when it is given one (``frozen_body``) or, failing
     that, when the config names a body file (``freeze_body_path``), which is
-    then read once. The body is validated once, here: it must be valid, of
-    the config's height x width, and trained by the modular controller;
+    then read once. ``voxevo retrain`` passes the body as a value, adapting
+    the config to it first (``analysis.retrain_config``); ``voxevo evolve``
+    never freezes one. The body is validated once, here: it must be valid,
+    of the config's height x width, and trained by the modular controller;
     otherwise this raises a ConfigError. The run's fingerprint, computed
     once, hashes that body, so checkpoints, the resume check and the result
     name the body that was trained; the result also holds the body itself.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class EpisodeResult:
     diverged: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "delta_px": self.delta_px,
-            "finished": self.finished,
-            "steps_used": self.steps_used,
-            "fitness": self.fitness,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
 
 def compute_fitness(delta_px: float, finished: bool, steps_used: int) -> float:
@@ -203,14 +197,13 @@ class EpisodeEvaluator:
 
     Deterministic episodes make caching exact: identical genomes share a
     fitness without re-simulation. The uncached genomes of one call run as
-    batches, one per controller variant, whatever their body shapes, each
-    batch on every CPU the process may run on (``run_episodes``), and
-    ``divergences`` counts the episodes that diverged. A failure scores no
-    displacement and the full time penalty, and is counted in ``failures``
-    instead of aborting the call: an invalid body fails alone, an
-    unexpected exception fails its whole batch, whichever of its unions
-    raised it. A kernel that cannot be built is raised: it would fail every
-    batch.
+    one batch, whatever their body shapes, on every CPU the process may run
+    on (``run_episodes``), and ``divergences`` counts the episodes that
+    diverged. A failure scores no displacement and the full time penalty,
+    and is counted in ``failures`` instead of aborting the call: an invalid
+    body fails alone, an unexpected exception fails the whole batch,
+    whichever of its unions raised it. A kernel that cannot be built is
+    raised: it would fail every batch.
     """
 
     def __init__(self, terrain: TerrainSpec):
@@ -222,13 +215,19 @@ class EpisodeEvaluator:
         self.divergences = 0
 
     def fitness_many(self, pairs) -> list[float]:
-        """Fitness of each pair, in order; each distinct genome runs once."""
+        """Fitness of each pair, in order; each distinct genome runs once,
+        and the uncached ones in one ``run_episodes`` call. The pairs share
+        one controller variant: a call that mixes them is a ValueError,
+        raised before any episode runs or any count moves."""
+        pairs = list(pairs)
+        if not pairs:
+            return []
+        batch_variant([controller for _, controller in pairs])
         keys = []
-        batches: dict[str, dict[bytes, tuple]] = {}
+        batch: dict[bytes, tuple] = {}
         for morphology, controller in pairs:
             key = _genome_key(morphology, controller)
             keys.append(key)
-            batch = batches.setdefault(controller.variant, {})
             if key in self._cache or key in batch:
                 self.cache_hits += 1
                 continue
@@ -239,19 +238,17 @@ class EpisodeEvaluator:
                 self._fail([key])
                 continue
             batch[key] = (morphology, controller)
-        for batch in batches.values():
-            if not batch:
-                continue
+        if batch:
             try:
                 results = run_episodes(batch.values(), self.terrain)
             except KernelBuildError:
                 raise  # no episode can run: an error of the installation, not of the batch
             except Exception:
                 self._fail(batch)
-                continue
-            for key, result in zip(batch, results):
-                self._cache[key] = result.fitness
-                self.divergences += result.diverged
+            else:
+                for key, result in zip(batch, results):
+                    self._cache[key] = result.fitness
+                    self.divergences += result.diverged
         return [self._cache[key] for key in keys]
 
     def _fail(self, keys) -> None:

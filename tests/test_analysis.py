@@ -8,10 +8,10 @@ from voxevo.analysis import (
     export_distance_matrix,
     intra_cluster_distance,
     rank_sum_test,
-    retrain_controller,
+    retrain_config,
     significance_stars,
 )
-from voxevo.evolution import RunConfig
+from voxevo.evolution import RunConfig, evolve
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.tasks import make_flat_terrain
 
@@ -178,13 +178,18 @@ def test_bootstrap_deterministic_given_seed(rng):
 # --- retraining and cross-evaluation -----------------------------------------
 
 
+def retrain(body, config, evaluator):
+    """What ``voxevo retrain`` runs: the config adapted to the body, and the body passed as a value."""
+    return evolve(retrain_config(config, body), evaluator, frozen_body=body)
+
+
 def test_retrain_keeps_body_frozen(rng):
     body = random_morphology(3, 3, rng)
     config = RunConfig(
         environment="walker",
-        height=3,
-        width=3,
-        controller="modular",
+        height=5,
+        width=5,
+        controller="fixed",
         generations=2,
         population_size=6,
         seed=1,
@@ -196,10 +201,10 @@ def test_retrain_keeps_body_frozen(rng):
                 assert morphology == body, "retraining must never touch the body"
             return [float(np.sum(c.params[:5])) for _, c in pairs]
 
-    result = retrain_controller(body, config, evaluator=CheapEvaluator())
+    result = retrain(body, config, CheapEvaluator())
     assert all(m.morphology == body for m in result.final_population.members)
     assert all(m.controller.variant == "modular" for m in result.final_population.members)
-    assert result.config.controller == "modular"
+    assert (result.config.height, result.config.width, result.config.controller) == (3, 3, "modular")
 
 
 def test_retrain_generation_zero_best_of_random(rng):
@@ -213,7 +218,7 @@ def test_retrain_generation_zero_best_of_random(rng):
         def fitness_many(self, pairs):
             return [float(np.sum(c.params)) for _, c in pairs]
 
-    result = retrain_controller(body, config, evaluator=ParamSum())
+    result = retrain(body, config, ParamSum())
     fits = [m.fitness for m in result.final_population.members]
     assert result.champion.fitness == max(fits)
     assert len(fits) == 6

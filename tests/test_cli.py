@@ -8,6 +8,7 @@ import pytest
 
 from voxevo import analysis, cli, evolution
 from voxevo.cli import build_parser, config_from_args, main
+from voxevo.control import PARAMS_KEY, ControllerGenome
 from voxevo.morphology import Morphology, random_morphology
 from voxevo.sim_core import ENGINE_VERSION
 
@@ -43,7 +44,8 @@ def test_evolve_writes_outputs(tmp_path):
     assert (out / "generations.csv").exists()
     assert (out / "checkpoint.json").exists()
     champion = json.loads((out / "champion.json").read_text())
-    assert champion["controller"]["params"] == []  # fixed controller
+    assert champion["controller"] == {"variant": "fixed", PARAMS_KEY: ""}  # the checkpoint's encoding
+    assert ControllerGenome.from_json(champion["controller"]).params.shape == (0,)
     log = (out / "generations.csv").read_text().splitlines()
     assert log[0] == "generation,best_fitness,mean_fitness,best_age,champion_id"
     assert len(log) == 4  # header + generations 0..2
@@ -280,51 +282,46 @@ def test_retrain_opens_its_body_file_once(tmp_path, monkeypatch, rng, interval):
     assert json.loads((out / "manifest.json").read_text())["source_run_id"] == "abc-s0"
 
 
-def test_evolve_config_opens_its_body_file_once_and_records_it(tmp_path, monkeypatch, rng):
+def test_evolve_refuses_a_config_that_names_a_body(tmp_path, capsys, rng):
+    # a frozen body is trained by retrain only; evolve refuses it before
+    # reading it, and leaves no directory behind
     body_path = write_body(tmp_path / "champ.json", random_morphology(3, 3, rng), run_id="abc-s0")
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"height": 3, "width": 3, "controller": "modular", "freeze_body_path": body_path}))
-    opened = count_opens(monkeypatch, body_path)
     out = tmp_path / "o"
-    argv = ["evolve", "--config", str(cfg), "--out", str(out), "--gens", "4", "--pop", "4", "--checkpoint-interval", "1"]
-    assert run_cli(*argv) == 0
-    assert len(opened) == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["source_body"], manifest["source_run_id"]) == (body_path, "abc-s0")
-    assert manifest["group_label"] == "W3-modular-retrained"
+    assert run_cli("evolve", "--config", str(cfg), "--out", str(out), "--gens", "1", "--pop", "4") == 2
+    err = capsys.readouterr().err
+    assert "voxevo retrain" in err and body_path in err
+    assert not out.exists()
 
 
 def test_api_retrain_is_labelled_by_the_body_it_trained(tmp_path, rng):
     # no body path in the config: the label comes from the body evolve trained
     body = random_morphology(3, 3, rng)
-    config = evolution.RunConfig(height=3, width=3, generations=1, population_size=4)
-    result = analysis.retrain_controller(body, config)
+    config = evolution.RunConfig(height=3, width=3, controller="modular", generations=1, population_size=4)
+    result = evolution.evolve(config, frozen_body=body)
     assert result.frozen_body == body
     cli.write_run_outputs(result, str(tmp_path / "o"))
     assert json.loads((tmp_path / "o" / "manifest.json").read_text())["group_label"] == "W3-modular-retrained"
 
 
-_DISCONNECTED = [[3, 0, 0, 0, 0]] + [[0] * 5] * 3 + [[0, 0, 0, 0, 3]]
-
-
 @pytest.mark.parametrize(
-    "cells, controller, problem",
+    "cells, problem",
     [
-        (_DISCONNECTED, "modular", "2 disconnected components"),
-        (None, "modular", "No such file"),
-        ([[3, 1], [1, 1]], "modular", "frozen body is 2x2"),
-        ([[3] * 5] * 5, "fixed", "needs the modular controller"),
+        ([[3, 0, 0, 0, 0]] + [[0] * 5] * 3 + [[0, 0, 0, 0, 3]], "2 disconnected components"),
+        (None, "No such file"),
     ],
-    ids=["disconnected", "missing", "wrong-shape", "fixed-controller"],
+    ids=["disconnected", "missing"],
 )
-def test_evolve_rejects_untrainable_frozen_body(tmp_path, capsys, cells, controller, problem):
+def test_retrain_rejects_an_untrainable_body(tmp_path, capsys, cells, problem):
+    # a body of the wrong shape, or a fixed controller, cannot reach a
+    # retrain: its config is adapted to the body (see
+    # tests/test_evolution.py::test_untrainable_frozen_body_rejected)
     body_path = tmp_path / "body.json"
     if cells is not None:
         body_path.write_text(json.dumps(Morphology(cells).to_json()))
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"controller": controller, "freeze_body_path": str(body_path)}))
     out = tmp_path / "o"
-    assert run_cli("evolve", "--config", str(cfg), "--gens", "1", "--pop", "4", "--out", str(out)) == 2
+    assert run_cli("retrain", "--body", str(body_path), "--gens", "1", "--pop", "4", "--out", str(out)) == 2
     assert problem in capsys.readouterr().err
     assert not out.exists()  # refused before the run starts: no directory
 
@@ -473,15 +470,32 @@ def test_report_separated_groups_significant(tmp_path):
     assert p_value < 0.05  # exact two-sided p for fully separated 5v5 is ~0.0079
 
 
-def test_report_rejects_mixed_shapes_in_group(tmp_path):
-    _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3, 1], [2, 4]])
+def test_report_rejects_mixed_shapes_in_group(tmp_path, capsys):
+    # every group is checked before any file is written: the report's
+    # directory is not made, so no table of a half report is left
+    _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
     _fake_run_dir(tmp_path / "a1", "W5-fixed", 1, 5.0, [5.0], [[3]])
-    _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3]])
-    code = run_cli(
-        "report", str(tmp_path / "a0"), str(tmp_path / "a1"), str(tmp_path / "b0"),
-        "--out", str(tmp_path / "r"),
-    )
+    _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3, 1], [2, 4]])
+    _fake_run_dir(tmp_path / "b1", "W5-modular", 1, 5.0, [5.0], [[3]])
+    dirs = [str(tmp_path / d) for d in ("a0", "a1", "b0", "b1")]
+    code = run_cli("report", *dirs, "--out", str(tmp_path / "r"))
     assert code == 2
+    assert "group W5-modular mixes morphology spaces" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_non_square_runs_get_their_own_group(tmp_path):
+    # a 3x4 run is labelled W3x4, not W3, so report keeps it apart from the
+    # 3x3 runs instead of refusing a group of mixed spaces
+    for size in ("3x3", "3x4"):
+        for seed in ("1", "2"):
+            assert run_cli(*evolve_args(tmp_path / size / seed, **{"--size": size, "--seed": seed, "--pop": "2"})) == 0
+    manifest = json.loads((tmp_path / "3x4" / "1" / "manifest.json").read_text())
+    assert (manifest["setting"], manifest["group_label"]) == ("W3x4", "W3x4-fixed")
+    dirs = [str(tmp_path / size / seed) for size in ("3x3", "3x4") for seed in ("1", "2")]
+    assert run_cli("report", *dirs, "--out", str(tmp_path / "r"), "--bootstrap", "10") == 0
+    groups = [line.split(",")[0] for line in (tmp_path / "r" / "distances.csv").read_text().splitlines()[1:]]
+    assert groups == ["W3-fixed", "W3x4-fixed"]
 
 
 @pytest.mark.parametrize(
@@ -493,11 +507,13 @@ def test_report_rejects_mixed_shapes_in_group(tmp_path):
         ("manifest.json", "{}"),
         ("champion.json", "[]"),
         ("manifest.json", "[]"),
+        ("champion.json", '{"fitness": 5.0, "morphology": []}'),
+        ("manifest.json", '{"setting": "W5", "config": []}'),
     ],
 )
 def test_report_unreadable_run_dir_exits_2(tmp_path, capsys, name, text):
     # a missing file, one that is not a JSON object, or one without a field
-    # the report reads
+    # the report reads or with a field of the wrong type
     _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
     _fake_run_dir(tmp_path / "b0", "W5-modular", 0, 5.0, [5.0], [[3]])
     if text is None:
@@ -522,6 +538,28 @@ def test_report_needs_two_groups(tmp_path):
     _fake_run_dir(tmp_path / "a0", "W5-fixed", 0, 5.0, [5.0], [[3]])
     _fake_run_dir(tmp_path / "a1", "W5-fixed", 1, 6.0, [6.0], [[3]])
     assert run_cli("report", str(tmp_path / "a0"), str(tmp_path / "a1"), "--out", str(tmp_path / "r")) == 2
+
+
+def test_a_run_record_cut_short_leaves_no_finished_marker(tmp_path):
+    # generations.csv marks a finished run, so it appears whole or not at
+    # all; a write that fails partway leaves the directory resumable
+    out = tmp_path / "run"
+    argv = evolve_args(out, **{"--gens": "3", "--checkpoint-interval": "1"})
+    result = evolution.evolve(config_from_args(build_parser().parse_args(argv)))
+
+    class Unwritable:
+        generation = 99
+
+        def __getattr__(self, name):
+            raise OSError("disk full")
+
+    cut = evolution.RunResult(**{**vars(result), "stats": result.stats[:2] + [Unwritable()]})
+    with pytest.raises(OSError):
+        cli.write_run_outputs(cut, str(out))
+    assert (out / "champion.json").exists()
+    assert not (out / "generations.csv").exists()
+    assert run_cli(*argv, "--resume") == 0  # the run is not refused as finished
+    assert len((out / "generations.csv").read_text().splitlines()) == 5
 
 
 def test_resume_after_interrupt(monkeypatch, tmp_path):
@@ -625,7 +663,7 @@ def test_resume_from_an_unreadable_checkpoint_exits_2(monkeypatch, tmp_path, cap
         path.write_text(path.read_text()[:100])
     else:
         checkpoint = json.loads(path.read_text())
-        checkpoint["members"][1]["controller"][evolution.PARAMS_KEY] = "!!" if damage == "bad-base64" else "AAAAAAAAAAA="
+        checkpoint["members"][1]["controller"][PARAMS_KEY] = "!!" if damage == "bad-base64" else "AAAAAAAAAAA="
         path.write_text(json.dumps(checkpoint))
     capsys.readouterr()
     assert run_cli(*argv, "--resume") == 2

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from voxevo import evolution
-from voxevo.control import PARAM_COUNT, ControllerGenome, init_controller
+from voxevo.control import PARAM_COUNT, PARAMS_KEY, ControllerGenome, init_controller
 from voxevo.evolution import (
-    PARAMS_KEY,
     ConfigError,
     Individual,
     Population,
@@ -362,10 +361,13 @@ def test_checkpoint_round_trip(tmp_path, controller):
     assert saved["stats"] == result.stats
 
 
+# the values decimal text is most likely to get wrong, bit for bit
+SPECIALS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.30000000000000004, 1.0000000000000002, -2.2250738585072014e-308, 0.1 / 3]
+
+
 def test_checkpoint_weights_are_exact(tmp_path):
-    # the values decimal text is most likely to get wrong, bit for bit
-    specials = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                0.30000000000000004, 1.0000000000000002, -2.2250738585072014e-308, 0.1 / 3]
+    specials = SPECIALS
     rng = np.random.default_rng(5)
     members = []
     for k in range(3):
@@ -384,6 +386,36 @@ def test_checkpoint_weights_are_exact(tmp_path):
         assert_same_individual(loaded, own)
     assert_same_individual(saved["champion"], members[1])
     assert_same_individual(saved["snapshots"][0][1], members[2])
+
+
+@pytest.mark.parametrize("variant", ["fixed", "modular"])
+def test_float_lists_and_bytes_decode_to_the_same_bits(variant):
+    # ControllerGenome.from_json is the one decoder: a record's base64 and
+    # the float list of a record written before parameters were stored as
+    # bytes give the same bits, in a checkpoint, a champion.json or a
+    # desk-cache summary
+    rng = np.random.default_rng(6)
+    genome = init_controller(variant, rng)
+    if variant == "modular":
+        params = rng.normal(0.0, 1.0, size=PARAM_COUNT)
+        params[: len(SPECIALS)] = SPECIALS
+        genome = ControllerGenome("modular", params)
+    as_bytes = genome.to_json()
+    assert list(as_bytes) == ["variant", PARAMS_KEY]
+    as_list = {"variant": variant, "params": genome.params.tolist()}
+    ind = Individual(id=3, morphology=random_morphology(5, 5, rng), controller=genome, age=2, fitness=1.5)
+    for record in (as_bytes, as_list):
+        checkpoint = json.loads(json.dumps({**ind.to_json(), "controller": record}))
+        champion = json.loads(json.dumps({"run_id": "abc-s0", "fitness": 1.5, "controller": record}))
+        desk = json.loads(json.dumps({"champion_fitness": 1.5, "champion_controller": record}))
+        for where, decoded in [
+            ("checkpoint", Individual.from_json(checkpoint).controller),
+            ("champion.json", ControllerGenome.from_json(champion["controller"])),
+            ("desk cache", ControllerGenome.from_json(desk["champion_controller"])),
+        ]:
+            assert decoded.variant == variant, where
+            assert decoded.params.dtype == np.float64, where
+            assert decoded.params.tobytes() == genome.params.tobytes(), where
 
 
 def to_float_lists(record):
@@ -546,6 +578,9 @@ def test_config_validation():
 def test_setting_names():
     assert small_config(height=5, width=5).setting_name() == "W5"
     assert small_config(environment="bridgewalker", height=7, width=7).setting_name() == "B7"
+    # a non-square space names both sides, so it is not grouped with a square one
+    assert small_config(height=5, width=7).setting_name() == "W5x7"
+    assert small_config(environment="bridgewalker", height=7, width=5).setting_name() == "B7x5"
 
 
 def test_fingerprint_sensitive_to_fields():

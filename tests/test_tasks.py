@@ -305,15 +305,8 @@ def test_evaluator_scores_match_single_episodes(rng, flat):
     assert ev.episodes_run == len(set(bodies))
 
 
-def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
-    # one run_episodes batch per controller variant, whatever the body
-    # shapes; each score equals the pair's own episode
-    pairs = [
-        (random_morphology(h, h, rng), init_controller(variant, rng))
-        for h, variant in [(4, "fixed"), (5, "modular"), (4, "fixed"), (5, "fixed"), (5, "modular"), (3, "fixed")]
-    ]
-    pairs.append(pairs[0])
-    alone = [run_episode(m, c, flat).fitness for m, c in pairs]
+def recording_batches(monkeypatch):
+    """The (shape, variant) set of each ``run_episodes`` batch the evaluator makes."""
     batches = []
     original = voxevo.tasks.run_episodes
 
@@ -323,15 +316,41 @@ def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
         return original(batch, terrain)
 
     monkeypatch.setattr(voxevo.tasks, "run_episodes", recording)
+    return batches
+
+
+def test_evaluator_batches_mixed_body_shapes(monkeypatch, rng, flat):
+    # one run_episodes batch per call, whatever the body shapes; each score
+    # equals the pair's own episode
+    batches = recording_batches(monkeypatch)
+    for variant in ("fixed", "modular"):
+        pairs = [(random_morphology(h, h, rng), init_controller(variant, rng)) for h in (4, 5, 4, 5, 3)]
+        pairs.append(pairs[0])
+        alone = [run_episodes([pair], flat)[0].fitness for pair in pairs]
+        batches.clear()
+        ev = EpisodeEvaluator(flat)
+        assert ev.fitness_many(pairs) == alone
+        assert batches == [[((3, 3), variant), ((4, 4), variant), ((5, 5), variant)]]
+        assert (ev.episodes_run, ev.cache_hits, ev.failures) == (5, 1, 0)
+
+
+def test_evaluator_refuses_mixed_variants_before_any_episode(monkeypatch, rng, flat):
+    # a call holds one controller variant; one that mixes them is refused
+    # whole, before a batch runs or a count moves, and the cache stays empty
+    body = random_morphology(4, 4, rng)
+    pairs = [(body, FIXED), (Morphology([[1, 2]]), FIXED), (body, init_controller("modular", rng))]
+    batches = recording_batches(monkeypatch)
     ev = EpisodeEvaluator(flat)
-    assert ev.fitness_many(pairs) == alone
-    assert sorted(batches) == [[((3, 3), "fixed"), ((4, 4), "fixed"), ((5, 5), "fixed")], [((5, 5), "modular")]]
-    assert (ev.episodes_run, ev.cache_hits, ev.failures) == (6, 1, 0)
+    with pytest.raises(ValueError, match="one controller variant"):
+        ev.fitness_many(pairs)
+    assert batches == []
+    assert (ev.episodes_run, ev.cache_hits, ev.failures, ev._cache) == (0, 0, 0, {})
+    assert ev.fitness_many([]) == []
 
 
 def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
-    # an unexpected exception fails every episode of its batch, and only
-    # those: here the fixed controllers' batch, of two body shapes
+    # an unexpected exception fails every episode of its batch, of two body
+    # shapes here, and leaves the evaluator to score the next call
     fixed = [(random_morphology(h, h, rng), FIXED) for h in (3, 4, 3)]
     modular = [(random_morphology(4, 4, rng), init_controller("modular", rng)) for _ in range(2)]
     original = voxevo.tasks.controller_table
@@ -343,11 +362,12 @@ def test_evaluator_counts_a_failed_batch(monkeypatch, rng, flat):
 
     monkeypatch.setattr(voxevo.tasks, "controller_table", failing)
     ev = EpisodeEvaluator(flat)
-    fits = ev.fitness_many(fixed + modular)
+    assert ev.fitness_many(fixed) == [compute_fitness(0.0, False, T_MAX)] * len(fixed)
     assert ev.failures == len(fixed)
-    assert fits[: len(fixed)] == [compute_fitness(0.0, False, T_MAX)] * len(fixed)
+    fits = ev.fitness_many(modular)
+    assert ev.failures == len(fixed)
     monkeypatch.undo()
-    assert fits[len(fixed) :] == [run_episode(m, c, flat).fitness for m, c in modular]
+    assert fits == [run_episode(m, c, flat).fitness for m, c in modular]
 
 
 def test_evaluator_survives_bad_individual(flat):
@@ -562,14 +582,6 @@ def test_timed_layers_are_reached_once_per_step_or_control_call(monkeypatch):
             assert not any(r.finished or r.diverged for r in results)
             assert set(calls) == {"advance"}
             assert 1 <= calls["advance"] <= len(pairs)
-    # a traced run (``--trace 1``) looks every layer up by name, and would
-    # raise on one that is gone
-    path = Path(voxevo.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for owner, attribute, _ in tracer.WRAPPED:
-        assert callable(getattr(owner, attribute)), f"{owner.__name__}.{attribute}"
 
 
 def fixed_gait_genome() -> ControllerGenome:
@@ -649,7 +661,7 @@ def test_every_traced_attribute_exists():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = [name for owner, attr, name in tracer.WRAPPED if not hasattr(owner, attr)]
+    missing = [name for owner, attr, name in tracer.WRAPPED if not callable(getattr(owner, attr, None))]
     assert missing == []
 
 
