@@ -108,8 +108,8 @@ enum { MASS, SPRING, VOX, ACT, TOP, KINDS };  /* the kinds of row, in starts' or
  * world, for one, is read from starts. The step writes the state's first
  * group of tables and reads the next, which the builder derives from the
  * rows of the third. The scratch rows carry a call's work from one pass to
- * the next; of those, Python reads net and bad. sim_core.WorldState says
- * which tables Python reads. */
+ * the next; of those, Python reads net, bad and features.
+ * sim_core.WorldState says which tables Python reads. */
 typedef struct {
     /* sizes */
     int64_t masses, springs, robots, worlds;
@@ -149,10 +149,11 @@ typedef struct {
      * springs + k for its j end: its spring_i ends, then its spring_j ends,
      * each in spring order */
     int64_t *end_starts, *ends;
-    /* rows that the step never reads */
+    /* rows that the step never reads; the control step reads act_window */
     uint8_t *pinned, *is_robot;  /* (masses,) */
     int64_t *vox_cells, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2): (row, column), spring ids */
     int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2): (row, column), actuated edge ids */
+    int64_t *act_window, *act_codes;  /* (actuators, 9): each window slot's voxel row, or voxels; its code */
     double *com_weights;      /* (robots,) each robot mass's fraction of its robot's */
     /* scratch */
     double *spring_d;       /* (springs, 4) each spring's dx, dy, dvx, dvy: its j end's less its i end's */
@@ -165,6 +166,7 @@ typedef struct {
     int64_t *contact_ids;   /* (2, robots) a strip contact's mass and segment */
     double *contact_w;      /* (4, robots) its right end's weight, its depth, its ft and its fn */
     double *sums;           /* (edges,) */
+    double *features;       /* (voxels + 1, 3) each voxel's volume, vx, vy for a control step; the last row stays zero */
 } Table;
 
 /* np.maximum and np.minimum: a NaN in either operand propagates, and of
@@ -531,6 +533,7 @@ void vx_set_targets(const Table *t, const double *commands)
 #define MATERIAL 45   /* material entries: 9 slots x 5 indicators */
 #define DYNAMIC 27    /* dynamic entries: 9 slots x (volume, vx, vy) */
 #define INPUTS (DYNAMIC + 1)  /* a control step's inputs: the dynamic entries, then the parity */
+#define WINDOW 9      /* an active voxel's window slots */
 #define LANES 8       /* the output sum's accumulators */
 
 /* e^x = 2^k e^r, k = round(x log2 e) by adding and subtracting SHIFTER,
@@ -594,8 +597,9 @@ static inline double logistic(double z)
     return 1.0 / (1.0 + net_exp(-z));
 }
 
-/* A state's controllers, one per world, and, for a modular batch, its
- * observation windows: control.controller_table builds it, the state keeps it. */
+/* A state's controllers, one per world: control.controller_table builds it,
+ * the state keeps it. A modular control step reads its observations through
+ * the Table's act_window, from the Table's features. */
 typedef struct {
     int64_t fixed;           /* the fixed alternation, else the modular network */
     int64_t rows;            /* commands per control step, one per active voxel */
@@ -608,16 +612,15 @@ typedef struct {
     double *inputs;          /* (rows, 28) the control step's dynamic entries and parity */
     double *hidden;          /* (rows, 32) the hidden units */
     double *actions;         /* (rows,) the commands; vx_mlp leaves the logistics, to which vx_act adds action_low */
-    const int64_t *gather;   /* (rows, 27) flat entry of features behind each dynamic entry */
-    double *features;        /* (voxels + 1, 3) volume, vx, vy of each voxel; the last row stays zero */
 } Brain;
 
-/* Write every voxel's shoelace area and mean corner velocity into
- * ``features``, (voxels, 3) or longer. The corner sums add left to right
- * from +0.0, as numpy's sum over the rows of a (voxels, 4) array does. */
-void vx_fill_features(const Table *t, double *features)
+/* Write every voxel's shoelace area and mean corner velocity into its row of
+ * t->features. The corner sums add left to right from +0.0, as numpy's sum
+ * over the rows of a (voxels, 4) array does. */
+void vx_fill_features(const Table *t)
 {
     const double *pos = t->pos, *vel = t->vel;
+    double *features = t->features;
     int64_t v, k;
     for (v = 0; v < t->voxels; v++) {
         const int64_t *c = t->vox_corners + 4 * v;
@@ -702,21 +705,22 @@ VX_CLONES void vx_mlp(const Brain *b)
 }
 
 /* One control step's commands into b->actions: the fixed alternation, or
- * the network on the current observations, ``parity`` being the control
- * step's. */
+ * the network on the current observations, each row's window read through
+ * t->act_window, ``parity`` being the control step's. */
 void vx_act(const Table *t, const Brain *b, int64_t parity)
 {
-    int64_t r, k;
+    int64_t r, s, k;
     if (b->fixed) {
         for (r = 0; r < b->rows; r++)
             b->actions[r] = parity ? t->action_low : t->action_high;
         return;
     }
-    vx_fill_features(t, b->features);
+    vx_fill_features(t);
     for (r = 0; r < b->rows; r++) {
         double *x = b->inputs + r * INPUTS;
-        for (k = 0; k < DYNAMIC; k++)
-            x[k] = b->features[b->gather[r * DYNAMIC + k]];
+        for (s = 0; s < WINDOW; s++)
+            for (k = 0; k < 3; k++)
+                x[3 * s + k] = t->features[3 * t->act_window[r * WINDOW + s] + k];
         x[DYNAMIC] = (double)parity;
     }
     vx_mlp(b);
@@ -772,7 +776,10 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
  * none is pinned; the part's are no robot's, and it brings its own pins and
  * top chain. The bridge strip that sim_core._settled_strip relaxes is built
  * alone as an ordinary one-row body, whose pins and top chain Python picks
- * out by position.
+ * out by position. As an active voxel's row is written, its 3x3 window is
+ * read off its body's grid, row-major: each slot's voxel row, or voxels (the
+ * zero row of features) for an empty or out-of-grid slot (act_window), and
+ * each slot's material code, 0 off the grid (act_codes).
  *
  * vx_build then derives the union's other tables from those rows, each as
  * numpy derived it:
@@ -791,7 +798,7 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
  *    as the stable np.argsort did.
  * tests/oracles.py's reference_build_worlds is the numpy builder and
  * reference_tables the numpy derivation that every table is tested against,
- * byte for byte, the zeroed scratch rows included.
+ * byte for byte, the windows and the zeroed scratch rows included.
  *
  * Each table starts on a 64-byte boundary of the buffer and is followed by a
  * gap of at least GAP bytes that no table uses. Built with AddressSanitizer,
@@ -866,7 +873,8 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
     const int8_t *cells = b->cells + g * h * w;
     int64_t ids[3 * grid];  /* by grid corner, horizontal and vertical edge */
     int64_t *corner = ids, *h_edge = corner + grid, *v_edge = h_edge + grid;
-    int64_t r, c, k, low = w, bottom = 0;
+    int64_t voxel[h * w];  /* by cell: its voxel's number in the body, for a non-empty one */
+    int64_t r, c, k, low = w, bottom = 0, numbered = 0;
     for (k = 0; k < 3 * grid; k++)
         ids[k] = -1;
     for (k = 0; k < KINDS; k++)
@@ -874,6 +882,7 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
     for (r = 0; r < h; r++)
         for (c = 0; c < w; c++)
             if (cells[r * w + c]) {
+                voxel[r * w + c] = numbered++;
                 low = c < low ? c : low;
                 bottom = r;
             }
@@ -927,6 +936,12 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
                     t->actuator_cells[2 * a + 1] = c;
                     t->actuator_springs[2 * a] = s + (horizontal ? bottom_edge : left_edge);
                     t->actuator_springs[2 * a + 1] = s + (horizontal ? top_edge : right_edge);
+                    for (k = 0; k < WINDOW; k++) {
+                        const int64_t rr = r + k / 3 - 1, cc = c + k % 3 - 1;
+                        const int8_t near = rr >= 0 && rr < h && cc >= 0 && cc < w ? cells[rr * w + cc] : 0;
+                        t->act_window[WINDOW * a + k] = near ? at[VOX] + voxel[rr * w + cc] : t->voxels;
+                        t->act_codes[WINDOW * a + k] = near;
+                    }
                 }
             }
             count[VOX]++;
@@ -999,6 +1014,8 @@ static int64_t lay_out(Table *t, char *base, int64_t **work)
     PLACE(vox_shear, 2 * v);
     PLACE(actuator_cells, 2 * a);
     PLACE(actuator_springs, 2 * a);
+    PLACE(act_window, WINDOW * a);
+    PLACE(act_codes, WINDOW * a);
     PLACE(com_weights, r);
     PLACE(spring_d, 4 * s);
     PLACE(spring_f, 4 * s);
@@ -1010,6 +1027,7 @@ static int64_t lay_out(Table *t, char *base, int64_t **work)
     PLACE(contact_ids, 2 * r);
     PLACE(contact_w, 4 * r);
     PLACE(sums, edges);
+    PLACE(features, 3 * (v + 1));
     int64_t *rows = place(base, &at, (s > n ? s : n) * (int64_t)sizeof(int64_t));
     if (work)
         *work = rows;

@@ -14,9 +14,11 @@ Both run only in the compiled kernel (``_kernel.c``), at every control
 step inside ``sim_core.advance``, from the controller table that the
 state keeps (``controller_table``), built from one genome per world: the
 parameter rows and, for the network, each active voxel's material
-pre-sums and the state's observation windows. The network's numerics are the
-kernel's own, set out there and mirrored in numpy by
-``tests/oracles.reference_network``: plain loops that the compiler
+pre-sums. The observation windows are the state's own tables, which the
+kernel derives as it builds the union (``WorldState.act_window`` and
+``act_codes``), and a control step fills the state's ``features``. The
+network's numerics are the kernel's own, set out there and mirrored in
+numpy by ``tests/oracles.reference_network``: plain loops that the compiler
 vectorises as it does the step's, across units or rows and never across
 a sum, and no BLAS, libm or numpy call, so the same bits in every
 compiled clone and under any OpenBLAS kernel or numpy SIMD dispatch.
@@ -138,8 +140,6 @@ def unpack_params(params: np.ndarray):
     return w1, b1, w2, b2
 
 
-_WINDOW_DR = np.repeat([0, 1, 2], 3)  # 3x3 window offsets, row-major, on a grid padded by one cell
-_WINDOW_DC = np.tile([0, 1, 2], 3)
 _SLOT_BASE = np.arange(WINDOW_CELLS) * CELL_FEATURES  # first feature column of each window slot
 _DYNAMIC = 3  # volume, vx, vy: the entries of a slot that change as the world moves
 _DYNAMIC_COLUMNS = (_SLOT_BASE[:, None] + np.arange(_DYNAMIC)).ravel()  # (27,) in (slot, feature) order
@@ -148,55 +148,27 @@ _INPUT_COLUMNS = np.append(_DYNAMIC_COLUMNS, OBS_DIM - 1)  # what a control step
 _INDICATOR = np.eye(materials.NUM_CODES)  # each material code's 5-way indicator
 
 
-def _window_tables(state: WorldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The state's observation windows: ``gather``, ``features`` and
-    ``material``.
-
-    Active voxel ``a`` sees, in window slot ``s``, the (volume, vx, vy) at
-    flat entry ``gather[a, 3*s:3*s+3]`` of ``features``, the (v + 1, 3)
-    feature table that a control step fills, and the material indicator
-    ``material[a, 5*s:5*s+5]``; an empty or out-of-bounds slot reads the
-    feature table's last row, which stays zero, and the empty indicator.
-    """
-    shape = np.max([m.cells.shape for m in state.morphologies], axis=0)
-    cells = state.vox_cells
-    absent = cells.shape[0]  # the zero row appended to the feature table
-    grid_row = np.full((state.num_worlds, shape[0] + 2, shape[1] + 2), absent, dtype=np.int64)
-    grid_code = np.zeros(grid_row.shape, dtype=np.int64)  # empty beyond every body
-    for w, m in enumerate(state.morphologies):
-        grid_code[w, 1 : m.h + 1, 1 : m.w + 1] = m.cells
-    vox_world = np.repeat(np.arange(state.num_worlds), np.diff(state.starts["vox"]))
-    grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(absent)
-
-    act = state.actuator_cells
-    window = (state.act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
-    gather = (grid_row[window][:, :, None] * _DYNAMIC + np.arange(_DYNAMIC)).reshape(len(act), -1)
-    material = _INDICATOR[grid_code[window]].reshape(len(act), -1)
-    return gather, np.zeros((absent + 1, _DYNAMIC)), material
-
-
 class ControllerTable(NamedTuple):
     """A batch's controllers, built once for the kernel: the parameter rows,
-    each active voxel's material pre-sums, its state's observation windows
-    and the scratch a control step writes, the commands in
-    ``arrays["actions"]``, and the kernel's ``Brain`` pointing into them,
-    as ``sim_core._struct`` reads it from ``_kernel.c``. A state keeps its
-    own (``WorldState.controller``), which ``sim_core.advance`` queries on
-    every control step."""
+    each active voxel's material pre-sums and the network's scratch, the
+    commands in ``arrays["actions"]``, and the kernel's ``Brain`` pointing
+    into them, as ``sim_core._struct`` reads it from ``_kernel.c``. A state
+    keeps its own (``WorldState.controller``), which ``sim_core.advance``
+    queries on every control step; a control step reads the observations
+    through the state's windows."""
 
     arrays: dict              # every array the table points into, held so that none is freed
     table: ctypes.Structure   # the kernel's Brain
     address: int              # the table's address, what each kernel call takes
 
 
-def _controller_table(variant: str, world: np.ndarray, params=None, material=None, **windows) -> ControllerTable:
+def _controller_table(variant: str, world: np.ndarray, params=None, material=None) -> ControllerTable:
     """The controller table of ``world.size`` rows, row ``r`` run by the
     parameters ``params[world[r]]``; for the modular network, each row's
     material pre-sum is added from ``material``, its (45,) material entries,
-    in one kernel call. A modular control step reads the observation
-    windows ``gather`` and ``features`` (``_window_tables``)."""
+    in one kernel call."""
     rows = world.size
-    arrays = {"world": np.ascontiguousarray(world, dtype=np.int64), "actions": np.zeros(rows), **windows}
+    arrays = {"world": np.ascontiguousarray(world, dtype=np.int64), "actions": np.zeros(rows)}
     if variant == "modular":
         w1, b1, w2, b2 = unpack_params(params)
         w1t = np.swapaxes(w1, -1, -2)  # (worlds, 73, 32): each column's unit weights in a row
@@ -219,22 +191,27 @@ def _controller_table(variant: str, world: np.ndarray, params=None, material=Non
     return controllers
 
 
-def controller_table(genomes, state: WorldState) -> ControllerTable:
-    """Build the kernel's table for one genome per world of ``state``, in world
-    order, and keep it as ``state.controller``, which ``sim_core.advance``
-    steps with. Mixed variants, or a count other than the state's worlds, is
-    a ValueError, raised before any kernel call."""
+def _state_table(genomes, state: WorldState) -> ControllerTable:
+    """The kernel's table for one genome per world of ``state``, in world
+    order, each active voxel's material entries the indicators of its
+    window's codes (``state.act_codes``). Mixed variants, or a count other
+    than the state's worlds, is a ValueError, raised before any kernel
+    call."""
     variant = batch_variant(genomes)
     if len(genomes) != state.num_worlds:
         raise ValueError(f"one genome per world: got {len(genomes)} for {state.num_worlds}")
     if variant == "fixed":
-        table = _controller_table("fixed", state.act_world)
-    else:
-        gather, features, material = _window_tables(state)
-        params = np.stack([g.params for g in genomes])
-        table = _controller_table("modular", state.act_world, params, material, gather=gather, features=features)
-    state.controller = table
-    return table
+        return _controller_table("fixed", state.act_world)
+    params = np.stack([g.params for g in genomes])
+    return _controller_table("modular", state.act_world, params, _INDICATOR[state.act_codes])
+
+
+def controller_table(genomes, state: WorldState) -> ControllerTable:
+    """Build the kernel's table for one genome per world of ``state``
+    (``_state_table``) and keep it as ``state.controller``, which
+    ``sim_core.advance`` steps with."""
+    state.controller = _state_table(genomes, state)
+    return state.controller
 
 
 def forward_batch(params: np.ndarray, obs_blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -267,14 +244,15 @@ def observation_matrix(state: WorldState, effective_step: int) -> np.ndarray:
     out-of-bounds cells reading as zeros and the empty indicator. The
     final entry is the control-step parity. The kernel computes each
     voxel's volume (its corners' shoelace area) and corner-mean velocity
-    once, as a control step does; they are copied to every slot that sees
-    them.
+    once, into ``state.features``, as a control step does; they are copied
+    to every slot that sees them (``state.act_window``), and each slot's
+    indicator is that of its code (``state.act_codes``).
     """
-    gather, features, material = _window_tables(state)
-    sim_core._kernel().vx_fill_features(state.kernel_address, features.ctypes.data)
-    obs = np.empty((len(material), OBS_DIM))
-    obs[:, _DYNAMIC_COLUMNS] = features.take(gather)
-    obs[:, _MATERIAL_COLUMNS] = material
+    sim_core._kernel().vx_fill_features(state.kernel_address)
+    rows = len(state.act_window)
+    obs = np.empty((rows, OBS_DIM))
+    obs[:, _DYNAMIC_COLUMNS] = state.features[state.act_window].reshape(rows, -1)
+    obs[:, _MATERIAL_COLUMNS] = _INDICATOR[state.act_codes].reshape(rows, -1)
     obs[:, -1] = effective_step % 2
     return obs
 
@@ -283,7 +261,7 @@ def compute_actions(genomes, state: WorldState, effective_step: int) -> np.ndarr
     """Per-active-voxel commands, aligned with state.actuator_cells, of one
     genome per world: the kernel's control step, the one
     ``sim_core.advance`` takes at every control step of an episode, on a
-    table built for this call."""
-    table = controller_table(genomes, state)
+    table built for this call; the state keeps its own table."""
+    table = _state_table(genomes, state)
     sim_core._kernel().vx_act(state.kernel_address, table.address, effective_step % 2)
     return table.arrays["actions"].copy()

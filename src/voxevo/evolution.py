@@ -17,11 +17,10 @@ holds, and resumes under that engine only.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -59,8 +58,8 @@ class Individual:
     def set_fitness(self, value: float) -> None:
         if self.fitness is not None:
             raise RuntimeError(f"individual {self.id} already evaluated; re-evaluation forbidden")
-        if not np.isfinite(value):
-            raise ValueError(f"fitness must be finite, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise ValueError(f"fitness must be a finite number, got {value!r}")
         self.fitness = float(value)
 
     def to_json(self) -> dict:
@@ -77,7 +76,9 @@ class Individual:
 
     @staticmethod
     def from_json(data: dict) -> "Individual":
-        """Decode a checkpoint record."""
+        """Decode a checkpoint record. Its fitness must be a finite number, as
+        ``set_fitness`` checks: ``json`` reads NaN, which no episode scores and
+        no member would ever dominate."""
         ind = Individual(
             id=data["id"],
             morphology=Morphology.from_json(data["morphology"]),
@@ -86,7 +87,7 @@ class Individual:
             parent_id=data.get("parent_id"),
             mutated_component=data.get("mutated_component"),
         )
-        ind.fitness = data.get("fitness")
+        ind.set_fitness(data["fitness"])
         return ind
 
 
@@ -464,7 +465,9 @@ def load_checkpoint(path) -> dict:
 
     Controller parameters come back bit for bit, from bytes or, in
     checkpoints written before they were stored as bytes, from float
-    lists. A file that cannot be read or decoded is a ConfigError naming it.
+    lists. A file that cannot be read or decoded, or a member, champion or
+    snapshot whose fitness is not a finite number, is a ConfigError naming
+    it.
     """
     try:
         with open(path) as fh:
@@ -550,7 +553,7 @@ def evolve(
         stats_text.append(_stats_text(stats[-1]))
         at_interval = pop.generation % config.checkpoint_interval == 0
         if at_interval or pop.generation == config.generations:
-            snapshots.append((pop.generation, copy.deepcopy(champion)))
+            snapshots.append((pop.generation, replace(champion)))  # its age and fitness, frozen
             snapshots_text.append(_snapshot_text(*snapshots[-1]))
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, pop, champion, stats_text, snapshots_text, config, fingerprint)

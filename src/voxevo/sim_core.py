@@ -25,15 +25,15 @@ that the kernel table's ``bad`` row flags as diverged; ``step`` is its
 one-step case. The kernel also builds a batch's worlds, every table
 of a union in one zeroed buffer (``build_worlds``): one call sizes the
 union, and one lays out, fills and points its ``Table`` at every table,
-the settled strip appended to every bridge world, and derives the
-columns, the tables only the kernel reads and the zeroed scratch rows from
-the rows. Python checks the bodies, allocates that buffer and makes each
-state from views of the tables it reads (``WorldState``), builds each
-batch's controller table, with its state's observation windows, solves
-the strip's statics once per span, parks worlds and keeps each episode's
-books (``tasks.run_episodes``, which runs a batch as one union per CPU,
-all at once: the kernel keeps no mutable global state, and a call into it
-holds no GIL). The kernel does numpy's operations in numpy's order, so the
+the settled strip appended to every bridge world and each active voxel's
+observation window among them, and derives the columns, the tables only
+the kernel reads and the zeroed scratch rows from the rows. Python checks
+the bodies, allocates that buffer and makes each state from views of the
+tables it reads (``WorldState``), builds each batch's controller table,
+solves the strip's statics once per span, parks worlds and keeps each
+episode's books (``tasks.run_episodes``, which runs a batch as one union
+per CPU, all at once: the kernel keeps no mutable global state, and a call
+into it holds no GIL). The kernel does numpy's operations in numpy's order, so the
 physics and the built tables give the bits the numpy code gave
 (``tests/oracles.py`` keeps that code as the reference it is tested
 against). Its step loops and the modular
@@ -206,12 +206,13 @@ class WorldState:
 
     Every table of a union lies in its one buffer, which the kernel lays
     out, fills and points its ``Table`` at (``_build``): the row tables, the
-    columns derived from them, the tables only the kernel reads and its
-    scratch rows. A state holds that buffer, the Table, and a view of each
-    table that ``voxevo`` reads, under the Table's name for it; the kernel
-    writes those tables in place, so no view is ever rebound. Its other
-    tables are read where the Table points (``tests/oracles.py``'s
-    ``kernel_tables``).
+    columns derived from them, each active voxel's observation window, the
+    tables only the kernel reads and its scratch rows. A state holds that
+    buffer, the Table, and a view of each table that ``voxevo`` reads,
+    under the Table's name for it; the kernel writes those tables in place,
+    so no view is ever rebound. Its other tables are read where the Table
+    points (``tests/oracles.py``'s ``kernel_tables``). A state holds no
+    body: what a step or a control step reads lies in its tables.
     """
 
     # the masses, (n,) or (n, 2)
@@ -228,9 +229,11 @@ class WorldState:
     spring_current_rest: np.ndarray
     spring_target_rest: np.ndarray
 
-    vox_cells: np.ndarray      # (v, 2) (row, column) of each robot's non-empty cells, row-major
     actuator_cells: np.ndarray  # (a, 2) (row, column) of each robot's actuator cells, row-major
     act_world: np.ndarray      # world of each active voxel
+    act_window: np.ndarray     # (a, 9) the voxel row in each slot of its 3x3 window, row-major; v if empty
+    act_codes: np.ndarray      # (a, 9) each slot's material code, 0 off the grid
+    features: np.ndarray       # (v + 1, 3) each voxel's volume, vx, vy as last filled; row v stays zero
 
     robot_ids: np.ndarray      # robot masses, ascending
     robot_world: np.ndarray    # their worlds
@@ -240,7 +243,6 @@ class WorldState:
     bad: np.ndarray            # (worlds,) nonzero for the worlds that diverged on the last step ``advance`` took
 
     starts: dict[str, np.ndarray] = field(repr=False)
-    morphologies: list[Morphology]  # one per world; empty for the bridge strip alone
     terrain: TerrainSpec | None
     buffer: np.ndarray = field(repr=False)                # the union's one allocation
     kernel_table: ctypes.Structure = field(repr=False)    # the kernel's Table, pointing into it
@@ -338,7 +340,7 @@ def _blueprint(terrain: TerrainSpec | None) -> tuple[ctypes.Structure, ctypes.St
     return builder, table, arrays
 
 
-def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: float) -> WorldState:
+def _build(cells: np.ndarray, grid, terrain, left: float, ground: float) -> WorldState:
     """The union of worlds on ``terrain`` (its ``_blueprint``) whose world
     ``w`` holds body ``cells[grid[w]]``, an (h, w) grid of material codes,
     placed with its leftmost corner at x = ``left`` and its lowest at
@@ -362,9 +364,7 @@ def _build(cells: np.ndarray, grid, morphologies, terrain, left: float, ground: 
     kernel.vx_build(ctypes.byref(builder), ctypes.byref(table), base)
     views = _views(table, buffer, base)
     starts = dict(zip(_KINDS, views.pop("starts")))
-    return WorldState(
-        **views, starts=starts, morphologies=morphologies, terrain=terrain, buffer=buffer, kernel_table=table
-    )
+    return WorldState(**views, starts=starts, terrain=terrain, buffer=buffer, kernel_table=table)
 
 
 def _views(table: ctypes.Structure, buffer: np.ndarray, base: int) -> dict:
@@ -376,7 +376,7 @@ def _views(table: ctypes.Structure, buffer: np.ndarray, base: int) -> dict:
         "pos": (n, 2), "vel": (n, 2), "mass": n, "inv_mass": n, "net": (n, 2),
         "spring_i": s, "spring_j": s, "spring_k": s, "spring_rest": s,
         "spring_current_rest": s, "spring_target_rest": s,
-        "vox_cells": (v, 2), "actuator_cells": (a, 2), "act_world": a,
+        "actuator_cells": (a, 2), "act_world": a, "act_window": (a, 9), "act_codes": (a, 9), "features": (v + 1, 3),
         "robot_ids": r, "robot_world": r, "com_weights": r, "bad": w, "starts": (len(_KINDS), w + 1),
     }
     pointees = type(table).pointees
@@ -410,7 +410,7 @@ def build_worlds(morphologies, terrain: TerrainSpec | None) -> WorldState:
     cells = np.zeros((len(index), max(m.h for m in index), max(m.w for m in index)), dtype=np.int8)
     for k, m in enumerate(index):
         cells[k, : m.h, : m.w] = m.cells  # a smaller body padded with empty cells, which build nothing
-    return _build(cells, grid, morphologies, terrain, terrain.spawn_x if terrain is not None else 0.0, 0.0)
+    return _build(cells, grid, terrain, terrain.spawn_x if terrain is not None else 0.0, 0.0)
 
 
 def build_world(morphology: Morphology, terrain: TerrainSpec | None) -> WorldState:
@@ -424,7 +424,7 @@ def _bare_strip(span_start: int, span_end: int, material: int) -> WorldState:
     ordinary one-row body with its top at y=0. Nothing is pinned yet, and
     it has no top chain: ``_settled_strip`` picks both out by position."""
     cells = np.full((1, 1, span_end - span_start), material, dtype=np.int8)
-    return _build(cells, [0], [], None, float(span_start), -1.0)
+    return _build(cells, [0], None, float(span_start), -1.0)
 
 
 @lru_cache(maxsize=8)

@@ -21,8 +21,9 @@ observations, against the compiled fill; ``reference_network`` (with
 against ``control.forward_batch``; ``reference_build_worlds`` (with
 ``reference_strip`` and ``reference_strip_rows``) the numpy world
 builder, and ``reference_tables`` the numpy derivation of every other
-table of a union from its rows (the columns, the tables only the kernel
-reads, its zeroed scratch rows), against the kernel's
+table of a union from its rows (the columns, the observation windows of
+``reference_windows``, the tables only the kernel reads, its zeroed
+scratch rows), against the kernel's
 ``sim_core.build_worlds``, which builds them all in one buffer; each bit
 for bit. ``kernel_tables`` reads a built union's tables where its kernel
 ``Table`` points, those the state holds no view of included (one at a
@@ -77,8 +78,8 @@ def one_hot(code: int) -> np.ndarray:
 
 def voxel_index(state: WorldState) -> dict[tuple[int, int], tuple[int, ...]]:
     """Cell -> its corner mass ids in (bl, br, tr, tl) order."""
-    corners = read_table(state, "vox_corners")
-    return {tuple(cell): tuple(ids) for cell, ids in zip(state.vox_cells.tolist(), corners.tolist())}
+    cells, corners = kernel_tables(state, "vox_cells", "vox_corners").values()
+    return {tuple(cell): tuple(ids) for cell, ids in zip(cells.tolist(), corners.tolist())}
 
 
 def row_worlds(state: WorldState, kind: str = "mass") -> np.ndarray:
@@ -103,8 +104,9 @@ class VoxelObservation:
         return out
 
 
-def observe_voxel(state: WorldState, cell: tuple[int, int]) -> VoxelObservation:
-    """Proprioception of one cell; empty/out-of-bounds cells read as zeros.
+def observe_voxel(state: WorldState, body: Morphology, cell: tuple[int, int]) -> VoxelObservation:
+    """Proprioception of one cell of the world of one ``body``; empty and
+    out-of-bounds cells read as zeros.
 
     normalized_volume is the corner quadrilateral's shoelace area over the
     unit rest area; center_velocity is the mean of the corner velocities.
@@ -123,12 +125,13 @@ def observe_voxel(state: WorldState, cell: tuple[int, int]) -> VoxelObservation:
         + x[3] * y[0] - x[0] * y[3]
     )
     velocity = state.vel[idx].mean(axis=0)
-    code = int(state.morphologies[0].cells[cell[0], cell[1]])
+    code = int(body.cells[cell[0], cell[1]])
     return VoxelObservation(area, velocity, one_hot(code))
 
 
-def gather_observation(state: WorldState, cell: tuple[int, int], effective_step: int) -> np.ndarray:
-    """73-entry local observation for the active voxel at ``cell``.
+def gather_observation(state: WorldState, body: Morphology, cell: tuple[int, int], effective_step: int) -> np.ndarray:
+    """73-entry local observation for the active voxel at ``cell`` of the
+    world of one ``body``.
 
     The 3x3 window is scanned row-major around the cell; each slot
     contributes (volume, vx, vy, material indicator x5); the final entry
@@ -136,16 +139,15 @@ def gather_observation(state: WorldState, cell: tuple[int, int], effective_step:
     """
     r, c = cell
     code = None
-    morphology = state.morphologies[0]
-    if 0 <= r < morphology.h and 0 <= c < morphology.w:
-        code = int(morphology.cells[r, c])
+    if 0 <= r < body.h and 0 <= c < body.w:
+        code = int(body.cells[r, c])
     if code not in materials.ACTIVE_CODES:
         raise ValueError(f"cell {cell} does not hold an active voxel")
     out = np.empty(OBS_DIM)
     k = 0
     for rr in range(r - 1, r + 2):
         for cc in range(c - 1, c + 2):
-            out[k : k + CELL_FEATURES] = observe_voxel(state, (rr, cc)).as_vector()
+            out[k : k + CELL_FEATURES] = observe_voxel(state, body, (rr, cc)).as_vector()
             k += CELL_FEATURES
     out[-1] = effective_step % 2
     return out
@@ -354,13 +356,14 @@ def voxel_velocities(state: WorldState) -> np.ndarray:
 
 def reference_observations(state: WorldState, effective_step: int) -> np.ndarray:
     """``control.observation_matrix`` in numpy, on the state's windows
-    (``control._window_tables``)."""
-    gather, features, material = control._window_tables(state)
+    (``WorldState.act_window`` and ``act_codes``, which the union tests
+    hold to ``reference_windows``)."""
+    features = np.zeros((state.kernel_table.voxels + 1, 3))
     features[:-1, 0] = voxel_areas(state)
     features[:-1, 1:] = voxel_velocities(state)
-    obs = np.empty((len(material), OBS_DIM))
-    obs[:, control._DYNAMIC_COLUMNS] = features.take(gather)
-    obs[:, control._MATERIAL_COLUMNS] = material
+    obs = np.empty((len(state.act_window), OBS_DIM))
+    obs[:, control._DYNAMIC_COLUMNS] = features[state.act_window].reshape(len(obs), -1)
+    obs[:, control._MATERIAL_COLUMNS] = np.eye(materials.NUM_CODES)[state.act_codes].reshape(len(obs), -1)
     obs[:, -1] = effective_step % 2
     return obs
 
@@ -542,11 +545,12 @@ def _strip_table(state: WorldState, in_span: np.ndarray) -> tuple[np.ndarray, np
 # functions do the same in numpy.
 
 # The row tables that a world's parts hold, by the kind of row they run
-# over, and the kind of row each index table points into
+# over, and the kind of row each index table points into; vox_codes, each
+# voxel's material code, is the reference's own, which no kernel table holds
 _ROW_FIELDS = {
     "mass": ("pos", "mass", "pinned", "is_robot"),
     "spring": ("spring_i", "spring_j", "spring_rest", "spring_k"),
-    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
+    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear", "vox_codes"),
     "act": ("actuator_cells", "actuator_springs"),
     "top": ("bridge_top",),
 }
@@ -652,6 +656,7 @@ def _grid_rows(cells: np.ndarray, x0: float, y0: float) -> dict:
         "vox_h_edges": springs[:, 0:2],
         "vox_v_edges": springs[:, 2:4],
         "vox_shear": springs[:, 4:6],
+        "vox_codes": code.astype(np.int64),
         "actuator_cells": cells_rc[active],
         "actuator_springs": np.where(horizontal, springs[:, 0:2], springs[:, 2:4])[active],
         "bridge_top": np.zeros(0, dtype=np.int64),
@@ -716,13 +721,37 @@ def reference_build_worlds(morphologies, terrain) -> tuple[dict, dict]:
     return reference_tables(*_concatenate([rows[m] for m in morphologies]), num_worlds=len(morphologies))
 
 
+_WINDOW_DR = np.repeat([0, 1, 2], 3)  # 3x3 window offsets, row-major, on a grid padded by one cell
+_WINDOW_DC = np.tile([0, 1, 2], 3)
+
+
+def reference_windows(rows: dict, offsets: dict, num_worlds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each active voxel's 3x3 window, row-major, from a union's row tables
+    and each kind's row offsets, as the library derived it before
+    ``vx_build`` did: on each world's grid of cells, padded by one cell, the
+    voxel row in each slot, or the voxel count (the zero row of the
+    ``features`` table) for an empty or out-of-grid slot; and each slot's
+    material code, 0 off the grid. (actuators, 9) each."""
+    cells, act, voxels = rows["vox_cells"], rows["actuator_cells"], len(rows["vox_cells"])
+    shape = cells.max(axis=0, initial=0) + 3
+    grid_row = np.full((num_worlds, *shape), voxels, dtype=np.int64)
+    grid_code = np.zeros(grid_row.shape, dtype=np.int64)  # empty beyond every body
+    vox_world = np.repeat(np.arange(num_worlds), np.diff(offsets["vox"]))
+    grid_row[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(voxels)
+    grid_code[vox_world, cells[:, 0] + 1, cells[:, 1] + 1] = rows["vox_codes"]
+    act_world = np.repeat(np.arange(num_worlds), np.diff(offsets["act"]))
+    window = (act_world[:, None], act[:, :1] + _WINDOW_DR, act[:, 1:] + _WINDOW_DC)
+    return grid_row[window], grid_code[window]
+
+
 def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, dict]:
     """Every table of a union's kernel ``Table``, by its name, and the
     Table's sizes, from the union's row tables and each kind's row offsets,
     derived in numpy as the library derived them before ``vx_build`` did:
     the moving columns, each row's world, the robot masses' weights, the
     actuated edges and the diagonals that follow them, each mass's list of
-    spring ends (a stable argsort), and the zeroed scratch rows."""
+    spring ends (a stable argsort), each active voxel's window
+    (``reference_windows``), and the zeroed scratch rows."""
     pos, mass, spring_rest = rows["pos"], rows["mass"], rows["spring_rest"]
     spring_i, spring_j = rows["spring_i"], rows["spring_j"]
     n, s = mass.size, spring_i.size
@@ -743,8 +772,9 @@ def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, 
     owners = np.concatenate([spring_i, spring_j])  # the mass of each row of spring_f
     end_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
+    act_window, act_codes = reference_windows(rows, offsets, num_worlds)
     tables = {
-        **rows,
+        **{name: table for name, table in rows.items() if name != "vox_codes"},  # no kernel table holds the codes
         "vel": np.zeros_like(pos),
         "inv_mass": np.where(rows["pinned"], 0.0, 1.0 / mass),
         "spring_current_rest": spring_rest.copy(),
@@ -774,6 +804,9 @@ def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, 
         "contact_ids": np.zeros(2 * robots, dtype=np.int64),
         "contact_w": np.zeros(4 * robots),
         "sums": np.zeros(edges.size),
+        "act_window": act_window,
+        "act_codes": act_codes,
+        "features": np.zeros((len(rows["vox_cells"]) + 1, 3)),
     }
     sizes = {
         "masses": n,
@@ -809,6 +842,7 @@ def table_shapes(table) -> dict:
         "spring_d": (f, (s, 4)), "spring_f": (f, (2, s, 2)), "ground": (f, (r, 2)), "chain_x": (f, tops),
         "net": (f, (n, 2)), "new_pos": (f, (n, 2)), "bad": (i, w),
         "contact_ids": (i, 2 * r), "contact_w": (f, 4 * r), "sums": (f, e),
+        "act_window": (i, (a, 9)), "act_codes": (i, (a, 9)), "features": (f, (v + 1, 3)),
     }
 
 

@@ -244,7 +244,7 @@ def test_criterion_6_observation_controller_contracts():
         w = build_world(m, flat)
         genome = init_controller("modular", rng)
         for cell in w.actuator_cells:
-            obs = gather_observation(w, cell, 3)
+            obs = gather_observation(w, m, cell, 3)
             ok = ok and obs.shape == (73,)
             action = modular_forward(genome, obs)
             ok = ok and 0.6 < action < 1.6

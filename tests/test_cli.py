@@ -654,7 +654,13 @@ def test_resumed_champion_equals_uninterrupted(monkeypatch, tmp_path, controller
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "bad-base64", "wrong-count"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "truncated", "bad-base64", "wrong-count",
+        "nan-member", "infinite-champion", "infinite-snapshot", "null-member", "boolean-member",
+    ],
+)
 def test_resume_from_an_unreadable_checkpoint_exits_2(monkeypatch, tmp_path, capsys, damage):
     out = tmp_path / "run"
     argv = interrupted_run(monkeypatch, out)
@@ -663,7 +669,19 @@ def test_resume_from_an_unreadable_checkpoint_exits_2(monkeypatch, tmp_path, cap
         path.write_text(path.read_text()[:100])
     else:
         checkpoint = json.loads(path.read_text())
-        checkpoint["members"][1]["controller"][PARAMS_KEY] = "!!" if damage == "bad-base64" else "AAAAAAAAAAA="
+        member, snapshot = checkpoint["members"][1], checkpoint["snapshots"][-1][1]  # a snapshot: [generation, record]
+        record, key, value = {
+            "bad-base64": (member["controller"], PARAMS_KEY, "!!"),
+            "wrong-count": (member["controller"], PARAMS_KEY, "AAAAAAAAAAA="),
+            # json reads NaN and Infinity: a NaN member would never be
+            # dominated, and would survive to turn the mean fitness into nan
+            "nan-member": (member, "fitness", float("nan")),
+            "infinite-champion": (checkpoint["champion"], "fitness", float("inf")),
+            "infinite-snapshot": (snapshot, "fitness", float("-inf")),
+            "null-member": (member, "fitness", None),
+            "boolean-member": (member, "fitness", True),
+        }[damage]
+        record[key] = value
         path.write_text(json.dumps(checkpoint))
     capsys.readouterr()
     assert run_cli(*argv, "--resume") == 2

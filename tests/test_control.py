@@ -134,14 +134,14 @@ def test_gather_observation_shape_and_time_signal(rng, flat):
     m = random_morphology(5, 5, rng)
     w = build_world(m, flat)
     cell = w.actuator_cells[0]
-    assert gather_observation(w, cell, 7).shape == (OBS_DIM,)
-    assert gather_observation(w, cell, 7)[-1] == 1
-    assert gather_observation(w, cell, 12)[-1] == 0
+    assert gather_observation(w, m, cell, 7).shape == (OBS_DIM,)
+    assert gather_observation(w, m, cell, 7)[-1] == 1
+    assert gather_observation(w, m, cell, 12)[-1] == 0
 
 
 def test_gather_observation_corner_actuator_window(flat, single_actuator):
     w = build_world(single_actuator, flat)
-    obs = gather_observation(w, (0, 0), 0)
+    obs = gather_observation(w, single_actuator, (0, 0), 0)
     blocks = obs[:-1].reshape(9, 8)
     # the body cell sits at window slot 4 (centre); all others are empty
     for i, block in enumerate(blocks):
@@ -156,9 +156,9 @@ def test_gather_observation_corner_actuator_window(flat, single_actuator):
 def test_gather_observation_rejects_passive_centre(flat, small_body):
     w = build_world(small_body, flat)
     with pytest.raises(ValueError):
-        gather_observation(w, (0, 1), 0)  # rigid cell
+        gather_observation(w, small_body, (0, 1), 0)  # rigid cell
     with pytest.raises(ValueError):
-        gather_observation(w, (9, 9), 0)
+        gather_observation(w, small_body, (9, 9), 0)
 
 
 def test_observation_matrix_agrees_with_gather(rng, flat):
@@ -169,7 +169,7 @@ def test_observation_matrix_agrees_with_gather(rng, flat):
     mat = observation_matrix(w, 3)
     assert mat.shape == (len(w.actuator_cells), OBS_DIM)
     for row, cell in zip(mat, w.actuator_cells):
-        assert np.allclose(row, gather_observation(w, cell, 3), atol=1e-12)
+        assert np.allclose(row, gather_observation(w, m, cell, 3), atol=1e-12)
 
 
 def test_mutate_fixed_is_copy(rng):
@@ -260,13 +260,30 @@ def test_controller_input_holds_no_stale_entries(rng, flat):
             own = compute_actions([genomes[w]], world, k)
             assert np.array_equal(actions[rows], own)
             for row, cell, action in zip(obs[rows], world.actuator_cells, own):
-                expected = gather_observation(world, cell, k)
+                expected = gather_observation(world, bodies[w], cell, k)
                 assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
                 assert action == pytest.approx(modular_forward(genomes[w], expected), abs=1e-12)
             set_actuation_targets(world, own)
             for _ in range(STEPS_PER_ACTION):
                 step(world)
         assert union.sim_time == STEPS_PER_ACTION * (k + 1)
+
+
+def test_compute_actions_leaves_the_state_s_table(rng, flat):
+    # compute_actions runs other genomes on a table of its own: the state
+    # keeps the table it had, and an episode stepped afterwards runs that
+    # table's genomes bit for bit
+    bodies = [random_morphology(5, 5, rng) for _ in range(3)]
+    genomes, others = [modular(rng) for _ in bodies], [modular(rng) for _ in bodies]
+    asked, untouched = build_worlds(bodies, flat), build_worlds(bodies, flat)
+    kept = controller_table(genomes, asked)
+    controller_table(genomes, untouched)
+    assert not np.array_equal(compute_actions(others, asked, 0), compute_actions(genomes, asked, 0))
+    assert asked.controller is kept
+    for state in (asked, untouched):
+        sim_core.advance(state, 40 * STEPS_PER_ACTION, control=True)
+    assert asked.pos.tobytes() == untouched.pos.tobytes()
+    assert asked.vel.tobytes() == untouched.vel.tobytes()
 
 
 @pytest.mark.parametrize("environment", ["walker", "bridgewalker"])

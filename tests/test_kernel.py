@@ -195,7 +195,7 @@ KERNEL_TABLES = (
     "pinned", "is_robot", "vox_cells", "vox_h_edges", "vox_v_edges", "vox_shear",
     "actuator_cells", "actuator_springs", "com_weights",
     "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
-    "contact_ids", "contact_w", "sums",
+    "contact_ids", "contact_w", "sums", "act_window", "act_codes", "features",
 )
 
 
@@ -231,7 +231,7 @@ def test_the_golden_unions_build_as_the_reference(setting):
     bodies = [m for m, _ in pairs]
     union = build_worlds(bodies, terrain)
     assert_same_state(union, reference_build_worlds(bodies, terrain))
-    assert (union.morphologies, union.terrain, union.sim_time) == (bodies, terrain, 0)
+    assert (union.terrain, union.sim_time) == (terrain, 0)
 
 
 @pytest.mark.parametrize("terrain", list(TERRAINS.values()), ids=list(TERRAINS))
@@ -270,6 +270,26 @@ def test_a_shared_actuated_edge_and_a_voxel_without_one_build_as_the_reference(t
     assert union.kernel_table.diagonals == 4 < union.kernel_table.voxels == 10
 
 
+@pytest.mark.parametrize("terrain", list(TERRAINS.values()), ids=list(TERRAINS))
+def test_a_smaller_body_s_edge_windows_build_as_the_reference(terrain):
+    # a 3x4 body whose every edge and corner cell is an actuator, between
+    # two 6x7 bodies: its windows reach past its grid, into the union's
+    # padding and beyond it, and every slot off the body reads the zero
+    # row of features and the empty code
+    rng = np.random.default_rng(8)
+    small = Morphology([[3, 4, 3, 4], [4, 1, 2, 3], [3, 4, 3, 4]])
+    bodies = [random_morphology(6, 7, rng), small, Morphology(rng.integers(1, 5, size=(6, 7)))]
+    union = build_worlds(bodies, terrain)
+    assert_same_state(union, reference_build_worlds(bodies, terrain))
+    acts, first = slice(*union.starts["act"][1:3]), union.starts["vox"][1]
+    assert len(union.actuator_cells[acts]) == 10
+    for (r, c), window, codes in zip(union.actuator_cells[acts], union.act_window[acts], union.act_codes[acts]):
+        for k, (rr, cc) in enumerate((r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)):
+            inside = 0 <= rr < 3 and 0 <= cc < 4  # the body is full: voxel rr * 4 + cc is cell (rr, cc)
+            assert window[k] == (first + rr * 4 + cc if inside else union.kernel_table.voxels)
+            assert codes[k] == (small.cells[rr, cc] if inside else 0)
+
+
 # sha256 of the settled strip's positions for each (span_start, span_end,
 # material), recorded while the kernel built the strip in a mode of its own
 SETTLED_STRIP_SHA256 = {
@@ -288,7 +308,7 @@ def test_the_settled_strip_is_the_reference_strip():
     for span, digest in SETTLED_STRIP_SHA256.items():
         strip = sim_core._bare_strip(*span)
         assert_same_state(strip, reference_strip(*span))
-        assert (strip.morphologies, strip.terrain, strip.kernel_table.terrain) == ([], None, 0)
+        assert (strip.terrain, strip.kernel_table.terrain) == (None, 0)
         settled, rows = sim_core._settled_strip(*span), reference_strip_rows(*span)
         assert list(settled) == list(sim_core._PART_TABLES)
         for name, table in settled.items():

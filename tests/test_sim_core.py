@@ -106,7 +106,7 @@ def test_a_state_views_only_the_tables_voxevo_reads():
     views = {f.name for f in dataclasses.fields(sim_core.WorldState) if f.type == "np.ndarray"} - {"buffer"}
     source = "\n".join(path.read_text() for path in Path(sim_core.__file__).parent.glob("*.py"))
     unread = [name for name in views if not re.search(rf"\.{name}\b", source) and name not in sim_core._PART_TABLES]
-    assert len(views) == 18 and unread == []
+    assert len(views) == 20 and unread == []
 
 
 def test_a_state_is_made_from_the_builder_tables_alone(flat):
@@ -114,7 +114,7 @@ def test_a_state_is_made_from_the_builder_tables_alone(flat):
     # points into it, and a view of each table Python reads, under the
     # Table's name for it, so no table has a second home in a state
     made_from = {f.name for f in dataclasses.fields(sim_core.WorldState) if f.init}
-    held = {"starts", "morphologies", "terrain", "buffer", "kernel_table", "sim_time", "controller"}
+    held = {"starts", "terrain", "buffer", "kernel_table", "sim_time", "controller"}
     views = made_from - held
     assert held <= made_from and views <= set(sim_core._struct("Table").pointees)
     state = build_world(Morphology([[3, 1], [2, 4]]), flat)
@@ -133,7 +133,7 @@ def test_union_rows_are_each_world_alone(terrain):
     union = build_worlds(bodies, terrain)
     alone = [build_world(m, terrain) for m in bodies]
     tables, own_tables = kernel_tables(union), [kernel_tables(w) for w in alone]
-    assert union.morphologies == bodies and tables["clamped_actions"].tolist() == [0, 0, 0]
+    assert tables["clamped_actions"].tolist() == [0, 0, 0]
     for kind, names in ROW_TABLES.items():
         starts = union.starts[kind]
         assert starts.tolist() == np.cumsum([0] + [len(own[names[0]]) for own in own_tables]).tolist()
@@ -486,9 +486,10 @@ def sunk_into_the_strip():
     world alone."""
     terrain = make_bridge_terrain((7, 7))
     rng = np.random.default_rng(11)
-    worlds = []
+    worlds, bodies = [], []
     for shift in (2.5, 6.0, 9.5):
-        w = build_world(random_morphology(7, 7, rng), terrain)
+        bodies.append(random_morphology(7, 7, rng))
+        w = build_world(bodies[-1], terrain)
         robot = read_table(w, "is_robot")
         w.pos[robot, 0] += terrain.span_start + shift - terrain.spawn_x
         # the strip sags by metres: sink the robot 0.1 below its surface
@@ -496,7 +497,7 @@ def sunk_into_the_strip():
         w.pos[robot, 1] -= (w.pos[robot, 1] - surface).min() + 0.1
         w.vel[robot] = rng.normal(0.0, 0.5, size=(robot.sum(), 2))
         worlds.append(w)
-    union = build_worlds([w.morphologies[0] for w in worlds], terrain)
+    union = build_worlds(bodies, terrain)
     for k, w in enumerate(worlds):
         rows = slice(union.starts["mass"][k], union.starts["mass"][k + 1])
         union.pos[rows] = w.pos
@@ -582,7 +583,7 @@ def test_friction_viscous_below_cone(single_actuator, flat):
 
 def test_observe_undeformed_voxel(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    obs = observe_voxel(w, (0, 0))
+    obs = observe_voxel(w, single_actuator, (0, 0))
     assert obs.normalized_volume == pytest.approx(1.0)
     assert np.all(obs.center_velocity == 0.0)
     assert obs.material_one_hot.tolist() == [0, 0, 0, 1, 0]
@@ -595,13 +596,14 @@ def test_observe_stretched_quad_shoelace(single_actuator, flat):
     w.pos[br] = (2.0, 0.0)
     w.pos[tr] = (2.0, 1.0)
     w.pos[tl] = (0.0, 1.0)
-    assert observe_voxel(w, (0, 0)).normalized_volume == pytest.approx(2.0)
+    assert observe_voxel(w, single_actuator, (0, 0)).normalized_volume == pytest.approx(2.0)
 
 
 def test_observe_out_of_bounds_and_empty(flat):
-    w = build_world(Morphology([[3, 0], [3, 3]]), flat)
+    body = Morphology([[3, 0], [3, 3]])
+    w = build_world(body, flat)
     for cell in ((-1, 0), (0, 5), (0, 1)):
-        obs = observe_voxel(w, cell)
+        obs = observe_voxel(w, body, cell)
         assert obs.normalized_volume == 0.0
         assert np.all(obs.center_velocity == 0.0)
         assert obs.material_one_hot.tolist() == [1, 0, 0, 0, 0]
@@ -611,7 +613,7 @@ def test_observe_out_of_bounds_and_empty(flat):
 def test_observation_velocity_is_corner_mean(single_actuator, flat):
     w = build_world(single_actuator, flat)
     w.vel[:] = [[1, 0], [0, 1], [1, 0], [0, 1]]
-    obs = observe_voxel(w, (0, 0))
+    obs = observe_voxel(w, single_actuator, (0, 0))
     assert np.allclose(obs.center_velocity, [0.5, 0.5])
 
 
