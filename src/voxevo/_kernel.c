@@ -1,8 +1,9 @@
 /*
  * The compiled core of voxevo's mass-spring engine (see sim_core.py): the
  * step, the episode loop around it, the actuation targets and both
- * controllers, the modular network included; and the builder of a batch's
- * worlds (vx_count, vx_build), set out at the end of this file.
+ * controllers, the modular network included; the bridge strip's static
+ * solve (vx_settle); and the builder of a batch's worlds (vx_count,
+ * vx_build), set out at the end of this file.
  *
  * vx_run steps a union of worlds until the first of: a step on which a
  * world diverged; a step after which some mass has !(x < finish_reach);
@@ -14,9 +15,10 @@
  *
  * The kernel keeps no mutable global state: its only file-scope data are
  * static const tables, and a call writes only through the Table, Brain or
- * Builder it is given and the arrays they point into. So calls on distinct
- * Tables and Brains may run at once, each on its own thread; ctypes drops
- * the GIL for every call, and tasks.run_episodes steps one union per CPU so.
+ * Builder it is given and the arrays they point into, and vx_settle into
+ * the work rows it is given. So calls on distinct Tables and Brains may run
+ * at once, each on its own thread; ctypes drops the GIL for every call, and
+ * tasks.run_episodes steps one union per CPU so.
  *
  * The step's functions take one Table: a union's sizes, the engine's
  * constants and pointers to every table of the union, which the builder lays
@@ -49,7 +51,8 @@
  * a table of terms, which tests/oracles.py still builds; the kernel keeps no
  * table, but adds each mass's terms in place, from +0.0, in the order the
  * table gave them (vx_forces, the kernel's one force entry, which a step
- * asks for both kinds of term):
+ * asks for both kinds of term, and the strip's static solve for the springs'
+ * alone):
  *  1. its spring_i ends, in spring order, each adding the spring's (fx, fy);
  *  2. its spring_j ends, in spring order, each adding (-fx, -fy);
  *  3. its ground contact's (ft, fn), a robot mass on any terrain;
@@ -151,7 +154,7 @@ typedef struct {
     int64_t *end_starts, *ends;
     /* rows that the step never reads; the control step reads act_window */
     uint8_t *pinned, *is_robot;  /* (masses,) */
-    int64_t *vox_cells, *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2): (row, column), spring ids */
+    int64_t *vox_h_edges, *vox_v_edges, *vox_shear;  /* (voxels, 2) spring ids */
     int64_t *actuator_cells, *actuator_springs;  /* (actuators, 2): (row, column), actuated edge ids */
     int64_t *act_window, *act_codes;  /* (actuators, 9): each window slot's voxel row, or voxels; its code */
     double *com_weights;      /* (robots,) each robot mass's fraction of its robot's */
@@ -753,6 +756,102 @@ int64_t vx_run(const Table *t, const Brain *b, int64_t time, int64_t stop, doubl
     return taken;
 }
 
+/* ---- settling the bridge strip ---------------------------------------------
+ *
+ * vx_settle solves the statics of a strip under gravity (sim_core's
+ * _settled_strip): Newton's method on the n coordinates of t->pos that
+ * ``unknowns`` names, the free masses', each index into pos's flat
+ * (masses, 2) order. It does what the numpy solve in tests/oracles.py does,
+ * one operation at a time and in its order, so the settled strip keeps its
+ * bits:
+ *  - the residual: vx_forces with the springs alone, then each mass's y sum
+ *    less gravity * mass, then each coordinate's sum times its inv_mass,
+ *    read at the unknowns (strip_residual);
+ *  - a Newton step opens with the residual, and stops the solve when every
+ *    entry's magnitude is below ``tol``, a NaN never so; no step ends with
+ *    that test;
+ *  - the Jacobian, column k: the residual with unknown k moved ahead by
+ *    ``h``, less the residual with it moved behind by ``h``, the coordinate
+ *    restored after; then every entry divided by 2.0 * h;
+ *  - the step: Gaussian elimination of [Jacobian | residual] without
+ *    pivoting, pivot row k taking from each row i below it f times row k
+ *    from column k on, f = m[i][k] / m[k][k] taken before row i changes, each
+ *    entry m[i][j] - f * m[k][j] with two roundings (eliminate_row); then
+ *    back-substitution, x[k] the right-hand side over the pivot and each row
+ *    above it less m[i][k] * x[k]; then each unknown less its x[k].
+ * The Jacobian is minus the mass-scaled tangent stiffness of a stable
+ * structure, so no pivot is zero. It calls no BLAS, so the bits depend on no
+ * CPU kernel. ``work`` holds n * (n + 4) doubles; the kernel allocates
+ * nothing. Returns the Newton steps taken to settle, or -1 if ``iterations``
+ * steps did not settle the strip, which is then left where the last one put
+ * it. */
+
+/* The residual at the strip's current positions into r (vx_settle). */
+static void strip_residual(const Table *t, const int64_t *unknowns, int64_t n, double *r)
+{
+    vx_forces(t, 1, 0);
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t u = unknowns[k], m = u / 2;
+        double f = t->net[u];
+        if (u % 2)
+            f = f - t->gravity * t->mass[m];
+        r[k] = f * t->inv_mass[m];
+    }
+}
+
+/* row[j] - f * pivot[j] into row[j], for j < n: one row's update in the
+ * elimination (vx_settle). */
+VX_CLONES static void eliminate_row(int64_t n, double f, const double *restrict pivot, double *restrict row)
+{
+    for (int64_t j = 0; j < n; j++) {
+        const double term = f * pivot[j];
+        row[j] = row[j] - term;
+    }
+}
+
+int64_t vx_settle(const Table *t, const int64_t *unknowns, int64_t n, double tol, double h, int64_t iterations, double *work)
+{
+    const int64_t cols = n + 1;  /* the Jacobian's columns, then the residual */
+    double *m = work, *r = m + n * cols, *ahead = r + n, *x = ahead + n;
+    double *pos = t->pos;
+    int64_t step, i, j, k;
+    for (step = 0; step < iterations; step++) {
+        int64_t settled = 1;
+        strip_residual(t, unknowns, n, r);
+        for (k = 0; k < n; k++)
+            settled &= fabs(r[k]) < tol;
+        if (settled)
+            return step;
+        for (k = 0; k < n; k++) {
+            const double held = pos[unknowns[k]];
+            pos[unknowns[k]] = held + h;
+            strip_residual(t, unknowns, n, ahead);
+            pos[unknowns[k]] = held - h;
+            strip_residual(t, unknowns, n, x);  /* behind: x is not the step's until the Jacobian is whole */
+            for (i = 0; i < n; i++)
+                m[i * cols + k] = ahead[i] - x[i];
+            pos[unknowns[k]] = held;
+        }
+        const double width = 2.0 * h;
+        for (i = 0; i < n; i++) {
+            for (j = 0; j < n; j++)
+                m[i * cols + j] = m[i * cols + j] / width;
+            m[i * cols + n] = r[i];
+        }
+        for (k = 0; k < n - 1; k++)
+            for (i = k + 1; i < n; i++)
+                eliminate_row(cols - k, m[i * cols + k] / m[k * cols + k], m + k * cols + k, m + i * cols + k);
+        for (k = n - 1; k >= 0; k--) {
+            x[k] = m[k * cols + n] / m[k * cols + k];
+            for (i = 0; i < k; i++)
+                m[i * cols + n] = m[i * cols + n] - m[i * cols + k] * x[k];
+        }
+        for (k = 0; k < n; k++)
+            pos[unknowns[k]] = pos[unknowns[k]] - x[k];
+    }
+    return -1;
+}
+
 /* ---- building worlds -------------------------------------------------------
  *
  * vx_count and vx_build make a batch's disjoint union of worlds
@@ -917,8 +1016,6 @@ static void body_rows(const Builder *b, const Table *t, int64_t g, const int64_t
             const int active = code == b->actuator_h || code == b->actuator_v;
             if (at) {
                 const int64_t v = at[VOX] + count[VOX], s = at[SPRING], m = at[MASS];
-                t->vox_cells[2 * v] = r;
-                t->vox_cells[2 * v + 1] = c;
                 t->vox_corners[4 * v] = m + id[2];  /* bl, br, tr, tl */
                 t->vox_corners[4 * v + 1] = m + id[3];
                 t->vox_corners[4 * v + 2] = m + id[1];
@@ -1008,7 +1105,6 @@ static int64_t lay_out(Table *t, char *base, int64_t **work)
     PLACE(ends, 2 * s);
     PLACE(pinned, n);
     PLACE(is_robot, n);
-    PLACE(vox_cells, 2 * v);
     PLACE(vox_h_edges, 2 * v);
     PLACE(vox_v_edges, 2 * v);
     PLACE(vox_shear, 2 * v);

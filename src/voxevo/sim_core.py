@@ -27,33 +27,35 @@ of a union in one zeroed buffer (``build_worlds``): one call sizes the
 union, and one lays out, fills and points its ``Table`` at every table,
 the settled strip appended to every bridge world and each active voxel's
 observation window among them, and derives the columns, the tables only
-the kernel reads and the zeroed scratch rows from the rows. Python checks
-the bodies, allocates that buffer and makes each state from views of the
-tables it reads (``WorldState``), builds each batch's controller table,
-solves the strip's statics once per span, parks worlds and keeps each
-episode's books (``tasks.run_episodes``, which runs a batch as one union
-per CPU, all at once: the kernel keeps no mutable global state, and a call
-into it holds no GIL). The kernel does numpy's operations in numpy's order, so the
-physics and the built tables give the bits the numpy code gave
-(``tests/oracles.py`` keeps that code as the reference it is tested
-against). Its step loops and the modular
-network are compiled twice, for AVX-512 and the baseline, and the CPU
-picks the clone; both give the same bits. The network has numerics of
-its own: a fixed summation order, and ``tanh`` and the logistic built on
-the kernel's own ``exp``, with no libm, numpy or BLAS call (``_kernel.c``
-sets them out). The system C compiler (``_COMPILER``) builds the kernel
-on first use with ``_CFLAGS``: ``-O2 -ffp-contract=off -fno-math-errno``
-and never ``-ffast-math`` or ``-march=native``, either of which could
-move bits. The library is cached in ``_KERNEL_DIR``, beside this file,
-under a name that carries a hash of the source and the flags, so a cache
-hit only hashes the source and loads the file. Python declares none of
-the kernel's interface a second time: each struct it fills (``_struct``)
-and each function's types (``_load_kernel``) are read from ``_kernel.c``'s
+the kernel reads and the zeroed scratch rows from the rows; and it solves
+the strip's statics, once per span, in one call (``_settled_strip``).
+Python checks the bodies, allocates that buffer and makes each state from
+views of the tables it reads (``WorldState``), builds each batch's
+controller table, picks the strip's pins and unknowns and allocates its
+solve's work rows, parks worlds and keeps each episode's books
+(``tasks.run_episodes``, which runs a batch as one union per CPU, all at
+once: the kernel keeps no mutable global state, and a call into it holds
+no GIL). The kernel does numpy's operations in numpy's order, so the
+physics, the built tables and the settled strip give the bits the numpy
+code gave (``tests/oracles.py`` keeps that code as the reference it is
+tested against). Its step loops and the modular network are compiled
+twice, for AVX-512 and the baseline, and the CPU picks the clone; both
+give the same bits. The network has numerics of its own: a fixed
+summation order, and ``tanh`` and the logistic built on the kernel's own
+``exp``, with no libm, numpy or BLAS call (``_kernel.c`` sets them out).
+The system C compiler (``_COMPILER``) builds the kernel on first use
+with ``_CFLAGS``: ``-O2 -ffp-contract=off -fno-math-errno`` and never
+``-ffast-math`` or ``-march=native``, either of which could move bits.
+The library is cached in ``_KERNEL_DIR``, beside this file, under a name
+that carries a hash of the source and the flags, so a cache hit only
+hashes the source and loads the file. Python declares none of the
+kernel's interface a second time: each struct it fills (``_struct``) and
+each function's types (``_load_kernel``) are read from ``_kernel.c``'s
 text, read once per process, and a struct's pointers are bound only to
-C-contiguous arrays of the C type they point to (``_point``); a build binds
-its bodies alone, as each terrain's constants, gravity among them, and
-strip are bound once (``_blueprint``). There is no fallback engine: a
-second step path would be a second set of numerics to keep equal, so a
+C-contiguous arrays of the C type they point to (``_point``); a build
+binds its bodies alone, as each terrain's constants, gravity among them,
+and strip are bound once (``_blueprint``). There is no fallback engine:
+a second step path would be a second set of numerics to keep equal, so a
 kernel that cannot be built is an error that names the compiler, the
 cache directory and the compiler's complaint.
 """
@@ -110,9 +112,10 @@ FRICTION_MU = 0.5
 
 DIVERGENCE_LIMIT = 1e6
 
-# Bridge-strip statics: the Newton solve stops once every free strip mass
-# accelerates by less than STRIP_TOLERANCE, and raises after
-# STRIP_NEWTON_ITERATIONS; STRIP_FD_STEP is its finite-difference step.
+# Bridge-strip statics, which the kernel's vx_settle solves: the Newton solve
+# stops once every free strip mass accelerates by less than STRIP_TOLERANCE,
+# and fails after STRIP_NEWTON_ITERATIONS steps; STRIP_FD_STEP is the step
+# of its central differences.
 STRIP_TOLERANCE = 1e-9
 STRIP_NEWTON_ITERATIONS = 50
 STRIP_FD_STEP = 1e-6
@@ -430,69 +433,37 @@ def _bare_strip(span_start: int, span_end: int, material: int) -> WorldState:
 @lru_cache(maxsize=8)
 def _settled_strip(span_start: int, span_end: int, material: int) -> dict:
     """The bare strip's tables that a bridge world appends (``_PART_TABLES``)
-    at its static equilibrium under gravity, their positions read-only:
-    built and settled once per span. Its masses at x = ``span_start`` and
+    at its static equilibrium under gravity, every one read-only: built and
+    settled once per span. Its masses at x = ``span_start`` and
     x = ``span_end``, the pad junctions, are pinned; its top chain is its
     masses at y = 0 in id order, which for one row is x order.
 
-    Newton's method on the free masses' coordinates, starting from the flat
-    strip. The residual is each free mass's acceleration under
-    ``net_forces`` plus gravity; its Jacobian is taken by central
-    differences of that same residual, and each step is solved by
-    ``_eliminate``, which calls no BLAS, so the strip's bytes do not depend
-    on the OpenBLAS kernel. Stops once no free mass accelerates by
-    ``STRIP_TOLERANCE`` or more; raises rather than return an unconverged
-    strip.
+    One kernel call, ``vx_settle``, settles it: Newton's method on the free
+    masses' coordinates, starting from the flat strip. The residual is each
+    free mass's acceleration under its springs and gravity; its Jacobian is
+    taken by central differences of that same residual, and each step is
+    solved by Gaussian elimination without pivoting, which calls no BLAS, so
+    the strip's bytes depend on no CPU kernel (``_kernel.c`` sets out the
+    order of operations; ``tests/oracles.py`` keeps the numpy solve it
+    follows). Stops once no free mass accelerates by ``STRIP_TOLERANCE`` or
+    more; raises rather than return an unconverged strip.
     """
     strip = _bare_strip(span_start, span_end, material)
     x, y = strip.pos.T
     pinned = (x == span_start) | (x == span_end)
-    tables = {"pinned": pinned, "bridge_top": np.flatnonzero(y == 0.0)}
-    free = np.flatnonzero(~pinned)
-    unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
-    coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
-
-    def residual() -> np.ndarray:
-        force = net_forces(strip)
-        force[:, 1] -= GRAVITY * strip.mass
-        return (force * strip.inv_mass[:, None]).reshape(-1)[unknowns]
-
-    for _ in range(STRIP_NEWTON_ITERATIONS):
-        r = residual()
-        if np.abs(r).max() < STRIP_TOLERANCE:
-            strip.pos.setflags(write=False)
-            return {name: tables[name] if name in tables else getattr(strip, name) for name in _PART_TABLES}
-        jacobian = np.empty((r.size, r.size))
-        for k, u in enumerate(unknowns):
-            held = coords[u]
-            coords[u] = held + STRIP_FD_STEP
-            ahead = residual()
-            coords[u] = held - STRIP_FD_STEP
-            jacobian[:, k] = ahead - residual()
-            coords[u] = held
-        jacobian /= 2.0 * STRIP_FD_STEP
-        coords[unknowns] -= _eliminate(jacobian, r)
-    raise RuntimeError(f"bridge strip did not settle in {STRIP_NEWTON_ITERATIONS} Newton iterations")
-
-
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b, by Gaussian elimination without pivoting.
-
-    Elementwise numpy only (no BLAS or LAPACK call, no reduction), so the
-    result is the same on every CPU kernel. The strip's Jacobian needs no
-    pivoting: it is minus the mass-scaled tangent stiffness of a stable
-    structure, so none of its leading minors is zero.
-    """
-    m = np.concatenate([a, b[:, None]], axis=1)
-    n = b.size
-    for k in range(n - 1):
-        m[k + 1:, k:] -= np.multiply.outer(m[k + 1:, k] / m[k, k], m[k, k:])
-    rhs = m[:, n].copy()
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = rhs[k] / m[k, k]
-        rhs[:k] -= m[:k, k] * x[k]
-    return x
+    tables = {"pinned": pinned, "bridge_top": np.flatnonzero(y == 0.0)}  # picked on the flat strip
+    unknowns = (2 * np.flatnonzero(~pinned)[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
+    work = np.empty(unknowns.size * (unknowns.size + 4))
+    steps = _kernel().vx_settle(
+        strip.kernel_address, unknowns.ctypes.data, unknowns.size,
+        STRIP_TOLERANCE, STRIP_FD_STEP, STRIP_NEWTON_ITERATIONS, work.ctypes.data,
+    )
+    if steps < 0:
+        raise RuntimeError(f"bridge strip did not settle in {STRIP_NEWTON_ITERATIONS} Newton iterations")
+    part = {name: tables[name] if name in tables else getattr(strip, name) for name in _PART_TABLES}
+    for table in part.values():
+        table.setflags(write=False)  # every later bridge build appends these
+    return part
 
 
 def _build_kernel(path: Path) -> None:

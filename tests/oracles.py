@@ -24,8 +24,10 @@ builder, and ``reference_tables`` the numpy derivation of every other
 table of a union from its rows (the columns, the observation windows of
 ``reference_windows``, the tables only the kernel reads, its zeroed
 scratch rows), against the kernel's
-``sim_core.build_worlds``, which builds them all in one buffer; each bit
-for bit. ``kernel_tables`` reads a built union's tables where its kernel
+``sim_core.build_worlds``, which builds them all in one buffer;
+``reference_settled_strip`` (with ``_eliminate``) the numpy static solve
+of the bridge strip, against the kernel's ``vx_settle``; each bit for
+bit. ``kernel_tables`` reads a built union's tables where its kernel
 ``Table`` points, those the state holds no view of included (one at a
 time, ``read_table``), and ``row_worlds`` gives each row's world from
 the union's ``starts``. ``pareto_layers`` peels
@@ -76,9 +78,12 @@ def one_hot(code: int) -> np.ndarray:
     return v
 
 
-def voxel_index(state: WorldState) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Cell -> its corner mass ids in (bl, br, tr, tl) order."""
-    cells, corners = kernel_tables(state, "vox_cells", "vox_corners").values()
+def voxel_index(state: WorldState, body: Morphology) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Cell -> its corner mass ids in (bl, br, tr, tl) order, in the world
+    of one ``body``: each voxel's cell from the reference's own rows of the
+    body, its corners where the kernel ``Table`` points."""
+    cells = _grid_rows(body.cells, 0.0, 0.0)["vox_cells"]
+    corners = read_table(state, "vox_corners")
     return {tuple(cell): tuple(ids) for cell, ids in zip(cells.tolist(), corners.tolist())}
 
 
@@ -111,7 +116,7 @@ def observe_voxel(state: WorldState, body: Morphology, cell: tuple[int, int]) ->
     normalized_volume is the corner quadrilateral's shoelace area over the
     unit rest area; center_velocity is the mean of the corner velocities.
     """
-    corners = voxel_index(state).get(tuple(cell))
+    corners = voxel_index(state, body).get(tuple(cell))
     if corners is None:
         return VoxelObservation(0.0, np.zeros(2), one_hot(materials.EMPTY))
     idx = list(corners)
@@ -545,8 +550,9 @@ def _strip_table(state: WorldState, in_span: np.ndarray) -> tuple[np.ndarray, np
 # functions do the same in numpy.
 
 # The row tables that a world's parts hold, by the kind of row they run
-# over, and the kind of row each index table points into; vox_codes, each
-# voxel's material code, is the reference's own, which no kernel table holds
+# over, and the kind of row each index table points into; vox_cells and
+# vox_codes, each voxel's cell and material code, are the reference's own,
+# which no kernel table holds
 _ROW_FIELDS = {
     "mass": ("pos", "mass", "pinned", "is_robot"),
     "spring": ("spring_i", "spring_j", "spring_rest", "spring_k"),
@@ -684,6 +690,69 @@ def reference_strip_rows(span_start: int, span_end: int, material: int) -> dict:
     return rows
 
 
+def reference_settled_strip(span_start: int, span_end: int, material: int) -> tuple[np.ndarray, int]:
+    """The bare strip's positions at its static equilibrium under gravity,
+    and the Newton steps taken to reach it, as the numpy solve found them
+    before the kernel's ``vx_settle`` did, its pins picked as
+    ``sim_core._settled_strip`` picks them.
+
+    Newton's method on the free masses' coordinates, starting from the flat
+    strip. The residual is each free mass's acceleration under
+    ``net_forces`` plus gravity; its Jacobian is taken by central
+    differences of that same residual, and each step is solved by
+    ``_eliminate``, which calls no BLAS. Stops once no free mass accelerates
+    by ``STRIP_TOLERANCE`` or more; raises rather than return an
+    unconverged strip.
+    """
+    strip = sim_core._bare_strip(span_start, span_end, material)
+    x = strip.pos[:, 0]
+    pinned = (x == span_start) | (x == span_end)
+    free = np.flatnonzero(~pinned)
+    unknowns = (2 * free[:, None] + np.arange(2)).ravel()  # free coordinates in pos's flat order
+    coords = strip.pos.reshape(-1)  # a view: writing it moves the strip
+
+    def residual() -> np.ndarray:
+        force = sim_core.net_forces(strip)
+        force[:, 1] -= sim_core.GRAVITY * strip.mass
+        return (force * strip.inv_mass[:, None]).reshape(-1)[unknowns]
+
+    for steps in range(sim_core.STRIP_NEWTON_ITERATIONS):
+        r = residual()
+        if np.abs(r).max() < sim_core.STRIP_TOLERANCE:
+            return strip.pos, steps
+        jacobian = np.empty((r.size, r.size))
+        for k, u in enumerate(unknowns):
+            held = coords[u]
+            coords[u] = held + sim_core.STRIP_FD_STEP
+            ahead = residual()
+            coords[u] = held - sim_core.STRIP_FD_STEP
+            jacobian[:, k] = ahead - residual()
+            coords[u] = held
+        jacobian /= 2.0 * sim_core.STRIP_FD_STEP
+        coords[unknowns] -= _eliminate(jacobian, r)
+    raise RuntimeError(f"bridge strip did not settle in {sim_core.STRIP_NEWTON_ITERATIONS} Newton iterations")
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, by Gaussian elimination without pivoting.
+
+    Elementwise numpy only (no BLAS or LAPACK call, no reduction), so the
+    result is the same on every CPU kernel. The strip's Jacobian needs no
+    pivoting: it is minus the mass-scaled tangent stiffness of a stable
+    structure, so none of its leading minors is zero.
+    """
+    m = np.concatenate([a, b[:, None]], axis=1)
+    n = b.size
+    for k in range(n - 1):
+        m[k + 1:, k:] -= np.multiply.outer(m[k + 1:, k] / m[k, k], m[k, k:])
+    rhs = m[:, n].copy()
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = rhs[k] / m[k, k]
+        rhs[:k] -= m[:k, k] * x[k]
+    return x
+
+
 def reference_strip(span_start: int, span_end: int, material: int) -> tuple[dict, dict]:
     """The bare strip alone, flat, as the world the strip's static solve
     relaxes: an ordinary one-row body, top at y=0, in a union of one on no
@@ -774,7 +843,7 @@ def reference_tables(rows: dict, offsets: dict, num_worlds: int) -> tuple[dict, 
     np.cumsum(np.bincount(owners, minlength=n), out=end_starts[1:])
     act_window, act_codes = reference_windows(rows, offsets, num_worlds)
     tables = {
-        **{name: table for name, table in rows.items() if name != "vox_codes"},  # no kernel table holds the codes
+        **{name: table for name, table in rows.items() if name not in ("vox_cells", "vox_codes")},  # the reference's own
         "vel": np.zeros_like(pos),
         "inv_mass": np.where(rows["pinned"], 0.0, 1.0 / mass),
         "spring_current_rest": spring_rest.copy(),
@@ -837,7 +906,7 @@ def table_shapes(table) -> dict:
         "robot_ids": (i, r), "robot_world": (i, r), "bridge_top": (i, tops), "starts": (i, (len(_ROW_FIELDS), w + 1)),
         "end_starts": (i, n + 1), "ends": (i, 2 * s),
         "pinned": (b, n), "is_robot": (b, n),
-        "vox_cells": (i, (v, 2)), "vox_h_edges": (i, (v, 2)), "vox_v_edges": (i, (v, 2)), "vox_shear": (i, (v, 2)),
+        "vox_h_edges": (i, (v, 2)), "vox_v_edges": (i, (v, 2)), "vox_shear": (i, (v, 2)),
         "actuator_cells": (i, (a, 2)), "actuator_springs": (i, (a, 2)), "com_weights": (f, r),
         "spring_d": (f, (s, 4)), "spring_f": (f, (2, s, 2)), "ground": (f, (r, 2)), "chain_x": (f, tops),
         "net": (f, (n, 2)), "new_pos": (f, (n, 2)), "bad": (i, w),

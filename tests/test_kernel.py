@@ -20,6 +20,7 @@ library exports must have its types declared.
 
 import ctypes
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -44,6 +45,7 @@ from oracles import (
     reference_build_worlds,
     reference_contact_forces,
     reference_set_actuation_targets,
+    reference_settled_strip,
     reference_spring_forces,
     reference_step,
     reference_strip,
@@ -192,7 +194,7 @@ KERNEL_TABLES = (
     "mass", "inv_mass", "spring_i", "spring_j", "spring_k", "spring_c", "spring_rest",
     "edge_ids", "edge_limit", "edge_slot", "edge_count", "act_world", "vox_corners", "diagonal_sides", "diagonal_ids",
     "robot_ids", "robot_world", "bridge_top", "starts", "end_starts", "ends",
-    "pinned", "is_robot", "vox_cells", "vox_h_edges", "vox_v_edges", "vox_shear",
+    "pinned", "is_robot", "vox_h_edges", "vox_v_edges", "vox_shear",
     "actuator_cells", "actuator_springs", "com_weights",
     "spring_d", "spring_f", "ground", "chain_x", "net", "new_pos", "bad",
     "contact_ids", "contact_w", "sums", "act_window", "act_codes", "features",
@@ -318,6 +320,54 @@ def test_the_settled_strip_is_the_reference_strip():
             else:
                 assert (table.dtype, table.shape) == (rows[name].dtype, rows[name].shape), name
                 assert table.tobytes() == rows[name].tobytes(), name
+
+
+@pytest.mark.parametrize("span", list(SETTLED_STRIP_SHA256), ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_the_kernel_settles_the_strip_as_the_numpy_solve(span, monkeypatch):
+    # vx_settle does the numpy solve's operations in its order: the same
+    # positions, byte for byte, after the same number of Newton steps
+    kernel, settled = sim_core._kernel(), []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def vx_settle(self, *args):
+            settled.append(kernel.vx_settle(*args))
+            return settled[-1]
+
+    monkeypatch.setattr(sim_core, "_kernel", Recording)
+    pos = sim_core._settled_strip.__wrapped__(*span)["pos"]
+    reference, steps = reference_settled_strip(*span)
+    assert settled == [steps] and steps > 0
+    assert pos.tobytes() == reference.tobytes()
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == SETTLED_STRIP_SHA256[span]
+
+
+@pytest.mark.parametrize(
+    "constant, value", [("STRIP_NEWTON_ITERATIONS", 1), ("STRIP_TOLERANCE", math.nan)], ids=["one-step", "nan-tolerance"]
+)
+def test_a_strip_that_does_not_settle_raises_and_is_not_cached(constant, value, monkeypatch):
+    # one Newton step does not settle the flat strip, and no residual is
+    # below a NaN tolerance: either is an error, and no strip is kept
+    monkeypatch.setattr(sim_core, constant, value)
+    cached = sim_core._settled_strip.cache_info()
+    with pytest.raises(RuntimeError, match="did not settle"):
+        sim_core._settled_strip.__wrapped__(8, 52, ELASTIC)
+    with pytest.raises(RuntimeError, match="did not settle"):
+        sim_core._settled_strip(2, 7, RIGID)  # a span no other test settles
+    assert sim_core._settled_strip.cache_info().currsize == cached.currsize
+
+
+def test_every_table_of_the_settled_strip_refuses_a_write():
+    # every bridge world appends the cached strip's tables, so a write
+    # through any of them would change every later bridge build
+    strip = sim_core._settled_strip(int(BRIDGE_SPAN_START), int(BRIDGE_SPAN_END), ELASTIC)
+    assert list(strip) == list(sim_core._PART_TABLES)
+    for name, table in strip.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[1]
 
 
 def bare_and_built():
@@ -565,7 +615,7 @@ def test_the_loader_declares_every_kernel_export():
     lib = sim_core._kernel()
     listed = subprocess.run(["nm", "-D", "--defined-only", lib._name], capture_output=True, text=True, timeout=60)
     exported = re.findall(r" [Ti] (vx_\w+)$", listed.stdout, flags=re.M)
-    assert len(exported) == len(set(exported)) == 9
+    assert len(exported) == len(set(exported)) == 10
     assert [name for name in exported if getattr(lib, name).argtypes is None] == []
 
 

@@ -84,7 +84,7 @@ ROW_TABLES = {
     "spring": (
         "spring_i", "spring_j", "spring_rest", "spring_current_rest", "spring_target_rest", "spring_k", "spring_c",
     ),
-    "vox": ("vox_cells", "vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
+    "vox": ("vox_corners", "vox_h_edges", "vox_v_edges", "vox_shear"),
     "act": ("actuator_cells", "actuator_springs"),
     "top": ("bridge_top",),
 }
@@ -204,7 +204,7 @@ def test_shared_boundary_spring_takes_stiffer_material(flat):
 
 def test_voxel_index_maps_every_nonempty_cell(small_body, flat):
     w = build_world(small_body, flat)
-    index = voxel_index(w)
+    index = voxel_index(w, small_body)
     assert set(index) == set(zip(*np.nonzero(small_body.cells)))
     for corners in index.values():
         assert len(set(corners)) == 4
@@ -591,7 +591,7 @@ def test_observe_undeformed_voxel(single_actuator, flat):
 
 def test_observe_stretched_quad_shoelace(single_actuator, flat):
     w = build_world(single_actuator, flat)
-    bl, br, tr, tl = voxel_index(w)[(0, 0)]
+    bl, br, tr, tl = voxel_index(w, single_actuator)[(0, 0)]
     w.pos[bl] = (0.0, 0.0)
     w.pos[br] = (2.0, 0.0)
     w.pos[tr] = (2.0, 1.0)
